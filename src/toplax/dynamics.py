@@ -14,6 +14,7 @@ import numpy as np
 
 from . import model as md
 from .errors import ConstraintDrift, PoleProximity
+from .tensor import block_grid
 
 
 @dataclass(frozen=True)
@@ -47,28 +48,25 @@ class TrajectoryRecord:
 
 
 def state_to_vector(state):
-    M, N = state.M, state.N
-    S = state.spin.assemble().reshape(-1)
-    return np.concatenate([np.asarray(state.q), np.asarray(state.p), S])
+    """Flat phase vector (q, p, entries of the NM x NM spin matrix)."""
+    return np.concatenate([np.asarray(state.q, dtype=complex),
+                           np.asarray(state.p, dtype=complex),
+                           state.spin.matrix.reshape(-1)])
 
 
 def vector_to_state(vec, template):
     M, N = template.M, template.N
-    q = tuple(vec[:M])
-    p = tuple(vec[M:2 * M])
     S = vec[2 * M:].reshape(N * M, N * M)
-    spin = md.spin_from_matrix(S, M, N)
-    if template.spin.xi is not None:
-        spin = md.SpinConfig(M, N, spin.blocks,
-                             template.spin.xi, template.spin.eta)
-    return md.PhaseState(q, p, spin, template.family)
+    spin = md.SpinConfig(M, N, block_grid(S, M, N),
+                         template.spin.xi, template.spin.eta)
+    return md.PhaseState(tuple(vec[:M]), tuple(vec[M:2 * M]), spin,
+                         template.family)
 
 
 def _derivative(vec, template):
-    state = vector_to_state(vec, template)
-    dq, dp, dS = md.eom_rhs(state)
-    dS_big = md.block_embed(dS).reshape(-1)
-    return np.concatenate([np.asarray(dq), np.asarray(dp), dS_big])
+    dq, dp, dS = md.eom_rhs(vector_to_state(vec, template))
+    # dS is the block view of one NM x NM matrix, so this is a flat view
+    return np.concatenate([dq, dp, dS.swapaxes(1, 2).reshape(-1)])
 
 
 def _rk4_step(vec, dt, template):

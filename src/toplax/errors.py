@@ -13,6 +13,11 @@ class NonConvergent(ToplaxError):
     """Theta series hit the hard term cap before the truncation test passed."""
 
 
+class ThetaOverflow(ToplaxError):
+    """Theta series terms overflow floating point: the argument lies too far
+    off the real axis, outside the range the series is summed in."""
+
+
 class PoleProximity(ToplaxError):
     """An argument landed within the guard distance of a pole."""
 

@@ -12,44 +12,62 @@ implements the printed equations of motion, while bracket_flow derives the
 same flow from the Hamiltonian through the linear Poisson-Lie structure
 {S^{ij}_{ab}, S^{kl}_{cd}} = S^{kj}_{cb} d^{il} d_{ad} - S^{il}_{ad} d^{kj} d_{bc}
 and {p_i, q_j} = d_{ij}.  Their agreement is part of the certification.
+
+eom_rhs writes the spin flow as one commutator dS = [S, K] of NM x NM
+matrices.  Pairs couple only through F^0(q_ij) and its q-derivative, each
+evaluated once per pair i < j; the skew-symmetry r_12(z) = -r_21(-z) gives
+the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.
 """
 
-import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import specfun as sf
-from .errors import (ConstraintViolation, DegenerateDraw, PoleProximity,
-                     ScaleExceeded)
+from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (as_four_index, block_embed, block_split, commutator,
-                     eye, frobenius_norm, kron, op_contract, op_contract_1,
-                     permutation_P)
+from .tensor import (as_four_index, block_embed, block_grid, block_split,
+                     commutator, eye, frobenius_norm, kron, op_contract,
+                     op_contract_1, permutation_P)
 
 
 # --- spin configurations ---------------------------------------------------
 
 @dataclass(frozen=True)
 class SpinConfig:
-    """M x M grid of N x N complex blocks, with optional rank-1 generators."""
+    """M x M grid of N x N complex blocks, with optional rank-1 generators.
+
+    The spin is held as one read-only NM x NM matrix ``matrix`` (the
+    S = sum E_ij (x) S^{ij} of assemble()).  ``blocks`` may be given as rows
+    of blocks or as an (M, M, N, N) array and is kept as the (M, M, N, N)
+    view of that matrix, so blocks[i][j] is S^{ij}.
+    """
 
     M: int
     N: int
-    blocks: tuple          # tuple of tuples of N x N arrays
+    blocks: object
     xi: tuple = None       # rank-1 generators, one N-vector per site
     eta: tuple = None
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        M, N = self.M, self.N
+        grid = np.asarray(self.blocks, dtype=complex).reshape(M, M, N, N)
+        S = grid.swapaxes(1, 2).reshape(M * N, M * N).copy()
+        S.flags.writeable = False
+        object.__setattr__(self, "matrix", S)
+        object.__setattr__(self, "blocks", block_grid(S, M, N))
 
     def block(self, i, j):
-        return self.blocks[i][j]
+        return self.blocks[i, j]
 
     def assemble(self):
-        """The NM x NM matrix S = sum E_ij (x) S^{ij}."""
-        return block_embed(self.blocks)
+        """The NM x NM matrix S = sum E_ij (x) S^{ij} (read-only)."""
+        return self.matrix
 
     def traces(self):
-        return np.array([np.trace(self.blocks[i][i]) for i in range(self.M)])
+        return np.einsum("iikk->i", self.blocks)
 
     def on_constraints(self, nu, tol=1e-12):
         return bool(np.all(np.abs(self.traces() - nu) < tol))
@@ -58,7 +76,7 @@ class SpinConfig:
         return self.xi is not None
 
     def replace_blocks(self, blocks):
-        return SpinConfig(self.M, self.N, _freeze(blocks), self.xi, self.eta)
+        return SpinConfig(self.M, self.N, blocks, self.xi, self.eta)
 
 
 def _freeze(blocks):
@@ -68,7 +86,7 @@ def _freeze(blocks):
 
 def spin_from_matrix(S, M, N):
     """Block-decompose an NM x NM matrix into a SpinConfig."""
-    return SpinConfig(M, N, _freeze(block_split(S, M, N)))
+    return SpinConfig(M, N, block_grid(np.asarray(S, dtype=complex), M, N))
 
 
 def spin_rank1(M, N, nu, seed):
@@ -89,8 +107,7 @@ def spin_rank1(M, N, nu, seed):
         raise DegenerateDraw("xi.eta too small after 10 redraws")
     xi = [x * (nu / d) for x, d in zip(xi, dots)]
     blocks = [[np.outer(xi[i], eta[j]) for j in range(M)] for i in range(M)]
-    return SpinConfig(M, N, _freeze(blocks),
-                      tuple(np.asarray(x) for x in xi),
+    return SpinConfig(M, N, blocks, tuple(np.asarray(x) for x in xi),
                       tuple(np.asarray(e) for e in eta))
 
 
@@ -103,7 +120,7 @@ def spin_general(M, N, nu, seed):
     for i in range(M):
         blocks[i][i] = blocks[i][i] + \
             ((nu - np.trace(blocks[i][i])) / N) * np.eye(N)
-    return SpinConfig(M, N, _freeze(blocks))
+    return SpinConfig(M, N, blocks)
 
 
 # --- phase states ----------------------------------------------------------
@@ -262,83 +279,57 @@ def build_M(state, z):
 # --- equations of motion (printed form) ------------------------------------
 
 def eom_rhs(state, diagonal_form="general"):
-    """Right-hand side of the flow: (dq, dp, dSpin blocks).
+    """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij}.
 
-    diagonal_form "general" uses the generic diagonal-block equation;
-    "commutator" uses the interacting-tops commutator form, valid for
-    rank-1 spin.  Off-diagonal blocks and momenta are shared.
+    The printed off-diagonal equations and the "general" diagonal ones
+    are together dS = S K - K S on NM x NM matrices, with
+    K^{ij} = tr_2(F^0_12(q_ij) P_12 S^{ij}_2) for i != j and
+    K^{ii} = J(S^{ii}) = tr_2(m_12(0) S^{ii}_2).  "commutator" replaces
+    the diagonal blocks by the interacting-tops form
+    [S^{ii}, J(S^{ii}) + sum_{k!=i} tr_2(F^0_12(q_ik) S^{kk}_2)], valid for
+    rank-1 spin.  dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2).
+
+    F^0 and F^0' are evaluated once per pair i < j (whose pole guard covers
+    q_ji, the pole set being symmetric); the pair j, i follows from
+    F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq and dp are
+    length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
+    derivative.
     """
+    if diagonal_form not in ("general", "commutator"):
+        raise ValueError(f"unknown diagonal_form {diagonal_form!r}")
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    P = permutation_P(N)
-    m0 = fam.m0()
-
-    def Kf(q, A):
-        return op_contract(fam.F0(q) @ P, A)
-
-    def Ks(q, A):
-        return op_contract(_swap(fam.F0(q), N) @ P, A)
-
-    J = {i: op_contract(m0, spin.block(i, i)) for i in range(M)}
-    dq = [state.p[i] for i in range(M)]
-    dS = [[np.zeros((N, N), dtype=complex) for _ in range(M)]
-          for _ in range(M)]
-
+    # pair tables [i, j, a, c, b, d] = F^0(q_ij)_{(a,c),(b,d)}, zero on i = j;
+    # conjugation by P swaps the two tensor factors
+    F = np.zeros((M, M, N, N, N, N), dtype=complex)
+    D = np.zeros_like(F)
     for i in range(M):
-        for j in range(M):
-            if i == j:
-                continue
+        for j in range(i + 1, M):
             qij = state.qdiff(i, j)
-            acc = spin.block(i, i) @ Kf(qij, spin.block(i, j)) \
-                - J[i] @ spin.block(i, j) \
-                - Kf(qij, spin.block(i, j)) @ spin.block(j, j) \
-                + spin.block(i, j) @ J[j]
-            for k in range(M):
-                if k == i or k == j:
-                    continue
-                acc += spin.block(i, k) @ Kf(state.qdiff(k, j),
-                                             spin.block(k, j))
-                acc -= Kf(state.qdiff(i, k), spin.block(i, k)) \
-                    @ spin.block(k, j)
-            dS[i][j] = acc
+            F[i, j] = as_four_index(fam.F0(qij), N)
+            D[i, j] = as_four_index(fam.F0(qij, d=1), N)
+    F = F + F.transpose(1, 0, 3, 2, 5, 4)
+    D = D - D.transpose(1, 0, 3, 2, 5, 4)
 
-    if diagonal_form == "general":
-        for i in range(M):
-            acc = commutator(spin.block(i, i), J[i])
-            for k in range(M):
-                if k == i:
-                    continue
-                qik = state.qdiff(i, k)
-                acc += spin.block(i, k) @ Ks(qik, spin.block(k, i))
-                acc -= Kf(qik, spin.block(i, k)) @ spin.block(k, i)
-            dS[i][i] = acc
-    elif diagonal_form == "commutator":
-        for i in range(M):
-            acc = commutator(spin.block(i, i), J[i])
-            for k in range(M):
-                if k == i:
-                    continue
-                acc += commutator(
-                    spin.block(i, i),
-                    op_contract(fam.F0(state.qdiff(i, k)),
-                                spin.block(k, k)))
-            dS[i][i] = acc
-    else:
-        raise ValueError(f"unknown diagonal_form {diagonal_form!r}")
+    S = spin.matrix
+    S4 = S.reshape(M, N, M, N)
+    sites = np.arange(M)
+    # K^{ij}_{ab} = sum_kl F^0(q_ij)_{(a,k),(l,b)} S^{ij}_{lk}
+    K = np.einsum("ijaklb,iljk->iajb", F, S4)
+    J = np.einsum("akbl,ilik->iab", as_four_index(fam.m0(), N), S4)
+    K[sites, :, sites, :] += J
+    K = K.reshape(M * N, M * N)
+    dS = S @ K - K @ S
 
-    dp = []
-    for i in range(M):
-        acc = 0.0
-        for k in range(M):
-            if k == i:
-                continue
-            qik = state.qdiff(i, k)
-            G = _swap(fam.F0(qik, d=1), N) @ P
-            acc -= np.trace(G @ kron(spin.block(i, k), spin.block(k, i)))
-        dp.append(complex(acc))
+    if diagonal_form == "commutator":
+        Sd = spin.blocks[sites, sites]
+        V = J + np.einsum("ikacbd,kdc->iab", F, Sd)
+        block_grid(dS, M, N)[sites, sites] = Sd @ V - V @ Sd
 
-    return tuple(dq), tuple(dp), _freeze(dS)
+    # tr_12(P F^0'_12 (A (x) B)) = sum F^0'_{(c,a),(b,d)} A_{ba} B_{dc}
+    dp = -np.einsum("ikcabd,ibka,kdic->i", D, S4, S4)
+    return np.array(state.p, dtype=complex), dp, block_grid(dS, M, N)
 
 
 # --- Poisson-bracket oracle ------------------------------------------------
@@ -501,6 +492,11 @@ def _exchange_lhs(state, z, w):
     return L8.reshape(dim, dim)
 
 
+def _matrix_units(M):
+    """The M x M matrix units: entry [i, j] is E_ij."""
+    return np.eye(M * M).reshape(M, M, M, M)
+
+
 def classical_r_big(state, z, w):
     """The dynamical r-matrix on Mat(M)^2 x Mat(N)^2, primed factors first:
     sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P."""
@@ -508,10 +504,7 @@ def classical_r_big(state, z, w):
     M, N = spin.M, spin.N
     sf.check_pole(fam.flavor, z - w)
     P = permutation_P(N)
-    E = [[np.zeros((M, M)) for _ in range(M)] for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            E[i][j][i, j] = 1.0
+    E = _matrix_units(M)
     out = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
     r12 = fam.r(z - w)
     for i in range(M):
@@ -529,10 +522,7 @@ def _r_big_transposed(state, w, z):
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     P = permutation_P(N)
-    E = [[np.zeros((M, M)) for _ in range(M)] for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            E[i][j][i, j] = 1.0
+    E = _matrix_units(M)
     out = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
     r12 = _swap(fam.r(w - z), N)
     for i in range(M):
@@ -551,10 +541,7 @@ def _r_big_q_derivative_sum(state, z, w):
     M, N = spin.M, spin.N
     P = permutation_P(N)
     tr = spin.traces()
-    E = [[np.zeros((M, M)) for _ in range(M)] for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            E[i][j][i, j] = 1.0
+    E = _matrix_units(M)
     out = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
     for i in range(M):
         for j in range(M):
@@ -574,10 +561,7 @@ def exchange_residual(state, z, w):
     _require_constraints(state)
     lhs = _exchange_lhs(state, z, w)
 
-    E = [[np.zeros((M, M)) for _ in range(M)] for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            E[i][j][i, j] = 1.0
+    E = _matrix_units(M)
     L1 = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
     L2 = np.zeros_like(L1)
     Lz = block_split(build_L(state, z), M, N)
@@ -629,33 +613,22 @@ def cm_rmx_lax(q, p, nu, family, z):
             if a != b:
                 sf.check_pole(family.flavor, q[a] - q[b])
     dim = N ** M
-    E = np.zeros((M, M))
-
-    def basis(a, b):
-        out = np.zeros((M, M))
-        out[a, b] = 1.0
-        return out
-
-    F0tot = np.zeros((dim, dim), dtype=complex)
-    for b in range(M):
-        for c in range(b):
-            F0tot += _site_pair_embed(family.F0(q[b] - q[c]), b, c, N, M)
-
+    E = _matrix_units(M)
     L = np.zeros((M * dim, M * dim), dtype=complex)
     Mbar = np.zeros_like(L)
     for a in range(M):
-        L += p[a] * np.kron(basis(a, a), np.eye(dim))
+        L += p[a] * np.kron(E[a, a], np.eye(dim))
         d_a = np.zeros((dim, dim), dtype=complex)
         for c in range(M):
             if c != a:
                 d_a -= _site_pair_embed(family.F0(q[a] - q[c]), a, c, N, M)
-        Mbar += nu * np.kron(basis(a, a), d_a)
+        Mbar += nu * np.kron(E[a, a], d_a)
         for b in range(M):
             if b != a:
                 Rab = _site_pair_embed(family.R(z, q[a] - q[b]), a, b, N, M)
                 Fab = _site_pair_embed(family.F(z, q[a] - q[b]), a, b, N, M)
-                L += nu * np.kron(basis(a, b), Rab)
-                Mbar += nu * np.kron(basis(a, b), Fab)
+                L += nu * np.kron(E[a, b], Rab)
+                Mbar += nu * np.kron(E[a, b], Fab)
     return L, Mbar
 
 
@@ -669,11 +642,7 @@ def cm_rmx_residual(q, p, nu, family, z):
     N = family.N
     L, Mbar = cm_rmx_lax(q, p, nu, family, z)
     dim = N ** M
-
-    def basis(a, b):
-        out = np.zeros((M, M))
-        out[a, b] = 1.0
-        return out
+    E = _matrix_units(M)
 
     F0tot = np.zeros((dim, dim), dtype=complex)
     for b in range(M):
@@ -687,14 +656,14 @@ def cm_rmx_residual(q, p, nu, family, z):
         for b in range(M):
             if a != b:
                 Fab = _site_pair_embed(family.F(z, q[a] - q[b]), a, b, N, M)
-                flow += nu * (p[a] - p[b]) * np.kron(basis(a, b), Fab)
+                flow += nu * (p[a] - p[b]) * np.kron(E[a, b], Fab)
     for a in range(M):
         dH_dqa = 0.0
         for b in range(M):
             if b != a:
                 dH_dqa -= nu * nu * sf.eisenstein_E2_prime(
                     family.flavor, q[a] - q[b])
-        flow -= dH_dqa * np.kron(basis(a, a), np.eye(dim))
+        flow -= dH_dqa * np.kron(E[a, a], np.eye(dim))
 
     c0 = nu * (F0big @ L - L @ F0big)
     rhs = L @ Mbar - Mbar @ L
@@ -735,7 +704,8 @@ def load_model_config(cfg):
     nu_raw = cfg.get("nu")
     if nu_raw is None:
         raise ValueError("field 'nu' is required")
-    if nu_raw and isinstance(nu_raw[0], (list, tuple)):
+    if isinstance(nu_raw, (list, tuple)) and nu_raw \
+            and isinstance(nu_raw[0], (list, tuple)):
         values = [_as_complex(v, "nu") for v in nu_raw]
         if any(abs(v - values[0]) > 0 for v in values[1:]):
             raise ValueError(

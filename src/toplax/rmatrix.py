@@ -12,7 +12,6 @@ import cmath
 import numpy as np
 
 from . import specfun as sf
-from .errors import PoleProximity
 from .tensor import (all_sectors, eye, kron, permutation_P, sin_basis_T_int,
                      partial_trace_1, partial_trace_2, frobenius_norm)
 
@@ -27,6 +26,7 @@ class RMatrixFamily:
         self.flavor = flavor
         self._P = permutation_P(self.N)
         self._I = eye(self.N * self.N)
+        self._m0 = None
 
     # quantum matrix; dz = derivative order in the argument z (0, 1 or 2)
     def R(self, hbar, z, dz=0):
@@ -40,6 +40,14 @@ class RMatrixFamily:
         raise NotImplementedError
 
     def m0(self):
+        """m(0), evaluated on first use and then shared read-only."""
+        if self._m0 is None:
+            m0 = np.array(self._m_at_zero(), dtype=complex)
+            m0.flags.writeable = False
+            self._m0 = m0
+        return self._m0
+
+    def _m_at_zero(self):
         return self.m(0.0)
 
     def r0(self):
@@ -321,7 +329,7 @@ class BaxterBelavin(RMatrixFamily):
             out += coeff * self._TT[(a.a1, a.a2)]
         return out / N
 
-    def m0(self):
+    def _m_at_zero(self):
         # z -> 0 limit: the scalar part tends to kappa/3, the sector part
         # to f(0, omega_a) = -E2(omega_a)
         N = self.N

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import theta_sum
-from .errors import BadModulus, NonConvergent, PoleProximity
+from .errors import BadModulus, NonConvergent, PoleProximity, ThetaOverflow
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -101,7 +101,15 @@ def theta(z, tau, deriv=0, trunc_tol=1e-16, cap=THETA_CAP):
     tau = complex(tau)
     if tau.imag < MIN_IM_TAU:
         raise BadModulus(f"Im(tau) = {tau.imag:.4f} below {MIN_IM_TAU}")
-    value, ok, _ = theta_sum(complex(z), tau, deriv, trunc_tol, cap)
+    z = complex(z)
+    try:
+        value, ok, _ = theta_sum(z, tau, deriv, trunc_tol, cap)
+    except OverflowError:
+        value = complex("nan")
+    if not cmath.isfinite(value):
+        raise ThetaOverflow(
+            f"theta series at z = {z} overflows floating point "
+            f"(|Im z| / Im tau = {abs(z.imag) / tau.imag:.3g})")
     if not ok:
         raise NonConvergent(
             f"theta series did not converge within |k| <= {cap}")

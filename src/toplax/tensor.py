@@ -135,3 +135,12 @@ def block_split(A, M, N):
     A = np.asarray(A, dtype=complex)
     return [[A[i * N:(i + 1) * N, j * N:(j + 1) * N].copy()
              for j in range(M)] for i in range(M)]
+
+
+def block_grid(A, M, N):
+    """(M, M, N, N) view of an NM x NM matrix: entry [i, j] is block (i, j).
+
+    The view shares memory with A; grid.swapaxes(1, 2).reshape(M*N, M*N)
+    is A again.
+    """
+    return A.reshape(M, N, M, N).swapaxes(1, 2)

@@ -94,6 +94,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_scalar_nu_exits_2(tmp_path, capsys):
+    bad = write_config(tmp_path, nu=1.0)
+    code, _, err = run_capture(capsys, ["check-lax", "--config", bad])
+    assert code == 2
+    assert "'nu'" in err
+
+
+def test_theta_overflow_exits_2(tmp_path, capsys):
+    # p = +-40i drives Im(q_12) far off the fundamental cell, where the
+    # theta series overflows floating point
+    path = write_config(tmp_path, family="bb", tau=[0.0, 1.0], seed=0,
+                        p0=[[0.0, 40.0], [0.0, -40.0]])
+    code, _, err = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "1e-2", "--steps", "200",
+        "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert "overflows" in err
+
+
 def test_bad_complex_flag(capsys):
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):

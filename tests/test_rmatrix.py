@@ -131,6 +131,35 @@ def test_skew_symmetry_of_classical_data():
         assert np.max(np.abs(fam.m(z) - P @ fam.m(-z) @ P)) < 1e-12, key
 
 
+def test_F0_mirror_identities():
+    # eom_rhs evaluates each pair once and takes the mirror pair from
+    # F0(-q) = P F0(q) P and F0'(-q) = -P F0'(q) P (skew-symmetry of r)
+    rng = np.random.default_rng(6)
+    families = [rm.make_family(key, tau=1j, C=0.7 + 0.2j)
+                for key in rm.FAMILY_KEYS]
+    families.append(rm.make_family("bb", N=3, tau=0.3 + 0.8j))
+    for fam in families:
+        P = tn.permutation_P(fam.N)
+        for _ in range(10):
+            q = rm._draw(rng, fam, margin=0.1)
+            for d, sign in ((0, 1.0), (1, -1.0)):
+                lhs = fam.F0(-q, d=d)
+                rhs = sign * P @ fam.F0(q, d=d) @ P
+                scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+                assert np.linalg.norm(lhs - rhs) < 1e-12 * scale, \
+                    f"{fam.label()} d={d} q={q}"
+
+
+def test_m0_cached_read_only():
+    for key in rm.FAMILY_KEYS:
+        fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
+        m0 = fam.m0()
+        assert fam.m0() is m0, key
+        assert np.array_equal(m0, fam._m_at_zero()), key
+        with pytest.raises(ValueError):
+            m0[0, 0] = 1.0
+
+
 def test_r0_structure():
     # r0 is P-symmetric under right multiplication and skew under swap
     for key in rm.FAMILY_KEYS:

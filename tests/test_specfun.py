@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toplax import specfun as sf
-from toplax.errors import BadModulus, PoleProximity
+from toplax.errors import BadModulus, PoleProximity, ThetaOverflow
 
 
 def brute_theta(z, tau, terms=400):
@@ -51,6 +51,14 @@ def test_bad_modulus_rejected():
         sf.theta(0.25, 0.01j)
     with pytest.raises(BadModulus):
         sf.Flavor.elliptic(0.5 + 0.01j)
+
+
+def test_theta_overflow_is_package_error():
+    # far off the real axis the series terms overflow floating point
+    with pytest.raises(ThetaOverflow):
+        sf.theta(0.3 + 10j, 1j)
+    with pytest.raises(ThetaOverflow):
+        sf.eisenstein_E2(sf.Flavor.elliptic(1j), 0.3 - 10j)
 
 
 def test_flavor_validation():
