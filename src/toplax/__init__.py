@@ -10,5 +10,3 @@ Modules:
 """
 
 __version__ = "0.1.0"
-
-from ._accel import USING_COMPILED

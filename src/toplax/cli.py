@@ -16,7 +16,7 @@ from . import dynamics as dy
 from . import model as md
 from . import rmatrix as rm
 from . import specfun as sf
-from .errors import ToplaxError
+from .errors import DegenerateDraw, ToplaxError
 
 _FLAVOR_KEYS = ("rational", "trig", "elliptic")
 
@@ -31,6 +31,17 @@ def _parse_complex(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected RE,IM pair, got {text!r}")
+
+
+def _count(text):
+    """A sample count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _complex_pair(z):
@@ -128,6 +139,9 @@ def _cmd_check_exchange(args):
         if family.pole_distance(z - w) < 0.05:
             continue
         residuals.append(md.exchange_residual(state, z, w))
+    if not residuals:
+        raise DegenerateDraw(
+            "no (z, w) pair cleared the pole margin in 200 draws")
     worst = max(residuals)
     passed = worst < args.tol
     body = {"max_exchange_residual": worst, "pairs": args.pairs,
@@ -183,7 +197,7 @@ def _build_parser():
                        help="scalar special-function identity suite")
     p.add_argument("--flavor", choices=_FLAVOR_KEYS, required=True)
     p.add_argument("--tau", type=_parse_complex, default=None)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_certify_functions)
@@ -194,21 +208,21 @@ def _build_parser():
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--tau", type=_parse_complex, default=None)
     p.add_argument("--c", type=_parse_complex, default=None)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_certify_rmatrix)
 
     p = sub.add_parser("check-lax", help="Lax equation residual")
     p.add_argument("--config", required=True)
-    p.add_argument("--z-samples", type=int, default=5)
+    p.add_argument("--z-samples", type=_count, default=5)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_check_lax)
 
     p = sub.add_parser("check-exchange",
                        help="classical exchange relation residual")
     p.add_argument("--config", required=True)
-    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--pairs", type=_count, default=5)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_check_exchange)
 

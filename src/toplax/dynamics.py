@@ -57,8 +57,8 @@ def state_to_vector(state):
 def vector_to_state(vec, template):
     M, N = template.M, template.N
     S = vec[2 * M:].reshape(N * M, N * M)
-    spin = md.SpinConfig(M, N, block_grid(S, M, N),
-                         template.spin.xi, template.spin.eta)
+    # no rank-1 generators: the template's need not generate these spins
+    spin = md.SpinConfig(M, N, block_grid(S, M, N))
     return md.PhaseState(tuple(vec[:M]), tuple(vec[M:2 * M]), spin,
                          template.family)
 

@@ -31,7 +31,9 @@ class PoleProximity(ToplaxError):
 
 
 class DegenerateDraw(ToplaxError):
-    """Random rank-1 spin draw produced a near-zero diagonal pairing."""
+    """A random draw failed within its redraw limit: a rank-1 spin draw kept
+    a near-zero diagonal pairing, or sample points or positions could not
+    clear the pole margin."""
 
 
 class ConstraintViolation(ToplaxError):

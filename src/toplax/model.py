@@ -76,7 +76,9 @@ class SpinConfig:
         return self.xi is not None
 
     def replace_blocks(self, blocks):
-        return SpinConfig(self.M, self.N, blocks, self.xi, self.eta)
+        """New spin with these blocks; the rank-1 generators are dropped,
+        since they need not generate the new blocks."""
+        return SpinConfig(self.M, self.N, blocks)
 
 
 def _freeze(blocks):
@@ -159,7 +161,7 @@ def random_positions(family, M, rng, margin=0.05):
                  for i in range(M) for j in range(M) if i != j)
         if ok:
             return tuple(q)
-    raise RuntimeError("failed to draw pole-avoiding positions")
+    raise DegenerateDraw("failed to draw pole-avoiding positions")
 
 
 def random_state(family, M, nu, seed, spin_mode="general"):
@@ -517,24 +519,6 @@ def classical_r_big(state, z, w):
     return out
 
 
-def _r_big_transposed(state, w, z):
-    """r_{2'1'21}(w, z): both primed and unprimed pairs swapped."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    P = permutation_P(N)
-    E = _matrix_units(M)
-    out = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
-    r12 = _swap(fam.r(w - z), N)
-    for i in range(M):
-        out += kron(E[i][i], E[i][i], r12)
-    for i in range(M):
-        for j in range(M):
-            if i != j:
-                out += kron(E[j][i], E[i][j],
-                            _swap(fam.R(w - z, state.qdiff(i, j)) @ P, N))
-    return out
-
-
 def _r_big_q_derivative_sum(state, z, w):
     """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix."""
     fam, spin = state.family, state.spin
@@ -572,7 +556,11 @@ def exchange_residual(state, z, w):
             L2 += kron(np.eye(M), E[i][j], eye(N), Lw[i][j])
 
     rb = classical_r_big(state, z, w)
-    rbt = _r_big_transposed(state, w, z)
+    # r_{2'1'21}(w, z): swapping both the primed and the unprimed factor
+    # pairs of r(w, z) is an axis transpose of its (M, M, N, N) x 2 reshape
+    dim = (M * N) ** 2
+    rbt = classical_r_big(state, w, z).reshape((M, M, N, N) * 2).transpose(
+        1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
     dr = _r_big_q_derivative_sum(state, z, w)
     c1 = L1 @ rb - rb @ L1
     c2 = L2 @ rbt - rbt @ L2

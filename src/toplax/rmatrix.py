@@ -12,6 +12,7 @@ import cmath
 import numpy as np
 
 from . import specfun as sf
+from .errors import DegenerateDraw
 from .tensor import (all_sectors, eye, kron, permutation_P, sin_basis_T_int,
                      partial_trace_1, partial_trace_2, frobenius_norm)
 
@@ -458,7 +459,7 @@ def _draw_many(rng, family, count, extra=(), margin=0.05):
             combos.append(sum(c * p for c, p in zip(coeffs, pts)))
         if all(family.pole_distance(c) > margin for c in combos):
             return pts
-    raise RuntimeError("failed to draw pole-avoiding arguments")
+    raise DegenerateDraw("failed to draw pole-avoiding arguments")
 
 
 def measure_r1(family, q0=0.05):

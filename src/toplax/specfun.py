@@ -3,16 +3,19 @@
 The rational, trigonometric and elliptic flavors share one interface: the
 two-variable kernel function phi, the Eisenstein functions E1 and E2, the
 Weierstrass function, and the q-derivative f of phi.  The elliptic flavor is
-built on an odd theta series whose derivatives are summed term-wise.
+built on an odd theta series; one pass over its terms sums the function and
+its first derivatives together.
 """
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import theta_sum
-from .errors import BadModulus, NonConvergent, PoleProximity, ThetaOverflow
+from .errors import (BadModulus, DegenerateDraw, NonConvergent, PoleProximity,
+                     ThetaOverflow)
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -23,6 +26,7 @@ POLE_EPS = 1e-6
 THETA_CAP = 200
 
 TWO_PI_I = 2j * cmath.pi
+PI_I = 1j * cmath.pi
 
 
 @dataclass(frozen=True)
@@ -96,29 +100,101 @@ class SectorIndex:
         return self.a1 == 0 and self.a2 == 0
 
 
-def theta(z, tau, deriv=0, trunc_tol=1e-16, cap=THETA_CAP):
-    """Odd theta function (or its deriv-th derivative) at z on modulus tau."""
+def theta_sum(z, tau, upto=0, tol=1e-16, cap=THETA_CAP):
+    """Sum the odd theta series and its first ``upto`` z-derivatives.
+
+    Terms are exp(pi*i*tau*h^2 + 2*pi*i*(z+1/2)*h) over half-integers
+    h = n + 1/2, summed in symmetric pairs h, -h outward from n = 0.  The
+    d-th derivative weights the pair by (2*pi*i*h)^d and (-2*pi*i*h)^d, so
+    each order costs one more multiply of the shared exponentials.
+
+    Returns (values, converged, n_pairs) with values[d] the d-th derivative.
+    Order d passes its truncation test when a pair's term-magnitude sum
+    |t_h| + |t_-h| drops below tol times its running scale (partial-sum
+    magnitude, floored by the largest pair bound seen); the pass stops once
+    every order has passed.  Using the magnitude sum rather than |pair|
+    avoids two traps: exactly-cancelling sums such as theta(0) still
+    terminate, and accidental zeros of a single pair (cosine nodes at
+    rational real z) cannot trigger a premature stop.  The first pair never
+    passes, since there |partial sum| <= bound.
+    """
+    a = PI_I * tau
+    b = TWO_PI_I * (z + 0.5)
+    # order 0 is kept in locals so that a plain theta call stays cheap
+    total = 0.0 + 0.0j
+    scale = 0.0
+    open0 = True
+    sums = [total] * (upto + 1)
+    scales = [scale] * (upto + 1)
+    higher = range(1, upto + 1)
+    open_higher = set(higher)
+    converged = False
+    for n in range(cap + 1):
+        h = n + 0.5
+        quad = cmath.exp(a * h * h)
+        lin = b * h
+        t_plus = quad * cmath.exp(lin)
+        t_minus = quad * cmath.exp(-lin)
+        total += t_plus + t_minus
+        bound = abs(t_plus) + abs(t_minus)
+        if bound > scale:
+            scale = bound
+        if bound < tol * scale or bound < tol * abs(total):
+            open0 = False
+        if upto:
+            c = TWO_PI_I * h
+            for d in higher:
+                t_plus *= c
+                t_minus *= -c
+                s = sums[d] = sums[d] + t_plus + t_minus
+                bound = abs(t_plus) + abs(t_minus)
+                if bound > scales[d]:
+                    scales[d] = bound
+                if bound < tol * max(scales[d], abs(s)):
+                    open_higher.discard(d)
+        if not (open0 or open_higher):
+            converged = True
+            break
+    sums[0] = total
+    return sums, converged, n + 1
+
+
+def theta_derivs(z, tau, upto, trunc_tol=1e-16, cap=THETA_CAP):
+    """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass."""
     tau = complex(tau)
     if tau.imag < MIN_IM_TAU:
         raise BadModulus(f"Im(tau) = {tau.imag:.4f} below {MIN_IM_TAU}")
+    if upto < 0:
+        raise ValueError("derivative order must be >= 0")
     z = complex(z)
     try:
-        value, ok, _ = theta_sum(z, tau, deriv, trunc_tol, cap)
+        values, ok, _ = theta_sum(z, tau, upto, trunc_tol, cap)
     except OverflowError:
-        value = complex("nan")
-    if not cmath.isfinite(value):
+        values = [complex("nan")]
+    if not all(map(cmath.isfinite, values)):
         raise ThetaOverflow(
             f"theta series at z = {z} overflows floating point "
             f"(|Im z| / Im tau = {abs(z.imag) / tau.imag:.3g})")
     if not ok:
         raise NonConvergent(
             f"theta series did not converge within |k| <= {cap}")
-    return value
+    return values
 
 
-def _theta_derivs(z, tau, upto, trunc_tol):
-    return [theta(z, tau, deriv=d, trunc_tol=trunc_tol)
-            for d in range(upto + 1)]
+def theta(z, tau, deriv=0, trunc_tol=1e-16, cap=THETA_CAP):
+    """Odd theta function (or its deriv-th derivative) at z on modulus tau."""
+    return theta_derivs(z, tau, deriv, trunc_tol, cap)[deriv]
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_at_zero(tau, trunc_tol):
+    """(theta'(0), kappa = theta'''(0) / theta'(0)) on modulus tau.
+
+    Both depend on the modulus only, so they are summed once per
+    (tau, trunc_tol) rather than on every kronecker_phi or kappa_const call.
+    """
+    _, t1, _, t3 = theta_derivs(0.0, tau, 3, trunc_tol)
+    return t1, t3 / t1
 
 
 def pole_distance(flavor, z):
@@ -135,8 +211,10 @@ def pole_distance(flavor, z):
     b = z.imag / tau.imag
     a = z.real - b * tau.real
     best = float("inf")
-    for n in (int(np.floor(b)), int(np.floor(b)) + 1):
-        for m in (int(np.floor(a)), int(np.floor(a)) + 1):
+    n0 = math.floor(b)
+    m0 = math.floor(a)
+    for n in (n0, n0 + 1):
+        for m in (m0, m0 + 1):
             best = min(best, abs(z - (m + n * tau)))
     return best
 
@@ -159,9 +237,7 @@ def kappa_const(flavor):
         return 0.0 + 0.0j
     if flavor.kind == TRIGONOMETRIC:
         return 1.0 + 0.0j
-    t1 = theta(0.0, flavor.tau, deriv=1, trunc_tol=flavor.trunc_tol)
-    t3 = theta(0.0, flavor.tau, deriv=3, trunc_tol=flavor.trunc_tol)
-    return t3 / t1
+    return _theta_at_zero(flavor.tau, flavor.trunc_tol)[1]
 
 
 def eisenstein_E1(flavor, z):
@@ -171,7 +247,7 @@ def eisenstein_E1(flavor, z):
         return 1.0 / z
     if flavor.kind == TRIGONOMETRIC:
         return cmath.cosh(z) / cmath.sinh(z)
-    t0, t1 = _theta_derivs(z, flavor.tau, 1, flavor.trunc_tol)
+    t0, t1 = theta_derivs(z, flavor.tau, 1, flavor.trunc_tol)
     return t1 / t0
 
 
@@ -183,7 +259,7 @@ def eisenstein_E2(flavor, z):
         return 1.0 / z ** 2
     if flavor.kind == TRIGONOMETRIC:
         return 1.0 / cmath.sinh(z) ** 2
-    t0, t1, t2 = _theta_derivs(z, flavor.tau, 2, flavor.trunc_tol)
+    t0, t1, t2 = theta_derivs(z, flavor.tau, 2, flavor.trunc_tol)
     g = t1 / t0
     return g * g - t2 / t0
 
@@ -197,7 +273,7 @@ def eisenstein_E2_prime(flavor, z):
     if flavor.kind == TRIGONOMETRIC:
         sh = cmath.sinh(z)
         return -2.0 * cmath.cosh(z) / sh ** 3
-    t0, t1, t2, t3 = _theta_derivs(z, flavor.tau, 3, flavor.trunc_tol)
+    t0, t1, t2, t3 = theta_derivs(z, flavor.tau, 3, flavor.trunc_tol)
     g = t1 / t0
     gp = t2 / t0 - g * g
     gpp = t3 / t0 - (t2 / t0) * g - 2.0 * g * gp
@@ -224,7 +300,7 @@ def kronecker_phi(flavor, eta, z):
                 + cmath.cosh(z) / cmath.sinh(z))
     tol = flavor.trunc_tol
     tau = flavor.tau
-    return (theta(0.0, tau, deriv=1, trunc_tol=tol)
+    return (_theta_at_zero(tau, tol)[0]
             * theta(eta + z, tau, trunc_tol=tol)
             / (theta(eta, tau, trunc_tol=tol) * theta(z, tau, trunc_tol=tol)))
 
@@ -313,7 +389,7 @@ def sample_point(rng, flavor, eps=1e-2):
             z = complex(rng.random(), rng.random() - 0.25)
         if pole_distance(flavor, z) > eps:
             return z
-    raise RuntimeError("sampling failed to clear the pole margin")
+    raise DegenerateDraw("sampling failed to clear the pole margin")
 
 
 def _rel(residual, *terms):
@@ -335,7 +411,7 @@ def _sample_tuple(rng, flavor, count, eps=1e-2):
                     combos.append(pts[i] - pts[j])
         if all(pole_distance(flavor, c) > eps for c in combos):
             return pts
-    raise RuntimeError("tuple sampling failed to clear the pole margin")
+    raise DegenerateDraw("tuple sampling failed to clear the pole margin")
 
 
 def _local_expansion_residuals(flavor, u):

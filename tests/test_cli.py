@@ -113,6 +113,42 @@ def test_theta_overflow_exits_2(tmp_path, capsys):
     assert "overflows" in err
 
 
+def test_sampling_failure_exits_2(tmp_path, capsys):
+    # 80 positions cannot keep pairwise distance 0.05 in the unit box
+    path = write_config(tmp_path, N=1, M=80)
+    code, _, err = run_capture(capsys, ["check-lax", "--config", path])
+    assert code == 2
+    assert "pole-avoiding" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check-lax", "--z-samples", "0"], "--z-samples"),
+    (["check-exchange", "--pairs", "0"], "--pairs"),
+    (["certify-rmatrix", "--family", "xxx", "--samples", "0"], "--samples"),
+    (["certify-functions", "--flavor", "rational", "--samples", "-1"],
+     "--samples"),
+])
+def test_empty_count_exits_2(tmp_path, capsys, argv, flag):
+    if argv[0].startswith("check"):
+        argv = argv + ["--config", write_config(tmp_path)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be at least 1" in err
+
+
+def test_check_exchange_without_residual_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    # z == w on every draw, so no pair clears the pole margin of z - w
+    path = write_config(tmp_path, M=1)
+    monkeypatch.setattr(cli.sf, "sample_point",
+                        lambda rng, flavor, eps=0: 0.3j)
+    code, out, err = run_capture(capsys, ["check-exchange", "--config", path])
+    assert code == 2
+    assert out == ""
+    assert "no (z, w) pair" in err
+
+
 def test_bad_complex_flag(capsys):
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):

@@ -32,6 +32,17 @@ def test_vector_roundtrip():
     assert np.array_equal(again.spin.assemble(), st.spin.assemble())
 
 
+def test_vector_to_state_drops_rank1_generators():
+    # the generators of the template need not generate the new spin
+    fam = rm.make_family("xxx", N=2)
+    st = md.random_state(fam, 3, 1.0, seed=300, spin_mode="rank1")
+    assert st.spin.is_rank1()
+    again = dy.vector_to_state(dy.state_to_vector(st), st)
+    assert not again.spin.is_rank1()
+    blocks = st.spin.blocks.copy()
+    assert not st.spin.replace_blocks(blocks).is_rank1()
+
+
 def test_single_top_momentum_constant():
     # M = 1: no interactions, so p is frozen and q moves linearly
     st = make_state(M=1)

@@ -1,6 +1,8 @@
 """Unit tests for the scalar special functions."""
 
 import cmath
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,65 @@ def test_theta_derivative_against_difference():
     d2 = (sf.theta(z + h / 2, tau) - sf.theta(z - h / 2, tau)) / h
     richardson = (4 * d2 - d1) / 3
     assert abs(sf.theta(z, tau, deriv=1) - richardson) < 1e-9
+
+
+def _term_magnitude_sum(z, tau, deriv):
+    """Sum over half-integers h of |theta's term| * |2*pi*h|^deriv: the
+    scale of the series' round-off."""
+    total = 0.0
+    for n in range(1000):
+        h = n + 0.5
+        lin = 2 * math.pi * h * z.imag
+        term = (math.exp(-math.pi * tau.imag * h * h)
+                * (math.exp(lin) + math.exp(-lin))
+                * (2 * math.pi * h) ** deriv)
+        total += term
+        if n > 2 and term < 1e-20 * total:
+            return total
+    raise AssertionError("magnitude sum did not converge")
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.1 + 0.07j])
+def test_theta_derivs_against_mpmath(tau):
+    # theta^(d)(z | tau) = -pi^d * jtheta(1, pi*z, exp(i*pi*tau), d), with
+    # every order from one pass within 256 ulps of the term-magnitude sum
+    mpmath = pytest.importorskip("mpmath")
+    for z in (0.21 + 0.13j, -0.37 + 0.05j, 0.44 - 0.29j, 0.1 + 0.02j):
+        values = sf.theta_derivs(z, tau, 3)
+        assert len(values) == 4
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            refs = [complex(-mpmath.pi ** d * mpmath.jtheta(
+                1, mpmath.pi * mpmath.mpc(z), q, derivative=d))
+                for d in range(4)]
+        for d in range(4):
+            ulp = sys.float_info.epsilon * _term_magnitude_sum(z, tau, d)
+            assert abs(values[d] - refs[d]) < 256 * ulp
+            assert sf.theta(z, tau, deriv=d) == \
+                sf.theta_derivs(z, tau, d)[d]
+
+
+def test_one_series_per_theta_argument(monkeypatch):
+    # E1, E2 and E2' take all their orders from one series; theta'(0) in
+    # phi is summed once per modulus (a modulus no other test uses)
+    orders = []
+    kernel = sf.theta_sum
+
+    def counted(*args):
+        orders.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(sf, "theta_sum", counted)
+    fl = sf.Flavor.elliptic(0.37 + 0.91j)
+    sf.kronecker_phi(fl, 0.2 + 0.1j, 0.3 - 0.2j)
+    sf.kronecker_phi(fl, 0.25 + 0.1j, 0.3 - 0.2j)
+    assert orders == [3, 0, 0, 0, 0, 0, 0]
+    del orders[:]
+    sf.eisenstein_E1(fl, 0.2 + 0.1j)
+    sf.eisenstein_E2(fl, 0.2 + 0.1j)
+    sf.eisenstein_E2_prime(fl, 0.2 + 0.1j)
+    sf.kappa_const(fl)
+    assert orders == [1, 2, 3]
 
 
 def test_bad_modulus_rejected():
