@@ -84,13 +84,15 @@ def _monitor_row(rec, t, state, monitor_z):
     rec.energy.append(md.hamiltonian(state))
     traces = {}
     res = 0.0
+    # the bracket flow does not depend on z: one evaluation serves every point
+    flow = md.bracket_flow(state) if monitor_z else None
     for s, z in enumerate(monitor_z):
         L = md.build_L(state, z)
         Lk = L
         for k in (1, 2, 3):
             traces[(k, s)] = complex(np.trace(Lk))
             Lk = Lk @ L
-        lhs = md.flow_L(state, z)
+        lhs = md.flow_L(state, z, flow)
         rhs = md.commutator(L, md.build_M(state, z))
         res = max(res, float(np.linalg.norm(lhs - rhs))
                   / max(float(np.linalg.norm(rhs)), 1.0))

@@ -164,8 +164,12 @@ def random_positions(family, M, rng, margin=0.05):
     raise DegenerateDraw("failed to draw pole-avoiding positions")
 
 
-def random_state(family, M, nu, seed, spin_mode="general"):
-    """Random constrained phase state for the given family."""
+def random_state(family, M, nu, seed, spin_mode="general", q=None, p=None):
+    """Random constrained phase state for the given family.
+
+    One generator seeded by seed draws the spin's seed, then the positions
+    and then the momenta; given positions q or momenta p skip their draw.
+    """
     rng = np.random.default_rng(seed)
     if spin_mode == "rank1":
         spin = spin_rank1(M, family.N, nu, rng.integers(2 ** 63))
@@ -173,9 +177,11 @@ def random_state(family, M, nu, seed, spin_mode="general"):
         spin = spin_general(M, family.N, nu, rng.integers(2 ** 63))
     else:
         raise ValueError(f"unknown spin_mode {spin_mode!r}")
-    q = random_positions(family, M, rng)
-    p = tuple(rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M))
-    return PhaseState(q, p, spin, family)
+    if q is None:
+        q = random_positions(family, M, rng)
+    if p is None:
+        p = tuple(rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M))
+    return PhaseState(tuple(q), tuple(p), spin, family)
 
 
 def _require_constraints(state, nu=None, tol=1e-8):
@@ -291,9 +297,9 @@ def eom_rhs(state, diagonal_form="general"):
     [S^{ii}, J(S^{ii}) + sum_{k!=i} tr_2(F^0_12(q_ik) S^{kk}_2)], valid for
     rank-1 spin.  dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2).
 
-    F^0 and F^0' are evaluated once per pair i < j (whose pole guard covers
-    q_ji, the pole set being symmetric); the pair j, i follows from
-    F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq and dp are
+    F^0 and F^0' are evaluated together once per pair i < j (whose pole
+    guard covers q_ji, the pole set being symmetric); the pair j, i follows
+    from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq and dp are
     length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
     derivative.
     """
@@ -308,9 +314,9 @@ def eom_rhs(state, diagonal_form="general"):
     D = np.zeros_like(F)
     for i in range(M):
         for j in range(i + 1, M):
-            qij = state.qdiff(i, j)
-            F[i, j] = as_four_index(fam.F0(qij), N)
-            D[i, j] = as_four_index(fam.F0(qij, d=1), N)
+            F0, dF0 = fam.F0_with_derivative(state.qdiff(i, j))
+            F[i, j] = as_four_index(F0, N)
+            D[i, j] = as_four_index(dF0, N)
     F = F + F.transpose(1, 0, 3, 2, 5, 4)
     D = D - D.transpose(1, 0, 3, 2, 5, 4)
 
@@ -407,11 +413,15 @@ def bracket_flow(state, observable=None):
     raise ValueError(f"unknown observable {observable!r}")
 
 
-def flow_L(state, z):
-    """{H, L(z)} assembled by the chain rule from the bracket-side flow."""
+def flow_L(state, z, flow=None):
+    """{H, L(z)} assembled by the chain rule from the bracket-side flow.
+
+    The flow does not depend on z: pass flow = bracket_flow(state) to share
+    one evaluation between several spectral points.
+    """
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
-    dq, dp, dS = bracket_flow(state)
+    dq, dp, dS = bracket_flow(state) if flow is None else flow
     rz = fam.r(z)
     blocks = [[None] * M for _ in range(M)]
     for i in range(M):
@@ -419,53 +429,59 @@ def flow_L(state, z):
             if i == j:
                 blocks[i][i] = dp[i] * eye(N) + op_contract(rz, dS[i][i])
             else:
-                qij = state.qdiff(i, j)
-                blocks[i][j] = _tr2_P(fam.R(z, qij), dS[i][j]) \
-                    + (dq[i] - dq[j]) * _tr2_P(fam.F(z, qij),
-                                               spin.block(i, j))
+                R, F = fam.R_with_F(z, state.qdiff(i, j))
+                blocks[i][j] = _tr2_P(R, dS[i][j]) \
+                    + (dq[i] - dq[j]) * _tr2_P(F, spin.block(i, j))
     return block_embed(blocks)
+
+
+def lax_residuals(state, zs):
+    """Relative residuals of {H, L(z)} = [L(z), M(z)] at each z in zs,
+    sharing one bracket flow."""
+    flow = bracket_flow(state)
+    out = []
+    for z in zs:
+        lhs = flow_L(state, z, flow)
+        rhs = commutator(build_L(state, z), build_M(state, z))
+        scale = max(frobenius_norm(lhs), frobenius_norm(rhs), 1.0)
+        out.append(frobenius_norm(lhs - rhs) / scale)
+    return out
 
 
 def lax_residual(state, z):
     """Relative residual of {H, L(z)} = [L(z), M(z)]."""
-    lhs = flow_L(state, z)
-    rhs = commutator(build_L(state, z), build_M(state, z))
-    scale = max(frobenius_norm(lhs), frobenius_norm(rhs), 1.0)
-    return frobenius_norm(lhs - rhs) / scale
+    return lax_residuals(state, (z,))[0]
 
 
 # --- classical exchange relation ------------------------------------------
 
 def _lax_grad_tensors(state, z):
     """Per-block four-index gradients T4[a, b', b, a'] of the Lax entries
-    L^{ij}_{ab}(z) with respect to their spin block S^{ij}_{a'b'}."""
+    L^{ij}_{ab}(z) with respect to their spin block S^{ij}_{a'b'}, and
+    their q-derivatives D[i, j] = tr_2(S^ij_2 F^z_12(q_ij) P_12), i != j."""
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     P = permutation_P(N)
     rz4 = as_four_index(fam.r(z), N)
-    out = {}
+    T, D = {}, {}
     for i in range(M):
         for j in range(M):
             if i == j:
-                out[(i, i)] = rz4
+                T[(i, i)] = rz4
             else:
-                out[(i, j)] = as_four_index(
-                    fam.R(z, state.qdiff(i, j)) @ P, N)
-    return out
+                R, F = fam.R_with_F(z, state.qdiff(i, j))
+                T[(i, j)] = as_four_index(R @ P, N)
+                D[(i, j)] = _tr2_P(F, spin.block(i, j))
+    return T, D
 
 
 def _exchange_lhs(state, z, w):
     """{L_{1'1}(z), L_{2'2}(w)} entrywise by the Poisson-bracket oracle,
     in the primed-first flattening Mat(M) x Mat(M) x Mat(N) x Mat(N)."""
-    fam, spin = state.family, state.spin
+    spin = state.spin
     M, N = spin.M, spin.N
-    P = permutation_P(N)
-    T1 = _lax_grad_tensors(state, z)
-    T2 = _lax_grad_tensors(state, w)
-    D1 = {(i, j): _tr2_P(fam.F(z, state.qdiff(i, j)), spin.block(i, j))
-          for i in range(M) for j in range(M) if i != j}
-    D2 = {(k, l): _tr2_P(fam.F(w, state.qdiff(k, l)), spin.block(k, l))
-          for k in range(M) for l in range(M) if k != l}
+    T1, D1 = _lax_grad_tensors(state, z)
+    T2, D2 = _lax_grad_tensors(state, w)
     L8 = np.zeros((M, M, N, N, M, M, N, N), dtype=complex)
     I = np.eye(N)
     for i in range(M):
@@ -708,21 +724,14 @@ def load_model_config(cfg):
     seed = int(cfg.get("seed", 0))
 
     family = make_family(kind, N=N, tau=tau, C=C)
-    rng = np.random.default_rng(seed)
-    if spin_mode == "rank1":
-        spin = spin_rank1(M, family.N, nu, rng.integers(2 ** 63))
-    else:
-        spin = spin_general(M, family.N, nu, rng.integers(2 ** 63))
+    q = p = None
     if "q0" in cfg:
         q = tuple(_as_complex(v, "q0") for v in cfg["q0"])
         if len(q) != M:
             raise ValueError("field 'q0' must list M positions")
-    else:
-        q = random_positions(family, M, rng)
     if "p0" in cfg:
         p = tuple(_as_complex(v, "p0") for v in cfg["p0"])
         if len(p) != M:
             raise ValueError("field 'p0' must list M momenta")
-    else:
-        p = tuple(rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M))
-    return family, PhaseState(q, p, spin, family), nu
+    state = random_state(family, M, nu, seed, spin_mode, q, p)
+    return family, state, nu

@@ -75,6 +75,16 @@ class RMatrixFamily:
         """F^0(q) = d/dq r(q) and its further q-derivative."""
         return self.r(q, d=1 + d)
 
+    def F0_with_derivative(self, q):
+        """(F^0(q), d/dq F^0(q)); families that share work across the two
+        orders evaluate them together."""
+        return self.F0(q), self.F0(q, d=1)
+
+    def R_with_F(self, spectral, q):
+        """(R^z(q), F^z(q)) at z = spectral; families that share work
+        across the two orders evaluate them together."""
+        return self.R(spectral, q), self.F(spectral, q)
+
     def pole_distance(self, z):
         return sf.pole_distance(self.flavor, z)
 
@@ -282,7 +292,12 @@ class ElevenVertex(RMatrixFamily):
 
 class BaxterBelavin(RMatrixFamily):
     """Elliptic R-matrix in the Heisenberg sector basis, normalized so that
-    the expansion and symmetry properties hold with unit coefficients."""
+    the expansion and symmetry properties hold with unit coefficients.
+
+    R^hbar(z) = (1/N) sum_a phi_a(z, omega_a + hbar/N) T_a (x) T_{-a}; r, m
+    and their derivatives are the same sector sums at hbar -> 0, so every
+    matrix is built from one specfun.sector_table over its sectors.
+    """
 
     kind = "bb"
 
@@ -290,10 +305,13 @@ class BaxterBelavin(RMatrixFamily):
         super().__init__(N, sf.Flavor.elliptic(tau))
         self.tau = self.flavor.tau
         self._sectors = all_sectors(self.N)
-        # tensor-basis elements T_a (x) T_{-a} (integer-negated label)
-        self._TT = {(a.a1, a.a2): kron(sin_basis_T_int(a.a1, a.a2, self.N),
-                                       sin_basis_T_int(-a.a1, -a.a2, self.N))
-                    for a in self._sectors}
+        # the zero sector comes first and T_0 (x) T_0 is the identity
+        self._nonzero = self._sectors[1:]
+        # flattened tensor-basis elements T_a (x) T_{-a} (integer-negated
+        # label), one row per sector
+        self._TT = np.array([kron(sin_basis_T_int(a.a1, a.a2, self.N),
+                                  sin_basis_T_int(-a.a1, -a.a2, self.N))
+                             .reshape(-1) for a in self._sectors])
 
     def params(self):
         return {"tau": [self.tau.real, self.tau.imag]}
@@ -301,72 +319,62 @@ class BaxterBelavin(RMatrixFamily):
     def label(self):
         return f"bb(N={self.N})"
 
+    def _sum(self, coeffs):
+        """sum_a coeffs[a] T_a (x) T_{-a} over all sectors, zero first."""
+        n = self.N * self.N
+        return np.dot(coeffs, self._TT).reshape(n, n)
+
+    def _R_orders(self, hbar, z, orders):
+        _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
+                                    complex(hbar) / self.N, max(orders))
+        return [self._sum([row[d] for row in phi]) / self.N for d in orders]
+
     def R(self, hbar, z, dz=0):
-        hbar = complex(hbar)
-        z = complex(z)
-        N = self.N
-        out = np.zeros((N * N, N * N), dtype=complex)
-        for a in self._sectors:
-            coeff = sf.sector_phi_dz(self.flavor, a, z, hbar / N, order=dz)
-            out += coeff * self._TT[(a.a1, a.a2)]
-        return out / N
+        if dz not in (0, 1, 2):
+            raise ValueError("dz must be 0, 1 or 2")
+        return self._R_orders(hbar, z, (dz,))[0]
+
+    def R_with_F(self, spectral, q):
+        return tuple(self._R_orders(spectral, q, (0, 1)))
+
+    def _r_orders(self, z, orders):
+        # the scalar part d^d/dz^d E1(z) multiplies T_0 (x) T_0
+        log_z, phi, _ = sf.sector_table(self.flavor, self._nonzero, z, 0.0,
+                                        max(orders))
+        return [self._sum([log_z[d]] + [row[d] for row in phi]) / self.N
+                for d in orders]
 
     def r(self, z, d=0):
-        z = complex(z)
-        N = self.N
-        if d == 0:
-            scal = sf.eisenstein_E1(self.flavor, z)
-        elif d == 1:
-            scal = -sf.eisenstein_E2(self.flavor, z)
-        elif d == 2:
-            scal = -sf.eisenstein_E2_prime(self.flavor, z)
-        else:
+        if d not in (0, 1, 2):
             raise ValueError("d must be 0, 1 or 2")
-        out = scal * self._I
-        for a in self._sectors:
-            if a.is_zero():
-                continue
-            coeff = sf.sector_phi_dz(self.flavor, a, z, 0.0, order=d)
-            out += coeff * self._TT[(a.a1, a.a2)]
-        return out / N
+        return self._r_orders(z, (d,))[0]
+
+    def F0_with_derivative(self, q):
+        return tuple(self._r_orders(q, (1, 2)))
 
     def _m_at_zero(self):
         # z -> 0 limit: the scalar part tends to kappa/3, the sector part
         # to f(0, omega_a) = -E2(omega_a)
-        N = self.N
-        out = (sf.kappa_const(self.flavor) / 3.0) * self._I
-        for a in self._sectors:
-            if a.is_zero():
-                continue
-            out -= sf.eisenstein_E2(self.flavor, a.omega(self.tau)) \
-                * self._TT[(a.a1, a.a2)]
-        return out / (N * N)
+        coeffs = [sf.kappa_const(self.flavor) / 3.0]
+        coeffs += [-sf.eisenstein_E2(self.flavor, a.omega(self.tau))
+                   for a in self._nonzero]
+        return self._sum(coeffs) / (self.N * self.N)
 
     def m(self, z):
         z = complex(z)
         if abs(z) < 1e-12:
             return self.m0()
-        N = self.N
-        e1 = sf.eisenstein_E1(self.flavor, z)
-        scal = (e1 * e1 - sf.weierstrass_p(self.flavor, z)) / 2.0
-        out = scal * self._I
-        for a in self._sectors:
-            if a.is_zero():
-                continue
-            out += sf.sector_f(self.flavor, a, z, 0.0) \
-                * self._TT[(a.a1, a.a2)]
-        return out / (N * N)
+        # scalar part (E1^2 - wp)/2 with wp = E2 + kappa/3 = kappa/3 - log_z[1]
+        log_z, _, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
+        e1 = log_z[0]
+        wp = -log_z[1] + sf.kappa_const(self.flavor) / 3.0
+        return self._sum([(e1 * e1 - wp) / 2.0] + f) / (self.N * self.N)
 
     def r0(self):
-        N = self.N
-        out = np.zeros((N * N, N * N), dtype=complex)
-        for a in self._sectors:
-            if a.is_zero():
-                continue
-            c = 2j * cmath.pi * a.a2 / N
-            out += (sf.eisenstein_E1(self.flavor, a.omega(self.tau)) + c) \
-                * self._TT[(a.a1, a.a2)]
-        return out / N
+        coeffs = [0.0]
+        coeffs += [sf.eisenstein_E1(self.flavor, a.omega(self.tau))
+                   + 2j * cmath.pi * a.a2 / self.N for a in self._nonzero]
+        return self._sum(coeffs) / self.N
 
 
 FAMILY_KEYS = ("xxx", "11v", "xxz", "7v", "bb")

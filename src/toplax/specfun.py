@@ -240,6 +240,20 @@ def kappa_const(flavor):
     return _theta_at_zero(flavor.tau, flavor.trunc_tol)[1]
 
 
+def _log_derivs(t):
+    """z-derivatives of log theta of orders 1 .. len(t) - 1 (at most 3)
+    from [theta, theta', ...] at one argument: E1, -E2 and -E2'."""
+    g = t[1] / t[0]
+    out = [g]
+    if len(t) > 2:
+        r2 = t[2] / t[0]
+        gp = r2 - g * g
+        out.append(gp)
+        if len(t) > 3:
+            out.append(t[3] / t[0] - r2 * g - 2.0 * g * gp)
+    return out
+
+
 def eisenstein_E1(flavor, z):
     z = complex(z)
     check_pole(flavor, z)
@@ -247,8 +261,7 @@ def eisenstein_E1(flavor, z):
         return 1.0 / z
     if flavor.kind == TRIGONOMETRIC:
         return cmath.cosh(z) / cmath.sinh(z)
-    t0, t1 = theta_derivs(z, flavor.tau, 1, flavor.trunc_tol)
-    return t1 / t0
+    return _log_derivs(theta_derivs(z, flavor.tau, 1, flavor.trunc_tol))[0]
 
 
 def eisenstein_E2(flavor, z):
@@ -259,9 +272,7 @@ def eisenstein_E2(flavor, z):
         return 1.0 / z ** 2
     if flavor.kind == TRIGONOMETRIC:
         return 1.0 / cmath.sinh(z) ** 2
-    t0, t1, t2 = theta_derivs(z, flavor.tau, 2, flavor.trunc_tol)
-    g = t1 / t0
-    return g * g - t2 / t0
+    return -_log_derivs(theta_derivs(z, flavor.tau, 2, flavor.trunc_tol))[1]
 
 
 def eisenstein_E2_prime(flavor, z):
@@ -273,11 +284,7 @@ def eisenstein_E2_prime(flavor, z):
     if flavor.kind == TRIGONOMETRIC:
         sh = cmath.sinh(z)
         return -2.0 * cmath.cosh(z) / sh ** 3
-    t0, t1, t2, t3 = theta_derivs(z, flavor.tau, 3, flavor.trunc_tol)
-    g = t1 / t0
-    gp = t2 / t0 - g * g
-    gpp = t3 / t0 - (t2 / t0) * g - 2.0 * g * gp
-    return -gpp
+    return -_log_derivs(theta_derivs(z, flavor.tau, 3, flavor.trunc_tol))[2]
 
 
 def weierstrass_p(flavor, z):
@@ -350,28 +357,74 @@ def sector_f(flavor, a, z, u):
             * phi_derivative_f(flavor, z, arg))
 
 
-def sector_phi_dz(flavor, a, z, u, order=1):
-    """Derivative of phi_a(z, omega_a + u) in z, order 0, 1 or 2.
+def sector_table(flavor, sectors, z, u, upto):
+    """z-derivatives of phi_a(z, omega_a + u) for every a in sectors, with
+    one theta series per distinct argument.
 
-    The exponential prefactor contributes c = 2*pi*i*a2/N per product rule.
+    phi_a(z, w) = exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) =
+    theta'(0) theta(z + w) / (theta(z) theta(w)).  theta is summed once at
+    z (to order upto + 1), once at each z + w (to order upto) and once at
+    each w = omega_a + u (order 0).  For u = 0 the values at omega_a depend
+    on the modulus only and are summed once per (tau, trunc_tol, N).  The
+    pole guard covers z, w and z + w of every sector, each once.
+
+    Returns (log_z, phi, f): log_z[k] is the (k + 1)-th z-derivative of
+    log theta at z (E1, -E2, -E2') for k <= upto; phi[i][k] is the k-th
+    z-derivative of phi_a for a = sectors[i] and k <= upto (at most 2);
+    for u = 0 and upto >= 1, f[i] = exp(2*pi*i*a2*z/N) f(z, omega_a), the
+    q-derivative of phi(z, q) at omega_a, and f is empty otherwise.
     """
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
+    if not 0 <= upto <= 2:
+        raise ValueError("order must be 0, 1 or 2")
+    tau, tol = flavor.tau, flavor.trunc_tol
     z = complex(z)
-    arg = a.omega(flavor.tau) + complex(u)
-    check_pole(flavor, z, arg, z + arg)
-    pref = cmath.exp(TWO_PI_I * a.a2 * z / a.N)
-    p = kronecker_phi(flavor, z, arg)
-    if order == 0:
-        return pref * p
-    c = TWO_PI_I * a.a2 / a.N
-    d = eisenstein_E1(flavor, z + arg) - eisenstein_E1(flavor, z)
-    if order == 1:
-        return pref * p * (c + d)
-    if order == 2:
-        dp = eisenstein_E2(flavor, z) - eisenstein_E2(flavor, z + arg)
-        return pref * p * ((c + d) ** 2 + dp)
-    raise ValueError("order must be 0, 1 or 2")
+    u = complex(u)
+    ws = [a.omega(tau) + u for a in sectors]
+    args = [z]
+    for w in ws:
+        args += (w, z + w)
+    check_pole(flavor, *args)
+    tz = theta_derivs(z, tau, upto + 1, tol)
+    log_z = _log_derivs(tz)
+    t1_zero = _theta_at_zero(tau, tol)[0]
+    at_omega = _theta_at_omegas(tau, tol, sectors[0].N) \
+        if u == 0 and sectors else None
+    phi, f = [], []
+    for a, w in zip(sectors, ws):
+        if at_omega is not None:
+            tw, e1w = at_omega[a.a1, a.a2]
+        else:
+            tw = theta_derivs(w, tau, 0, tol)[0]
+        tzw = theta_derivs(z + w, tau, upto, tol)
+        p = cmath.exp(TWO_PI_I * a.a2 * z / a.N) * (
+            t1_zero * tzw[0] / (tz[0] * tw))
+        row = [p]
+        if upto:
+            log_zw = _log_derivs(tzw)
+            d = TWO_PI_I * a.a2 / a.N + (log_zw[0] - log_z[0])
+            row.append(p * d)
+            if upto == 2:
+                row.append(p * (d * d + (log_zw[1] - log_z[1])))
+            if at_omega is not None:
+                f.append(p * (log_zw[0] - e1w))
+        phi.append(row)
+    return log_z, phi, f
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_at_omegas(tau, trunc_tol, N):
+    """{(a1, a2): (theta(omega_a), E1(omega_a))} over the sectors a != 0
+    of Z_N x Z_N, summed once per (tau, trunc_tol, N)."""
+    out = {}
+    for a1 in range(N):
+        for a2 in range(N):
+            if a1 or a2:
+                t = theta_derivs(SectorIndex(a1, a2, N).omega(tau), tau, 1,
+                                 trunc_tol)
+                out[a1, a2] = t[0], _log_derivs(t)[0]
+    return out
 
 
 def sample_point(rng, flavor, eps=1e-2):

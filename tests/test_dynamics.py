@@ -117,3 +117,22 @@ def test_csv_shape_and_determinism():
     # a re-run from the same state is byte-identical
     rec2 = dy.integrate(st, cfg)
     assert dy.csv_text(rec2) == text
+
+
+def test_monitor_row_runs_one_bracket_flow(monkeypatch):
+    # the flow is z-independent: one evaluation per row, not per point
+    calls = []
+    flow = md.bracket_flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(md, "bracket_flow", counted)
+    st = make_state(M=3)
+    cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
+                              monitor_z=(0.3 + 0.2j, 0.6 + 0.4j, 0.2 + 0.7j))
+    rec = dy.integrate(st, cfg)
+    assert rec.rows() == 3
+    assert len(calls) == 3
+    assert max(rec.lax_residual) < 1e-11

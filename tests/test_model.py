@@ -315,6 +315,63 @@ def test_load_model_config():
     assert st2.q == st.q and st2.p == st.p
 
 
+def _draw_before_sharing(family, M, nu, seed, spin_mode, q0=None, p0=None):
+    """The draw sequence of a state, written out: one generator draws the
+    spin's seed, then the positions (unless given), then the momenta."""
+    rng = np.random.default_rng(seed)
+    make_spin = md.spin_rank1 if spin_mode == "rank1" else md.spin_general
+    spin = make_spin(M, family.N, nu, rng.integers(2 ** 63))
+    q = q0 if q0 is not None else md.random_positions(family, M, rng)
+    p = p0 if p0 is not None else tuple(
+        rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M))
+    return tuple(q), tuple(p), spin.matrix
+
+
+def test_config_and_random_state_draw_identically():
+    q0 = ((0.1, 0.0), (0.5, 0.2), (0.3, 0.7))
+    p0 = ((0.2, -0.1), (0.0, 0.4), (-0.3, 0.0))
+    for kind, extra in (("xxx", {}), ("bb", {"tau": [0.1, 1.1]})):
+        for spin_mode in ("rank1", "general"):
+            for seed in (0, 7, 123):
+                cfg = {"family": kind, "N": 2, "M": 3, "nu": [0.8, 0.1],
+                       "spin_mode": spin_mode, "seed": seed, **extra}
+                fam, st, nu = md.load_model_config(cfg)
+                states = [st, md.random_state(fam, 3, nu, seed, spin_mode)]
+                want = _draw_before_sharing(fam, 3, nu, seed, spin_mode)
+                for s in states:
+                    assert s.q == want[0] and s.p == want[1]
+                    assert np.array_equal(s.spin.matrix, want[2])
+                # a given q0 or p0 skips its draw and keeps the others
+                q = tuple(complex(*v) for v in q0)
+                p = tuple(complex(*v) for v in p0)
+                for over, kw in (({"q0": q0}, {"q0": q}),
+                                 ({"p0": p0}, {"p0": p})):
+                    _, s, _ = md.load_model_config({**cfg, **over})
+                    want = _draw_before_sharing(fam, 3, nu, seed, spin_mode,
+                                                **kw)
+                    assert s.q == want[0] and s.p == want[1]
+                    assert np.array_equal(s.spin.matrix, want[2])
+
+
+def test_lax_residuals_share_one_bracket_flow(monkeypatch):
+    calls = []
+    flow = md.bracket_flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(md, "bracket_flow", counted)
+    for key in ("xxx", "bb"):
+        fam = rm.make_family(key, N=2, tau=1j)
+        st = md.random_state(fam, 3, 1.0, seed=31)
+        zs = [0.31 + 0.22j, 0.52 + 0.41j, 0.17 + 0.63j]
+        want = [md.lax_residual(st, z) for z in zs]
+        del calls[:]
+        assert md.lax_residuals(st, zs) == want
+        assert len(calls) == 1
+
+
 def test_load_model_config_errors():
     with pytest.raises(ValueError):
         md.load_model_config({"family": "bad", "nu": [1.0, 0.0]})

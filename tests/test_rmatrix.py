@@ -1,11 +1,14 @@
 """Unit tests for the R-matrix families and their classical data."""
 
+import cmath
+
 import numpy as np
 import pytest
 
 from toplax import rmatrix as rm
+from toplax import specfun as sf
 from toplax import tensor as tn
-from toplax.errors import PoleProximity
+from toplax.errors import PoleProximity, ThetaOverflow
 
 
 def richardson_dq(f, q, h=1e-3):
@@ -148,6 +151,184 @@ def test_F0_mirror_identities():
                 scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
                 assert np.linalg.norm(lhs - rhs) < 1e-12 * scale, \
                     f"{fam.label()} d={d} q={q}"
+
+
+def _sector_basis(a):
+    N = a.N
+    return tn.kron(tn.sin_basis_T_int(a.a1, a.a2, N),
+                   tn.sin_basis_T_int(-a.a1, -a.a2, N))
+
+
+def _sector_dz(fl, a, z, w, order):
+    """order-th z-derivative of phi_a(z, w) from the scalar kernels."""
+    p = cmath.exp(2j * cmath.pi * a.a2 * z / a.N) * sf.kronecker_phi(fl, z, w)
+    d = (2j * cmath.pi * a.a2 / a.N + sf.eisenstein_E1(fl, z + w)
+         - sf.eisenstein_E1(fl, z))
+    if order == 0:
+        return p
+    if order == 1:
+        return p * d
+    return p * (d * d + sf.eisenstein_E2(fl, z) - sf.eisenstein_E2(fl, z + w))
+
+
+def _scalar_R(fam, hbar, z, dz):
+    out = 0.0
+    for a in tn.all_sectors(fam.N):
+        w = a.omega(fam.tau) + hbar / fam.N
+        out = out + _sector_dz(fam.flavor, a, z, w, dz) * _sector_basis(a)
+    return out / fam.N
+
+
+def _scalar_r(fam, z, d):
+    fl = fam.flavor
+    scal = (sf.eisenstein_E1(fl, z), -sf.eisenstein_E2(fl, z),
+            -sf.eisenstein_E2_prime(fl, z))[d]
+    out = scal * tn.eye(fam.N ** 2)
+    for a in tn.all_sectors(fam.N)[1:]:
+        out = out + _sector_dz(fl, a, z, a.omega(fam.tau), d) \
+            * _sector_basis(a)
+    return out / fam.N
+
+
+def _scalar_m(fam, z):
+    fl = fam.flavor
+    e1 = sf.eisenstein_E1(fl, z)
+    out = (e1 * e1 - sf.weierstrass_p(fl, z)) / 2.0 * tn.eye(fam.N ** 2)
+    for a in tn.all_sectors(fam.N)[1:]:
+        out = out + sf.sector_f(fl, a, z, 0.0) * _sector_basis(a)
+    return out / fam.N ** 2
+
+
+def _sector_args_clear(fam, z, hbar, margin=0.05):
+    for a in tn.all_sectors(fam.N):
+        w = a.omega(fam.tau)
+        for x in (z, w + hbar / fam.N, z + w + hbar / fam.N, z + w):
+            if fam.pole_distance(x) < margin:
+                return False
+    return True
+
+
+def test_bb_matrices_match_scalar_kernels():
+    # the sector table against the per-sector composition of phi, E1, E2
+    # and E2' (one theta series per kernel call)
+    rng = np.random.default_rng(11)
+
+    def close(got, want):
+        scale = np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+    for N, tau in ((2, 1j), (2, 0.3 + 0.8j), (3, 0.1 + 1.1j)):
+        fam = rm.make_family("bb", N=N, tau=tau)
+        done = 0
+        while done < 10:
+            z, hbar = rm._draw_many(rng, fam, 2)
+            if not _sector_args_clear(fam, z, hbar):
+                continue
+            done += 1
+            for d in (0, 1, 2):
+                close(fam.r(z, d), _scalar_r(fam, z, d))
+                close(fam.R(hbar, z, d), _scalar_R(fam, hbar, z, d))
+            close(fam.m(z), _scalar_m(fam, z))
+            F0, dF0 = fam.F0_with_derivative(z)
+            close(F0, _scalar_r(fam, z, 1))
+            close(dF0, _scalar_r(fam, z, 2))
+            R, F = fam.R_with_F(hbar, z)
+            close(R, _scalar_R(fam, hbar, z, 0))
+            close(F, _scalar_R(fam, hbar, z, 1))
+
+
+def test_joint_orders_match_single_orders():
+    # families without a shared evaluation return exactly the single orders
+    rng = np.random.default_rng(12)
+    for key in rm.FAMILY_KEYS:
+        fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
+        for _ in range(5):
+            q, hbar = rm._draw_many(rng, fam, 2)
+            pairs = ((fam.F0_with_derivative(q), (fam.F0(q), fam.F0(q, d=1))),
+                     (fam.R_with_F(hbar, q), (fam.R(hbar, q), fam.F(hbar, q))))
+            for got, want in pairs:
+                for g, w in zip(got, want):
+                    if key == "bb":
+                        err = np.linalg.norm(g - w)
+                        assert err <= 1e-13 * np.linalg.norm(w)
+                    else:
+                        assert np.array_equal(g, w), key
+
+
+def test_bb_one_series_per_distinct_argument(theta_orders):
+    # a modulus no other test uses, so the first call fills its caches
+    N = 2
+    fam = rm.make_family("bb", N=N, tau=0.41 + 0.87j)
+    fam.F0_with_derivative(0.31 + 0.22j)
+    del theta_orders[:]
+    # F0 and F0' share one series at z (order 3, for -E2') and one at each
+    # z + omega_a; the omega_a values are per modulus
+    fam.F0_with_derivative(0.27 - 0.18j)
+    assert theta_orders == [3] + [2] * (N * N - 1)
+    for dz in (0, 1, 2):
+        del theta_orders[:]
+        # z, then omega_a + hbar/N (order 0) and z + omega_a + hbar/N
+        fam.R(0.13 + 0.05j, 0.31 + 0.22j, dz)
+        assert theta_orders == [dz + 1] + [0, dz] * (N * N)
+
+
+def test_bb_eom_series_count(theta_orders):
+    from toplax import model as md
+    fam = rm.make_family("bb", N=2, tau=1j)
+    state = md.random_state(fam, 4, 1.0, seed=3)
+    md.eom_rhs(state)
+    del theta_orders[:]
+    md.eom_rhs(state)
+    # one F0/F0' table of N^2 series for each of the 6 pairs
+    assert len(theta_orders) == 6 * 4
+
+
+def test_bb_pole_guard_covers_each_argument_once(monkeypatch):
+    fam = rm.make_family("bb", N=2, tau=1j)
+    seen = []
+    guard = sf.check_pole
+
+    def recorded(flavor, *args, **kwargs):
+        seen.extend(args)
+        return guard(flavor, *args, **kwargs)
+
+    monkeypatch.setattr(sf, "check_pole", recorded)
+    z, hbar = 0.31 + 0.22j, 0.13 + 0.05j
+    sectors = tn.all_sectors(2)
+    fam.r(z, 1)
+    want = [z]
+    for a in sectors[1:]:
+        w = a.omega(fam.tau)
+        want += [w, z + w]
+    assert seen == want
+    del seen[:]
+    fam.R(hbar, z)
+    want = [z]
+    for a in sectors:
+        w = a.omega(fam.tau) + hbar / 2
+        want += [w, z + w]
+    assert seen == want
+
+
+def test_bb_pole_guards_raise():
+    N = 2
+    fam = rm.make_family("bb", N=N, tau=1j)
+    for a in tn.all_sectors(N)[1:]:
+        w = a.omega(fam.tau)
+        # z + omega_{-a} sits 1e-9 from a lattice point
+        with pytest.raises(PoleProximity):
+            fam.r(w + 1e-9)
+        with pytest.raises(PoleProximity):
+            fam.F0_with_derivative(w + 1e-9)
+        # omega_a + hbar/N + q on the lattice point 1 + tau
+        hbar = 0.23 + 0.11j
+        q = 1 + fam.tau - w - hbar / N
+        with pytest.raises(PoleProximity):
+            fam.R(hbar, q)
+        with pytest.raises(PoleProximity):
+            fam.R_with_F(hbar, q)
+    with pytest.raises(ThetaOverflow):
+        fam.r(0.3 + 10j)
 
 
 def test_m0_cached_read_only():

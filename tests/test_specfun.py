@@ -84,17 +84,10 @@ def test_theta_derivs_against_mpmath(tau):
                 sf.theta_derivs(z, tau, d)[d]
 
 
-def test_one_series_per_theta_argument(monkeypatch):
+def test_one_series_per_theta_argument(theta_orders):
     # E1, E2 and E2' take all their orders from one series; theta'(0) in
     # phi is summed once per modulus (a modulus no other test uses)
-    orders = []
-    kernel = sf.theta_sum
-
-    def counted(*args):
-        orders.append(args[2])
-        return kernel(*args)
-
-    monkeypatch.setattr(sf, "theta_sum", counted)
+    orders = theta_orders
     fl = sf.Flavor.elliptic(0.37 + 0.91j)
     sf.kronecker_phi(fl, 0.2 + 0.1j, 0.3 - 0.2j)
     sf.kronecker_phi(fl, 0.25 + 0.1j, 0.3 - 0.2j)
