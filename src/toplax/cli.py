@@ -34,7 +34,8 @@ def _parse_complex(text):
 
 
 def _count(text):
-    """A sample count: an integer of at least 1."""
+    """A count (samples, pairs, sites, matrix size): an integer of at least
+    1."""
     try:
         value = int(text)
     except ValueError:
@@ -42,6 +43,11 @@ def _count(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _monitor_points(text):
+    """Monitor points as a ;-separated list of RE,IM pairs."""
+    return tuple(_parse_complex(part) for part in text.split(";") if part)
 
 
 def _complex_pair(z):
@@ -115,7 +121,8 @@ def _cmd_check_lax(args):
     family, state, nu = md.load_model_config(cfg)
     rng = np.random.default_rng(int(cfg.get("seed", 0)) + 1)
     zs = [sf.sample_point(rng, family.flavor) for _ in range(args.z_samples)]
-    worst = max(md.lax_residuals(state, zs))
+    # np.max: a NaN residual anywhere fails the check
+    worst = float(np.max(md.lax_residuals(state, zs)))
     passed = worst < args.tol
     body = {"max_lax_residual": worst, "z_samples": args.z_samples,
             "tol": args.tol}
@@ -139,7 +146,7 @@ def _cmd_check_exchange(args):
     if not residuals:
         raise DegenerateDraw(
             "no (z, w) pair cleared the pole margin in 200 draws")
-    worst = max(residuals)
+    worst = float(np.max(residuals))
     passed = worst < args.tol
     body = {"max_exchange_residual": worst, "pairs": args.pairs,
             "tol": args.tol}
@@ -165,17 +172,15 @@ def _cmd_check_cm_rmx(args):
 def _cmd_simulate(args):
     cfg = _load_config(args.config)
     family, state, nu = md.load_model_config(cfg)
-    if args.monitor_z:
-        monitor = tuple(_parse_complex(part)
-                        for part in args.monitor_z.split(";") if part)
-    else:
-        monitor = ()
     icfg = dy.IntegratorConfig(dt=args.dt, steps=args.steps,
-                               monitor_z=monitor,
+                               monitor_z=args.monitor_z,
                                monitor_every=args.monitor_every)
     rec = dy.integrate(state, icfg)
-    with open(args.out, "w") as fh:
-        dy.write_csv(rec, fh)
+    try:
+        with open(args.out, "w") as fh:
+            dy.write_csv(rec, fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc}")
     report = dy.isospectrality_report(rec)
     body = {"drift": report, "rows": rec.rows(), "dt": args.dt,
             "steps": args.steps, "out": args.out}
@@ -202,7 +207,7 @@ def _build_parser():
     p = sub.add_parser("certify-rmatrix",
                        help="R-matrix identity certification")
     p.add_argument("--family", choices=rm.FAMILY_KEYS, required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_count, default=2)
     p.add_argument("--tau", type=_parse_complex, default=None)
     p.add_argument("--c", type=_parse_complex, default=None)
     p.add_argument("--samples", type=_count, default=50)
@@ -226,8 +231,8 @@ def _build_parser():
     p = sub.add_parser("check-cm-rmx",
                        help="R-matrix-valued Calogero-Moser Lax residual")
     p.add_argument("--family", choices=rm.FAMILY_KEYS, required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--n", type=_count, default=2)
+    p.add_argument("--m", type=_count, default=2)
     p.add_argument("--tau", type=_parse_complex, default=None)
     p.add_argument("--c", type=_parse_complex, default=None)
     p.add_argument("--nu", type=_parse_complex, default=1 + 0j)
@@ -239,7 +244,7 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--monitor-z", default="")
+    p.add_argument("--monitor-z", type=_monitor_points, default="")
     p.add_argument("--monitor-every", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

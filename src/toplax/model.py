@@ -17,8 +17,14 @@ eom_rhs writes the spin flow as one commutator dS = [S, K] of NM x NM
 matrices.  Pairs couple only through F^0(q_ij) and its q-derivative, each
 evaluated once per pair i < j; the skew-symmetry r_12(z) = -r_21(-z) gives
 the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.
+
+The Lax side reads one kernel table per spectral point z (_pair_tables):
+L(z), M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
+contractions over R^z(q_ij) and F^z(q_ij), with r(z) P and m(z) P on the
+diagonal.
 """
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -27,9 +33,8 @@ import numpy as np
 from . import specfun as sf
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (as_four_index, block_embed, block_grid, block_split,
-                     commutator, eye, frobenius_norm, kron, op_contract,
-                     op_contract_1, permutation_P)
+from .tensor import (as_four_index, block_grid, commutator, frobenius_norm,
+                     kron, op_contract, op_contract_1, permutation_P)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -79,11 +84,6 @@ class SpinConfig:
         """New spin with these blocks; the rank-1 generators are dropped,
         since they need not generate the new blocks."""
         return SpinConfig(self.M, self.N, blocks)
-
-
-def _freeze(blocks):
-    return tuple(tuple(np.asarray(b, dtype=complex) for b in row)
-                 for row in blocks)
 
 
 def spin_from_matrix(S, M, N):
@@ -196,12 +196,6 @@ def _require_constraints(state, nu=None, tol=1e-8):
 
 # --- contraction helpers ---------------------------------------------------
 
-def _tr2_P(T, S):
-    """tr_2(S_2 T P_12) for a two-site operator T and an N x N matrix S."""
-    N = S.shape[0]
-    return op_contract(T @ permutation_P(N), S)
-
-
 def _swap(T, N):
     P = permutation_P(N)
     return P @ T @ P
@@ -247,41 +241,69 @@ def hamiltonian(state):
     return complex(total)
 
 
+# --- per-pair kernel tables ------------------------------------------------
+
+# block (i, j) of the contraction of a pair table T with a spin S:
+# tr_2(S^{ij}_2 T[i, j] P_12), entry [i, a, j, b] = sum_kl
+# T[i, j]_{(a,k),(l,b)} S^{ij}_{lk}, with S in its (M, N, M, N) layout
+_PAIR = "ijaklb,iljk->iajb"
+
+
+def _pair_tables(state, z):
+    """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N).
+
+    R[i, j] = R^z(q_ij) and F[i, j] = F^z(q_ij) in four-index form, from one
+    R_with_F call per ordered pair.  The diagonal holds their q -> 0
+    coefficients Rz0(z) = r(z) P and Rz1(z) = m(z) P, so a contraction with
+    the spin gives tr_2(S^{ii}_2 r_12(z)) and tr_2(S^{ii}_2 m_12(z)) there.
+    Both are views of T P in memory: that layout fixes the summation order
+    of every contraction to that of tr_2(S_2 T P) block by block.
+    """
+    fam = state.family
+    M, N = state.M, state.N
+    R, F = (np.empty((M, M, N, N, N, N), dtype=complex).swapaxes(4, 5)
+            for _ in range(2))
+    sites = np.arange(M)
+    R[sites, sites] = as_four_index(fam.Rz0(z), N)
+    F[sites, sites] = as_four_index(fam.Rz1(z), N)
+    for i in range(M):
+        for j in range(M):
+            if i != j:
+                Rij, Fij = fam.R_with_F(z, state.qdiff(i, j))
+                R[i, j] = as_four_index(Rij, N)
+                F[i, j] = as_four_index(Fij, N)
+    return R, F
+
+
+def _contract(T, S):
+    """The NM x NM matrix with blocks tr_2(S^{ij}_2 T[i, j] P_12)."""
+    M, N = T.shape[0], T.shape[2]
+    return np.einsum(_PAIR, T, S.reshape(M, N, M, N)).reshape(M * N, M * N)
+
+
+def _plus_diagonal(A, d):
+    """A plus d_i 1 on its diagonal blocks, in place."""
+    A[np.diag_indices(len(A))] += np.repeat(d, len(A) // len(d))
+    return A
+
+
 # --- Lax pair --------------------------------------------------------------
 
 def build_L(state, z):
     """Lax matrix: L^{ij} = d_ij (p_i 1 + tr_2(S^ii_2 r_12(z))) +
     (1 - d_ij) tr_2(S^ij_2 R^z_12(q_ij) P_12)."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    rz = fam.r(z)
-    blocks = [[None] * M for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            if i == j:
-                blocks[i][i] = state.p[i] * eye(N) + \
-                    op_contract(rz, spin.block(i, i))
-            else:
-                blocks[i][j] = _tr2_P(fam.R(z, state.qdiff(i, j)),
-                                      spin.block(i, j))
-    return block_embed(blocks)
+    return _lax_L(state, _pair_tables(state, z)[0])
+
+
+def _lax_L(state, R):
+    """L(z) from the R table of z."""
+    return _plus_diagonal(_contract(R, state.spin.matrix), state.p)
 
 
 def build_M(state, z):
     """Accompanying matrix: M^{ij} = d_ij tr_2(S^ii_2 m_12(z)) +
     (1 - d_ij) tr_2(S^ij_2 F^z_12(q_ij) P_12)."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    mz = fam.m(z)
-    blocks = [[None] * M for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            if i == j:
-                blocks[i][i] = op_contract(mz, spin.block(i, i))
-            else:
-                blocks[i][j] = _tr2_P(fam.F(z, state.qdiff(i, j)),
-                                      spin.block(i, j))
-    return block_embed(blocks)
+    return _contract(_pair_tables(state, z)[1], state.spin.matrix)
 
 
 # --- equations of motion (printed form) ------------------------------------
@@ -324,7 +346,7 @@ def eom_rhs(state, diagonal_form="general"):
     S4 = S.reshape(M, N, M, N)
     sites = np.arange(M)
     # K^{ij}_{ab} = sum_kl F^0(q_ij)_{(a,k),(l,b)} S^{ij}_{lk}
-    K = np.einsum("ijaklb,iljk->iajb", F, S4)
+    K = np.einsum(_PAIR, F, S4)
     J = np.einsum("akbl,ilik->iab", as_four_index(fam.m0(), N), S4)
     K[sites, :, sites, :] += J
     K = K.reshape(M * N, M * N)
@@ -340,77 +362,79 @@ def eom_rhs(state, diagonal_form="general"):
     return np.array(state.p, dtype=complex), dp, block_grid(dS, M, N)
 
 
+
 # --- Poisson-bracket oracle ------------------------------------------------
 
-def _ham_spin_gradient(state):
+def _ham_spin_gradient(state, F0):
     """Entrywise gradient G of H with respect to the big spin matrix,
-    computed analytically from the bilinear contraction forms."""
+    computed analytically from the bilinear contraction forms; F0[i, j] is
+    F^0(q_ij) for i < j."""
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     P = permutation_P(N)
     m0 = fam.m0()
-    grad = [[np.zeros((N, N), dtype=complex) for _ in range(M)]
-            for _ in range(M)]
+    G = np.zeros((M * N, M * N), dtype=complex)
+    grad = block_grid(G, M, N)
     for i in range(M):
         Sii = spin.block(i, i)
-        grad[i][i] += 0.5 * (op_contract(m0, Sii).T
+        grad[i, i] += 0.5 * (op_contract(m0, Sii).T
                              + op_contract_1(m0, Sii).T)
-    for i in range(M):
-        for j in range(i + 1, M):
-            W = _swap(fam.F0(state.qdiff(i, j)), N) @ P
-            grad[i][j] += op_contract(W, spin.block(j, i)).T
-            grad[j][i] += op_contract_1(W, spin.block(i, j)).T
-    return block_embed(grad)
+    for (i, j), F in F0.items():
+        W = _swap(F, N) @ P
+        grad[i, j] += op_contract(W, spin.block(j, i)).T
+        grad[j, i] += op_contract_1(W, spin.block(i, j)).T
+    return G
 
 
-def _ham_q_gradient(state):
-    """dH/dq_i, analytic through the q-derivative of F^0."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
+def _ham_q_gradient(state, dF0):
+    """dH/dq_i, analytic through dF0[i, j] = d/dq F^0(q_ij), i < j."""
+    spin = state.spin
+    N = spin.N
     P = permutation_P(N)
-    out = [0.0] * M
-    for i in range(M):
-        for j in range(i + 1, M):
-            Wd = _swap(fam.F0(state.qdiff(i, j), d=1), N) @ P
-            g = complex(np.trace(Wd @ kron(spin.block(i, j),
-                                           spin.block(j, i))))
-            out[i] += g
-            out[j] -= g
+    out = np.zeros(spin.M, dtype=complex)
+    for (i, j), dF in dF0.items():
+        Wd = _swap(dF, N) @ P
+        g = complex(np.trace(Wd @ kron(spin.block(i, j),
+                                       spin.block(j, i))))
+        out[i] += g
+        out[j] -= g
     return out
 
 
-def bracket_flow(state, observable=None):
+def bracket_flow(state):
     """Hamiltonian flow {H, .} through the linear Poisson-Lie brackets.
 
-    With no observable, returns the full derivative (dq, dp, dSpin) as a
-    brute-force oracle for eom_rhs: dq = p, dp = -dH/dq, and the spin flow
-    dS = [S, G^T] with G the entrywise spin gradient of H.  An observable
-    selector ("q", i), ("p", i), ("S", i, j, a, b) or ("L", z, alpha, beta)
-    returns the corresponding component of the flow.
+    Returns the full derivative (dq, dp, dS) as a brute-force oracle for
+    eom_rhs: dq = p, dp = -dH/dq, and the spin flow dS = [S, G^T] with G
+    the entrywise spin gradient of H.  F^0 and its q-derivative come from
+    one family call per pair i < j.  dq and dp are length-M arrays; dS is
+    the (M, M, N, N) block view of the NM x NM derivative.
     """
-    spin = state.spin
+    fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    G = _ham_spin_gradient(state)
-    S = spin.assemble()
-    dS_big = S @ G.T - G.T @ S
-    dS = _freeze(block_split(dS_big, M, N))
-    dq = tuple(state.p)
-    dp = tuple(-g for g in _ham_q_gradient(state))
-    if observable is None:
-        return dq, dp, dS
-    kind = observable[0]
-    if kind == "q":
-        return dq[observable[1]]
-    if kind == "p":
-        return dp[observable[1]]
-    if kind == "S":
-        _, i, j, a, b = observable
-        return dS[i][j][a, b]
-    if kind == "L":
-        _, z, alpha, beta = observable
-        return flow_L(state, z)[alpha, beta]
-    raise ValueError(f"unknown observable {observable!r}")
+    F0, dF0 = {}, {}
+    for i in range(M):
+        for j in range(i + 1, M):
+            F0[i, j], dF0[i, j] = fam.F0_with_derivative(state.qdiff(i, j))
+    Gt = _ham_spin_gradient(state, F0).T
+    S = spin.matrix
+    dS = S @ Gt - Gt @ S
+    dp = -_ham_q_gradient(state, dF0)
+    return np.array(state.p, dtype=complex), dp, block_grid(dS, M, N)
+
+
+def _flow_L(R, Mz, flow):
+    """{H, L(z)} by the chain rule from the bracket-side flow and the R table
+    of z: the spin flow through R, the momenta on the diagonal, and the
+    positions through dL^{ij}/dq_i = tr_2(S^ij_2 F^z_12(q_ij) P_12), which
+    is the off-diagonal block M^{ij}(z) of Mz."""
+    dq, dp, dS = flow
+    M, N = R.shape[0], R.shape[2]
+    out = _contract(R, dS.swapaxes(1, 2).reshape(M * N, M * N))
+    weight = (dq[:, None] - dq[None, :])[:, None, :, None]
+    out += (weight * Mz.reshape(M, N, M, N)).reshape(M * N, M * N)
+    return _plus_diagonal(out, dp)
 
 
 def flow_L(state, z, flow=None):
@@ -419,33 +443,29 @@ def flow_L(state, z, flow=None):
     The flow does not depend on z: pass flow = bracket_flow(state) to share
     one evaluation between several spectral points.
     """
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    dq, dp, dS = bracket_flow(state) if flow is None else flow
-    rz = fam.r(z)
-    blocks = [[None] * M for _ in range(M)]
-    for i in range(M):
-        for j in range(M):
-            if i == j:
-                blocks[i][i] = dp[i] * eye(N) + op_contract(rz, dS[i][i])
-            else:
-                R, F = fam.R_with_F(z, state.qdiff(i, j))
-                blocks[i][j] = _tr2_P(R, dS[i][j]) \
-                    + (dq[i] - dq[j]) * _tr2_P(F, spin.block(i, j))
-    return block_embed(blocks)
+    if flow is None:
+        flow = bracket_flow(state)
+    R, F = _pair_tables(state, z)
+    return _flow_L(R, _contract(F, state.spin.matrix), flow)
+
+
+def _lax_check(state, z, flow):
+    """(L(z), relative residual of {H, L(z)} = [L(z), M(z)]), with L, M and
+    {H, L} all read from one pair table at z; flow = bracket_flow(state)."""
+    R, F = _pair_tables(state, z)
+    L = _lax_L(state, R)
+    Mz = _contract(F, state.spin.matrix)
+    lhs = _flow_L(R, Mz, flow)
+    rhs = commutator(L, Mz)
+    scale = max(frobenius_norm(lhs), frobenius_norm(rhs), 1.0)
+    return L, frobenius_norm(lhs - rhs) / scale
 
 
 def lax_residuals(state, zs):
     """Relative residuals of {H, L(z)} = [L(z), M(z)] at each z in zs,
     sharing one bracket flow."""
     flow = bracket_flow(state)
-    out = []
-    for z in zs:
-        lhs = flow_L(state, z, flow)
-        rhs = commutator(build_L(state, z), build_M(state, z))
-        scale = max(frobenius_norm(lhs), frobenius_norm(rhs), 1.0)
-        out.append(frobenius_norm(lhs - rhs) / scale)
-    return out
+    return [_lax_check(state, z, flow)[1] for z in zs]
 
 
 def lax_residual(state, z):
@@ -455,59 +475,34 @@ def lax_residual(state, z):
 
 # --- classical exchange relation ------------------------------------------
 
-def _lax_grad_tensors(state, z):
-    """Per-block four-index gradients T4[a, b', b, a'] of the Lax entries
-    L^{ij}_{ab}(z) with respect to their spin block S^{ij}_{a'b'}, and
-    their q-derivatives D[i, j] = tr_2(S^ij_2 F^z_12(q_ij) P_12), i != j."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    P = permutation_P(N)
-    rz4 = as_four_index(fam.r(z), N)
-    T, D = {}, {}
-    for i in range(M):
-        for j in range(M):
-            if i == j:
-                T[(i, i)] = rz4
-            else:
-                R, F = fam.R_with_F(z, state.qdiff(i, j))
-                T[(i, j)] = as_four_index(R @ P, N)
-                D[(i, j)] = _tr2_P(F, spin.block(i, j))
-    return T, D
-
-
-def _exchange_lhs(state, z, w):
+def _exchange_lhs(state, tables_z, tables_w):
     """{L_{1'1}(z), L_{2'2}(w)} entrywise by the Poisson-bracket oracle,
-    in the primed-first flattening Mat(M) x Mat(M) x Mat(N) x Mat(N)."""
-    spin = state.spin
-    M, N = spin.M, spin.N
-    T1, D1 = _lax_grad_tensors(state, z)
-    T2, D2 = _lax_grad_tensors(state, w)
-    L8 = np.zeros((M, M, N, N, M, M, N, N), dtype=complex)
-    I = np.eye(N)
-    for i in range(M):
-        for j in range(M):
-            A4 = T1[(i, j)]
-            for k in range(M):
-                for l in range(M):
-                    B4 = T2[(k, l)]
-                    # spin sector of the bracket, both entries linear in S
-                    acc = np.zeros((N, N, N, N), dtype=complex)
-                    if i == l:
-                        acc += np.einsum("cxdw,aybx,wy->abcd",
-                                         B4, A4, spin.block(k, j))
-                    if k == j:
-                        acc -= np.einsum("aybx,cwdy,xw->abcd",
-                                         A4, B4, spin.block(i, l))
-                    # canonical (p, q) sector
-                    if i == j and k != l:
-                        acc += (float(i == k) - float(i == l)) \
-                            * np.einsum("ab,cd->abcd", I, D2[(k, l)])
-                    if i != j and k == l:
-                        acc -= (float(k == i) - float(k == j)) \
-                            * np.einsum("ab,cd->abcd", D1[(i, j)], I)
-                    L8[i, k, :, :, j, l, :, :] += acc.transpose(0, 2, 1, 3)
-    dim = M * M * N * N
-    return L8.reshape(dim, dim)
+    in the primed-first flattening Mat(M) x Mat(M) x Mat(N) x Mat(N), from
+    the pair tables (R, F) of z and of w."""
+    M, N = state.M, state.N
+    S = state.spin.matrix
+    S4 = S.reshape(M, N, M, N)
+    # gradients dL^{ij}_{ab}(z) / dS^{ij}_{xy} = A[i, j, a, y, b, x] (B at w)
+    # and q-derivatives D[i, a, j, b] = tr_2(S^ij_2 F_12(q_ij) P_12)_{ab},
+    # whose diagonal blocks carry zero weight below
+    A, B = tables_z[0].swapaxes(4, 5), tables_w[0].swapaxes(4, 5)
+    D1 = _contract(tables_z[1], S).reshape(M, N, M, N)
+    D2 = _contract(tables_w[1], S).reshape(M, N, M, N)
+    eM, eN = np.eye(M), np.eye(N)
+    X = eM[:, :, None] - eM[:, None, :]     # X[i, k, l] = d_ik - d_il
+    s = np.arange(M)
+    out = np.zeros((M, M, N, N) * 2, dtype=complex)   # [i, k, a, c, j, l, b, d]
+    # spin sector, {S^ij_xy, S^kl_vw} = S^kj_vy d^il d_xw - S^il_xw d^kj d_yv;
+    # an index array on two axes puts the shared site first
+    out[s, :, :, :, :, s] += np.einsum("ijaybx,kicxdv,kvjy->ikacjbd",
+                                       A, B, S4)
+    out[:, s, :, :, s] -= np.einsum("ijaybx,jlcwdy,ixlw->jiaclbd",
+                                    A, B, S4)
+    # canonical sector, {p_i, q_k} = d_ik, through p_i on L^ii
+    out[s, :, :, :, s] += np.einsum("ikl,ab,kcld->ikaclbd", X, eN, D2)
+    out[:, s, :, :, :, s] -= np.einsum("kij,iajb,cd->kiacjbd", X, D1, eN)
+    dim = (M * N) ** 2
+    return out.reshape(dim, dim)
 
 
 def _matrix_units(M):
@@ -515,69 +510,61 @@ def _matrix_units(M):
     return np.eye(M * M).reshape(M, M, M, M)
 
 
+def _exchange_blocks(T):
+    """sum_ij E_ij x E_ji x T[i, j] P_12 on Mat(M)^2 x Mat(N)^2, primed
+    factors first, for a pair table T."""
+    M, N = T.shape[0], T.shape[2]
+    out = np.zeros((M, M, N, N) * 2, dtype=complex)
+    i, j = np.indices((M, M))
+    out[i, j, :, :, j, i] = T.swapaxes(4, 5)
+    dim = (M * N) ** 2
+    return out.reshape(dim, dim)
+
+
+def _r_big_and_q_derivative(state, z, w):
+    """classical_r_big and _r_big_q_derivative_sum from one pair table at
+    z - w: the q-derivative places (tr S^ii - tr S^jj) F^{z-w}(q_ij) P."""
+    R, F = _pair_tables(state, z - w)
+    tr = state.spin.traces()
+    weight = (tr[:, None] - tr[None, :])[:, :, None, None, None, None]
+    return _exchange_blocks(R), _exchange_blocks(weight * F)
+
+
 def classical_r_big(state, z, w):
     """The dynamical r-matrix on Mat(M)^2 x Mat(N)^2, primed factors first:
     sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    sf.check_pole(fam.flavor, z - w)
-    P = permutation_P(N)
-    E = _matrix_units(M)
-    out = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
-    r12 = fam.r(z - w)
-    for i in range(M):
-        out += kron(E[i][i], E[i][i], r12)
-    for i in range(M):
-        for j in range(M):
-            if i != j:
-                out += kron(E[i][j], E[j][i],
-                            fam.R(z - w, state.qdiff(i, j)) @ P)
-    return out
+    return _r_big_and_q_derivative(state, z, w)[0]
 
 
 def _r_big_q_derivative_sum(state, z, w):
     """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    P = permutation_P(N)
-    tr = spin.traces()
-    E = _matrix_units(M)
-    out = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
-    for i in range(M):
-        for j in range(M):
-            if i != j:
-                out += (tr[i] - tr[j]) * kron(
-                    E[i][j], E[j][i],
-                    fam.F(z - w, state.qdiff(i, j)) @ P)
-    return out
+    return _r_big_and_q_derivative(state, z, w)[1]
 
 
 def exchange_residual(state, z, w):
     """Max relative residual of the classical exchange relation
     {L_{1'1}(z), L_{2'2}(w)} = [L_{1'1}(z), r] - [L_{2'2}(w), r_{2'1'21}]
-    - sum_k tr(S^kk) d_{q_k} r."""
+    - sum_k tr(S^kk) d_{q_k} r, with one pair table at each of z, w, z-w
+    and w-z."""
     spin = state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    lhs = _exchange_lhs(state, z, w)
+    tables_z = _pair_tables(state, z)
+    tables_w = _pair_tables(state, w)
+    lhs = _exchange_lhs(state, tables_z, tables_w)
 
-    E = _matrix_units(M)
-    L1 = np.zeros(((M * N) ** 2, (M * N) ** 2), dtype=complex)
-    L2 = np.zeros_like(L1)
-    Lz = block_split(build_L(state, z), M, N)
-    Lw = block_split(build_L(state, w), M, N)
-    for i in range(M):
-        for j in range(M):
-            L1 += kron(E[i][j], np.eye(M), Lz[i][j], eye(N))
-            L2 += kron(np.eye(M), E[i][j], eye(N), Lw[i][j])
+    dim = (M * N) ** 2
+    eM, eN = np.eye(M), np.eye(N)
+    Lz = _lax_L(state, tables_z[0]).reshape(M, N, M, N)
+    Lw = _lax_L(state, tables_w[0]).reshape(M, N, M, N)
+    L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
+    L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
 
-    rb = classical_r_big(state, z, w)
+    rb, dr = _r_big_and_q_derivative(state, z, w)
     # r_{2'1'21}(w, z): swapping both the primed and the unprimed factor
     # pairs of r(w, z) is an axis transpose of its (M, M, N, N) x 2 reshape
-    dim = (M * N) ** 2
-    rbt = classical_r_big(state, w, z).reshape((M, M, N, N) * 2).transpose(
-        1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
-    dr = _r_big_q_derivative_sum(state, z, w)
+    rbt = _exchange_blocks(_pair_tables(state, w - z)[0]).reshape(
+        (M, M, N, N) * 2).transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
     c1 = L1 @ rb - rb @ L1
     c2 = L2 @ rbt - rbt @ L2
     rhs = c1 - c2 - dr
@@ -679,9 +666,29 @@ def cm_rmx_residual(q, p, nu, family, z):
 # --- model configuration ---------------------------------------------------
 
 def _as_complex(value, field):
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ValueError(f"field {field!r} must be a [re, im] pair")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise TypeError
+        z = complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {field!r} must be a [re, im] pair") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"field {field!r} must be finite")
+    return z
+
+
+def _as_int(cfg, field, default):
+    try:
+        return int(cfg.get(field, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {field!r} must be an integer") from None
+
+
+def _complex_list(cfg, field, M, what):
+    values = cfg[field]
+    if not (isinstance(values, (list, tuple)) and len(values) == M):
+        raise ValueError(f"field {field!r} must list M {what}")
+    return tuple(_as_complex(v, field) for v in values)
 
 
 def load_model_config(cfg):
@@ -693,14 +700,13 @@ def load_model_config(cfg):
     if isinstance(cfg, str):
         with open(cfg) as fh:
             cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("the model configuration must be a JSON object")
     kind = cfg.get("family")
     if kind not in FAMILY_KEYS:
         raise ValueError(f"field 'family' must be one of {FAMILY_KEYS}")
-    try:
-        N = int(cfg.get("N", 2))
-        M = int(cfg.get("M", 2))
-    except (TypeError, ValueError):
-        raise ValueError("fields 'N' and 'M' must be positive integers")
+    N = _as_int(cfg, "N", 2)
+    M = _as_int(cfg, "M", 2)
     if N < 1 or M < 1:
         raise ValueError("fields 'N' and 'M' must be positive integers")
     tau = _as_complex(cfg["tau"], "tau") if "tau" in cfg else None
@@ -721,17 +727,12 @@ def load_model_config(cfg):
     spin_mode = cfg.get("spin_mode", "general")
     if spin_mode not in ("rank1", "general"):
         raise ValueError("field 'spin_mode' must be 'rank1' or 'general'")
-    seed = int(cfg.get("seed", 0))
+    seed = _as_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ValueError("field 'seed' must be a non-negative integer")
 
     family = make_family(kind, N=N, tau=tau, C=C)
-    q = p = None
-    if "q0" in cfg:
-        q = tuple(_as_complex(v, "q0") for v in cfg["q0"])
-        if len(q) != M:
-            raise ValueError("field 'q0' must list M positions")
-    if "p0" in cfg:
-        p = tuple(_as_complex(v, "p0") for v in cfg["p0"])
-        if len(p) != M:
-            raise ValueError("field 'p0' must list M momenta")
+    q = _complex_list(cfg, "q0", M, "positions") if "q0" in cfg else None
+    p = _complex_list(cfg, "p0", M, "momenta") if "p0" in cfg else None
     state = random_state(family, M, nu, seed, spin_mode, q, p)
     return family, state, nu

@@ -124,19 +124,6 @@ def check_finite(A):
     return A
 
 
-def block_embed(blocks):
-    """Assemble an M x M grid of N x N blocks into one NM x NM matrix."""
-    return np.block([[np.asarray(b, dtype=complex) for b in row]
-                     for row in blocks])
-
-
-def block_split(A, M, N):
-    """Split an NM x NM matrix into the M x M grid of N x N blocks."""
-    A = np.asarray(A, dtype=complex)
-    return [[A[i * N:(i + 1) * N, j * N:(j + 1) * N].copy()
-             for j in range(M)] for i in range(M)]
-
-
 def block_grid(A, M, N):
     """(M, M, N, N) view of an NM x NM matrix: entry [i, j] is block (i, j).
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from toplax import cli
@@ -135,6 +136,122 @@ def test_empty_count_exits_2(tmp_path, capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify-rmatrix", "--family", "xxx", "--n", "0"], "--n"),
+    (["check-cm-rmx", "--family", "xxx", "--n", "0"], "--n"),
+    (["check-cm-rmx", "--family", "xxx", "--m", "-2"], "--m"),
+])
+def test_size_below_one_exits_2(capsys, argv, flag):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be at least 1" in err
+
+
+def _in_turn(values):
+    """A stand-in residual function returning values in turn."""
+    it = iter(values)
+    return lambda *args, **kwargs: next(it)
+
+
+def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
+    nan = float("nan")
+    path = write_config(tmp_path)
+    # check-lax: a NaN after a finite residual still decides the verdict
+    monkeypatch.setattr(cli.md, "lax_residuals",
+                        lambda state, zs: [0.0] * (len(zs) - 1) + [nan])
+    code, out, _ = run_capture(capsys, ["check-lax", "--config", path])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    monkeypatch.setattr(cli.md, "exchange_residual",
+                        _in_turn([0.0, nan, 0.0]))
+    code, out, _ = run_capture(capsys, [
+        "check-exchange", "--config", path, "--pairs", "3"])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_nan_certification_fails(capsys, monkeypatch):
+    # a NaN kernel makes NaN residuals: the records keep them and fail
+    nan = float("nan")
+    monkeypatch.setattr(cli.sf, "kronecker_phi",
+                        lambda *args: complex(nan, nan))
+    code, out, _ = run_capture(capsys, [
+        "certify-functions", "--flavor", "rational", "--samples", "3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert np.isnan(report["identities"]["symmetry"])
+
+    monkeypatch.setattr(cli.rm.YangXXX, "R",
+                        lambda self, hbar, z, dz=0: np.full((4, 4), nan))
+    code, out, _ = run_capture(capsys, [
+        "certify-rmatrix", "--family", "xxx", "--samples", "3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    aybe = report["properties"]["aybe"]
+    assert np.isnan(aybe["max_residual"]) and aybe["pass"] is False
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_simulate_non_finite_dt_exits_2(tmp_path, capsys, dt):
+    path = write_config(tmp_path)
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", dt, "--steps", "10",
+        "--out", str(out_csv)])
+    assert code == 2
+    assert out == ""
+    assert "dt" in err
+    assert not out_csv.exists()
+
+
+def test_simulate_nan_drift_exits_2(tmp_path, capsys, monkeypatch):
+    # a step that returns NaN is a blow-up, caught at the next monitor row
+    path = write_config(tmp_path)
+    monkeypatch.setattr(cli.dy, "_rk4_step",
+                        lambda vec, dt, template: vec * float("nan"))
+    code, out, err = run_capture(capsys, [
+        "simulate", "--config", path, "--steps", "10",
+        "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert out == ""
+    assert "constraint drift nan" in err
+
+
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["--monitor-z", "abc"], {}, "argument --monitor-z"),
+    (["--out", "/nonexistent/x.csv"], {}, "--out /nonexistent/x.csv"),
+    ([], {"q0": 5}, "'q0'"),
+    ([], {"p0": 5}, "'p0'"),
+])
+def test_simulate_bad_input_exits_2(tmp_path, capsys, argv, overrides,
+                                    message):
+    path = write_config(tmp_path, **overrides)
+    base = ["simulate", "--config", path, "--steps", "10"]
+    if "--out" not in argv:
+        base += ["--out", str(tmp_path / "traj.csv")]
+    code, out, err = run_capture(capsys, base + argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["check-lax", "check-exchange",
+                                     "simulate"])
+def test_config_not_an_object_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "traj.csv")]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "must be a JSON object" in err
 
 
 def test_check_exchange_without_residual_exits_2(tmp_path, capsys,

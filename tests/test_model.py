@@ -1,15 +1,18 @@
 """Unit tests for the phase space, Hamiltonian, Lax pair and reductions."""
 
 import cmath
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from toplax import model as md
 from toplax import rmatrix as rm
 from toplax import specfun as sf
 from toplax import tensor as tn
-from toplax.errors import ConstraintViolation, ScaleExceeded
+from toplax.errors import ConstraintViolation, ScaleExceeded, ToplaxError
 
 
 def test_spin_rank1_structure():
@@ -174,6 +177,32 @@ def test_elliptic_potential_sector_form():
         assert abs(U + total) < 1e-8 * max(abs(U), 1.0)
 
 
+def test_lax_blocks_match_per_pair_kernels():
+    # the table contractions against the blockwise definitions, written as a
+    # loop over family calls: the sums run in the same order, so the values
+    # are equal, not merely close
+    for key, kwargs in (("xxx", {}), ("11v", {}), ("7v", {"C": 0.7 + 0.2j}),
+                        ("bb", {"tau": 0.3 + 0.9j})):
+        fam = rm.make_family(key, N=2, **kwargs)
+        st = md.random_state(fam, 3, 1.0, seed=13)
+        z = 0.31 + 0.22j
+        P = tn.permutation_P(2)
+        L = tn.block_grid(md.build_L(st, z), 3, 2)
+        Mz = tn.block_grid(md.build_M(st, z), 3, 2)
+        for i in range(3):
+            for j in range(3):
+                S = st.spin.block(i, j)
+                if i == j:
+                    wantL = st.p[i] * np.eye(2) + tn.op_contract(fam.r(z), S)
+                    wantM = tn.op_contract(fam.m(z), S)
+                else:
+                    R, F = fam.R_with_F(z, st.qdiff(i, j))
+                    wantL = tn.op_contract(R @ P, S)
+                    wantM = tn.op_contract(F @ P, S)
+                assert np.array_equal(L[i, j], wantL), (key, i, j)
+                assert np.array_equal(Mz[i, j], wantM), (key, i, j)
+
+
 def test_eom_matches_bracket_flow():
     for key, kwargs in (("xxx", {}), ("11v", {}), ("bb", {"tau": 1j})):
         fam = rm.make_family(key, N=2, **kwargs)
@@ -201,19 +230,6 @@ def test_rank1_diagonal_forms_agree():
         md.eom_rhs(st, diagonal_form="nope")
 
 
-def test_bracket_flow_observables():
-    fam = rm.make_family("xxx", N=2)
-    st = md.random_state(fam, 2, 1.0, seed=19)
-    dq, dp, dS = md.bracket_flow(st)
-    assert md.bracket_flow(st, ("q", 1)) == dq[1]
-    assert md.bracket_flow(st, ("p", 0)) == dp[0]
-    assert md.bracket_flow(st, ("S", 0, 1, 1, 0)) == dS[0][1][1, 0]
-    z = 0.4 + 0.2j
-    assert md.bracket_flow(st, ("L", z, 0, 3)) == md.flow_L(st, z)[0, 3]
-    with pytest.raises(ValueError):
-        md.bracket_flow(st, ("nope",))
-
-
 def test_hamiltonian_gradient_by_finite_difference():
     fam = rm.make_family("11v")
     st = md.random_state(fam, 2, 1.0, seed=23)
@@ -222,7 +238,7 @@ def test_hamiltonian_gradient_by_finite_difference():
     up = st.replace(q=(st.q[0] + h, st.q[1]))
     dn = st.replace(q=(st.q[0] - h, st.q[1]))
     diff = (md.hamiltonian(up) - md.hamiltonian(dn)) / (2 * h)
-    assert abs(md.bracket_flow(st, ("p", 0)) + diff) < 1e-6
+    assert abs(md.bracket_flow(st)[1][0] + diff) < 1e-6
 
 
 def test_lax_residual_small():
@@ -372,6 +388,61 @@ def test_lax_residuals_share_one_bracket_flow(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("key", ["xxx", "bb"])
+def test_lax_residual_one_table_per_point(family_calls, key):
+    fam = rm.make_family(key, N=2, tau=1j)
+    M = 3
+    st = md.random_state(fam, M, 1.0, seed=31)
+    zs = [0.31 + 0.22j, 0.52 + 0.41j]
+    md.lax_residual(st, zs[0])
+    md.lax_residuals(st, zs)
+    pairs = M * (M - 1)
+    # L, M and {H, L} share one pair table per point: one R_with_F per
+    # ordered pair and its diagonal coefficients Rz0, Rz1; each of the two
+    # bracket flows adds one F0/F0' call per pair i < j and one m0
+    assert Counter(name for name, _ in family_calls) == {
+        "R_with_F": 3 * pairs, "Rz0": 3, "Rz1": 3,
+        "F0_with_derivative": 2 * (pairs // 2), "m0": 2}
+    tables = [args[0] for name, args in family_calls if name == "Rz0"]
+    assert tables == [zs[0]] + zs
+
+
+@pytest.mark.parametrize("key", ["xxx", "bb"])
+def test_exchange_residual_one_table_per_argument(family_calls, key):
+    fam = rm.make_family(key, N=2, tau=1j)
+    M = 3
+    st = md.random_state(fam, M, 1.0, seed=37)
+    z, w = 0.41 + 0.13j, 0.17 + 0.52j
+    md.exchange_residual(st, z, w)
+    assert Counter(name for name, _ in family_calls) == {
+        "R_with_F": 4 * M * (M - 1), "Rz0": 4, "Rz1": 4}
+    tables = [args[0] for name, args in family_calls if name == "Rz0"]
+    assert sorted(tables, key=lambda v: (v.real, v.imag)) == sorted(
+        [z, w, z - w, w - z], key=lambda v: (v.real, v.imag))
+
+
+def test_bb_bracket_flow_series_count(theta_orders):
+    fam = rm.make_family("bb", N=2, tau=1j)
+    st = md.random_state(fam, 4, 1.0, seed=3)
+    md.bracket_flow(st)
+    del theta_orders[:]
+    md.bracket_flow(st)
+    # one F0/F0' table of N^2 series for each of the 6 pairs
+    assert len(theta_orders) == 6 * 4
+
+
+def test_bracket_flow_arrays():
+    fam = rm.make_family("xxx", N=2)
+    st = md.random_state(fam, 3, 1.0, seed=19)
+    dq, dp, dS = md.bracket_flow(st)
+    assert dq.shape == dp.shape == (3,)
+    assert dS.shape == (3, 3, 2, 2)
+    # dS is the block view of one NM x NM matrix
+    big = dS.swapaxes(1, 2).reshape(6, 6)
+    assert np.shares_memory(big, dS)
+    assert np.array_equal(np.block([[b for b in row] for row in dS]), big)
+
+
 def test_load_model_config_errors():
     with pytest.raises(ValueError):
         md.load_model_config({"family": "bad", "nu": [1.0, 0.0]})
@@ -391,3 +462,64 @@ def test_load_model_config_equal_per_site_nu():
     cfg = {"family": "xxx", "nu": [[1.0, 0.0], [1.0, 0.0]], "seed": 1}
     _, _, nu = md.load_model_config(cfg)
     assert nu == 1.0
+
+
+# The config fuzz perturbs valid configurations: up to three fields are
+# replaced by arbitrary JSON values or deleted.  Numbers stay small so that no
+# draw asks for a large model (N and M size every array the loader
+# allocates); NaN, infinities and huge integers are in, as the JSON reader
+# accepts them.
+_json_scalars = (hs.none() | hs.booleans() | hs.integers(-3, 6)
+                 | hs.floats(-8, 8) | hs.text(max_size=3)
+                 | hs.sampled_from([float("nan"), float("inf"),
+                                    -float("inf"), 1e300, 2 ** 70, 2.5]))
+_json_values = hs.recursive(
+    _json_scalars,
+    lambda kids: hs.lists(kids, max_size=4)
+    | hs.dictionaries(hs.text(max_size=3), kids, max_size=3),
+    max_leaves=8)
+_pair = hs.tuples(hs.floats(-1, 1), hs.floats(0.5, 1.5)).map(list)
+_valid = hs.fixed_dictionaries(
+    {"family": hs.sampled_from(rm.FAMILY_KEYS), "N": hs.integers(1, 3),
+     "M": hs.integers(1, 3), "tau": _pair, "C": _pair, "nu": _pair,
+     "spin_mode": hs.sampled_from(["rank1", "general"]),
+     "seed": hs.integers(0, 2 ** 64)},
+    optional={"q0": hs.lists(_pair, min_size=1, max_size=3),
+              "p0": hs.lists(_pair, min_size=1, max_size=3)})
+_nasty = hs.sampled_from([
+    float("nan"), float("inf"), -1, 0, 2.5, True, "x", [], {}, [[0, 1]],
+    [[0.1, 0.0], [0.1, 0.0], [0.1, 0.0]]]) | hs.sampled_from([
+        [float("nan"), 0.0], [0.0, float("inf")], [2 ** 1100, 0]])
+_edits = hs.dictionaries(
+    hs.sampled_from(["family", "N", "M", "tau", "C", "nu", "spin_mode",
+                     "seed", "q0", "p0"]),
+    hs.none() | _nasty | _json_values | hs.lists(_json_values, max_size=3),
+    min_size=1, max_size=3)
+
+
+def _edited(cfg, edits):
+    out = dict(cfg)
+    for key, value in edits.items():
+        if value is None:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+# a string config is a file path, so top-level strings are left out
+_configs = (hs.builds(_edited, _valid, _edits)
+            | _json_values.filter(lambda v: not isinstance(v, str)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_configs)
+def test_load_model_config_fuzz(cfg):
+    # every input either loads or raises a package or value error (exit 2)
+    try:
+        family, state, nu = md.load_model_config(cfg)
+    except (ValueError, ToplaxError):
+        return
+    assert np.isfinite(nu)
+    assert np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))
+    assert state.spin.on_constraints(nu, tol=1e-8 * max(abs(nu), 1.0))

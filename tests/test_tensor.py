@@ -183,10 +183,11 @@ def test_check_finite():
         tn.check_finite(bad)
 
 
-def test_block_embed_split_roundtrip():
+def test_block_grid_is_a_view():
     rng = np.random.default_rng(23)
     M, N = 3, 2
     A = random_matrix(rng, M * N)
-    blocks = tn.block_split(A, M, N)
-    assert np.array_equal(tn.block_embed(blocks), A)
-    assert np.array_equal(blocks[1][2], A[2:4, 4:6])
+    grid = tn.block_grid(A, M, N)
+    assert np.array_equal(grid[1, 2], A[2:4, 4:6])
+    assert np.shares_memory(grid, A)
+    assert np.array_equal(grid.swapaxes(1, 2).reshape(M * N, M * N), A)
