@@ -9,13 +9,9 @@ class BadModulus(ToplaxError):
     """Elliptic modulus too close to the real axis (Im tau < 0.05)."""
 
 
-class NonConvergent(ToplaxError):
-    """Theta series hit the hard term cap before the truncation test passed."""
-
-
 class ThetaOverflow(ToplaxError):
-    """Theta series terms overflow floating point: the argument lies too far
-    off the real axis, outside the range the series is summed in."""
+    """theta itself is not representable in floating point: |theta(z)|
+    grows like exp(pi (Im z)^2 / Im tau) off the real axis."""
 
 
 class PoleProximity(ToplaxError):
@@ -45,4 +41,5 @@ class ConstraintDrift(ToplaxError):
 
 
 class ScaleExceeded(ToplaxError):
-    """Requested tensor space is larger than the desk-scale guard allows."""
+    """A requested array or tensor space is larger than the desk-scale guard
+    allows."""

@@ -22,9 +22,15 @@ The Lax side reads one kernel table per spectral point z (_pair_tables):
 L(z), M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
 contractions over R^z(q_ij) and F^z(q_ij), with r(z) P and m(z) P on the
 diagonal.
+
+Every table is one family call over an array of pair differences: eom_rhs,
+bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
+F0_with_derivative call, and a pair table takes R^z and F^z of all ordered
+pairs from one R_with_F call.
 """
 
 import cmath
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -33,8 +39,9 @@ import numpy as np
 from . import specfun as sf
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (as_four_index, block_grid, commutator, frobenius_norm,
-                     kron, op_contract, op_contract_1, permutation_P)
+from .tensor import (as_four_index, block_grid, check_scale, commutator,
+                     frobenius_norm, kron, op_contract, op_contract_1,
+                     permutation_P)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -196,9 +203,41 @@ def _require_constraints(state, nu=None, tol=1e-8):
 
 # --- contraction helpers ---------------------------------------------------
 
-def _swap(T, N):
-    P = permutation_P(N)
-    return P @ T @ P
+@functools.lru_cache(maxsize=16)
+def _pairs(M):
+    """The site pairs i < j in row-major order, as two read-only index
+    arrays."""
+    return _index_arrays([(i, j) for i in range(M) for j in range(i + 1, M)])
+
+
+@functools.lru_cache(maxsize=16)
+def _ordered_pairs(M):
+    """The site pairs i != j in row-major order, as two read-only index
+    arrays."""
+    return _index_arrays([(i, j) for i in range(M) for j in range(M)
+                          if i != j])
+
+
+def _index_arrays(pairs):
+    out = tuple(np.array([p[k] for p in pairs], dtype=np.intp)
+                for k in (0, 1))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _qdiffs(state, i, j):
+    """q_i - q_j for index arrays i, j."""
+    q = np.array(state.q, dtype=complex)
+    return q[i] - q[j]
+
+
+def _pair_traces(W, A, B):
+    """tr(W[p] (A[p] (x) B[p])) for every p, from stacks W of N^2 x N^2
+    and A, B of N x N matrices: each product and trace as for one pair."""
+    n = W.shape[-1]
+    AB = A[:, :, None, :, None] * B[:, None, :, None, :]
+    return np.trace(W @ AB.reshape(-1, n, n), axis1=1, axis2=2)
 
 
 def inertia_J(family, S):
@@ -213,32 +252,33 @@ def top_H(family, S):
 
 
 def potential_U(family, Sij, Sji, q):
-    """Interaction potential tr_12(F^0_21(q) P_12 S^ij_1 S^ji_2)."""
-    N = family.N
-    sf.check_pole(family.flavor, q)
-    W = _swap(family.F0(q), N) @ permutation_P(N)
-    return complex(np.trace(W @ kron(Sij, Sji)))
+    """Interaction potential tr_12(F^0_21(q) P_12 S^ij_1 S^ji_2) =
+    tr_12(P_12 F^0_12(q) S^ij_1 S^ji_2)."""
+    W = permutation_P(family.N) @ family.F0(q)
+    return complex(_pair_traces(W[None], np.asarray(Sij)[None],
+                                np.asarray(Sji)[None])[0])
 
 
 def potential_V(family, Sii, Sjj, q):
     """Tops potential tr_12(F^0_12(q) S^ii_1 S^jj_2); equals potential_U
     for rank-1 spin."""
-    sf.check_pole(family.flavor, q)
     return complex(np.trace(family.F0(q) @ kron(Sii, Sjj)))
 
 
 def hamiltonian(state):
-    """H = sum p^2/2 + top terms + pair interactions."""
+    """H = sum p^2/2 + top terms + the pair potentials potential_U, with
+    F^0 for every pair i < j from one family call."""
     fam, spin = state.family, state.spin
     M = spin.M
     total = 0.5 * sum(p * p for p in state.p)
     for i in range(M):
         total += top_H(fam, spin.block(i, i))
-    for i in range(M):
-        for j in range(i + 1, M):
-            total += potential_U(fam, spin.block(i, j), spin.block(j, i),
-                                 state.qdiff(i, j))
-    return complex(total)
+    i, j = _pairs(M)
+    F0 = fam.F0_with_derivative(_qdiffs(state, i, j))[0]
+    U = _pair_traces(permutation_P(spin.N) @ F0, spin.blocks[i, j],
+                     spin.blocks[j, i])
+    # added pair by pair, in the order i < j
+    return complex(sum(U.tolist(), total))
 
 
 # --- per-pair kernel tables ------------------------------------------------
@@ -253,7 +293,7 @@ def _pair_tables(state, z):
     """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N).
 
     R[i, j] = R^z(q_ij) and F[i, j] = F^z(q_ij) in four-index form, from one
-    R_with_F call per ordered pair.  The diagonal holds their q -> 0
+    R_with_F call over all ordered pairs.  The diagonal holds their q -> 0
     coefficients Rz0(z) = r(z) P and Rz1(z) = m(z) P, so a contraction with
     the spin gives tr_2(S^{ii}_2 r_12(z)) and tr_2(S^{ii}_2 m_12(z)) there.
     Both are views of T P in memory: that layout fixes the summation order
@@ -266,12 +306,10 @@ def _pair_tables(state, z):
     sites = np.arange(M)
     R[sites, sites] = as_four_index(fam.Rz0(z), N)
     F[sites, sites] = as_four_index(fam.Rz1(z), N)
-    for i in range(M):
-        for j in range(M):
-            if i != j:
-                Rij, Fij = fam.R_with_F(z, state.qdiff(i, j))
-                R[i, j] = as_four_index(Rij, N)
-                F[i, j] = as_four_index(Fij, N)
+    i, j = _ordered_pairs(M)
+    Rs, Fs = fam.R_with_F(z, _qdiffs(state, i, j))
+    R[i, j] = Rs.reshape(-1, N, N, N, N)
+    F[i, j] = Fs.reshape(-1, N, N, N, N)
     return R, F
 
 
@@ -319,10 +357,10 @@ def eom_rhs(state, diagonal_form="general"):
     [S^{ii}, J(S^{ii}) + sum_{k!=i} tr_2(F^0_12(q_ik) S^{kk}_2)], valid for
     rank-1 spin.  dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2).
 
-    F^0 and F^0' are evaluated together once per pair i < j (whose pole
-    guard covers q_ji, the pole set being symmetric); the pair j, i follows
-    from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq and dp are
-    length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
+    F^0 and F^0' come from one family call over the pairs i < j (whose
+    pole guard covers q_ji, the pole set being symmetric); the pair j, i
+    follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq and
+    dp are length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
     derivative.
     """
     if diagonal_form not in ("general", "commutator"):
@@ -334,11 +372,10 @@ def eom_rhs(state, diagonal_form="general"):
     # conjugation by P swaps the two tensor factors
     F = np.zeros((M, M, N, N, N, N), dtype=complex)
     D = np.zeros_like(F)
-    for i in range(M):
-        for j in range(i + 1, M):
-            F0, dF0 = fam.F0_with_derivative(state.qdiff(i, j))
-            F[i, j] = as_four_index(F0, N)
-            D[i, j] = as_four_index(dF0, N)
+    i, j = _pairs(M)
+    F0, dF0 = fam.F0_with_derivative(_qdiffs(state, i, j))
+    F[i, j] = F0.reshape(-1, N, N, N, N)
+    D[i, j] = dF0.reshape(-1, N, N, N, N)
     F = F + F.transpose(1, 0, 3, 2, 5, 4)
     D = D - D.transpose(1, 0, 3, 2, 5, 4)
 
@@ -365,39 +402,42 @@ def eom_rhs(state, diagonal_form="general"):
 
 # --- Poisson-bracket oracle ------------------------------------------------
 
-def _ham_spin_gradient(state, F0):
+def _ham_spin_gradient(state, i, j, W):
     """Entrywise gradient G of H with respect to the big spin matrix,
-    computed analytically from the bilinear contraction forms; F0[i, j] is
-    F^0(q_ij) for i < j."""
+    computed analytically from the bilinear contraction forms; W[p] is
+    P F^0(q_ij) for the pair i[p] < j[p]."""
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
-    P = permutation_P(N)
     m0 = fam.m0()
     G = np.zeros((M * N, M * N), dtype=complex)
     grad = block_grid(G, M, N)
-    for i in range(M):
-        Sii = spin.block(i, i)
-        grad[i, i] += 0.5 * (op_contract(m0, Sii).T
-                             + op_contract_1(m0, Sii).T)
-    for (i, j), F in F0.items():
-        W = _swap(F, N) @ P
-        grad[i, j] += op_contract(W, spin.block(j, i)).T
-        grad[j, i] += op_contract_1(W, spin.block(i, j)).T
+    for k in range(M):
+        Skk = spin.block(k, k)
+        grad[k, k] += 0.5 * (op_contract(m0, Skk).T
+                             + op_contract_1(m0, Skk).T)
+    # op_contract and op_contract_1 of every pair at once
+    W4 = W.reshape(-1, N, N, N, N)
+    grad[i, j] += np.einsum("pikjl,plk->pij", W4,
+                            spin.blocks[j, i]).swapaxes(1, 2)
+    grad[j, i] += np.einsum("pikjl,pji->pkl", W4,
+                            spin.blocks[i, j]).swapaxes(1, 2)
     return G
 
 
-def _ham_q_gradient(state, dF0):
-    """dH/dq_i, analytic through dF0[i, j] = d/dq F^0(q_ij), i < j."""
+def _ham_q_gradient(state, i, j, Wd):
+    """dH/dq_s, analytic through Wd[p] = P d/dq F^0(q_ij) for the pair
+    i[p] < j[p]: pair p adds g_p to site i[p] and -g_p to site j[p]."""
     spin = state.spin
-    N = spin.N
-    P = permutation_P(N)
-    out = np.zeros(spin.M, dtype=complex)
-    for (i, j), dF in dF0.items():
-        Wd = _swap(dF, N) @ P
-        g = complex(np.trace(Wd @ kron(spin.block(i, j),
-                                       spin.block(j, i))))
-        out[i] += g
-        out[j] -= g
+    M = spin.M
+    g = _pair_traces(Wd, spin.blocks[i, j], spin.blocks[j, i])
+    signed = np.zeros((M, M), dtype=complex)
+    signed[i, j] = g
+    signed[j, i] = -g
+    # each site adds up its pairs in the order of the other site, which is
+    # the order of the pairs i < j: the rounding of a pair-by-pair sum
+    out = np.zeros(M, dtype=complex)
+    for t in range(M):
+        out += signed[:, t]
     return out
 
 
@@ -407,20 +447,19 @@ def bracket_flow(state):
     Returns the full derivative (dq, dp, dS) as a brute-force oracle for
     eom_rhs: dq = p, dp = -dH/dq, and the spin flow dS = [S, G^T] with G
     the entrywise spin gradient of H.  F^0 and its q-derivative come from
-    one family call per pair i < j.  dq and dp are length-M arrays; dS is
-    the (M, M, N, N) block view of the NM x NM derivative.
+    one family call over the pairs i < j.  dq and dp are length-M arrays;
+    dS is the (M, M, N, N) block view of the NM x NM derivative.
     """
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    F0, dF0 = {}, {}
-    for i in range(M):
-        for j in range(i + 1, M):
-            F0[i, j], dF0[i, j] = fam.F0_with_derivative(state.qdiff(i, j))
-    Gt = _ham_spin_gradient(state, F0).T
+    i, j = _pairs(M)
+    F0, dF0 = fam.F0_with_derivative(_qdiffs(state, i, j))
+    P = permutation_P(N)
+    Gt = _ham_spin_gradient(state, i, j, P @ F0).T
     S = spin.matrix
     dS = S @ Gt - Gt @ S
-    dp = -_ham_q_gradient(state, dF0)
+    dp = -_ham_q_gradient(state, i, j, P @ dF0)
     return np.array(state.p, dtype=complex), dp, block_grid(dS, M, N)
 
 
@@ -548,6 +587,7 @@ def exchange_residual(state, z, w):
     and w-z."""
     spin = state.spin
     M, N = spin.M, spin.N
+    check_scale((M * N) ** 4, f"the exchange relation at N = {N}, M = {M}")
     _require_constraints(state)
     tables_z = _pair_tables(state, z)
     tables_w = _pair_tables(state, w)
@@ -678,8 +718,11 @@ def _as_complex(value, field):
 
 
 def _as_int(cfg, field, default):
+    value = cfg.get(field, default)
     try:
-        return int(cfg.get(field, default))
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field {field!r} must be an integer") from None
 
@@ -732,6 +775,8 @@ def load_model_config(cfg):
         raise ValueError("field 'seed' must be a non-negative integer")
 
     family = make_family(kind, N=N, tau=tau, C=C)
+    check_scale(M * M * family.N ** 4,
+                f"a pair table at N = {family.N}, M = {M}")
     q = _complex_list(cfg, "q0", M, "positions") if "q0" in cfg else None
     p = _complex_list(cfg, "p0", M, "momenta") if "p0" in cfg else None
     state = random_state(family, M, nu, seed, spin_mode, q, p)

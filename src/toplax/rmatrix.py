@@ -13,17 +13,24 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import DegenerateDraw
-from .tensor import (all_sectors, eye, kron, permutation_P, sin_basis_T_int,
-                     partial_trace_1, partial_trace_2, frobenius_norm)
+from .tensor import (all_sectors, check_scale, eye, kron, permutation_P,
+                     sin_basis_T_int, partial_trace_1, partial_trace_2,
+                     frobenius_norm)
 
 
 class RMatrixFamily:
-    """Base interface: N, scalar flavor, quantum R and classical data."""
+    """Base interface: N, scalar flavor, quantum R and classical data.
+
+    R, r and everything built on them take the argument z (for R^z(q), q)
+    as a number or as an array of pair differences; an array of shape s
+    gives a stack of shape s + (N^2, N^2), one matrix per element.
+    """
 
     kind = None
 
     def __init__(self, N, flavor):
         self.N = int(N)
+        check_scale(self.N ** 4, f"an N^2 x N^2 matrix at N = {self.N}")
         self.flavor = flavor
         self._P = permutation_P(self.N)
         self._I = eye(self.N * self.N)
@@ -76,9 +83,9 @@ class RMatrixFamily:
         return self.r(q, d=1 + d)
 
     def F0_with_derivative(self, q):
-        """(F^0(q), d/dq F^0(q)); families that share work across the two
-        orders evaluate them together."""
-        return self.F0(q), self.F0(q, d=1)
+        """(F^0(q), d/dq F^0(q)) = (r'(q), r''(q)); families that share work
+        across the two orders evaluate them together."""
+        return self.r(q, d=1), self.r(q, d=2)
 
     def R_with_F(self, spectral, q):
         """(R^z(q), F^z(q)) at z = spectral; families that share work
@@ -87,10 +94,6 @@ class RMatrixFamily:
 
     def pole_distance(self, z):
         return sf.pole_distance(self.flavor, z)
-
-    def scalar_phi(self, eta, z):
-        """The scalar kernel in the family's flavor (N=1 reduction)."""
-        return sf.kronecker_phi(self.flavor, eta, z)
 
     def wp(self, z):
         return sf.weierstrass_p(self.flavor, z)
@@ -112,26 +115,40 @@ class YangXXX(RMatrixFamily):
 
     def R(self, hbar, z, dz=0):
         hbar = complex(hbar)
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         sf.check_pole(self.flavor, hbar, z)
+        if dz not in (0, 1, 2):
+            raise ValueError("dz must be 0, 1 or 2")
         if dz == 0:
-            return self._I / hbar + self._P / z
-        if dz == 1:
-            return -self._P / z ** 2
-        if dz == 2:
-            return 2.0 * self._P / z ** 3
-        raise ValueError("dz must be 0, 1 or 2")
+            return self._I / hbar + self._r(z, 0)
+        return self._r(z, dz)
 
     def r(self, z, d=0):
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         sf.check_pole(self.flavor, z)
+        if d not in (0, 1, 2):
+            raise ValueError("d must be 0, 1 or 2")
+        return self._r(z, d)
+
+    def F0_with_derivative(self, q):
+        q = np.asarray(q, dtype=complex)
+        sf.check_pole(self.flavor, q)
+        return self._r(q, 1), self._r(q, 2)
+
+    def R_with_F(self, spectral, q):
+        R = self.R(spectral, q)
+        return R, self._r(np.asarray(q, dtype=complex), 1)
+
+    def _r(self, z, d):
+        """d-th z-derivative of r(z) = P/z, also that of R^hbar(z) for
+        d >= 1.  np.power rounds as the scalar z ** 2 and z ** 3 do, so a
+        stack holds bitwise the matrices of its elements; numpy's z ** 2 on
+        an array squares in vector loops that can differ in the last bit."""
         if d == 0:
-            return self._P / z
+            return self._P / z[..., None, None]
         if d == 1:
-            return -self._P / z ** 2
-        if d == 2:
-            return 2.0 * self._P / z ** 3
-        raise ValueError("d must be 0, 1 or 2")
+            return -self._P / np.power(z, 2)[..., None, None]
+        return 2.0 * self._P / np.power(z, 3)[..., None, None]
 
     def m(self, z):
         return np.zeros((self.N * self.N, self.N * self.N), dtype=complex)
@@ -140,10 +157,31 @@ class YangXXX(RMatrixFamily):
         return np.zeros((self.N * self.N, self.N * self.N), dtype=complex)
 
 
+def _n2_stack(z, layout, values):
+    """4 x 4 matrices over the array z, with the entries at the positions
+    layout[k] equal to values(v)[k] at each element v of z.
+
+    The closed forms of the N = 2 families are evaluated per element in
+    Python complex arithmetic, so a stack holds bitwise the matrices of its
+    elements; numpy's vector loops round complex division and products
+    differently in the last bits.
+    """
+    rows = [values(v) for v in z.reshape(-1).tolist()]
+    table = np.array(rows, dtype=complex).reshape(z.shape + (len(layout),))
+    out = np.zeros(z.shape + (4, 4), dtype=complex)
+    for k, cells in enumerate(layout):
+        for a, b in cells:
+            out[..., a, b] = table[..., k]
+    return out
+
+
 class SevenVertex(RMatrixFamily):
     """Trigonometric deformation of the XXZ matrix with corner constant C."""
 
     kind = "7v"
+    # the diagonal pairs, the swap pair and the corner
+    _LAYOUT = (((0, 0), (3, 3)), ((1, 1), (2, 2)), ((1, 2), (2, 1)),
+               ((3, 0),))
 
     def __init__(self, C):
         super().__init__(2, sf.Flavor.trigonometric())
@@ -154,49 +192,45 @@ class SevenVertex(RMatrixFamily):
 
     def R(self, hbar, z, dz=0):
         hbar = complex(hbar)
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         sf.check_pole(self.flavor, hbar, z)
-        sh, ch = cmath.sinh(z), cmath.cosh(z)
-        shh = cmath.sinh(hbar)
-        out = np.zeros((4, 4), dtype=complex)
-        if dz == 0:
-            diag = ch / sh + cmath.cosh(hbar) / shh
-            out[0, 0] = out[3, 3] = diag
-            out[1, 1] = out[2, 2] = 1.0 / shh
-            out[1, 2] = out[2, 1] = 1.0 / sh
-            out[3, 0] = self.C * cmath.sinh(z + hbar)
-        elif dz == 1:
-            out[0, 0] = out[3, 3] = -1.0 / sh ** 2
-            out[1, 2] = out[2, 1] = -ch / sh ** 2
-            out[3, 0] = self.C * cmath.cosh(z + hbar)
-        elif dz == 2:
-            out[0, 0] = out[3, 3] = 2.0 * ch / sh ** 3
-            out[1, 2] = out[2, 1] = (2.0 * ch * ch - sh * sh) / sh ** 3
-            out[3, 0] = self.C * cmath.sinh(z + hbar)
-        else:
+        if dz not in (0, 1, 2):
             raise ValueError("dz must be 0, 1 or 2")
-        return out
+        C = self.C
+        shh = cmath.sinh(hbar)
+        coth_h = cmath.cosh(hbar) / shh
+
+        def values(z):
+            sh, ch = cmath.sinh(z), cmath.cosh(z)
+            if dz == 0:
+                return (ch / sh + coth_h, 1.0 / shh, 1.0 / sh,
+                        C * cmath.sinh(z + hbar))
+            if dz == 1:
+                return (-1.0 / sh ** 2, 0.0, -ch / sh ** 2,
+                        C * cmath.cosh(z + hbar))
+            return (2.0 * ch / sh ** 3, 0.0,
+                    (2.0 * ch * ch - sh * sh) / sh ** 3,
+                    C * cmath.sinh(z + hbar))
+
+        return _n2_stack(z, self._LAYOUT, values)
 
     def r(self, z, d=0):
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         sf.check_pole(self.flavor, z)
-        sh, ch = cmath.sinh(z), cmath.cosh(z)
-        out = np.zeros((4, 4), dtype=complex)
-        if d == 0:
-            out[0, 0] = out[3, 3] = ch / sh
-            out[1, 2] = out[2, 1] = 1.0 / sh
-            out[3, 0] = self.C * sh
-        elif d == 1:
-            out[0, 0] = out[3, 3] = -1.0 / sh ** 2
-            out[1, 2] = out[2, 1] = -ch / sh ** 2
-            out[3, 0] = self.C * ch
-        elif d == 2:
-            out[0, 0] = out[3, 3] = 2.0 * ch / sh ** 3
-            out[1, 2] = out[2, 1] = (2.0 * ch * ch - sh * sh) / sh ** 3
-            out[3, 0] = self.C * sh
-        else:
+        if d not in (0, 1, 2):
             raise ValueError("d must be 0, 1 or 2")
-        return out
+        C = self.C
+
+        def values(z):
+            sh, ch = cmath.sinh(z), cmath.cosh(z)
+            if d == 0:
+                return ch / sh, 0.0, 1.0 / sh, C * sh
+            if d == 1:
+                return -1.0 / sh ** 2, 0.0, -ch / sh ** 2, C * ch
+            return (2.0 * ch / sh ** 3, 0.0,
+                    (2.0 * ch * ch - sh * sh) / sh ** 3, C * sh)
+
+        return _n2_stack(z, self._LAYOUT, values)
 
     def m(self, z):
         z = complex(z)
@@ -224,59 +258,47 @@ class ElevenVertex(RMatrixFamily):
     """Rational deformation of Yang's matrix at N = 2."""
 
     kind = "11v"
+    # the diagonal pairs, the swap pair, the column-0 pair, the row-3 pair
+    # and the corner
+    _LAYOUT = (((0, 0), (3, 3)), ((1, 1), (2, 2)), ((1, 2), (2, 1)),
+               ((1, 0), (2, 0)), ((3, 1), (3, 2)), ((3, 0),))
 
     def __init__(self):
         super().__init__(2, sf.Flavor.rational())
 
     def R(self, hbar, z, dz=0):
         h = complex(hbar)
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         sf.check_pole(self.flavor, h, z)
-        out = np.zeros((4, 4), dtype=complex)
-        if dz == 0:
-            out[0, 0] = out[3, 3] = 1.0 / h + 1.0 / z
-            out[1, 1] = out[2, 2] = 1.0 / h
-            out[1, 2] = out[2, 1] = 1.0 / z
-            out[1, 0] = out[2, 0] = -h - z
-            out[3, 1] = out[3, 2] = h + z
-            out[3, 0] = -h ** 3 - 2 * z * h ** 2 - 2 * h * z ** 2 - z ** 3
-        elif dz == 1:
-            out[0, 0] = out[3, 3] = -1.0 / z ** 2
-            out[1, 2] = out[2, 1] = -1.0 / z ** 2
-            out[1, 0] = out[2, 0] = -1.0
-            out[3, 1] = out[3, 2] = 1.0
-            out[3, 0] = -2 * h ** 2 - 4 * h * z - 3 * z ** 2
-        elif dz == 2:
-            out[0, 0] = out[3, 3] = 2.0 / z ** 3
-            out[1, 2] = out[2, 1] = 2.0 / z ** 3
-            out[3, 0] = -4 * h - 6 * z
-        else:
+        if dz not in (0, 1, 2):
             raise ValueError("dz must be 0, 1 or 2")
-        return out
+
+        def values(z):
+            if dz == 0:
+                return (1.0 / h + 1.0 / z, 1.0 / h, 1.0 / z, -h - z, h + z,
+                        -h ** 3 - 2 * z * h ** 2 - 2 * h * z ** 2 - z ** 3)
+            if dz == 1:
+                return (-1.0 / z ** 2, 0.0, -1.0 / z ** 2, -1.0, 1.0,
+                        -2 * h ** 2 - 4 * h * z - 3 * z ** 2)
+            return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -4 * h - 6 * z
+
+        return _n2_stack(z, self._LAYOUT, values)
 
     def r(self, z, d=0):
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         sf.check_pole(self.flavor, z)
-        out = np.zeros((4, 4), dtype=complex)
-        if d == 0:
-            out[0, 0] = out[3, 3] = 1.0 / z
-            out[1, 2] = out[2, 1] = 1.0 / z
-            out[1, 0] = out[2, 0] = -z
-            out[3, 1] = out[3, 2] = z
-            out[3, 0] = -z ** 3
-        elif d == 1:
-            out[0, 0] = out[3, 3] = -1.0 / z ** 2
-            out[1, 2] = out[2, 1] = -1.0 / z ** 2
-            out[1, 0] = out[2, 0] = -1.0
-            out[3, 1] = out[3, 2] = 1.0
-            out[3, 0] = -3 * z ** 2
-        elif d == 2:
-            out[0, 0] = out[3, 3] = 2.0 / z ** 3
-            out[1, 2] = out[2, 1] = 2.0 / z ** 3
-            out[3, 0] = -6 * z
-        else:
+        if d not in (0, 1, 2):
             raise ValueError("d must be 0, 1 or 2")
-        return out
+
+        def values(z):
+            if d == 0:
+                return 1.0 / z, 0.0, 1.0 / z, -z, z, -z ** 3
+            if d == 1:
+                return (-1.0 / z ** 2, 0.0, -1.0 / z ** 2, -1.0, 1.0,
+                        -3 * z ** 2)
+            return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -6 * z
+
+        return _n2_stack(z, self._LAYOUT, values)
 
     def m(self, z):
         z = complex(z)
@@ -295,8 +317,10 @@ class BaxterBelavin(RMatrixFamily):
     the expansion and symmetry properties hold with unit coefficients.
 
     R^hbar(z) = (1/N) sum_a phi_a(z, omega_a + hbar/N) T_a (x) T_{-a}; r, m
-    and their derivatives are the same sector sums at hbar -> 0, so every
-    matrix is built from one specfun.sector_table over its sectors.
+    and their derivatives are the same sector sums at hbar -> 0.  Every
+    matrix, or stack of matrices over an array of z, is built from one
+    specfun.sector_table and one product of its coefficients with the
+    stacked basis.
     """
 
     kind = "bb"
@@ -320,14 +344,16 @@ class BaxterBelavin(RMatrixFamily):
         return f"bb(N={self.N})"
 
     def _sum(self, coeffs):
-        """sum_a coeffs[a] T_a (x) T_{-a} over all sectors, zero first."""
+        """sum_a coeffs[..., a] T_a (x) T_{-a} over all sectors, zero
+        first."""
         n = self.N * self.N
-        return np.dot(coeffs, self._TT).reshape(n, n)
+        return (coeffs @ self._TT).reshape(coeffs.shape[:-1] + (n, n))
 
     def _R_orders(self, hbar, z, orders):
         _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
                                     complex(hbar) / self.N, max(orders))
-        return [self._sum([row[d] for row in phi]) / self.N for d in orders]
+        coeffs = np.array([phi[d] for d in orders])
+        return list(self._sum(coeffs) / self.N)
 
     def R(self, hbar, z, dz=0):
         if dz not in (0, 1, 2):
@@ -341,8 +367,9 @@ class BaxterBelavin(RMatrixFamily):
         # the scalar part d^d/dz^d E1(z) multiplies T_0 (x) T_0
         log_z, phi, _ = sf.sector_table(self.flavor, self._nonzero, z, 0.0,
                                         max(orders))
-        return [self._sum([log_z[d]] + [row[d] for row in phi]) / self.N
-                for d in orders]
+        coeffs = np.array([np.concatenate([log_z[d][..., None], phi[d]],
+                                          axis=-1) for d in orders])
+        return list(self._sum(coeffs) / self.N)
 
     def r(self, z, d=0):
         if d not in (0, 1, 2):
@@ -358,7 +385,7 @@ class BaxterBelavin(RMatrixFamily):
         coeffs = [sf.kappa_const(self.flavor) / 3.0]
         coeffs += [-sf.eisenstein_E2(self.flavor, a.omega(self.tau))
                    for a in self._nonzero]
-        return self._sum(coeffs) / (self.N * self.N)
+        return self._sum(np.array(coeffs)) / (self.N * self.N)
 
     def m(self, z):
         z = complex(z)
@@ -368,13 +395,14 @@ class BaxterBelavin(RMatrixFamily):
         log_z, _, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
         e1 = log_z[0]
         wp = -log_z[1] + sf.kappa_const(self.flavor) / 3.0
-        return self._sum([(e1 * e1 - wp) / 2.0] + f) / (self.N * self.N)
+        coeffs = np.concatenate([[(e1 * e1 - wp) / 2.0], f])
+        return self._sum(coeffs) / (self.N * self.N)
 
     def r0(self):
         coeffs = [0.0]
         coeffs += [sf.eisenstein_E1(self.flavor, a.omega(self.tau))
                    + 2j * cmath.pi * a.a2 / self.N for a in self._nonzero]
-        return self._sum(coeffs) / self.N
+        return self._sum(np.array(coeffs)) / self.N
 
 
 FAMILY_KEYS = ("xxx", "11v", "xxz", "7v", "bb")

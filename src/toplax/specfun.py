@@ -3,8 +3,8 @@
 The rational, trigonometric and elliptic flavors share one interface: the
 two-variable kernel function phi, the Eisenstein functions E1 and E2, the
 Weierstrass function, and the q-derivative f of phi.  The elliptic flavor is
-built on an odd theta series; one pass over its terms sums the function and
-its first derivatives together.
+built on an odd theta series, summed for a whole batch of cell-reduced
+arguments and all derivative orders at once (theta_sum).
 """
 
 import cmath
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadModulus, DegenerateDraw, NonConvergent, PoleProximity,
-                     ThetaOverflow)
+from .errors import BadModulus, DegenerateDraw, PoleProximity, ThetaOverflow
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -23,7 +22,6 @@ ELLIPTIC = "elliptic"
 
 MIN_IM_TAU = 0.05
 POLE_EPS = 1e-6
-THETA_CAP = 200
 
 TWO_PI_I = 2j * cmath.pi
 PI_I = 1j * cmath.pi
@@ -100,90 +98,94 @@ class SectorIndex:
         return self.a1 == 0 and self.a2 == 0
 
 
-def theta_sum(z, tau, upto=0, tol=1e-16, cap=THETA_CAP):
-    """Sum the odd theta series and its first ``upto`` z-derivatives.
+@functools.lru_cache(maxsize=64)
+def _theta_weights(tau, tol, upto):
+    """(h, W) for the reduced series: the half-integers h = +-(k + 1/2) for
+    k < K, and W[h, d] = exp(pi*i*tau*h^2) (2*pi*i*h)^d for d <= upto.
 
-    Terms are exp(pi*i*tau*h^2 + 2*pi*i*(z+1/2)*h) over half-integers
-    h = n + 1/2, summed in symmetric pairs h, -h outward from n = 0.  The
-    d-th derivative weights the pair by (2*pi*i*h)^d and (-2*pi*i*h)^d, so
-    each order costs one more multiply of the shared exponentials.
-
-    Returns (values, converged, n_pairs) with values[d] the d-th derivative.
-    Order d passes its truncation test when a pair's term-magnitude sum
-    |t_h| + |t_-h| drops below tol times its running scale (partial-sum
-    magnitude, floored by the largest pair bound seen); the pass stops once
-    every order has passed.  Using the magnitude sum rather than |pair|
-    avoids two traps: exactly-cancelling sums such as theta(0) still
-    terminate, and accidental zeros of a single pair (cosine nodes at
-    rational real z) cannot trigger a premature stop.  The first pair never
-    passes, since there |partial sum| <= bound.
+    For |Im z0| <= Im tau / 2 a term is at most exp(-pi Im tau (h^2 - h))
+    in modulus, while the term-magnitude sum of order d is at least
+    2 pi^d exp(-pi Im tau / 4), from the pair h = +-1/2.  K is the first k
+    whose term bound, weighted by (2 pi h)^upto, is below tol / 2 of that
+    floor; later terms shrink by a ratio below 1/2 each, so the whole tail
+    stays below tol times the term-magnitude sum.
     """
-    a = PI_I * tau
-    b = TWO_PI_I * (z + 0.5)
-    # order 0 is kept in locals so that a plain theta call stays cheap
-    total = 0.0 + 0.0j
-    scale = 0.0
-    open0 = True
-    sums = [total] * (upto + 1)
-    scales = [scale] * (upto + 1)
-    higher = range(1, upto + 1)
-    open_higher = set(higher)
-    converged = False
-    for n in range(cap + 1):
-        h = n + 0.5
-        quad = cmath.exp(a * h * h)
-        lin = b * h
-        t_plus = quad * cmath.exp(lin)
-        t_minus = quad * cmath.exp(-lin)
-        total += t_plus + t_minus
-        bound = abs(t_plus) + abs(t_minus)
-        if bound > scale:
-            scale = bound
-        if bound < tol * scale or bound < tol * abs(total):
-            open0 = False
-        if upto:
-            c = TWO_PI_I * h
-            for d in higher:
-                t_plus *= c
-                t_minus *= -c
-                s = sums[d] = sums[d] + t_plus + t_minus
-                bound = abs(t_plus) + abs(t_minus)
-                if bound > scales[d]:
-                    scales[d] = bound
-                if bound < tol * max(scales[d], abs(s)):
-                    open_higher.discard(d)
-        if not (open0 or open_higher):
-            converged = True
+    k = 0
+    while True:
+        h = k + 0.5
+        bound = math.exp(-math.pi * tau.imag * (h * h - h - 0.25))
+        if bound * (2 * h) ** upto < tol / 2:
             break
-    sums[0] = total
-    return sums, converged, n + 1
+        k += 1
+    hs = [n + 0.5 for n in range(k)]
+    hs += [-h for h in hs]
+    W = [[cmath.exp(PI_I * tau * h * h) * (TWO_PI_I * h) ** d
+          for d in range(upto + 1)] for h in hs]
+    return np.array(hs), np.array(W)
 
 
-def theta_derivs(z, tau, upto, trunc_tol=1e-16, cap=THETA_CAP):
-    """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass."""
+def theta_sum(zs, tau, upto=0, tol=1e-16):
+    """Sum the odd theta series and its first ``upto`` z-derivatives at
+    every argument of the tuple zs, in one pass.
+
+    theta(z) is the sum over half-integers h of exp(pi*i*tau*h^2 +
+    2*pi*i*(z + 1/2)*h).  Each argument is reduced to the cell,
+    z = z0 + m + n*tau with n = round(Im z / Im tau) and
+    m = round(Re(z - n*tau)), so |Re z0| <= 1/2 and |Im z0| <= Im tau / 2;
+    there theta(z) = exp(c) theta(z0) with c = pi*i*(m + n) - pi*i*tau*n^2
+    - 2*pi*i*n*z0 (DLMF 20.2(iii)).  The reduced series needs a number of
+    terms fixed by tau and tol alone (see _theta_weights), so all orders at
+    all arguments take one exp and one matrix product:
+    t = exp(2*pi*i*(z0 + 1/2) h) @ W.
+
+    Returns (t, c, K, n, z0): t[i, d] is the d-th derivative of theta at the
+    reduced argument z0[i], c[i] the log factor, K the number of term pairs
+    summed per argument and n[i] the tau-shift count.  The log-derivatives
+    of theta at zs[i] are those at z0[i], except that the first one shifts
+    by -2*pi*i*n[i].  zs is a tuple, so that a call is hashable.
+    """
+    z = np.array(zs, dtype=complex)
+    n = np.rint(z.imag / tau.imag)
+    m = np.rint((z - n * tau).real)
+    z0 = z - n * tau - m
+    c = PI_I * (m + n) - PI_I * tau * n * n - TWO_PI_I * n * z0
+    h, W = _theta_weights(tau, tol, upto)
+    t = np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h) @ W
+    return t, c, len(h) // 2, n, z0
+
+
+def theta_derivs(z, tau, upto, trunc_tol=1e-16):
+    """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass.
+
+    With s = -2*pi*i*n, the derivative of the log factor of theta_sum,
+    theta^(d)(z) = exp(c) sum_k binom(d, k) s^(d-k) theta^(k)(z0).  Raises
+    ThetaOverflow where theta itself is not representable in floating point.
+    """
     tau = complex(tau)
     if tau.imag < MIN_IM_TAU:
         raise BadModulus(f"Im(tau) = {tau.imag:.4f} below {MIN_IM_TAU}")
     if upto < 0:
         raise ValueError("derivative order must be >= 0")
     z = complex(z)
+    t, c, _, n, _ = theta_sum((z,), tau, upto, trunc_tol)
+    s = -TWO_PI_I * n[0]
     try:
-        values, ok, _ = theta_sum(z, tau, upto, trunc_tol, cap)
+        scale = cmath.exp(c[0])
     except OverflowError:
-        values = [complex("nan")]
+        scale = complex("inf")
+    values = [complex(scale * sum(math.comb(d, k) * s ** (d - k) * t[0, k]
+                                  for k in range(d + 1)))
+              for d in range(upto + 1)]
     if not all(map(cmath.isfinite, values)):
         raise ThetaOverflow(
-            f"theta series at z = {z} overflows floating point "
+            f"theta at z = {z} is not representable in floating point "
             f"(|Im z| / Im tau = {abs(z.imag) / tau.imag:.3g})")
-    if not ok:
-        raise NonConvergent(
-            f"theta series did not converge within |k| <= {cap}")
     return values
 
 
-def theta(z, tau, deriv=0, trunc_tol=1e-16, cap=THETA_CAP):
+def theta(z, tau, deriv=0, trunc_tol=1e-16):
     """Odd theta function (or its deriv-th derivative) at z on modulus tau."""
-    return theta_derivs(z, tau, deriv, trunc_tol, cap)[deriv]
+    return theta_derivs(z, tau, deriv, trunc_tol)[deriv]
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,8 +195,24 @@ def _theta_at_zero(tau, trunc_tol):
     Both depend on the modulus only, so they are summed once per
     (tau, trunc_tol) rather than on every kronecker_phi or kappa_const call.
     """
-    _, t1, _, t3 = theta_derivs(0.0, tau, 3, trunc_tol)
-    return t1, t3 / t1
+    t = theta_sum((0j,), tau, 3, trunc_tol)[0][0]
+    return complex(t[1]), complex(t[3] / t[1])
+
+
+def _theta_rows(flavor, args, upto):
+    """theta_sum over the tuple args on the flavor's modulus, with the pole
+    guard read from the same cell reduction; returns (t, c, n).
+
+    A lattice point within Im tau / 2 of z is the m + n*tau of the
+    reduction, so |z0| is the pole distance of z wherever either is below
+    Im tau / 2, which exceeds POLE_EPS for every allowed modulus.
+    """
+    t, c, _, n, z0 = theta_sum(args, flavor.tau, upto, flavor.trunc_tol)
+    d = list(map(abs, z0.tolist()))
+    nearest = min(d, default=math.inf)
+    if nearest <= POLE_EPS:
+        raise PoleProximity(complex(args[d.index(nearest)]), nearest)
+    return t, c, n
 
 
 def pole_distance(flavor, z):
@@ -220,11 +238,13 @@ def pole_distance(flavor, z):
 
 
 def check_pole(flavor, *args, eps=POLE_EPS):
-    """Raise PoleProximity if any argument sits within eps of a pole."""
+    """Raise PoleProximity if any argument, a number or an array of them,
+    sits within eps of a pole."""
     for z in args:
-        d = pole_distance(flavor, z)
-        if d <= eps:
-            raise PoleProximity(complex(z), d)
+        for v in np.ravel(z).tolist():
+            d = pole_distance(flavor, v)
+            if d <= eps:
+                raise PoleProximity(complex(v), d)
 
 
 def kappa_const(flavor):
@@ -242,7 +262,8 @@ def kappa_const(flavor):
 
 def _log_derivs(t):
     """z-derivatives of log theta of orders 1 .. len(t) - 1 (at most 3)
-    from [theta, theta', ...] at one argument: E1, -E2 and -E2'."""
+    from [theta, theta', ...] at the same arguments (numbers or arrays):
+    E1, -E2 and -E2' there, up to E1's shift by the cell reduction."""
     g = t[1] / t[0]
     out = [g]
     if len(t) > 2:
@@ -254,37 +275,45 @@ def _log_derivs(t):
     return out
 
 
+def _elliptic_log_derivs(flavor, z, upto):
+    """[E1, -E2, -E2'][:upto] at the number z, from one one-row series."""
+    t, _, n = _theta_rows(flavor, (z,), upto)
+    out = _log_derivs(t[0])
+    out[0] = out[0] - TWO_PI_I * n[0]
+    return [complex(v) for v in out]
+
+
 def eisenstein_E1(flavor, z):
     z = complex(z)
+    if flavor.kind == ELLIPTIC:
+        return _elliptic_log_derivs(flavor, z, 1)[0]
     check_pole(flavor, z)
     if flavor.kind == RATIONAL:
         return 1.0 / z
-    if flavor.kind == TRIGONOMETRIC:
-        return cmath.cosh(z) / cmath.sinh(z)
-    return _log_derivs(theta_derivs(z, flavor.tau, 1, flavor.trunc_tol))[0]
+    return cmath.cosh(z) / cmath.sinh(z)
 
 
 def eisenstein_E2(flavor, z):
     """Second Eisenstein function, -d/dz E1(z)."""
     z = complex(z)
+    if flavor.kind == ELLIPTIC:
+        return -_elliptic_log_derivs(flavor, z, 2)[1]
     check_pole(flavor, z)
     if flavor.kind == RATIONAL:
         return 1.0 / z ** 2
-    if flavor.kind == TRIGONOMETRIC:
-        return 1.0 / cmath.sinh(z) ** 2
-    return -_log_derivs(theta_derivs(z, flavor.tau, 2, flavor.trunc_tol))[1]
+    return 1.0 / cmath.sinh(z) ** 2
 
 
 def eisenstein_E2_prime(flavor, z):
     """d/dz E2(z), needed for derivative kernels in the dynamics."""
     z = complex(z)
+    if flavor.kind == ELLIPTIC:
+        return -_elliptic_log_derivs(flavor, z, 3)[2]
     check_pole(flavor, z)
     if flavor.kind == RATIONAL:
         return -2.0 / z ** 3
-    if flavor.kind == TRIGONOMETRIC:
-        sh = cmath.sinh(z)
-        return -2.0 * cmath.cosh(z) / sh ** 3
-    return -_log_derivs(theta_derivs(z, flavor.tau, 3, flavor.trunc_tol))[2]
+    sh = cmath.sinh(z)
+    return -2.0 * cmath.cosh(z) / sh ** 3
 
 
 def weierstrass_p(flavor, z):
@@ -299,24 +328,24 @@ def kronecker_phi(flavor, eta, z):
     """Two-variable kernel function phi(eta, z); symmetric in its arguments."""
     eta = complex(eta)
     z = complex(z)
+    if flavor.kind == ELLIPTIC:
+        # phi = theta'(0) theta(eta + z) / (theta(eta) theta(z)), with the
+        # log factors of the cell reduction combined before exponentiating
+        t, c, _ = _theta_rows(flavor, (eta, z, eta + z), 0)
+        return complex(_theta_at_zero(flavor.tau, flavor.trunc_tol)[0]
+                       * cmath.exp(c[2] - c[0] - c[1])
+                       * t[2, 0] / (t[0, 0] * t[1, 0]))
     check_pole(flavor, eta, z, eta + z)
     if flavor.kind == RATIONAL:
         return 1.0 / eta + 1.0 / z
-    if flavor.kind == TRIGONOMETRIC:
-        return (cmath.cosh(eta) / cmath.sinh(eta)
-                + cmath.cosh(z) / cmath.sinh(z))
-    tol = flavor.trunc_tol
-    tau = flavor.tau
-    return (_theta_at_zero(tau, tol)[0]
-            * theta(eta + z, tau, trunc_tol=tol)
-            / (theta(eta, tau, trunc_tol=tol) * theta(z, tau, trunc_tol=tol)))
+    return (cmath.cosh(eta) / cmath.sinh(eta)
+            + cmath.cosh(z) / cmath.sinh(z))
 
 
 def phi_derivative_f(flavor, z, q):
     """f(z, q) = d/dq phi(z, q), via the closed form phi*(E1(z+q) - E1(q))."""
     z = complex(z)
     q = complex(q)
-    check_pole(flavor, z, q, z + q)
     return kronecker_phi(flavor, z, q) * (
         eisenstein_E1(flavor, z + q) - eisenstein_E1(flavor, q))
 
@@ -325,7 +354,6 @@ def phi_dz(flavor, z, u, order=1):
     """Derivative of phi(z, u) in its first argument, order 0, 1 or 2."""
     z = complex(z)
     u = complex(u)
-    check_pole(flavor, z, u, z + u)
     p = kronecker_phi(flavor, z, u)
     if order == 0:
         return p
@@ -358,73 +386,57 @@ def sector_f(flavor, a, z, u):
 
 
 def sector_table(flavor, sectors, z, u, upto):
-    """z-derivatives of phi_a(z, omega_a + u) for every a in sectors, with
-    one theta series per distinct argument.
+    """z-derivatives of phi_a(z, omega_a + u) for every a in sectors and
+    every z of a number or an array of them, from one theta series.
 
     phi_a(z, w) = exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) =
-    theta'(0) theta(z + w) / (theta(z) theta(w)).  theta is summed once at
-    z (to order upto + 1), once at each z + w (to order upto) and once at
-    each w = omega_a + u (order 0).  For u = 0 the values at omega_a depend
-    on the modulus only and are summed once per (tau, trunc_tol, N).  The
-    pole guard covers z, w and z + w of every sector, each once.
+    theta'(0) theta(z + w) / (theta(z) theta(w)).  One theta_sum call (to
+    order upto + 1) covers every z, every w = omega_a + u and every z + w,
+    and its cell reduction is the pole guard of all of them.
 
-    Returns (log_z, phi, f): log_z[k] is the (k + 1)-th z-derivative of
-    log theta at z (E1, -E2, -E2') for k <= upto; phi[i][k] is the k-th
-    z-derivative of phi_a for a = sectors[i] and k <= upto (at most 2);
-    for u = 0 and upto >= 1, f[i] = exp(2*pi*i*a2*z/N) f(z, omega_a), the
-    q-derivative of phi(z, q) at omega_a, and f is empty otherwise.
+    Returns (log_z, phi, f), arrays with the shape of z in front: log_z[k]
+    is the (k + 1)-th z-derivative of log theta at z (E1, -E2, -E2') for
+    k <= upto + 1; phi[k][..., i] is the k-th z-derivative of phi_a for
+    a = sectors[i] and k <= upto (at most 2); for u = 0 and upto >= 1,
+    f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a), the q-derivative of
+    phi(z, q) at omega_a, and f is None otherwise.
     """
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
         raise ValueError("order must be 0, 1 or 2")
-    tau, tol = flavor.tau, flavor.trunc_tol
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
+    zs = z.reshape(-1)
     u = complex(u)
-    ws = [a.omega(tau) + u for a in sectors]
-    args = [z]
-    for w in ws:
-        args += (w, z + w)
-    check_pole(flavor, *args)
-    tz = theta_derivs(z, tau, upto + 1, tol)
+    ws = np.array([a.omega(flavor.tau) + u for a in sectors], dtype=complex)
+    twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
+    P, S = len(zs), len(ws)
+    args = np.concatenate([zs, ws, (zs[:, None] + ws).reshape(-1)])
+    t, c, n = _theta_rows(flavor, tuple(args.tolist()), upto + 1)
+    # order-major views of the three argument groups
+    tz, tw = t[:P].T, t[P:P + S].T
+    tzw = t[P + S:].reshape(P, S, upto + 2).transpose(2, 0, 1)
+    cz, cw, czw = c[:P, None], c[P:P + S], c[P + S:].reshape(P, S)
     log_z = _log_derivs(tz)
-    t1_zero = _theta_at_zero(tau, tol)[0]
-    at_omega = _theta_at_omegas(tau, tol, sectors[0].N) \
-        if u == 0 and sectors else None
-    phi, f = [], []
-    for a, w in zip(sectors, ws):
-        if at_omega is not None:
-            tw, e1w = at_omega[a.a1, a.a2]
-        else:
-            tw = theta_derivs(w, tau, 0, tol)[0]
-        tzw = theta_derivs(z + w, tau, upto, tol)
-        p = cmath.exp(TWO_PI_I * a.a2 * z / a.N) * (
-            t1_zero * tzw[0] / (tz[0] * tw))
-        row = [p]
-        if upto:
-            log_zw = _log_derivs(tzw)
-            d = TWO_PI_I * a.a2 / a.N + (log_zw[0] - log_z[0])
-            row.append(p * d)
-            if upto == 2:
-                row.append(p * (d * d + (log_zw[1] - log_z[1])))
-            if at_omega is not None:
-                f.append(p * (log_zw[0] - e1w))
-        phi.append(row)
+    log_z[0] = log_z[0] - TWO_PI_I * n[:P]
+    p = _theta_at_zero(flavor.tau, flavor.trunc_tol)[0] \
+        * np.exp(zs[:, None] * twist + czw - cz - cw) \
+        * tzw[0] / (tz[0][:, None] * tw[0])
+    phi = [p]
+    f = None
+    if upto:
+        log_zw = _log_derivs(tzw[:upto + 1])
+        e1_zw = log_zw[0] - TWO_PI_I * n[P + S:].reshape(P, S)
+        d = twist + (e1_zw - log_z[0][:, None])
+        phi.append(p * d)
+        if upto == 2:
+            phi.append(p * (d * d + (log_zw[1] - log_z[1][:, None])))
+        if u == 0:
+            e1_w = _log_derivs(tw)[0] - TWO_PI_I * n[P:P + S]
+            f = (p * (e1_zw - e1_w)).reshape(z.shape + (S,))
+    log_z = [v.reshape(z.shape) for v in log_z]
+    phi = [v.reshape(z.shape + (S,)) for v in phi]
     return log_z, phi, f
-
-
-@functools.lru_cache(maxsize=64)
-def _theta_at_omegas(tau, trunc_tol, N):
-    """{(a1, a2): (theta(omega_a), E1(omega_a))} over the sectors a != 0
-    of Z_N x Z_N, summed once per (tau, trunc_tol, N)."""
-    out = {}
-    for a1 in range(N):
-        for a2 in range(N):
-            if a1 or a2:
-                t = theta_derivs(SectorIndex(a1, a2, N).omega(tau), tau, 1,
-                                 trunc_tol)
-                out[a1, a2] = t[0], _log_derivs(t)[0]
-    return out
 
 
 def sample_point(rng, flavor, eps=1e-2):

@@ -11,7 +11,20 @@ import cmath
 
 import numpy as np
 
+from .errors import ScaleExceeded
 from .specfun import SectorIndex
+
+# the largest complex array a command may allocate, checked before it does
+MAX_ARRAY_BYTES = 2 ** 28
+
+
+def check_scale(entries, what):
+    """Raise ScaleExceeded if a complex array with this many entries would
+    exceed MAX_ARRAY_BYTES."""
+    if entries * 16 > MAX_ARRAY_BYTES:
+        raise ScaleExceeded(
+            f"{what} has {entries} complex entries, over the "
+            f"{MAX_ARRAY_BYTES >> 20} MiB array budget")
 
 
 def kron(*mats):
@@ -89,11 +102,6 @@ def sin_basis_T_int(a1, a2, N):
         np.linalg.matrix_power(Lam, a2 % N)
 
 
-def sin_basis_T(a: SectorIndex):
-    """Basis element for a canonical sector label (components in [0, N))."""
-    return sin_basis_T_int(a.a1, a.a2, a.N)
-
-
 def kappa(a: SectorIndex, b: SectorIndex):
     """Structure phase in T_a T_b = kappa(a, b) T_{a+b}."""
     if a.N != b.N:
@@ -114,14 +122,6 @@ def commutator(A, B):
 
 def frobenius_norm(A):
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
-
-
-def check_finite(A):
-    """Reject NaN/Inf contamination after a public operation."""
-    A = np.asarray(A)
-    if not np.all(np.isfinite(A.view(float))):
-        raise FloatingPointError("non-finite entries")
-    return A
 
 
 def block_grid(A, M, N):

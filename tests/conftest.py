@@ -14,18 +14,18 @@ FAMILY_METHODS = ("R", "F", "R_with_F", "r", "m", "m0", "Rz0", "Rz1", "F0",
 
 
 @pytest.fixture
-def theta_orders(monkeypatch):
-    """The order (upto) of every theta series summed during the test, in
-    call order: specfun.theta_sum is wrapped for the test's duration."""
-    orders = []
+def theta_calls(monkeypatch):
+    """(batch, upto) of every theta series summed during the test, in call
+    order: specfun.theta_sum is wrapped for the test's duration."""
+    calls = []
     kernel = sf.theta_sum
 
     def counted(*args):
-        orders.append(args[2])
+        calls.append((args[0], args[2]))
         return kernel(*args)
 
     monkeypatch.setattr(sf, "theta_sum", counted)
-    return orders
+    return calls
 
 
 @pytest.fixture

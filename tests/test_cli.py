@@ -102,16 +102,59 @@ def test_scalar_nu_exits_2(tmp_path, capsys):
     assert "'nu'" in err
 
 
-def test_theta_overflow_exits_2(tmp_path, capsys):
-    # p = +-40i drives Im(q_12) far off the fundamental cell, where the
-    # theta series overflows floating point
-    path = write_config(tmp_path, family="bb", tau=[0.0, 1.0], seed=0,
-                        p0=[[0.0, 40.0], [0.0, -40.0]])
-    code, _, err = run_capture(capsys, [
-        "simulate", "--config", path, "--dt", "1e-2", "--steps", "200",
-        "--out", str(tmp_path / "traj.csv")])
+def test_simulate_leaves_the_cell(tmp_path, capsys):
+    # p = +-8i drives Im(q_12) across a dozen periods of the lattice; the
+    # kernels are evaluated on the reduced arguments, so the run neither
+    # overflows nor loses the Lax equation (theta alone passes 1e308 near
+    # Im z = 15 on tau = i)
+    path = write_config(tmp_path, family="bb", tau=[0.0, 1.0],
+                        q0=[[0.1, 0.3], [0.5, 0.2]],
+                        p0=[[0.0, 8.0], [0.0, -8.0]])
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "1e-3", "--steps", "1000",
+        "--monitor-z", "0.3,0.4", "--out", str(out_csv)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["rows"] == 101
+    assert report["drift"]["max_lax_residual"] < 1e-9
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()]
+    head = rows[0]
+    gap = [float(r[head.index("im_q0")]) - float(r[head.index("im_q1")])
+           for r in rows[1:]]
+    assert max(gap) > 12.0
+
+
+@pytest.mark.parametrize("field", ["N", "M", "seed"])
+def test_fractional_size_exits_2(tmp_path, capsys, field):
+    path = write_config(tmp_path, **{field: 2.7})
+    code, out, err = run_capture(capsys, ["check-lax", "--config", path])
     assert code == 2
-    assert "overflows" in err
+    assert out == ""
+    assert f"'{field}'" in err
+    # an integral float is an integer
+    path = write_config(tmp_path, **{field: 2.0})
+    code, _, _ = run_capture(capsys, ["check-lax", "--config", path])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    (["check-lax"], {"N": 3000}),
+    (["check-lax"], {"N": 1, "M": 10 ** 5}),
+    (["check-exchange", "--pairs", "1"], {"N": 8, "M": 16}),
+    (["certify-rmatrix", "--family", "xxx", "--n", "3000"], None),
+    (["check-cm-rmx", "--family", "xxx", "--n", "200"], None),
+])
+def test_oversized_arrays_exit_2(tmp_path, capsys, argv, overrides):
+    # the largest array a command would allocate (N^4 per matrix, M^2 N^4
+    # per pair table, (MN)^4 for the exchange relation) is checked against
+    # the byte budget before anything is allocated
+    if overrides is not None:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "array budget" in err
 
 
 def test_sampling_failure_exits_2(tmp_path, capsys):

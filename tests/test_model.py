@@ -396,15 +396,22 @@ def test_lax_residual_one_table_per_point(family_calls, key):
     zs = [0.31 + 0.22j, 0.52 + 0.41j]
     md.lax_residual(st, zs[0])
     md.lax_residuals(st, zs)
-    pairs = M * (M - 1)
-    # L, M and {H, L} share one pair table per point: one R_with_F per
-    # ordered pair and its diagonal coefficients Rz0, Rz1; each of the two
-    # bracket flows adds one F0/F0' call per pair i < j and one m0
+    # L, M and {H, L} share one pair table per point: one R_with_F call
+    # over all ordered pairs and its diagonal coefficients Rz0, Rz1; each of
+    # the two bracket flows adds one F0/F0' call over the pairs i < j and
+    # one m0
     assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 3 * pairs, "Rz0": 3, "Rz1": 3,
-        "F0_with_derivative": 2 * (pairs // 2), "m0": 2}
-    tables = [args[0] for name, args in family_calls if name == "Rz0"]
-    assert tables == [zs[0]] + zs
+        "R_with_F": 3, "Rz0": 3, "Rz1": 3, "F0_with_derivative": 2, "m0": 2}
+    tables = [args for name, args in family_calls if name == "R_with_F"]
+    assert [z for z, _ in tables] == [zs[0]] + zs
+    q = np.array(st.q)
+    ordered = [q[i] - q[j] for i in range(M) for j in range(M) if i != j]
+    for _, qs in tables:
+        assert np.array_equal(qs, ordered)
+    flows = [args for name, args in family_calls
+             if name == "F0_with_derivative"]
+    for (qs,) in flows:
+        assert np.array_equal(qs, [q[0] - q[1], q[0] - q[2], q[1] - q[2]])
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])
@@ -415,20 +422,90 @@ def test_exchange_residual_one_table_per_argument(family_calls, key):
     z, w = 0.41 + 0.13j, 0.17 + 0.52j
     md.exchange_residual(st, z, w)
     assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 4 * M * (M - 1), "Rz0": 4, "Rz1": 4}
+        "R_with_F": 4, "Rz0": 4, "Rz1": 4}
     tables = [args[0] for name, args in family_calls if name == "Rz0"]
     assert sorted(tables, key=lambda v: (v.real, v.imag)) == sorted(
         [z, w, z - w, w - z], key=lambda v: (v.real, v.imag))
 
 
-def test_bb_bracket_flow_series_count(theta_orders):
+@pytest.mark.parametrize("key", ["xxx", "bb"])
+def test_flow_and_energy_one_family_call(family_calls, key):
+    # eom_rhs, bracket_flow and hamiltonian each take F0 (and F0') of every
+    # pair from one call, besides m0 for the single-top terms
+    fam = rm.make_family(key, N=2, tau=1j)
+    M = 4
+    st = md.random_state(fam, M, 1.0, seed=3)
+    for run, m0_calls in ((md.eom_rhs, 1), (md.bracket_flow, 1),
+                          (md.hamiltonian, M)):
+        del family_calls[:]
+        run(st)
+        assert Counter(name for name, _ in family_calls) == {
+            "F0_with_derivative": 1, "m0": m0_calls}, run.__name__
+
+
+def test_bb_bracket_flow_series_count(theta_calls):
     fam = rm.make_family("bb", N=2, tau=1j)
     st = md.random_state(fam, 4, 1.0, seed=3)
     md.bracket_flow(st)
-    del theta_orders[:]
+    del theta_calls[:]
     md.bracket_flow(st)
-    # one F0/F0' table of N^2 series for each of the 6 pairs
-    assert len(theta_orders) == 6 * 4
+    # one F0/F0' table for all 6 pairs, from one series over 6 + 3 + 18
+    # arguments
+    assert [(len(args), upto) for args, upto in theta_calls] == [(27, 3)]
+
+
+def _per_pair_reference(state):
+    """(H, dS, dp) written pair by pair with one family call per pair, as
+    the pair potential and the bracket-flow gradients read on paper."""
+    fam, spin = state.family, state.spin
+    M, N = spin.M, spin.N
+    P = tn.permutation_P(N)
+    m0 = fam.m0()
+    H = 0.5 * sum(p * p for p in state.p)
+    for i in range(M):
+        H += md.top_H(fam, spin.block(i, i))
+    G = np.zeros((M * N, M * N), dtype=complex)
+    grad = tn.block_grid(G, M, N)
+    dH = np.zeros(M, dtype=complex)
+    for i in range(M):
+        Sii = spin.block(i, i)
+        grad[i, i] += 0.5 * (tn.op_contract(m0, Sii).T
+                             + tn.op_contract_1(m0, Sii).T)
+    for i in range(M):
+        for j in range(i + 1, M):
+            F0, dF0 = fam.F0_with_derivative(state.qdiff(i, j))
+            # tr_12(F^0_21 P_12 ...) with F^0_21 = P F^0 P
+            W, Wd = P @ F0 @ P @ P, P @ dF0 @ P @ P
+            pair = tn.kron(spin.block(i, j), spin.block(j, i))
+            H += complex(np.trace(W @ pair))
+            grad[i, j] += tn.op_contract(W, spin.block(j, i)).T
+            grad[j, i] += tn.op_contract_1(W, spin.block(i, j)).T
+            g = complex(np.trace(Wd @ pair))
+            dH[i] += g
+            dH[j] -= g
+    S, Gt = spin.matrix, G.T
+    return complex(H), S @ Gt - Gt @ S, -dH
+
+
+@pytest.mark.parametrize("key, kwargs", [
+    ("xxx", {}), ("11v", {}), ("xxz", {}), ("7v", {"C": 0.7 + 0.2j}),
+    ("bb", {"tau": 0.3 + 0.9j})])
+def test_pair_stacks_match_per_pair_loop(key, kwargs):
+    # one family call over all pairs against one call per pair: the same
+    # values in the same summation order, so equal, not merely close (the
+    # elliptic family sums its series per batch, so there only close)
+    fam = rm.make_family(key, N=2, **kwargs)
+    for seed, M in ((41, 3), (43, 5)):
+        st = md.random_state(fam, M, 1.0, seed=seed)
+        H, dS, dp = _per_pair_reference(st)
+        got = (md.hamiltonian(st), md.bracket_flow(st)[2]
+               .swapaxes(1, 2).reshape(dS.shape), md.bracket_flow(st)[1])
+        for g, want in zip(got, (H, dS, dp)):
+            if key == "bb":
+                assert np.max(np.abs(g - want)) \
+                    <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+            else:
+                assert np.array_equal(g, want), key
 
 
 def test_bracket_flow_arrays():

@@ -8,7 +8,7 @@ import pytest
 from toplax import rmatrix as rm
 from toplax import specfun as sf
 from toplax import tensor as tn
-from toplax.errors import PoleProximity, ThetaOverflow
+from toplax.errors import PoleProximity
 
 
 def richardson_dq(f, q, h=1e-3):
@@ -255,59 +255,61 @@ def test_joint_orders_match_single_orders():
                         assert np.array_equal(g, w), key
 
 
-def test_bb_one_series_per_distinct_argument(theta_orders):
+def _omegas(fam, u=0.0):
+    return [a.omega(fam.tau) + u for a in tn.all_sectors(fam.N)]
+
+
+def test_bb_one_series_per_distinct_argument(theta_calls):
     # a modulus no other test uses, so the first call fills its caches
     N = 2
     fam = rm.make_family("bb", N=N, tau=0.41 + 0.87j)
     fam.F0_with_derivative(0.31 + 0.22j)
-    del theta_orders[:]
-    # F0 and F0' share one series at z (order 3, for -E2') and one at each
-    # z + omega_a; the omega_a values are per modulus
-    fam.F0_with_derivative(0.27 - 0.18j)
-    assert theta_orders == [3] + [2] * (N * N - 1)
+    del theta_calls[:]
+    # F0 and F0' of a whole array of z share one series (order 3, for
+    # -E2') over each z, each omega_a (a != 0) and each z + omega_a
+    zs = np.array([0.27 - 0.18j, 0.13 + 0.41j, -0.2 + 0.3j])
+    fam.F0_with_derivative(zs)
+    ws = _omegas(fam)[1:]
+    want = list(zs) + ws + [z + w for z in zs for w in ws]
+    assert theta_calls == [(tuple(want), 3)]
     for dz in (0, 1, 2):
-        del theta_orders[:]
-        # z, then omega_a + hbar/N (order 0) and z + omega_a + hbar/N
-        fam.R(0.13 + 0.05j, 0.31 + 0.22j, dz)
-        assert theta_orders == [dz + 1] + [0, dz] * (N * N)
+        del theta_calls[:]
+        # z, then omega_a + hbar/N and z + omega_a + hbar/N, to order dz + 1
+        hbar, z = 0.13 + 0.05j, 0.31 + 0.22j
+        fam.R(hbar, z, dz)
+        ws = _omegas(fam, hbar / N)
+        assert theta_calls == [(tuple([z] + ws + [z + w for w in ws]),
+                                dz + 1)]
+    for args, _ in theta_calls:
+        assert len(set(args)) == len(args)
 
 
-def test_bb_eom_series_count(theta_orders):
+def test_bb_eom_series_count(theta_calls):
     from toplax import model as md
     fam = rm.make_family("bb", N=2, tau=1j)
     state = md.random_state(fam, 4, 1.0, seed=3)
     md.eom_rhs(state)
-    del theta_orders[:]
+    del theta_calls[:]
     md.eom_rhs(state)
-    # one F0/F0' table of N^2 series for each of the 6 pairs
-    assert len(theta_orders) == 6 * 4
+    # one F0/F0' table for all 6 pairs, from one series over 6 + 3 + 18
+    # arguments
+    assert [(len(args), upto) for args, upto in theta_calls] == [(27, 3)]
 
 
-def test_bb_pole_guard_covers_each_argument_once(monkeypatch):
+def test_bb_pole_guard_covers_each_argument_once(theta_calls):
+    # the guard reads the cell reduction of the one series a matrix takes,
+    # whose batch lists z, every w and every z + w once each
     fam = rm.make_family("bb", N=2, tau=1j)
-    seen = []
-    guard = sf.check_pole
-
-    def recorded(flavor, *args, **kwargs):
-        seen.extend(args)
-        return guard(flavor, *args, **kwargs)
-
-    monkeypatch.setattr(sf, "check_pole", recorded)
     z, hbar = 0.31 + 0.22j, 0.13 + 0.05j
-    sectors = tn.all_sectors(2)
     fam.r(z, 1)
-    want = [z]
-    for a in sectors[1:]:
-        w = a.omega(fam.tau)
-        want += [w, z + w]
-    assert seen == want
-    del seen[:]
+    ws = _omegas(fam)[1:]
+    assert [args for args, _ in theta_calls] == [
+        tuple([z] + ws + [z + w for w in ws])]
+    del theta_calls[:]
     fam.R(hbar, z)
-    want = [z]
-    for a in sectors:
-        w = a.omega(fam.tau) + hbar / 2
-        want += [w, z + w]
-    assert seen == want
+    ws = _omegas(fam, hbar / 2)
+    assert [args for args, _ in theta_calls] == [
+        tuple([z] + ws + [z + w for w in ws])]
 
 
 def test_bb_pole_guards_raise():
@@ -320,6 +322,9 @@ def test_bb_pole_guards_raise():
             fam.r(w + 1e-9)
         with pytest.raises(PoleProximity):
             fam.F0_with_derivative(w + 1e-9)
+        # one bad element fails the whole array
+        with pytest.raises(PoleProximity):
+            fam.F0_with_derivative(np.array([0.3 + 0.2j, w + 1e-9]))
         # omega_a + hbar/N + q on the lattice point 1 + tau
         hbar = 0.23 + 0.11j
         q = 1 + fam.tau - w - hbar / N
@@ -327,8 +332,49 @@ def test_bb_pole_guards_raise():
             fam.R(hbar, q)
         with pytest.raises(PoleProximity):
             fam.R_with_F(hbar, q)
-    with pytest.raises(ThetaOverflow):
-        fam.r(0.3 + 10j)
+        with pytest.raises(PoleProximity):
+            fam.R_with_F(hbar, np.array([q, 0.3 + 0.2j]))
+
+
+def test_bb_far_off_the_cell():
+    # ten periods up, where theta itself is about exp(314), r is finite and
+    # keeps its skew-symmetry r(z) = -P r(-z) P
+    fam = rm.make_family("bb", N=2, tau=1j)
+    P = tn.permutation_P(2)
+    for z in (0.3 + 10j, 0.3 - 10j):
+        r = fam.r(z)
+        assert np.all(np.isfinite(r))
+        assert np.linalg.norm(r + P @ fam.r(-z) @ P) \
+            <= 1e-12 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_array_argument_stacks_scalar_matrices(key):
+    # an array of z gives one matrix per element; the rational and
+    # trigonometric closed forms are evaluated per element as for a number
+    fam = rm.make_family(key, N=2, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    rng = np.random.default_rng(21)
+    hbar = rm._draw(rng, fam, margin=0.1)
+    zs = np.array([rm._draw(rng, fam, margin=0.1) for _ in range(5)])
+    stacks = {"r": [fam.r(zs, d) for d in (0, 1, 2)],
+              "R": [fam.R(hbar, zs, d) for d in (0, 1, 2)],
+              "F0": list(fam.F0_with_derivative(zs)),
+              "RF": list(fam.R_with_F(hbar, zs))}
+    singles = {"r": [[fam.r(z, d) for z in zs] for d in (0, 1, 2)],
+               "R": [[fam.R(hbar, z, d) for z in zs] for d in (0, 1, 2)],
+               "F0": list(zip(*(fam.F0_with_derivative(z) for z in zs))),
+               "RF": list(zip(*(fam.R_with_F(hbar, z) for z in zs)))}
+    for name, got in stacks.items():
+        for g, w in zip(got, singles[name]):
+            w = np.array(w)
+            assert g.shape == (5, 4, 4), name
+            if key == "bb":
+                assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+            else:
+                assert np.array_equal(g, w), (key, name)
+    # no pairs (a single site) gives empty stacks
+    for stack in fam.F0_with_derivative(np.zeros(0, dtype=complex)):
+        assert stack.shape == (0, 4, 4)
 
 
 def test_m0_cached_read_only():

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from toplax import specfun as sf
 from toplax.errors import BadModulus, PoleProximity, ThetaOverflow
@@ -84,20 +86,23 @@ def test_theta_derivs_against_mpmath(tau):
                 sf.theta_derivs(z, tau, d)[d]
 
 
-def test_one_series_per_theta_argument(theta_orders):
-    # E1, E2 and E2' take all their orders from one series; theta'(0) in
-    # phi is summed once per modulus (a modulus no other test uses)
-    orders = theta_orders
+def test_one_series_per_theta_argument(theta_calls):
+    # E1, E2 and E2' take all their orders from one one-row series; phi
+    # takes its three arguments from one series, and theta'(0) in phi is
+    # summed once per modulus (a modulus no other test uses)
     fl = sf.Flavor.elliptic(0.37 + 0.91j)
-    sf.kronecker_phi(fl, 0.2 + 0.1j, 0.3 - 0.2j)
-    sf.kronecker_phi(fl, 0.25 + 0.1j, 0.3 - 0.2j)
-    assert orders == [3, 0, 0, 0, 0, 0, 0]
-    del orders[:]
+    eta, z = 0.2 + 0.1j, 0.3 - 0.2j
+    sf.kronecker_phi(fl, eta, z)
+    sf.kronecker_phi(fl, 0.25 + 0.1j, z)
+    assert [upto for _, upto in theta_calls] == [0, 3, 0]
+    assert theta_calls[0][0] == (eta, z, eta + z)
+    del theta_calls[:]
     sf.eisenstein_E1(fl, 0.2 + 0.1j)
     sf.eisenstein_E2(fl, 0.2 + 0.1j)
     sf.eisenstein_E2_prime(fl, 0.2 + 0.1j)
     sf.kappa_const(fl)
-    assert orders == [1, 2, 3]
+    assert theta_calls == [((0.2 + 0.1j,), 1), ((0.2 + 0.1j,), 2),
+                           ((0.2 + 0.1j,), 3)]
 
 
 def test_bad_modulus_rejected():
@@ -108,11 +113,76 @@ def test_bad_modulus_rejected():
 
 
 def test_theta_overflow_is_package_error():
-    # far off the real axis the series terms overflow floating point
+    # |theta(z)| grows like exp(pi (Im z)^2 / Im tau): at Im z = 20 on
+    # tau = i it is about exp(1257), past the floating-point range
     with pytest.raises(ThetaOverflow):
-        sf.theta(0.3 + 10j, 1j)
+        sf.theta(0.3 + 20j, 1j)
     with pytest.raises(ThetaOverflow):
-        sf.eisenstein_E2(sf.Flavor.elliptic(1j), 0.3 - 10j)
+        sf.theta_derivs(0.3 - 25j, 1j, 2)
+
+
+def _mpmath_kernels(mpmath, z, w, tau):
+    """(E1(z), E2(z), phi(z, w)) from jtheta at 40 digits, whose exponent
+    range holds theta far off the real axis."""
+    with mpmath.workdps(40):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+
+        def th(x, d=0):
+            # theta^(d)(x) = -pi^d jtheta(1, pi x, q, d)
+            return -mpmath.pi ** d * mpmath.jtheta(
+                1, mpmath.pi * mpmath.mpc(x), q, derivative=d)
+
+        t0, t1, t2 = th(z), th(z, 1), th(z, 2)
+        e1 = t1 / t0
+        e2 = e1 * e1 - t2 / t0
+        phi = th(0, 1) * th(z + w) / (th(z) * th(w))
+        return complex(e1), complex(e2), complex(phi)
+
+
+@pytest.mark.parametrize("z", [0.3 + 10j, 0.3 - 10j, -0.41 + 9.73j])
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+def test_kernels_off_the_cell_match_mpmath(z, tau):
+    # E1, E2 and phi stay finite where theta alone is huge or tiny: the
+    # quasi-periodic factors are combined before anything is exponentiated
+    mpmath = pytest.importorskip("mpmath")
+    fl = sf.Flavor.elliptic(tau)
+    w = 0.17 + 0.23j
+    got = (sf.eisenstein_E1(fl, z), sf.eisenstein_E2(fl, z),
+           sf.kronecker_phi(fl, z, w))
+    for g, want in zip(got, _mpmath_kernels(mpmath, z, w, tau)):
+        assert cmath.isfinite(g)
+        assert abs(g - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+_shifts = hs.integers(-6, 6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hs.floats(-0.5, 0.5), hs.floats(-0.5, 0.5), _shifts, _shifts,
+       hs.sampled_from([1j, 0.3 + 0.8j, 0.1 + 0.07j]))
+def test_quasi_periodicity(x, y, m, n, tau):
+    # theta(z + 1) = -theta(z) and theta(z + tau) =
+    # -exp(-pi i tau - 2 pi i z) theta(z) (DLMF 20.2(iii)), so E1 shifts by
+    # -2 pi i per tau and phi(z + tau, w) = exp(-2 pi i w) phi(z, w)
+    z = x + y * tau
+    w = 0.21 - 0.13j
+    fl = sf.Flavor.elliptic(tau)
+    assume(min(sf.pole_distance(fl, z), sf.pole_distance(fl, z + w)) > 1e-3)
+    t = sf.theta(z, tau)
+    tol = 1e-12 * max(abs(t), 1e-300)
+    assert abs(sf.theta(z + 1, tau) + t) <= tol
+    assert abs(sf.theta(z + tau, tau)
+               + cmath.exp(-1j * cmath.pi * tau - 2j * cmath.pi * z) * t) \
+        <= 1e-12 * abs(sf.theta(z + tau, tau))
+    # far shifts, where theta itself stays representable (n <= 6)
+    shift = m + n * tau
+    e1 = sf.eisenstein_E1(fl, z)
+    assert abs(sf.eisenstein_E1(fl, z + shift)
+               - (e1 - 2j * cmath.pi * n)) <= 1e-10 * max(abs(e1), 1.0)
+    p = sf.kronecker_phi(fl, z, w)
+    want = cmath.exp(-2j * cmath.pi * n * w) * p
+    assert abs(sf.kronecker_phi(fl, z + shift, w) - want) \
+        <= 1e-10 * max(abs(want), 1.0)
 
 
 def test_flavor_validation():
