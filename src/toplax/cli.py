@@ -6,6 +6,7 @@ byte-reproducible for a fixed seed.  Exit codes: 0 all checks passed,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,9 @@ def _cmd_simulate(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toplax",
         description="Certification and simulation of interacting "

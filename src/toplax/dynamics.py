@@ -84,11 +84,13 @@ def _monitor_row(rec, t, state, monitor_z):
     rec.times.append(t)
     rec.q.append(tuple(state.q))
     rec.p.append(tuple(state.p))
-    rec.energy.append(md.hamiltonian(state))
+    # H and the bracket flow read one F0 table; the flow does not depend on
+    # z, so one evaluation serves every point
+    table = md._f0_table(state)
+    rec.energy.append(md._hamiltonian(state, table))
     traces = {}
     residuals = []
-    # the bracket flow does not depend on z: one evaluation serves every point
-    flow = md.bracket_flow(state) if monitor_z else None
+    flow = md._bracket_flow(state, table) if monitor_z else None
     for s, z in enumerate(monitor_z):
         L, residual = md._lax_check(state, z, flow)
         Lk = L

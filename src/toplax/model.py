@@ -265,16 +265,27 @@ def potential_V(family, Sii, Sjj, q):
     return complex(np.trace(family.F0(q) @ kron(Sii, Sjj)))
 
 
+def _f0_table(state):
+    """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
+    i, j = _pairs(state.M)
+    return (i, j) + tuple(state.family.F0_with_derivative(
+        _qdiffs(state, i, j)))
+
+
 def hamiltonian(state):
     """H = sum p^2/2 + top terms + the pair potentials potential_U, with
     F^0 for every pair i < j from one family call."""
+    return _hamiltonian(state, _f0_table(state))
+
+
+def _hamiltonian(state, table):
+    """hamiltonian(state) from the F^0 table _f0_table(state)."""
     fam, spin = state.family, state.spin
     M = spin.M
     total = 0.5 * sum(p * p for p in state.p)
     for i in range(M):
         total += top_H(fam, spin.block(i, i))
-    i, j = _pairs(M)
-    F0 = fam.F0_with_derivative(_qdiffs(state, i, j))[0]
+    i, j, F0, _ = table
     U = _pair_traces(permutation_P(spin.N) @ F0, spin.blocks[i, j],
                      spin.blocks[j, i])
     # added pair by pair, in the order i < j
@@ -450,11 +461,15 @@ def bracket_flow(state):
     one family call over the pairs i < j.  dq and dp are length-M arrays;
     dS is the (M, M, N, N) block view of the NM x NM derivative.
     """
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
+    return _bracket_flow(state, _f0_table(state))
+
+
+def _bracket_flow(state, table):
+    """bracket_flow(state) from the F^0 table _f0_table(state)."""
     _require_constraints(state)
-    i, j = _pairs(M)
-    F0, dF0 = fam.F0_with_derivative(_qdiffs(state, i, j))
+    spin = state.spin
+    M, N = spin.M, spin.N
+    i, j, F0, dF0 = table
     P = permutation_P(N)
     Gt = _ham_spin_gradient(state, i, j, P @ F0).T
     S = spin.matrix
@@ -514,6 +529,12 @@ def lax_residual(state, z):
 
 # --- classical exchange relation ------------------------------------------
 
+# the spin-sector terms contract the w table with the spin first, then the
+# z table as a batched matrix product (ten times faster at N = M = 3 than
+# one three-operand einsum, numpy 2.4)
+_B_THEN_A = ["einsum_path", (1, 2), (0, 1)]
+
+
 def _exchange_lhs(state, tables_z, tables_w):
     """{L_{1'1}(z), L_{2'2}(w)} entrywise by the Poisson-bracket oracle,
     in the primed-first flattening Mat(M) x Mat(M) x Mat(N) x Mat(N), from
@@ -534,9 +555,9 @@ def _exchange_lhs(state, tables_z, tables_w):
     # spin sector, {S^ij_xy, S^kl_vw} = S^kj_vy d^il d_xw - S^il_xw d^kj d_yv;
     # an index array on two axes puts the shared site first
     out[s, :, :, :, :, s] += np.einsum("ijaybx,kicxdv,kvjy->ikacjbd",
-                                       A, B, S4)
+                                       A, B, S4, optimize=_B_THEN_A)
     out[:, s, :, :, s] -= np.einsum("ijaybx,jlcwdy,ixlw->jiaclbd",
-                                    A, B, S4)
+                                    A, B, S4, optimize=_B_THEN_A)
     # canonical sector, {p_i, q_k} = d_ik, through p_i on L^ii
     out[s, :, :, :, s] += np.einsum("ikl,ab,kcld->ikaclbd", X, eN, D2)
     out[:, s, :, :, :, s] -= np.einsum("kij,iajb,cd->kiacjbd", X, D1, eN)

@@ -8,22 +8,26 @@ construction relies on.
 """
 
 import cmath
+import functools
 
 import numpy as np
 
 from . import specfun as sf
 from .errors import DegenerateDraw
-from .tensor import (all_sectors, check_scale, eye, kron, permutation_P,
-                     sin_basis_T_int, partial_trace_1, partial_trace_2,
-                     frobenius_norm)
+from .tensor import (MAX_ARRAY_BYTES, all_sectors, check_scale, eye, kron,
+                     permutation_P, sin_basis_T_int, partial_trace_1,
+                     partial_trace_2)
 
 
 class RMatrixFamily:
     """Base interface: N, scalar flavor, quantum R and classical data.
 
-    R, r and everything built on them take the argument z (for R^z(q), q)
-    as a number or as an array of pair differences; an array of shape s
-    gives a stack of shape s + (N^2, N^2), one matrix per element.
+    R, r, m, wp and everything built on them take the argument z (for
+    R^z(q), q) as a number or as an array of pair differences; an array of
+    shape s gives a stack of shape s + (N^2, N^2), one matrix per element.
+    The hbar of R (and the spectral point of F) may be an array too, which
+    broadcasts against z, so that certify evaluates each kernel once over a
+    whole stack of samples.
     """
 
     kind = None
@@ -96,7 +100,10 @@ class RMatrixFamily:
         return sf.pole_distance(self.flavor, z)
 
     def wp(self, z):
-        return sf.weierstrass_p(self.flavor, z)
+        """Weierstrass function at a number, or elementwise over an array."""
+        z = np.asarray(z, dtype=complex)
+        values = [sf.weierstrass_p(self.flavor, v) for v in z.ravel().tolist()]
+        return np.array(values, dtype=complex).reshape(z.shape)
 
     def params(self):
         return {}
@@ -114,14 +121,13 @@ class YangXXX(RMatrixFamily):
         super().__init__(N, sf.Flavor.rational())
 
     def R(self, hbar, z, dz=0):
-        hbar = complex(hbar)
-        z = np.asarray(z, dtype=complex)
+        hbar, z = _complex(hbar, z)
         sf.check_pole(self.flavor, hbar, z)
         if dz not in (0, 1, 2):
             raise ValueError("dz must be 0, 1 or 2")
         if dz == 0:
-            return self._I / hbar + self._r(z, 0)
-        return self._r(z, dz)
+            return self._I / hbar[..., None, None] + self._r(z, 0)
+        return self._r(np.broadcast_arrays(hbar, z)[1], dz)
 
     def r(self, z, d=0):
         z = np.asarray(z, dtype=complex)
@@ -151,24 +157,32 @@ class YangXXX(RMatrixFamily):
         return 2.0 * self._P / np.power(z, 3)[..., None, None]
 
     def m(self, z):
-        return np.zeros((self.N * self.N, self.N * self.N), dtype=complex)
+        return np.zeros(np.shape(z) + self._I.shape, dtype=complex)
 
     def r0(self):
         return np.zeros((self.N * self.N, self.N * self.N), dtype=complex)
 
 
-def _n2_stack(z, layout, values):
-    """4 x 4 matrices over the array z, with the entries at the positions
-    layout[k] equal to values(v)[k] at each element v of z.
+def _complex(*args):
+    """The arguments as complex arrays, each of its own shape."""
+    return [np.asarray(a, dtype=complex) for a in args]
+
+
+def _n2_stack(layout, values, *args):
+    """4 x 4 matrices over the broadcast of the arrays args, with the
+    entries at the positions layout[k] equal to values(*v)[k] at each
+    element v of the broadcast.
 
     The closed forms of the N = 2 families are evaluated per element in
     Python complex arithmetic, so a stack holds bitwise the matrices of its
     elements; numpy's vector loops round complex division and products
     differently in the last bits.
     """
-    rows = [values(v) for v in z.reshape(-1).tolist()]
-    table = np.array(rows, dtype=complex).reshape(z.shape + (len(layout),))
-    out = np.zeros(z.shape + (4, 4), dtype=complex)
+    args = np.broadcast_arrays(*_complex(*args))
+    shape = args[0].shape
+    rows = [values(*v) for v in zip(*(a.ravel().tolist() for a in args))]
+    table = np.array(rows, dtype=complex).reshape(shape + (len(layout),))
+    out = np.zeros(shape + (4, 4), dtype=complex)
     for k, cells in enumerate(layout):
         for a, b in cells:
             out[..., a, b] = table[..., k]
@@ -191,28 +205,26 @@ class SevenVertex(RMatrixFamily):
         return {"C": [self.C.real, self.C.imag]}
 
     def R(self, hbar, z, dz=0):
-        hbar = complex(hbar)
-        z = np.asarray(z, dtype=complex)
+        hbar, z = _complex(hbar, z)
         sf.check_pole(self.flavor, hbar, z)
         if dz not in (0, 1, 2):
             raise ValueError("dz must be 0, 1 or 2")
         C = self.C
-        shh = cmath.sinh(hbar)
-        coth_h = cmath.cosh(hbar) / shh
 
-        def values(z):
+        def values(h, z):
             sh, ch = cmath.sinh(z), cmath.cosh(z)
             if dz == 0:
-                return (ch / sh + coth_h, 1.0 / shh, 1.0 / sh,
-                        C * cmath.sinh(z + hbar))
+                shh = cmath.sinh(h)
+                return (ch / sh + cmath.cosh(h) / shh, 1.0 / shh, 1.0 / sh,
+                        C * cmath.sinh(z + h))
             if dz == 1:
                 return (-1.0 / sh ** 2, 0.0, -ch / sh ** 2,
-                        C * cmath.cosh(z + hbar))
+                        C * cmath.cosh(z + h))
             return (2.0 * ch / sh ** 3, 0.0,
                     (2.0 * ch * ch - sh * sh) / sh ** 3,
-                    C * cmath.sinh(z + hbar))
+                    C * cmath.sinh(z + h))
 
-        return _n2_stack(z, self._LAYOUT, values)
+        return _n2_stack(self._LAYOUT, values, hbar, z)
 
     def r(self, z, d=0):
         z = np.asarray(z, dtype=complex)
@@ -230,13 +242,13 @@ class SevenVertex(RMatrixFamily):
             return (2.0 * ch / sh ** 3, 0.0,
                     (2.0 * ch * ch - sh * sh) / sh ** 3, C * sh)
 
-        return _n2_stack(z, self._LAYOUT, values)
+        return _n2_stack(self._LAYOUT, values, z)
 
     def m(self, z):
-        z = complex(z)
-        out = np.diag(np.array([1, -0.5, -0.5, 1], dtype=complex)) / 3.0
-        out[3, 0] = self.C * cmath.cosh(z)
-        return out
+        # the diagonal pairs 1/3 and -1/6, and the corner
+        C = self.C
+        return _n2_stack(self._LAYOUT, lambda z: (
+            1.0 / 3.0, -0.5 / 3.0, 0.0, C * cmath.cosh(z)), z)
 
     def r0(self):
         return np.zeros((4, 4), dtype=complex)
@@ -267,13 +279,12 @@ class ElevenVertex(RMatrixFamily):
         super().__init__(2, sf.Flavor.rational())
 
     def R(self, hbar, z, dz=0):
-        h = complex(hbar)
-        z = np.asarray(z, dtype=complex)
-        sf.check_pole(self.flavor, h, z)
+        hbar, z = _complex(hbar, z)
+        sf.check_pole(self.flavor, hbar, z)
         if dz not in (0, 1, 2):
             raise ValueError("dz must be 0, 1 or 2")
 
-        def values(z):
+        def values(h, z):
             if dz == 0:
                 return (1.0 / h + 1.0 / z, 1.0 / h, 1.0 / z, -h - z, h + z,
                         -h ** 3 - 2 * z * h ** 2 - 2 * h * z ** 2 - z ** 3)
@@ -282,7 +293,7 @@ class ElevenVertex(RMatrixFamily):
                         -2 * h ** 2 - 4 * h * z - 3 * z ** 2)
             return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -4 * h - 6 * z
 
-        return _n2_stack(z, self._LAYOUT, values)
+        return _n2_stack(self._LAYOUT, values, hbar, z)
 
     def r(self, z, d=0):
         z = np.asarray(z, dtype=complex)
@@ -298,15 +309,11 @@ class ElevenVertex(RMatrixFamily):
                         -3 * z ** 2)
             return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -6 * z
 
-        return _n2_stack(z, self._LAYOUT, values)
+        return _n2_stack(self._LAYOUT, values, z)
 
     def m(self, z):
-        z = complex(z)
-        out = np.zeros((4, 4), dtype=complex)
-        out[1, 0] = out[2, 0] = -1.0
-        out[3, 1] = out[3, 2] = 1.0
-        out[3, 0] = -2 * z ** 2
-        return out
+        return _n2_stack(self._LAYOUT, lambda z: (
+            0.0, 0.0, 0.0, -1.0, 1.0, -2 * z ** 2), z)
 
     def r0(self):
         return np.zeros((4, 4), dtype=complex)
@@ -351,7 +358,8 @@ class BaxterBelavin(RMatrixFamily):
 
     def _R_orders(self, hbar, z, orders):
         _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
-                                    complex(hbar) / self.N, max(orders))
+                                    np.asarray(hbar, dtype=complex) / self.N,
+                                    max(orders))
         coeffs = np.array([phi[d] for d in orders])
         return list(self._sum(coeffs) / self.N)
 
@@ -388,15 +396,26 @@ class BaxterBelavin(RMatrixFamily):
         return self._sum(np.array(coeffs)) / (self.N * self.N)
 
     def m(self, z):
-        z = complex(z)
-        if abs(z) < 1e-12:
-            return self.m0()
+        z = np.asarray(z, dtype=complex)
+        small = np.abs(z) < 1e-12
+        if small.any():
+            # the z -> 0 limit there, the series elsewhere
+            out = np.empty(z.shape + self._I.shape, dtype=complex)
+            out[small] = self.m0()
+            out[~small] = self.m(z[~small])
+            return out
         # scalar part (E1^2 - wp)/2 with wp = E2 + kappa/3 = kappa/3 - log_z[1]
         log_z, _, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
         e1 = log_z[0]
         wp = -log_z[1] + sf.kappa_const(self.flavor) / 3.0
-        coeffs = np.concatenate([[(e1 * e1 - wp) / 2.0], f])
+        coeffs = np.concatenate([((e1 * e1 - wp) / 2.0)[..., None], f],
+                                axis=-1)
         return self._sum(coeffs) / (self.N * self.N)
+
+    def wp(self, z):
+        # wp = E2 + kappa/3, from one series over all of z
+        log_z = sf.sector_table(self.flavor, (), z, 0.0, 1)[0]
+        return -log_z[1] + sf.kappa_const(self.flavor) / 3.0
 
     def r0(self):
         coeffs = [0.0]
@@ -428,53 +447,217 @@ def make_family(kind, N=2, tau=None, C=None):
 
 
 # --- three-site embeddings ------------------------------------------------
+# of a two-site matrix or stack (..., N^2, N^2), as the products np.kron
+# forms, by an einsum against the identity
+
+def _embed(spec, T, N):
+    T = np.asarray(T, dtype=complex)
+    out = np.einsum(spec, T.reshape(T.shape[:-2] + (N,) * 4), eye(N))
+    return out.reshape(T.shape[:-2] + (N ** 3, N ** 3))
+
 
 def embed12(T, N):
-    return kron(np.asarray(T, dtype=complex), eye(N))
+    return _embed("...ikjl,ab->...ikajlb", T, N)
 
 
 def embed23(T, N):
-    return kron(eye(N), np.asarray(T, dtype=complex))
+    return _embed("...ikjl,ab->...aikbjl", T, N)
 
 
 def embed13(T, N):
-    T4 = np.asarray(T, dtype=complex).reshape(N, N, N, N)
-    out = np.einsum("ikjl,ab->iakjbl", T4, eye(N))
-    return out.reshape(N ** 3, N ** 3)
+    return _embed("...ikjl,ab->...iakjbl", T, N)
 
 
 def swap_sites(T, N):
-    """Conjugate a two-site operator by the factor swap: T_12 -> T_21."""
-    P = permutation_P(N)
-    return P @ np.asarray(T, dtype=complex) @ P
+    """Conjugate a two-site operator, or each of a stack, by the factor
+    swap: T_12 -> T_21 = P T P."""
+    T = np.asarray(T, dtype=complex)
+    T4 = T.reshape(T.shape[:-2] + (N,) * 4)
+    return T4.swapaxes(-4, -3).swapaxes(-2, -1).reshape(T.shape)
 
 
 def perm13(N):
     """Permutation of sites 1 and 3 on Mat(N)^3."""
-    out = np.zeros((N ** 3, N ** 3), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                out[i * N * N + j * N + k, k * N * N + j * N + i] = 1.0
-    return out
+    I6 = eye(N ** 3).reshape((N,) * 6)
+    return I6.transpose(0, 1, 2, 5, 4, 3).reshape(N ** 3, N ** 3)
 
 
 def perm23(N):
-    out = np.zeros((N ** 3, N ** 3), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                out[i * N * N + j * N + k, i * N * N + k * N + j] = 1.0
-    return out
+    I6 = eye(N ** 3).reshape((N,) * 6)
+    return I6.transpose(0, 1, 2, 3, 5, 4).reshape(N ** 3, N ** 3)
 
 
 # --- certification --------------------------------------------------------
+# Each identity below forms its three-site products as (n, N^3, N^3) stacks
+# over n samples and drops them on return; a residual is one per sample.
+
+def _norms(T):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(T, axis=(-2, -1))
+
 
 def _rel(diff, *terms):
-    scale = max(frobenius_norm(t) for t in terms)
-    if scale == 0.0:
-        return frobenius_norm(diff)
-    return frobenius_norm(diff) / scale
+    """Relative residual per sample: |diff| over the largest |term|, or
+    |diff| itself where every term vanishes."""
+    scale = functools.reduce(np.maximum, map(_norms, terms))
+    return _norms(diff) / np.where(scale == 0.0, 1.0, scale)
+
+
+def _chunk_size(N):
+    """Samples per stack: an identity below holds at most 16 complex
+    (n, N^3, N^3) stacks at once, and together they fit the array budget."""
+    return max(1, MAX_ARRAY_BYTES // (16 * 16 * N ** 6))
+
+
+def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
+    """Associative Yang-Baxter relation R12 R23 = R13 R12b + R23b R13b."""
+    lhs = embed12(R12, N) @ embed23(R23, N)
+    t1 = embed13(R13, N) @ embed12(R12b, N)
+    t2 = embed23(R23b, N) @ embed13(R13b, N)
+    return _rel(lhs - t1 - t2, lhs, t1, t2)
+
+
+def _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y):
+    """Mixed relation between R^z and its argument derivative F^z."""
+    a1 = embed12(Rzx, N) @ embed23(Fzy, N)
+    a2 = embed12(Fzx, N) @ embed23(Rzy, N)
+    R13 = embed13(Rzxy, N)
+    b1 = embed23(F0y, N) @ R13
+    b2 = R13 @ embed12(F0x, N)
+    return _rel(a1 - a2 - b1 + b2, a1, a2, b1, b2)
+
+
+def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, Rz0, Rz1, F0x):
+    """The y -> 0 degeneration of the mixed relation."""
+    N = family.N
+    Rx = embed13(Rzx, N)
+    a1 = embed12(Rzx, N) @ embed23(Rz1, N)
+    a2 = embed12(Fzx, N) @ embed23(Rz0, N)
+    b1 = embed23(family.r1(), N) @ Rx
+    b2 = Rx @ embed12(F0x, N)
+    b3 = 0.5 * perm23(N) @ embed13(Rzx2, N)
+    return _rel(a1 - a2 - b1 + b2 + b3, a1, a2, b1, b2, b3)
+
+
+def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, Rz0, Rz1, F0y):
+    """The x -> 0 degeneration of the mixed relation."""
+    N = family.N
+    Ry = embed13(Rzy, N)
+    a1 = embed12(Rz0, N) @ embed23(Fzy, N)
+    a2 = embed12(Rz1, N) @ embed23(Rzy, N)
+    b1 = embed23(F0y, N) @ Ry
+    b2 = Ry @ embed12(family.r1(), N)
+    b3 = 0.5 * embed13(Rzy2, N) @ embed12(permutation_P(N), N)
+    return _rel(a1 - a2 - b1 + b2 - b3, a1, a2, b1, b2, b3)
+
+
+def _q_product(N, Rzq, Rz_q, rz, rq, F0z, F0q):
+    """Opposite-argument product R^z(q) R^z(-q) in commutator form."""
+    P13 = perm13(N)
+    lhs = embed12(Rzq, N) @ embed23(Rz_q, N)
+    r13z = embed13(rz, N)
+    r32q = embed23(swap_sites(rq, N), N)
+    c1 = r13z @ r32q @ P13
+    c2 = r32q @ r13z @ P13
+    c3 = embed13(F0z, N) @ P13
+    c4 = embed23(swap_sites(F0q, N), N) @ P13
+    return _rel(lhs - c1 + c2 + c3 - c4, lhs, c1, c2, c3, c4)
+
+
+def _half_cybe(N, rz, rw, rzw, mz, mw, mzw):
+    """Half of the classical Yang-Baxter relation."""
+    p1 = embed12(rz, N) @ embed13(rzw, N)
+    p2 = embed23(rw, N) @ embed12(rz, N)
+    p3 = embed13(rzw, N) @ embed23(rw, N)
+    m1 = embed12(mz, N)
+    m2 = embed23(mw, N)
+    m3 = embed13(mzw, N)
+    return _rel(p1 - p2 + p3 - m1 - m2 - m3, p1, p2, p3, m1, m2, m3,
+                eye(N ** 3))
+
+
+def _half_cybe_limit(family, rz, F0z, mz):
+    """The w -> 0 limit of the half classical Yang-Baxter relation."""
+    N = family.N
+    r0_23 = embed23(family.r0(), N)
+    m0_23 = embed23(family.m0(), N)
+    r12z = embed12(rz, N)
+    r13z = embed13(rz, N)
+    p1 = r12z @ r13z
+    c1 = r0_23 @ r12z
+    c2 = r13z @ r0_23
+    c3 = embed13(F0z, N) @ perm23(N)
+    m1 = embed12(mz, N)
+    m3 = embed13(mz, N)
+    return _rel(p1 - c1 + c2 + c3 - m1 - m0_23 - m3,
+                p1, c1, c2, c3, m1, m0_23, m3, eye(N ** 3))
+
+
+def _certify_stack(family, record, hb, et, z, w, x, y):
+    """Record every sampled identity over the sample arrays hb, ..., y,
+    with one family call per distinct kernel argument (F^0 as r(q, d=1));
+    returns the measured (phi_tilde, E1_tilde) per sample."""
+    N, P = family.N, family._P
+    R, F, r, m = family.R, family.F, family.r, family.m
+    I2 = eye(N * N)
+
+    A = R(hb, z)
+    record("aybe", _aybe(N, A, R(et, w), R(et, z + w), R(hb - et, z),
+                         R(et - hb, w), R(hb, z + w)))
+
+    # skew-symmetry
+    B = -swap_sites(R(-hb, -z), N)
+    record("skew_symmetry", _rel(A - B, A, B))
+
+    # unitarity: product is scalar, scalar equals wp(hb) - wp(z)
+    prod = A @ swap_sites(R(hb, -z), N)
+    scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
+    record("unitarity_scalar", _rel(prod - scal[..., None, None] * I2, prod))
+    wp = family.wp(np.stack([hb, z]))
+    target = wp[0] - wp[1]
+    denom = np.maximum(np.maximum(abs(scal), abs(target)), 1.0)
+    record("unitarity_value", abs(scal - target) / denom)
+
+    # Fourier symmetry
+    lhs = A @ P
+    rhs = R(z, hb)
+    record("fourier_symmetry", _rel(lhs - rhs, lhs, rhs))
+
+    # partial traces are scalar; record the measured functions
+    rz = r(z)
+    Rwz = R(w, z)
+    IN = eye(N)
+    trR = partial_trace_1(Rwz)
+    phit = np.trace(trR, axis1=-2, axis2=-1) / N
+    record("trace_scalar", _rel(trR - phit[..., None, None] * IN, trR))
+    trR2 = partial_trace_2(Rwz)
+    record("trace_scalar", _rel(trR2 - phit[..., None, None] * IN, trR2))
+    tr_r = partial_trace_1(rz)
+    e1t = np.trace(tr_r, axis1=-2, axis2=-1) / N
+    record("trace_scalar_r", _rel(tr_r - e1t[..., None, None] * IN, tr_r))
+
+    # mixed relation between R and its argument derivative, and its
+    # boundary degenerations
+    Rzx, Fzx, Rzy, Fzy = R(z, x), F(z, x), R(z, y), F(z, y)
+    F0x, F0y = r(x, d=1), r(y, d=1)
+    mz = m(z)
+    Rz0, Rz1 = rz @ P, mz @ P
+    record("mixed_rf", _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, R(z, x + y),
+                                 F0x, F0y))
+    record("mixed_rf_limit_y", _mixed_rf_limit_y(
+        family, Rzx, Fzx, R(z, x, dz=2), Rz0, Rz1, F0x))
+    record("mixed_rf_limit_x", _mixed_rf_limit_x(
+        family, Rzy, Fzy, R(z, y, dz=2), Rz0, Rz1, F0y))
+
+    # opposite-argument product in commutator form, q = x
+    F0z = r(z, d=1)
+    record("q_product", _q_product(N, Rzx, R(z, -x), rz, r(x), F0z, F0x))
+
+    # half of the classical Yang-Baxter relation and its w -> 0 limit
+    record("half_cybe", _half_cybe(N, rz, r(w), r(z + w), mz, m(w),
+                                   m(z + w)))
+    record("half_cybe_limit", _half_cybe_limit(family, rz, F0z, mz))
+    return phit, e1t
 
 
 def _draw(rng, family, margin=0.05):
@@ -502,15 +685,14 @@ def measure_r1(family, q0=0.05):
     """Finite-difference oracle for the linear coefficient of r(z) near 0.
 
     Uses the odd part of r to cancel r0 and r2, then two Richardson levels
-    to cancel the q^2 and q^4 corrections.
+    to cancel the q^2 and q^4 corrections; r at all six points is one
+    family call.
     """
     P = permutation_P(family.N)
-
-    def g(q):
-        odd = 0.5 * (family.r(q) - family.r(-q))
-        return (odd - P / q) / q
-
-    g1, g2, g3 = g(q0), g(q0 / 2), g(q0 / 4)
+    q = q0 / np.array([1.0, 2.0, 4.0])
+    r = family.r(np.concatenate([q, -q]))
+    q = q[:, None, None]
+    g1, g2, g3 = (0.5 * (r[:3] - r[3:]) - P / q) / q
     h1 = (4.0 * g2 - g1) / 3.0
     h2 = (4.0 * g3 - g2) / 3.0
     return (16.0 * h2 - h1) / 15.0
@@ -519,146 +701,40 @@ def measure_r1(family, q0=0.05):
 def certify(family, n_samples, seed, tol):
     """Residual report for every R-matrix identity used by the construction.
 
-    Returns {"family", "N", "params", "properties": {name: {max_residual,
-    samples, tol, pass}}} plus the measured trace scalars.
+    All samples are drawn first, then each chunk of _chunk_size(N) of them
+    is one stack for _certify_stack.  Returns {"family", "N", "params",
+    "properties": {name: {max_residual, samples, tol, pass}}} plus the
+    measured trace scalars.
     """
-    rng = np.random.default_rng(seed)
     N = family.N
-    I2 = eye(N * N)
-    I3 = eye(N ** 3)
-    P = permutation_P(N)
-    P13 = perm13(N)
-    P23 = perm23(N)
+    check_scale(N ** 6, f"a three-site matrix at N = {N}")
+    rng = np.random.default_rng(seed)
     worst = {}
-    scalars = {"phi_tilde": [], "E1_tilde": []}
 
-    def record(name, value):
-        # np.maximum keeps a NaN residual, which then fails its tolerance
-        worst[name] = float(np.maximum(worst.get(name, 0.0), value))
+    def record(name, values):
+        # the max over samples; np.maximum keeps a NaN residual, which then
+        # fails its tolerance
+        worst[name] = float(np.maximum(worst.get(name, 0.0), np.max(values)))
 
-    m0 = family.m0()
-    r0 = family.r0()
-    r1 = family.r1()
-    r0_23 = embed23(r0, N)
-    r1_12 = embed12(r1, N)
-    r1_23 = embed23(r1, N)
-    m0_23 = embed23(m0, N)
-
+    samples = []
     for _ in range(n_samples):
         hb, et, z, w = _draw_many(
             rng, family, 4,
             extra=[(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)])
         x, y = _draw_many(rng, family, 2, extra=[(1, 1)])
-
-        # (i) associative Yang-Baxter relation; z, w play q12, q23
-        q12, q23 = z, w
-        lhs = embed12(family.R(hb, q12), N) @ embed23(family.R(et, q23), N)
-        t1 = embed13(family.R(et, q12 + q23), N) @ embed12(
-            family.R(hb - et, q12), N)
-        t2 = embed23(family.R(et - hb, q23), N) @ embed13(
-            family.R(hb, q12 + q23), N)
-        record("aybe", _rel(lhs - t1 - t2, lhs, t1, t2))
-
-        # (ii) skew-symmetry
-        A = family.R(hb, z)
-        B = -P @ family.R(-hb, -z) @ P
-        record("skew_symmetry", _rel(A - B, A, B))
-
-        # (iii) unitarity: product is scalar, scalar equals wp(hb) - wp(z)
-        prod = A @ (P @ family.R(hb, -z) @ P)
-        scal = np.trace(prod) / (N * N)
-        record("unitarity_scalar", _rel(prod - scal * I2, prod))
-        target = family.wp(hb) - family.wp(z)
-        denom = max(abs(scal), abs(target), 1.0)
-        record("unitarity_value", abs(scal - target) / denom)
-
-        # (iv) Fourier symmetry
-        lhs = A @ P
-        rhs = family.R(z, hb)
-        record("fourier_symmetry", _rel(lhs - rhs, lhs, rhs))
-
-        # (vi) partial traces are scalar; record the measured functions
-        trR = partial_trace_1(family.R(w, z))
-        phit = np.trace(trR) / N
-        record("trace_scalar", _rel(trR - phit * eye(N), trR))
-        trR2 = partial_trace_2(family.R(w, z))
-        record("trace_scalar", _rel(trR2 - phit * eye(N), trR2))
-        tr_r = partial_trace_1(family.r(z))
-        e1t = np.trace(tr_r) / N
-        record("trace_scalar_r", _rel(tr_r - e1t * eye(N), tr_r))
-        scalars["phi_tilde"].append([phit.real, phit.imag])
-        scalars["E1_tilde"].append([e1t.real, e1t.imag])
-
-        # (vii) mixed relation between R and its argument derivative
-        a1 = embed12(family.R(z, x), N) @ embed23(family.F(z, y), N)
-        a2 = embed12(family.F(z, x), N) @ embed23(family.R(z, y), N)
-        b1 = embed23(family.F0(y), N) @ embed13(family.R(z, x + y), N)
-        b2 = embed13(family.R(z, x + y), N) @ embed12(family.F0(x), N)
-        record("mixed_rf", _rel(a1 - a2 - b1 + b2, a1, a2, b1, b2))
-
-        # (viii) boundary degenerations of the mixed relation
-        Rz0 = family.Rz0(z)
-        Rz1 = family.Rz1(z)
-        Rx = embed13(family.R(z, x), N)
-        a1 = embed12(family.R(z, x), N) @ embed23(Rz1, N)
-        a2 = embed12(family.F(z, x), N) @ embed23(Rz0, N)
-        b1 = r1_23 @ Rx
-        b2 = Rx @ embed12(family.F0(x), N)
-        b3 = 0.5 * P23 @ embed13(family.R(z, x, dz=2), N)
-        record("mixed_rf_limit_y",
-               _rel(a1 - a2 - b1 + b2 + b3, a1, a2, b1, b2, b3))
-
-        Ry = embed13(family.R(z, y), N)
-        a1 = embed12(Rz0, N) @ embed23(family.F(z, y), N)
-        a2 = embed12(Rz1, N) @ embed23(family.R(z, y), N)
-        b1 = embed23(family.F0(y), N) @ Ry
-        b2 = Ry @ r1_12
-        b3 = 0.5 * embed13(family.R(z, y, dz=2), N) @ kron(P, eye(N))
-        record("mixed_rf_limit_x",
-               _rel(a1 - a2 - b1 + b2 - b3, a1, a2, b1, b2, b3))
-
-        # (ix) opposite-argument product in commutator form
-        q = x
-        lhs = embed12(family.R(z, q), N) @ embed23(family.R(z, -q), N)
-        r13z = embed13(family.r(z), N)
-        r32q = embed23(swap_sites(family.r(q), N), N)
-        c1 = r13z @ r32q @ P13
-        c2 = r32q @ r13z @ P13
-        c3 = embed13(family.F0(z), N) @ P13
-        c4 = embed23(swap_sites(family.F0(q), N), N) @ P13
-        record("q_product", _rel(lhs - c1 + c2 + c3 - c4, lhs, c1, c2, c3, c4))
-
-        # (x) half of the classical Yang-Baxter relation and its w->0 limit
-        p1 = embed12(family.r(z), N) @ embed13(family.r(z + w), N)
-        p2 = embed23(family.r(w), N) @ embed12(family.r(z), N)
-        p3 = embed13(family.r(z + w), N) @ embed23(family.r(w), N)
-        m1 = embed12(family.m(z), N)
-        m2 = embed23(family.m(w), N)
-        m3 = embed13(family.m(z + w), N)
-        record("half_cybe",
-               _rel(p1 - p2 + p3 - m1 - m2 - m3, p1, p2, p3, m1, m2, m3, I3))
-
-        r12z = embed12(family.r(z), N)
-        r13zz = embed13(family.r(z), N)
-        p1 = r12z @ r13zz
-        c1 = r0_23 @ r12z
-        c2 = r13zz @ r0_23
-        c3 = embed13(family.F0(z), N) @ P23
-        m1 = embed12(family.m(z), N)
-        m3 = embed13(family.m(z), N)
-        record("half_cybe_limit",
-               _rel(p1 - c1 + c2 + c3 - m1 - m0_23 - m3,
-                    p1, c1, c2, c3, m1, m0_23, m3, I3))
+        samples.append((hb, et, z, w, x, y))
+    samples = np.array(samples, dtype=complex).reshape(-1, 6)
+    measured = []
+    chunk = _chunk_size(N)
+    for start in range(0, len(samples), chunk):
+        measured.extend(zip(*np.broadcast_arrays(*_certify_stack(
+            family, record, *samples[start:start + chunk].T))))
 
     # (v) classical expansion order: the hbar^2 tail halves like hbar^2
     z = _draw_many(rng, family, 1)[0]
-    rz = family.r(z)
-    mz = family.m(z)
-
-    def tail(h):
-        return frobenius_norm(family.R(h, z) - I2 / h - rz - h * mz)
-
-    t_a, t_b = tail(1e-2), tail(5e-3)
+    h = np.array([1e-2, 5e-3])[:, None, None]
+    t_a, t_b = _norms(family.R(h[:, 0, 0], z) - eye(N * N) / h
+                      - family.r(z) - h * family.m(z))
     if t_a < 1e-12:
         record("classical_expansion", 0.0)
     else:
@@ -670,22 +746,18 @@ def certify(family, n_samples, seed, tol):
 
     # (xi) linear coefficient of r equals m(0) P, measured independently
     r1_meas = measure_r1(family)
+    r1 = family.r1()
     record("r1_is_m0P", _rel(r1_meas - r1, r1_meas, r1))
 
-    properties = {}
-    for name, value in worst.items():
-        properties[name] = {
-            "max_residual": value,
-            "samples": int(n_samples),
-            "tol": tol,
-            "pass": bool(value < tol),
-        }
+    properties = {name: {"max_residual": value, "samples": int(n_samples),
+                         "tol": tol, "pass": bool(value < tol)}
+                  for name, value in worst.items()}
     return {
         "family": family.kind,
         "N": family.N,
         "params": family.params(),
         "seed": int(seed),
         "properties": properties,
-        "measured_phi_tilde": scalars["phi_tilde"][:3],
-        "measured_E1_tilde": scalars["E1_tilde"][:3],
+        "measured_phi_tilde": [[v.real, v.imag] for v, _ in measured[:3]],
+        "measured_E1_tilde": [[v.real, v.imag] for _, v in measured[:3]],
     }

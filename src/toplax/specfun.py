@@ -389,34 +389,43 @@ def sector_table(flavor, sectors, z, u, upto):
     """z-derivatives of phi_a(z, omega_a + u) for every a in sectors and
     every z of a number or an array of them, from one theta series.
 
-    phi_a(z, w) = exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) =
-    theta'(0) theta(z + w) / (theta(z) theta(w)).  One theta_sum call (to
-    order upto + 1) covers every z, every w = omega_a + u and every z + w,
-    and its cell reduction is the pole guard of all of them.
+    u is a number, or an array that broadcasts against z: each element of
+    the broadcast shape pairs one z with one u.  phi_a(z, w) =
+    exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) = theta'(0) theta(z + w)
+    / (theta(z) theta(w)).  One theta_sum call (to order upto + 1) covers
+    every z, every w = omega_a + u (once per sector for a number u) and
+    every z + w, and its cell reduction is the pole guard of all of them.
 
-    Returns (log_z, phi, f), arrays with the shape of z in front: log_z[k]
-    is the (k + 1)-th z-derivative of log theta at z (E1, -E2, -E2') for
-    k <= upto + 1; phi[k][..., i] is the k-th z-derivative of phi_a for
-    a = sectors[i] and k <= upto (at most 2); for u = 0 and upto >= 1,
-    f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a), the q-derivative of
-    phi(z, q) at omega_a, and f is None otherwise.
+    Returns (log_z, phi, f), arrays with the broadcast shape in front:
+    log_z[k] is the (k + 1)-th z-derivative of log theta at z (E1, -E2,
+    -E2') for k <= upto + 1; phi[k][..., i] is the k-th z-derivative of
+    phi_a for a = sectors[i] and k <= upto (at most 2); for the number
+    u = 0 and upto >= 1, f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a), the
+    q-derivative of phi(z, q) at omega_a, and f is None otherwise.
     """
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
         raise ValueError("order must be 0, 1 or 2")
     z = np.asarray(z, dtype=complex)
-    zs = z.reshape(-1)
-    u = complex(u)
-    ws = np.array([a.omega(flavor.tau) + u for a in sectors], dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    if u.ndim:
+        z, u = np.broadcast_arrays(z, u)
+    shape, zs, us = z.shape, z.reshape(-1), u.reshape(-1).tolist()
+    # ws[k, i] = omega_a + u for a = sectors[i], one row per element of u
+    omegas = [a.omega(flavor.tau) for a in sectors]
+    ws = np.array([[w + v for w in omegas] for v in us],
+                  dtype=complex).reshape(len(us), len(omegas))
     twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
-    P, S = len(zs), len(ws)
-    args = np.concatenate([zs, ws, (zs[:, None] + ws).reshape(-1)])
+    P, (U, S) = len(zs), ws.shape
+    args = np.concatenate([zs, ws.reshape(-1), (zs[:, None] + ws).reshape(-1)])
     t, c, n = _theta_rows(flavor, tuple(args.tolist()), upto + 1)
     # order-major views of the three argument groups
-    tz, tw = t[:P].T, t[P:P + S].T
-    tzw = t[P + S:].reshape(P, S, upto + 2).transpose(2, 0, 1)
-    cz, cw, czw = c[:P, None], c[P:P + S], c[P + S:].reshape(P, S)
+    W = P + U * S
+    tz = t[:P].T
+    tw = t[P:W].reshape(U, S, upto + 2).transpose(2, 0, 1)
+    tzw = t[W:].reshape(P, S, upto + 2).transpose(2, 0, 1)
+    cz, cw, czw = c[:P, None], c[P:W].reshape(U, S), c[W:].reshape(P, S)
     log_z = _log_derivs(tz)
     log_z[0] = log_z[0] - TWO_PI_I * n[:P]
     p = _theta_at_zero(flavor.tau, flavor.trunc_tol)[0] \
@@ -426,16 +435,16 @@ def sector_table(flavor, sectors, z, u, upto):
     f = None
     if upto:
         log_zw = _log_derivs(tzw[:upto + 1])
-        e1_zw = log_zw[0] - TWO_PI_I * n[P + S:].reshape(P, S)
+        e1_zw = log_zw[0] - TWO_PI_I * n[W:].reshape(P, S)
         d = twist + (e1_zw - log_z[0][:, None])
         phi.append(p * d)
         if upto == 2:
             phi.append(p * (d * d + (log_zw[1] - log_z[1][:, None])))
-        if u == 0:
-            e1_w = _log_derivs(tw)[0] - TWO_PI_I * n[P:P + S]
-            f = (p * (e1_zw - e1_w)).reshape(z.shape + (S,))
-    log_z = [v.reshape(z.shape) for v in log_z]
-    phi = [v.reshape(z.shape + (S,)) for v in phi]
+        if u.ndim == 0 and us[0] == 0:
+            e1_w = _log_derivs(tw)[0] - TWO_PI_I * n[P:W].reshape(U, S)
+            f = (p * (e1_zw - e1_w)).reshape(shape + (S,))
+    log_z = [v.reshape(shape) for v in log_z]
+    phi = [v.reshape(shape + (S,)) for v in phi]
     return log_z, phi, f
 
 

@@ -54,17 +54,19 @@ def as_four_index(T, N):
 
 
 def partial_trace_1(T):
-    """Contract the first tensor factor: sum_i T_{(i,k),(i,l)}."""
+    """Contract the first tensor factor: sum_i T_{(i,k),(i,l)}, of a matrix
+    or of each matrix of a stack."""
     T = np.asarray(T, dtype=complex)
-    N = int(round(np.sqrt(T.shape[0])))
-    return np.einsum("ikil->kl", as_four_index(T, N))
+    N = int(round(np.sqrt(T.shape[-1])))
+    return np.einsum("...ikil->...kl", T.reshape(T.shape[:-2] + (N,) * 4))
 
 
 def partial_trace_2(T):
-    """Contract the second tensor factor: sum_k T_{(i,k),(j,k)}."""
+    """Contract the second tensor factor: sum_k T_{(i,k),(j,k)}, of a matrix
+    or of each matrix of a stack."""
     T = np.asarray(T, dtype=complex)
-    N = int(round(np.sqrt(T.shape[0])))
-    return np.einsum("ikjk->ij", as_four_index(T, N))
+    N = int(round(np.sqrt(T.shape[-1])))
+    return np.einsum("...ikjk->...ij", T.reshape(T.shape[:-2] + (N,) * 4))
 
 
 def op_contract(T, S):

@@ -144,11 +144,13 @@ def test_fractional_size_exits_2(tmp_path, capsys, field):
     (["check-exchange", "--pairs", "1"], {"N": 8, "M": 16}),
     (["certify-rmatrix", "--family", "xxx", "--n", "3000"], None),
     (["check-cm-rmx", "--family", "xxx", "--n", "200"], None),
+    (["certify-rmatrix", "--family", "xxx", "--n", "17"], None),
 ])
 def test_oversized_arrays_exit_2(tmp_path, capsys, argv, overrides):
     # the largest array a command would allocate (N^4 per matrix, M^2 N^4
-    # per pair table, (MN)^4 for the exchange relation) is checked against
-    # the byte budget before anything is allocated
+    # per pair table, N^6 per three-site matrix, (MN)^4 for the exchange
+    # relation) is checked against the byte budget before anything is
+    # allocated
     if overrides is not None:
         argv = argv + ["--config", write_config(tmp_path, **overrides)]
     code, out, err = run_capture(capsys, argv)
@@ -352,3 +354,18 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
     code, _, _ = run_capture(capsys, ["frobnicate"])
     assert code == 2
+
+
+def test_parser_shared_between_runs(tmp_path, capsys):
+    # one parser serves every run of the process; a run leaves nothing in
+    # it that changes the next
+    assert cli._build_parser() is cli._build_parser()
+    certify = ["certify-rmatrix", "--family", "7v", "--c", "0.7,0.2",
+               "--samples", "3", "--seed", "4"]
+    lax = ["check-lax", "--config", write_config(tmp_path), "--z-samples", "2"]
+    separate = [run_capture(capsys, certify), run_capture(capsys, lax)]
+    assert [code for code, _, _ in separate] == [0, 0]
+    # a usage error after a successful run still exits 2
+    assert run_capture(capsys, ["certify-rmatrix", "--samples", "3"])[0] == 2
+    interleaved = [run_capture(capsys, lax), run_capture(capsys, certify)]
+    assert interleaved[::-1] == separate

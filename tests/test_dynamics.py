@@ -120,15 +120,16 @@ def test_csv_shape_and_determinism():
 
 
 def test_monitor_row_runs_one_bracket_flow(monkeypatch):
-    # the flow is z-independent: one evaluation per row, not per point
+    # the flow is z-independent: one evaluation per row, not per point (the
+    # row takes it from the F0 table it shares with H, via _bracket_flow)
     calls = []
-    flow = md.bracket_flow
+    flow = md._bracket_flow
 
     def counted(*args, **kwargs):
         calls.append(1)
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(md, "bracket_flow", counted)
+    monkeypatch.setattr(md, "_bracket_flow", counted)
     st = make_state(M=3)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
                               monitor_z=(0.3 + 0.2j, 0.6 + 0.4j, 0.2 + 0.7j))
@@ -136,3 +137,16 @@ def test_monitor_row_runs_one_bracket_flow(monkeypatch):
     assert rec.rows() == 3
     assert len(calls) == 3
     assert max(rec.lax_residual) < 1e-11
+
+
+@pytest.mark.parametrize("monitor_z", [(), (0.3 + 0.2j, 0.6 + 0.4j)])
+def test_monitor_row_one_f0_table(family_calls, monitor_z):
+    # H and the bracket flow of a row share one F0/F0' call over the pairs
+    st = make_state(M=3)
+    cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
+                              monitor_z=monitor_z)
+    rec = dy.integrate(st, cfg)
+    rows = [name for name, _ in family_calls
+            if name == "F0_with_derivative"]
+    # the RK4 stages make theirs inside eom_rhs: 4 per step
+    assert len(rows) == rec.rows() + 4 * cfg.steps

@@ -377,6 +377,41 @@ def test_array_argument_stacks_scalar_matrices(key):
         assert stack.shape == (0, 4, 4)
 
 
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_hbar_array_stacks_scalar_matrices(key):
+    # hbar broadcasts against z, one matrix per element; m and wp take
+    # arrays too; the rational and trigonometric closed forms are evaluated
+    # per element as for numbers
+    fam = rm.make_family(key, N=2, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    rng = np.random.default_rng(23)
+    hs, zs = (np.array([rm._draw(rng, fam, margin=0.1) for _ in range(6)])
+              .reshape(2, 3) for _ in range(2))
+
+    def same(got, want):
+        want = np.array(want)
+        assert got.shape == want.shape
+        if key == "bb":
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        else:
+            assert np.array_equal(got, want)
+
+    def each(fn, *arrays):
+        out = [fn(*v) for v in zip(*(a.ravel() for a in arrays))]
+        return np.array(out).reshape(arrays[0].shape + np.shape(out[0]))
+
+    empty = np.zeros(0, dtype=complex)
+    for dz in (0, 1, 2):
+        same(fam.R(hs, zs, dz), each(lambda h, z: fam.R(h, z, dz), hs, zs))
+        same(fam.R(hs[1, 2], zs, dz),
+             each(lambda z: fam.R(hs[1, 2], z, dz), zs))
+        assert fam.R(empty, empty, dz).shape == (0, 4, 4)
+        assert fam.R(hs[0, 0], empty, dz).shape == (0, 4, 4)
+    same(fam.m(zs), each(fam.m, zs))
+    same(fam.wp(zs), each(fam.wp, zs))
+    assert fam.m(empty).shape == (0, 4, 4)
+    assert fam.wp(empty).shape == (0,)
+
+
 def test_m0_cached_read_only():
     for key in rm.FAMILY_KEYS:
         fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
@@ -473,3 +508,73 @@ def test_certify_elliptic_smoke():
     for name, entry in report["properties"].items():
         assert entry["pass"], f"{name}: {entry['max_residual']:.3e}"
     assert len(report["measured_phi_tilde"]) > 0
+
+
+def _perturbed(fam, args, scale):
+    """A family whose R is multiplied by 1 + scale at the arguments args
+    (each of a stack's elements is checked)."""
+
+    class Perturbed(type(fam)):
+        def R(self, hbar, z, dz=0):
+            out = super().R(hbar, z, dz)
+            hit = np.isin(np.broadcast_to(z, np.shape(out)[:-2]), args)
+            out[hit] *= 1.0 + scale
+            return out
+
+    obj = Perturbed.__new__(Perturbed)
+    obj.__dict__.update(fam.__dict__)
+    return obj
+
+
+def test_certify_one_family_call_per_kernel(family_calls):
+    # every kernel is one call over the whole sample stack, so the count of
+    # calls does not depend on the number of samples
+    fam = rm.make_family("bb", N=2, tau=0.3 + 0.8j)
+    counts = []
+    for samples in (3, 12):
+        del family_calls[:]
+        rm.certify(fam, samples, seed=4, tol=1e-8)
+        counts.append(len(family_calls))
+    assert counts[0] == counts[1]
+
+
+def test_certify_finds_a_single_sample_defect():
+    # R perturbed by 1e-7 relative at one sample's z of 12 fails aybe: the
+    # residual is a max over per-sample norms, not one norm of the stack
+    fam = rm.make_family("xxx", N=2)
+    rng = np.random.default_rng(0)
+    draws = []
+    for _ in range(12):
+        draws.append(rm._draw_many(
+            rng, fam, 4,
+            extra=[(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)]))
+        rm._draw_many(rng, fam, 2, extra=[(1, 1)])
+    # z of sample 7 is the argument of R(hbar, z) in the lhs of aybe
+    bad = _perturbed(fam, [draws[7][2]], 1e-7)
+    report = rm.certify(bad, 12, seed=0, tol=1e-8)
+    assert report["properties"]["aybe"]["pass"] is False
+    assert rm.certify(fam, 12, seed=0, tol=1e-8)["properties"]["aybe"]["pass"]
+
+
+@pytest.mark.parametrize("key, N", [("xxx", 2), ("xxx", 3), ("11v", 2),
+                                    ("xxz", 2), ("7v", 2), ("bb", 2),
+                                    ("bb", 3)])
+def test_certify_chunks_give_the_same_report(monkeypatch, key, N):
+    # one sample per stack gives the report of one stack of all samples:
+    # byte for byte where each kernel matrix is evaluated per element; an
+    # elliptic sector sum over a one-row stack is numpy's matrix-vector
+    # product, which may round the last bit differently from the
+    # matrix-matrix product of a longer stack
+    fam = rm.make_family(key, N=N, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    whole = rm.certify(fam, 5, seed=6, tol=1e-8)
+    monkeypatch.setattr(rm, "_chunk_size", lambda N: 1)
+    chunked = rm.certify(fam, 5, seed=6, tol=1e-8)
+    if key != "bb":
+        assert chunked == whole
+        return
+    for name, entry in whole["properties"].items():
+        got = chunked["properties"][name]
+        assert got["pass"] == entry["pass"]
+        assert abs(got["max_residual"] - entry["max_residual"]) <= 1e-15
+    for label in ("measured_phi_tilde", "measured_E1_tilde"):
+        assert np.allclose(chunked[label], whole[label], rtol=1e-13, atol=0)

@@ -338,6 +338,37 @@ def test_sector_f_prefactor():
     assert abs(sf.sector_f(fl, a, z, u) - expect) < 1e-14
 
 
+def test_sector_table_array_u(theta_calls):
+    # an array u pairs each z with its own u: the table equals the tables
+    # of the number u at each element, against the per-sector kernels too
+    fl = sf.Flavor.elliptic(0.2 + 0.9j)
+    sectors = [sf.SectorIndex(a1, a2, 3) for a1 in range(3)
+               for a2 in range(3)]
+    zs = np.array([[0.21 + 0.13j, 0.43 - 0.11j], [0.37 + 0.29j, -0.18 + 0.2j]])
+    us = np.array([[0.05 + 0.02j, -0.07 + 0.03j], [0.11 - 0.04j, 0.02j]])
+    sf.sector_table(fl, sectors, zs, us, 2)   # fills the modulus caches
+    del theta_calls[:]
+    _, phi, f = sf.sector_table(fl, sectors, zs, us, 2)
+    assert f is None
+    # one series over each z, each omega_a + u and each z + omega_a + u
+    (args, upto), = theta_calls
+    assert upto == 3 and len(args) == 4 + 2 * 4 * len(sectors)
+    for idx in np.ndindex(zs.shape):
+        _, want, _ = sf.sector_table(fl, sectors, zs[idx], us[idx], 2)
+        for d in range(3):
+            assert phi[d].shape == zs.shape + (len(sectors),)
+            err = np.abs(phi[d][idx] - want[d])
+            assert np.all(err <= 1e-13 * np.abs(want[d])), (idx, d)
+        for i, a in enumerate(sectors):
+            expect = sf.sector_phi(fl, a, zs[idx], us[idx])
+            assert abs(phi[0][idx][i] - expect) <= 1e-13 * abs(expect)
+    # a number z broadcasts against the array u
+    _, phi, _ = sf.sector_table(fl, sectors, zs[0, 0], us, 1)
+    assert phi[1].shape == us.shape + (len(sectors),)
+    _, want, _ = sf.sector_table(fl, sectors, zs[0, 0], us[1, 0], 1)
+    assert np.all(np.abs(phi[1][1, 0] - want[1]) <= 1e-13 * np.abs(want[1]))
+
+
 def test_sector_functions_need_elliptic():
     a = sf.SectorIndex(0, 1, 2)
     with pytest.raises(ValueError):
