@@ -2,7 +2,8 @@
 
 All reports are JSON on stdout (trajectories additionally as CSV files),
 byte-reproducible for a fixed seed.  Exit codes: 0 all checks passed,
-1 a residual exceeded its tolerance, 2 usage or configuration error.
+1 a residual exceeded its tolerance or a trajectory failed numerically
+after its first step, 2 usage or configuration error.
 """
 
 import argparse
@@ -185,8 +186,11 @@ def _cmd_simulate(args):
     report = dy.isospectrality_report(rec)
     body = {"drift": report, "rows": rec.rows(), "dt": args.dt,
             "steps": args.steps, "out": args.out}
-    _emit(_report("simulate", cfg, cfg.get("seed", 0), body, True))
-    return 0
+    passed = rec.failure is None
+    if not passed:
+        body["failure"] = rec.failure
+    _emit(_report("simulate", cfg, cfg.get("seed", 0), body, passed))
+    return 0 if passed else 1
 
 
 @functools.cache

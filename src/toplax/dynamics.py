@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as md
-from .errors import ConstraintDrift, PoleProximity
+from .errors import ConstraintDrift, ConstraintViolation, PoleProximity
 from .tensor import block_grid
 
 
@@ -45,6 +45,7 @@ class TrajectoryRecord:
     casimirs: list = field(default_factory=list)     # per row: [trS, trS2, trS3]
     lax_residual: list = field(default_factory=list)
     monitor_z: tuple = ()
+    failure: dict = None     # {"step", "error"} of a trajectory cut short
 
     def rows(self):
         return len(self.times)
@@ -81,13 +82,10 @@ def _rk4_step(vec, dt, template):
 
 
 def _monitor_row(rec, t, state, monitor_z):
-    rec.times.append(t)
-    rec.q.append(tuple(state.q))
-    rec.p.append(tuple(state.p))
     # H and the bracket flow read one F0 table; the flow does not depend on
     # z, so one evaluation serves every point
     table = md._f0_table(state)
-    rec.energy.append(md._hamiltonian(state, table))
+    energy = md._hamiltonian(state, table)
     traces = {}
     residuals = []
     flow = md._bracket_flow(state, table) if monitor_z else None
@@ -98,13 +96,18 @@ def _monitor_row(rec, t, state, monitor_z):
             traces[(k, s)] = complex(np.trace(Lk))
             Lk = Lk @ L
         residuals.append(residual)
-    rec.lax_traces.append(traces)
     S = state.spin.assemble()
     Sk = S
     cas = []
     for k in (1, 2, 3):
         cas.append(complex(np.trace(Sk)))
         Sk = Sk @ S
+    # appended only once every value is in, so a row that raises adds none
+    rec.times.append(t)
+    rec.q.append(tuple(state.q))
+    rec.p.append(tuple(state.p))
+    rec.energy.append(energy)
+    rec.lax_traces.append(traces)
     rec.casimirs.append(cas)
     # a NaN residual propagates into the record
     rec.lax_residual.append(float(np.max(residuals, initial=0.0)))
@@ -113,9 +116,10 @@ def _monitor_row(rec, t, state, monitor_z):
 def integrate(state0, cfg):
     """RK4 trajectory of the Hamiltonian flow with monitoring.
 
-    Raises PoleProximity (annotated with the step index) if a position
-    difference or monitor point drifts into the pole margin, and
-    ConstraintDrift if |tr S^ii - nu| exceeds 1e-6 (integration blow-up).
+    Any error at the first row raises.  After it, PoleProximity (a pair or
+    monitor point in the pole margin), ConstraintViolation (in an RK4 stage)
+    or ConstraintDrift (|tr S^ii - nu| > 1e-6) ends the record and sets
+    rec.failure = {"step", "error"}: a numerical failure of a valid start.
     """
     nu = state0.spin.traces()[0]
     template = state0
@@ -125,21 +129,17 @@ def integrate(state0, cfg):
     for step in range(1, cfg.steps + 1):
         try:
             vec = _rk4_step(vec, cfg.dt, template)
-        except PoleProximity as exc:
-            exc.step = step
-            raise
-        if step % cfg.monitor_every == 0:
-            state = vector_to_state(vec, template)
-            drift = np.max(np.abs(state.spin.traces() - nu))
-            # a NaN drift is a blow-up too
-            if not drift <= 1e-6:
-                raise ConstraintDrift(
-                    f"constraint drift {drift:.3e} at step {step}")
-            try:
+            if step % cfg.monitor_every == 0:
+                state = vector_to_state(vec, template)
+                drift = np.max(np.abs(state.spin.traces() - nu))
+                # a NaN drift is a blow-up too
+                if not drift <= 1e-6:
+                    raise ConstraintDrift(
+                        f"constraint drift {drift:.3e} at step {step}")
                 _monitor_row(rec, step * cfg.dt, state, rec.monitor_z)
-            except PoleProximity as exc:
-                exc.step = step
-                raise
+        except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
+            rec.failure = {"step": step, "error": str(exc)}
+            break
     return rec
 
 

@@ -247,6 +247,45 @@ def check_pole(flavor, *args, eps=POLE_EPS):
                 raise PoleProximity(complex(v), d)
 
 
+def shortest_period(flavor):
+    """Distance from 0 to the nearest other pole: 1 (rational: none, capped),
+    pi, or the shortest of 1 and n*tau - round(n Re tau), n Im tau <= 1."""
+    if flavor.kind != ELLIPTIC:
+        return 1.0 if flavor.kind == RATIONAL else math.pi
+    tau = flavor.tau
+    return min([1.0] + [abs(n * tau - round(n * tau.real))
+                        for n in range(1, math.ceil(1 / tau.imag) + 1)])
+
+
+# the points of a laurent_coefficients circle, and its radius over the
+# distance from its center to the nearest other point the pole guard rejects
+LAURENT_POINTS = 16
+LAURENT_RADIUS = 1 / 8
+
+
+def laurent_coefficients(g, center, radius, orders):
+    """Coefficients c_j, j in orders, of g(center + h) = sum_j c_j h^j.
+
+    g is called once, on the array of LAURENT_POINTS points center +
+    radius*exp(i*theta_k), and returns a number or an array per point.
+    c_j = mean_k(g_k exp(-i*j*theta_k)) / radius^j is the trapezoidal rule,
+    off by (radius / d)^n relative for d the distance to the nearest other
+    singularity (Trefethen & Weideman, SIAM Rev. 56, 2014): 8^-16 here."""
+    n = LAURENT_POINTS
+    angles = 2.0 * math.pi * np.arange(n) / n
+    values = np.asarray(g(center + radius * np.exp(1j * angles)),
+                        dtype=complex)
+    return [np.tensordot(np.exp(-1j * j * angles), values, axes=1)
+            / (n * radius ** j) for j in orders]
+
+
+def coefficient_residual(oracle, closed):
+    """|oracle - closed| over max(|oracle|, |closed|, 1), Frobenius norms
+    for matrices: a coefficient that vanishes reads its absolute error."""
+    norm = np.linalg.norm
+    return norm(oracle - closed) / max(norm(oracle), norm(closed), 1.0)
+
+
 def kappa_const(flavor):
     """The third-log-derivative constant theta'''(0)/theta'(0) per flavor.
 
@@ -473,69 +512,51 @@ def _rel(residual, *terms):
     return abs(residual) / scale
 
 
-def _sample_tuple(rng, flavor, count, eps=1e-2):
-    """Draw count points whose pairwise sums/differences clear the margin."""
+def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
+    """Draw count points such that they, their pairwise sums and differences
+    and their combinations with each coefficient row of extra clear eps."""
     for _ in range(1000):
         pts = [sample_point(rng, flavor, eps) for _ in range(count)]
         combos = list(pts)
         for i in range(count):
-            for j in range(count):
-                if i != j:
-                    combos.append(pts[i] + pts[j])
-                    combos.append(pts[i] - pts[j])
+            for j in range(i + 1, count):
+                combos += [pts[i] + pts[j], pts[i] - pts[j]]
+        combos += [sum(c * p for c, p in zip(row, pts)) for row in extra]
         if all(pole_distance(flavor, c) > eps for c in combos):
             return pts
-    raise DegenerateDraw("tuple sampling failed to clear the pole margin")
+    raise DegenerateDraw("sampling failed to clear the pole margin")
 
 
-def _local_expansion_residuals(flavor, u):
-    """Residuals of the small-z expansions of phi(z, u) and E1(z) at |z|=1e-3.
+def _expansion_residuals(flavor, z, u):
+    """Closed forms against expansion coefficients: phi(x, u) = 1/x + E1(u)
+    + x*(E1(u)^2 - E2(u) - kappa/3)/2 + O(x^2) and E1(x) = 1/x + x*kappa/3
+    + O(x^3) at x = 0; f(0, u) = -E2(u), the removable value of f(x, u)
+    there; and f(z, u), the linear coefficient of phi(z, .) at u."""
+    def residual(g, center, distance, closed):
+        got = laurent_coefficients(lambda xs: [g(x) for x in xs], center,
+                                   LAURENT_RADIUS * distance, closed)
+        # np.max keeps a NaN residual, which then fails its tolerance
+        return np.max(list(map(coefficient_residual, got, closed.values())))
 
-    phi(z,u) = 1/z + E1(u) + z*(E1(u)^2 - E2(u) - kappa/3)/2 + O(z^2),
-    E1(z) = 1/z + z*kappa/3 + O(z^3).
-
-    The neglected z^2 coefficient of phi grows like E1(u)^3 when u sits
-    near the cell boundary, so the elliptic check uses a smaller step.
-    """
-    step = 2e-4 if flavor.kind == ELLIPTIC else 1e-3
-    z = step * cmath.exp(0.3j)
+    period = shortest_period(flavor)
+    # phi(x, u) and f(x, u) are guarded at x + u on the lattice too
+    near_u = min(period, pole_distance(flavor, u))
     kap = kappa_const(flavor)
-    e1u = eisenstein_E1(flavor, u)
-    c1 = 0.5 * (e1u * e1u - eisenstein_E2(flavor, u) - kap / 3.0)
-    approx = 1.0 / z + e1u + z * c1
-    r_phi = _rel(kronecker_phi(flavor, z, u) - approx, approx)
-    approx_e1 = 1.0 / z + z * kap / 3.0
-    r_e1 = _rel(eisenstein_E1(flavor, z) - approx_e1, approx_e1)
-    return r_phi, r_e1
-
-
-def _f_at_zero_residual(flavor, u):
-    """Residual of lim_{z->0} f(z, u) = -E2(u), by Richardson extrapolation."""
-    eps = 1e-4
-    f1 = phi_derivative_f(flavor, eps, u)
-    f2 = phi_derivative_f(flavor, eps / 2, u)
-    f3 = phi_derivative_f(flavor, eps / 4, u)
-    limit = (f1 - 6.0 * f2 + 8.0 * f3) / 3.0
-    target = -eisenstein_E2(flavor, u)
-    return _rel(limit - target, target)
-
-
-def _f_difference_residual(flavor, z, q):
-    """Closed-form f against a Richardson central difference of phi in q.
-
-    The step shrinks with the pole distance of the arguments: the error
-    term h^4 phi''''' grows like d^-6 near a pole, so a fixed step loses
-    relative accuracy exactly where phi is largest.
-    """
-    d = min(pole_distance(flavor, q), pole_distance(flavor, z + q))
-    h = min(1e-3, d / 50.0)
-    d1 = (kronecker_phi(flavor, z, q + h)
-          - kronecker_phi(flavor, z, q - h)) / (2 * h)
-    d2 = (kronecker_phi(flavor, z, q + h / 2)
-          - kronecker_phi(flavor, z, q - h / 2)) / h
-    approx = (4.0 * d2 - d1) / 3.0
-    exact = phi_derivative_f(flavor, z, q)
-    return _rel(exact - approx, exact, approx)
+    e1u, e2u = eisenstein_E1(flavor, u), eisenstein_E2(flavor, u)
+    return {
+        "phi_local_expansion": residual(
+            lambda x: kronecker_phi(flavor, x, u), 0.0, near_u,
+            {-1: 1.0, 0: e1u, 1: (e1u * e1u - e2u - kap / 3.0) / 2.0}),
+        "e1_local_expansion": residual(
+            lambda x: eisenstein_E1(flavor, x), 0.0, period,
+            {-1: 1.0, 0: 0.0, 1: kap / 3.0}),
+        "f_at_zero": residual(lambda x: phi_derivative_f(flavor, x, u), 0.0,
+                              near_u, {0: -e2u}),
+        "f_closed_form": residual(
+            lambda v: kronecker_phi(flavor, z, v), u,
+            min(pole_distance(flavor, u), pole_distance(flavor, z + u)),
+            {1: phi_derivative_f(flavor, z, u)}),
+    }
 
 
 def _sector_identity_residuals(flavor, N, rng):
@@ -636,7 +657,7 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
         worst[name] = float(np.maximum(worst.get(name, 0.0), value))
 
     for _ in range(n_samples):
-        eta, z, w, u = _sample_tuple(rng, flavor, 4)
+        eta, z, w, u = sample_tuple(rng, flavor, 4)
         q = u
 
         p_ez = kronecker_phi(flavor, eta, z)
@@ -669,11 +690,8 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
         ) - phi_derivative_f(flavor, z + w, q)
         record("e1_sum_product", _rel(lhs - rhs, lhs, rhs))
 
-        r_phi, r_e1 = _local_expansion_residuals(flavor, u)
-        record("phi_local_expansion", r_phi)
-        record("e1_local_expansion", r_e1)
-        record("f_at_zero", _f_at_zero_residual(flavor, u))
-        record("f_closed_form", _f_difference_residual(flavor, z, q))
+        for name, value in _expansion_residuals(flavor, z, u).items():
+            record(name, value)
 
     if flavor.kind == ELLIPTIC:
         for N in sector_sizes:

@@ -34,7 +34,7 @@ def test_01_scalar_identity_suite():
     t0 = time.monotonic()
     named = ("symmetry", "fay", "wp_difference", "unitarity",
              "e1_sum_product", "phi_local_expansion", "e1_local_expansion",
-             "f_at_zero")
+             "f_at_zero", "f_closed_form")
     worst_core = 0.0
     for flavor, tol in ((sf.Flavor.rational(), 1e-10),
                         (sf.Flavor.trigonometric(), 1e-10),
@@ -46,8 +46,6 @@ def test_01_scalar_identity_suite():
             value = rep["identities"][name]
             worst_core = max(worst_core, value / tol)
             assert value < tol, f"{flavor.kind}/{name}: {value:.3e}"
-        # the closed-form f cross-check is limited by its difference oracle
-        assert rep["identities"]["f_closed_form"] < 1e-7
     elapsed = time.monotonic() - t0
     report_line("scalar identity suite", worst_core, 1.0)
     assert elapsed < 5.0, f"runtime {elapsed:.1f}s"

@@ -51,6 +51,19 @@ def test_certify_rmatrix(capsys):
     assert all(p["pass"] for p in report["properties"].values())
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify-functions", "--flavor", "elliptic", "--tau", "0,1"],
+    ["certify-rmatrix", "--family", "bb", "--n", "2", "--tau", "0.1,0.07"],
+])
+def test_expansion_oracles_pass_at_default_tol(capsys, argv):
+    # the finite-difference oracles read 3.9e-8 on f_closed_form and 6.3e-5
+    # on r1_is_m0P here; the contour coefficients of the same functions
+    # agree with the closed forms to rounding
+    code, out, _ = run_capture(capsys, argv + ["--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_certify_rmatrix_bad_family(capsys):
     code, _, _ = run_capture(capsys, [
         "certify-rmatrix", "--family", "unknown"])
@@ -125,6 +138,28 @@ def test_simulate_leaves_the_cell(tmp_path, capsys):
     assert max(gap) > 12.0
 
 
+def test_simulate_numerical_failure_exits_1(tmp_path, capsys):
+    # the config of test_simulate_leaves_the_cell at half the step: a
+    # near-collision around t = 0.7 throws an RK4 stage off the constraint
+    # surface, which is a failure of the trajectory, not of its input
+    path = write_config(tmp_path, family="bb", tau=[0.0, 1.0],
+                        q0=[[0.1, 0.3], [0.5, 0.2]],
+                        p0=[[0.0, 8.0], [0.0, -8.0]])
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "5e-4", "--steps", "2000",
+        "--out", str(out_csv)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    step = report["failure"]["step"]
+    assert 0 < step <= 2000
+    assert "tr(S^ii)" in report["failure"]["error"]
+    # the record ends at the last monitor row before the failing step
+    assert report["rows"] == (step - 1) // 10 + 1
+    assert len(out_csv.read_text().splitlines()) == report["rows"] + 1
+
+
 @pytest.mark.parametrize("field", ["N", "M", "seed"])
 def test_fractional_size_exits_2(tmp_path, capsys, field):
     path = write_config(tmp_path, **{field: 2.7})
@@ -145,12 +180,13 @@ def test_fractional_size_exits_2(tmp_path, capsys, field):
     (["certify-rmatrix", "--family", "xxx", "--n", "3000"], None),
     (["check-cm-rmx", "--family", "xxx", "--n", "200"], None),
     (["certify-rmatrix", "--family", "xxx", "--n", "17"], None),
+    (["certify-rmatrix", "--family", "xxx", "--n", "11"], None),
 ])
 def test_oversized_arrays_exit_2(tmp_path, capsys, argv, overrides):
     # the largest array a command would allocate (N^4 per matrix, M^2 N^4
-    # per pair table, N^6 per three-site matrix, (MN)^4 for the exchange
-    # relation) is checked against the byte budget before anything is
-    # allocated
+    # per pair table, 16 N^6 for the three-site matrices of one certify
+    # sample, (MN)^4 for the exchange relation) is checked against the byte
+    # budget before anything is allocated
     if overrides is not None:
         argv = argv + ["--config", write_config(tmp_path, **overrides)]
     code, out, err = run_capture(capsys, argv)
@@ -230,8 +266,15 @@ def test_nan_certification_fails(capsys, monkeypatch):
     assert report["pass"] is False
     assert np.isnan(report["identities"]["symmetry"])
 
-    monkeypatch.setattr(cli.rm.YangXXX, "R",
-                        lambda self, hbar, z, dz=0: np.full((4, 4), nan))
+    # a NaN in one closed-form coefficient is kept by the max over orders
+    monkeypatch.setattr(cli.sf, "kappa_const", lambda flavor: complex(nan))
+    code, out, _ = run_capture(capsys, [
+        "certify-functions", "--flavor", "rational", "--samples", "3"])
+    assert code == 1
+    assert np.isnan(json.loads(out)["identities"]["e1_local_expansion"])
+
+    monkeypatch.setattr(cli.rm.YangXXX, "R", lambda self, hbar, z, dz=0:
+                        np.full(np.broadcast(hbar, z).shape + (4, 4), nan))
     code, out, _ = run_capture(capsys, [
         "certify-rmatrix", "--family", "xxx", "--samples", "3"])
     assert code == 1
@@ -254,17 +297,20 @@ def test_simulate_non_finite_dt_exits_2(tmp_path, capsys, dt):
     assert not out_csv.exists()
 
 
-def test_simulate_nan_drift_exits_2(tmp_path, capsys, monkeypatch):
-    # a step that returns NaN is a blow-up, caught at the next monitor row
+def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
+    # a step that returns NaN is a blow-up, caught at the next monitor row:
+    # a numerical failure of a valid config, reported with its step
     path = write_config(tmp_path)
     monkeypatch.setattr(cli.dy, "_rk4_step",
                         lambda vec, dt, template: vec * float("nan"))
-    code, out, err = run_capture(capsys, [
+    code, out, _ = run_capture(capsys, [
         "simulate", "--config", path, "--steps", "10",
         "--out", str(tmp_path / "traj.csv")])
-    assert code == 2
-    assert out == ""
-    assert "constraint drift nan" in err
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["failure"]["step"] == 10
+    assert "constraint drift nan" in report["failure"]["error"]
 
 
 @pytest.mark.parametrize("argv, overrides, message", [

@@ -122,8 +122,8 @@ def test_theta_overflow_is_package_error():
 
 
 def _mpmath_kernels(mpmath, z, w, tau):
-    """(E1(z), E2(z), phi(z, w)) from jtheta at 40 digits, whose exponent
-    range holds theta far off the real axis."""
+    """(E1(z), E2(z), phi(z, w), wp(z)) from jtheta at 40 digits, whose
+    exponent range holds theta far off the real axis."""
     with mpmath.workdps(40):
         q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
 
@@ -136,7 +136,27 @@ def _mpmath_kernels(mpmath, z, w, tau):
         e1 = t1 / t0
         e2 = e1 * e1 - t2 / t0
         phi = th(0, 1) * th(z + w) / (th(z) * th(w))
-        return complex(e1), complex(e2), complex(phi)
+        wp = e2 + th(0, 3) / (3 * th(0, 1))
+        return complex(e1), complex(e2), complex(phi), complex(wp)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.1 + 0.07j])
+def test_kernels_match_mpmath_in_the_cell(tau):
+    # E1, E2, phi and wp at 20 random off-lattice points of the cell, against
+    # jtheta derivative ratios rather than the package's identity suite
+    mpmath = pytest.importorskip("mpmath")
+    fl = sf.Flavor.elliptic(tau)
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 20:
+        z, w = (complex(rng.random() + rng.random() * tau) for _ in "zw")
+        if min(sf.pole_distance(fl, v) for v in (z, w, z + w)) < 1e-2:
+            continue
+        got = (sf.eisenstein_E1(fl, z), sf.eisenstein_E2(fl, z),
+               sf.kronecker_phi(fl, z, w), sf.weierstrass_p(fl, z))
+        for g, want in zip(got, _mpmath_kernels(mpmath, z, w, tau)):
+            assert abs(g - want) <= 1e-12 * max(abs(want), 1.0)
+        checked += 1
 
 
 @pytest.mark.parametrize("z", [0.3 + 10j, 0.3 - 10j, -0.41 + 9.73j])
@@ -148,7 +168,7 @@ def test_kernels_off_the_cell_match_mpmath(z, tau):
     fl = sf.Flavor.elliptic(tau)
     w = 0.17 + 0.23j
     got = (sf.eisenstein_E1(fl, z), sf.eisenstein_E2(fl, z),
-           sf.kronecker_phi(fl, z, w))
+           sf.kronecker_phi(fl, z, w), sf.weierstrass_p(fl, z))
     for g, want in zip(got, _mpmath_kernels(mpmath, z, w, tau)):
         assert cmath.isfinite(g)
         assert abs(g - want) <= 1e-12 * max(abs(want), 1.0)
@@ -387,16 +407,13 @@ def test_sector_index_validation():
 def test_identity_report_rational():
     report = sf.scalar_identity_report(sf.Flavor.rational(), 100, seed=0)
     for name, value in report["identities"].items():
-        # the finite-difference cross-check is limited by its own oracle
-        tol = 1e-7 if name == "f_closed_form" else 1e-10
-        assert value < tol, f"{name}: {value:.3e}"
+        assert value < 1e-10, f"{name}: {value:.3e}"
 
 
 def test_identity_report_trigonometric():
     report = sf.scalar_identity_report(sf.Flavor.trigonometric(), 50, seed=1)
     for name, value in report["identities"].items():
-        tol = 1e-7 if name == "f_closed_form" else 1e-10
-        assert value < tol, f"{name}: {value:.3e}"
+        assert value < 1e-10, f"{name}: {value:.3e}"
 
 
 def test_identity_report_elliptic_with_sectors():
@@ -404,6 +421,18 @@ def test_identity_report_elliptic_with_sectors():
     report = sf.scalar_identity_report(fl, 10, seed=2)
     for name, value in report["identities"].items():
         assert value < 1e-8, f"{name}: {value:.3e}"
+
+
+@pytest.mark.parametrize("flavor", [sf.Flavor.rational(),
+                                    sf.Flavor.trigonometric()])
+def test_f_oracle_finds_a_perturbed_closed_form(monkeypatch, flavor):
+    # f off by 1e-9 relative fails f_closed_form at 1e-10 on the samples of
+    # certify-functions --seed 0
+    f = sf.phi_derivative_f
+    monkeypatch.setattr(sf, "phi_derivative_f",
+                        lambda fl, z, q: f(fl, z, q) * (1.0 + 1e-9))
+    report = sf.scalar_identity_report(flavor, 100, seed=0)
+    assert not report["identities"]["f_closed_form"] < 1e-10
 
 
 def test_identity_report_rejects_empty():
