@@ -73,6 +73,12 @@ def _derivative(vec, template):
     return np.concatenate([dq, dp, dS.swapaxes(1, 2).reshape(-1)])
 
 
+def _site_traces(vec, M, N):
+    """tr S^ii of every site, from the spin part of a phase vector."""
+    S = vec[2 * M:].reshape(N * M, N * M)
+    return np.einsum("iikk->i", block_grid(S, M, N))
+
+
 def _rk4_step(vec, dt, template):
     k1 = _derivative(vec, template)
     k2 = _derivative(vec + 0.5 * dt * k1, template)
@@ -118,10 +124,12 @@ def integrate(state0, cfg):
 
     Any error at the first row raises.  After it, PoleProximity (a pair or
     monitor point in the pole margin), ConstraintViolation (in an RK4 stage)
-    or ConstraintDrift (|tr S^ii - nu| > 1e-6) ends the record and sets
-    rec.failure = {"step", "error"}: a numerical failure of a valid start.
+    or ConstraintDrift (|tr S^ii - nu| > 1e-6, read after every step) ends
+    the record and sets rec.failure = {"step", "error"}: a numerical
+    failure of a valid start.
     """
     nu = state0.spin.traces()[0]
+    M, N = state0.M, state0.N
     template = state0
     vec = state_to_vector(state0)
     rec = TrajectoryRecord(monitor_z=tuple(cfg.monitor_z))
@@ -129,14 +137,14 @@ def integrate(state0, cfg):
     for step in range(1, cfg.steps + 1):
         try:
             vec = _rk4_step(vec, cfg.dt, template)
+            drift = np.max(np.abs(_site_traces(vec, M, N) - nu))
+            # a NaN drift is a blow-up too
+            if not drift <= 1e-6:
+                raise ConstraintDrift(
+                    f"constraint drift {drift:.3e} at step {step}")
             if step % cfg.monitor_every == 0:
-                state = vector_to_state(vec, template)
-                drift = np.max(np.abs(state.spin.traces() - nu))
-                # a NaN drift is a blow-up too
-                if not drift <= 1e-6:
-                    raise ConstraintDrift(
-                        f"constraint drift {drift:.3e} at step {step}")
-                _monitor_row(rec, step * cfg.dt, state, rec.monitor_z)
+                _monitor_row(rec, step * cfg.dt,
+                             vector_to_state(vec, template), rec.monitor_z)
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
             rec.failure = {"step": step, "error": str(exc)}
             break

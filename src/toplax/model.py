@@ -305,18 +305,20 @@ def _pair_tables(state, z):
 
     R[i, j] = R^z(q_ij) and F[i, j] = F^z(q_ij) in four-index form, from one
     R_with_F call over all ordered pairs.  The diagonal holds their q -> 0
-    coefficients Rz0(z) = r(z) P and Rz1(z) = m(z) P, so a contraction with
-    the spin gives tr_2(S^{ii}_2 r_12(z)) and tr_2(S^{ii}_2 m_12(z)) there.
-    Both are views of T P in memory: that layout fixes the summation order
-    of every contraction to that of tr_2(S_2 T P) block by block.
+    coefficients r(z) P and m(z) P, from one Rz_coefficients call, so a
+    contraction with the spin gives tr_2(S^{ii}_2 r_12(z)) and
+    tr_2(S^{ii}_2 m_12(z)) there.  Both are views of T P in memory: that
+    layout fixes the summation order of every contraction to that of
+    tr_2(S_2 T P) block by block.
     """
     fam = state.family
     M, N = state.M, state.N
     R, F = (np.empty((M, M, N, N, N, N), dtype=complex).swapaxes(4, 5)
             for _ in range(2))
     sites = np.arange(M)
-    R[sites, sites] = as_four_index(fam.Rz0(z), N)
-    F[sites, sites] = as_four_index(fam.Rz1(z), N)
+    R0, R1 = fam.Rz_coefficients(z)
+    R[sites, sites] = as_four_index(R0, N)
+    F[sites, sites] = as_four_index(R1, N)
     i, j = _ordered_pairs(M)
     Rs, Fs = fam.R_with_F(z, _qdiffs(state, i, j))
     R[i, j] = Rs.reshape(-1, N, N, N, N)
@@ -565,11 +567,6 @@ def _exchange_lhs(state, tables_z, tables_w):
     return out.reshape(dim, dim)
 
 
-def _matrix_units(M):
-    """The M x M matrix units: entry [i, j] is E_ij."""
-    return np.eye(M * M).reshape(M, M, M, M)
-
-
 def _exchange_blocks(T):
     """sum_ij E_ij x E_ji x T[i, j] P_12 on Mat(M)^2 x Mat(N)^2, primed
     factors first, for a pair table T."""
@@ -649,73 +646,73 @@ def _site_pair_embed(T, a, b, N, M):
     return big.transpose(axes).reshape(N ** M, N ** M)
 
 
+def _cm_rmx(q, p, nu, family, z):
+    """(L, Mbar, F, G) of the R-matrix-valued Calogero-Moser Lax pair:
+    F[k] is F^z(q_ij) at the sites (i, j) = (i[k], j[k]) of the ordered
+    pairs (_ordered_pairs), from the R_with_F call that gives L, and G[k] is
+    F^0(q_kl) at the sites of the pair k < l, from one F0 call; both are
+    embedded in Mat(N)^{x M}.  F^0(q_lk) at the sites (l, k) is G[k] too,
+    since F^0(-q) = P F^0(q) P."""
+    q = np.array(q, dtype=complex)
+    p = np.array(p, dtype=complex)
+    M = len(q)
+    N = family.N
+    if N ** M > 256:
+        raise ScaleExceeded(f"chain dimension N^M = {N ** M} exceeds 256")
+    i, j = _ordered_pairs(M)
+    R, F = family.R_with_F(z, q[i] - q[j])
+    k, l = _pairs(M)
+    G = _site_pair_stack(family.F0(q[k] - q[l]), k, l, N, M)
+    R, F = (_site_pair_stack(T, i, j, N, M) for T in (R, F))
+    L = _cm_blocks(p[:, None, None] * np.eye(N ** M), i, j, nu * R)
+    # the diagonal of Mbar is -nu sum_{b != a} F^0(q_ab) at the sites (a, b)
+    D = np.array([-G[(k == a) | (l == a)].sum(axis=0) for a in range(M)])
+    Mbar = _cm_blocks(nu * D, i, j, nu * F)
+    return L, Mbar, F, G
+
+
+def _site_pair_stack(T, a, b, N, M):
+    """_site_pair_embed of each T[k] at the sites (a[k], b[k])."""
+    out = [_site_pair_embed(t, s, u, N, M) for t, s, u in zip(T, a, b)]
+    return np.array(out).reshape(-1, N ** M, N ** M)
+
+
+def _cm_blocks(diagonal, i, j, off):
+    """The block matrix with these diagonal blocks and the blocks off[k] at
+    (i[k], j[k])."""
+    M, dim = len(diagonal), diagonal.shape[-1]
+    out = np.zeros((M, dim, M, dim), dtype=complex)
+    sites = np.arange(M)
+    out[sites, :, sites, :] = diagonal
+    out[i, :, j, :] = off
+    return out.reshape(M * dim, M * dim)
+
+
 def cm_rmx_lax(q, p, nu, family, z):
     """R-matrix-valued Lax pair of the spinless Calogero-Moser model on
     Mat(M) x Mat(N)^{x M}: returns (L, Mbar) with
     L_ab = d_ab p_a 1 + nu (1 - d_ab) R^z_ab(q_a - q_b) and
     Mbar = M - nu 1_M x F0_total."""
-    q = [complex(v) for v in q]
-    p = [complex(v) for v in p]
-    M = len(q)
-    N = family.N
-    if N ** M > 256:
-        raise ScaleExceeded(f"chain dimension N^M = {N ** M} exceeds 256")
-    for a in range(M):
-        for b in range(M):
-            if a != b:
-                sf.check_pole(family.flavor, q[a] - q[b])
-    dim = N ** M
-    E = _matrix_units(M)
-    L = np.zeros((M * dim, M * dim), dtype=complex)
-    Mbar = np.zeros_like(L)
-    for a in range(M):
-        L += p[a] * np.kron(E[a, a], np.eye(dim))
-        d_a = np.zeros((dim, dim), dtype=complex)
-        for c in range(M):
-            if c != a:
-                d_a -= _site_pair_embed(family.F0(q[a] - q[c]), a, c, N, M)
-        Mbar += nu * np.kron(E[a, a], d_a)
-        for b in range(M):
-            if b != a:
-                Rab = _site_pair_embed(family.R(z, q[a] - q[b]), a, b, N, M)
-                Fab = _site_pair_embed(family.F(z, q[a] - q[b]), a, b, N, M)
-                L += nu * np.kron(E[a, b], Rab)
-                Mbar += nu * np.kron(E[a, b], Fab)
-    return L, Mbar
+    return _cm_rmx(q, p, nu, family, z)[:2]
 
 
 def cm_rmx_residual(q, p, nu, family, z):
     """Relative residual of {H^CM, L} + [nu F0, L] = [L, Mbar], where H^CM
     is the spinless Calogero-Moser Hamiltonian and the bracket uses only
     the canonical (p, q) structure."""
-    q = [complex(v) for v in q]
-    p = [complex(v) for v in p]
+    L, Mbar, F, G = _cm_rmx(q, p, nu, family, z)
+    q = np.array(q, dtype=complex)
+    p = np.array(p, dtype=complex)
     M = len(q)
-    N = family.N
-    L, Mbar = cm_rmx_lax(q, p, nu, family, z)
-    dim = N ** M
-    E = _matrix_units(M)
+    i, j = _ordered_pairs(M)
+    F0big = np.kron(np.eye(M), G.sum(axis=0))
 
-    F0tot = np.zeros((dim, dim), dtype=complex)
-    for b in range(M):
-        for c in range(b):
-            F0tot += _site_pair_embed(family.F0(q[b] - q[c]), b, c, N, M)
-    F0big = np.kron(np.eye(M), F0tot)
-
-    # {H, L}: dL/dq_m weighted by p_m, minus dH/dq_m times dL/dp_m
-    flow = np.zeros_like(L)
-    for a in range(M):
-        for b in range(M):
-            if a != b:
-                Fab = _site_pair_embed(family.F(z, q[a] - q[b]), a, b, N, M)
-                flow += nu * (p[a] - p[b]) * np.kron(E[a, b], Fab)
-    for a in range(M):
-        dH_dqa = 0.0
-        for b in range(M):
-            if b != a:
-                dH_dqa -= nu * nu * sf.eisenstein_E2_prime(
-                    family.flavor, q[a] - q[b])
-        flow -= dH_dqa * np.kron(E[a, a], np.eye(dim))
+    # {H, L}: dL/dq_m weighted by p_m, minus dH/dq_m times dL/dp_m, with
+    # dH/dq_a = -nu^2 sum_{b != a} E2'(q_a - q_b)
+    e2p = sf.eisenstein_E2_prime(family.flavor, q[i] - q[j])
+    dH = -nu * nu * np.array([e2p[i == a].sum() for a in range(M)])
+    flow = _cm_blocks(-dH[:, None, None] * np.eye(family.N ** M), i, j,
+                      (nu * (p[i] - p[j]))[:, None, None] * F)
 
     c0 = nu * (F0big @ L - L @ F0big)
     rhs = L @ Mbar - Mbar @ L

@@ -21,7 +21,7 @@ from .tensor import (MAX_ARRAY_BYTES, all_sectors, check_scale, eye, kron,
 class RMatrixFamily:
     """Base interface: N, scalar flavor, quantum R and classical data.
 
-    R, r, m, wp and everything built on them take the argument z (for
+    R, r, m and everything built on them take the argument z (for
     R^z(q), q) as a number or as an array of pair differences; an array of
     shape s gives a stack of shape s + (N^2, N^2), one matrix per element.
     The hbar of R (and the spectral point of F) may be an array too, which
@@ -69,13 +69,10 @@ class RMatrixFamily:
         """Linear coefficient of r(z) near 0, equal to m(0) P."""
         return self.m0() @ self._P
 
-    def Rz0(self, z):
-        """Constant q-coefficient of R^z(q) near q=0, equal to r(z) P."""
-        return self.r(z) @ self._P
-
-    def Rz1(self, z):
-        """Linear q-coefficient of R^z(q) near q=0, equal to m(z) P."""
-        return self.m(z) @ self._P
+    def Rz_coefficients(self, z):
+        """(r(z) P, m(z) P): the constant and linear q-coefficients of
+        R^z(q) near q = 0."""
+        return self.r(z) @ self._P, self.m(z) @ self._P
 
     def F(self, spectral, q, dq=0):
         """F^z(q) = d/dq R^z(q) and its further q-derivative."""
@@ -97,12 +94,6 @@ class RMatrixFamily:
 
     def pole_distance(self, z):
         return sf.pole_distance(self.flavor, z)
-
-    def wp(self, z):
-        """Weierstrass function at a number, or elementwise over an array."""
-        z = np.asarray(z, dtype=complex)
-        values = [sf.weierstrass_p(self.flavor, v) for v in z.ravel().tolist()]
-        return np.array(values, dtype=complex).reshape(z.shape)
 
     def params(self):
         return {}
@@ -337,6 +328,7 @@ class BaxterBelavin(RMatrixFamily):
         self._sectors = all_sectors(self.N)
         # the zero sector comes first and T_0 (x) T_0 is the identity
         self._nonzero = self._sectors[1:]
+        self._omegas = np.array([a.omega(self.tau) for a in self._nonzero])
         # flattened tensor-basis elements T_a (x) T_{-a} (integer-negated
         # label), one row per sector
         self._TT = np.array([kron(sin_basis_T_int(a.a1, a.a2, self.N),
@@ -375,12 +367,15 @@ class BaxterBelavin(RMatrixFamily):
     def R_with_F(self, spectral, q):
         return tuple(self._R_orders(spectral, q, (0, 1)))
 
-    def _r_orders(self, z, orders):
+    @staticmethod
+    def _r_coeffs(log_z, phi, d):
         # the scalar part d^d/dz^d E1(z) multiplies T_0 (x) T_0
+        return np.concatenate([log_z[d][..., None], phi[d]], axis=-1)
+
+    def _r_orders(self, z, orders):
         log_z, phi, _ = sf.sector_table(self.flavor, self._nonzero, z, 0.0,
                                         max(orders))
-        coeffs = np.array([np.concatenate([log_z[d][..., None], phi[d]],
-                                          axis=-1) for d in orders])
+        coeffs = np.array([self._r_coeffs(log_z, phi, d) for d in orders])
         return list(self._sum(coeffs) / self.N)
 
     def r(self, z, d=0):
@@ -394,10 +389,15 @@ class BaxterBelavin(RMatrixFamily):
     def _m_at_zero(self):
         # z -> 0 limit: the scalar part tends to kappa/3, the sector part
         # to f(0, omega_a) = -E2(omega_a)
-        coeffs = [sf.kappa_const(self.flavor) / 3.0]
-        coeffs += [-sf.eisenstein_E2(self.flavor, a.omega(self.tau))
-                   for a in self._nonzero]
-        return self._sum(np.array(coeffs)) / (self.N * self.N)
+        coeffs = np.concatenate([[sf.kappa_const(self.flavor) / 3.0],
+                                 -sf.eisenstein_E2(self.flavor, self._omegas)])
+        return self._sum(coeffs) / (self.N * self.N)
+
+    def _m_coeffs(self, log_z, f):
+        # scalar part (E1^2 - wp)/2 with wp = E2 + kappa/3 = kappa/3 - log_z[1]
+        e1 = log_z[0]
+        wp = -log_z[1] + sf.kappa_const(self.flavor) / 3.0
+        return np.concatenate([((e1 * e1 - wp) / 2.0)[..., None], f], axis=-1)
 
     def m(self, z):
         z = np.asarray(z, dtype=complex)
@@ -408,24 +408,21 @@ class BaxterBelavin(RMatrixFamily):
             out[small] = self.m0()
             out[~small] = self.m(z[~small])
             return out
-        # scalar part (E1^2 - wp)/2 with wp = E2 + kappa/3 = kappa/3 - log_z[1]
         log_z, _, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
-        e1 = log_z[0]
-        wp = -log_z[1] + sf.kappa_const(self.flavor) / 3.0
-        coeffs = np.concatenate([((e1 * e1 - wp) / 2.0)[..., None], f],
-                                axis=-1)
-        return self._sum(coeffs) / (self.N * self.N)
+        return self._sum(self._m_coeffs(log_z, f)) / (self.N * self.N)
 
-    def wp(self, z):
-        # wp = E2 + kappa/3, from one series over all of z
-        log_z = sf.sector_table(self.flavor, (), z, 0.0, 1)[0]
-        return -log_z[1] + sf.kappa_const(self.flavor) / 3.0
+    def Rz_coefficients(self, z):
+        # r(z) and m(z) from one series and one two-row sum
+        log_z, phi, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
+        r, m = self._sum(np.stack([self._r_coeffs(log_z, phi, 0),
+                                   self._m_coeffs(log_z, f)]))
+        return r / self.N @ self._P, m / (self.N * self.N) @ self._P
 
     def r0(self):
-        coeffs = [0.0]
-        coeffs += [sf.eisenstein_E1(self.flavor, a.omega(self.tau))
-                   + 2j * cmath.pi * a.a2 / self.N for a in self._nonzero]
-        return self._sum(np.array(coeffs)) / self.N
+        a2 = np.array([a.a2 for a in self._nonzero])
+        e1 = sf.eisenstein_E1(self.flavor, self._omegas)
+        coeffs = np.concatenate([[0.0], e1 + 2j * cmath.pi * a2 / self.N])
+        return self._sum(coeffs) / self.N
 
 
 FAMILY_KEYS = ("xxx", "11v", "xxz", "7v", "bb")
@@ -617,7 +614,7 @@ def _certify_stack(family, record, hb, et, z, w, x, y):
     prod = A @ swap_sites(R(hb, -z), N)
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
     record("unitarity_scalar", _rel(prod - scal[..., None, None] * I2, prod))
-    wp = family.wp(np.stack([hb, z]))
+    wp = sf.weierstrass_p(family.flavor, np.stack([hb, z]))
     target = wp[0] - wp[1]
     denom = np.maximum(np.maximum(abs(scal), abs(target)), 1.0)
     record("unitarity_value", abs(scal - target) / denom)

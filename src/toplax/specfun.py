@@ -314,95 +314,81 @@ def _log_derivs(t):
     return out
 
 
-def _elliptic_log_derivs(flavor, z, upto):
-    """[E1, -E2, -E2'][:upto] at the number z, from one one-row series."""
-    t, _, n = _theta_rows(flavor, (z,), upto)
-    out = _log_derivs(t[0])
-    out[0] = out[0] - TWO_PI_I * n[0]
-    return [complex(v) for v in out]
+def _log_theta(flavor, z, upto):
+    """[E1, -E2, -E2'][:upto] at a number or an array z, as arrays of its
+    shape: the z-derivatives of log theta (elliptic: one series over all of
+    z, whose cell reduction is the pole guard), of log sinh (trigonometric)
+    or of log (rational)."""
+    z = np.asarray(z, dtype=complex)
+    if flavor.kind == ELLIPTIC:
+        t, _, n = _theta_rows(flavor, tuple(z.ravel().tolist()), upto)
+        out = _log_derivs(t.T)
+        out[0] = out[0] - TWO_PI_I * n
+        return [v.reshape(z.shape) for v in out]
+    check_pole(flavor, z)
+    ch, sh = (1.0, z) if flavor.kind == RATIONAL else (np.cosh(z), np.sinh(z))
+    # np.power, unlike ** on an array, rounds as on a single element, so a
+    # stack holds bitwise the values of its elements
+    return [ch / sh, -1.0 / np.power(sh, 2),
+            2.0 * ch / np.power(sh, 3)][:upto]
+
+
+def _number(v):
+    """v, or the complex number it holds where it has no axes: each kernel
+    takes numbers or arrays, and gives a number for numbers."""
+    return complex(v) if np.ndim(v) == 0 else v
 
 
 def eisenstein_E1(flavor, z):
-    z = complex(z)
-    if flavor.kind == ELLIPTIC:
-        return _elliptic_log_derivs(flavor, z, 1)[0]
-    check_pole(flavor, z)
-    if flavor.kind == RATIONAL:
-        return 1.0 / z
-    return cmath.cosh(z) / cmath.sinh(z)
+    return _number(_log_theta(flavor, z, 1)[0])
 
 
 def eisenstein_E2(flavor, z):
     """Second Eisenstein function, -d/dz E1(z)."""
-    z = complex(z)
-    if flavor.kind == ELLIPTIC:
-        return -_elliptic_log_derivs(flavor, z, 2)[1]
-    check_pole(flavor, z)
-    if flavor.kind == RATIONAL:
-        return 1.0 / z ** 2
-    return 1.0 / cmath.sinh(z) ** 2
+    return _number(-_log_theta(flavor, z, 2)[1])
 
 
 def eisenstein_E2_prime(flavor, z):
     """d/dz E2(z), needed for derivative kernels in the dynamics."""
-    z = complex(z)
-    if flavor.kind == ELLIPTIC:
-        return -_elliptic_log_derivs(flavor, z, 3)[2]
-    check_pole(flavor, z)
-    if flavor.kind == RATIONAL:
-        return -2.0 / z ** 3
-    sh = cmath.sinh(z)
-    return -2.0 * cmath.cosh(z) / sh ** 3
+    return _number(-_log_theta(flavor, z, 3)[2])
 
 
 def weierstrass_p(flavor, z):
     """Weierstrass function: E2 plus the flavor's additive constant."""
-    z = complex(z)
+    e2 = -_log_theta(flavor, z, 2)[1]
     if flavor.kind == ELLIPTIC:
-        return eisenstein_E2(flavor, z) + kappa_const(flavor) / 3.0
-    return eisenstein_E2(flavor, z)
+        e2 = e2 + kappa_const(flavor) / 3.0
+    return _number(e2)
 
 
 def kronecker_phi(flavor, eta, z):
-    """Two-variable kernel function phi(eta, z); symmetric in its arguments."""
-    eta = complex(eta)
-    z = complex(z)
-    if flavor.kind == ELLIPTIC:
-        # phi = theta'(0) theta(eta + z) / (theta(eta) theta(z)), with the
-        # log factors of the cell reduction combined before exponentiating
-        t, c, _ = _theta_rows(flavor, (eta, z, eta + z), 0)
-        return complex(_theta_at_zero(flavor.tau, flavor.trunc_tol)[0]
-                       * cmath.exp(c[2] - c[0] - c[1])
-                       * t[2, 0] / (t[0, 0] * t[1, 0]))
-    check_pole(flavor, eta, z, eta + z)
-    if flavor.kind == RATIONAL:
-        return 1.0 / eta + 1.0 / z
-    return (cmath.cosh(eta) / cmath.sinh(eta)
-            + cmath.cosh(z) / cmath.sinh(z))
+    """Two-variable kernel function phi(eta, z); symmetric in its arguments,
+    which broadcast against each other."""
+    eta, z = np.broadcast_arrays(np.asarray(eta, dtype=complex),
+                                 np.asarray(z, dtype=complex))
+    if flavor.kind != ELLIPTIC:
+        # phi = E1(eta) + E1(z), guarded at eta + z too
+        e1 = _log_theta(flavor, np.stack([eta, z]), 1)[0]
+        check_pole(flavor, eta + z)
+        return _number(e1[0] + e1[1])
+    # phi = theta'(0) theta(eta + z) / (theta(eta) theta(z)), with the log
+    # factors of the cell reduction combined before exponentiating
+    args = np.stack([eta, z, eta + z])
+    t, c, _ = _theta_rows(flavor, tuple(args.ravel().tolist()), 0)
+    t, c = (v.reshape((3,) + eta.shape) for v in (t[:, 0], c))
+    return _number(_theta_at_zero(flavor.tau, flavor.trunc_tol)[0]
+                   * np.exp(c[2] - c[0] - c[1]) * t[2] / (t[0] * t[1]))
 
 
 def phi_derivative_f(flavor, z, q):
-    """f(z, q) = d/dq phi(z, q), via the closed form phi*(E1(z+q) - E1(q))."""
-    z = complex(z)
-    q = complex(q)
-    return kronecker_phi(flavor, z, q) * (
-        eisenstein_E1(flavor, z + q) - eisenstein_E1(flavor, q))
-
-
-def phi_dz(flavor, z, u, order=1):
-    """Derivative of phi(z, u) in its first argument, order 0, 1 or 2."""
-    z = complex(z)
-    u = complex(u)
-    p = kronecker_phi(flavor, z, u)
-    if order == 0:
-        return p
-    d = eisenstein_E1(flavor, z + u) - eisenstein_E1(flavor, z)
-    if order == 1:
-        return p * d
-    if order == 2:
-        dp = eisenstein_E2(flavor, z) - eisenstein_E2(flavor, z + u)
-        return p * (d * d + dp)
-    raise ValueError("order must be 0, 1 or 2")
+    """f(z, q) = d/dq phi(z, q), via the closed form phi*(E1(z+q) - E1(q));
+    z and q broadcast."""
+    z, q = np.broadcast_arrays(np.asarray(z, dtype=complex),
+                               np.asarray(q, dtype=complex))
+    # an array p: numpy multiplies as for a stack, Python's complex does not
+    p = np.asarray(kronecker_phi(flavor, z, q))
+    e1 = eisenstein_E1(flavor, np.stack([z + q, q]))
+    return _number(p * (e1[0] - e1[1]))
 
 
 def sector_phi(flavor, a, z, u):
@@ -506,10 +492,10 @@ def sample_point(rng, flavor, eps=1e-2):
 
 
 def _rel(residual, *terms):
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return abs(residual)
-    return abs(residual) / scale
+    """|residual| over the largest |term|, elementwise, or |residual| itself
+    where every term vanishes; np.maximum keeps a NaN."""
+    scale = functools.reduce(np.maximum, map(np.abs, terms))
+    return np.abs(residual) / np.where(scale == 0.0, 1.0, scale)
 
 
 def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
@@ -533,8 +519,8 @@ def _expansion_residuals(flavor, z, u):
     + O(x^3) at x = 0; f(0, u) = -E2(u), the removable value of f(x, u)
     there; and f(z, u), the linear coefficient of phi(z, .) at u."""
     def residual(g, center, distance, closed):
-        got = laurent_coefficients(lambda xs: [g(x) for x in xs], center,
-                                   LAURENT_RADIUS * distance, closed)
+        got = laurent_coefficients(g, center, LAURENT_RADIUS * distance,
+                                   closed)
         # np.max keeps a NaN residual, which then fails its tolerance
         return np.max(list(map(coefficient_residual, got, closed.values())))
 
@@ -560,83 +546,62 @@ def _expansion_residuals(flavor, z, u):
 
 
 def _sector_identity_residuals(flavor, N, rng):
-    """One sample of the four lattice-sum identities for Z_N x Z_N sectors."""
-    tau = flavor.tau
+    """One sample of the four lattice-sum identities for Z_N x Z_N sectors,
+    each one expression over all sectors: gamma indexes rows, alpha
+    columns."""
     sectors = [SectorIndex(a1, a2, N) for a1 in range(N) for a2 in range(N)]
-
-    def kappa_sq(alpha, gamma):
-        return cmath.exp(TWO_PI_I * (gamma.a1 * alpha.a2
-                                     - gamma.a2 * alpha.a1) / N)
+    om = np.array([a.omega(flavor.tau) for a in sectors])
 
     # keep N*q and q/N off the lattice as well
     while True:
         q = sample_point(rng, flavor)
         hb = sample_point(rng, flavor)
         z = sample_point(rng, flavor)
-        pts = [q, hb, z, N * hb, N * q, q / N]
-        pts += [a.omega(tau) + q for a in sectors]
-        pts += [N * q + a.omega(tau) for a in sectors]
-        pts += [q + a.omega(tau) for a in sectors]
-        pts += [a.omega(tau) + z / N for a in sectors if not a.is_zero()]
-        pts += [N * hb + a.omega(tau) + z / N for a in sectors]
-        pts += [a.omega(tau) + hb for a in sectors]
-        if all(pole_distance(flavor, p) > 1e-2 for p in pts):
+        pts = np.concatenate([[q, hb, z, N * hb, N * q, q / N], om + q,
+                              N * q + om, om[1:] + z / N, N * hb + om + z / N,
+                              om + hb])
+        if all(pole_distance(flavor, p) > 1e-2 for p in pts.tolist()):
             break
 
+    a1 = np.array([a.a1 for a in sectors])
+    a2 = np.array([a.a2 for a in sectors])
+    # kappa^2(alpha, gamma) = exp(2*pi*i*(g1*a2 - g2*a1)/N)
+    phase = np.exp(TWO_PI_I * (np.outer(a1, a2) - np.outer(a2, a1)) / N)
     out = {}
-    # Fourier sum: (1/N) sum_a kappa^2 phi_a(N*hb, w_a + z/N) = phi_g(z, w_g + hb)
-    worst = 0.0
-    for gam in sectors:
-        total = 0.0j
-        for alp in sectors:
-            total += kappa_sq(alp, gam) * sector_phi(flavor, alp, N * hb, z / N)
-        total /= N
-        rhs = sector_phi(flavor, gam, z, hb)
-        worst = float(np.maximum(worst, _rel(total - rhs, total, rhs)))
-    out["fourier_sum"] = worst
+    # Fourier sum:
+    # (1/N) sum_a kappa^2 phi_a(N*hb, w_a + z/N) = phi_g(z, w_g + hb)
+    _, (phi,), _ = sector_table(flavor, sectors, np.array([N * hb, z]),
+                                np.array([z / N, hb]), 0)
+    total = phase @ phi[0] / N
+    out["fourier_sum"] = np.max(_rel(total - phi[1], total, phi[1]))
 
-    # lattice sum: sum_a E2(w_a + q) = N^2 E2(N*q)
     # residuals of the lattice sums are scaled by the largest summand, since
     # the sums themselves suffer heavy cancellation near the cell boundary
-    terms = [eisenstein_E2(flavor, a.omega(tau) + q) for a in sectors]
-    total = sum(terms)
-    rhs = N * N * eisenstein_E2(flavor, N * q)
-    out["e2_lattice_sum"] = _rel(total - rhs, rhs, *terms)
+    e2_shift, e2_frac = eisenstein_E2(flavor, np.stack([om + q, om + q / N]))
+    # at x = N*q and x = q, -E2(x) and, for a != 0, the first z-derivative
+    # phi_a(x, w_a)(E1(x + w_a) - E1(x) + 2*pi*i*a2/N) of phi_a(x, w_a)
+    log_x, (_, dphi), _ = sector_table(flavor, sectors[1:],
+                                       np.array([N * q, q]), 0.0, 1)
+    e2_Nq, e2_q = -log_x[1]
+
+    # lattice sum: sum_a E2(w_a + q) = N^2 E2(N*q)
+    rhs = N * N * e2_Nq
+    out["e2_lattice_sum"] = _rel(e2_shift.sum() - rhs, rhs,
+                                 np.max(np.abs(e2_shift)))
 
     # twisted sum, gamma != 0:
     # sum_a kappa^2 E2(w_a + q) = -N^2 phi_g(N*q, w_g)(E1(N*q+w_g)-E1(N*q)+c_g)
-    worst = 0.0
-    for gam in sectors:
-        if gam.is_zero():
-            continue
-        terms = [kappa_sq(alp, gam)
-                 * eisenstein_E2(flavor, alp.omega(tau) + q)
-                 for alp in sectors]
-        total = sum(terms)
-        c = TWO_PI_I * gam.a2 / N
-        rhs = -N * N * sector_phi(flavor, gam, N * q, 0.0) * (
-            eisenstein_E1(flavor, N * q + gam.omega(tau))
-            - eisenstein_E1(flavor, N * q) + c)
-        worst = float(np.maximum(worst, _rel(total - rhs, rhs, *terms)))
-    out["e2_twisted_sum"] = worst
+    terms = phase[1:] * e2_shift
+    rhs = -N * N * dphi[0]
+    out["e2_twisted_sum"] = np.max(
+        _rel(terms.sum(-1) - rhs, rhs, np.max(np.abs(terms), -1)))
 
     # converse: -E2(q) + sum_{a!=0} kappa^2 phi_a(q, w_a)(E1(q+w_a)-E1(q)+c_a)
     #           = -E2(w_g + q/N)
-    worst = 0.0
-    for gam in sectors:
-        terms = [-eisenstein_E2(flavor, q)]
-        for alp in sectors:
-            if alp.is_zero():
-                continue
-            c = TWO_PI_I * alp.a2 / N
-            terms.append(kappa_sq(alp, gam)
-                         * sector_phi(flavor, alp, q, 0.0)
-                         * (eisenstein_E1(flavor, q + alp.omega(tau))
-                            - eisenstein_E1(flavor, q) + c))
-        total = sum(terms)
-        rhs = -eisenstein_E2(flavor, gam.omega(tau) + q / N)
-        worst = float(np.maximum(worst, _rel(total - rhs, rhs, *terms)))
-    out["e2_converse_sum"] = worst
+    terms = phase[:, 1:] * dphi[1]
+    total = terms.sum(-1) - e2_q
+    out["e2_converse_sum"] = np.max(_rel(total + e2_frac, e2_frac, e2_q,
+                                         np.max(np.abs(terms), -1)))
     return out
 
 

@@ -9,8 +9,8 @@ from toplax import rmatrix as rm
 from toplax import specfun as sf
 
 # the family methods that evaluate a kernel
-FAMILY_METHODS = ("R", "F", "R_with_F", "r", "m", "m0", "Rz0", "Rz1", "F0",
-                  "F0_with_derivative")
+FAMILY_METHODS = ("R", "F", "R_with_F", "r", "m", "m0", "Rz_coefficients",
+                  "F0", "F0_with_derivative")
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def family_calls(monkeypatch):
 
     Each method in FAMILY_METHODS is wrapped on every family class that
     defines it; a call made while another wrapped method runs (R and F
-    inside the generic R_with_F, r inside Rz0) is not recorded.
+    inside the generic R_with_F, r inside Rz_coefficients) is not recorded.
     """
     calls = []
     depth = [0]

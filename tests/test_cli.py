@@ -257,8 +257,8 @@ def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
 def test_nan_certification_fails(capsys, monkeypatch):
     # a NaN kernel makes NaN residuals: the records keep them and fail
     nan = float("nan")
-    monkeypatch.setattr(cli.sf, "kronecker_phi",
-                        lambda *args: complex(nan, nan))
+    monkeypatch.setattr(cli.sf, "kronecker_phi", lambda flavor, eta, z:
+                        np.full(np.broadcast(eta, z).shape, complex(nan, nan)))
     code, out, _ = run_capture(capsys, [
         "certify-functions", "--flavor", "rational", "--samples", "3"])
     assert code == 1
@@ -298,8 +298,9 @@ def test_simulate_non_finite_dt_exits_2(tmp_path, capsys, dt):
 
 
 def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
-    # a step that returns NaN is a blow-up, caught at the next monitor row:
-    # a numerical failure of a valid config, reported with its step
+    # a step that returns NaN is a blow-up, caught by the drift check after
+    # that step: a numerical failure of a valid config, reported with its
+    # step
     path = write_config(tmp_path)
     monkeypatch.setattr(cli.dy, "_rk4_step",
                         lambda vec, dt, template: vec * float("nan"))
@@ -309,8 +310,54 @@ def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
-    assert report["failure"]["step"] == 10
+    assert report["failure"]["step"] == 1
     assert "constraint drift nan" in report["failure"]["error"]
+
+
+def test_check_exchange_no_one_row_sector_sum(tmp_path, capsys, monkeypatch):
+    # the diagonal of each pair table, r(z) P and m(z) P, is one two-row bb
+    # sector sum, and its off-diagonal one stack: no sum has a single row
+    path = write_config(tmp_path, family="bb", N=3, M=3, tau=[0.1, 1.1],
+                        seed=0)
+    rows = []
+    sector_sum = cli.rm.BaxterBelavin._sum
+
+    def counted(self, coeffs):
+        rows.append(coeffs.size // coeffs.shape[-1])
+        return sector_sum(self, coeffs)
+
+    monkeypatch.setattr(cli.rm.BaxterBelavin, "_sum", counted)
+    code, out, _ = run_capture(capsys, [
+        "check-exchange", "--config", path, "--pairs", "10"])
+    assert code == 0
+    assert rows.count(2) == 40 and min(rows) == 2
+
+
+def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
+    # one trace pushed off nu at step 3 fails there, between monitor rows
+    path = write_config(tmp_path)
+    step = cli.dy._rk4_step
+    calls = []
+
+    def perturbed(vec, dt, template):
+        vec = step(vec, dt, template)
+        calls.append(1)
+        if len(calls) == 3:
+            vec = vec.copy()
+            vec[2 * template.M] += 1e-3   # S^00_00, so tr S^00
+        return vec
+
+    monkeypatch.setattr(cli.dy, "_rk4_step", perturbed)
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_capture(capsys, [
+        "simulate", "--config", path, "--steps", "20",
+        "--monitor-every", "10", "--out", str(out_csv)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["failure"]["step"] == 3
+    assert "constraint drift 1.000e-03 at step 3" in report["failure"]["error"]
+    assert report["rows"] == 1
+    assert len(out_csv.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("argv, overrides, message", [

@@ -312,6 +312,31 @@ def test_cm_rmx_N1_is_scalar_krichever():
     assert md.cm_rmx_residual(q, p, nu, fam, z) < 1e-13
 
 
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_cm_rmx_one_family_call_per_table(family_calls, monkeypatch, key):
+    # the Lax pair and the residual share one R_with_F call over the
+    # ordered pairs and one F0 call over the pairs i < j; dH/dq is one E2'
+    # call over the ordered pairs
+    fam = rm.make_family(key, N=2, tau=1j, C=0.7 + 0.2j)
+    M = 3
+    rng = np.random.default_rng(59)
+    q = md.random_positions(fam, M, rng)
+    p = tuple(rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M))
+    e2p = []
+    kernel = sf.eisenstein_E2_prime
+    monkeypatch.setattr(sf, "eisenstein_E2_prime",
+                        lambda fl, z: e2p.append(z) or kernel(fl, z))
+    assert md.cm_rmx_residual(q, p, 0.7, fam, 0.29 + 0.33j) < 1e-13
+    assert Counter(name for name, _ in family_calls) == {
+        "R_with_F": 1, "F0": 1}
+    (qs,), = [args[1:] for name, args in family_calls if name == "R_with_F"]
+    ordered = [q[i] - q[j] for i in range(M) for j in range(M) if i != j]
+    assert np.array_equal(qs, ordered)
+    (qs,), = [args for name, args in family_calls if name == "F0"]
+    assert np.array_equal(qs, [q[0] - q[1], q[0] - q[2], q[1] - q[2]])
+    assert len(e2p) == 1 and np.array_equal(e2p[0], ordered)
+
+
 def test_cm_rmx_scale_guard():
     fam = rm.make_family("bb", N=2, tau=1j)
     with pytest.raises(ScaleExceeded):
@@ -397,11 +422,12 @@ def test_lax_residual_one_table_per_point(family_calls, key):
     md.lax_residual(st, zs[0])
     md.lax_residuals(st, zs)
     # L, M and {H, L} share one pair table per point: one R_with_F call
-    # over all ordered pairs and its diagonal coefficients Rz0, Rz1; each of
-    # the two bracket flows adds one F0/F0' call over the pairs i < j and
-    # one m0
+    # over all ordered pairs and one Rz_coefficients call for its diagonal;
+    # each of the two bracket flows adds one F0/F0' call over the pairs
+    # i < j and one m0
     assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 3, "Rz0": 3, "Rz1": 3, "F0_with_derivative": 2, "m0": 2}
+        "R_with_F": 3, "Rz_coefficients": 3, "F0_with_derivative": 2,
+        "m0": 2}
     tables = [args for name, args in family_calls if name == "R_with_F"]
     assert [z for z, _ in tables] == [zs[0]] + zs
     q = np.array(st.q)
@@ -422,8 +448,9 @@ def test_exchange_residual_one_table_per_argument(family_calls, key):
     z, w = 0.41 + 0.13j, 0.17 + 0.52j
     md.exchange_residual(st, z, w)
     assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 4, "Rz0": 4, "Rz1": 4}
-    tables = [args[0] for name, args in family_calls if name == "Rz0"]
+        "R_with_F": 4, "Rz_coefficients": 4}
+    tables = [args[0] for name, args in family_calls
+              if name == "Rz_coefficients"]
     assert sorted(tables, key=lambda v: (v.real, v.imag)) == sorted(
         [z, w, z - w, w - z], key=lambda v: (v.real, v.imag))
 

@@ -105,6 +105,73 @@ def test_one_series_per_theta_argument(theta_calls):
                            ((0.2 + 0.1j,), 3)]
 
 
+KERNELS_ONE = (sf.eisenstein_E1, sf.eisenstein_E2, sf.eisenstein_E2_prime,
+               sf.weierstrass_p)
+KERNELS_TWO = (sf.kronecker_phi, sf.phi_derivative_f)
+
+
+@pytest.mark.parametrize("flavor, tol", [
+    (sf.Flavor.rational(), 1e-15), (sf.Flavor.trigonometric(), 1e-15),
+    (sf.Flavor.elliptic(1j), 1e-13), (sf.Flavor.elliptic(0.3 + 0.8j), 1e-13)])
+def test_kernels_take_arrays(flavor, tol):
+    # each kernel on a (2, 3) array, and a number against it, equals its
+    # calls on the elements; a number in gives a number out, and an empty
+    # array an empty one
+    rng = np.random.default_rng(41)
+    xs, ys = (np.array(sf.sample_tuple(rng, flavor, 6, 0.05)).reshape(2, 3)
+              for _ in range(2))
+    x0 = sf.sample_tuple(rng, flavor, 1, 0.05)[0]
+
+    def close(got, want):
+        want = np.array(want).reshape(got.shape)
+        assert got.shape == (2, 3)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want))
+
+    empty = np.zeros(0, dtype=complex)
+    for kernel in KERNELS_ONE:
+        assert type(kernel(flavor, x0)) is complex
+        close(kernel(flavor, xs), [kernel(flavor, x) for x in xs.ravel()])
+        assert kernel(flavor, empty).shape == (0,)
+    for kernel in KERNELS_TWO:
+        assert type(kernel(flavor, x0, ys[0, 0])) is complex
+        assert kernel(flavor, x0, empty).shape == (0,)
+        close(kernel(flavor, xs, ys),
+              [kernel(flavor, x, y) for x, y in zip(xs.ravel(), ys.ravel())])
+        close(kernel(flavor, x0, ys), [kernel(flavor, x0, y)
+                                       for y in ys.ravel()])
+        close(kernel(flavor, xs, x0), [kernel(flavor, x, x0)
+                                       for x in xs.ravel()])
+
+
+def test_kernel_arrays_one_series(theta_calls):
+    # every elliptic kernel sums one series over its whole array (phi's
+    # three arguments included); f adds one for its two E1 values
+    fl = sf.Flavor.elliptic(0.3 + 0.8j)
+    zs = np.array([[0.21 + 0.13j, 0.43 - 0.11j, 0.37 + 0.29j],
+                   [0.42 + 0.26j, 0.86 - 0.22j, 0.74 + 0.58j]])
+    sf.kappa_const(fl)
+    sf.kronecker_phi(fl, 0.1 + 0.1j, 0.1 + 0.2j)   # fills the modulus caches
+    del theta_calls[:]
+    for kernel in KERNELS_ONE:
+        kernel(fl, zs)
+    sf.kronecker_phi(fl, zs, 0.1 + 0.2j)
+    sf.phi_derivative_f(fl, zs, 0.1 + 0.2j)
+    assert [len(args) for args, _ in theta_calls] == [6] * 4 + [18] * 2 + [12]
+
+
+def test_expansion_and_sector_oracles_series_counts(theta_calls):
+    # each circle of the expansion oracle is one kernel call on its 16
+    # points, and each sector identity one expression over all sectors
+    fl = sf.Flavor.elliptic(1j)
+    sf.kappa_const(fl)
+    del theta_calls[:]
+    sf._expansion_residuals(fl, 0.31 + 0.42j, 0.27 + 0.66j)
+    assert len(theta_calls) <= 12
+    del theta_calls[:]
+    sf._sector_identity_residuals(fl, 3, np.random.default_rng(5))
+    assert len(theta_calls) <= 10
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(BadModulus):
         sf.theta(0.25, 0.01j)
@@ -308,18 +375,22 @@ def test_f_matches_difference_quotient():
 
 
 def test_phi_dz_orders():
+    # the zero sector's table holds phi(z, u) and its z-derivatives
     fl = sf.Flavor.elliptic(1j)
+    zero = [sf.SectorIndex(0, 0, 1)]
+
+    def phi_dz(z, u, order):
+        return sf.sector_table(fl, zero, z, u, 2)[1][order][0]
+
     z, u = 0.23 + 0.08j, 0.41
     h = 1e-5
-    d = (sf.phi_dz(fl, z + h, u, order=0)
-         - sf.phi_dz(fl, z - h, u, order=0)) / (2 * h)
-    assert abs(sf.phi_dz(fl, z, u, order=1) - d) < 1e-7
-    d2a = (sf.phi_dz(fl, z + h, u, order=1)
-           - sf.phi_dz(fl, z - h, u, order=1)) / (2 * h)
-    d2b = (sf.phi_dz(fl, z + h / 2, u, order=1)
-           - sf.phi_dz(fl, z - h / 2, u, order=1)) / h
+    assert abs(phi_dz(z, u, 0) - sf.kronecker_phi(fl, z, u)) < 1e-14
+    d = (phi_dz(z + h, u, 0) - phi_dz(z - h, u, 0)) / (2 * h)
+    assert abs(phi_dz(z, u, 1) - d) < 1e-7
+    d2a = (phi_dz(z + h, u, 1) - phi_dz(z - h, u, 1)) / (2 * h)
+    d2b = (phi_dz(z + h / 2, u, 1) - phi_dz(z - h / 2, u, 1)) / h
     richardson = (4 * d2b - d2a) / 3
-    assert abs(sf.phi_dz(fl, z, u, order=2) - richardson) < 1e-7
+    assert abs(phi_dz(z, u, 2) - richardson) < 1e-7
 
 
 def test_sector_phi_reduces_at_zero_sector():
