@@ -138,16 +138,19 @@ def _cmd_check_exchange(args):
     rng = np.random.default_rng(int(cfg.get("seed", 0)) + 2)
     residuals = []
     attempts = 0
-    while len(residuals) < args.pairs and attempts < 200:
+    # 200 draws up to 5 pairs, 40 per pair above
+    draws = max(200, 40 * args.pairs)
+    while len(residuals) < args.pairs and attempts < draws:
         attempts += 1
         z = sf.sample_point(rng, family.flavor)
         w = sf.sample_point(rng, family.flavor)
         if family.pole_distance(z - w) < 0.05:
             continue
         residuals.append(md.exchange_residual(state, z, w))
-    if not residuals:
+    if len(residuals) < args.pairs:
         raise DegenerateDraw(
-            "no (z, w) pair cleared the pole margin in 200 draws")
+            f"{len(residuals) or 'no'} (z, w) pairs of the {args.pairs} "
+            f"requested cleared the pole margin in {draws} draws")
     worst = float(np.max(residuals))
     passed = worst < args.tol
     body = {"max_exchange_residual": worst, "pairs": args.pairs,

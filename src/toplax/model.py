@@ -27,6 +27,12 @@ Every table is one family call over an array of pair differences: eom_rhs,
 bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
 F0_with_derivative call, and a pair table takes R^z and F^z of all ordered
 pairs from one R_with_F call.
+
+The exchange check reads the tables of z, w, z - w and w - z as one stack
+from one R_with_F and one Rz_coefficients call.  Its r-matrix side is
+block-sparse: r(z, w) and r_{2'1'21}(w, z) are nonzero only on the blocks
+E_ij x E_ji, so each commutator with L(z) x 1 or 1 x L(w) is a pair of
+scatter-adds of small contractions, with no dense matrix product.
 """
 
 import cmath
@@ -301,28 +307,34 @@ _PAIR = "ijaklb,iljk->iajb"
 
 
 def _pair_tables(state, z):
-    """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N).
+    """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N), or
+    a stack of them, z.shape + (M, M, N, N, N, N), at an array z.
 
-    R[i, j] = R^z(q_ij) and F[i, j] = F^z(q_ij) in four-index form, from one
-    R_with_F call over all ordered pairs.  The diagonal holds their q -> 0
-    coefficients r(z) P and m(z) P, from one Rz_coefficients call, so a
-    contraction with the spin gives tr_2(S^{ii}_2 r_12(z)) and
+    R[..., i, j] = R^z(q_ij) and F[..., i, j] = F^z(q_ij) in four-index
+    form, from one R_with_F call over all ordered pairs (at an array z,
+    over the broadcast of z[..., None] against them).  The diagonal holds
+    their q -> 0 coefficients r(z) P and m(z) P, from one Rz_coefficients
+    call, so a contraction with the spin gives tr_2(S^{ii}_2 r_12(z)) and
     tr_2(S^{ii}_2 m_12(z)) there.  Both are views of T P in memory: that
     layout fixes the summation order of every contraction to that of
     tr_2(S_2 T P) block by block.
     """
     fam = state.family
     M, N = state.M, state.N
-    R, F = (np.empty((M, M, N, N, N, N), dtype=complex).swapaxes(4, 5)
-            for _ in range(2))
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    R, F = (np.empty(shape + (M, M, N, N, N, N), dtype=complex)
+            .swapaxes(-2, -1) for _ in range(2))
     sites = np.arange(M)
     R0, R1 = fam.Rz_coefficients(z)
-    R[sites, sites] = as_four_index(R0, N)
-    F[sites, sites] = as_four_index(R1, N)
+    R[..., sites, sites, :, :, :, :] = R0.reshape(shape + (1, N, N, N, N))
+    F[..., sites, sites, :, :, :, :] = R1.reshape(shape + (1, N, N, N, N))
     i, j = _ordered_pairs(M)
-    Rs, Fs = fam.R_with_F(z, _qdiffs(state, i, j))
-    R[i, j] = Rs.reshape(-1, N, N, N, N)
-    F[i, j] = Fs.reshape(-1, N, N, N, N)
+    # an array of spectral points takes one more axis, for the pairs
+    Rs, Fs = fam.R_with_F(z[..., None] if shape else z,
+                          _qdiffs(state, i, j))
+    R[..., i, j, :, :, :, :] = Rs.reshape(shape + (-1, N, N, N, N))
+    F[..., i, j, :, :, :, :] = Fs.reshape(shape + (-1, N, N, N, N))
     return R, F
 
 
@@ -582,49 +594,68 @@ def _r_big_and_q_derivative(state, z, w):
     """classical_r_big and _r_big_q_derivative_sum from one pair table at
     z - w: the q-derivative places (tr S^ii - tr S^jj) F^{z-w}(q_ij) P."""
     R, F = _pair_tables(state, z - w)
+    return _exchange_blocks(R), _exchange_blocks(_trace_weight(state) * F)
+
+
+def _trace_weight(state):
+    """tr S^ii - tr S^jj at [i, j], broadcast against a pair table."""
     tr = state.spin.traces()
-    weight = (tr[:, None] - tr[None, :])[:, :, None, None, None, None]
-    return _exchange_blocks(R), _exchange_blocks(weight * F)
+    return (tr[:, None] - tr[None, :])[:, :, None, None, None, None]
 
 
 def classical_r_big(state, z, w):
     """The dynamical r-matrix on Mat(M)^2 x Mat(N)^2, primed factors first:
-    sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P."""
+    sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P.
+
+    A dense reference: exchange_residual reads its blocks directly."""
     return _r_big_and_q_derivative(state, z, w)[0]
 
 
 def _r_big_q_derivative_sum(state, z, w):
-    """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix."""
+    """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix (dense reference)."""
     return _r_big_and_q_derivative(state, z, w)[1]
+
+
+def _exchange_rhs(state, R, F):
+    """(c1, c2, dr) of the exchange relation, each (MN)^2 x (MN)^2 with the
+    primed factors first: c1 = [L_{1'1}(z), r(z, w)], c2 = [L_{2'2}(w),
+    r_{2'1'21}(w, z)] and dr = sum_k tr(S^kk) d_{q_k} r(z, w), from the
+    pair tables R, F stacked at [z, w, z - w, w - z].
+
+    r(z, w) is nonzero only on the blocks E_ij x E_ji, where it is
+    G[i, j] = R^{z-w}(q_ij) P (r(z - w) on i = j), and so is
+    r_{2'1'21}(w, z), there H[i, j], its w - z table with both factor
+    pairs swapped.  A product with L_{1'1} = L(z) x 1 or L_{2'2} = 1 x L(w)
+    therefore lands on the entries [i, k, a, c, j, l, b, d] with k = j or
+    l = i, and each commutator is two scatter-adds of small contractions.
+    """
+    M, N = state.M, state.N
+    Lz, Lw = (_lax_L(state, T).reshape(M, N, M, N) for T in R[:2])
+    G = R[2].swapaxes(4, 5)
+    H = R[3].swapaxes(4, 5).transpose(1, 0, 3, 2, 5, 4)
+    s = np.arange(M)
+    c1, c2 = (np.zeros((M, M, N, N) * 2, dtype=complex) for _ in range(2))
+    c1[:, s, :, :, s] += np.einsum("ialy,lsycbd->siaclbd", Lz, G)
+    c1[s, :, :, :, :, s] -= np.einsum("skacyd,kyjb->skacjbd", G, Lz)
+    c2[s, :, :, :, :, s] += np.einsum("kcjy,sjaybd->skacjbd", Lw, H)
+    c2[:, s, :, :, s] -= np.einsum("isacby,iyld->siaclbd", H, Lw)
+    dim = (M * N) ** 2
+    return (c1.reshape(dim, dim), c2.reshape(dim, dim),
+            _exchange_blocks(_trace_weight(state) * F[2]))
 
 
 def exchange_residual(state, z, w):
     """Max relative residual of the classical exchange relation
     {L_{1'1}(z), L_{2'2}(w)} = [L_{1'1}(z), r] - [L_{2'2}(w), r_{2'1'21}]
-    - sum_k tr(S^kk) d_{q_k} r, with one pair table at each of z, w, z-w
-    and w-z."""
+    - sum_k tr(S^kk) d_{q_k} r, with the pair tables of z, w, z - w and
+    w - z from one stack: one R_with_F and one Rz_coefficients call."""
     spin = state.spin
     M, N = spin.M, spin.N
     check_scale((M * N) ** 4, f"the exchange relation at N = {N}, M = {M}")
     _require_constraints(state)
-    tables_z = _pair_tables(state, z)
-    tables_w = _pair_tables(state, w)
-    lhs = _exchange_lhs(state, tables_z, tables_w)
-
-    dim = (M * N) ** 2
-    eM, eN = np.eye(M), np.eye(N)
-    Lz = _lax_L(state, tables_z[0]).reshape(M, N, M, N)
-    Lw = _lax_L(state, tables_w[0]).reshape(M, N, M, N)
-    L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
-    L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
-
-    rb, dr = _r_big_and_q_derivative(state, z, w)
-    # r_{2'1'21}(w, z): swapping both the primed and the unprimed factor
-    # pairs of r(w, z) is an axis transpose of its (M, M, N, N) x 2 reshape
-    rbt = _exchange_blocks(_pair_tables(state, w - z)[0]).reshape(
-        (M, M, N, N) * 2).transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
-    c1 = L1 @ rb - rb @ L1
-    c2 = L2 @ rbt - rbt @ L2
+    R, F = _pair_tables(state, np.array([z, w, z - w, w - z]))
+    lhs = _exchange_lhs(state, (R[0], F[0]), (R[1], F[1]))
+    c1, c2, dr = _exchange_rhs(state, R, F)
     rhs = c1 - c2 - dr
     scale = max(frobenius_norm(lhs), frobenius_norm(c1), frobenius_norm(c2),
                 frobenius_norm(dr), 1.0)

@@ -133,7 +133,11 @@ class YangXXX(RMatrixFamily):
 
     def R_with_F(self, spectral, q):
         R = self.R(spectral, q)
-        return R, self._r(np.asarray(q, dtype=complex), 1)
+        # F^z(q) = -P/q^2 does not depend on z: the same stack along the
+        # axes of the spectral point
+        F = np.empty_like(R)
+        F[...] = self._r(np.asarray(q, dtype=complex), 1)
+        return R, F
 
     def _r(self, z, d):
         """d-th z-derivative of r(z) = P/z, also that of R^hbar(z) for

@@ -418,7 +418,8 @@ def sector_table(flavor, sectors, z, u, upto):
     the broadcast shape pairs one z with one u.  phi_a(z, w) =
     exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) = theta'(0) theta(z + w)
     / (theta(z) theta(w)).  One theta_sum call (to order upto + 1) covers
-    every z, every w = omega_a + u (once per sector for a number u) and
+    every z, every w = omega_a + u (once per sector and element of u,
+    however often the broadcast repeats it) and
     every z + w, and its cell reduction is the pole guard of all of them.
 
     Returns (log_z, phi, f), arrays with the broadcast shape in front:
@@ -434,8 +435,15 @@ def sector_table(flavor, sectors, z, u, upto):
         raise ValueError("order must be 0, 1 or 2")
     z = np.asarray(z, dtype=complex)
     u = np.asarray(u, dtype=complex)
+    # ws below has one row per element of u; row picks the row of each
+    # element of the broadcast
+    row = slice(None)
     if u.ndim:
-        z, u = np.broadcast_arrays(z, u)
+        z, ub = np.broadcast_arrays(z, u)
+        if ub.shape != u.shape:
+            # a u repeated along the broadcast enters the series once
+            row = np.broadcast_to(np.arange(u.size).reshape(u.shape),
+                                  z.shape).reshape(-1)
     shape, zs, us = z.shape, z.reshape(-1), u.reshape(-1).tolist()
     # ws[k, i] = omega_a + u for a = sectors[i], one row per element of u
     omegas = [a.omega(flavor.tau) for a in sectors]
@@ -443,7 +451,8 @@ def sector_table(flavor, sectors, z, u, upto):
                   dtype=complex).reshape(len(us), len(omegas))
     twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
     P, (U, S) = len(zs), ws.shape
-    args = np.concatenate([zs, ws.reshape(-1), (zs[:, None] + ws).reshape(-1)])
+    args = np.concatenate([zs, ws.reshape(-1),
+                           (zs[:, None] + ws[row]).reshape(-1)])
     t, c, n = _theta_rows(flavor, tuple(args.tolist()), upto + 1)
     # order-major views of the three argument groups
     W = P + U * S
@@ -454,8 +463,8 @@ def sector_table(flavor, sectors, z, u, upto):
     log_z = _log_derivs(tz)
     log_z[0] = log_z[0] - TWO_PI_I * n[:P]
     p = _theta_at_zero(flavor.tau, flavor.trunc_tol)[0] \
-        * np.exp(zs[:, None] * twist + czw - cz - cw) \
-        * tzw[0] / (tz[0][:, None] * tw[0])
+        * np.exp(zs[:, None] * twist + czw - cz - cw[row]) \
+        * tzw[0] / (tz[0][:, None] * tw[0][row])
     phi = [p]
     f = None
     if upto:

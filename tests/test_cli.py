@@ -315,8 +315,9 @@ def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_check_exchange_no_one_row_sector_sum(tmp_path, capsys, monkeypatch):
-    # the diagonal of each pair table, r(z) P and m(z) P, is one two-row bb
-    # sector sum, and its off-diagonal one stack: no sum has a single row
+    # the diagonals of a pair's four tables, r(z) P and m(z) P at z, w,
+    # z - w and w - z, are one eight-row bb sector sum, and their
+    # off-diagonals one stack: no sum has a single row
     path = write_config(tmp_path, family="bb", N=3, M=3, tau=[0.1, 1.1],
                         seed=0)
     rows = []
@@ -330,7 +331,7 @@ def test_check_exchange_no_one_row_sector_sum(tmp_path, capsys, monkeypatch):
     code, out, _ = run_capture(capsys, [
         "check-exchange", "--config", path, "--pairs", "10"])
     assert code == 0
-    assert rows.count(2) == 40 and min(rows) == 2
+    assert rows.count(8) == 10 and min(rows) == 8
 
 
 def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
@@ -402,6 +403,43 @@ def test_check_exchange_without_residual_exits_2(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert "no (z, w) pair" in err
+
+
+def test_check_exchange_checks_every_requested_pair(tmp_path, capsys,
+                                                    monkeypatch):
+    # 250 pairs take more than 200 draws: each is checked
+    path = write_config(tmp_path, N=1)
+    checked = []
+    residual = cli.md.exchange_residual
+    monkeypatch.setattr(cli.md, "exchange_residual", lambda *args: (
+        checked.append(1), residual(*args))[1])
+    code, out, _ = run_capture(capsys, [
+        "check-exchange", "--config", path, "--pairs", "250"])
+    assert code == 0
+    assert json.loads(out)["pairs"] == 250 and len(checked) == 250
+
+
+@pytest.mark.parametrize("cleared, message", [
+    (0, "no (z, w) pairs of the 10 requested"),
+    (3, "3 (z, w) pairs of the 10 requested")])
+def test_check_exchange_too_few_pairs_exits_2(tmp_path, capsys, monkeypatch,
+                                              cleared, message):
+    # z - w inside the pole margin on every draw after the first cleared
+    # ones: 40 draws per pair, then exit 2 naming how many pairs cleared
+    path = write_config(tmp_path, q0=[[0.1, 0.0], [0.6, 0.2]])
+    draws = []
+
+    def pole_distance(self, z):
+        draws.append(z)
+        return 1.0 if len(draws) <= cleared else 0.0
+
+    monkeypatch.setattr(cli.rm.RMatrixFamily, "pole_distance", pole_distance)
+    code, out, err = run_capture(capsys, [
+        "check-exchange", "--config", path, "--pairs", "10"])
+    assert code == 2
+    assert out == ""
+    assert message in err and "in 400 draws" in err
+    assert len(draws) == 400
 
 
 def test_bad_complex_flag(capsys):

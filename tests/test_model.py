@@ -442,17 +442,56 @@ def test_lax_residual_one_table_per_point(family_calls, key):
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])
 def test_exchange_residual_one_table_per_argument(family_calls, key):
+    # the pair tables of z, w, z - w and w - z are one stack: one R_with_F
+    # call over the spectral points against all ordered pairs, and one
+    # Rz_coefficients call for their diagonals
     fam = rm.make_family(key, N=2, tau=1j)
     M = 3
     st = md.random_state(fam, M, 1.0, seed=37)
     z, w = 0.41 + 0.13j, 0.17 + 0.52j
     md.exchange_residual(st, z, w)
     assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 4, "Rz_coefficients": 4}
-    tables = [args[0] for name, args in family_calls
-              if name == "Rz_coefficients"]
-    assert sorted(tables, key=lambda v: (v.real, v.imag)) == sorted(
-        [z, w, z - w, w - z], key=lambda v: (v.real, v.imag))
+        "R_with_F": 1, "Rz_coefficients": 1}
+    points = [z, w, z - w, w - z]
+    calls = dict(family_calls)
+    spectral, qs = calls["R_with_F"]
+    assert np.array_equal(spectral, np.reshape(points, (4, 1)))
+    q = np.array(st.q)
+    assert np.array_equal(qs, [q[i] - q[j] for i in range(M)
+                               for j in range(M) if i != j])
+    assert np.array_equal(calls["Rz_coefficients"][0], points)
+
+
+@pytest.mark.parametrize("key, N", [
+    ("xxx", 2), ("11v", 2), ("xxz", 2), ("7v", 2), ("bb", 2), ("bb", 3)])
+def test_exchange_rhs_matches_dense_commutators(key, N):
+    # the block-sparse r-matrix side against the dense (MN)^2 x (MN)^2
+    # commutators of the dynamical r-matrix; the spin is off the constraint
+    # surface, so that the q-derivative term does not vanish
+    fam = rm.make_family(key, N=N, tau=0.3 + 0.9j, C=0.7 + 0.2j)
+    M = 3
+    rng = np.random.default_rng(47)
+    spin = md.SpinConfig(M, N, rng.uniform(-1, 1, (M, M, N, N))
+                         + 1j * rng.uniform(-1, 1, (M, M, N, N)))
+    st = md.random_state(fam, M, 1.0, seed=47).replace(spin=spin)
+    z, w = 0.41 + 0.13j, 0.17 + 0.52j
+    dim = (M * N) ** 2
+    eM, eN = np.eye(M), np.eye(N)
+    Lz, Lw = (md.build_L(st, v).reshape(M, N, M, N) for v in (z, w))
+    L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
+    L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
+    r = md.classical_r_big(st, z, w)
+    # r_{2'1'21}(w, z): both factor pairs of r(w, z) swapped
+    rt = md.classical_r_big(st, w, z).reshape((M, M, N, N) * 2).transpose(
+        1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
+    want = (L1 @ r - r @ L1, L2 @ rt - rt @ L2,
+            md._r_big_q_derivative_sum(st, z, w))
+    got = md._exchange_rhs(st, *md._pair_tables(
+        st, np.array([z, w, z - w, w - z])))
+    assert np.max(np.abs(want[2])) > 0.1
+    for g, v in zip(got, want):
+        assert g.shape == (dim, dim)
+        assert np.max(np.abs(g - v)) <= 1e-13 * max(np.max(np.abs(v)), 1.0)
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])

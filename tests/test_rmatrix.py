@@ -282,6 +282,15 @@ def test_bb_one_series_per_distinct_argument(theta_calls):
                                 dz + 1)]
     for args, _ in theta_calls:
         assert len(set(args)) == len(args)
+    # spectral points (2, 1) against three pair differences: each
+    # omega_a + hbar/N enters once per spectral point, not once per pair
+    del theta_calls[:]
+    hbars, qs = [0.13 + 0.05j, 0.2 - 0.1j], [0.31 + 0.22j, -0.1 + 0.4j, 0.5j]
+    fam.R_with_F(np.reshape(hbars, (2, 1)), qs)
+    ws = [_omegas(fam, np.complex128(h) / N) for h in hbars]
+    want = qs * 2 + ws[0] + ws[1] + [q + w for row in ws for q in qs
+                                     for w in row]
+    assert theta_calls == [(tuple(want), 2)]
 
 
 def test_bb_eom_series_count(theta_calls):
@@ -408,6 +417,27 @@ def test_hbar_array_stacks_scalar_matrices(key):
         assert fam.R(hs[0, 0], empty, dz).shape == (0, 4, 4)
     same(fam.m(zs), each(fam.m, zs))
     assert fam.m(empty).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_spectral_array_against_pairs(key):
+    # a (k, 1) array of spectral points against P pair differences gives
+    # (k, P) stacks of R^z and F^z (F's spectral point broadcasts too), and
+    # Rz_coefficients over the k points a (k,) stack: one call per point
+    # gives the same matrices
+    fam = rm.make_family(key, N=2, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    rng = np.random.default_rng(25)
+    zs, qs = (np.array([rm._draw(rng, fam, margin=0.1) for _ in range(n)])
+              for n in (3, 4))
+    got = fam.R_with_F(zs[:, None], qs) + fam.Rz_coefficients(zs)
+    want = zip(*(fam.R_with_F(z, qs) + fam.Rz_coefficients(z) for z in zs))
+    for g, w in zip(got, want):
+        w = np.array(w)
+        assert g.shape == w.shape
+        if key == "bb":
+            assert np.linalg.norm(g - w) <= 1e-14 * np.linalg.norm(w)
+        else:
+            assert np.array_equal(g, w)
 
 
 def test_m0_cached_read_only():
