@@ -170,9 +170,8 @@ def random_positions(family, M, rng, margin=0.05):
     for _ in range(2000):
         q = [sf.sample_point(rng, family.flavor, eps=margin)
              for _ in range(M)]
-        ok = all(family.pole_distance(q[i] - q[j]) > margin
-                 for i in range(M) for j in range(M) if i != j)
-        if ok:
+        diff = np.subtract.outer(q, q)[~np.eye(M, dtype=bool)]
+        if np.all(family.pole_distance(diff) > margin):
             return tuple(q)
     raise DegenerateDraw("failed to draw pole-avoiding positions")
 
@@ -503,18 +502,6 @@ def _flow_L(R, Mz, flow):
     weight = (dq[:, None] - dq[None, :])[:, None, :, None]
     out += (weight * Mz.reshape(M, N, M, N)).reshape(M * N, M * N)
     return _plus_diagonal(out, dp)
-
-
-def flow_L(state, z, flow=None):
-    """{H, L(z)} assembled by the chain rule from the bracket-side flow.
-
-    The flow does not depend on z: pass flow = bracket_flow(state) to share
-    one evaluation between several spectral points.
-    """
-    if flow is None:
-        flow = bracket_flow(state)
-    R, F = _pair_tables(state, z)
-    return _flow_L(R, _contract(F, state.spin.matrix), flow)
 
 
 def _lax_check(state, z, flow):

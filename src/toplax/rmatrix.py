@@ -8,14 +8,12 @@ construction relies on.
 """
 
 import cmath
-import functools
 
 import numpy as np
 
 from . import specfun as sf
-from .tensor import (MAX_ARRAY_BYTES, all_sectors, check_scale, eye, kron,
-                     permutation_P, sin_basis_T_int, partial_trace_1,
-                     partial_trace_2)
+from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, kron, permutation_P,
+                     sin_basis_T_int, partial_trace_1, partial_trace_2)
 
 
 class RMatrixFamily:
@@ -329,7 +327,7 @@ class BaxterBelavin(RMatrixFamily):
     def __init__(self, N=2, tau=1j):
         super().__init__(N, sf.Flavor.elliptic(tau))
         self.tau = self.flavor.tau
-        self._sectors = all_sectors(self.N)
+        self._sectors = sf.all_sectors(self.N)
         # the zero sector comes first and T_0 (x) T_0 is the identity
         self._nonzero = self._sectors[1:]
         self._omegas = np.array([a.omega(self.tau) for a in self._nonzero])
@@ -496,16 +494,9 @@ def perm23(N):
 # Each identity below forms its three-site products as (n, N^3, N^3) stacks
 # over n samples and drops them on return; a residual is one per sample.
 
-def _norms(T):
-    """Frobenius norm of a matrix, or of each matrix of a stack."""
-    return np.linalg.norm(T, axis=(-2, -1))
-
-
-def _rel(diff, *terms):
-    """Relative residual per sample: |diff| over the largest |term|, or
-    |diff| itself where every term vanishes."""
-    scale = functools.reduce(np.maximum, map(_norms, terms))
-    return _norms(diff) / np.where(scale == 0.0, 1.0, scale)
+def _norms(*mats):
+    """Frobenius norms of the matrices (per matrix of a stack) for sf._rel."""
+    return [np.linalg.norm(T, axis=(-2, -1)) for T in mats]
 
 
 def _chunk_size(N):
@@ -519,7 +510,7 @@ def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
     lhs = embed12(R12, N) @ embed23(R23, N)
     t1 = embed13(R13, N) @ embed12(R12b, N)
     t2 = embed23(R23b, N) @ embed13(R13b, N)
-    return _rel(lhs - t1 - t2, lhs, t1, t2)
+    return sf._rel(*_norms(lhs - t1 - t2, lhs, t1, t2))
 
 
 def _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y):
@@ -529,7 +520,7 @@ def _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y):
     R13 = embed13(Rzxy, N)
     b1 = embed23(F0y, N) @ R13
     b2 = R13 @ embed12(F0x, N)
-    return _rel(a1 - a2 - b1 + b2, a1, a2, b1, b2)
+    return sf._rel(*_norms(a1 - a2 - b1 + b2, a1, a2, b1, b2))
 
 
 def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, Rz0, Rz1, F0x):
@@ -541,7 +532,7 @@ def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, Rz0, Rz1, F0x):
     b1 = embed23(family.r1(), N) @ Rx
     b2 = Rx @ embed12(F0x, N)
     b3 = 0.5 * perm23(N) @ embed13(Rzx2, N)
-    return _rel(a1 - a2 - b1 + b2 + b3, a1, a2, b1, b2, b3)
+    return sf._rel(*_norms(a1 - a2 - b1 + b2 + b3, a1, a2, b1, b2, b3))
 
 
 def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, Rz0, Rz1, F0y):
@@ -553,7 +544,7 @@ def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, Rz0, Rz1, F0y):
     b1 = embed23(F0y, N) @ Ry
     b2 = Ry @ embed12(family.r1(), N)
     b3 = 0.5 * embed13(Rzy2, N) @ embed12(permutation_P(N), N)
-    return _rel(a1 - a2 - b1 + b2 - b3, a1, a2, b1, b2, b3)
+    return sf._rel(*_norms(a1 - a2 - b1 + b2 - b3, a1, a2, b1, b2, b3))
 
 
 def _q_product(N, Rzq, Rz_q, rz, rq, F0z, F0q):
@@ -566,7 +557,7 @@ def _q_product(N, Rzq, Rz_q, rz, rq, F0z, F0q):
     c2 = r32q @ r13z @ P13
     c3 = embed13(F0z, N) @ P13
     c4 = embed23(swap_sites(F0q, N), N) @ P13
-    return _rel(lhs - c1 + c2 + c3 - c4, lhs, c1, c2, c3, c4)
+    return sf._rel(*_norms(lhs - c1 + c2 + c3 - c4, lhs, c1, c2, c3, c4))
 
 
 def _half_cybe(N, rz, rw, rzw, mz, mw, mzw):
@@ -577,8 +568,8 @@ def _half_cybe(N, rz, rw, rzw, mz, mw, mzw):
     m1 = embed12(mz, N)
     m2 = embed23(mw, N)
     m3 = embed13(mzw, N)
-    return _rel(p1 - p2 + p3 - m1 - m2 - m3, p1, p2, p3, m1, m2, m3,
-                eye(N ** 3))
+    return sf._rel(*_norms(p1 - p2 + p3 - m1 - m2 - m3, p1, p2, p3, m1, m2,
+                           m3, eye(N ** 3)))
 
 
 def _half_cybe_limit(family, rz, F0z, mz):
@@ -594,52 +585,50 @@ def _half_cybe_limit(family, rz, F0z, mz):
     c3 = embed13(F0z, N) @ perm23(N)
     m1 = embed12(mz, N)
     m3 = embed13(mz, N)
-    return _rel(p1 - c1 + c2 + c3 - m1 - m0_23 - m3,
-                p1, c1, c2, c3, m1, m0_23, m3, eye(N ** 3))
+    return sf._rel(*_norms(p1 - c1 + c2 + c3 - m1 - m0_23 - m3,
+                           p1, c1, c2, c3, m1, m0_23, m3, eye(N ** 3)))
 
 
-def _certify_stack(family, record, hb, et, z, w, x, y):
-    """Record every sampled identity over the sample arrays hb, ..., y,
-    with one family call per distinct kernel argument (F^0 as r(q, d=1));
-    returns the measured (phi_tilde, E1_tilde) per sample."""
+def _certify_stack(family, hb, et, z, w, x, y):
+    """Every sampled identity over the sample arrays hb, ..., y, with one
+    family call per distinct kernel argument (F^0 as r(q, d=1)): {name:
+    residual per sample} and the measured (phi_tilde, E1_tilde)."""
     N, P = family.N, family._P
     R, F, r, m = family.R, family.F, family.r, family.m
     I2 = eye(N * N)
+    out = {}
 
     A = R(hb, z)
-    record("aybe", _aybe(N, A, R(et, w), R(et, z + w), R(hb - et, z),
-                         R(et - hb, w), R(hb, z + w)))
+    out["aybe"] = _aybe(N, A, R(et, w), R(et, z + w), R(hb - et, z),
+                        R(et - hb, w), R(hb, z + w))
 
     # skew-symmetry
     B = -swap_sites(R(-hb, -z), N)
-    record("skew_symmetry", _rel(A - B, A, B))
+    out["skew_symmetry"] = sf._rel(*_norms(A - B, A, B))
 
     # unitarity: product is scalar, scalar equals wp(hb) - wp(z)
     prod = A @ swap_sites(R(hb, -z), N)
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
-    record("unitarity_scalar", _rel(prod - scal[..., None, None] * I2, prod))
+    out["unitarity_scalar"] = sf._rel(
+        *_norms(prod - scal[..., None, None] * I2, prod))
     wp = sf.weierstrass_p(family.flavor, np.stack([hb, z]))
     target = wp[0] - wp[1]
-    denom = np.maximum(np.maximum(abs(scal), abs(target)), 1.0)
-    record("unitarity_value", abs(scal - target) / denom)
+    out["unitarity_value"] = sf._rel(scal - target, scal, target, 1.0)
 
     # Fourier symmetry
     lhs = A @ P
     rhs = R(z, hb)
-    record("fourier_symmetry", _rel(lhs - rhs, lhs, rhs))
+    out["fourier_symmetry"] = sf._rel(*_norms(lhs - rhs, lhs, rhs))
 
-    # partial traces are scalar; record the measured functions
+    # partial traces are scalar; the measured functions are their traces
     rz = r(z)
     Rwz = R(w, z)
-    IN = eye(N)
-    trR = partial_trace_1(Rwz)
-    phit = np.trace(trR, axis1=-2, axis2=-1) / N
-    record("trace_scalar", _rel(trR - phit[..., None, None] * IN, trR))
-    trR2 = partial_trace_2(Rwz)
-    record("trace_scalar", _rel(trR2 - phit[..., None, None] * IN, trR2))
-    tr_r = partial_trace_1(rz)
-    e1t = np.trace(tr_r, axis1=-2, axis2=-1) / N
-    record("trace_scalar_r", _rel(tr_r - e1t[..., None, None] * IN, tr_r))
+    tr = np.stack([partial_trace_1(Rwz), partial_trace_2(Rwz),
+                   partial_trace_1(rz)])
+    phit, e1t = np.trace(tr[::2], axis1=-2, axis2=-1) / N
+    scal = np.stack([phit, phit, e1t])[..., None, None] * eye(N)
+    res = sf._rel(*_norms(tr - scal, tr))
+    out["trace_scalar"], out["trace_scalar_r"] = np.maximum(*res[:2]), res[2]
 
     # mixed relation between R and its argument derivative, and its
     # boundary degenerations
@@ -647,22 +636,21 @@ def _certify_stack(family, record, hb, et, z, w, x, y):
     F0x, F0y = r(x, d=1), r(y, d=1)
     mz = m(z)
     Rz0, Rz1 = rz @ P, mz @ P
-    record("mixed_rf", _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, R(z, x + y),
-                                 F0x, F0y))
-    record("mixed_rf_limit_y", _mixed_rf_limit_y(
-        family, Rzx, Fzx, R(z, x, dz=2), Rz0, Rz1, F0x))
-    record("mixed_rf_limit_x", _mixed_rf_limit_x(
-        family, Rzy, Fzy, R(z, y, dz=2), Rz0, Rz1, F0y))
+    out["mixed_rf"] = _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, R(z, x + y), F0x,
+                                F0y)
+    out["mixed_rf_limit_y"] = _mixed_rf_limit_y(
+        family, Rzx, Fzx, R(z, x, dz=2), Rz0, Rz1, F0x)
+    out["mixed_rf_limit_x"] = _mixed_rf_limit_x(
+        family, Rzy, Fzy, R(z, y, dz=2), Rz0, Rz1, F0y)
 
     # opposite-argument product in commutator form, q = x
     F0z = r(z, d=1)
-    record("q_product", _q_product(N, Rzx, R(z, -x), rz, r(x), F0z, F0x))
+    out["q_product"] = _q_product(N, Rzx, R(z, -x), rz, r(x), F0z, F0x)
 
     # half of the classical Yang-Baxter relation and its w -> 0 limit
-    record("half_cybe", _half_cybe(N, rz, r(w), r(z + w), mz, m(w),
-                                   m(z + w)))
-    record("half_cybe_limit", _half_cybe_limit(family, rz, F0z, mz))
-    return phit, e1t
+    out["half_cybe"] = _half_cybe(N, rz, r(w), r(z + w), mz, m(w), m(z + w))
+    out["half_cybe_limit"] = _half_cybe_limit(family, rz, F0z, mz)
+    return out, (phit, e1t)
 
 
 def _draw(rng, family, margin=0.05):
@@ -672,9 +660,9 @@ def _draw(rng, family, margin=0.05):
 def _expansion_radius(family):
     """Radius at 0 for r and R(., z): LAURENT_RADIUS times the shortest period
     and, on bb (guarded at z + omega_a), each pole distance of omega_a."""
-    sectors = family._nonzero if family.kind == "bb" else ()
-    return sf.LAURENT_RADIUS * min([sf.shortest_period(family.flavor)] + [
-        family.pole_distance(a.omega(family.tau)) for a in sectors])
+    d = family.pole_distance(family._omegas) if family.kind == "bb" else []
+    return sf.LAURENT_RADIUS * float(
+        np.min(d, initial=sf.shortest_period(family.flavor)))
 
 
 def measure_r1(family):
@@ -686,46 +674,39 @@ def measure_r1(family):
 def certify(family, n_samples, seed, tol):
     """Residual report for every R-matrix identity used by the construction.
 
-    All samples are drawn first, then each chunk of _chunk_size(N) of them
-    is one stack for _certify_stack.  Returns {"family", "N", "params",
+    All samples are drawn first; sf.max_residuals evaluates _certify_stack
+    over stacks of _chunk_size(N).  Returns {"family", "N", "params",
     "properties": {name: {max_residual, samples, tol, pass}}} plus the
     measured trace scalars.
     """
     N = family.N
     check_scale(16 * N ** 6, f"one sample's three-site stacks at N = {N}")
     rng = np.random.default_rng(seed)
-    worst = {}
-
-    def record(name, values):
-        # the max over samples; np.maximum keeps a NaN residual, which then
-        # fails its tolerance
-        worst[name] = float(np.maximum(worst.get(name, 0.0), np.max(values)))
-
-    samples = []
-    for _ in range(n_samples):
-        hb, et, z, w = sf.sample_tuple(
-            rng, family.flavor, 4, 0.05,
-            extra=[(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)])
-        x, y = sf.sample_tuple(rng, family.flavor, 2, 0.05, extra=[(1, 1)])
-        samples.append((hb, et, z, w, x, y))
-    samples = np.array(samples, dtype=complex).reshape(-1, 6)
+    # rows (hb, et, z, w, x, y)
+    samples = np.array([sf.sample_tuple(
+        rng, family.flavor, 4, 0.05,
+        extra=[(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)])
+        + sf.sample_tuple(rng, family.flavor, 2, 0.05, extra=[(1, 1)])
+        for _ in range(n_samples)], dtype=complex).reshape(-1, 6)
     measured = []
-    chunk = _chunk_size(N)
-    for start in range(0, len(samples), chunk):
-        measured.extend(zip(*np.broadcast_arrays(*_certify_stack(
-            family, record, *samples[start:start + chunk].T))))
+
+    def evaluate(stack):
+        residuals, traces = _certify_stack(family, *stack.T)
+        measured.extend(zip(*np.broadcast_arrays(*traces)))
+        return residuals
+
+    worst = sf.max_residuals(samples, _chunk_size(N), evaluate)
 
     # (v) classical expansion: the hbar-coefficients -1, 0 and 1 of R(hbar, z)
     z = _draw(rng, family)
-    closed = (eye(N * N), family.r(z), family.m(z))
-    got = sf.laurent_coefficients(lambda hb: family.R(hb, z), 0.0,
-                                  _expansion_radius(family), (-1, 0, 1))
-    record("classical_expansion",
-           list(map(sf.coefficient_residual, got, closed)))
+    worst["classical_expansion"] = float(sf.expansion_residual(
+        lambda hb: family.R(hb, z), 0.0, _expansion_radius(family),
+        {-1: eye(N * N), 0: family.r(z), 1: family.m(z)}, np.linalg.norm))
 
     # (xi) linear coefficient of r equals m(0) P, measured independently
-    record("r1_is_m0P",
-           sf.coefficient_residual(measure_r1(family), family.r1()))
+    r1, got = family.r1(), measure_r1(family)
+    worst["r1_is_m0P"] = float(sf._rel(
+        *map(np.linalg.norm, (got - r1, got, r1)), 1.0))
 
     properties = {name: {"max_residual": value, "samples": int(n_samples),
                          "tol": tol, "pass": bool(value < tol)}

@@ -98,6 +98,11 @@ class SectorIndex:
         return self.a1 == 0 and self.a2 == 0
 
 
+def all_sectors(N):
+    """All N^2 sector labels in row-major (a1, a2) order."""
+    return [SectorIndex(a1, a2, N) for a1 in range(N) for a2 in range(N)]
+
+
 @functools.lru_cache(maxsize=64)
 def _theta_weights(tau, tol, upto):
     """(h, W) for the reduced series: the half-integers h = +-(k + 1/2) for
@@ -171,11 +176,11 @@ def theta_derivs(z, tau, upto, trunc_tol=1e-16):
     s = -TWO_PI_I * n[0]
     try:
         scale = cmath.exp(c[0])
+        values = [complex(scale * sum(math.comb(d, k) * s ** (d - k)
+                                      * t[0, k] for k in range(d + 1)))
+                  for d in range(upto + 1)]
     except OverflowError:
-        scale = complex("inf")
-    values = [complex(scale * sum(math.comb(d, k) * s ** (d - k) * t[0, k]
-                                  for k in range(d + 1)))
-              for d in range(upto + 1)]
+        values = [math.inf]
     if not all(map(cmath.isfinite, values)):
         raise ThetaOverflow(
             f"theta at z = {z} is not representable in floating point "
@@ -215,36 +220,40 @@ def _theta_rows(flavor, args, upto):
     return t, c, n
 
 
+# (m, n) of the four lattice points around z, less its coordinates' floor
+_CORNERS = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+
+
 def pole_distance(flavor, z):
-    """Distance from z to the flavor's pole set."""
-    z = complex(z)
-    if flavor.kind == RATIONAL:
-        return abs(z)
+    """Distance from z, a number (giving a float) or an array, to the
+    flavor's pole set; hypot rounds as Python's abs does, so an array holds
+    the bits of its elements."""
+    z = np.asarray(z, dtype=complex)
     if flavor.kind == TRIGONOMETRIC:
         # poles at i*pi*Z
-        k = round(z.imag / cmath.pi)
-        return abs(complex(z.real, z.imag - k * cmath.pi))
-    tau = flavor.tau
-    # poles at m + n*tau: invert the lattice coordinates, scan neighbors
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    best = float("inf")
-    n0 = math.floor(b)
-    m0 = math.floor(a)
-    for n in (n0, n0 + 1):
-        for m in (m0, m0 + 1):
-            best = min(best, abs(z - (m + n * tau)))
-    return best
+        z = z.real + 1j * (z.imag - np.rint(z.imag / np.pi) * np.pi)
+    elif flavor.kind == ELLIPTIC:
+        # poles at m + n*tau: invert the lattice coordinates, take the four
+        # neighbors on a last axis
+        tau = flavor.tau
+        b = z.imag / tau.imag
+        m = np.floor(z.real - b * tau.real)[..., None] + _CORNERS[0]
+        n = np.floor(b)[..., None] + _CORNERS[1]
+        z = z[..., None] - (m + n * tau)
+    d = np.hypot(z.real, z.imag)
+    d = d.min(-1) if flavor.kind == ELLIPTIC else d
+    return float(d) if d.ndim == 0 else d
 
 
 def check_pole(flavor, *args, eps=POLE_EPS):
     """Raise PoleProximity if any argument, a number or an array of them,
-    sits within eps of a pole."""
+    sits within eps of a pole, naming the first such element (ravel
+    order)."""
     for z in args:
-        for v in np.ravel(z).tolist():
-            d = pole_distance(flavor, v)
-            if d <= eps:
-                raise PoleProximity(complex(v), d)
+        near = np.ravel(pole_distance(flavor, z)) <= eps
+        if near.any():
+            v = complex(np.ravel(z)[near.argmax()])
+            raise PoleProximity(v, pole_distance(flavor, v))
 
 
 def shortest_period(flavor):
@@ -266,24 +275,21 @@ LAURENT_RADIUS = 1 / 8
 def laurent_coefficients(g, center, radius, orders):
     """Coefficients c_j, j in orders, of g(center + h) = sum_j c_j h^j.
 
-    g is called once, on the array of LAURENT_POINTS points center +
-    radius*exp(i*theta_k), and returns a number or an array per point.
-    c_j = mean_k(g_k exp(-i*j*theta_k)) / radius^j is the trapezoidal rule,
-    off by (radius / d)^n relative for d the distance to the nearest other
+    center and radius are numbers, or arrays (one circle per element of
+    their broadcast) for a g with a number per point.  g is called once, on
+    the LAURENT_POINTS points center + radius*exp(i*theta_k) of each circle
+    on a last axis, and returns a number or an array per point.  c_j =
+    mean_k(g_k exp(-i*j*theta_k)) / radius^j is the trapezoidal rule, off by
+    (radius / d)^n relative for d the distance to the nearest other
     singularity (Trefethen & Weideman, SIAM Rev. 56, 2014): 8^-16 here."""
     n = LAURENT_POINTS
     angles = 2.0 * math.pi * np.arange(n) / n
-    values = np.asarray(g(center + radius * np.exp(1j * angles)),
-                        dtype=complex)
+    points = np.expand_dims(center, -1) \
+        + np.expand_dims(radius, -1) * np.exp(1j * angles)
+    values = np.moveaxis(np.asarray(g(points), dtype=complex),
+                         points.ndim - 1, 0)
     return [np.tensordot(np.exp(-1j * j * angles), values, axes=1)
             / (n * radius ** j) for j in orders]
-
-
-def coefficient_residual(oracle, closed):
-    """|oracle - closed| over max(|oracle|, |closed|, 1), Frobenius norms
-    for matrices: a coefficient that vanishes reads its absolute error."""
-    norm = np.linalg.norm
-    return norm(oracle - closed) / max(norm(oracle), norm(closed), 1.0)
 
 
 def kappa_const(flavor):
@@ -500,68 +506,127 @@ def sample_point(rng, flavor, eps=1e-2):
     raise DegenerateDraw("sampling failed to clear the pole margin")
 
 
-def _rel(residual, *terms):
-    """|residual| over the largest |term|, elementwise, or |residual| itself
-    where every term vanishes; np.maximum keeps a NaN."""
-    scale = functools.reduce(np.maximum, map(np.abs, terms))
-    return np.abs(residual) / np.where(scale == 0.0, 1.0, scale)
-
-
 def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
     """Draw count points such that they, their pairwise sums and differences
     and their combinations with each coefficient row of extra clear eps."""
     for _ in range(1000):
         pts = [sample_point(rng, flavor, eps) for _ in range(count)]
-        combos = list(pts)
-        for i in range(count):
-            for j in range(i + 1, count):
-                combos += [pts[i] + pts[j], pts[i] - pts[j]]
-        combos += [sum(c * p for c, p in zip(row, pts)) for row in extra]
-        if all(pole_distance(flavor, c) > eps for c in combos):
+        p = np.array(pts)
+        i, j = np.triu_indices(count, 1)
+        combos = np.concatenate([p, p[i] + p[j], p[i] - p[j],
+                                 np.reshape(extra, (-1, count)) @ p])
+        if np.all(pole_distance(flavor, combos) > eps):
             return pts
     raise DegenerateDraw("sampling failed to clear the pole margin")
+
+
+# --- certification engine ---------------------------------------------------
+# Each suite (the one below, rmatrix.certify) draws its samples first, as
+# rows, then evaluates each identity once over stacks of them.
+
+def _rel(residual, *terms):
+    """|residual| over the largest |term|, elementwise, or |residual| itself
+    where every term vanishes (a term 1.0 floors the scale); np.maximum
+    keeps a NaN."""
+    scale = functools.reduce(np.maximum, map(np.abs, terms))
+    return np.abs(residual) / np.where(scale == 0.0, 1.0, scale)
+
+
+def expansion_residual(g, center, radius, closed, norm=np.abs):
+    """Per circle, the largest _rel over norm, floored at 1, of g's
+    laurent_coefficients at center against closed = {order: closed form}."""
+    got = laurent_coefficients(g, center, radius, closed)
+    return functools.reduce(np.maximum, [
+        _rel(norm(v - c), norm(v), norm(c), 1.0)
+        for v, c in zip(got, closed.values())])
+
+
+def max_residuals(samples, chunk, evaluate):
+    """{name: largest residual} over the rows of samples: evaluate maps a
+    stack of at most chunk rows to {name: one residual per row}, one stack
+    at a time.  np.maximum keeps a NaN, which then fails its tolerance."""
+    worst = {}
+    for start in range(0, len(samples), chunk):
+        for name, values in evaluate(samples[start:start + chunk]).items():
+            worst[name] = np.maximum(worst.get(name, 0.0), np.max(values))
+    return {name: float(value) for name, value in worst.items()}
+
+
+def _chunk_size(flavor, batch):
+    """Samples per stack if one sample's largest theta series has batch
+    arguments, each summed as 2K complex terms at once (K as at MIN_IM_TAU,
+    the most any modulus needs): the stack's series fit the array budget."""
+    from .tensor import MAX_ARRAY_BYTES   # tensor imports this module
+    h = _theta_weights(complex(0, MIN_IM_TAU), flavor.trunc_tol, 2)[0]
+    return max(1, MAX_ARRAY_BYTES // (16 * len(h) * batch))
 
 
 def _expansion_residuals(flavor, z, u):
     """Closed forms against expansion coefficients: phi(x, u) = 1/x + E1(u)
     + x*(E1(u)^2 - E2(u) - kappa/3)/2 + O(x^2) and E1(x) = 1/x + x*kappa/3
     + O(x^3) at x = 0; f(0, u) = -E2(u), the removable value of f(x, u)
-    there; and f(z, u), the linear coefficient of phi(z, .) at u."""
-    def residual(g, center, distance, closed):
-        got = laurent_coefficients(g, center, LAURENT_RADIUS * distance,
-                                   closed)
-        # np.max keeps a NaN residual, which then fails its tolerance
-        return np.max(list(map(coefficient_residual, got, closed.values())))
-
+    there; and f(z, u), the linear coefficient of phi(z, .) at u.  Each
+    circle is one kernel call over the arrays z and u."""
     period = shortest_period(flavor)
     # phi(x, u) and f(x, u) are guarded at x + u on the lattice too
-    near_u = min(period, pole_distance(flavor, u))
+    d_u = pole_distance(flavor, u)
+    near_u = LAURENT_RADIUS * np.minimum(period, d_u)
     kap = kappa_const(flavor)
     e1u, e2u = eisenstein_E1(flavor, u), eisenstein_E2(flavor, u)
-    return {
-        "phi_local_expansion": residual(
-            lambda x: kronecker_phi(flavor, x, u), 0.0, near_u,
+    return {   # z[..., None] and u[..., None] against the circle axis
+        "phi_local_expansion": expansion_residual(
+            lambda x: kronecker_phi(flavor, x, u[..., None]), 0.0, near_u,
             {-1: 1.0, 0: e1u, 1: (e1u * e1u - e2u - kap / 3.0) / 2.0}),
-        "e1_local_expansion": residual(
-            lambda x: eisenstein_E1(flavor, x), 0.0, period,
+        "e1_local_expansion": expansion_residual(
+            lambda x: eisenstein_E1(flavor, x), 0.0, LAURENT_RADIUS * period,
             {-1: 1.0, 0: 0.0, 1: kap / 3.0}),
-        "f_at_zero": residual(lambda x: phi_derivative_f(flavor, x, u), 0.0,
-                              near_u, {0: -e2u}),
-        "f_closed_form": residual(
-            lambda v: kronecker_phi(flavor, z, v), u,
-            min(pole_distance(flavor, u), pole_distance(flavor, z + u)),
+        "f_at_zero": expansion_residual(
+            lambda x: phi_derivative_f(flavor, x, u[..., None]), 0.0, near_u,
+            {0: -e2u}),
+        "f_closed_form": expansion_residual(
+            lambda v: kronecker_phi(flavor, z[..., None], v), u,
+            LAURENT_RADIUS * np.minimum(d_u, pole_distance(flavor, z + u)),
             {1: phi_derivative_f(flavor, z, u)}),
     }
 
 
-def _sector_identity_residuals(flavor, N, rng):
-    """One sample of the four lattice-sum identities for Z_N x Z_N sectors,
-    each one expression over all sectors: gamma indexes rows, alpha
-    columns."""
-    sectors = [SectorIndex(a1, a2, N) for a1 in range(N) for a2 in range(N)]
-    om = np.array([a.omega(flavor.tau) for a in sectors])
+def _core_residuals(flavor, samples):
+    """The Fay identity, its degenerations and the expansion oracles over a
+    stack of samples (eta, z, w, u): one call per kernel."""
+    eta, z, w, u = samples.T
+    # phi at every argument pair below, then f, wp, E2 and E1
+    (p_ez, p_ze, p_zu, p_wu, p_zwu, p_w2u, p_wzu, p_z2u, p_zw, p_zew, p_emz,
+     p_su) = kronecker_phi(
+        flavor, np.stack([eta, z, z, w, z - w, w, w - z, z, z, z, eta, z + w]),
+        np.stack([z, eta, u, u, u, u + u, u, u + u, w, eta + w, -z, u]))
+    f_zw, f_ze, f_su = phi_derivative_f(flavor, np.stack([z, z, z + w]),
+                                        np.stack([w, eta, u]))
+    wp_eta, wp_w, wp_z = weierstrass_p(flavor, np.stack([eta, w, z]))
+    e2_eta, e2_z = eisenstein_E2(flavor, np.stack([eta, z]))
+    e1_z, e1_w = eisenstein_E1(flavor, np.stack([z, w]))
+    # phi(z,q)phi(w,u) = phi(z-w,q)phi(w,q+u) + phi(w-z,u)phi(z,q+u), q = u
+    t1, t2, t3 = p_zu * p_wu, p_zwu * p_w2u, p_wzu * p_z2u
+    # phi(z,x)f(z,y) - phi(z,y)f(z,x) = phi(z,x+y)(wp(x) - wp(y)), x = eta
+    lhs, rhs = p_ze * f_zw - p_zw * f_ze, p_zew * (wp_eta - wp_w)
+    # phi(eta,z)phi(eta,-z) = wp(eta) - wp(z) = E2(eta) - E2(z)
+    prod, wdiff, ediff = p_ez * p_emz, wp_eta - wp_z, e2_eta - e2_z
+    # phi(z,u)phi(w,u) = phi(z+w,u)(E1(z) + E1(w)) - f(z+w,u)
+    sum_rhs = p_su * (e1_z + e1_w) - f_su
+    return {
+        "symmetry": _rel(p_ez - p_ze, p_ez),
+        "fay": _rel(t1 - t2 - t3, t1, t2, t3),
+        "wp_difference": _rel(lhs - rhs, lhs, rhs),
+        "unitarity": np.maximum(_rel(prod - wdiff, prod, wdiff),
+                                _rel(prod - ediff, prod, ediff)),
+        "e1_sum_product": _rel(t1 - sum_rhs, t1, sum_rhs),
+        **_expansion_residuals(flavor, z, u),
+    }
 
-    # keep N*q and q/N off the lattice as well
+
+def _sector_draw(rng, flavor, N):
+    """One sample (q, hb, z) of the lattice-sum identities: they, N*q, q/N
+    and their shifts by each omega_a keep off the lattice."""
+    om = np.array([a.omega(flavor.tau) for a in all_sectors(N)])
     while True:
         q = sample_point(rng, flavor)
         hb = sample_point(rng, flavor)
@@ -569,48 +634,57 @@ def _sector_identity_residuals(flavor, N, rng):
         pts = np.concatenate([[q, hb, z, N * hb, N * q, q / N], om + q,
                               N * q + om, om[1:] + z / N, N * hb + om + z / N,
                               om + hb])
-        if all(pole_distance(flavor, p) > 1e-2 for p in pts.tolist()):
-            break
+        if np.all(pole_distance(flavor, pts) > 1e-2):
+            return q, hb, z
 
-    a1 = np.array([a.a1 for a in sectors])
-    a2 = np.array([a.a2 for a in sectors])
+
+def _sector_residuals(flavor, N, samples):
+    """The four lattice-sum identities for Z_N x Z_N sectors over a stack
+    of samples (q, hb, z), each one expression over all samples and sectors
+    (gamma indexes rows of the phase, alpha columns)."""
+    sectors = all_sectors(N)
+    om = np.array([a.omega(flavor.tau) for a in sectors])
+    q, hb, z = samples.T
+    a1, a2 = np.array([(a.a1, a.a2) for a in sectors]).T
     # kappa^2(alpha, gamma) = exp(2*pi*i*(g1*a2 - g2*a1)/N)
     phase = np.exp(TWO_PI_I * (np.outer(a1, a2) - np.outer(a2, a1)) / N)
     out = {}
     # Fourier sum:
     # (1/N) sum_a kappa^2 phi_a(N*hb, w_a + z/N) = phi_g(z, w_g + hb)
-    _, (phi,), _ = sector_table(flavor, sectors, np.array([N * hb, z]),
-                                np.array([z / N, hb]), 0)
-    total = phase @ phi[0] / N
-    out["fourier_sum"] = np.max(_rel(total - phi[1], total, phi[1]))
+    _, (phi,), _ = sector_table(flavor, sectors, np.stack([N * hb, z], -1),
+                                np.stack([z / N, hb], -1), 0)
+    total = phi[:, 0] @ phase.T / N
+    out["fourier_sum"] = _rel(total - phi[:, 1], total, phi[:, 1]).max(-1)
 
     # residuals of the lattice sums are scaled by the largest summand, since
     # the sums themselves suffer heavy cancellation near the cell boundary
-    e2_shift, e2_frac = eisenstein_E2(flavor, np.stack([om + q, om + q / N]))
+    e2_shift, e2_frac = eisenstein_E2(
+        flavor, np.stack([om + q[:, None], om + (q / N)[:, None]]))
     # at x = N*q and x = q, -E2(x) and, for a != 0, the first z-derivative
     # phi_a(x, w_a)(E1(x + w_a) - E1(x) + 2*pi*i*a2/N) of phi_a(x, w_a)
     log_x, (_, dphi), _ = sector_table(flavor, sectors[1:],
-                                       np.array([N * q, q]), 0.0, 1)
+                                       np.stack([N * q, q]), 0.0, 1)
     e2_Nq, e2_q = -log_x[1]
 
     # lattice sum: sum_a E2(w_a + q) = N^2 E2(N*q)
     rhs = N * N * e2_Nq
-    out["e2_lattice_sum"] = _rel(e2_shift.sum() - rhs, rhs,
-                                 np.max(np.abs(e2_shift)))
+    out["e2_lattice_sum"] = _rel(e2_shift.sum(-1) - rhs, rhs,
+                                 np.max(np.abs(e2_shift), -1))
 
     # twisted sum, gamma != 0:
     # sum_a kappa^2 E2(w_a + q) = -N^2 phi_g(N*q, w_g)(E1(N*q+w_g)-E1(N*q)+c_g)
-    terms = phase[1:] * e2_shift
+    terms = phase[1:] * e2_shift[:, None]
     rhs = -N * N * dphi[0]
     out["e2_twisted_sum"] = np.max(
-        _rel(terms.sum(-1) - rhs, rhs, np.max(np.abs(terms), -1)))
+        _rel(terms.sum(-1) - rhs, rhs, np.max(np.abs(terms), -1)), -1)
 
     # converse: -E2(q) + sum_{a!=0} kappa^2 phi_a(q, w_a)(E1(q+w_a)-E1(q)+c_a)
     #           = -E2(w_g + q/N)
-    terms = phase[:, 1:] * dphi[1]
-    total = terms.sum(-1) - e2_q
-    out["e2_converse_sum"] = np.max(_rel(total + e2_frac, e2_frac, e2_q,
-                                         np.max(np.abs(terms), -1)))
+    terms = phase[:, 1:] * dphi[1][:, None]
+    total = terms.sum(-1) - e2_q[:, None]
+    out["e2_converse_sum"] = np.max(_rel(total + e2_frac, e2_frac,
+                                         e2_q[:, None],
+                                         np.max(np.abs(terms), -1)), -1)
     return out
 
 
@@ -619,61 +693,23 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
 
     Returns {"flavor", "samples", "seed", "identities": {name: max_residual}}.
     Sector identities are evaluated for the elliptic flavor only, for each
-    N in sector_sizes (they are lattice sums over Z_N x Z_N).
+    N in sector_sizes (they are lattice sums over Z_N x Z_N).  All samples
+    are drawn first; a stack's size follows from one sample's largest theta
+    series: 3 arguments per expansion-circle point, 2 + 4 N^2 per sector.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    worst = {}
-
-    def record(name, value):
-        # np.maximum keeps a NaN residual, which then fails its tolerance
-        worst[name] = float(np.maximum(worst.get(name, 0.0), value))
-
-    for _ in range(n_samples):
-        eta, z, w, u = sample_tuple(rng, flavor, 4)
-        q = u
-
-        p_ez = kronecker_phi(flavor, eta, z)
-        record("symmetry", _rel(p_ez - kronecker_phi(flavor, z, eta), p_ez))
-
-        t1 = kronecker_phi(flavor, z, q) * kronecker_phi(flavor, w, u)
-        t2 = kronecker_phi(flavor, z - w, q) * kronecker_phi(flavor, w, q + u)
-        t3 = kronecker_phi(flavor, w - z, u) * kronecker_phi(flavor, z, q + u)
-        record("fay", _rel(t1 - t2 - t3, t1, t2, t3))
-
-        # phi(z,x)f(z,y) - phi(z,y)f(z,x) = phi(z,x+y)(wp(x) - wp(y))
-        x, y = eta, w
-        lhs = (kronecker_phi(flavor, z, x) * phi_derivative_f(flavor, z, y)
-               - kronecker_phi(flavor, z, y) * phi_derivative_f(flavor, z, x))
-        rhs = kronecker_phi(flavor, z, x + y) * (
-            weierstrass_p(flavor, x) - weierstrass_p(flavor, y))
-        record("wp_difference", _rel(lhs - rhs, lhs, rhs))
-
-        # phi(eta,z)phi(eta,-z) = wp(eta) - wp(z) = E2(eta) - E2(z)
-        prod = p_ez * kronecker_phi(flavor, eta, -z)
-        wdiff = weierstrass_p(flavor, eta) - weierstrass_p(flavor, z)
-        ediff = eisenstein_E2(flavor, eta) - eisenstein_E2(flavor, z)
-        record("unitarity", _rel(prod - wdiff, prod, wdiff))
-        record("unitarity", _rel(prod - ediff, prod, ediff))
-
-        # phi(z,q)phi(w,q) = phi(z+w,q)(E1(z) + E1(w)) - f(z+w,q)
-        lhs = kronecker_phi(flavor, z, q) * kronecker_phi(flavor, w, q)
-        rhs = kronecker_phi(flavor, z + w, q) * (
-            eisenstein_E1(flavor, z) + eisenstein_E1(flavor, w)
-        ) - phi_derivative_f(flavor, z + w, q)
-        record("e1_sum_product", _rel(lhs - rhs, lhs, rhs))
-
-        for name, value in _expansion_residuals(flavor, z, u).items():
-            record(name, value)
-
-    if flavor.kind == ELLIPTIC:
-        for N in sector_sizes:
-            for _ in range(n_samples):
-                res = _sector_identity_residuals(flavor, N, rng)
-                for key, value in res.items():
-                    record(f"{key}_N{N}", value)
-
+    samples = np.array([sample_tuple(rng, flavor, 4)
+                        for _ in range(n_samples)])
+    worst = max_residuals(samples, _chunk_size(flavor, 3 * LAURENT_POINTS),
+                          functools.partial(_core_residuals, flavor))
+    for N in sector_sizes if flavor.kind == ELLIPTIC else ():
+        draws = np.array([_sector_draw(rng, flavor, N)
+                          for _ in range(n_samples)])
+        res = max_residuals(draws, _chunk_size(flavor, 2 + 4 * N * N),
+                            functools.partial(_sector_residuals, flavor, N))
+        worst.update((f"{key}_N{N}", value) for key, value in res.items())
     return {
         "flavor": flavor.kind,
         "tau": None if flavor.tau is None else [flavor.tau.real,

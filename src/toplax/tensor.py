@@ -111,11 +111,6 @@ def kappa(a: SectorIndex, b: SectorIndex):
     return cmath.exp(1j * cmath.pi * (b.a1 * a.a2 - b.a2 * a.a1) / a.N)
 
 
-def all_sectors(N):
-    """All N^2 sector labels in row-major (a1, a2) order."""
-    return [SectorIndex(a1, a2, N) for a1 in range(N) for a2 in range(N)]
-
-
 def commutator(A, B):
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)

@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from toplax import rmatrix as rm
 from toplax import specfun as sf
@@ -134,23 +136,37 @@ def test_skew_symmetry_of_classical_data():
         assert np.max(np.abs(fam.m(z) - P @ fam.m(-z) @ P)) < 1e-12, key
 
 
-def test_F0_mirror_identities():
+MIRROR_FAMILIES = [rm.make_family(key, tau=1j, C=0.7 + 0.2j)
+                   for key in rm.FAMILY_KEYS] + [
+    rm.make_family("bb", N=3, tau=0.3 + 0.8j)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hs.floats(-1.5, 1.5), hs.floats(-1.5, 1.5))
+def test_F0_mirror_identities(a, b):
     # eom_rhs evaluates each pair once and takes the mirror pair from
-    # F0(-q) = P F0(q) P and F0'(-q) = -P F0'(q) P (skew-symmetry of r)
-    rng = np.random.default_rng(6)
-    families = [rm.make_family(key, tau=1j, C=0.7 + 0.2j)
-                for key in rm.FAMILY_KEYS]
-    families.append(rm.make_family("bb", N=3, tau=0.3 + 0.8j))
-    for fam in families:
+    # F0(-q) = P F0(q) P and F0'(-q) = -P F0'(q) P (skew-symmetry of r);
+    # it reads both orders from one F0_with_derivative stack over its pairs,
+    # which holds the matrices of the per-element calls
+    q = complex(a, b)
+    norm = np.linalg.norm
+    for fam in MIRROR_FAMILIES:
+        # on bb the sector table also guards q + omega_a (and -q + omega_a,
+        # which is -(q + omega_-a)) against the lattice
+        omegas = fam._omegas if fam.kind == "bb" else []
+        if not np.all(fam.pole_distance(q + np.append(omegas, 0.0)) > 0.1):
+            continue
         P = tn.permutation_P(fam.N)
-        for _ in range(10):
-            q = rm._draw(rng, fam, margin=0.1)
-            for d, sign in ((0, 1.0), (1, -1.0)):
-                lhs = fam.F0(-q, d=d)
-                rhs = sign * P @ fam.F0(q, d=d) @ P
-                scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-                assert np.linalg.norm(lhs - rhs) < 1e-12 * scale, \
-                    f"{fam.label()} d={d} q={q}"
+        stack = fam.F0_with_derivative(np.array([q, -q]))
+        for d, sign in ((0, 1.0), (1, -1.0)):
+            lhs = fam.F0(-q, d=d)
+            rhs = sign * P @ fam.F0(q, d=d) @ P
+            assert norm(lhs - rhs) < 1e-12 * max(norm(lhs), norm(rhs)), \
+                f"{fam.label()} d={d} q={q}"
+            for k, v in enumerate((q, -q)):
+                one = fam.F0(v, d=d)
+                assert norm(stack[d][k] - one) <= 1e-13 * norm(one), \
+                    f"{fam.label()} d={d} q={v}"
 
 
 def _sector_basis(a):
@@ -173,7 +189,7 @@ def _sector_dz(fl, a, z, w, order):
 
 def _scalar_R(fam, hbar, z, dz):
     out = 0.0
-    for a in tn.all_sectors(fam.N):
+    for a in sf.all_sectors(fam.N):
         w = a.omega(fam.tau) + hbar / fam.N
         out = out + _sector_dz(fam.flavor, a, z, w, dz) * _sector_basis(a)
     return out / fam.N
@@ -184,7 +200,7 @@ def _scalar_r(fam, z, d):
     scal = (sf.eisenstein_E1(fl, z), -sf.eisenstein_E2(fl, z),
             -sf.eisenstein_E2_prime(fl, z))[d]
     out = scal * tn.eye(fam.N ** 2)
-    for a in tn.all_sectors(fam.N)[1:]:
+    for a in sf.all_sectors(fam.N)[1:]:
         out = out + _sector_dz(fl, a, z, a.omega(fam.tau), d) \
             * _sector_basis(a)
     return out / fam.N
@@ -194,13 +210,13 @@ def _scalar_m(fam, z):
     fl = fam.flavor
     e1 = sf.eisenstein_E1(fl, z)
     out = (e1 * e1 - sf.weierstrass_p(fl, z)) / 2.0 * tn.eye(fam.N ** 2)
-    for a in tn.all_sectors(fam.N)[1:]:
+    for a in sf.all_sectors(fam.N)[1:]:
         out = out + sf.sector_f(fl, a, z, 0.0) * _sector_basis(a)
     return out / fam.N ** 2
 
 
 def _sector_args_clear(fam, z, hbar, margin=0.05):
-    for a in tn.all_sectors(fam.N):
+    for a in sf.all_sectors(fam.N):
         w = a.omega(fam.tau)
         for x in (z, w + hbar / fam.N, z + w + hbar / fam.N, z + w):
             if fam.pole_distance(x) < margin:
@@ -256,7 +272,7 @@ def test_joint_orders_match_single_orders():
 
 
 def _omegas(fam, u=0.0):
-    return [a.omega(fam.tau) + u for a in tn.all_sectors(fam.N)]
+    return [a.omega(fam.tau) + u for a in sf.all_sectors(fam.N)]
 
 
 def test_bb_one_series_per_distinct_argument(theta_calls):
@@ -324,7 +340,7 @@ def test_bb_pole_guard_covers_each_argument_once(theta_calls):
 def test_bb_pole_guards_raise():
     N = 2
     fam = rm.make_family("bb", N=N, tau=1j)
-    for a in tn.all_sectors(N)[1:]:
+    for a in sf.all_sectors(N)[1:]:
         w = a.omega(fam.tau)
         # z + omega_{-a} sits 1e-9 from a lattice point
         with pytest.raises(PoleProximity):

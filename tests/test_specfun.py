@@ -160,16 +160,29 @@ def test_kernel_arrays_one_series(theta_calls):
 
 
 def test_expansion_and_sector_oracles_series_counts(theta_calls):
-    # each circle of the expansion oracle is one kernel call on its 16
-    # points, and each sector identity one expression over all sectors
+    # each circle of the expansion oracle is one kernel call on the 16
+    # points of every sample's circle, and each sector identity one
+    # expression over all samples and sectors: the count of series does
+    # not depend on the number of samples
     fl = sf.Flavor.elliptic(1j)
     sf.kappa_const(fl)
-    del theta_calls[:]
-    sf._expansion_residuals(fl, 0.31 + 0.42j, 0.27 + 0.66j)
-    assert len(theta_calls) <= 12
-    del theta_calls[:]
-    sf._sector_identity_residuals(fl, 3, np.random.default_rng(5))
-    assert len(theta_calls) <= 10
+    z, u = np.array([[0.31 + 0.42j, 0.27 + 0.66j],
+                     [0.52 + 0.13j, 0.18 + 0.71j],
+                     [0.66 + 0.35j, 0.41 + 0.24j]]).T
+    counts = []
+    for n in (1, 3):
+        del theta_calls[:]
+        sf._expansion_residuals(fl, z[:n], u[:n])
+        counts.append(len(theta_calls))
+    assert counts[0] == counts[1] <= 12
+    rng = np.random.default_rng(5)
+    draws = np.array([sf._sector_draw(rng, fl, 3) for _ in range(3)])
+    counts = []
+    for n in (1, 3):
+        del theta_calls[:]
+        sf._sector_residuals(fl, 3, draws[:n])
+        counts.append(len(theta_calls))
+    assert counts[0] == counts[1] <= 10
 
 
 def test_bad_modulus_rejected():
@@ -314,6 +327,61 @@ def test_pole_guard():
         sf.kronecker_phi(fl, 0.5, -0.5)  # eta + z on the pole
     with pytest.raises(PoleProximity):
         sf.eisenstein_E1(sf.Flavor.trigonometric(), 1j * cmath.pi)
+
+
+def _pole_distance_reference(flavor, z):
+    """Distance to the pole set in Python complex arithmetic, one number at
+    a time: the nearest of the four lattice points around z."""
+    if flavor.kind == sf.RATIONAL:
+        return abs(z)
+    if flavor.kind == sf.TRIGONOMETRIC:
+        return abs(complex(z.real, z.imag - round(z.imag / cmath.pi)
+                           * cmath.pi))
+    tau = flavor.tau
+    b = z.imag / tau.imag
+    a = z.real - b * tau.real
+    return min(abs(z - (m + n * tau))
+               for n in (math.floor(b), math.floor(b) + 1)
+               for m in (math.floor(a), math.floor(a) + 1))
+
+
+@pytest.mark.parametrize("flavor", [
+    sf.Flavor.rational(), sf.Flavor.trigonometric(), sf.Flavor.elliptic(1j),
+    sf.Flavor.elliptic(0.3 + 0.8j), sf.Flavor.elliptic(0.1 + 0.07j)])
+def test_pole_distance_takes_arrays(flavor):
+    # an array gives bit for bit the distances of its elements, and a number
+    # a float: points off the cell (|Im z| up to 12 Im tau) and, for the
+    # trigonometric flavor, next to Im z = (k + 1/2) pi, halfway between
+    # two poles
+    rng = np.random.default_rng(8)
+    height = 12 * (flavor.tau.imag if flavor.kind == sf.ELLIPTIC else 1.0)
+    far = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-height, height, 200)
+    k = np.arange(-4, 5)
+    halfway = rng.uniform(-1, 1, 9) + 1j * (
+        (k + 0.5) * np.pi + rng.uniform(-1e-12, 1e-12, 9))
+    zs = np.concatenate([far, halfway]).reshape(11, 19)
+    got = sf.pole_distance(flavor, zs)
+    assert got.shape == zs.shape
+    want = [_pole_distance_reference(flavor, complex(z)) for z in zs.ravel()]
+    assert got.ravel().tolist() == want
+    one = sf.pole_distance(flavor, complex(zs[3, 4]))
+    assert type(one) is float and one == got[3, 4]
+
+
+@pytest.mark.parametrize("flavor, pole", [
+    (sf.Flavor.rational(), 0.0), (sf.Flavor.trigonometric(), 1j * cmath.pi),
+    (sf.Flavor.elliptic(0.3 + 0.8j), 1.3 + 0.8j)])
+def test_check_pole_names_the_first_offending_element(flavor, pole):
+    # two elements sit inside the guard; the first in ravel order is named,
+    # with its own distance, though the later one is closer
+    zs = np.full((2, 3), pole + 0.4 + 0.1j)
+    zs[0, 2] = pole + 3e-7
+    zs[1, 1] = pole - 1e-7j
+    with pytest.raises(PoleProximity) as err:
+        sf.check_pole(flavor, 0.37 + 0.21j, zs)
+    assert err.value.argument == zs[0, 2]
+    assert err.value.distance == sf.pole_distance(flavor, zs[0, 2])
+    sf.check_pole(flavor, zs[1, 0], zs[:, :1])
 
 
 def test_eisenstein_rational_values():
@@ -504,6 +572,35 @@ def test_f_oracle_finds_a_perturbed_closed_form(monkeypatch, flavor):
                         lambda fl, z, q: f(fl, z, q) * (1.0 + 1e-9))
     report = sf.scalar_identity_report(flavor, 100, seed=0)
     assert not report["identities"]["f_closed_form"] < 1e-10
+
+
+@pytest.mark.parametrize("flavor, tol", [
+    (sf.Flavor.rational(), 0.0), (sf.Flavor.trigonometric(), 0.0),
+    (sf.Flavor.elliptic(0.3 + 0.8j), 1e-15)])
+def test_identity_report_chunks_give_the_same_report(monkeypatch, flavor,
+                                                     tol):
+    # stacks of 7 samples give the report of one stack of all 30: the
+    # closed forms are elementwise, so bit for bit on the rational and
+    # trigonometric flavors
+    whole = sf.scalar_identity_report(flavor, 30, seed=3)
+    monkeypatch.setattr(sf, "_chunk_size", lambda flavor, batch: 7)
+    chunked = sf.scalar_identity_report(flavor, 30, seed=3)
+    assert chunked["identities"].keys() == whole["identities"].keys()
+    for name, value in whole["identities"].items():
+        assert abs(chunked["identities"][name] - value) <= tol, name
+
+
+def test_identity_report_series_count_does_not_grow(theta_calls):
+    # every identity is one kernel call over the whole stack of samples,
+    # so 100 samples take as many theta series as 10
+    fl = sf.Flavor.elliptic(1j)
+    sf.scalar_identity_report(fl, 1, seed=0)   # fills the modulus caches
+    counts = []
+    for samples in (10, 100):
+        del theta_calls[:]
+        sf.scalar_identity_report(fl, samples, seed=0)
+        counts.append(len(theta_calls))
+    assert counts[0] == counts[1]
 
 
 def test_identity_report_rejects_empty():

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toplax import specfun as sf
 from toplax import tensor as tn
 
 
@@ -138,8 +139,8 @@ def test_sin_basis_trace_pairing():
 
 def test_sin_basis_products():
     N = 3
-    for a in tn.all_sectors(N):
-        for b in tn.all_sectors(N):
+    for a in sf.all_sectors(N):
+        for b in sf.all_sectors(N):
             lhs = tn.sin_basis_T_int(a.a1, a.a2, N) \
                 @ tn.sin_basis_T_int(b.a1, b.a2, N)
             c = a + b
@@ -153,7 +154,7 @@ def test_sin_basis_products():
 
 
 def test_kappa_diagonal_is_one():
-    for a in tn.all_sectors(3):
+    for a in sf.all_sectors(3):
         assert abs(tn.kappa(a, a) - 1.0) < 1e-15
 
 
