@@ -29,10 +29,11 @@ F0_with_derivative call, and a pair table takes R^z and F^z of all ordered
 pairs from one R_with_F call.
 
 The exchange check reads the tables of z, w, z - w and w - z as one stack
-from one R_with_F and one Rz_coefficients call.  Its r-matrix side is
-block-sparse: r(z, w) and r_{2'1'21}(w, z) are nonzero only on the blocks
-E_ij x E_ji, so each commutator with L(z) x 1 or 1 x L(w) is a pair of
-scatter-adds of small contractions, with no dense matrix product.
+from one R_with_F and one Rz_coefficients call.  Both of its sides live on
+the entries of Mat(M)^2 x Mat(N)^2 with l = i or k = j (r(z, w) and
+r_{2'1'21}(w, z) are nonzero only on the blocks E_ij x E_ji), so every term
+is a small contraction written onto one of two (M, M, M, N, N, N, N)
+support planes, with no dense (MN)^2 x (MN)^2 array.
 """
 
 import cmath
@@ -530,40 +531,58 @@ def lax_residual(state, z):
 
 # --- classical exchange relation ------------------------------------------
 
+# Both sides of the exchange relation vanish off the entries
+# [i, k, a, c, j, l, b, d] (primed factors first) with l = i or k = j, so
+# each side is held as one (2, M, M, M, N, N, N, N) stack of two planes:
+# plane 0 is l = i, indexed [i, k, j, a, c, b, d], and plane 1 is k = j,
+# indexed [k, i, l, a, c, b, d].  Their overlap l = i, k = j is kept in
+# plane 1 (_fold_overlap), so that every entry is held once.
+
 # the spin-sector terms contract the w table with the spin first, then the
 # z table as a batched matrix product (ten times faster at N = M = 3 than
 # one three-operand einsum, numpy 2.4)
 _B_THEN_A = ["einsum_path", (1, 2), (0, 1)]
 
 
+def _fold_overlap(X):
+    """Add the overlap of plane 0 (l = i, k = j) into plane 1 and zero it
+    there, in place."""
+    s = np.arange(X.shape[1])
+    X[1][:, s, s] += X[0][:, s, s].swapaxes(0, 1)
+    X[0][:, s, s] = 0
+    return X
+
+
 def _exchange_lhs(state, tables_z, tables_w):
-    """{L_{1'1}(z), L_{2'2}(w)} entrywise by the Poisson-bracket oracle,
-    in the primed-first flattening Mat(M) x Mat(M) x Mat(N) x Mat(N), from
-    the pair tables (R, F) of z and of w."""
+    """{L_{1'1}(z), L_{2'2}(w)} by the Poisson-bracket oracle on the support
+    planes, from the pair tables (R, F) of z and of w."""
     M, N = state.M, state.N
     S = state.spin.matrix
     S4 = S.reshape(M, N, M, N)
-    # gradients dL^{ij}_{ab}(z) / dS^{ij}_{xy} = A[i, j, a, y, b, x] (B at w)
-    # and q-derivatives D[i, a, j, b] = tr_2(S^ij_2 F_12(q_ij) P_12)_{ab},
-    # whose diagonal blocks carry zero weight below
-    A, B = tables_z[0].swapaxes(4, 5), tables_w[0].swapaxes(4, 5)
-    D1 = _contract(tables_z[1], S).reshape(M, N, M, N)
-    D2 = _contract(tables_w[1], S).reshape(M, N, M, N)
-    eM, eN = np.eye(M), np.eye(N)
-    X = eM[:, :, None] - eM[:, None, :]     # X[i, k, l] = d_ik - d_il
     s = np.arange(M)
-    out = np.zeros((M, M, N, N) * 2, dtype=complex)   # [i, k, a, c, j, l, b, d]
-    # spin sector, {S^ij_xy, S^kl_vw} = S^kj_vy d^il d_xw - S^il_xw d^kj d_yv;
-    # an index array on two axes puts the shared site first
-    out[s, :, :, :, :, s] += np.einsum("ijaybx,kicxdv,kvjy->ikacjbd",
-                                       A, B, S4, optimize=_B_THEN_A)
-    out[:, s, :, :, s] -= np.einsum("ijaybx,jlcwdy,ixlw->jiaclbd",
-                                    A, B, S4, optimize=_B_THEN_A)
-    # canonical sector, {p_i, q_k} = d_ik, through p_i on L^ii
-    out[s, :, :, :, s] += np.einsum("ikl,ab,kcld->ikaclbd", X, eN, D2)
-    out[:, s, :, :, :, s] -= np.einsum("kij,iajb,cd->kiacjbd", X, D1, eN)
-    dim = (M * N) ** 2
-    return out.reshape(dim, dim)
+    # gradients dL^{ij}_{ab}(z) / dS^{ij}_{xy} = A[i, j, a, y, b, x] (B at w)
+    # and q-derivatives D[i, a, j, b] = tr_2(S^ij_2 F_12(q_ij) P_12)_{ab} of
+    # the off-diagonal blocks, dL^{ij} / dq_i = -dL^{ij} / dq_j
+    A, B = tables_z[0].swapaxes(4, 5), tables_w[0].swapaxes(4, 5)
+    D1, D2 = (_contract(T[1], S).reshape(M, N, M, N)
+              for T in (tables_z, tables_w))
+    for D in (D1, D2):
+        D[s, :, s] = 0
+    eN = np.eye(N)
+    out = np.empty((2, M, M, M, N, N, N, N), dtype=complex)
+    # spin sector, {S^ij_xy, S^kl_vw} = S^kj_vy d^il d_xw - S^il_xw d^kj d_yv
+    np.einsum("ijaybx,kicxdv,kvjy->ikjacbd", A, B, S4, out=out[0],
+              optimize=_B_THEN_A)
+    np.einsum("ijaybx,jlcwdy,ixlw->jilacbd", A, B, -S4, out=out[1],
+              optimize=_B_THEN_A)
+    # canonical sector, {p_i, q_k} = d_ik: p_i on L^{ii}(z) meets q_i in
+    # L^{il}(w) (i = j = k) and L^{ki}(w) (l = i = j), and p_k on L^{kk}(w)
+    # meets q_k in L^{kj}(z) (k = l = i) and L^{ik}(z) (j = k = l)
+    out[1][s, s] += np.einsum("kcld,ab->klacbd", D2, eN)
+    out[0][s, :, s] -= np.einsum("kcid,ab->ikacbd", D2, eN)
+    out[0][s, s] -= np.einsum("iajb,cd->ijacbd", D1, eN)
+    out[1][s, :, s] += np.einsum("iakb,cd->kiacbd", D1, eN)
+    return _fold_overlap(out)
 
 
 def _exchange_blocks(T):
@@ -577,13 +596,6 @@ def _exchange_blocks(T):
     return out.reshape(dim, dim)
 
 
-def _r_big_and_q_derivative(state, z, w):
-    """classical_r_big and _r_big_q_derivative_sum from one pair table at
-    z - w: the q-derivative places (tr S^ii - tr S^jj) F^{z-w}(q_ij) P."""
-    R, F = _pair_tables(state, z - w)
-    return _exchange_blocks(R), _exchange_blocks(_trace_weight(state) * F)
-
-
 def _trace_weight(state):
     """tr S^ii - tr S^jj at [i, j], broadcast against a pair table."""
     tr = state.spin.traces()
@@ -595,58 +607,60 @@ def classical_r_big(state, z, w):
     sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P.
 
     A dense reference: exchange_residual reads its blocks directly."""
-    return _r_big_and_q_derivative(state, z, w)[0]
+    return _exchange_blocks(_pair_tables(state, z - w)[0])
 
 
 def _r_big_q_derivative_sum(state, z, w):
-    """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix (dense reference)."""
-    return _r_big_and_q_derivative(state, z, w)[1]
+    """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix, which places
+    (tr S^ii - tr S^jj) F^{z-w}(q_ij) P (dense reference)."""
+    return _exchange_blocks(_trace_weight(state)
+                            * _pair_tables(state, z - w)[1])
 
 
 def _exchange_rhs(state, R, F):
-    """(c1, c2, dr) of the exchange relation, each (MN)^2 x (MN)^2 with the
-    primed factors first: c1 = [L_{1'1}(z), r(z, w)], c2 = [L_{2'2}(w),
-    r_{2'1'21}(w, z)] and dr = sum_k tr(S^kk) d_{q_k} r(z, w), from the
-    pair tables R, F stacked at [z, w, z - w, w - z].
+    """(c1, c2, dr) of the exchange relation on the support planes:
+    c1 = [L_{1'1}(z), r(z, w)], c2 = [L_{2'2}(w), r_{2'1'21}(w, z)] and
+    dr = sum_k tr(S^kk) d_{q_k} r(z, w), from the pair tables R, F stacked
+    at [z, w, z - w, w - z].
 
     r(z, w) is nonzero only on the blocks E_ij x E_ji, where it is
     G[i, j] = R^{z-w}(q_ij) P (r(z - w) on i = j), and so is
     r_{2'1'21}(w, z), there H[i, j], its w - z table with both factor
-    pairs swapped.  A product with L_{1'1} = L(z) x 1 or L_{2'2} = 1 x L(w)
-    therefore lands on the entries [i, k, a, c, j, l, b, d] with k = j or
-    l = i, and each commutator is two scatter-adds of small contractions.
-    """
+    pairs swapped: dr lies on the overlap, and each product with L(z) x 1
+    or 1 x L(w) is one small contraction onto one plane."""
     M, N = state.M, state.N
     Lz, Lw = (_lax_L(state, T).reshape(M, N, M, N) for T in R[:2])
     G = R[2].swapaxes(4, 5)
     H = R[3].swapaxes(4, 5).transpose(1, 0, 3, 2, 5, 4)
+    c1, c2 = (np.empty((2, M, M, M, N, N, N, N), dtype=complex)
+              for _ in range(2))
+    np.einsum("skacyd,kyjb->skjacbd", G, -Lz, out=c1[0], optimize=True)
+    np.einsum("ialy,lsycbd->silacbd", Lz, G, out=c1[1], optimize=True)
+    np.einsum("kcjy,sjaybd->skjacbd", Lw, H, out=c2[0], optimize=True)
+    np.einsum("isacby,iyld->silacbd", H, -Lw, out=c2[1], optimize=True)
+    dr = np.zeros_like(c1)
     s = np.arange(M)
-    c1, c2 = (np.zeros((M, M, N, N) * 2, dtype=complex) for _ in range(2))
-    c1[:, s, :, :, s] += np.einsum("ialy,lsycbd->siaclbd", Lz, G)
-    c1[s, :, :, :, :, s] -= np.einsum("skacyd,kyjb->skacjbd", G, Lz)
-    c2[s, :, :, :, :, s] += np.einsum("kcjy,sjaybd->skacjbd", Lw, H)
-    c2[:, s, :, :, s] -= np.einsum("isacby,iyld->siaclbd", H, Lw)
-    dim = (M * N) ** 2
-    return (c1.reshape(dim, dim), c2.reshape(dim, dim),
-            _exchange_blocks(_trace_weight(state) * F[2]))
+    W = _trace_weight(state) * F[2]
+    dr[1][:, s, s] = W.transpose(1, 0, 2, 3, 5, 4)
+    return _fold_overlap(c1), _fold_overlap(c2), dr
 
 
 def exchange_residual(state, z, w):
     """Max relative residual of the classical exchange relation
     {L_{1'1}(z), L_{2'2}(w)} = [L_{1'1}(z), r] - [L_{2'2}(w), r_{2'1'21}]
-    - sum_k tr(S^kk) d_{q_k} r, with the pair tables of z, w, z - w and
-    w - z from one stack: one R_with_F and one Rz_coefficients call."""
-    spin = state.spin
-    M, N = spin.M, spin.N
-    check_scale((M * N) ** 4, f"the exchange relation at N = {N}, M = {M}")
+    - sum_k tr(S^kk) d_{q_k} r, on its two support planes, with the pair
+    tables of z, w, z - w and w - z from one stack: one R_with_F and one
+    Rz_coefficients call."""
+    M, N = state.M, state.N
+    check_scale(2 * M ** 3 * N ** 4,
+                f"the exchange relation at N = {N}, M = {M}")
     _require_constraints(state)
     R, F = _pair_tables(state, np.array([z, w, z - w, w - z]))
     lhs = _exchange_lhs(state, (R[0], F[0]), (R[1], F[1]))
     c1, c2, dr = _exchange_rhs(state, R, F)
-    rhs = c1 - c2 - dr
     scale = max(frobenius_norm(lhs), frobenius_norm(c1), frobenius_norm(c2),
                 frobenius_norm(dr), 1.0)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return float(np.max(np.abs(lhs - (c1 - c2 - dr))) / scale)
 
 
 # --- R-matrix-valued Calogero-Moser Lax pair -------------------------------

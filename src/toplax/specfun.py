@@ -220,10 +220,6 @@ def _theta_rows(flavor, args, upto):
     return t, c, n
 
 
-# (m, n) of the four lattice points around z, less its coordinates' floor
-_CORNERS = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-
-
 def pole_distance(flavor, z):
     """Distance from z, a number (giving a float) or an array, to the
     flavor's pole set; hypot rounds as Python's abs does, so an array holds
@@ -233,13 +229,15 @@ def pole_distance(flavor, z):
         # poles at i*pi*Z
         z = z.real + 1j * (z.imag - np.rint(z.imag / np.pi) * np.pi)
     elif flavor.kind == ELLIPTIC:
-        # poles at m + n*tau: invert the lattice coordinates, take the four
-        # neighbors on a last axis
+        # poles at m + n*tau: row floor(Im z / Im tau) holds a point within
+        # hypot(1/2, Im tau) of z, so the nearest lies in a row within K of
+        # it; each row n, on a last axis, offers its nearest point m
         tau = flavor.tau
-        b = z.imag / tau.imag
-        m = np.floor(z.real - b * tau.real)[..., None] + _CORNERS[0]
-        n = np.floor(b)[..., None] + _CORNERS[1]
-        z = z[..., None] - (m + n * tau)
+        K = math.ceil(math.hypot(0.5, tau.imag) / tau.imag)
+        n = np.floor(z.imag / tau.imag)[..., None] + np.arange(-K, K + 2)
+        z = z[..., None]
+        m = np.rint((z - n * tau).real)
+        z = z - (m + n * tau)
     d = np.hypot(z.real, z.imag)
     d = d.min(-1) if flavor.kind == ELLIPTIC else d
     return float(d) if d.ndim == 0 else d
@@ -424,16 +422,17 @@ def sector_table(flavor, sectors, z, u, upto):
     the broadcast shape pairs one z with one u.  phi_a(z, w) =
     exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) = theta'(0) theta(z + w)
     / (theta(z) theta(w)).  One theta_sum call (to order upto + 1) covers
-    every z, every w = omega_a + u (once per sector and element of u,
-    however often the broadcast repeats it) and
-    every z + w, and its cell reduction is the pole guard of all of them.
+    each element of z, each w = omega_a + u (once per sector and element
+    of u) and each z + w over the broadcast, and its cell reduction is the
+    pole guard of all of them.
 
-    Returns (log_z, phi, f), arrays with the broadcast shape in front:
-    log_z[k] is the (k + 1)-th z-derivative of log theta at z (E1, -E2,
-    -E2') for k <= upto + 1; phi[k][..., i] is the k-th z-derivative of
-    phi_a for a = sectors[i] and k <= upto (at most 2); for the number
-    u = 0 and upto >= 1, f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a), the
-    q-derivative of phi(z, q) at omega_a, and f is None otherwise.
+    Returns (log_z, phi, f): log_z[k], with the shape of z, is the
+    (k + 1)-th z-derivative of log theta at z (E1, -E2, -E2') for
+    k <= upto + 1; phi[k][..., i], with the broadcast shape in front, is the
+    k-th z-derivative of phi_a for a = sectors[i] and k <= upto (at most
+    2); for the number u = 0 and upto >= 1, f[..., i] =
+    exp(2*pi*i*a2*z/N) f(z, omega_a), the q-derivative of phi(z, q) at
+    omega_a, and f is None otherwise.
     """
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
@@ -441,51 +440,36 @@ def sector_table(flavor, sectors, z, u, upto):
         raise ValueError("order must be 0, 1 or 2")
     z = np.asarray(z, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    # ws below has one row per element of u; row picks the row of each
-    # element of the broadcast
-    row = slice(None)
-    if u.ndim:
-        z, ub = np.broadcast_arrays(z, u)
-        if ub.shape != u.shape:
-            # a u repeated along the broadcast enters the series once
-            row = np.broadcast_to(np.arange(u.size).reshape(u.shape),
-                                  z.shape).reshape(-1)
-    shape, zs, us = z.shape, z.reshape(-1), u.reshape(-1).tolist()
-    # ws[k, i] = omega_a + u for a = sectors[i], one row per element of u
-    omegas = [a.omega(flavor.tau) for a in sectors]
-    ws = np.array([[w + v for w in omegas] for v in us],
-                  dtype=complex).reshape(len(us), len(omegas))
+    # ws[..., i] = omega_a + u for a = sectors[i], per element of u; the
+    # sector axis comes last in every group
+    ws = u[..., None] + np.array([a.omega(flavor.tau) for a in sectors])
+    zc = z[..., None]
+    zw = zc + ws
     twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
-    P, (U, S) = len(zs), ws.shape
-    args = np.concatenate([zs, ws.reshape(-1),
-                           (zs[:, None] + ws[row]).reshape(-1)])
+    args = np.concatenate([zc.ravel(), ws.ravel(), zw.ravel()])
     t, c, n = _theta_rows(flavor, tuple(args.tolist()), upto + 1)
-    # order-major views of the three argument groups
-    W = P + U * S
-    tz = t[:P].T
-    tw = t[P:W].reshape(U, S, upto + 2).transpose(2, 0, 1)
-    tzw = t[W:].reshape(P, S, upto + 2).transpose(2, 0, 1)
-    cz, cw, czw = c[:P, None], c[P:W].reshape(U, S), c[W:].reshape(P, S)
+    # each group's values in its own shape, the order axis first
+    P, W = zc.size, zc.size + ws.size
+    cuts = ((0, P, zc.shape), (P, W, ws.shape), (W, len(args), zw.shape))
+    (tz, tw, tzw), (cz, cw, czw), (nz, nw, nzw) = (
+        [v[lo:hi].T.reshape(v.shape[1:] + shape) for lo, hi, shape in cuts]
+        for v in (t, c, n))
     log_z = _log_derivs(tz)
-    log_z[0] = log_z[0] - TWO_PI_I * n[:P]
+    log_z[0] = log_z[0] - TWO_PI_I * nz
     p = _theta_at_zero(flavor.tau, flavor.trunc_tol)[0] \
-        * np.exp(zs[:, None] * twist + czw - cz - cw[row]) \
-        * tzw[0] / (tz[0][:, None] * tw[0][row])
+        * np.exp(zc * twist + czw - cz - cw) * tzw[0] / (tz[0] * tw[0])
     phi = [p]
     f = None
     if upto:
         log_zw = _log_derivs(tzw[:upto + 1])
-        e1_zw = log_zw[0] - TWO_PI_I * n[W:].reshape(P, S)
-        d = twist + (e1_zw - log_z[0][:, None])
+        e1_zw = log_zw[0] - TWO_PI_I * nzw
+        d = twist + (e1_zw - log_z[0])
         phi.append(p * d)
         if upto == 2:
-            phi.append(p * (d * d + (log_zw[1] - log_z[1][:, None])))
-        if u.ndim == 0 and us[0] == 0:
-            e1_w = _log_derivs(tw)[0] - TWO_PI_I * n[P:W].reshape(U, S)
-            f = (p * (e1_zw - e1_w)).reshape(shape + (S,))
-    log_z = [v.reshape(shape) for v in log_z]
-    phi = [v.reshape(shape + (S,)) for v in phi]
-    return log_z, phi, f
+            phi.append(p * (d * d + (log_zw[1] - log_z[1])))
+        if u.ndim == 0 and u == 0:
+            f = p * (e1_zw - (_log_derivs(tw)[0] - TWO_PI_I * nw))
+    return [v[..., 0] for v in log_z], phi, f
 
 
 def sample_point(rng, flavor, eps=1e-2):

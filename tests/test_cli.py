@@ -88,6 +88,15 @@ def test_check_exchange(tmp_path, capsys):
     assert report["max_exchange_residual"] < 1e-9
 
 
+def test_check_exchange_at_32_sites(tmp_path, capsys):
+    # the exchange relation lives on two M^3 N^4 planes, 2^20 entries here
+    path = write_config(tmp_path, M=32, seed=0)
+    code, out, _ = run_capture(capsys, [
+        "check-exchange", "--config", path, "--pairs", "1"])
+    assert code == 0
+    assert json.loads(out)["max_exchange_residual"] < 1e-9
+
+
 def test_check_cm_rmx(capsys):
     code, out, _ = run_capture(capsys, [
         "check-cm-rmx", "--family", "xxx", "--n", "2", "--m", "2",
@@ -185,8 +194,8 @@ def test_fractional_size_exits_2(tmp_path, capsys, field):
 def test_oversized_arrays_exit_2(tmp_path, capsys, argv, overrides):
     # the largest array a command would allocate (N^4 per matrix, M^2 N^4
     # per pair table, 16 N^6 for the three-site matrices of one certify
-    # sample, (MN)^4 for the exchange relation) is checked against the byte
-    # budget before anything is allocated
+    # sample, 2 M^3 N^4 for the exchange relation) is checked against the
+    # byte budget before anything is allocated
     if overrides is not None:
         argv = argv + ["--config", write_config(tmp_path, **overrides)]
     code, out, err = run_capture(capsys, argv)

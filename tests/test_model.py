@@ -462,36 +462,121 @@ def test_exchange_residual_one_table_per_argument(family_calls, key):
     assert np.array_equal(calls["Rz_coefficients"][0], points)
 
 
+def _support_planes(X, M, N):
+    """A dense (MN)^2 x (MN)^2 array, primed factors first, on the two
+    support planes of the exchange relation (l = i, and k = j, which holds
+    the overlap), and the largest |X| off them."""
+    X = X.reshape((M, M, N, N) * 2)     # [i, k, a, c, j, l, b, d]
+    s = np.arange(M)
+    planes = np.stack([X[s, :, :, :, :, s], X[:, s, :, :, s]]).transpose(
+        0, 1, 2, 5, 3, 4, 6, 7)
+    planes[0][:, s, s] = 0
+    off = X.copy()
+    off[s, :, :, :, :, s] = 0
+    off[:, s, :, :, s] = 0
+    return planes, np.max(np.abs(off))
+
+
+def _off_constraint_state(fam, M, seed):
+    # a spin off the constraint surface, so that the q-derivative term of
+    # the exchange relation does not vanish
+    N = fam.N
+    rng = np.random.default_rng(seed)
+    spin = md.SpinConfig(M, N, rng.uniform(-1, 1, (M, M, N, N))
+                         + 1j * rng.uniform(-1, 1, (M, M, N, N)))
+    return md.random_state(fam, M, 1.0, seed=seed).replace(spin=spin)
+
+
 @pytest.mark.parametrize("key, N", [
     ("xxx", 2), ("11v", 2), ("xxz", 2), ("7v", 2), ("bb", 2), ("bb", 3)])
 def test_exchange_rhs_matches_dense_commutators(key, N):
-    # the block-sparse r-matrix side against the dense (MN)^2 x (MN)^2
-    # commutators of the dynamical r-matrix; the spin is off the constraint
-    # surface, so that the q-derivative term does not vanish
+    # the support planes of the r-matrix side against the dense
+    # (MN)^2 x (MN)^2 commutators of the dynamical r-matrix, which vanish
+    # off the support
     fam = rm.make_family(key, N=N, tau=0.3 + 0.9j, C=0.7 + 0.2j)
-    M = 3
-    rng = np.random.default_rng(47)
-    spin = md.SpinConfig(M, N, rng.uniform(-1, 1, (M, M, N, N))
-                         + 1j * rng.uniform(-1, 1, (M, M, N, N)))
-    st = md.random_state(fam, M, 1.0, seed=47).replace(spin=spin)
     z, w = 0.41 + 0.13j, 0.17 + 0.52j
-    dim = (M * N) ** 2
-    eM, eN = np.eye(M), np.eye(N)
-    Lz, Lw = (md.build_L(st, v).reshape(M, N, M, N) for v in (z, w))
-    L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
-    L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
-    r = md.classical_r_big(st, z, w)
-    # r_{2'1'21}(w, z): both factor pairs of r(w, z) swapped
-    rt = md.classical_r_big(st, w, z).reshape((M, M, N, N) * 2).transpose(
-        1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
-    want = (L1 @ r - r @ L1, L2 @ rt - rt @ L2,
-            md._r_big_q_derivative_sum(st, z, w))
-    got = md._exchange_rhs(st, *md._pair_tables(
-        st, np.array([z, w, z - w, w - z])))
-    assert np.max(np.abs(want[2])) > 0.1
-    for g, v in zip(got, want):
-        assert g.shape == (dim, dim)
-        assert np.max(np.abs(g - v)) <= 1e-13 * max(np.max(np.abs(v)), 1.0)
+    for M in (1, 2, 3, 4):
+        st = _off_constraint_state(fam, M, 47)
+        dim = (M * N) ** 2
+        eM, eN = np.eye(M), np.eye(N)
+        Lz, Lw = (md.build_L(st, v).reshape(M, N, M, N) for v in (z, w))
+        L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
+        L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
+        r = md.classical_r_big(st, z, w)
+        # r_{2'1'21}(w, z): both factor pairs of r(w, z) swapped
+        rt = md.classical_r_big(st, w, z).reshape((M, M, N, N) * 2) \
+            .transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
+        want = (L1 @ r - r @ L1, L2 @ rt - rt @ L2,
+                md._r_big_q_derivative_sum(st, z, w))
+        got = md._exchange_rhs(st, *md._pair_tables(
+            st, np.array([z, w, z - w, w - z])))
+        # the trace weight tr S^ii - tr S^jj is zero at M = 1
+        assert np.max(np.abs(want[2])) > (0.1 if M > 1 else -1)
+        for g, v in zip(got, want):
+            planes, off = _support_planes(v, M, N)
+            bound = 1e-13 * max(np.max(np.abs(v)), 1.0)
+            assert g.shape == planes.shape
+            assert off <= bound
+            assert np.max(np.abs(g - planes)) <= bound, (key, N, M)
+
+
+def _bracket_oracle(st, z, w):
+    """{L_{1'1}(z), L_{2'2}(w)} as a dense (MN)^2 x (MN)^2 array, primed
+    factors first, from build_L alone.
+
+    L is linear in S and p: its spin gradient is L on the unit spins at
+    p = 0, contracted with the gl(NM) Lie-Poisson tensor
+    {S_ab, S_cd} = S_cb d_ad - S_ad d_cb, and its p_m-derivative is L on
+    the zero spin at p = e_m.  The canonical part, {p_m, q_m} = 1, takes
+    the q_m-derivative from the contour oracle on a circle of 1/8 of the
+    nearest pair pole distance."""
+    M, N = st.M, st.N
+    n = M * N
+    q, e = np.array(st.q), np.eye(M)
+
+    def L_at(v, spin=st.spin, p=st.p, q=q):
+        return md.build_L(st.replace(q=q, p=p, spin=spin), v)
+
+    units = np.eye(n * n).reshape(n * n, n, n)
+    grads = [np.array([L_at(v, md.spin_from_matrix(E, M, N), np.zeros(M))
+                       for E in units]) for v in (z, w)]
+    S, eye = st.spin.matrix, np.eye(n)
+    poisson = np.einsum("cb,ad->abcd", S, eye) \
+        - np.einsum("ad,cb->abcd", S, eye)
+    out = np.einsum("pIJ,pq,qKL->IJKL", grads[0],
+                    poisson.reshape(n * n, n * n), grads[1])
+    zero = md.spin_from_matrix(np.zeros((n, n)), M, N)
+    pairs = np.subtract.outer(q, q)[~np.eye(M, dtype=bool)]
+    radius = min(st.family.pole_distance(pairs), default=1.0) / 8
+    for m in range(M):
+        dp = [L_at(v, zero, e[m]) for v in (z, w)]
+        dq = [sf.laurent_coefficients(
+            lambda hs: np.array([L_at(v, q=q + h * e[m]) for h in hs]),
+            0.0, radius, (1,))[0] for v in (z, w)]
+        out += np.einsum("IJ,KL->IJKL", dp[0], dq[1]) \
+            - np.einsum("IJ,KL->IJKL", dq[0], dp[1])
+    # [i, a, j, b, k, c, l, d] -> [i, k, a, c, j, l, b, d]
+    return out.reshape((M, N) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7) \
+        .reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("key, N", [("xxx", 2), ("bb", 2), ("bb", 3)])
+def test_exchange_lhs_matches_bracket_oracle(key, N):
+    # the Poisson-bracket side on its support planes against the bracket
+    # of two Lax matrices built from build_L alone, which vanishes off the
+    # support
+    fam = rm.make_family(key, N=N, tau=0.3 + 0.9j)
+    z, w = 0.41 + 0.13j, 0.17 + 0.52j
+    for M in (1, 2, 3):
+        st = _off_constraint_state(fam, M, 53)
+        want = _bracket_oracle(st, z, w)
+        planes, off = _support_planes(want, M, N)
+        got = md._exchange_lhs(st, md._pair_tables(st, z),
+                               md._pair_tables(st, w))
+        scale = np.max(np.abs(want))
+        assert got.shape == planes.shape
+        assert off <= 1e-13 * scale
+        assert np.max(np.abs(got - planes)) <= 1e-13 * scale, (key, N, M)
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])

@@ -298,15 +298,17 @@ def test_bb_one_series_per_distinct_argument(theta_calls):
                                 dz + 1)]
     for args, _ in theta_calls:
         assert len(set(args)) == len(args)
-    # spectral points (2, 1) against three pair differences: each
-    # omega_a + hbar/N enters once per spectral point, not once per pair
+    # spectral points (2, 1) against three pair differences: each pair
+    # difference enters once, not once per spectral point, and each
+    # omega_a + hbar/N once per spectral point, not once per pair
     del theta_calls[:]
     hbars, qs = [0.13 + 0.05j, 0.2 - 0.1j], [0.31 + 0.22j, -0.1 + 0.4j, 0.5j]
     fam.R_with_F(np.reshape(hbars, (2, 1)), qs)
     ws = [_omegas(fam, np.complex128(h) / N) for h in hbars]
-    want = qs * 2 + ws[0] + ws[1] + [q + w for row in ws for q in qs
-                                     for w in row]
+    want = qs + ws[0] + ws[1] + [q + w for row in ws for q in qs
+                                 for w in row]
     assert theta_calls == [(tuple(want), 2)]
+    assert len(set(want)) == len(want)
 
 
 def test_bb_eom_series_count(theta_calls):

@@ -331,7 +331,9 @@ def test_pole_guard():
 
 def _pole_distance_reference(flavor, z):
     """Distance to the pole set in Python complex arithmetic, one number at
-    a time: the nearest of the four lattice points around z."""
+    a time: elliptic, a brute-force scan over a box of lattice points
+    m + n*tau around z that holds every point within reach of z, reach
+    being the distance within which row floor(Im z / Im tau) has one."""
     if flavor.kind == sf.RATIONAL:
         return abs(z)
     if flavor.kind == sf.TRIGONOMETRIC:
@@ -340,9 +342,12 @@ def _pole_distance_reference(flavor, z):
     tau = flavor.tau
     b = z.imag / tau.imag
     a = z.real - b * tau.real
+    reach = math.hypot(0.5, tau.imag)
+    rows = math.ceil(reach / tau.imag) + 1
+    cols = math.ceil(rows * abs(tau.real) + reach) + 1
     return min(abs(z - (m + n * tau))
-               for n in (math.floor(b), math.floor(b) + 1)
-               for m in (math.floor(a), math.floor(a) + 1))
+               for n in range(math.floor(b) - rows, math.floor(b) + rows + 1)
+               for m in range(math.floor(a) - cols, math.floor(a) + cols + 1))
 
 
 @pytest.mark.parametrize("flavor", [
