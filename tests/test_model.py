@@ -2,6 +2,7 @@
 
 import cmath
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,6 +268,15 @@ def test_exchange_N1_derivative_term():
     dr = md._r_big_q_derivative_sum(st, 0.3, 0.1 + 0.2j)
     assert np.max(np.abs(dr)) < 1e-13
     assert md.exchange_residual(st, 0.3, 0.1 + 0.2j) < 1e-12
+
+
+def test_exchange_scale_guard():
+    # the largest arrays of the residual are its two support planes,
+    # 2 M^3 N^4 entries each: at M = 1 that is twice one dense (MN)^4 block,
+    # so N = 54 is over the budget; the check comes before the state is read
+    for M, N in ((1, 54), (16, 8)):
+        with pytest.raises(ScaleExceeded, match=f"N = {N}, M = {M}"):
+            md.exchange_residual(SimpleNamespace(M=M, N=N), 0.3, 0.1)
 
 
 def test_site_pair_embed():
