@@ -1,10 +1,12 @@
 """Time integration of the interacting-tops flow and conservation monitoring.
 
-A classical RK4 step acts on the full complex phase vector (q, p, all spin
-entries).  Conserved quantities (the Hamiltonian, spectral invariants
-tr L^k(z) at chosen monitor points, Casimirs tr S^k) are recorded along the
-trajectory; conservation is certified through the order-4 scaling of their
-drift under step halving rather than exact preservation.
+A classical RK4 step acts on the state's own phase vector (PhaseState.vector:
+q, p, then the entries of the spin matrix), with the flow packed in the same
+layout, and returns the stepped state (PhaseState.from_vector).  Conserved
+quantities (the Hamiltonian, spectral invariants tr L^k(z) at chosen monitor
+points, Casimirs tr S^k) are recorded along the trajectory; conservation is
+certified through the order-4 scaling of their drift under step halving
+rather than exact preservation.
 """
 
 import io
@@ -15,7 +17,6 @@ import numpy as np
 
 from . import model as md
 from .errors import ConstraintDrift, ConstraintViolation, PoleProximity
-from .tensor import block_grid
 
 
 @dataclass(frozen=True)
@@ -24,21 +25,18 @@ class IntegratorConfig:
     steps: int
     monitor_z: tuple = ()
     monitor_every: int = 10
-    scheme: str = "RK4"
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf or self.steps <= 0 \
                 or self.monitor_every <= 0:
             raise ValueError("dt (finite), steps and monitor_every must be "
                              "positive")
-        if self.scheme != "RK4":
-            raise ValueError("only the RK4 scheme is supported")
 
 
 @dataclass
 class TrajectoryRecord:
     times: list = field(default_factory=list)
-    q: list = field(default_factory=list)
+    q: list = field(default_factory=list)        # per row: the state's q
     p: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     lax_traces: list = field(default_factory=list)   # per row: {(k, s): value}
@@ -51,40 +49,20 @@ class TrajectoryRecord:
         return len(self.times)
 
 
-def state_to_vector(state):
-    """Flat phase vector (q, p, entries of the NM x NM spin matrix)."""
-    return np.concatenate([np.asarray(state.q, dtype=complex),
-                           np.asarray(state.p, dtype=complex),
-                           state.spin.matrix.reshape(-1)])
+def _rate(state):
+    """The flow eom_rhs at state, as a phase vector."""
+    return md.PhaseState.pack(*md.eom_rhs(state))
 
 
-def vector_to_state(vec, template):
-    M, N = template.M, template.N
-    S = vec[2 * M:].reshape(N * M, N * M)
-    # no rank-1 generators: the template's need not generate these spins
-    spin = md.SpinConfig(M, N, block_grid(S, M, N))
-    return md.PhaseState(tuple(vec[:M]), tuple(vec[M:2 * M]), spin,
-                         template.family)
-
-
-def _derivative(vec, template):
-    dq, dp, dS = md.eom_rhs(vector_to_state(vec, template))
-    # dS is the block view of one NM x NM matrix, so this is a flat view
-    return np.concatenate([dq, dp, dS.swapaxes(1, 2).reshape(-1)])
-
-
-def _site_traces(vec, M, N):
-    """tr S^ii of every site, from the spin part of a phase vector."""
-    S = vec[2 * M:].reshape(N * M, N * M)
-    return np.einsum("iikk->i", block_grid(S, M, N))
-
-
-def _rk4_step(vec, dt, template):
-    k1 = _derivative(vec, template)
-    k2 = _derivative(vec + 0.5 * dt * k1, template)
-    k3 = _derivative(vec + 0.5 * dt * k2, template)
-    k4 = _derivative(vec + dt * k3, template)
-    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(state, dt):
+    """The state one classical RK4 step of dt after state."""
+    vec = state.vector
+    k1 = _rate(state)
+    k2 = _rate(state.from_vector(vec + 0.5 * dt * k1))
+    k3 = _rate(state.from_vector(vec + 0.5 * dt * k2))
+    k4 = _rate(state.from_vector(vec + dt * k3))
+    return state.from_vector(vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
+                                                 + k4))
 
 
 def _monitor_row(rec, t, state, monitor_z):
@@ -110,8 +88,8 @@ def _monitor_row(rec, t, state, monitor_z):
         Sk = Sk @ S
     # appended only once every value is in, so a row that raises adds none
     rec.times.append(t)
-    rec.q.append(tuple(state.q))
-    rec.p.append(tuple(state.p))
+    rec.q.append(state.q)
+    rec.p.append(state.p)
     rec.energy.append(energy)
     rec.lax_traces.append(traces)
     rec.casimirs.append(cas)
@@ -129,22 +107,19 @@ def integrate(state0, cfg):
     failure of a valid start.
     """
     nu = state0.spin.traces()[0]
-    M, N = state0.M, state0.N
-    template = state0
-    vec = state_to_vector(state0)
     rec = TrajectoryRecord(monitor_z=tuple(cfg.monitor_z))
     _monitor_row(rec, 0.0, state0, rec.monitor_z)
+    state = state0
     for step in range(1, cfg.steps + 1):
         try:
-            vec = _rk4_step(vec, cfg.dt, template)
-            drift = np.max(np.abs(_site_traces(vec, M, N) - nu))
+            state = _rk4_step(state, cfg.dt)
+            drift = np.max(np.abs(state.spin.traces() - nu))
             # a NaN drift is a blow-up too
             if not drift <= 1e-6:
                 raise ConstraintDrift(
                     f"constraint drift {drift:.3e} at step {step}")
             if step % cfg.monitor_every == 0:
-                _monitor_row(rec, step * cfg.dt,
-                             vector_to_state(vec, template), rec.monitor_z)
+                _monitor_row(rec, step * cfg.dt, state, rec.monitor_z)
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
             rec.failure = {"step": step, "error": str(exc)}
             break

@@ -7,6 +7,10 @@ the Hamiltonian, the equations of motion, the classical dynamical r-matrix
 and the reductions (spin Calogero-Moser at N=1, a single top at M=1, the
 R-matrix-valued Lax pair of the spinless model).
 
+A PhaseState holds q and p as read-only complex arrays and is the one owner
+of the phase-vector layout (q, p, then the entries of the NM x NM spin
+matrix row by row): vector, from_vector and pack.
+
 Two independent evaluation paths are kept deliberately separate: eom_rhs
 implements the printed equations of motion, while bracket_flow derives the
 same flow from the Hamiltonian through the linear Poisson-Lie structure
@@ -33,7 +37,8 @@ from one R_with_F and one Rz_coefficients call.  Both of its sides live on
 the entries of Mat(M)^2 x Mat(N)^2 with l = i or k = j (r(z, w) and
 r_{2'1'21}(w, z) are nonzero only on the blocks E_ij x E_ji), so every term
 is a small contraction written onto one of two (M, M, M, N, N, N, N)
-support planes, with no dense (MN)^2 x (MN)^2 array.
+support planes, with no dense (MN)^2 x (MN)^2 array; the q-derivative term
+lives on their overlap alone and is kept as its overlap blocks.
 """
 
 import cmath
@@ -55,7 +60,7 @@ from .tensor import (as_four_index, block_grid, check_scale, commutator,
 
 @dataclass(frozen=True)
 class SpinConfig:
-    """M x M grid of N x N complex blocks, with optional rank-1 generators.
+    """M x M grid of N x N complex blocks.
 
     The spin is held as one read-only NM x NM matrix ``matrix`` (the
     S = sum E_ij (x) S^{ij} of assemble()).  ``blocks`` may be given as rows
@@ -66,8 +71,6 @@ class SpinConfig:
     M: int
     N: int
     blocks: object
-    xi: tuple = None       # rank-1 generators, one N-vector per site
-    eta: tuple = None
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,14 +93,6 @@ class SpinConfig:
 
     def on_constraints(self, nu, tol=1e-12):
         return bool(np.all(np.abs(self.traces() - nu) < tol))
-
-    def is_rank1(self):
-        return self.xi is not None
-
-    def replace_blocks(self, blocks):
-        """New spin with these blocks; the rank-1 generators are dropped,
-        since they need not generate the new blocks."""
-        return SpinConfig(self.M, self.N, blocks)
 
 
 def spin_from_matrix(S, M, N):
@@ -123,8 +118,7 @@ def spin_rank1(M, N, nu, seed):
         raise DegenerateDraw("xi.eta too small after 10 redraws")
     xi = [x * (nu / d) for x, d in zip(xi, dots)]
     blocks = [[np.outer(xi[i], eta[j]) for j in range(M)] for i in range(M)]
-    return SpinConfig(M, N, blocks, tuple(np.asarray(x) for x in xi),
-                      tuple(np.asarray(e) for e in eta))
+    return SpinConfig(M, N, blocks)
 
 
 def spin_general(M, N, nu, seed):
@@ -143,10 +137,19 @@ def spin_general(M, N, nu, seed):
 
 @dataclass(frozen=True)
 class PhaseState:
-    q: tuple
-    p: tuple
+    """A point (q, p, S) of phase space, q and p as read-only complex
+    arrays; vector, from_vector and pack own the phase-vector layout."""
+
+    q: np.ndarray
+    p: np.ndarray
     spin: SpinConfig
     family: object
+
+    def __post_init__(self):
+        for name in ("q", "p"):
+            a = np.array(getattr(self, name), dtype=complex)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def M(self):
@@ -157,13 +160,30 @@ class PhaseState:
         return self.spin.N
 
     def qdiff(self, i, j):
+        """q_i - q_j, for sites or index arrays i, j."""
         return self.q[i] - self.q[j]
 
     def replace(self, q=None, p=None, spin=None):
-        return PhaseState(tuple(q) if q is not None else self.q,
-                          tuple(p) if p is not None else self.p,
-                          spin if spin is not None else self.spin,
-                          self.family)
+        return PhaseState(self.q if q is None else q,
+                          self.p if p is None else p,
+                          self.spin if spin is None else spin, self.family)
+
+    @staticmethod
+    def pack(q, p, blocks):
+        """The phase vector of (q, p, S), S given as its (M, M, N, N) block
+        grid: of a state, or of a flow (dq, dp, dS)."""
+        return np.concatenate([q, p, blocks.swapaxes(1, 2).reshape(-1)])
+
+    @property
+    def vector(self):
+        """The phase vector of this state."""
+        return self.pack(self.q, self.p, self.spin.blocks)
+
+    def from_vector(self, vec):
+        """The state of this family at the phase vector vec."""
+        M, N = self.M, self.N
+        spin = spin_from_matrix(vec[2 * M:].reshape(M * N, M * N), M, N)
+        return PhaseState(vec[:M], vec[M:2 * M], spin, self.family)
 
 
 def random_positions(family, M, rng, margin=0.05):
@@ -193,18 +213,15 @@ def random_state(family, M, nu, seed, spin_mode="general", q=None, p=None):
     if q is None:
         q = random_positions(family, M, rng)
     if p is None:
-        p = tuple(rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M))
-    return PhaseState(tuple(q), tuple(p), spin, family)
+        p = rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M)
+    return PhaseState(q, p, spin, family)
 
 
-def _require_constraints(state, nu=None, tol=1e-8):
+def _require_constraints(state):
     tr = state.spin.traces()
-    if nu is None:
-        nu = tr[0]
-    if np.max(np.abs(tr - nu)) > tol:
+    if np.max(np.abs(tr - tr[0])) > 1e-8:
         raise ConstraintViolation(
             "tr(S^ii) must equal a common constant on all sites")
-    return nu
 
 
 # --- contraction helpers ---------------------------------------------------
@@ -230,12 +247,6 @@ def _index_arrays(pairs):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def _qdiffs(state, i, j):
-    """q_i - q_j for index arrays i, j."""
-    q = np.array(state.q, dtype=complex)
-    return q[i] - q[j]
 
 
 def _pair_traces(W, A, B):
@@ -274,8 +285,7 @@ def potential_V(family, Sii, Sjj, q):
 def _f0_table(state):
     """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
     i, j = _pairs(state.M)
-    return (i, j) + tuple(state.family.F0_with_derivative(
-        _qdiffs(state, i, j)))
+    return (i, j) + tuple(state.family.F0_with_derivative(state.qdiff(i, j)))
 
 
 def hamiltonian(state):
@@ -331,8 +341,7 @@ def _pair_tables(state, z):
     F[..., sites, sites, :, :, :, :] = R1.reshape(shape + (1, N, N, N, N))
     i, j = _ordered_pairs(M)
     # an array of spectral points takes one more axis, for the pairs
-    Rs, Fs = fam.R_with_F(z[..., None] if shape else z,
-                          _qdiffs(state, i, j))
+    Rs, Fs = fam.R_with_F(z[..., None] if shape else z, state.qdiff(i, j))
     R[..., i, j, :, :, :, :] = Rs.reshape(shape + (-1, N, N, N, N))
     F[..., i, j, :, :, :, :] = Fs.reshape(shape + (-1, N, N, N, N))
     return R, F
@@ -384,9 +393,9 @@ def eom_rhs(state, diagonal_form="general"):
 
     F^0 and F^0' come from one family call over the pairs i < j (whose
     pole guard covers q_ji, the pole set being symmetric); the pair j, i
-    follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq and
-    dp are length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
-    derivative.
+    follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq (the
+    state's read-only p) and dp are length-M arrays; dS is the (M, M, N, N)
+    block view of the NM x NM derivative.
     """
     if diagonal_form not in ("general", "commutator"):
         raise ValueError(f"unknown diagonal_form {diagonal_form!r}")
@@ -398,7 +407,7 @@ def eom_rhs(state, diagonal_form="general"):
     F = np.zeros((M, M, N, N, N, N), dtype=complex)
     D = np.zeros_like(F)
     i, j = _pairs(M)
-    F0, dF0 = fam.F0_with_derivative(_qdiffs(state, i, j))
+    F0, dF0 = fam.F0_with_derivative(state.qdiff(i, j))
     F[i, j] = F0.reshape(-1, N, N, N, N)
     D[i, j] = dF0.reshape(-1, N, N, N, N)
     F = F + F.transpose(1, 0, 3, 2, 5, 4)
@@ -421,7 +430,7 @@ def eom_rhs(state, diagonal_form="general"):
 
     # tr_12(P F^0'_12 (A (x) B)) = sum F^0'_{(c,a),(b,d)} A_{ba} B_{dc}
     dp = -np.einsum("ikcabd,ibka,kdic->i", D, S4, S4)
-    return np.array(state.p, dtype=complex), dp, block_grid(dS, M, N)
+    return state.p, dp, block_grid(dS, M, N)
 
 
 
@@ -472,8 +481,9 @@ def bracket_flow(state):
     Returns the full derivative (dq, dp, dS) as a brute-force oracle for
     eom_rhs: dq = p, dp = -dH/dq, and the spin flow dS = [S, G^T] with G
     the entrywise spin gradient of H.  F^0 and its q-derivative come from
-    one family call over the pairs i < j.  dq and dp are length-M arrays;
-    dS is the (M, M, N, N) block view of the NM x NM derivative.
+    one family call over the pairs i < j.  dq (the state's read-only p) and
+    dp are length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
+    derivative.
     """
     return _bracket_flow(state, _f0_table(state))
 
@@ -489,7 +499,7 @@ def _bracket_flow(state, table):
     S = spin.matrix
     dS = S @ Gt - Gt @ S
     dp = -_ham_q_gradient(state, i, j, P @ dF0)
-    return np.array(state.p, dtype=complex), dp, block_grid(dS, M, N)
+    return state.p, dp, block_grid(dS, M, N)
 
 
 def _flow_L(R, Mz, flow):
@@ -618,10 +628,11 @@ def _r_big_q_derivative_sum(state, z, w):
 
 
 def _exchange_rhs(state, R, F):
-    """(c1, c2, dr) of the exchange relation on the support planes:
-    c1 = [L_{1'1}(z), r(z, w)], c2 = [L_{2'2}(w), r_{2'1'21}(w, z)] and
-    dr = sum_k tr(S^kk) d_{q_k} r(z, w), from the pair tables R, F stacked
-    at [z, w, z - w, w - z].
+    """(c1, c2, W) of the exchange relation, from the pair tables R, F
+    stacked at [z, w, z - w, w - z]: c1 = [L_{1'1}(z), r(z, w)] and
+    c2 = [L_{2'2}(w), r_{2'1'21}(w, z)] on the support planes, and W the
+    overlap blocks of dr = sum_k tr(S^kk) d_{q_k} r(z, w), which is zero
+    elsewhere: W[k, i] is its plane-1 entry [k, i, i].
 
     r(z, w) is nonzero only on the blocks E_ij x E_ji, where it is
     G[i, j] = R^{z-w}(q_ij) P (r(z - w) on i = j), and so is
@@ -638,11 +649,8 @@ def _exchange_rhs(state, R, F):
     np.einsum("ialy,lsycbd->silacbd", Lz, G, out=c1[1], optimize=True)
     np.einsum("kcjy,sjaybd->skjacbd", Lw, H, out=c2[0], optimize=True)
     np.einsum("isacby,iyld->silacbd", H, -Lw, out=c2[1], optimize=True)
-    dr = np.zeros_like(c1)
-    s = np.arange(M)
-    W = _trace_weight(state) * F[2]
-    dr[1][:, s, s] = W.transpose(1, 0, 2, 3, 5, 4)
-    return _fold_overlap(c1), _fold_overlap(c2), dr
+    W = (_trace_weight(state) * F[2]).transpose(1, 0, 2, 3, 5, 4)
+    return _fold_overlap(c1), _fold_overlap(c2), W
 
 
 def exchange_residual(state, z, w):
@@ -657,10 +665,15 @@ def exchange_residual(state, z, w):
     _require_constraints(state)
     R, F = _pair_tables(state, np.array([z, w, z - w, w - z]))
     lhs = _exchange_lhs(state, (R[0], F[0]), (R[1], F[1]))
-    c1, c2, dr = _exchange_rhs(state, R, F)
+    c1, c2, W = _exchange_rhs(state, R, F)
     scale = max(frobenius_norm(lhs), frobenius_norm(c1), frobenius_norm(c2),
-                frobenius_norm(dr), 1.0)
-    return float(np.max(np.abs(lhs - (c1 - c2 - dr))) / scale)
+                frobenius_norm(W), 1.0)
+    # lhs - (c1 - c2 - dr), in place, with dr = W on the overlap
+    lhs -= c1
+    lhs += c2
+    s = np.arange(M)
+    lhs[1][:, s, s] += W
+    return float(np.max(np.abs(lhs)) / scale)
 
 
 # --- R-matrix-valued Calogero-Moser Lax pair -------------------------------

@@ -72,9 +72,9 @@ class RMatrixFamily:
         R^z(q) near q = 0."""
         return self.r(z) @ self._P, self.m(z) @ self._P
 
-    def F(self, spectral, q, dq=0):
-        """F^z(q) = d/dq R^z(q) and its further q-derivative."""
-        return self.R(spectral, q, dz=1 + dq)
+    def F(self, spectral, q):
+        """F^z(q) = d/dq R^z(q)."""
+        return self.R(spectral, q, dz=1)
 
     def F0(self, q, d=0):
         """F^0(q) = d/dq r(q) and its further q-derivative."""

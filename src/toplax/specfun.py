@@ -22,6 +22,8 @@ ELLIPTIC = "elliptic"
 
 MIN_IM_TAU = 0.05
 POLE_EPS = 1e-6
+# relative truncation error of the theta series (see _theta_weights)
+THETA_TOL = 1e-16
 
 TWO_PI_I = 2j * cmath.pi
 PI_I = 1j * cmath.pi
@@ -31,19 +33,15 @@ PI_I = 1j * cmath.pi
 class Flavor:
     """Which degeneration of the elliptic function family to evaluate.
 
-    For the elliptic flavor, ``tau`` is the modulus (Im tau >= 0.05) and
-    ``trunc_tol`` controls theta-series truncation.
+    For the elliptic flavor, ``tau`` is the modulus (Im tau >= 0.05).
     """
 
     kind: str
     tau: complex = None
-    trunc_tol: float = 1e-16
 
     def __post_init__(self):
         if self.kind not in (RATIONAL, TRIGONOMETRIC, ELLIPTIC):
             raise ValueError(f"unknown flavor kind {self.kind!r}")
-        if not 0.0 < self.trunc_tol <= 1e-8:
-            raise ValueError("trunc_tol must lie in (0, 1e-8]")
         if self.kind == ELLIPTIC:
             if self.tau is None:
                 raise BadModulus("elliptic flavor requires a modulus")
@@ -63,8 +61,8 @@ class Flavor:
         return cls(TRIGONOMETRIC)
 
     @classmethod
-    def elliptic(cls, tau, trunc_tol=1e-16):
-        return cls(ELLIPTIC, complex(tau), trunc_tol)
+    def elliptic(cls, tau):
+        return cls(ELLIPTIC, complex(tau))
 
 
 @dataclass(frozen=True)
@@ -104,22 +102,22 @@ def all_sectors(N):
 
 
 @functools.lru_cache(maxsize=64)
-def _theta_weights(tau, tol, upto):
+def _theta_weights(tau, upto):
     """(h, W) for the reduced series: the half-integers h = +-(k + 1/2) for
     k < K, and W[h, d] = exp(pi*i*tau*h^2) (2*pi*i*h)^d for d <= upto.
 
     For |Im z0| <= Im tau / 2 a term is at most exp(-pi Im tau (h^2 - h))
     in modulus, while the term-magnitude sum of order d is at least
     2 pi^d exp(-pi Im tau / 4), from the pair h = +-1/2.  K is the first k
-    whose term bound, weighted by (2 pi h)^upto, is below tol / 2 of that
-    floor; later terms shrink by a ratio below 1/2 each, so the whole tail
-    stays below tol times the term-magnitude sum.
+    whose term bound, weighted by (2 pi h)^upto, is below THETA_TOL / 2 of
+    that floor; later terms shrink by a ratio below 1/2 each, so the whole
+    tail stays below THETA_TOL times the term-magnitude sum.
     """
     k = 0
     while True:
         h = k + 0.5
         bound = math.exp(-math.pi * tau.imag * (h * h - h - 0.25))
-        if bound * (2 * h) ** upto < tol / 2:
+        if bound * (2 * h) ** upto < THETA_TOL / 2:
             break
         k += 1
     hs = [n + 0.5 for n in range(k)]
@@ -129,7 +127,7 @@ def _theta_weights(tau, tol, upto):
     return np.array(hs), np.array(W)
 
 
-def theta_sum(zs, tau, upto=0, tol=1e-16):
+def theta_sum(zs, tau, upto=0):
     """Sum the odd theta series and its first ``upto`` z-derivatives at
     every argument of the tuple zs, in one pass.
 
@@ -139,7 +137,7 @@ def theta_sum(zs, tau, upto=0, tol=1e-16):
     m = round(Re(z - n*tau)), so |Re z0| <= 1/2 and |Im z0| <= Im tau / 2;
     there theta(z) = exp(c) theta(z0) with c = pi*i*(m + n) - pi*i*tau*n^2
     - 2*pi*i*n*z0 (DLMF 20.2(iii)).  The reduced series needs a number of
-    terms fixed by tau and tol alone (see _theta_weights), so all orders at
+    terms fixed by tau alone (see _theta_weights), so all orders at
     all arguments take one exp and one matrix product:
     t = exp(2*pi*i*(z0 + 1/2) h) @ W.
 
@@ -154,12 +152,12 @@ def theta_sum(zs, tau, upto=0, tol=1e-16):
     m = np.rint((z - n * tau).real)
     z0 = z - n * tau - m
     c = PI_I * (m + n) - PI_I * tau * n * n - TWO_PI_I * n * z0
-    h, W = _theta_weights(tau, tol, upto)
+    h, W = _theta_weights(tau, upto)
     t = np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h) @ W
     return t, c, len(h) // 2, n, z0
 
 
-def theta_derivs(z, tau, upto, trunc_tol=1e-16):
+def theta_derivs(z, tau, upto):
     """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass.
 
     With s = -2*pi*i*n, the derivative of the log factor of theta_sum,
@@ -172,7 +170,7 @@ def theta_derivs(z, tau, upto, trunc_tol=1e-16):
     if upto < 0:
         raise ValueError("derivative order must be >= 0")
     z = complex(z)
-    t, c, _, n, _ = theta_sum((z,), tau, upto, trunc_tol)
+    t, c, _, n, _ = theta_sum((z,), tau, upto)
     s = -TWO_PI_I * n[0]
     try:
         scale = cmath.exp(c[0])
@@ -188,19 +186,19 @@ def theta_derivs(z, tau, upto, trunc_tol=1e-16):
     return values
 
 
-def theta(z, tau, deriv=0, trunc_tol=1e-16):
+def theta(z, tau, deriv=0):
     """Odd theta function (or its deriv-th derivative) at z on modulus tau."""
-    return theta_derivs(z, tau, deriv, trunc_tol)[deriv]
+    return theta_derivs(z, tau, deriv)[deriv]
 
 
 @functools.lru_cache(maxsize=64)
-def _theta_at_zero(tau, trunc_tol):
+def _theta_at_zero(tau):
     """(theta'(0), kappa = theta'''(0) / theta'(0)) on modulus tau.
 
-    Both depend on the modulus only, so they are summed once per
-    (tau, trunc_tol) rather than on every kronecker_phi or kappa_const call.
+    Both depend on the modulus only, so they are summed once per tau rather
+    than on every kronecker_phi or kappa_const call.
     """
-    t = theta_sum((0j,), tau, 3, trunc_tol)[0][0]
+    t = theta_sum((0j,), tau, 3)[0][0]
     return complex(t[1]), complex(t[3] / t[1])
 
 
@@ -212,7 +210,7 @@ def _theta_rows(flavor, args, upto):
     reduction, so |z0| is the pole distance of z wherever either is below
     Im tau / 2, which exceeds POLE_EPS for every allowed modulus.
     """
-    t, c, _, n, z0 = theta_sum(args, flavor.tau, upto, flavor.trunc_tol)
+    t, c, _, n, z0 = theta_sum(args, flavor.tau, upto)
     d = list(map(abs, z0.tolist()))
     nearest = min(d, default=math.inf)
     if nearest <= POLE_EPS:
@@ -300,7 +298,7 @@ def kappa_const(flavor):
         return 0.0 + 0.0j
     if flavor.kind == TRIGONOMETRIC:
         return 1.0 + 0.0j
-    return _theta_at_zero(flavor.tau, flavor.trunc_tol)[1]
+    return _theta_at_zero(flavor.tau)[1]
 
 
 def _log_derivs(t):
@@ -380,7 +378,7 @@ def kronecker_phi(flavor, eta, z):
     args = np.stack([eta, z, eta + z])
     t, c, _ = _theta_rows(flavor, tuple(args.ravel().tolist()), 0)
     t, c = (v.reshape((3,) + eta.shape) for v in (t[:, 0], c))
-    return _number(_theta_at_zero(flavor.tau, flavor.trunc_tol)[0]
+    return _number(_theta_at_zero(flavor.tau)[0]
                    * np.exp(c[2] - c[0] - c[1]) * t[2] / (t[0] * t[1]))
 
 
@@ -456,7 +454,7 @@ def sector_table(flavor, sectors, z, u, upto):
         for v in (t, c, n))
     log_z = _log_derivs(tz)
     log_z[0] = log_z[0] - TWO_PI_I * nz
-    p = _theta_at_zero(flavor.tau, flavor.trunc_tol)[0] \
+    p = _theta_at_zero(flavor.tau)[0] \
         * np.exp(zc * twist + czw - cz - cw) * tzw[0] / (tz[0] * tw[0])
     phi = [p]
     f = None
@@ -541,7 +539,7 @@ def _chunk_size(flavor, batch):
     arguments, each summed as 2K complex terms at once (K as at MIN_IM_TAU,
     the most any modulus needs): the stack's series fit the array budget."""
     from .tensor import MAX_ARRAY_BYTES   # tensor imports this module
-    h = _theta_weights(complex(0, MIN_IM_TAU), flavor.trunc_tol, 2)[0]
+    h = _theta_weights(complex(0, MIN_IM_TAU), 2)[0]
     return max(1, MAX_ARRAY_BYTES // (16 * len(h) * batch))
 
 

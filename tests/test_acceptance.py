@@ -154,7 +154,7 @@ def test_05_exchange_relation():
     blocks = [[st.spin.block(i, j).copy() for j in range(3)]
               for i in range(3)]
     blocks[0][0][0, 0] += 0.3
-    off = st.replace(spin=st.spin.replace_blocks(blocks))
+    off = st.replace(spin=md.SpinConfig(3, 1, blocks))
     z, w = 0.41 + 0.1j, 0.13 - 0.2j
     dr = md._r_big_q_derivative_sum(off, z, w)
     for i in range(3):

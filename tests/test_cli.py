@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,8 +313,9 @@ def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
     # that step: a numerical failure of a valid config, reported with its
     # step
     path = write_config(tmp_path)
-    monkeypatch.setattr(cli.dy, "_rk4_step",
-                        lambda vec, dt, template: vec * float("nan"))
+    monkeypatch.setattr(
+        cli.dy, "_rk4_step",
+        lambda state, dt: state.from_vector(state.vector * float("nan")))
     code, out, _ = run_capture(capsys, [
         "simulate", "--config", path, "--steps", "10",
         "--out", str(tmp_path / "traj.csv")])
@@ -349,13 +352,14 @@ def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
     step = cli.dy._rk4_step
     calls = []
 
-    def perturbed(vec, dt, template):
-        vec = step(vec, dt, template)
+    def perturbed(state, dt):
+        state = step(state, dt)
         calls.append(1)
         if len(calls) == 3:
-            vec = vec.copy()
-            vec[2 * template.M] += 1e-3   # S^00_00, so tr S^00
-        return vec
+            vec = state.vector
+            vec[2 * state.M] += 1e-3   # S^00_00, so tr S^00
+            state = state.from_vector(vec)
+        return state
 
     monkeypatch.setattr(cli.dy, "_rk4_step", perturbed)
     out_csv = tmp_path / "traj.csv"
@@ -474,6 +478,30 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 6
     assert lines[0].startswith("t,re_q0")
     assert report["drift"]["hamiltonian_drift"] < 1e-9
+
+
+def _flow_oracle():
+    """perfbench/flow_oracle.py: the benchmark's own RK4 on bracket_flow."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "flow_oracle.py"
+    spec = importlib.util.spec_from_file_location("flow_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_simulate_matches_flow_oracle(tmp_path, capsys):
+    # the benchmark checks each simulate CSV against a trajectory it builds
+    # through PhaseState, spin_from_matrix and bracket_flow: a change to
+    # that surface fails here, not only as a failed benchmark run
+    oracle = _flow_oracle()
+    path = write_config(tmp_path, M=3, seed=0)
+    csv_path = tmp_path / "traj.csv"
+    code, _, _ = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "1e-3", "--steps", "8",
+        "--monitor-every", "4", "--out", str(csv_path)])
+    assert code == 0
+    error = oracle.trajectory_error(path, 1e-3, 8, 4, csv_path.read_text())
+    assert error < oracle.TRAJECTORY_TOL
 
 
 def test_simulate_byte_determinism(tmp_path, capsys):

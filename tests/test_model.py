@@ -18,7 +18,6 @@ from toplax.errors import ConstraintViolation, ScaleExceeded, ToplaxError
 
 def test_spin_rank1_structure():
     spin = md.spin_rank1(3, 2, 0.8 + 0.1j, seed=4)
-    assert spin.is_rank1()
     assert spin.on_constraints(0.8 + 0.1j)
     S = spin.assemble()
     svals = np.linalg.svd(S, compute_uv=False)
@@ -33,7 +32,6 @@ def test_spin_rank1_rejects_zero_level():
 
 def test_spin_general_constraints():
     spin = md.spin_general(3, 2, 1.5, seed=5)
-    assert not spin.is_rank1()
     assert spin.on_constraints(1.5)
     S = spin.assemble()
     svals = np.linalg.svd(S, compute_uv=False)
@@ -58,12 +56,41 @@ def test_random_state_is_constrained():
                 assert fam.pole_distance(st.qdiff(i, j)) > 0.05
 
 
+def test_phase_state_is_array_native():
+    # q and p are read-only complex arrays however the state is made, and
+    # the phase vector is q, then p, then the spin matrix row by row
+    fam = rm.make_family("xxx", N=2)
+    st = md.random_state(fam, 3, 1.0, seed=8)
+    made = (st, md.PhaseState((0.1, 0.2j, 0.3), [1, 2, 3], st.spin, fam),
+            st.replace(q=(0.5, 0.6, 0.7)), st.from_vector(st.vector))
+    for s in made:
+        for a in (s.q, s.p):
+            assert isinstance(a, np.ndarray)
+            assert a.dtype == complex and a.shape == (3,)
+            with pytest.raises(ValueError):
+                a[0] = 0
+    vec = st.vector
+    assert np.array_equal(vec, np.concatenate(
+        [st.q, st.p, st.spin.matrix.ravel()]))
+    again = st.from_vector(vec)
+    vec[:] = 0   # the state keeps no view of the vector
+    assert np.array_equal(again.q, st.q) and np.array_equal(again.p, st.p)
+    assert np.array_equal(again.spin.matrix, st.spin.matrix)
+    assert again.family is fam
+    # a flow (dq, dp, dS) packs in the same layout
+    dq, dp, dS = md.eom_rhs(st)
+    flat = md.PhaseState.pack(dq, dp, dS)
+    assert np.array_equal(flat[:6], np.concatenate([dq, dp]))
+    assert np.array_equal(flat[6:].reshape(6, 6),
+                          np.block([[b for b in row] for row in dS]))
+
+
 def test_constraint_check_raises():
     fam = rm.make_family("xxx", N=2)
     st = md.random_state(fam, 2, 1.0, seed=2)
     blocks = [[st.spin.block(i, j) for j in range(2)] for i in range(2)]
     blocks[1][1] = blocks[1][1] + 0.5 * np.eye(2)
-    bad = st.replace(spin=st.spin.replace_blocks(blocks))
+    bad = st.replace(spin=md.SpinConfig(2, 2, blocks))
     with pytest.raises(ConstraintViolation):
         md.eom_rhs(bad)
     with pytest.raises(ConstraintViolation):
@@ -359,11 +386,13 @@ def test_load_model_config():
            "spin_mode": "rank1", "seed": 3}
     fam, st, nu = md.load_model_config(cfg)
     assert nu == 1.0
-    assert st.spin.is_rank1()
+    svals = np.linalg.svd(st.spin.assemble(), compute_uv=False)
+    assert svals[0] > 1e-3
+    assert svals[1] < 1e-12 * svals[0]
     assert st.spin.on_constraints(1.0)
     # the same seed must reproduce the same state
     _, st2, _ = md.load_model_config(cfg)
-    assert st2.q == st.q and st2.p == st.p
+    assert np.array_equal(st2.q, st.q) and np.array_equal(st2.p, st.p)
 
 
 def _draw_before_sharing(family, M, nu, seed, spin_mode, q0=None, p0=None):
@@ -390,7 +419,8 @@ def test_config_and_random_state_draw_identically():
                 states = [st, md.random_state(fam, 3, nu, seed, spin_mode)]
                 want = _draw_before_sharing(fam, 3, nu, seed, spin_mode)
                 for s in states:
-                    assert s.q == want[0] and s.p == want[1]
+                    assert np.array_equal(s.q, want[0])
+                    assert np.array_equal(s.p, want[1])
                     assert np.array_equal(s.spin.matrix, want[2])
                 # a given q0 or p0 skips its draw and keeps the others
                 q = tuple(complex(*v) for v in q0)
@@ -400,7 +430,8 @@ def test_config_and_random_state_draw_identically():
                     _, s, _ = md.load_model_config({**cfg, **over})
                     want = _draw_before_sharing(fam, 3, nu, seed, spin_mode,
                                                 **kw)
-                    assert s.q == want[0] and s.p == want[1]
+                    assert np.array_equal(s.q, want[0])
+                    assert np.array_equal(s.p, want[1])
                     assert np.array_equal(s.spin.matrix, want[2])
 
 
@@ -522,11 +553,18 @@ def test_exchange_rhs_matches_dense_commutators(key, N):
             st, np.array([z, w, z - w, w - z])))
         # the trace weight tr S^ii - tr S^jj is zero at M = 1
         assert np.max(np.abs(want[2])) > (0.1 if M > 1 else -1)
-        for g, v in zip(got, want):
+        s = np.arange(M)
+        for k, (g, v) in enumerate(zip(got, want)):
             planes, off = _support_planes(v, M, N)
             bound = 1e-13 * max(np.max(np.abs(v)), 1.0)
-            assert g.shape == planes.shape
             assert off <= bound
+            if k == 2:
+                # dr: the overlap blocks W, zero elsewhere on the planes
+                overlap = planes[1][:, s, s].copy()
+                planes[1][:, s, s] = 0
+                assert np.max(np.abs(planes)) <= bound
+                planes = overlap
+            assert g.shape == planes.shape
             assert np.max(np.abs(g - planes)) <= bound, (key, N, M)
 
 

@@ -289,8 +289,6 @@ def test_flavor_validation():
     with pytest.raises(ValueError):
         sf.Flavor("weird")
     with pytest.raises(ValueError):
-        sf.Flavor.elliptic(1j, trunc_tol=1e-6)
-    with pytest.raises(ValueError):
         sf.Flavor(sf.RATIONAL, tau=1j)
 
 
