@@ -29,14 +29,14 @@ diagonal.
 
 Every table is one family call over an array of pair differences: eom_rhs,
 bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
-F0_with_derivative call, and a pair table takes R^z and F^z of all ordered
-pairs from one R_with_F call.
+r(q, (1, 2)) call, and a pair table takes R^z and F^z of all ordered pairs
+from one R(z, q, (0, 1)) call.
 
 The exchange check reads the tables of z, w, z - w and w - z as one stack
-from one R_with_F and one Rz_coefficients call.  Both of its sides live on
-the entries of Mat(M)^2 x Mat(N)^2 with l = i or k = j (r(z, w) and
-r_{2'1'21}(w, z) are nonzero only on the blocks E_ij x E_ji), so every term
-is a small contraction written onto one of two (M, M, M, N, N, N, N)
+from one R(z, q, (0, 1)) and one Rz_coefficients call.  Both of its sides
+live on the entries of Mat(M)^2 x Mat(N)^2 with l = i or k = j (r(z, w)
+and r_{2'1'21}(w, z) are nonzero only on the blocks E_ij x E_ji), so every
+term is a small contraction written onto one of two (M, M, M, N, N, N, N)
 support planes, with no dense (MN)^2 x (MN)^2 array; the q-derivative term
 lives on their overlap alone and is kept as its overlap blocks.
 """
@@ -271,7 +271,7 @@ def top_H(family, S):
 def potential_U(family, Sij, Sji, q):
     """Interaction potential tr_12(F^0_21(q) P_12 S^ij_1 S^ji_2) =
     tr_12(P_12 F^0_12(q) S^ij_1 S^ji_2)."""
-    W = permutation_P(family.N) @ family.F0(q)
+    W = permutation_P(family.N) @ family.r(q, 1)
     return complex(_pair_traces(W[None], np.asarray(Sij)[None],
                                 np.asarray(Sji)[None])[0])
 
@@ -279,13 +279,13 @@ def potential_U(family, Sij, Sji, q):
 def potential_V(family, Sii, Sjj, q):
     """Tops potential tr_12(F^0_12(q) S^ii_1 S^jj_2); equals potential_U
     for rank-1 spin."""
-    return complex(np.trace(family.F0(q) @ kron(Sii, Sjj)))
+    return complex(np.trace(family.r(q, 1) @ kron(Sii, Sjj)))
 
 
 def _f0_table(state):
     """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
     i, j = _pairs(state.M)
-    return (i, j) + tuple(state.family.F0_with_derivative(state.qdiff(i, j)))
+    return (i, j) + state.family.r(state.qdiff(i, j), (1, 2))
 
 
 def hamiltonian(state):
@@ -321,8 +321,8 @@ def _pair_tables(state, z):
     a stack of them, z.shape + (M, M, N, N, N, N), at an array z.
 
     R[..., i, j] = R^z(q_ij) and F[..., i, j] = F^z(q_ij) in four-index
-    form, from one R_with_F call over all ordered pairs (at an array z,
-    over the broadcast of z[..., None] against them).  The diagonal holds
+    form, from one R(z, q, (0, 1)) call over all ordered pairs (at an array
+    z, over the broadcast of z[..., None] against them).  The diagonal holds
     their q -> 0 coefficients r(z) P and m(z) P, from one Rz_coefficients
     call, so a contraction with the spin gives tr_2(S^{ii}_2 r_12(z)) and
     tr_2(S^{ii}_2 m_12(z)) there.  Both are views of T P in memory: that
@@ -341,7 +341,7 @@ def _pair_tables(state, z):
     F[..., sites, sites, :, :, :, :] = R1.reshape(shape + (1, N, N, N, N))
     i, j = _ordered_pairs(M)
     # an array of spectral points takes one more axis, for the pairs
-    Rs, Fs = fam.R_with_F(z[..., None] if shape else z, state.qdiff(i, j))
+    Rs, Fs = fam.R(z[..., None] if shape else z, state.qdiff(i, j), (0, 1))
     R[..., i, j, :, :, :, :] = Rs.reshape(shape + (-1, N, N, N, N))
     F[..., i, j, :, :, :, :] = Fs.reshape(shape + (-1, N, N, N, N))
     return R, F
@@ -407,7 +407,7 @@ def eom_rhs(state, diagonal_form="general"):
     F = np.zeros((M, M, N, N, N, N), dtype=complex)
     D = np.zeros_like(F)
     i, j = _pairs(M)
-    F0, dF0 = fam.F0_with_derivative(state.qdiff(i, j))
+    F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
     F[i, j] = F0.reshape(-1, N, N, N, N)
     D[i, j] = dF0.reshape(-1, N, N, N, N)
     F = F + F.transpose(1, 0, 3, 2, 5, 4)
@@ -657,8 +657,8 @@ def exchange_residual(state, z, w):
     """Max relative residual of the classical exchange relation
     {L_{1'1}(z), L_{2'2}(w)} = [L_{1'1}(z), r] - [L_{2'2}(w), r_{2'1'21}]
     - sum_k tr(S^kk) d_{q_k} r, on its two support planes, with the pair
-    tables of z, w, z - w and w - z from one stack: one R_with_F and one
-    Rz_coefficients call."""
+    tables of z, w, z - w and w - z from one stack: one R(z, q, (0, 1)) and
+    one Rz_coefficients call."""
     M, N = state.M, state.N
     check_scale(2 * M ** 3 * N ** 4,
                 f"the exchange relation at N = {N}, M = {M}")
@@ -694,10 +694,10 @@ def _site_pair_embed(T, a, b, N, M):
 def _cm_rmx(q, p, nu, family, z):
     """(L, Mbar, F, G) of the R-matrix-valued Calogero-Moser Lax pair:
     F[k] is F^z(q_ij) at the sites (i, j) = (i[k], j[k]) of the ordered
-    pairs (_ordered_pairs), from the R_with_F call that gives L, and G[k] is
-    F^0(q_kl) at the sites of the pair k < l, from one F0 call; both are
-    embedded in Mat(N)^{x M}.  F^0(q_lk) at the sites (l, k) is G[k] too,
-    since F^0(-q) = P F^0(q) P."""
+    pairs (_ordered_pairs), from the R(z, q, (0, 1)) call that gives L, and
+    G[k] is F^0(q_kl) at the sites of the pair k < l, from one r(q, 1) call;
+    both are embedded in Mat(N)^{x M}.  F^0(q_lk) at the sites (l, k) is
+    G[k] too, since F^0(-q) = P F^0(q) P."""
     q = np.array(q, dtype=complex)
     p = np.array(p, dtype=complex)
     M = len(q)
@@ -705,9 +705,9 @@ def _cm_rmx(q, p, nu, family, z):
     if N ** M > 256:
         raise ScaleExceeded(f"chain dimension N^M = {N ** M} exceeds 256")
     i, j = _ordered_pairs(M)
-    R, F = family.R_with_F(z, q[i] - q[j])
+    R, F = family.R(z, q[i] - q[j], (0, 1))
     k, l = _pairs(M)
-    G = _site_pair_stack(family.F0(q[k] - q[l]), k, l, N, M)
+    G = _site_pair_stack(family.r(q[k] - q[l], 1), k, l, N, M)
     R, F = (_site_pair_stack(T, i, j, N, M) for T in (R, F))
     L = _cm_blocks(p[:, None, None] * np.eye(N ** M), i, j, nu * R)
     # the diagonal of Mbar is -nu sum_{b != a} F^0(q_ab) at the sites (a, b)

@@ -3,8 +3,10 @@
 Each family exposes the quantum matrix R(hbar, z) on Mat(N) x Mat(N), its
 z-derivatives, the classical coefficients r(z), m(z) from the hbar-expansion
 R = 1/hbar + r + hbar*m + O(hbar^2), and the small-z expansion coefficients.
-The certify() routine measures the residual of every identity the Lax
-construction relies on.
+F^z(q) = d/dq R^z(q) is R(z, q, 1) and F^0(q) = r'(q) is r(q, 1); a tuple
+of orders, as R(z, q, (0, 1)) or r(q, (1, 2)), gives one stack per order
+from one evaluation.  The certify() routine measures the residual of every
+identity the Lax construction relies on.
 """
 
 import cmath
@@ -16,15 +18,29 @@ from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, kron, permutation_P,
                      sin_basis_T_int, partial_trace_1, partial_trace_2)
 
 
+_ORDERS = frozenset((0, 1, 2))
+
+
+def _orders(d):
+    """The derivative orders d as a tuple: d itself if it is one (not
+    empty), else (d,); each order is 0, 1 or 2."""
+    orders = d if isinstance(d, tuple) else (d,)
+    if not orders or not _ORDERS.issuperset(orders):
+        raise ValueError(f"derivative orders must be 0, 1 or 2, got {d!r}")
+    return orders
+
+
 class RMatrixFamily:
     """Base interface: N, scalar flavor, quantum R and classical data.
 
     R, r, m and everything built on them take the argument z (for
     R^z(q), q) as a number or as an array of pair differences; an array of
     shape s gives a stack of shape s + (N^2, N^2), one matrix per element.
-    The hbar of R (and the spectral point of F) may be an array too, which
-    broadcasts against z, so that certify evaluates each kernel once over a
-    whole stack of samples.
+    The hbar of R may be an array too, which broadcasts against z, so that
+    certify evaluates each kernel once over a whole stack of samples.
+
+    A family implements _R(hbar, z, orders) and _r(z, orders), on complex
+    arrays, returning one stack per order and guarding the poles itself.
     """
 
     kind = None
@@ -37,13 +53,18 @@ class RMatrixFamily:
         self._I = eye(self.N * self.N)
         self._m0 = None
 
-    # quantum matrix; dz = derivative order in the argument z (0, 1 or 2)
     def R(self, hbar, z, dz=0):
-        raise NotImplementedError
+        """The dz-th z-derivative of R^hbar(z), or for a tuple dz the tuple
+        of those stacks from one evaluation; F^z(q) is R(z, q, 1)."""
+        out = self._R(np.asarray(hbar, dtype=complex),
+                      np.asarray(z, dtype=complex), _orders(dz))
+        return tuple(out) if isinstance(dz, tuple) else out[0]
 
-    # classical r-matrix; d = derivative order in z (0, 1 or 2)
     def r(self, z, d=0):
-        raise NotImplementedError
+        """The d-th derivative of r(z), or for a tuple d the tuple of those
+        stacks from one evaluation; F^0(q) is r(q, 1)."""
+        out = self._r(np.asarray(z, dtype=complex), _orders(d))
+        return tuple(out) if isinstance(d, tuple) else out[0]
 
     def m(self, z):
         raise NotImplementedError
@@ -61,7 +82,7 @@ class RMatrixFamily:
 
     def r0(self):
         """Constant coefficient of r(z) = P/z + r0 + z*r1 + O(z^2)."""
-        raise NotImplementedError
+        return np.zeros(self._I.shape, dtype=complex)
 
     def r1(self):
         """Linear coefficient of r(z) near 0, equal to m(0) P."""
@@ -71,24 +92,6 @@ class RMatrixFamily:
         """(r(z) P, m(z) P): the constant and linear q-coefficients of
         R^z(q) near q = 0."""
         return self.r(z) @ self._P, self.m(z) @ self._P
-
-    def F(self, spectral, q):
-        """F^z(q) = d/dq R^z(q)."""
-        return self.R(spectral, q, dz=1)
-
-    def F0(self, q, d=0):
-        """F^0(q) = d/dq r(q) and its further q-derivative."""
-        return self.r(q, d=1 + d)
-
-    def F0_with_derivative(self, q):
-        """(F^0(q), d/dq F^0(q)) = (r'(q), r''(q)); families that share work
-        across the two orders evaluate them together."""
-        return self.r(q, d=1), self.r(q, d=2)
-
-    def R_with_F(self, spectral, q):
-        """(R^z(q), F^z(q)) at z = spectral; families that share work
-        across the two orders evaluate them together."""
-        return self.R(spectral, q), self.F(spectral, q)
 
     def pole_distance(self, z):
         return sf.pole_distance(self.flavor, z)
@@ -108,40 +111,30 @@ class YangXXX(RMatrixFamily):
     def __init__(self, N=2):
         super().__init__(N, sf.Flavor.rational())
 
-    def R(self, hbar, z, dz=0):
-        hbar, z = _complex(hbar, z)
+    def _R(self, hbar, z, orders):
         sf.check_pole(self.flavor, hbar, z)
-        if dz not in (0, 1, 2):
-            raise ValueError("dz must be 0, 1 or 2")
-        if dz == 0:
-            return self._I / hbar[..., None, None] + self._r(z, 0)
-        return self._r(np.broadcast_arrays(hbar, z)[1], dz)
+        shape = np.broadcast(hbar, z).shape + self._I.shape
+        out = []
+        for d in orders:
+            if d == 0:
+                out.append(self._I / hbar[..., None, None] + self._pole(z, 0))
+            else:
+                # the z-derivatives of R^hbar(z) are those of P/z: the same
+                # stack along the axes of hbar
+                T = np.empty(shape, dtype=complex)
+                T[...] = self._pole(z, d)
+                out.append(T)
+        return out
 
-    def r(self, z, d=0):
-        z = np.asarray(z, dtype=complex)
+    def _r(self, z, orders):
         sf.check_pole(self.flavor, z)
-        if d not in (0, 1, 2):
-            raise ValueError("d must be 0, 1 or 2")
-        return self._r(z, d)
+        return [self._pole(z, d) for d in orders]
 
-    def F0_with_derivative(self, q):
-        q = np.asarray(q, dtype=complex)
-        sf.check_pole(self.flavor, q)
-        return self._r(q, 1), self._r(q, 2)
-
-    def R_with_F(self, spectral, q):
-        R = self.R(spectral, q)
-        # F^z(q) = -P/q^2 does not depend on z: the same stack along the
-        # axes of the spectral point
-        F = np.empty_like(R)
-        F[...] = self._r(np.asarray(q, dtype=complex), 1)
-        return R, F
-
-    def _r(self, z, d):
-        """d-th z-derivative of r(z) = P/z, also that of R^hbar(z) for
-        d >= 1.  np.power rounds as the scalar z ** 2 and z ** 3 do, so a
-        stack holds bitwise the matrices of its elements; numpy's z ** 2 on
-        an array squares in vector loops that can differ in the last bit."""
+    def _pole(self, z, d):
+        """d-th z-derivative of r(z) = P/z.  np.power rounds as the scalar
+        z ** 2 and z ** 3 do, so a stack holds bitwise the matrices of its
+        elements; numpy's z ** 2 on an array squares in vector loops that
+        can differ in the last bit."""
         if d == 0:
             return self._P / z[..., None, None]
         if d == 1:
@@ -151,34 +144,30 @@ class YangXXX(RMatrixFamily):
     def m(self, z):
         return np.zeros(np.shape(z) + self._I.shape, dtype=complex)
 
-    def r0(self):
-        return np.zeros((self.N * self.N, self.N * self.N), dtype=complex)
 
-
-def _complex(*args):
-    """The arguments as complex arrays, each of its own shape."""
-    return [np.asarray(a, dtype=complex) for a in args]
-
-
-def _n2_stack(layout, values, *args):
-    """4 x 4 matrices over the broadcast of the arrays args, with the
-    entries at the positions layout[k] equal to values(*v)[k] at each
-    element v of the broadcast.
+def _n2_stack(layout, values, orders, *args):
+    """4 x 4 matrices over the broadcast of the complex arrays args, one
+    stack per order d in orders, with the entries at the positions
+    layout[k] equal to values(d, *v)[k] at each element v of the broadcast.
 
     The closed forms of the N = 2 families are evaluated per element in
     Python complex arithmetic, so a stack holds bitwise the matrices of its
     elements; numpy's vector loops round complex division and products
     differently in the last bits.
     """
-    args = np.broadcast_arrays(*_complex(*args))
+    args = np.broadcast_arrays(*args)
     shape = args[0].shape
-    rows = [values(*v) for v in zip(*(a.ravel().tolist() for a in args))]
-    table = np.array(rows, dtype=complex).reshape(shape + (len(layout),))
-    out = np.zeros(shape + (4, 4), dtype=complex)
-    for k, cells in enumerate(layout):
-        for a, b in cells:
-            out[..., a, b] = table[..., k]
-    return out
+    points = list(zip(*(a.ravel().tolist() for a in args)))
+    stacks = []
+    for d in orders:
+        table = np.array([values(d, *v) for v in points],
+                         dtype=complex).reshape(shape + (len(layout),))
+        out = np.zeros(shape + (4, 4), dtype=complex)
+        for k, cells in enumerate(layout):
+            for a, b in cells:
+                out[..., a, b] = table[..., k]
+        stacks.append(out)
+    return stacks
 
 
 class SevenVertex(RMatrixFamily):
@@ -196,36 +185,30 @@ class SevenVertex(RMatrixFamily):
     def params(self):
         return {"C": [self.C.real, self.C.imag]}
 
-    def R(self, hbar, z, dz=0):
-        hbar, z = _complex(hbar, z)
+    def _R(self, hbar, z, orders):
         sf.check_pole(self.flavor, hbar, z)
-        if dz not in (0, 1, 2):
-            raise ValueError("dz must be 0, 1 or 2")
         C = self.C
 
-        def values(h, z):
+        def values(d, h, z):
             sh, ch = cmath.sinh(z), cmath.cosh(z)
-            if dz == 0:
+            if d == 0:
                 shh = cmath.sinh(h)
                 return (ch / sh + cmath.cosh(h) / shh, 1.0 / shh, 1.0 / sh,
                         C * cmath.sinh(z + h))
-            if dz == 1:
+            if d == 1:
                 return (-1.0 / sh ** 2, 0.0, -ch / sh ** 2,
                         C * cmath.cosh(z + h))
             return (2.0 * ch / sh ** 3, 0.0,
                     (2.0 * ch * ch - sh * sh) / sh ** 3,
                     C * cmath.sinh(z + h))
 
-        return _n2_stack(self._LAYOUT, values, hbar, z)
+        return _n2_stack(self._LAYOUT, values, orders, hbar, z)
 
-    def r(self, z, d=0):
-        z = np.asarray(z, dtype=complex)
+    def _r(self, z, orders):
         sf.check_pole(self.flavor, z)
-        if d not in (0, 1, 2):
-            raise ValueError("d must be 0, 1 or 2")
         C = self.C
 
-        def values(z):
+        def values(d, z):
             sh, ch = cmath.sinh(z), cmath.cosh(z)
             if d == 0:
                 return ch / sh, 0.0, 1.0 / sh, C * sh
@@ -234,16 +217,14 @@ class SevenVertex(RMatrixFamily):
             return (2.0 * ch / sh ** 3, 0.0,
                     (2.0 * ch * ch - sh * sh) / sh ** 3, C * sh)
 
-        return _n2_stack(self._LAYOUT, values, z)
+        return _n2_stack(self._LAYOUT, values, orders, z)
 
     def m(self, z):
         # the diagonal pairs 1/3 and -1/6, and the corner
         C = self.C
-        return _n2_stack(self._LAYOUT, lambda z: (
-            1.0 / 3.0, -0.5 / 3.0, 0.0, C * cmath.cosh(z)), z)
-
-    def r0(self):
-        return np.zeros((4, 4), dtype=complex)
+        return _n2_stack(self._LAYOUT, lambda _, z: (
+            1.0 / 3.0, -0.5 / 3.0, 0.0, C * cmath.cosh(z)), (0,),
+            np.asarray(z, dtype=complex))[0]
 
 
 class SixVertexXXZ(SevenVertex):
@@ -270,30 +251,24 @@ class ElevenVertex(RMatrixFamily):
     def __init__(self):
         super().__init__(2, sf.Flavor.rational())
 
-    def R(self, hbar, z, dz=0):
-        hbar, z = _complex(hbar, z)
+    def _R(self, hbar, z, orders):
         sf.check_pole(self.flavor, hbar, z)
-        if dz not in (0, 1, 2):
-            raise ValueError("dz must be 0, 1 or 2")
 
-        def values(h, z):
-            if dz == 0:
+        def values(d, h, z):
+            if d == 0:
                 return (1.0 / h + 1.0 / z, 1.0 / h, 1.0 / z, -h - z, h + z,
                         -h ** 3 - 2 * z * h ** 2 - 2 * h * z ** 2 - z ** 3)
-            if dz == 1:
+            if d == 1:
                 return (-1.0 / z ** 2, 0.0, -1.0 / z ** 2, -1.0, 1.0,
                         -2 * h ** 2 - 4 * h * z - 3 * z ** 2)
             return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -4 * h - 6 * z
 
-        return _n2_stack(self._LAYOUT, values, hbar, z)
+        return _n2_stack(self._LAYOUT, values, orders, hbar, z)
 
-    def r(self, z, d=0):
-        z = np.asarray(z, dtype=complex)
+    def _r(self, z, orders):
         sf.check_pole(self.flavor, z)
-        if d not in (0, 1, 2):
-            raise ValueError("d must be 0, 1 or 2")
 
-        def values(z):
+        def values(d, z):
             if d == 0:
                 return 1.0 / z, 0.0, 1.0 / z, -z, z, -z ** 3
             if d == 1:
@@ -301,14 +276,12 @@ class ElevenVertex(RMatrixFamily):
                         -3 * z ** 2)
             return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -6 * z
 
-        return _n2_stack(self._LAYOUT, values, z)
+        return _n2_stack(self._LAYOUT, values, orders, z)
 
     def m(self, z):
-        return _n2_stack(self._LAYOUT, lambda z: (
-            0.0, 0.0, 0.0, -1.0, 1.0, -2 * z ** 2), z)
-
-    def r0(self):
-        return np.zeros((4, 4), dtype=complex)
+        return _n2_stack(self._LAYOUT, lambda _, z: (
+            0.0, 0.0, 0.0, -1.0, 1.0, -2 * z ** 2), (0,),
+            np.asarray(z, dtype=complex))[0]
 
 
 class BaxterBelavin(RMatrixFamily):
@@ -319,7 +292,7 @@ class BaxterBelavin(RMatrixFamily):
     and their derivatives are the same sector sums at hbar -> 0.  Every
     matrix, or stack of matrices over an array of z, is built from one
     specfun.sector_table and one product of its coefficients with the
-    stacked basis.
+    stacked basis; the table's cell reduction is the pole guard.
     """
 
     kind = "bb"
@@ -354,39 +327,22 @@ class BaxterBelavin(RMatrixFamily):
         out = (rows if len(rows) > 1 else np.repeat(rows, 2, 0)) @ self._TT
         return out[:len(rows)].reshape(coeffs.shape[:-1] + (n, n))
 
-    def _R_orders(self, hbar, z, orders):
+    def _R(self, hbar, z, orders):
         _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
-                                    np.asarray(hbar, dtype=complex) / self.N,
-                                    max(orders))
+                                    hbar / self.N, max(orders))
         coeffs = np.array([phi[d] for d in orders])
         return list(self._sum(coeffs) / self.N)
-
-    def R(self, hbar, z, dz=0):
-        if dz not in (0, 1, 2):
-            raise ValueError("dz must be 0, 1 or 2")
-        return self._R_orders(hbar, z, (dz,))[0]
-
-    def R_with_F(self, spectral, q):
-        return tuple(self._R_orders(spectral, q, (0, 1)))
 
     @staticmethod
     def _r_coeffs(log_z, phi, d):
         # the scalar part d^d/dz^d E1(z) multiplies T_0 (x) T_0
         return np.concatenate([log_z[d][..., None], phi[d]], axis=-1)
 
-    def _r_orders(self, z, orders):
+    def _r(self, z, orders):
         log_z, phi, _ = sf.sector_table(self.flavor, self._nonzero, z, 0.0,
                                         max(orders))
         coeffs = np.array([self._r_coeffs(log_z, phi, d) for d in orders])
         return list(self._sum(coeffs) / self.N)
-
-    def r(self, z, d=0):
-        if d not in (0, 1, 2):
-            raise ValueError("d must be 0, 1 or 2")
-        return self._r_orders(z, (d,))[0]
-
-    def F0_with_derivative(self, q):
-        return tuple(self._r_orders(q, (1, 2)))
 
     def _m_at_zero(self):
         # z -> 0 limit: the scalar part tends to kappa/3, the sector part
@@ -431,9 +387,12 @@ FAMILY_KEYS = ("xxx", "11v", "xxz", "7v", "bb")
 
 
 def make_family(kind, N=2, tau=None, C=None):
-    """Construct a family from its CLI/config key."""
+    """Construct a family from its CLI/config key; 11v, xxz and 7v exist at
+    N = 2 only."""
     if kind == "xxx":
         return YangXXX(N)
+    if kind in ("11v", "xxz", "7v") and N != 2:
+        raise ValueError(f"{kind} family is defined at N = 2 only, not {N}")
     if kind == "11v":
         return ElevenVertex()
     if kind == "xxz":
@@ -591,10 +550,11 @@ def _half_cybe_limit(family, rz, F0z, mz):
 
 def _certify_stack(family, hb, et, z, w, x, y):
     """Every sampled identity over the sample arrays hb, ..., y, with one
-    family call per distinct kernel argument (F^0 as r(q, d=1)): {name:
-    residual per sample} and the measured (phi_tilde, E1_tilde)."""
+    family call per distinct kernel argument and order (F^z as R(z, q, 1),
+    F^0 as r(q, 1)): {name: residual per sample} and the measured
+    (phi_tilde, E1_tilde)."""
     N, P = family.N, family._P
-    R, F, r, m = family.R, family.F, family.r, family.m
+    R, r, m = family.R, family.r, family.m
     I2 = eye(N * N)
     out = {}
 
@@ -632,19 +592,19 @@ def _certify_stack(family, hb, et, z, w, x, y):
 
     # mixed relation between R and its argument derivative, and its
     # boundary degenerations
-    Rzx, Fzx, Rzy, Fzy = R(z, x), F(z, x), R(z, y), F(z, y)
-    F0x, F0y = r(x, d=1), r(y, d=1)
+    Rzx, Fzx, Rzy, Fzy = R(z, x), R(z, x, 1), R(z, y), R(z, y, 1)
+    F0x, F0y = r(x, 1), r(y, 1)
     mz = m(z)
     Rz0, Rz1 = rz @ P, mz @ P
     out["mixed_rf"] = _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, R(z, x + y), F0x,
                                 F0y)
     out["mixed_rf_limit_y"] = _mixed_rf_limit_y(
-        family, Rzx, Fzx, R(z, x, dz=2), Rz0, Rz1, F0x)
+        family, Rzx, Fzx, R(z, x, 2), Rz0, Rz1, F0x)
     out["mixed_rf_limit_x"] = _mixed_rf_limit_x(
-        family, Rzy, Fzy, R(z, y, dz=2), Rz0, Rz1, F0y)
+        family, Rzy, Fzy, R(z, y, 2), Rz0, Rz1, F0y)
 
     # opposite-argument product in commutator form, q = x
-    F0z = r(z, d=1)
+    F0z = r(z, 1)
     out["q_product"] = _q_product(N, Rzx, R(z, -x), rz, r(x), F0z, F0x)
 
     # half of the classical Yang-Baxter relation and its w -> 0 limit

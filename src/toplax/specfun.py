@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadModulus, DegenerateDraw, PoleProximity, ThetaOverflow
+from .tensor import MAX_ARRAY_BYTES
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -534,11 +535,10 @@ def max_residuals(samples, chunk, evaluate):
     return {name: float(value) for name, value in worst.items()}
 
 
-def _chunk_size(flavor, batch):
+def _chunk_size(batch):
     """Samples per stack if one sample's largest theta series has batch
     arguments, each summed as 2K complex terms at once (K as at MIN_IM_TAU,
     the most any modulus needs): the stack's series fit the array budget."""
-    from .tensor import MAX_ARRAY_BYTES   # tensor imports this module
     h = _theta_weights(complex(0, MIN_IM_TAU), 2)[0]
     return max(1, MAX_ARRAY_BYTES // (16 * len(h) * batch))
 
@@ -684,12 +684,12 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     rng = np.random.default_rng(seed)
     samples = np.array([sample_tuple(rng, flavor, 4)
                         for _ in range(n_samples)])
-    worst = max_residuals(samples, _chunk_size(flavor, 3 * LAURENT_POINTS),
+    worst = max_residuals(samples, _chunk_size(3 * LAURENT_POINTS),
                           functools.partial(_core_residuals, flavor))
     for N in sector_sizes if flavor.kind == ELLIPTIC else ():
         draws = np.array([_sector_draw(rng, flavor, N)
                           for _ in range(n_samples)])
-        res = max_residuals(draws, _chunk_size(flavor, 2 + 4 * N * N),
+        res = max_residuals(draws, _chunk_size(2 + 4 * N * N),
                             functools.partial(_sector_residuals, flavor, N))
         worst.update((f"{key}_N{N}", value) for key, value in res.items())
     return {

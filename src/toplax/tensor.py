@@ -12,7 +12,6 @@ import cmath
 import numpy as np
 
 from .errors import ScaleExceeded
-from .specfun import SectorIndex
 
 # the largest complex array a command may allocate, checked before it does
 MAX_ARRAY_BYTES = 2 ** 28
@@ -104,8 +103,9 @@ def sin_basis_T_int(a1, a2, N):
         np.linalg.matrix_power(Lam, a2 % N)
 
 
-def kappa(a: SectorIndex, b: SectorIndex):
-    """Structure phase in T_a T_b = kappa(a, b) T_{a+b}."""
+def kappa(a, b):
+    """Structure phase in T_a T_b = kappa(a, b) T_{a+b}, for sector labels
+    a, b (specfun.SectorIndex)."""
     if a.N != b.N:
         raise ValueError("mismatched N")
     return cmath.exp(1j * cmath.pi * (b.a1 * a.a2 - b.a2 * a.a1) / a.N)

@@ -8,9 +8,10 @@ import pytest
 from toplax import rmatrix as rm
 from toplax import specfun as sf
 
-# the family methods that evaluate a kernel
-FAMILY_METHODS = ("R", "F", "R_with_F", "r", "m", "m0", "Rz_coefficients",
-                  "F0", "F0_with_derivative")
+# the family methods that evaluate a kernel, and the argument that holds
+# the derivative orders of those that take them
+FAMILY_METHODS = ("R", "r", "m", "m0", "Rz_coefficients")
+ORDER_ARGUMENTS = {"R": "dz", "r": "d"}
 
 
 @pytest.fixture
@@ -30,21 +31,30 @@ def theta_calls(monkeypatch):
 
 @pytest.fixture
 def family_calls(monkeypatch):
-    """(method name, arguments) of every family evaluation made during the
-    test from outside the family, in call order.
+    """(method name, arguments, orders) of every family evaluation made
+    during the test from outside the family, in call order.
 
     Each method in FAMILY_METHODS is wrapped on every family class that
-    defines it; a call made while another wrapped method runs (R and F
-    inside the generic R_with_F, r inside Rz_coefficients) is not recorded.
+    defines it.  The orders are those R or r was asked for, with the
+    default filled in (0 or a tuple such as (0, 1)), and None for the other
+    methods; the arguments are the rest.  A call made while another wrapped
+    method runs (r inside Rz_coefficients) is not recorded.
     """
     calls = []
     depth = [0]
 
     def wrap(name, method):
+        signature = inspect.signature(method)
+
         @functools.wraps(method)
         def counted(self, *args, **kwargs):
             if depth[0] == 0:
-                calls.append((name, args))
+                bound = signature.bind(self, *args, **kwargs)
+                bound.apply_defaults()
+                values = dict(bound.arguments)
+                del values["self"]
+                orders = values.pop(ORDER_ARGUMENTS.get(name), None)
+                calls.append((name, tuple(values.values()), orders))
             depth[0] += 1
             try:
                 return method(self, *args, **kwargs)

@@ -242,6 +242,24 @@ def test_size_below_one_exits_2(capsys, argv, flag):
     assert f"argument {flag}: must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv, overrides", [
+    (["check-cm-rmx", "--family", "11v", "--n", "3"], None),
+    (["certify-rmatrix", "--family", "7v", "--n", "1", "--c", "0.7,0.2"],
+     None),
+    (["check-lax"], {"family": "xxz", "N": 3}),
+])
+def test_fixed_n_family_at_other_n_exits_2(tmp_path, capsys, argv,
+                                           overrides):
+    # 11v, xxz and 7v are N = 2 matrices: another N is a usage error, not
+    # a run at N = 2 that echoes the N asked for
+    if overrides is not None:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "N = 2 only" in err
+
+
 def _in_turn(values):
     """A stand-in residual function returning values in turn."""
     it = iter(values)

@@ -128,12 +128,13 @@ def test_monitor_row_runs_one_bracket_flow(monkeypatch):
 
 @pytest.mark.parametrize("monitor_z", [(), (0.3 + 0.2j, 0.6 + 0.4j)])
 def test_monitor_row_one_f0_table(family_calls, monitor_z):
-    # H and the bracket flow of a row share one F0/F0' call over the pairs
+    # H and the bracket flow of a row share one r call at the orders (1, 2)
+    # over the pairs
     st = make_state(M=3)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
                               monitor_z=monitor_z)
     rec = dy.integrate(st, cfg)
-    rows = [name for name, _ in family_calls
-            if name == "F0_with_derivative"]
+    rows = [name for name, _, d in family_calls
+            if (name, d) == ("r", (1, 2))]
     # the RK4 stages make theirs inside eom_rhs: 4 per step
     assert len(rows) == rec.rows() + 4 * cfg.steps

@@ -224,7 +224,7 @@ def test_lax_blocks_match_per_pair_kernels():
                     wantL = st.p[i] * np.eye(2) + tn.op_contract(fam.r(z), S)
                     wantM = tn.op_contract(fam.m(z), S)
                 else:
-                    R, F = fam.R_with_F(z, st.qdiff(i, j))
+                    R, F = fam.R(z, st.qdiff(i, j), (0, 1))
                     wantL = tn.op_contract(R @ P, S)
                     wantM = tn.op_contract(F @ P, S)
                 assert np.array_equal(L[i, j], wantL), (key, i, j)
@@ -351,9 +351,9 @@ def test_cm_rmx_N1_is_scalar_krichever():
 
 @pytest.mark.parametrize("key", rm.FAMILY_KEYS)
 def test_cm_rmx_one_family_call_per_table(family_calls, monkeypatch, key):
-    # the Lax pair and the residual share one R_with_F call over the
-    # ordered pairs and one F0 call over the pairs i < j; dH/dq is one E2'
-    # call over the ordered pairs
+    # the Lax pair and the residual share one R call at the orders (0, 1)
+    # over the ordered pairs and one r call at order 1 over the pairs
+    # i < j; dH/dq is one E2' call over the ordered pairs
     fam = rm.make_family(key, N=2, tau=1j, C=0.7 + 0.2j)
     M = 3
     rng = np.random.default_rng(59)
@@ -364,12 +364,12 @@ def test_cm_rmx_one_family_call_per_table(family_calls, monkeypatch, key):
     monkeypatch.setattr(sf, "eisenstein_E2_prime",
                         lambda fl, z: e2p.append(z) or kernel(fl, z))
     assert md.cm_rmx_residual(q, p, 0.7, fam, 0.29 + 0.33j) < 1e-13
-    assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 1, "F0": 1}
-    (qs,), = [args[1:] for name, args in family_calls if name == "R_with_F"]
+    assert Counter((name, d) for name, _, d in family_calls) == {
+        ("R", (0, 1)): 1, ("r", 1): 1}
+    (qs,), = [args[1:] for name, args, _ in family_calls if name == "R"]
     ordered = [q[i] - q[j] for i in range(M) for j in range(M) if i != j]
     assert np.array_equal(qs, ordered)
-    (qs,), = [args for name, args in family_calls if name == "F0"]
+    (qs,), = [args for name, args, _ in family_calls if name == "r"]
     assert np.array_equal(qs, [q[0] - q[1], q[0] - q[2], q[1] - q[2]])
     assert len(e2p) == 1 and np.array_equal(e2p[0], ordered)
 
@@ -462,40 +462,39 @@ def test_lax_residual_one_table_per_point(family_calls, key):
     zs = [0.31 + 0.22j, 0.52 + 0.41j]
     md.lax_residual(st, zs[0])
     md.lax_residuals(st, zs)
-    # L, M and {H, L} share one pair table per point: one R_with_F call
-    # over all ordered pairs and one Rz_coefficients call for its diagonal;
-    # each of the two bracket flows adds one F0/F0' call over the pairs
-    # i < j and one m0
-    assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 3, "Rz_coefficients": 3, "F0_with_derivative": 2,
-        "m0": 2}
-    tables = [args for name, args in family_calls if name == "R_with_F"]
+    # L, M and {H, L} share one pair table per point: one R call at the
+    # orders (0, 1) over all ordered pairs and one Rz_coefficients call for
+    # its diagonal; each of the two bracket flows adds one r call at the
+    # orders (1, 2) over the pairs i < j and one m0
+    assert Counter((name, d) for name, _, d in family_calls) == {
+        ("R", (0, 1)): 3, ("Rz_coefficients", None): 3, ("r", (1, 2)): 2,
+        ("m0", None): 2}
+    tables = [args for name, args, _ in family_calls if name == "R"]
     assert [z for z, _ in tables] == [zs[0]] + zs
     q = np.array(st.q)
     ordered = [q[i] - q[j] for i in range(M) for j in range(M) if i != j]
     for _, qs in tables:
         assert np.array_equal(qs, ordered)
-    flows = [args for name, args in family_calls
-             if name == "F0_with_derivative"]
+    flows = [args for name, args, _ in family_calls if name == "r"]
     for (qs,) in flows:
         assert np.array_equal(qs, [q[0] - q[1], q[0] - q[2], q[1] - q[2]])
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])
 def test_exchange_residual_one_table_per_argument(family_calls, key):
-    # the pair tables of z, w, z - w and w - z are one stack: one R_with_F
-    # call over the spectral points against all ordered pairs, and one
-    # Rz_coefficients call for their diagonals
+    # the pair tables of z, w, z - w and w - z are one stack: one R call at
+    # the orders (0, 1) over the spectral points against all ordered pairs,
+    # and one Rz_coefficients call for their diagonals
     fam = rm.make_family(key, N=2, tau=1j)
     M = 3
     st = md.random_state(fam, M, 1.0, seed=37)
     z, w = 0.41 + 0.13j, 0.17 + 0.52j
     md.exchange_residual(st, z, w)
-    assert Counter(name for name, _ in family_calls) == {
-        "R_with_F": 1, "Rz_coefficients": 1}
+    assert Counter((name, d) for name, _, d in family_calls) == {
+        ("R", (0, 1)): 1, ("Rz_coefficients", None): 1}
     points = [z, w, z - w, w - z]
-    calls = dict(family_calls)
-    spectral, qs = calls["R_with_F"]
+    calls = {name: args for name, args, _ in family_calls}
+    spectral, qs = calls["R"]
     assert np.array_equal(spectral, np.reshape(points, (4, 1)))
     q = np.array(st.q)
     assert np.array_equal(qs, [q[i] - q[j] for i in range(M)
@@ -629,8 +628,9 @@ def test_exchange_lhs_matches_bracket_oracle(key, N):
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])
 def test_flow_and_energy_one_family_call(family_calls, key):
-    # eom_rhs, bracket_flow and hamiltonian each take F0 (and F0') of every
-    # pair from one call, besides m0 for the single-top terms
+    # eom_rhs, bracket_flow and hamiltonian each take F0 and F0' of every
+    # pair from one r call at the orders (1, 2), besides m0 for the
+    # single-top terms
     fam = rm.make_family(key, N=2, tau=1j)
     M = 4
     st = md.random_state(fam, M, 1.0, seed=3)
@@ -638,8 +638,8 @@ def test_flow_and_energy_one_family_call(family_calls, key):
                           (md.hamiltonian, M)):
         del family_calls[:]
         run(st)
-        assert Counter(name for name, _ in family_calls) == {
-            "F0_with_derivative": 1, "m0": m0_calls}, run.__name__
+        assert Counter((name, d) for name, _, d in family_calls) == {
+            ("r", (1, 2)): 1, ("m0", None): m0_calls}, run.__name__
 
 
 def test_bb_bracket_flow_series_count(theta_calls):
@@ -672,7 +672,7 @@ def _per_pair_reference(state):
                              + tn.op_contract_1(m0, Sii).T)
     for i in range(M):
         for j in range(i + 1, M):
-            F0, dF0 = fam.F0_with_derivative(state.qdiff(i, j))
+            F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
             # tr_12(F^0_21 P_12 ...) with F^0_21 = P F^0 P
             W, Wd = P @ F0 @ P @ P, P @ dF0 @ P @ P
             pair = tn.kron(spin.block(i, j), spin.block(j, i))

@@ -25,6 +25,11 @@ def test_make_family_keys():
         assert fam.N == 2
     with pytest.raises(ValueError):
         rm.make_family("nope")
+    # 11v, xxz and 7v are defined at N = 2 only
+    for key in ("11v", "xxz", "7v"):
+        for N in (1, 3):
+            with pytest.raises(ValueError, match="N = 2 only"):
+                rm.make_family(key, N=N, C=0.7 + 0.2j)
 
 
 def test_yang_explicit():
@@ -51,7 +56,7 @@ def test_eleven_vertex_r_entries():
 
 
 def test_eleven_vertex_F0_entries():
-    F0 = rm.make_family("11v").F0(1.0)
+    F0 = rm.make_family("11v").r(1.0, 1)
     assert abs(F0[0, 0] + 1.0) < 1e-13
     assert abs(F0[3, 0] + 3.0) < 1e-13
     assert abs(F0[3, 1] - 1.0) < 1e-13
@@ -62,7 +67,7 @@ def test_seven_vertex_corner_entries():
     fam = rm.make_family("7v", C=C)
     z = 0.4 + 0.1j
     assert abs(fam.r(z)[3, 0] - C * np.sinh(z)) < 1e-13
-    F0P = fam.F0(z) @ tn.permutation_P(2)
+    F0P = fam.r(z, 1) @ tn.permutation_P(2)
     assert abs(F0P[1, 1] + np.cosh(z) / np.sinh(z) ** 2) < 1e-12
 
 
@@ -95,7 +100,7 @@ def test_F0_matches_difference_of_r():
         for _ in range(20):
             q = rm._draw(rng, fam, margin=0.1)
             diff = richardson_dq(fam.r, q)
-            assert np.max(np.abs(fam.F0(q) - diff)) < 1e-7 * max(
+            assert np.max(np.abs(fam.r(q, 1) - diff)) < 1e-7 * max(
                 1.0, float(np.max(np.abs(diff)))), key
 
 
@@ -107,7 +112,7 @@ def test_F_matches_difference_of_R():
         q = rm._draw(rng, fam, margin=0.1)
         diff = richardson_dq(lambda u: fam.R(z, u), q)
         scale = max(1.0, float(np.max(np.abs(diff))))
-        assert np.max(np.abs(fam.F(z, q) - diff)) < 1e-6 * scale, key
+        assert np.max(np.abs(fam.R(z, q, 1) - diff)) < 1e-6 * scale, key
 
 
 def test_m_matches_hbar_expansion():
@@ -146,7 +151,7 @@ MIRROR_FAMILIES = [rm.make_family(key, tau=1j, C=0.7 + 0.2j)
 def test_F0_mirror_identities(a, b):
     # eom_rhs evaluates each pair once and takes the mirror pair from
     # F0(-q) = P F0(q) P and F0'(-q) = -P F0'(q) P (skew-symmetry of r);
-    # it reads both orders from one F0_with_derivative stack over its pairs,
+    # it reads both orders from one r(q, (1, 2)) stack over its pairs,
     # which holds the matrices of the per-element calls
     q = complex(a, b)
     norm = np.linalg.norm
@@ -157,14 +162,14 @@ def test_F0_mirror_identities(a, b):
         if not np.all(fam.pole_distance(q + np.append(omegas, 0.0)) > 0.1):
             continue
         P = tn.permutation_P(fam.N)
-        stack = fam.F0_with_derivative(np.array([q, -q]))
+        stack = fam.r(np.array([q, -q]), (1, 2))
         for d, sign in ((0, 1.0), (1, -1.0)):
-            lhs = fam.F0(-q, d=d)
-            rhs = sign * P @ fam.F0(q, d=d) @ P
+            lhs = fam.r(-q, 1 + d)
+            rhs = sign * P @ fam.r(q, 1 + d) @ P
             assert norm(lhs - rhs) < 1e-12 * max(norm(lhs), norm(rhs)), \
                 f"{fam.label()} d={d} q={q}"
             for k, v in enumerate((q, -q)):
-                one = fam.F0(v, d=d)
+                one = fam.r(v, 1 + d)
                 assert norm(stack[d][k] - one) <= 1e-13 * norm(one), \
                     f"{fam.label()} d={d} q={v}"
 
@@ -245,23 +250,28 @@ def test_bb_matrices_match_scalar_kernels():
                 close(fam.r(z, d), _scalar_r(fam, z, d))
                 close(fam.R(hbar, z, d), _scalar_R(fam, hbar, z, d))
             close(fam.m(z), _scalar_m(fam, z))
-            F0, dF0 = fam.F0_with_derivative(z)
+            F0, dF0 = fam.r(z, (1, 2))
             close(F0, _scalar_r(fam, z, 1))
             close(dF0, _scalar_r(fam, z, 2))
-            R, F = fam.R_with_F(hbar, z)
+            R, F = fam.R(hbar, z, (0, 1))
             close(R, _scalar_R(fam, hbar, z, 0))
             close(F, _scalar_R(fam, hbar, z, 1))
 
 
 def test_joint_orders_match_single_orders():
-    # families without a shared evaluation return exactly the single orders
+    # a tuple of orders gives the stacks of the single orders: exactly on
+    # the closed forms, to rounding on bb, whose joint series goes to the
+    # highest order
     rng = np.random.default_rng(12)
     for key in rm.FAMILY_KEYS:
         fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
         for _ in range(5):
             q, hbar = sf.sample_tuple(rng, fam.flavor, 2, 0.05)
-            pairs = ((fam.F0_with_derivative(q), (fam.F0(q), fam.F0(q, d=1))),
-                     (fam.R_with_F(hbar, q), (fam.R(hbar, q), fam.F(hbar, q))))
+            pairs = ((fam.r(q, (1, 2)), (fam.r(q, 1), fam.r(q, 2))),
+                     (fam.R(hbar, q, (0, 1)), (fam.R(hbar, q),
+                                              fam.R(hbar, q, 1))),
+                     (fam.r(q, (2, 0, 1)), (fam.r(q, 2), fam.r(q),
+                                            fam.r(q, 1))))
             for got, want in pairs:
                 for g, w in zip(got, want):
                     if key == "bb":
@@ -279,12 +289,12 @@ def test_bb_one_series_per_distinct_argument(theta_calls):
     # a modulus no other test uses, so the first call fills its caches
     N = 2
     fam = rm.make_family("bb", N=N, tau=0.41 + 0.87j)
-    fam.F0_with_derivative(0.31 + 0.22j)
+    fam.r(0.31 + 0.22j, (1, 2))
     del theta_calls[:]
     # F0 and F0' of a whole array of z share one series (order 3, for
     # -E2') over each z, each omega_a (a != 0) and each z + omega_a
     zs = np.array([0.27 - 0.18j, 0.13 + 0.41j, -0.2 + 0.3j])
-    fam.F0_with_derivative(zs)
+    fam.r(zs, (1, 2))
     ws = _omegas(fam)[1:]
     want = list(zs) + ws + [z + w for z in zs for w in ws]
     assert theta_calls == [(tuple(want), 3)]
@@ -303,7 +313,7 @@ def test_bb_one_series_per_distinct_argument(theta_calls):
     # omega_a + hbar/N once per spectral point, not once per pair
     del theta_calls[:]
     hbars, qs = [0.13 + 0.05j, 0.2 - 0.1j], [0.31 + 0.22j, -0.1 + 0.4j, 0.5j]
-    fam.R_with_F(np.reshape(hbars, (2, 1)), qs)
+    fam.R(np.reshape(hbars, (2, 1)), qs, (0, 1))
     ws = [_omegas(fam, np.complex128(h) / N) for h in hbars]
     want = qs + ws[0] + ws[1] + [q + w for row in ws for q in qs
                                  for w in row]
@@ -348,19 +358,19 @@ def test_bb_pole_guards_raise():
         with pytest.raises(PoleProximity):
             fam.r(w + 1e-9)
         with pytest.raises(PoleProximity):
-            fam.F0_with_derivative(w + 1e-9)
+            fam.r(w + 1e-9, (1, 2))
         # one bad element fails the whole array
         with pytest.raises(PoleProximity):
-            fam.F0_with_derivative(np.array([0.3 + 0.2j, w + 1e-9]))
+            fam.r(np.array([0.3 + 0.2j, w + 1e-9]), (1, 2))
         # omega_a + hbar/N + q on the lattice point 1 + tau
         hbar = 0.23 + 0.11j
         q = 1 + fam.tau - w - hbar / N
         with pytest.raises(PoleProximity):
             fam.R(hbar, q)
         with pytest.raises(PoleProximity):
-            fam.R_with_F(hbar, q)
+            fam.R(hbar, q, (0, 1))
         with pytest.raises(PoleProximity):
-            fam.R_with_F(hbar, np.array([q, 0.3 + 0.2j]))
+            fam.R(hbar, np.array([q, 0.3 + 0.2j]), (0, 1))
 
 
 def test_bb_far_off_the_cell():
@@ -385,12 +395,12 @@ def test_array_argument_stacks_scalar_matrices(key):
     zs = np.array([rm._draw(rng, fam, margin=0.1) for _ in range(5)])
     stacks = {"r": [fam.r(zs, d) for d in (0, 1, 2)],
               "R": [fam.R(hbar, zs, d) for d in (0, 1, 2)],
-              "F0": list(fam.F0_with_derivative(zs)),
-              "RF": list(fam.R_with_F(hbar, zs))}
+              "F0": list(fam.r(zs, (1, 2))),
+              "RF": list(fam.R(hbar, zs, (0, 1)))}
     singles = {"r": [[fam.r(z, d) for z in zs] for d in (0, 1, 2)],
                "R": [[fam.R(hbar, z, d) for z in zs] for d in (0, 1, 2)],
-               "F0": list(zip(*(fam.F0_with_derivative(z) for z in zs))),
-               "RF": list(zip(*(fam.R_with_F(hbar, z) for z in zs)))}
+               "F0": list(zip(*(fam.r(z, (1, 2)) for z in zs))),
+               "RF": list(zip(*(fam.R(hbar, z, (0, 1)) for z in zs)))}
     for name, got in stacks.items():
         for g, w in zip(got, singles[name]):
             w = np.array(w)
@@ -400,7 +410,7 @@ def test_array_argument_stacks_scalar_matrices(key):
             else:
                 assert np.array_equal(g, w), (key, name)
     # no pairs (a single site) gives empty stacks
-    for stack in fam.F0_with_derivative(np.zeros(0, dtype=complex)):
+    for stack in fam.r(np.zeros(0, dtype=complex), (1, 2)):
         assert stack.shape == (0, 4, 4)
 
 
@@ -447,8 +457,8 @@ def test_spectral_array_against_pairs(key):
     rng = np.random.default_rng(25)
     zs, qs = (np.array([rm._draw(rng, fam, margin=0.1) for _ in range(n)])
               for n in (3, 4))
-    got = fam.R_with_F(zs[:, None], qs) + fam.Rz_coefficients(zs)
-    want = zip(*(fam.R_with_F(z, qs) + fam.Rz_coefficients(z) for z in zs))
+    got = fam.R(zs[:, None], qs, (0, 1)) + fam.Rz_coefficients(zs)
+    want = zip(*(fam.R(z, qs, (0, 1)) + fam.Rz_coefficients(z) for z in zs))
     for g, w in zip(got, want):
         w = np.array(w)
         assert g.shape == w.shape
@@ -515,6 +525,28 @@ def test_pole_guard_on_evaluation():
         fam.R(1e-9, 0.5)
     with pytest.raises(PoleProximity):
         fam.r(0.0)
+    # a joint call on a closed form fails if one element of its array is
+    # inside the guard, whichever orders it asks for
+    for key in ("xxx", "11v", "xxz", "7v"):
+        fam = rm.make_family(key, N=2, C=0.7 + 0.2j)
+        bad = np.array([0.3 + 0.2j, 1e-9, 0.5 - 0.1j])
+        with pytest.raises(PoleProximity):
+            fam.r(bad, (1, 2))
+        with pytest.raises(PoleProximity):
+            fam.R(0.4 + 0.1j, bad, (0, 1))
+        with pytest.raises(PoleProximity):
+            fam.R(bad, 0.4 + 0.1j, (1, 2))
+
+
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_bad_derivative_orders_raise(key):
+    # an order is 0, 1 or 2, and a tuple of them is not empty
+    fam = rm.make_family(key, N=2, tau=1j, C=0.7 + 0.2j)
+    for orders in (3, -1, (), (0, 3)):
+        with pytest.raises(ValueError, match="derivative orders"):
+            fam.R(0.4 + 0.1j, 0.3 + 0.2j, orders)
+        with pytest.raises(ValueError, match="derivative orders"):
+            fam.r(0.3 + 0.2j, orders)
 
 
 def test_embedding_helpers():

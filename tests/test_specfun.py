@@ -586,7 +586,7 @@ def test_identity_report_chunks_give_the_same_report(monkeypatch, flavor,
     # closed forms are elementwise, so bit for bit on the rational and
     # trigonometric flavors
     whole = sf.scalar_identity_report(flavor, 30, seed=3)
-    monkeypatch.setattr(sf, "_chunk_size", lambda flavor, batch: 7)
+    monkeypatch.setattr(sf, "_chunk_size", lambda batch: 7)
     chunked = sf.scalar_identity_report(flavor, 30, seed=3)
     assert chunked["identities"].keys() == whole["identities"].keys()
     for name, value in whole["identities"].items():
