@@ -7,6 +7,7 @@ after its first step, 2 usage or configuration error.
 """
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -29,10 +30,13 @@ def _parse_complex(text):
         raise argparse.ArgumentTypeError(
             f"expected RE,IM pair, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected RE,IM pair, got {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return z
 
 
 def _count(text):

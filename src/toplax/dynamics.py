@@ -7,6 +7,10 @@ quantities (the Hamiltonian, spectral invariants tr L^k(z) at chosen monitor
 points, Casimirs tr S^k) are recorded along the trajectory; conservation is
 certified through the order-4 scaling of their drift under step halving
 rather than exact preservation.
+
+A monitor row is one complex array under the names TrajectoryRecord.columns
+(q0.., p0.., H, trL{k}_z{s}, trS{k}); the CSV header and the keys of the
+drift report are those names.
 """
 
 import io
@@ -33,16 +37,24 @@ class IntegratorConfig:
                              "positive")
 
 
+def _columns(M, n_points):
+    """Names of a monitor row's complex values, in CSV order: q_i, p_i, H,
+    tr L^k(z_s) and tr S^k for k = 1, 2, 3."""
+    return ([f"q{i}" for i in range(M)] + [f"p{i}" for i in range(M)]
+            + ["H"]
+            + [f"trL{k}_z{s}" for s in range(n_points) for k in (1, 2, 3)]
+            + [f"trS{k}" for k in (1, 2, 3)])
+
+
 @dataclass
 class TrajectoryRecord:
+    """Monitor rows: at times[r], values[r] holds one complex value per name
+    in columns, and lax_residual[r] the largest Lax residual at the monitor
+    points."""
+    columns: list = field(default_factory=list)
     times: list = field(default_factory=list)
-    q: list = field(default_factory=list)        # per row: the state's q
-    p: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    lax_traces: list = field(default_factory=list)   # per row: {(k, s): value}
-    casimirs: list = field(default_factory=list)     # per row: [trS, trS2, trS3]
+    values: list = field(default_factory=list)
     lax_residual: list = field(default_factory=list)
-    monitor_z: tuple = ()
     failure: dict = None     # {"step", "error"} of a trajectory cut short
 
     def rows(self):
@@ -65,34 +77,29 @@ def _rk4_step(state, dt):
                                                  + k4))
 
 
+def _power_traces(A):
+    """[tr A, tr A^2, tr A^3]."""
+    A2 = A @ A
+    return [np.trace(A), np.trace(A2), np.trace(A2 @ A)]
+
+
 def _monitor_row(rec, t, state, monitor_z):
     # H and the bracket flow read one F0 table; the flow does not depend on
     # z, so one evaluation serves every point
     table = md._f0_table(state)
     energy = md._hamiltonian(state, table)
-    traces = {}
+    traces = []
     residuals = []
     flow = md._bracket_flow(state, table) if monitor_z else None
-    for s, z in enumerate(monitor_z):
+    for z in monitor_z:
         L, residual = md._lax_check(state, z, flow)
-        Lk = L
-        for k in (1, 2, 3):
-            traces[(k, s)] = complex(np.trace(Lk))
-            Lk = Lk @ L
+        traces += _power_traces(L)
         residuals.append(residual)
-    S = state.spin.assemble()
-    Sk = S
-    cas = []
-    for k in (1, 2, 3):
-        cas.append(complex(np.trace(Sk)))
-        Sk = Sk @ S
+    row = np.concatenate([state.q, state.p, [energy], traces,
+                          _power_traces(state.spin.assemble())])
     # appended only once every value is in, so a row that raises adds none
     rec.times.append(t)
-    rec.q.append(state.q)
-    rec.p.append(state.p)
-    rec.energy.append(energy)
-    rec.lax_traces.append(traces)
-    rec.casimirs.append(cas)
+    rec.values.append(row)
     # a NaN residual propagates into the record
     rec.lax_residual.append(float(np.max(residuals, initial=0.0)))
 
@@ -107,8 +114,8 @@ def integrate(state0, cfg):
     failure of a valid start.
     """
     nu = state0.spin.traces()[0]
-    rec = TrajectoryRecord(monitor_z=tuple(cfg.monitor_z))
-    _monitor_row(rec, 0.0, state0, rec.monitor_z)
+    rec = TrajectoryRecord(_columns(state0.M, len(cfg.monitor_z)))
+    _monitor_row(rec, 0.0, state0, cfg.monitor_z)
     state = state0
     for step in range(1, cfg.steps + 1):
         try:
@@ -119,7 +126,7 @@ def integrate(state0, cfg):
                 raise ConstraintDrift(
                     f"constraint drift {drift:.3e} at step {step}")
             if step % cfg.monitor_every == 0:
-                _monitor_row(rec, step * cfg.dt, state, rec.monitor_z)
+                _monitor_row(rec, step * cfg.dt, state, cfg.monitor_z)
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
             rec.failure = {"step": step, "error": str(exc)}
             break
@@ -130,25 +137,21 @@ def isospectrality_report(rec):
     """Max relative drift of each monitored invariant over the trajectory."""
     if rec.rows() == 0:
         raise ValueError("empty trajectory record")
+    values = np.array(rec.values)
+    scale = np.maximum(np.max(np.abs(values), axis=0), 1.0)
+    spread = np.max(np.abs(values - values[0]), axis=0)
+    drift = dict(zip(rec.columns, (spread / scale).tolist()))
 
-    def drift(values):
-        values = np.asarray(values)
-        scale = max(float(np.max(np.abs(values))), 1.0)
-        return float(np.max(np.abs(values - values[0]))) / scale
+    def group(prefix):
+        return {k: v for k, v in drift.items() if k.startswith(prefix)}
 
-    report = {
-        "hamiltonian_drift": drift(rec.energy),
-        "casimir_drift": {f"trS{k}": drift([c[k - 1] for c in rec.casimirs])
-                          for k in (1, 2, 3)},
-        "lax_trace_drift": {},
-        "max_lax_residual": float(max(rec.lax_residual)),
+    return {
+        "hamiltonian_drift": drift["H"],
+        "casimir_drift": group("trS"),
+        "lax_trace_drift": group("trL"),
+        # np.max: a NaN residual in any row shows in the report
+        "max_lax_residual": float(np.max(rec.lax_residual)),
     }
-    for s in range(len(rec.monitor_z)):
-        for k in (1, 2, 3):
-            key = f"trL{k}_z{s}"
-            report["lax_trace_drift"][key] = drift(
-                [row[(k, s)] for row in rec.lax_traces])
-    return report
 
 
 def _fmt(x):
@@ -156,37 +159,16 @@ def _fmt(x):
 
 
 def write_csv(rec, fh):
-    """Trajectory CSV: t, re/im of q_i, p_i, H, tr L^k(z_s), tr S^k, and the
-    instantaneous Lax residual; 17 significant digits."""
-    M = len(rec.q[0]) if rec.rows() else 0
-    header = ["t"]
-    for i in range(M):
-        header += [f"re_q{i}", f"im_q{i}"]
-    for i in range(M):
-        header += [f"re_p{i}", f"im_p{i}"]
-    header += ["re_H", "im_H"]
-    for s in range(len(rec.monitor_z)):
-        for k in (1, 2, 3):
-            header += [f"re_trL{k}_z{s}", f"im_trL{k}_z{s}"]
-    for k in (1, 2, 3):
-        header += [f"re_trS{k}", f"im_trS{k}"]
-    header.append("lax_residual")
+    """Trajectory CSV: t, re/im of every column of the record (q_i, p_i, H,
+    tr L^k(z_s), tr S^k) and the instantaneous Lax residual; 17 significant
+    digits."""
+    header = ["t"] + [f"{part}_{name}" for name in rec.columns
+                      for part in ("re", "im")] + ["lax_residual"]
     fh.write(",".join(header) + "\n")
-    for row in range(rec.rows()):
-        cols = [_fmt(rec.times[row])]
-        for v in rec.q[row]:
-            cols += [_fmt(v.real), _fmt(v.imag)]
-        for v in rec.p[row]:
-            cols += [_fmt(v.real), _fmt(v.imag)]
-        cols += [_fmt(rec.energy[row].real), _fmt(rec.energy[row].imag)]
-        for s in range(len(rec.monitor_z)):
-            for k in (1, 2, 3):
-                v = rec.lax_traces[row][(k, s)]
-                cols += [_fmt(v.real), _fmt(v.imag)]
-        for v in rec.casimirs[row]:
-            cols += [_fmt(v.real), _fmt(v.imag)]
-        cols.append(_fmt(rec.lax_residual[row]))
-        fh.write(",".join(cols) + "\n")
+    for t, row, residual in zip(rec.times, rec.values, rec.lax_residual):
+        # a complex128 array viewed as float64 interleaves re and im
+        cols = [t, *row.view(np.float64), residual]
+        fh.write(",".join(map(_fmt, cols)) + "\n")
 
 
 def csv_text(rec):

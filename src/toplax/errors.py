@@ -6,7 +6,9 @@ class ToplaxError(Exception):
 
 
 class BadModulus(ToplaxError):
-    """Elliptic modulus too close to the real axis (Im tau < 0.05)."""
+    """Elliptic modulus outside the strip 0.05 <= Im tau <= 56.48: too close
+    to the real axis, too far from it for the kernels to stay finite, or not
+    finite."""
 
 
 class ThetaOverflow(ToplaxError):

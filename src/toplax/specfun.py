@@ -10,6 +10,7 @@ arguments and all derivative orders at once (theta_sum).
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ TRIGONOMETRIC = "trigonometric"
 ELLIPTIC = "elliptic"
 
 MIN_IM_TAU = 0.05
+# phi and the sector functions combine the cell-reduction factors of theta
+# as exp(c_{x+y} - c_x - c_y), of modulus up to exp(2 pi Im x Im y / Im tau);
+# the identity suites evaluate them at a sum of two cell points (Im up to
+# 2 Im tau) against a cell point, up to exp(4 pi Im tau), which stays finite
+# in double precision only below this bound (56.48)
+MAX_IM_TAU = math.log(sys.float_info.max) / (4 * math.pi)
 POLE_EPS = 1e-6
 # relative truncation error of the theta series (see _theta_weights)
 THETA_TOL = 1e-16
@@ -30,11 +37,19 @@ TWO_PI_I = 2j * cmath.pi
 PI_I = 1j * cmath.pi
 
 
+def _check_modulus(tau):
+    # one comparison, so that a NaN Im(tau) fails it too
+    if not MIN_IM_TAU <= tau.imag <= MAX_IM_TAU:
+        raise BadModulus(f"Im(tau) = {tau.imag:.4g} outside "
+                         f"[{MIN_IM_TAU}, {MAX_IM_TAU:.2f}]")
+
+
 @dataclass(frozen=True)
 class Flavor:
     """Which degeneration of the elliptic function family to evaluate.
 
-    For the elliptic flavor, ``tau`` is the modulus (Im tau >= 0.05).
+    For the elliptic flavor, ``tau`` is the modulus, with Im tau in
+    [MIN_IM_TAU, MAX_IM_TAU].
     """
 
     kind: str
@@ -47,9 +62,7 @@ class Flavor:
             if self.tau is None:
                 raise BadModulus("elliptic flavor requires a modulus")
             object.__setattr__(self, "tau", complex(self.tau))
-            if self.tau.imag < MIN_IM_TAU:
-                raise BadModulus(
-                    f"Im(tau) = {self.tau.imag:.4f} below {MIN_IM_TAU}")
+            _check_modulus(self.tau)
         elif self.tau is not None:
             raise ValueError("tau is only meaningful for the elliptic flavor")
 
@@ -166,8 +179,7 @@ def theta_derivs(z, tau, upto):
     ThetaOverflow where theta itself is not representable in floating point.
     """
     tau = complex(tau)
-    if tau.imag < MIN_IM_TAU:
-        raise BadModulus(f"Im(tau) = {tau.imag:.4f} below {MIN_IM_TAU}")
+    _check_modulus(tau)
     if upto < 0:
         raise ValueError("derivative order must be >= 0")
     z = complex(z)

@@ -242,6 +242,36 @@ def test_size_below_one_exits_2(capsys, argv, flag):
     assert f"argument {flag}: must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["check-cm-rmx", "--family", "xxx", "--nu", "nan,0"], None,
+     "argument --nu: must be finite"),
+    (["certify-rmatrix", "--family", "7v", "--c", "nan,0"], None,
+     "argument --c: must be finite"),
+    (["certify-rmatrix", "--family", "bb", "--tau", "0,inf"], None,
+     "argument --tau: must be finite"),
+    (["certify-functions", "--flavor", "elliptic", "--tau", "nan,1"], None,
+     "argument --tau: must be finite"),
+    # past MAX_IM_TAU the kernels would overflow (np.exp in phi from
+    # Im tau ~ 57, math.exp in the series weights from 452)
+    (["certify-functions", "--flavor", "elliptic", "--tau", "0,453"], None,
+     "Im(tau) = 453 outside"),
+    (["certify-rmatrix", "--family", "bb", "--tau", "0,453"], None,
+     "Im(tau) = 453 outside"),
+    (["certify-functions", "--flavor", "elliptic", "--tau", "0,1e300"], None,
+     "Im(tau) = 1e+300 outside"),
+    (["check-lax"], {"family": "bb", "tau": [0, 1e300]},
+     "Im(tau) = 1e+300 outside"),
+])
+def test_complex_argument_out_of_range_exits_2(tmp_path, capsys, argv,
+                                               overrides, message):
+    if overrides is not None:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv, overrides", [
     (["check-cm-rmx", "--family", "11v", "--n", "3"], None),
     (["certify-rmatrix", "--family", "7v", "--n", "1", "--c", "0.7,0.2"],
@@ -397,6 +427,7 @@ def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
     (["--out", "/nonexistent/x.csv"], {}, "--out /nonexistent/x.csv"),
     ([], {"q0": 5}, "'q0'"),
     ([], {"p0": 5}, "'p0'"),
+    (["--monitor-z", "nan,0"], {}, "argument --monitor-z: must be finite"),
 ])
 def test_simulate_bad_input_exits_2(tmp_path, capsys, argv, overrides,
                                     message):

@@ -190,6 +190,12 @@ def test_bad_modulus_rejected():
         sf.theta(0.25, 0.01j)
     with pytest.raises(BadModulus):
         sf.Flavor.elliptic(0.5 + 0.01j)
+    # far from the real axis, and a NaN modulus, fail the same comparison
+    for tau in (453j, complex(0.0, 1e300), complex(0.0, math.nan)):
+        with pytest.raises(BadModulus):
+            sf.Flavor.elliptic(tau)
+        with pytest.raises(BadModulus):
+            sf.theta(0.25, tau)
 
 
 def test_theta_overflow_is_package_error():
