@@ -50,7 +50,7 @@ def _columns(M, n_points):
 class TrajectoryRecord:
     """Monitor rows: at times[r], values[r] holds one complex value per name
     in columns, and lax_residual[r] the largest Lax residual at the monitor
-    points."""
+    points (None with no monitor point)."""
     columns: list = field(default_factory=list)
     times: list = field(default_factory=list)
     values: list = field(default_factory=list)
@@ -85,23 +85,23 @@ def _power_traces(A):
 
 def _monitor_row(rec, t, state, monitor_z):
     # H and the bracket flow read one F0 table; the flow does not depend on
-    # z, so one evaluation serves every point
+    # z, so one evaluation serves the stack of every point
     table = md._f0_table(state)
     energy = md._hamiltonian(state, table)
     traces = []
-    residuals = []
-    flow = md._bracket_flow(state, table) if monitor_z else None
-    for z in monitor_z:
-        L, residual = md._lax_check(state, z, flow)
-        traces += _power_traces(L)
-        residuals.append(residual)
+    residual = None
+    if monitor_z:
+        Ls, residuals = md._lax_check(state, monitor_z,
+                                      md._bracket_flow(state, table))
+        traces = [v for L in Ls for v in _power_traces(L)]
+        # a NaN residual propagates into the record
+        residual = float(np.max(residuals))
     row = np.concatenate([state.q, state.p, [energy], traces,
                           _power_traces(state.spin.assemble())])
     # appended only once every value is in, so a row that raises adds none
     rec.times.append(t)
     rec.values.append(row)
-    # a NaN residual propagates into the record
-    rec.lax_residual.append(float(np.max(residuals, initial=0.0)))
+    rec.lax_residual.append(residual)
 
 
 def integrate(state0, cfg):
@@ -134,7 +134,8 @@ def integrate(state0, cfg):
 
 
 def isospectrality_report(rec):
-    """Max relative drift of each monitored invariant over the trajectory."""
+    """Max relative drift of each monitored invariant over the trajectory,
+    and the largest Lax residual, None if no point was monitored."""
     if rec.rows() == 0:
         raise ValueError("empty trajectory record")
     values = np.array(rec.values)
@@ -150,7 +151,8 @@ def isospectrality_report(rec):
         "casimir_drift": group("trS"),
         "lax_trace_drift": group("trL"),
         # np.max: a NaN residual in any row shows in the report
-        "max_lax_residual": float(np.max(rec.lax_residual)),
+        "max_lax_residual": None if rec.lax_residual[0] is None
+        else float(np.max(rec.lax_residual)),
     }
 
 
@@ -160,14 +162,15 @@ def _fmt(x):
 
 def write_csv(rec, fh):
     """Trajectory CSV: t, re/im of every column of the record (q_i, p_i, H,
-    tr L^k(z_s), tr S^k) and the instantaneous Lax residual; 17 significant
-    digits."""
+    tr L^k(z_s), tr S^k) and the instantaneous Lax residual (0 on a run with
+    no monitor point); 17 significant digits."""
     header = ["t"] + [f"{part}_{name}" for name in rec.columns
                       for part in ("re", "im")] + ["lax_residual"]
     fh.write(",".join(header) + "\n")
     for t, row, residual in zip(rec.times, rec.values, rec.lax_residual):
         # a complex128 array viewed as float64 interleaves re and im
-        cols = [t, *row.view(np.float64), residual]
+        cols = [t, *row.view(np.float64),
+                0.0 if residual is None else residual]
         fh.write(",".join(map(_fmt, cols)) + "\n")
 
 

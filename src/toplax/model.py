@@ -22,18 +22,22 @@ matrices.  Pairs couple only through F^0(q_ij) and its q-derivative, each
 evaluated once per pair i < j; the skew-symmetry r_12(z) = -r_21(-z) gives
 the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.
 
-The Lax side reads one kernel table per spectral point z (_pair_tables):
-L(z), M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
+The Lax side reads kernel tables of spectral points z (_pair_tables): L(z),
+M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
 contractions over R^z(q_ij) and F^z(q_ij), with r(z) P and m(z) P on the
-diagonal.
+diagonal.  The Lax and exchange checks take arrays of points and evaluate
+them as stacks, in chunks whose largest array fits tensor.STACK_BYTES: a
+chunk is one table stack and one contraction per term over a leading sample
+axis, and each sample keeps its own norm and residual.
 
 Every table is one family call over an array of pair differences: eom_rhs,
 bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
-r(q, (1, 2)) call, and a pair table takes R^z and F^z of all ordered pairs
-from one R(z, q, (0, 1)) call.
+r(q, (1, 2)) call, and a stack of pair tables takes R^z and F^z of all its
+points against all ordered pairs from one R(z, q, (0, 1)) call.
 
-The exchange check reads the tables of z, w, z - w and w - z as one stack
-from one R(z, q, (0, 1)) and one Rz_coefficients call.  Both of its sides
+The exchange check reads the tables of z, w, z - w and w - z of a chunk of
+pairs as one stack from one R(z, q, (0, 1)) and one Rz_coefficients call.
+Both of its sides
 live on the entries of Mat(M)^2 x Mat(N)^2 with l = i or k = j (r(z, w)
 and r_{2'1'21}(w, z) are nonzero only on the blocks E_ij x E_ji), so every
 term is a small contraction written onto one of two (M, M, M, N, N, N, N)
@@ -51,9 +55,9 @@ import numpy as np
 from . import specfun as sf
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (as_four_index, block_grid, check_scale, commutator,
-                     frobenius_norm, kron, op_contract, op_contract_1,
-                     permutation_P)
+from .tensor import (as_four_index, block_grid, check_scale, frobenius_norm,
+                     op_contract, op_contract_1, permutation_P, stack_chunk,
+                     stack_norms)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -90,9 +94,6 @@ class SpinConfig:
 
     def traces(self):
         return np.einsum("iikk->i", self.blocks)
-
-    def on_constraints(self, nu, tol=1e-12):
-        return bool(np.all(np.abs(self.traces() - nu) < tol))
 
 
 def spin_from_matrix(S, M, N):
@@ -162,11 +163,6 @@ class PhaseState:
     def qdiff(self, i, j):
         """q_i - q_j, for sites or index arrays i, j."""
         return self.q[i] - self.q[j]
-
-    def replace(self, q=None, p=None, spin=None):
-        return PhaseState(self.q if q is None else q,
-                          self.p if p is None else p,
-                          self.spin if spin is None else spin, self.family)
 
     @staticmethod
     def pack(q, p, blocks):
@@ -276,12 +272,6 @@ def potential_U(family, Sij, Sji, q):
                                 np.asarray(Sji)[None])[0])
 
 
-def potential_V(family, Sii, Sjj, q):
-    """Tops potential tr_12(F^0_12(q) S^ii_1 S^jj_2); equals potential_U
-    for rank-1 spin."""
-    return complex(np.trace(family.r(q, 1) @ kron(Sii, Sjj)))
-
-
 def _f0_table(state):
     """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
     i, j = _pairs(state.M)
@@ -310,10 +300,10 @@ def _hamiltonian(state, table):
 
 # --- per-pair kernel tables ------------------------------------------------
 
-# block (i, j) of the contraction of a pair table T with a spin S:
-# tr_2(S^{ij}_2 T[i, j] P_12), entry [i, a, j, b] = sum_kl
-# T[i, j]_{(a,k),(l,b)} S^{ij}_{lk}, with S in its (M, N, M, N) layout
-_PAIR = "ijaklb,iljk->iajb"
+# block (i, j) of the contraction of a pair table T (or of each table of a
+# stack) with a spin S: tr_2(S^{ij}_2 T[i, j] P_12), entry [i, a, j, b] =
+# sum_kl T[i, j]_{(a,k),(l,b)} S^{ij}_{lk}, with S in its (M, N, M, N) layout
+_PAIR = "...ijaklb,iljk->...iajb"
 
 
 def _pair_tables(state, z):
@@ -333,29 +323,36 @@ def _pair_tables(state, z):
     M, N = state.M, state.N
     z = np.asarray(z, dtype=complex)
     shape = z.shape
-    R, F = (np.empty(shape + (M, M, N, N, N, N), dtype=complex)
-            .swapaxes(-2, -1) for _ in range(2))
     sites = np.arange(M)
-    R0, R1 = fam.Rz_coefficients(z)
-    R[..., sites, sites, :, :, :, :] = R0.reshape(shape + (1, N, N, N, N))
-    F[..., sites, sites, :, :, :, :] = R1.reshape(shape + (1, N, N, N, N))
     i, j = _ordered_pairs(M)
     # an array of spectral points takes one more axis, for the pairs
-    Rs, Fs = fam.R(z[..., None] if shape else z, state.qdiff(i, j), (0, 1))
-    R[..., i, j, :, :, :, :] = Rs.reshape(shape + (-1, N, N, N, N))
-    F[..., i, j, :, :, :, :] = Fs.reshape(shape + (-1, N, N, N, N))
-    return R, F
+    off = list(fam.R(z[..., None] if shape else z, state.qdiff(i, j), (0, 1)))
+    tables = []
+    for diagonal in fam.Rz_coefficients(z):
+        T = np.empty(shape + (M, M) + (N,) * 4, dtype=complex).swapaxes(-2, -1)
+        T[..., sites, sites, :, :, :, :] = diagonal.reshape(
+            shape + (1, N, N, N, N))
+        # each family stack is dropped once copied, so that the two tables
+        # and the two stacks are never held at once
+        T[..., i, j, :, :, :, :] = off.pop(0).reshape(shape + (-1, N, N, N, N))
+        tables.append(T)
+    return tuple(tables)
 
 
 def _contract(T, S):
-    """The NM x NM matrix with blocks tr_2(S^{ij}_2 T[i, j] P_12)."""
-    M, N = T.shape[0], T.shape[2]
-    return np.einsum(_PAIR, T, S.reshape(M, N, M, N)).reshape(M * N, M * N)
+    """The NM x NM matrix with blocks tr_2(S^{ij}_2 T[i, j] P_12), or the
+    stack of them for a stack of tables T."""
+    M, N = T.shape[-6], T.shape[-4]
+    out = np.einsum(_PAIR, T, S.reshape(M, N, M, N))
+    return out.reshape(T.shape[:-6] + (M * N, M * N))
 
 
 def _plus_diagonal(A, d):
-    """A plus d_i 1 on its diagonal blocks, in place."""
-    A[np.diag_indices(len(A))] += np.repeat(d, len(A) // len(d))
+    """A, or each matrix of a stack A, plus d_i 1 on its diagonal blocks, in
+    place."""
+    n = A.shape[-1]
+    k = np.arange(n)
+    A[..., k, k] += np.repeat(d, n // len(d))
     return A
 
 
@@ -368,7 +365,8 @@ def build_L(state, z):
 
 
 def _lax_L(state, R):
-    """L(z) from the R table of z."""
+    """L(z) from the R table of z, or the stack of L from a stack of
+    tables."""
     return _plus_diagonal(_contract(R, state.spin.matrix), state.p)
 
 
@@ -503,35 +501,56 @@ def _bracket_flow(state, table):
 
 
 def _flow_L(R, Mz, flow):
-    """{H, L(z)} by the chain rule from the bracket-side flow and the R table
-    of z: the spin flow through R, the momenta on the diagonal, and the
+    """{H, L(z)} by the chain rule from the bracket-side flow and a stack of
+    R tables: the spin flow through R, the momenta on the diagonal, and the
     positions through dL^{ij}/dq_i = tr_2(S^ij_2 F^z_12(q_ij) P_12), which
-    is the off-diagonal block M^{ij}(z) of Mz."""
+    is the off-diagonal block M^{ij}(z) of the stack Mz."""
     dq, dp, dS = flow
-    M, N = R.shape[0], R.shape[2]
+    M, N = R.shape[-6], R.shape[-4]
     out = _contract(R, dS.swapaxes(1, 2).reshape(M * N, M * N))
     weight = (dq[:, None] - dq[None, :])[:, None, :, None]
-    out += (weight * Mz.reshape(M, N, M, N)).reshape(M * N, M * N)
+    out += (weight * Mz.reshape(-1, M, N, M, N)).reshape(out.shape)
     return _plus_diagonal(out, dp)
 
 
-def _lax_check(state, z, flow):
-    """(L(z), relative residual of {H, L(z)} = [L(z), M(z)]), with L, M and
-    {H, L} all read from one pair table at z; flow = bracket_flow(state)."""
-    R, F = _pair_tables(state, z)
-    L = _lax_L(state, R)
+def _lax_stack(state, zs, flow):
+    """(L, residuals) of _lax_check at an array zs of points, from one stack
+    of pair tables."""
+    R, F = _pair_tables(state, zs)
     Mz = _contract(F, state.spin.matrix)
+    # each table is dropped once read, so that the stack holds one at a time
+    del F
+    L = _lax_L(state, R)
     lhs = _flow_L(R, Mz, flow)
-    rhs = commutator(L, Mz)
-    scale = max(frobenius_norm(lhs), frobenius_norm(rhs), 1.0)
-    return L, frobenius_norm(lhs - rhs) / scale
+    del R
+    rhs = L @ Mz - Mz @ L
+    scale = np.maximum(np.maximum(stack_norms(lhs), stack_norms(rhs)), 1.0)
+    return L, stack_norms(lhs - rhs) / scale
+
+
+def _lax_check(state, zs, flow):
+    """(L(z), relative residual of {H, L(z)} = [L(z), M(z)]) at every z of
+    the sequence zs, as a stack of L and an array of residuals; flow =
+    bracket_flow(state).
+
+    The points go in chunks of stack_chunk(M^2 N^4), the entries of one
+    table: L, M and {H, L} of a chunk are contractions over one stack of
+    pair tables (_lax_stack), and each point gets its own norms."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    M, N = state.M, state.N
+    Ls = np.empty((len(zs), M * N, M * N), dtype=complex)
+    residuals = np.empty(len(zs))
+    size = stack_chunk(M * M * N ** 4)
+    for start in range(0, len(zs), size):
+        chunk = slice(start, start + size)
+        Ls[chunk], residuals[chunk] = _lax_stack(state, zs[chunk], flow)
+    return Ls, residuals
 
 
 def lax_residuals(state, zs):
-    """Relative residuals of {H, L(z)} = [L(z), M(z)] at each z in zs,
-    sharing one bracket flow."""
-    flow = bracket_flow(state)
-    return [_lax_check(state, z, flow)[1] for z in zs]
+    """Relative residuals of {H, L(z)} = [L(z), M(z)] at each z in zs, as a
+    list: one bracket flow, and the points as stacks (_lax_check)."""
+    return _lax_check(state, zs, bracket_flow(state))[1].tolist()
 
 
 def lax_residual(state, z):
@@ -543,67 +562,84 @@ def lax_residual(state, z):
 
 # Both sides of the exchange relation vanish off the entries
 # [i, k, a, c, j, l, b, d] (primed factors first) with l = i or k = j, so
-# each side is held as one (2, M, M, M, N, N, N, N) stack of two planes:
-# plane 0 is l = i, indexed [i, k, j, a, c, b, d], and plane 1 is k = j,
-# indexed [k, i, l, a, c, b, d].  Their overlap l = i, k = j is kept in
-# plane 1 (_fold_overlap), so that every entry is held once.
+# each side of a pair (z, w) is held as one (2, M, M, M, N, N, N, N) stack
+# of two planes: plane 0 is l = i, indexed [i, k, j, a, c, b, d], and
+# plane 1 is k = j, indexed [k, i, l, a, c, b, d].  Their overlap l = i,
+# k = j is kept in plane 1 (_fold_overlap), so that every entry is held
+# once.  A stack of pairs puts one more axis, for the pairs, in front.
 
-# the spin-sector terms contract the w table with the spin first, then the
-# z table as a batched matrix product (ten times faster at N = M = 3 than
-# one three-operand einsum, numpy 2.4)
-_B_THEN_A = ["einsum_path", (1, 2), (0, 1)]
+# a diagonal of a plane stack is taken as a writable einsum view, which
+# numpy returns for a subscript repeated on one operand: no copy, unlike
+# indexing with index arrays
 
 
 def _fold_overlap(X):
     """Add the overlap of plane 0 (l = i, k = j) into plane 1 and zero it
-    there, in place."""
-    s = np.arange(X.shape[1])
-    X[1][:, s, s] += X[0][:, s, s].swapaxes(0, 1)
-    X[0][:, s, s] = 0
+    there, in place, for a stack X of plane pairs: plane 1 [k, i, i] takes
+    plane 0 [i, k, k]."""
+    overlap = np.einsum("nikk...->nki...", X[:, 0])
+    np.einsum("nkii...->nki...", X[:, 1])[...] += overlap
+    overlap[...] = 0
     return X
 
 
-def _exchange_lhs(state, tables_z, tables_w):
-    """{L_{1'1}(z), L_{2'2}(w)} by the Poisson-bracket oracle on the support
-    planes, from the pair tables (R, F) of z and of w."""
+def _q_derivatives(state, F):
+    """D[..., i, a, j, b] = tr_2(S^ij_2 F_12(q_ij) P_12)_{ab} off the
+    diagonal blocks and 0 on them, from a stack of F tables: the
+    q-derivatives dL^{ij} / dq_i = -dL^{ij} / dq_j of L."""
     M, N = state.M, state.N
-    S = state.spin.matrix
-    S4 = S.reshape(M, N, M, N)
-    s = np.arange(M)
+    D = _contract(F, state.spin.matrix).reshape(F.shape[:-6] + (M, N, M, N))
+    np.einsum("...iaib->...iab", D)[...] = 0
+    return D
+
+
+def _exchange_lhs(state, R, D):
+    """{L_{1'1}(z), L_{2'2}(w)} by the Poisson-bracket oracle on the support
+    planes, one plane pair per pair (z, w), from the R tables R[:, 0] of z
+    and R[:, 1] of w and the q-derivatives D[:, 0] of L(z) and D[:, 1] of
+    L(w) (_q_derivatives)."""
+    M, N = state.M, state.N
+    S4 = state.spin.matrix.reshape(M, N, M, N)
     # gradients dL^{ij}_{ab}(z) / dS^{ij}_{xy} = A[i, j, a, y, b, x] (B at w)
-    # and q-derivatives D[i, a, j, b] = tr_2(S^ij_2 F_12(q_ij) P_12)_{ab} of
-    # the off-diagonal blocks, dL^{ij} / dq_i = -dL^{ij} / dq_j
-    A, B = tables_z[0].swapaxes(4, 5), tables_w[0].swapaxes(4, 5)
-    D1, D2 = (_contract(T[1], S).reshape(M, N, M, N)
-              for T in (tables_z, tables_w))
-    for D in (D1, D2):
-        D[s, :, s] = 0
+    A, B = R[:, 0].swapaxes(-2, -1), R[:, 1].swapaxes(-2, -1)
+    D1, D2 = D[:, 0], D[:, 1]
     eN = np.eye(N)
-    out = np.empty((2, M, M, M, N, N, N, N), dtype=complex)
-    # spin sector, {S^ij_xy, S^kl_vw} = S^kj_vy d^il d_xw - S^il_xw d^kj d_yv
-    np.einsum("ijaybx,kicxdv,kvjy->ikjacbd", A, B, S4, out=out[0],
-              optimize=_B_THEN_A)
-    np.einsum("ijaybx,jlcwdy,ixlw->jilacbd", A, B, -S4, out=out[1],
-              optimize=_B_THEN_A)
+    n = len(A)
+    out = np.empty((n, 2, M, M, M, N, N, N, N), dtype=complex)
+    P0, P1 = out[:, 0], out[:, 1]
+    # spin sector, {S^ij_xy, S^kl_vw} = S^kj_vy d^il d_xw - S^il_xw d^kj d_yv:
+    # the w table with the spin first, then the z table, each a batched
+    # matrix product, so that every sample sums as it would alone
+    # A[n, i, j, a, y, b, x] as [n, i, j, (a, b), (x, y)]
+    Az = A.transpose(0, 1, 2, 3, 5, 6, 4).reshape(n, M, M, N * N, N * N)
+    # plane 0: B S at [n, k, (i, c, x, d), (j, y)], summed over v, then
+    # with A over (x, y) at [n, i, j, (a, b), (k, c, d)]
+    BS = B.reshape(n, M, M * N ** 3, N) @ S4.reshape(M, N, M * N)
+    # rebound once transposed, so that one copy is held at a time
+    BS = BS.reshape(n, M, M, N, N, N, M, N).transpose(0, 2, 6, 4, 7, 1, 3, 5) \
+        .reshape(n, M, M, N * N, M * N * N)
+    P0[...] = (Az @ BS).reshape(n, M, M, N, N, M, N, N).transpose(
+        0, 1, 5, 2, 3, 6, 4, 7)
+    # plane 1: B (-S) at [n, j, l, (c, d, y), (i, x)], summed over w, then
+    # with A over (x, y) at [n, i, j, (a, b), (l, c, d)]
+    BS = B.transpose(0, 1, 2, 3, 5, 6, 4).reshape(n, M, M, N ** 3, N) \
+        @ -S4.transpose(2, 3, 0, 1).reshape(M, N, M * N)
+    BS = BS.reshape(n, M, M, N, N, N, M, N).transpose(0, 6, 1, 7, 5, 2, 3, 4) \
+        .reshape(n, M, M, N * N, M * N * N)
+    P1[...] = (Az @ BS).reshape(n, M, M, N, N, M, N, N).transpose(
+        0, 2, 1, 5, 3, 6, 4, 7)
     # canonical sector, {p_i, q_k} = d_ik: p_i on L^{ii}(z) meets q_i in
     # L^{il}(w) (i = j = k) and L^{ki}(w) (l = i = j), and p_k on L^{kk}(w)
     # meets q_k in L^{kj}(z) (k = l = i) and L^{ik}(z) (j = k = l)
-    out[1][s, s] += np.einsum("kcld,ab->klacbd", D2, eN)
-    out[0][s, :, s] -= np.einsum("kcid,ab->ikacbd", D2, eN)
-    out[0][s, s] -= np.einsum("iajb,cd->ijacbd", D1, eN)
-    out[1][s, :, s] += np.einsum("iakb,cd->kiacbd", D1, eN)
+    np.einsum("nkkl...->nkl...", P1)[...] += np.einsum(
+        "nkcld,ab->nklacbd", D2, eN)
+    np.einsum("niki...->nik...", P0)[...] -= np.einsum(
+        "nkcid,ab->nikacbd", D2, eN)
+    np.einsum("niij...->nij...", P0)[...] -= np.einsum(
+        "niajb,cd->nijacbd", D1, eN)
+    np.einsum("nkik...->nki...", P1)[...] += np.einsum(
+        "niakb,cd->nkiacbd", D1, eN)
     return _fold_overlap(out)
-
-
-def _exchange_blocks(T):
-    """sum_ij E_ij x E_ji x T[i, j] P_12 on Mat(M)^2 x Mat(N)^2, primed
-    factors first, for a pair table T."""
-    M, N = T.shape[0], T.shape[2]
-    out = np.zeros((M, M, N, N) * 2, dtype=complex)
-    i, j = np.indices((M, M))
-    out[i, j, :, :, j, i] = T.swapaxes(4, 5)
-    dim = (M * N) ** 2
-    return out.reshape(dim, dim)
 
 
 def _trace_weight(state):
@@ -612,68 +648,83 @@ def _trace_weight(state):
     return (tr[:, None] - tr[None, :])[:, :, None, None, None, None]
 
 
-def classical_r_big(state, z, w):
-    """The dynamical r-matrix on Mat(M)^2 x Mat(N)^2, primed factors first:
-    sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P.
-
-    A dense reference: exchange_residual reads its blocks directly."""
-    return _exchange_blocks(_pair_tables(state, z - w)[0])
-
-
-def _r_big_q_derivative_sum(state, z, w):
-    """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix, which places
-    (tr S^ii - tr S^jj) F^{z-w}(q_ij) P (dense reference)."""
-    return _exchange_blocks(_trace_weight(state)
-                            * _pair_tables(state, z - w)[1])
+def _dr_overlap(state, F):
+    """The overlap blocks of dr = sum_k tr(S^kk) d_{q_k} r(z, w), from the F
+    table of z - w (or a stack of them): W[..., k, i] is its plane-1 entry
+    [k, i, i], and dr is zero elsewhere."""
+    return (_trace_weight(state) * F).swapaxes(-6, -5).swapaxes(-2, -1)
 
 
-def _exchange_rhs(state, R, F):
-    """(c1, c2, W) of the exchange relation, from the pair tables R, F
-    stacked at [z, w, z - w, w - z]: c1 = [L_{1'1}(z), r(z, w)] and
-    c2 = [L_{2'2}(w), r_{2'1'21}(w, z)] on the support planes, and W the
-    overlap blocks of dr = sum_k tr(S^kk) d_{q_k} r(z, w), which is zero
-    elsewhere: W[k, i] is its plane-1 entry [k, i, i].
+def _exchange_rhs(state, R, buf):
+    """The commutator terms of the exchange relation's r-matrix side at a
+    stack of pairs, from the R tables stacked at [pair, (z, w, z - w,
+    w - z)]: yields -c1, then c2, on the support planes, each written into
+    buf (so c1 is read before c2 is asked for); the residual is
+    {L_{1'1}(z), L_{2'2}(w)} - c1 + c2 + dr, with dr on the overlap
+    (_dr_overlap).
 
-    r(z, w) is nonzero only on the blocks E_ij x E_ji, where it is
-    G[i, j] = R^{z-w}(q_ij) P (r(z - w) on i = j), and so is
-    r_{2'1'21}(w, z), there H[i, j], its w - z table with both factor
-    pairs swapped: dr lies on the overlap, and each product with L(z) x 1
-    or 1 x L(w) is one small contraction onto one plane."""
+    c1 = [L_{1'1}(z), r(z, w)], c2 = [L_{2'2}(w), r_{2'1'21}(w, z)] and
+    dr = sum_k tr(S^kk) d_{q_k} r(z, w).  r(z, w) is nonzero only on the
+    blocks E_ij x E_ji, where it is G[i, j] = R^{z-w}(q_ij) P (r(z - w) on
+    i = j), and so is r_{2'1'21}(w, z), there H[i, j], its w - z table with
+    both factor pairs swapped: dr lies on the overlap, and each product with
+    L(z) x 1 or 1 x L(w) is one small contraction onto one plane."""
     M, N = state.M, state.N
-    Lz, Lw = (_lax_L(state, T).reshape(M, N, M, N) for T in R[:2])
-    G = R[2].swapaxes(4, 5)
-    H = R[3].swapaxes(4, 5).transpose(1, 0, 3, 2, 5, 4)
-    c1, c2 = (np.empty((2, M, M, M, N, N, N, N), dtype=complex)
-              for _ in range(2))
-    np.einsum("skacyd,kyjb->skjacbd", G, -Lz, out=c1[0], optimize=True)
-    np.einsum("ialy,lsycbd->silacbd", Lz, G, out=c1[1], optimize=True)
-    np.einsum("kcjy,sjaybd->skjacbd", Lw, H, out=c2[0], optimize=True)
-    np.einsum("isacby,iyld->silacbd", H, -Lw, out=c2[1], optimize=True)
-    W = (_trace_weight(state) * F[2]).transpose(1, 0, 2, 3, 5, 4)
-    return _fold_overlap(c1), _fold_overlap(c2), W
+    Lz, Lw = (_lax_L(state, R[:, k]).reshape(-1, M, N, M, N) for k in (0, 1))
+    G = R[:, 2].swapaxes(-2, -1)
+    H = R[:, 3].swapaxes(-2, -1).transpose(0, 2, 1, 4, 3, 6, 5)
+    P0, P1 = buf[:, 0], buf[:, 1]
+    np.einsum("nskacyd,nkyjb->nskjacbd", G, Lz, out=P0)
+    np.einsum("nialy,nlsycbd->nsilacbd", -Lz, G, out=P1)
+    yield _fold_overlap(buf)
+    np.einsum("nkcjy,nsjaybd->nskjacbd", Lw, H, out=P0)
+    np.einsum("nisacby,niyld->nsilacbd", H, -Lw, out=P1)
+    yield _fold_overlap(buf)
+
+
+def _exchange_residuals(state, points):
+    """exchange_residual at the pairs of points[k] = (z, w, z - w, w - z),
+    from one stack of their pair tables."""
+    R, F = _pair_tables(state, points)
+    # the F tables enter through dL/dq at z and w and the dr blocks alone,
+    # which are formed first, so that F is dropped before the planes
+    D, W = _q_derivatives(state, F[:, :2]), _dr_overlap(state, F[:, 2])
+    del F
+    lhs = _exchange_lhs(state, R, D)
+    scale = np.maximum(np.maximum(stack_norms(lhs), stack_norms(W)), 1.0)
+    # the residual forms in place on the bracket side: dr on the overlap,
+    # then the commutator terms in turn
+    np.einsum("nkii...->nki...", lhs[:, 1])[...] += W
+    for term in _exchange_rhs(state, R, np.empty_like(lhs)):
+        scale = np.maximum(scale, stack_norms(term))
+        lhs += term
+    return np.abs(lhs).reshape(len(lhs), -1).max(axis=1) / scale
 
 
 def exchange_residual(state, z, w):
     """Max relative residual of the classical exchange relation
     {L_{1'1}(z), L_{2'2}(w)} = [L_{1'1}(z), r] - [L_{2'2}(w), r_{2'1'21}]
-    - sum_k tr(S^kk) d_{q_k} r, on its two support planes, with the pair
-    tables of z, w, z - w and w - z from one stack: one R(z, q, (0, 1)) and
-    one Rz_coefficients call."""
+    - sum_k tr(S^kk) d_{q_k} r on its two support planes, at the pair
+    (z, w) of numbers (a float), or at each pair of the broadcast of two
+    arrays z, w (an array of that shape).
+
+    The pairs go in chunks of stack_chunk(2 M^3 N^4), the entries of one
+    pair's support planes; a chunk reads the pair tables of its z, w,
+    z - w and w - z from one stack: one R(z, q, (0, 1)) and one
+    Rz_coefficients call."""
     M, N = state.M, state.N
-    check_scale(2 * M ** 3 * N ** 4,
-                f"the exchange relation at N = {N}, M = {M}")
+    entries = 2 * M ** 3 * N ** 4
+    check_scale(entries, f"the exchange relation at N = {N}, M = {M}")
     _require_constraints(state)
-    R, F = _pair_tables(state, np.array([z, w, z - w, w - z]))
-    lhs = _exchange_lhs(state, (R[0], F[0]), (R[1], F[1]))
-    c1, c2, W = _exchange_rhs(state, R, F)
-    scale = max(frobenius_norm(lhs), frobenius_norm(c1), frobenius_norm(c2),
-                frobenius_norm(W), 1.0)
-    # lhs - (c1 - c2 - dr), in place, with dr = W on the overlap
-    lhs -= c1
-    lhs += c2
-    s = np.arange(M)
-    lhs[1][:, s, s] += W
-    return float(np.max(np.abs(lhs)) / scale)
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex),
+                               np.asarray(w, dtype=complex))
+    points = np.stack([z, w, z - w, w - z], axis=-1).reshape(-1, 4)
+    out = np.empty(len(points))
+    size = stack_chunk(entries)
+    for start in range(0, len(points), size):
+        chunk = slice(start, start + size)
+        out[chunk] = _exchange_residuals(state, points[chunk])
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # --- R-matrix-valued Calogero-Moser Lax pair -------------------------------
@@ -731,14 +782,6 @@ def _cm_blocks(diagonal, i, j, off):
     out[sites, :, sites, :] = diagonal
     out[i, :, j, :] = off
     return out.reshape(M * dim, M * dim)
-
-
-def cm_rmx_lax(q, p, nu, family, z):
-    """R-matrix-valued Lax pair of the spinless Calogero-Moser model on
-    Mat(M) x Mat(N)^{x M}: returns (L, Mbar) with
-    L_ab = d_ab p_a 1 + nu (1 - d_ab) R^z_ab(q_a - q_b) and
-    Mbar = M - nu 1_M x F0_total."""
-    return _cm_rmx(q, p, nu, family, z)[:2]
 
 
 def cm_rmx_residual(q, p, nu, family, z):

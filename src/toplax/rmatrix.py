@@ -41,6 +41,8 @@ class RMatrixFamily:
 
     A family implements _R(hbar, z, orders) and _r(z, orders), on complex
     arrays, returning one stack per order and guarding the poles itself.
+    A stack may be a read-only view (a matrix repeated along the axes of
+    hbar), so a caller copies before writing into one.
     """
 
     kind = None
@@ -120,10 +122,8 @@ class YangXXX(RMatrixFamily):
                 out.append(self._I / hbar[..., None, None] + self._pole(z, 0))
             else:
                 # the z-derivatives of R^hbar(z) are those of P/z: the same
-                # stack along the axes of hbar
-                T = np.empty(shape, dtype=complex)
-                T[...] = self._pole(z, d)
-                out.append(T)
+                # stack along the axes of hbar, as a read-only view of it
+                out.append(np.broadcast_to(self._pole(z, d), shape))
         return out
 
     def _r(self, z, orders):
@@ -331,7 +331,9 @@ class BaxterBelavin(RMatrixFamily):
         _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
                                     hbar / self.N, max(orders))
         coeffs = np.array([phi[d] for d in orders])
-        return list(self._sum(coeffs) / self.N)
+        out = self._sum(coeffs)
+        out /= self.N
+        return list(out)
 
     @staticmethod
     def _r_coeffs(log_z, phi, d):

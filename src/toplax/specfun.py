@@ -106,9 +106,6 @@ class SectorIndex:
         return SectorIndex((self.a1 + other.a1) % self.N,
                            (self.a2 + other.a2) % self.N, self.N)
 
-    def is_zero(self):
-        return self.a1 == 0 and self.a2 == 0
-
 
 def all_sectors(N):
     """All N^2 sector labels in row-major (a1, a2) order."""
@@ -234,7 +231,10 @@ def _theta_rows(flavor, args, upto):
 def pole_distance(flavor, z):
     """Distance from z, a number (giving a float) or an array, to the
     flavor's pole set; hypot rounds as Python's abs does, so an array holds
-    the bits of its elements."""
+    the bits of its elements.  A finite Python number takes the same steps
+    in plain Python (_number_pole_distance), with the same bits."""
+    if isinstance(z, (int, float, complex)) and cmath.isfinite(z):
+        return _number_pole_distance(flavor, complex(z))
     z = np.asarray(z, dtype=complex)
     if flavor.kind == TRIGONOMETRIC:
         # poles at i*pi*Z
@@ -252,6 +252,23 @@ def pole_distance(flavor, z):
     d = np.hypot(z.real, z.imag)
     d = d.min(-1) if flavor.kind == ELLIPTIC else d
     return float(d) if d.ndim == 0 else d
+
+
+def _number_pole_distance(flavor, z):
+    """pole_distance of a finite complex number, step by step as the array
+    path: round is np.rint (half to even) and abs is hypot."""
+    if flavor.kind == TRIGONOMETRIC:
+        return abs(complex(z.real, z.imag - round(z.imag / math.pi) * math.pi))
+    if flavor.kind != ELLIPTIC:
+        return abs(z)
+    tau = flavor.tau
+    K = math.ceil(math.hypot(0.5, tau.imag) / tau.imag)
+    row = math.floor(z.imag / tau.imag)
+    nearest = math.inf
+    for n in range(row - K, row + K + 2):
+        nt = float(n) * tau
+        nearest = min(nearest, abs(z - (round((z - nt).real) + nt)))
+    return nearest
 
 
 def check_pole(flavor, *args, eps=POLE_EPS):
@@ -404,25 +421,6 @@ def phi_derivative_f(flavor, z, q):
     p = np.asarray(kronecker_phi(flavor, z, q))
     e1 = eisenstein_E1(flavor, np.stack([z + q, q]))
     return _number(p * (e1[0] - e1[1]))
-
-
-def sector_phi(flavor, a, z, u):
-    """phi_a(z, omega_a + u) = exp(2*pi*i*a2*z/N) * phi(z, omega_a + u)."""
-    if flavor.kind != ELLIPTIC:
-        raise ValueError("sector functions require the elliptic flavor")
-    z = complex(z)
-    arg = a.omega(flavor.tau) + complex(u)
-    return cmath.exp(TWO_PI_I * a.a2 * z / a.N) * kronecker_phi(flavor, z, arg)
-
-
-def sector_f(flavor, a, z, u):
-    """f_a(z, omega_a + u) = exp(2*pi*i*a2*z/N) * f(z, omega_a + u)."""
-    if flavor.kind != ELLIPTIC:
-        raise ValueError("sector functions require the elliptic flavor")
-    z = complex(z)
-    arg = a.omega(flavor.tau) + complex(u)
-    return (cmath.exp(TWO_PI_I * a.a2 * z / a.N)
-            * phi_derivative_f(flavor, z, arg))
 
 
 def sector_table(flavor, sectors, z, u, upto):

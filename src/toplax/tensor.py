@@ -15,6 +15,11 @@ from .errors import ScaleExceeded
 
 # the largest complex array a command may allocate, checked before it does
 MAX_ARRAY_BYTES = 2 ** 28
+# the largest array of one chunk of a stacked check: check-lax,
+# check-exchange and a monitor row stack their spectral points in chunks
+# whose largest array fits this, so that a check of many points keeps the
+# peak memory of a few
+STACK_BYTES = 224 << 10
 
 
 def check_scale(entries, what):
@@ -24,6 +29,12 @@ def check_scale(entries, what):
         raise ScaleExceeded(
             f"{what} has {entries} complex entries, over the "
             f"{MAX_ARRAY_BYTES >> 20} MiB array budget")
+
+
+def stack_chunk(entries):
+    """Samples per chunk of a stacked check whose largest array holds this
+    many complex entries per sample: max(1, STACK_BYTES // (16 entries))."""
+    return max(1, STACK_BYTES // (16 * entries))
 
 
 def kron(*mats):
@@ -119,6 +130,17 @@ def commutator(A, B):
 
 def frobenius_norm(A):
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
+
+
+def stack_norms(X):
+    """The Frobenius norm of each X[k] of a complex stack, bit for bit
+    frobenius_norm of a C-contiguous X[k]: the BLAS dot products of its
+    real and of its imaginary part, one pair per sample, so that a
+    sample's norm does not depend on the stack it sits in."""
+    X = np.ascontiguousarray(X).reshape(len(X), 1, -1)
+    re, im = X.real, X.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
+                   .reshape(-1))
 
 
 def block_grid(A, M, N):

@@ -1,0 +1,98 @@
+"""Reference forms that only the tests call.
+
+Each is a direct, unoptimized statement of a quantity the package computes
+another way: the dense dynamical r-matrix and its q-derivative term against
+the support planes of the exchange check, the tops potential against
+potential_U, the R-matrix-valued Lax pair, the per-sector scalar functions
+against specfun.sector_table, and small helpers on the package's types.
+"""
+
+import cmath
+
+import numpy as np
+
+from toplax import model as md
+from toplax import specfun as sf
+from toplax.tensor import kron
+
+
+# --- phase space -------------------------------------------------------------
+
+def on_constraints(spin, nu, tol=1e-12):
+    """Whether tr S^ii = nu on every site, to tol."""
+    return bool(np.all(np.abs(spin.traces() - nu) < tol))
+
+
+def replace(state, q=None, p=None, spin=None):
+    """The state with q, p or spin replaced."""
+    return md.PhaseState(state.q if q is None else q,
+                         state.p if p is None else p,
+                         state.spin if spin is None else spin, state.family)
+
+
+def potential_V(family, Sii, Sjj, q):
+    """Tops potential tr_12(F^0_12(q) S^ii_1 S^jj_2); equals potential_U
+    for rank-1 spin."""
+    return complex(np.trace(family.r(q, 1) @ kron(Sii, Sjj)))
+
+
+def cm_rmx_lax(q, p, nu, family, z):
+    """R-matrix-valued Lax pair of the spinless Calogero-Moser model on
+    Mat(M) x Mat(N)^{x M}: returns (L, Mbar) with
+    L_ab = d_ab p_a 1 + nu (1 - d_ab) R^z_ab(q_a - q_b) and
+    Mbar = M - nu 1_M x F0_total."""
+    return md._cm_rmx(q, p, nu, family, z)[:2]
+
+
+# --- the dense dynamical r-matrix --------------------------------------------
+
+def exchange_blocks(T):
+    """sum_ij E_ij x E_ji x T[i, j] P_12 on Mat(M)^2 x Mat(N)^2, primed
+    factors first, for a pair table T."""
+    M, N = T.shape[0], T.shape[2]
+    out = np.zeros((M, M, N, N) * 2, dtype=complex)
+    i, j = np.indices((M, M))
+    out[i, j, :, :, j, i] = T.swapaxes(4, 5)
+    dim = (M * N) ** 2
+    return out.reshape(dim, dim)
+
+
+def classical_r_big(state, z, w):
+    """The dynamical r-matrix on Mat(M)^2 x Mat(N)^2, primed factors first:
+    sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P,
+    as a dense array."""
+    return exchange_blocks(md._pair_tables(state, z - w)[0])
+
+
+def r_big_q_derivative_sum(state, z, w):
+    """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix, which places
+    (tr S^ii - tr S^jj) F^{z-w}(q_ij) P, as a dense array."""
+    return exchange_blocks(md._trace_weight(state)
+                           * md._pair_tables(state, z - w)[1])
+
+
+# --- sector functions --------------------------------------------------------
+
+def is_zero(a):
+    """Whether the sector label a is (0, 0)."""
+    return a.a1 == 0 and a.a2 == 0
+
+
+def sector_phi(flavor, a, z, u):
+    """phi_a(z, omega_a + u) = exp(2*pi*i*a2*z/N) * phi(z, omega_a + u)."""
+    if flavor.kind != sf.ELLIPTIC:
+        raise ValueError("sector functions require the elliptic flavor")
+    z = complex(z)
+    arg = a.omega(flavor.tau) + complex(u)
+    return cmath.exp(sf.TWO_PI_I * a.a2 * z / a.N) \
+        * sf.kronecker_phi(flavor, z, arg)
+
+
+def sector_f(flavor, a, z, u):
+    """f_a(z, omega_a + u) = exp(2*pi*i*a2*z/N) * f(z, omega_a + u)."""
+    if flavor.kind != sf.ELLIPTIC:
+        raise ValueError("sector functions require the elliptic flavor")
+    z = complex(z)
+    arg = a.omega(flavor.tau) + complex(u)
+    return (cmath.exp(sf.TWO_PI_I * a.a2 * z / a.N)
+            * sf.phi_derivative_f(flavor, z, arg))

@@ -2,12 +2,14 @@
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toplax import cli
+from toplax import tensor as tn
 
 
 def run_capture(capsys, argv):
@@ -290,12 +292,6 @@ def test_fixed_n_family_at_other_n_exits_2(tmp_path, capsys, argv,
     assert "N = 2 only" in err
 
 
-def _in_turn(values):
-    """A stand-in residual function returning values in turn."""
-    it = iter(values)
-    return lambda *args, **kwargs: next(it)
-
-
 def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
     nan = float("nan")
     path = write_config(tmp_path)
@@ -306,7 +302,7 @@ def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["pass"] is False
     monkeypatch.setattr(cli.md, "exchange_residual",
-                        _in_turn([0.0, nan, 0.0]))
+                        lambda state, z, w: np.array([0.0, nan, 0.0]))
     code, out, _ = run_capture(capsys, [
         "check-exchange", "--config", path, "--pairs", "3"])
     assert code == 1
@@ -375,9 +371,10 @@ def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_check_exchange_no_one_row_sector_sum(tmp_path, capsys, monkeypatch):
-    # the diagonals of a pair's four tables, r(z) P and m(z) P at z, w,
-    # z - w and w - z, are one eight-row bb sector sum, and their
-    # off-diagonals one stack: no sum has a single row
+    # the off-diagonals of a chunk's tables at z, w, z - w and w - z are
+    # one bb sector sum, of 2 x 4 x 6 rows per pair, and their diagonals,
+    # r(z) P and m(z) P, one of eight rows per pair: no sum has a single
+    # row; the ten pairs go in chunks of three (the last of one)
     path = write_config(tmp_path, family="bb", N=3, M=3, tau=[0.1, 1.1],
                         seed=0)
     rows = []
@@ -391,7 +388,10 @@ def test_check_exchange_no_one_row_sector_sum(tmp_path, capsys, monkeypatch):
     code, out, _ = run_capture(capsys, [
         "check-exchange", "--config", path, "--pairs", "10"])
     assert code == 0
-    assert rows.count(8) == 10 and min(rows) == 8
+    n = tn.stack_chunk(2 * 3 ** 3 * 3 ** 4)
+    chunks = [n] * (10 // n) + [10 % n]
+    assert rows == [r for k in chunks for r in (48 * k, 8 * k)]
+    assert min(rows) == 8
 
 
 def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
@@ -467,14 +467,58 @@ def test_check_exchange_without_residual_exits_2(tmp_path, capsys,
     assert "no (z, w) pair" in err
 
 
+@pytest.mark.parametrize("argv, overrides", [
+    (["check-lax", "--z-samples", "10"],
+     {"family": "bb", "M": 4, "tau": [0.0, 1.0]}),
+    (["check-lax", "--z-samples", "20"], {"M": 8}),
+    (["check-exchange", "--pairs", "10"],
+     {"family": "bb", "N": 3, "M": 3, "tau": [0.1, 1.1], "seed": 0}),
+    (["check-exchange", "--pairs", "6"], {"M": 4})])
+def test_stack_chunks_give_the_same_report(tmp_path, capsys, monkeypatch,
+                                           argv, overrides):
+    # one point per chunk and the default chunks (one stack of 10 points;
+    # 14 then 6; three pairs at a time; six at once) give the same bytes
+    path = write_config(tmp_path, **overrides)
+    argv = argv + ["--config", path]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(tn, "STACK_BYTES", 0)
+    assert tn.stack_chunk(1) == 1
+    assert run_capture(capsys, argv) == (0, out, "")
+
+
+def test_stacked_checks_peak_memory(tmp_path, capsys):
+    # the largest array of a chunk fits STACK_BYTES, so a check's traced
+    # peak stays within a few times it however many points it checks: the
+    # table stacks of check-lax (14 of 20 points per chunk) and the support
+    # planes of check-exchange (3 of 10 pairs) read 2.9 and 3.3 times it;
+    # one stack of all points reads 4.0 and 10.5 times it (numpy 2.4)
+    runs = [
+        (["check-exchange", "--pairs", "10"],
+         {"family": "bb", "N": 3, "M": 3, "tau": [0.1, 1.1], "seed": 0}),
+        (["check-lax", "--z-samples", "20"], {"M": 8, "seed": 0})]
+    for argv, overrides in runs:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+        # a first run fills the caches that outlive a command
+        assert run_capture(capsys, argv)[0] == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_capture(capsys, argv)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * tn.STACK_BYTES, argv[0]
+
+
 def test_check_exchange_checks_every_requested_pair(tmp_path, capsys,
                                                     monkeypatch):
     # 250 pairs take more than 200 draws: each is checked
     path = write_config(tmp_path, N=1)
     checked = []
     residual = cli.md.exchange_residual
-    monkeypatch.setattr(cli.md, "exchange_residual", lambda *args: (
-        checked.append(1), residual(*args))[1])
+    monkeypatch.setattr(cli.md, "exchange_residual", lambda state, z, w: (
+        checked.extend(z), residual(state, z, w))[1])
     code, out, _ = run_capture(capsys, [
         "check-exchange", "--config", path, "--pairs", "250"])
     assert code == 0
@@ -527,6 +571,26 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 6
     assert lines[0].startswith("t,re_q0")
     assert report["drift"]["hamiltonian_drift"] < 1e-9
+
+
+def test_simulate_without_monitor_points_reports_no_lax_residual(tmp_path,
+                                                                   capsys):
+    # with no --monitor-z no Lax residual is computed, and the report says
+    # so with null rather than a 0.0 that was never checked; the CSV keeps
+    # its lax_residual column at 0
+    path = write_config(tmp_path)
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "0.001", "--steps", "20",
+        "--monitor-every", "10", "--out", str(out_csv)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["drift"]["max_lax_residual"] is None
+    assert '"max_lax_residual": null' in out
+    rows = out_csv.read_text().splitlines()
+    assert len(rows) == 4
+    assert all(row.endswith(",0") for row in rows[1:])
 
 
 def _flow_oracle():

@@ -84,6 +84,15 @@ def test_monitor_traces_recorded():
     assert max(rec.lax_residual) < 1e-11
 
 
+def test_report_without_monitor_points():
+    # no monitor point, no Lax residual: None in every row and the report
+    st = make_state(seed=11)
+    rec = dy.integrate(st, dy.IntegratorConfig(dt=1e-3, steps=20,
+                                               monitor_every=10))
+    assert rec.rows() == 3 and rec.lax_residual == [None] * 3
+    assert dy.isospectrality_report(rec)["max_lax_residual"] is None
+
+
 def test_report_requires_rows():
     with pytest.raises(ValueError):
         dy.isospectrality_report(dy.TrajectoryRecord())

@@ -1,6 +1,7 @@
 """Unit tests for the phase space, Hamiltonian, Lax pair and reductions."""
 
 import cmath
+import itertools
 from collections import Counter
 from types import SimpleNamespace
 
@@ -15,10 +16,12 @@ from toplax import specfun as sf
 from toplax import tensor as tn
 from toplax.errors import ConstraintViolation, ScaleExceeded, ToplaxError
 
+import reference as rf
+
 
 def test_spin_rank1_structure():
     spin = md.spin_rank1(3, 2, 0.8 + 0.1j, seed=4)
-    assert spin.on_constraints(0.8 + 0.1j)
+    assert rf.on_constraints(spin, 0.8 + 0.1j)
     S = spin.assemble()
     svals = np.linalg.svd(S, compute_uv=False)
     assert svals[0] > 1e-3
@@ -32,7 +35,7 @@ def test_spin_rank1_rejects_zero_level():
 
 def test_spin_general_constraints():
     spin = md.spin_general(3, 2, 1.5, seed=5)
-    assert spin.on_constraints(1.5)
+    assert rf.on_constraints(spin, 1.5)
     S = spin.assemble()
     svals = np.linalg.svd(S, compute_uv=False)
     assert svals[-1] > 1e-6  # generically full rank
@@ -49,7 +52,7 @@ def test_spin_roundtrip():
 def test_random_state_is_constrained():
     fam = rm.make_family("bb", N=2, tau=1j)
     st = md.random_state(fam, 3, 0.7, seed=1)
-    assert st.spin.on_constraints(0.7)
+    assert rf.on_constraints(st.spin, 0.7)
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -62,7 +65,7 @@ def test_phase_state_is_array_native():
     fam = rm.make_family("xxx", N=2)
     st = md.random_state(fam, 3, 1.0, seed=8)
     made = (st, md.PhaseState((0.1, 0.2j, 0.3), [1, 2, 3], st.spin, fam),
-            st.replace(q=(0.5, 0.6, 0.7)), st.from_vector(st.vector))
+            rf.replace(st, q=(0.5, 0.6, 0.7)), st.from_vector(st.vector))
     for s in made:
         for a in (s.q, s.p):
             assert isinstance(a, np.ndarray)
@@ -90,7 +93,7 @@ def test_constraint_check_raises():
     st = md.random_state(fam, 2, 1.0, seed=2)
     blocks = [[st.spin.block(i, j) for j in range(2)] for i in range(2)]
     blocks[1][1] = blocks[1][1] + 0.5 * np.eye(2)
-    bad = st.replace(spin=md.SpinConfig(2, 2, blocks))
+    bad = rf.replace(st, spin=md.SpinConfig(2, 2, blocks))
     with pytest.raises(ConstraintViolation):
         md.eom_rhs(bad)
     with pytest.raises(ConstraintViolation):
@@ -124,7 +127,7 @@ def test_U_equals_V_for_rank1():
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
         q = st.qdiff(0, 1)
         U = md.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
-        V = md.potential_V(fam, st.spin.block(0, 0), st.spin.block(1, 1), q)
+        V = rf.potential_V(fam, st.spin.block(0, 0), st.spin.block(1, 1), q)
         assert abs(U - V) < 1e-12 * max(abs(U), 1.0), key
 
 
@@ -263,8 +266,8 @@ def test_hamiltonian_gradient_by_finite_difference():
     st = md.random_state(fam, 2, 1.0, seed=23)
     h = 1e-6
     # dH/dq_0 against a central difference in q_0
-    up = st.replace(q=(st.q[0] + h, st.q[1]))
-    dn = st.replace(q=(st.q[0] - h, st.q[1]))
+    up = rf.replace(st, q=(st.q[0] + h, st.q[1]))
+    dn = rf.replace(st, q=(st.q[0] - h, st.q[1]))
     diff = (md.hamiltonian(up) - md.hamiltonian(dn)) / (2 * h)
     assert abs(md.bracket_flow(st)[1][0] + diff) < 1e-6
 
@@ -292,9 +295,31 @@ def test_exchange_N1_derivative_term():
     # S_ii - S_jj and vanishes identically on the constraint surface
     fam = rm.make_family("xxx", N=1)
     st = md.random_state(fam, 3, 0.8, seed=41)
-    dr = md._r_big_q_derivative_sum(st, 0.3, 0.1 + 0.2j)
+    dr = rf.r_big_q_derivative_sum(st, 0.3, 0.1 + 0.2j)
     assert np.max(np.abs(dr)) < 1e-13
     assert md.exchange_residual(st, 0.3, 0.1 + 0.2j) < 1e-12
+
+
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_stacked_checks_match_single_points(key):
+    # a stack of spectral points gives each point's L bit for bit, and its
+    # Lax and exchange residuals within 1e-15 of the point checked alone
+    fam = rm.make_family(key, N=2, tau=0.3 + 0.9j, C=0.7 + 0.2j)
+    st = md.random_state(fam, 3, 1.0, seed=61)
+    rng = np.random.default_rng(67)
+    zs = np.array([sf.sample_point(rng, fam.flavor) for _ in range(12)])
+    Ls, residuals = md._lax_check(st, zs, md.bracket_flow(st))
+    for z, L, residual in zip(zs, Ls, residuals):
+        assert np.array_equal(L, md.build_L(st, z))
+        assert abs(residual - md.lax_residual(st, z)) <= 1e-15
+    assert np.max(np.abs(np.array(md.lax_residuals(st, zs)) - residuals)) \
+        <= 1e-15
+    z, w = zs[:6], zs[6:]
+    stacked = md.exchange_residual(st, z, w)
+    assert stacked.shape == (6,)
+    for k in range(6):
+        one = md.exchange_residual(st, z[k], w[k])
+        assert type(one) is float and abs(stacked[k] - one) <= 1e-15
 
 
 def test_exchange_scale_guard():
@@ -338,7 +363,7 @@ def test_cm_rmx_N1_is_scalar_krichever():
     p = tuple(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
     z = 0.29 + 0.33j
     nu = 1.0
-    L, _ = md.cm_rmx_lax(q, p, nu, fam, z)
+    L, _ = rf.cm_rmx_lax(q, p, nu, fam, z)
     for a in range(3):
         for b in range(3):
             if a == b:
@@ -377,7 +402,7 @@ def test_cm_rmx_one_family_call_per_table(family_calls, monkeypatch, key):
 def test_cm_rmx_scale_guard():
     fam = rm.make_family("bb", N=2, tau=1j)
     with pytest.raises(ScaleExceeded):
-        md.cm_rmx_lax([0.1 * a for a in range(1, 10)], [0.0] * 9,
+        rf.cm_rmx_lax([0.1 * a for a in range(1, 10)], [0.0] * 9,
                       1.0, fam, 0.3 + 0.2j)
 
 
@@ -389,7 +414,7 @@ def test_load_model_config():
     svals = np.linalg.svd(st.spin.assemble(), compute_uv=False)
     assert svals[0] > 1e-3
     assert svals[1] < 1e-12 * svals[0]
-    assert st.spin.on_constraints(1.0)
+    assert rf.on_constraints(st.spin, 1.0)
     # the same seed must reproduce the same state
     _, st2, _ = md.load_model_config(cfg)
     assert np.array_equal(st2.q, st.q) and np.array_equal(st2.p, st.p)
@@ -455,51 +480,74 @@ def test_lax_residuals_share_one_bracket_flow(monkeypatch):
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])
-def test_lax_residual_one_table_per_point(family_calls, key):
+def test_lax_residual_one_table_per_point(family_calls, monkeypatch, key):
+    # L, M and {H, L} of a chunk of points share one stack of pair tables:
+    # one R call at the orders (0, 1) over the chunk's points against all
+    # ordered pairs and one Rz_coefficients call for its diagonals; the
+    # bracket flow adds one r call at the orders (1, 2) over the pairs
+    # i < j and one m0
     fam = rm.make_family(key, N=2, tau=1j)
     M = 3
     st = md.random_state(fam, M, 1.0, seed=31)
-    zs = [0.31 + 0.22j, 0.52 + 0.41j]
-    md.lax_residual(st, zs[0])
-    md.lax_residuals(st, zs)
-    # L, M and {H, L} share one pair table per point: one R call at the
-    # orders (0, 1) over all ordered pairs and one Rz_coefficients call for
-    # its diagonal; each of the two bracket flows adds one r call at the
-    # orders (1, 2) over the pairs i < j and one m0
-    assert Counter((name, d) for name, _, d in family_calls) == {
-        ("R", (0, 1)): 3, ("Rz_coefficients", None): 3, ("r", (1, 2)): 2,
-        ("m0", None): 2}
-    tables = [args for name, args, _ in family_calls if name == "R"]
-    assert [z for z, _ in tables] == [zs[0]] + zs
+    zs = [0.31 + 0.22j, 0.52 + 0.41j, 0.17 + 0.63j, 0.44 + 0.12j,
+          0.61 + 0.35j]
     q = np.array(st.q)
     ordered = [q[i] - q[j] for i in range(M) for j in range(M) if i != j]
-    for _, qs in tables:
-        assert np.array_equal(qs, ordered)
-    flows = [args for name, args, _ in family_calls if name == "r"]
-    for (qs,) in flows:
-        assert np.array_equal(qs, [q[0] - q[1], q[0] - q[2], q[1] - q[2]])
+    # the default budget takes all five points at once; two tables' worth
+    # takes them in chunks of two
+    pairs_of_two = [zs[:2], zs[2:4], zs[4:]]
+    for budget, chunks in ((tn.STACK_BYTES, [zs]),
+                           (2 * 16 * M * M * 2 ** 4, pairs_of_two)):
+        monkeypatch.setattr(tn, "STACK_BYTES", budget)
+        del family_calls[:]
+        md.lax_residuals(st, zs)
+        assert Counter((name, d) for name, _, d in family_calls) == {
+            ("R", (0, 1)): len(chunks), ("Rz_coefficients", None): len(chunks),
+            ("r", (1, 2)): 1, ("m0", None): 1}
+        tables = [args for name, args, _ in family_calls if name == "R"]
+        assert [z.ravel().tolist() for z, _ in tables] == chunks
+        for _, qs in tables:
+            assert np.array_equal(qs, ordered)
+        diagonals = [args[0] for name, args, _ in family_calls
+                     if name == "Rz_coefficients"]
+        assert [z.tolist() for z in diagonals] == chunks
+        flows = [args for name, args, _ in family_calls if name == "r"]
+        for (qs,) in flows:
+            assert np.array_equal(qs, [q[0] - q[1], q[0] - q[2], q[1] - q[2]])
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])
-def test_exchange_residual_one_table_per_argument(family_calls, key):
-    # the pair tables of z, w, z - w and w - z are one stack: one R call at
-    # the orders (0, 1) over the spectral points against all ordered pairs,
-    # and one Rz_coefficients call for their diagonals
+def test_exchange_residual_one_table_per_argument(family_calls, monkeypatch,
+                                                  key):
+    # the pair tables of z, w, z - w and w - z of a chunk of pairs are one
+    # stack: one R call at the orders (0, 1) over the chunk's spectral
+    # points against all ordered pairs, and one Rz_coefficients call for
+    # their diagonals
     fam = rm.make_family(key, N=2, tau=1j)
     M = 3
     st = md.random_state(fam, M, 1.0, seed=37)
-    z, w = 0.41 + 0.13j, 0.17 + 0.52j
-    md.exchange_residual(st, z, w)
-    assert Counter((name, d) for name, _, d in family_calls) == {
-        ("R", (0, 1)): 1, ("Rz_coefficients", None): 1}
-    points = [z, w, z - w, w - z]
-    calls = {name: args for name, args, _ in family_calls}
-    spectral, qs = calls["R"]
-    assert np.array_equal(spectral, np.reshape(points, (4, 1)))
+    zs = np.array([0.41 + 0.13j, 0.21 + 0.33j, 0.62 + 0.71j, 0.35 + 0.48j])
+    ws = np.array([0.17 + 0.52j, 0.73 + 0.24j, 0.11 + 0.15j, 0.56 + 0.83j])
+    points = np.stack([zs, ws, zs - ws, ws - zs], axis=-1)
     q = np.array(st.q)
-    assert np.array_equal(qs, [q[i] - q[j] for i in range(M)
-                               for j in range(M) if i != j])
-    assert np.array_equal(calls["Rz_coefficients"][0], points)
+    ordered = [q[i] - q[j] for i in range(M) for j in range(M) if i != j]
+    # the default budget takes all four pairs at once; three pairs' support
+    # planes take them in chunks of three
+    for budget, chunks in ((tn.STACK_BYTES, [points]),
+                           (3 * 16 * 2 * M ** 3 * 2 ** 4,
+                            [points[:3], points[3:]])):
+        monkeypatch.setattr(tn, "STACK_BYTES", budget)
+        del family_calls[:]
+        md.exchange_residual(st, zs, ws)
+        assert Counter((name, d) for name, _, d in family_calls) == {
+            ("R", (0, 1)): len(chunks), ("Rz_coefficients", None): len(chunks)}
+        tables = [args for name, args, _ in family_calls if name == "R"]
+        diagonals = [args[0] for name, args, _ in family_calls
+                     if name == "Rz_coefficients"]
+        for (spectral, qs), diagonal, chunk in zip(tables, diagonals, chunks):
+            assert np.array_equal(spectral, chunk[..., None])
+            assert np.array_equal(qs, ordered)
+            assert np.array_equal(diagonal, chunk)
 
 
 def _support_planes(X, M, N):
@@ -524,7 +572,7 @@ def _off_constraint_state(fam, M, seed):
     rng = np.random.default_rng(seed)
     spin = md.SpinConfig(M, N, rng.uniform(-1, 1, (M, M, N, N))
                          + 1j * rng.uniform(-1, 1, (M, M, N, N)))
-    return md.random_state(fam, M, 1.0, seed=seed).replace(spin=spin)
+    return rf.replace(md.random_state(fam, M, 1.0, seed=seed), spin=spin)
 
 
 @pytest.mark.parametrize("key, N", [
@@ -542,14 +590,19 @@ def test_exchange_rhs_matches_dense_commutators(key, N):
         Lz, Lw = (md.build_L(st, v).reshape(M, N, M, N) for v in (z, w))
         L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
         L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
-        r = md.classical_r_big(st, z, w)
+        r = rf.classical_r_big(st, z, w)
         # r_{2'1'21}(w, z): both factor pairs of r(w, z) swapped
-        rt = md.classical_r_big(st, w, z).reshape((M, M, N, N) * 2) \
+        rt = rf.classical_r_big(st, w, z).reshape((M, M, N, N) * 2) \
             .transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(dim, dim)
-        want = (L1 @ r - r @ L1, L2 @ rt - rt @ L2,
-                md._r_big_q_derivative_sum(st, z, w))
-        got = md._exchange_rhs(st, *md._pair_tables(
-            st, np.array([z, w, z - w, w - z])))
+        # -c1, c2 and dr, the terms as they enter the residual
+        want = (r @ L1 - L1 @ r, L2 @ rt - rt @ L2,
+                rf.r_big_q_derivative_sum(st, z, w))
+        R, F = md._pair_tables(st, np.array([[z, w, z - w, w - z]]))
+        buf = np.empty((1, 2, M, M, M, N, N, N, N), dtype=complex)
+        # the commutator terms come in turn in one buffer, so each is
+        # checked before the next is asked for
+        got = itertools.chain(md._exchange_rhs(st, R, buf),
+                              [md._dr_overlap(st, F[:, 2])])
         # the trace weight tr S^ii - tr S^jj is zero at M = 1
         assert np.max(np.abs(want[2])) > (0.1 if M > 1 else -1)
         s = np.arange(M)
@@ -563,8 +616,8 @@ def test_exchange_rhs_matches_dense_commutators(key, N):
                 planes[1][:, s, s] = 0
                 assert np.max(np.abs(planes)) <= bound
                 planes = overlap
-            assert g.shape == planes.shape
-            assert np.max(np.abs(g - planes)) <= bound, (key, N, M)
+            assert g.shape == (1,) + planes.shape
+            assert np.max(np.abs(g[0] - planes)) <= bound, (key, N, M)
 
 
 def _bracket_oracle(st, z, w):
@@ -582,7 +635,7 @@ def _bracket_oracle(st, z, w):
     q, e = np.array(st.q), np.eye(M)
 
     def L_at(v, spin=st.spin, p=st.p, q=q):
-        return md.build_L(st.replace(q=q, p=p, spin=spin), v)
+        return md.build_L(rf.replace(st, q=q, p=p, spin=spin), v)
 
     units = np.eye(n * n).reshape(n * n, n, n)
     grads = [np.array([L_at(v, md.spin_from_matrix(E, M, N), np.zeros(M))
@@ -618,8 +671,8 @@ def test_exchange_lhs_matches_bracket_oracle(key, N):
         st = _off_constraint_state(fam, M, 53)
         want = _bracket_oracle(st, z, w)
         planes, off = _support_planes(want, M, N)
-        got = md._exchange_lhs(st, md._pair_tables(st, z),
-                               md._pair_tables(st, w))
+        R, F = md._pair_tables(st, [[z, w]])
+        got = md._exchange_lhs(st, R, md._q_derivatives(st, F))[0]
         scale = np.max(np.abs(want))
         assert got.shape == planes.shape
         assert off <= 1e-13 * scale
@@ -798,4 +851,4 @@ def test_load_model_config_fuzz(cfg):
         return
     assert np.isfinite(nu)
     assert np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))
-    assert state.spin.on_constraints(nu, tol=1e-8 * max(abs(nu), 1.0))
+    assert rf.on_constraints(state.spin, nu, tol=1e-8 * max(abs(nu), 1.0))

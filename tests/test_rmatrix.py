@@ -12,6 +12,8 @@ from toplax import specfun as sf
 from toplax import tensor as tn
 from toplax.errors import PoleProximity
 
+import reference as rf
+
 
 def richardson_dq(f, q, h=1e-3):
     d1 = (f(q + h) - f(q - h)) / (2 * h)
@@ -216,7 +218,7 @@ def _scalar_m(fam, z):
     e1 = sf.eisenstein_E1(fl, z)
     out = (e1 * e1 - sf.weierstrass_p(fl, z)) / 2.0 * tn.eye(fam.N ** 2)
     for a in sf.all_sectors(fam.N)[1:]:
-        out = out + sf.sector_f(fl, a, z, 0.0) * _sector_basis(a)
+        out = out + rf.sector_f(fl, a, z, 0.0) * _sector_basis(a)
     return out / fam.N ** 2
 
 
@@ -595,7 +597,8 @@ def _perturbed(fam, args, scale):
 
     class Perturbed(type(fam)):
         def R(self, hbar, z, dz=0):
-            out = super().R(hbar, z, dz)
+            # a copy: a family may return a read-only view
+            out = super().R(hbar, z, dz).copy()
             hit = np.isin(np.broadcast_to(z, np.shape(out)[:-2]), args)
             out[hit] *= 1.0 + scale
             return out
