@@ -56,8 +56,8 @@ from . import specfun as sf
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
 from .tensor import (as_four_index, block_grid, check_scale, frobenius_norm,
-                     op_contract, op_contract_1, permutation_P, stack_chunk,
-                     stack_norms)
+                     op_contract, op_contract_1, permutation_P, site_product,
+                     stack_chunk, stack_norms)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -264,14 +264,6 @@ def top_H(family, S):
     return 0.5 * complex(np.trace(S @ inertia_J(family, S)))
 
 
-def potential_U(family, Sij, Sji, q):
-    """Interaction potential tr_12(F^0_21(q) P_12 S^ij_1 S^ji_2) =
-    tr_12(P_12 F^0_12(q) S^ij_1 S^ji_2)."""
-    W = permutation_P(family.N) @ family.r(q, 1)
-    return complex(_pair_traces(W[None], np.asarray(Sij)[None],
-                                np.asarray(Sji)[None])[0])
-
-
 def _f0_table(state):
     """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
     i, j = _pairs(state.M)
@@ -279,8 +271,9 @@ def _f0_table(state):
 
 
 def hamiltonian(state):
-    """H = sum p^2/2 + top terms + the pair potentials potential_U, with
-    F^0 for every pair i < j from one family call."""
+    """H = sum p^2/2 + top terms + the pair potentials
+    U_ij = tr_12(P_12 F^0_12(q_ij) S^ij_1 S^ji_2), with F^0 for every pair
+    i < j from one family call."""
     return _hamiltonian(state, _f0_table(state))
 
 
@@ -729,19 +722,6 @@ def exchange_residual(state, z, w):
 
 # --- R-matrix-valued Calogero-Moser Lax pair -------------------------------
 
-def _site_pair_embed(T, a, b, N, M):
-    """Embed a two-site operator at chain sites (a, b) of Mat(N)^{x M}."""
-    rest = M - 2
-    big = np.kron(np.asarray(T, dtype=complex), np.eye(N ** rest))
-    big = big.reshape((N,) * (2 * M))
-    order = [a, b] + [s for s in range(M) if s not in (a, b)]
-    perm = [0] * M
-    for pos, s in enumerate(order):
-        perm[s] = pos
-    axes = [perm[s] for s in range(M)] + [M + perm[s] for s in range(M)]
-    return big.transpose(axes).reshape(N ** M, N ** M)
-
-
 def _cm_rmx(q, p, nu, family, z):
     """(L, Mbar, F, G) of the R-matrix-valued Calogero-Moser Lax pair:
     F[k] is F^z(q_ij) at the sites (i, j) = (i[k], j[k]) of the ordered
@@ -768,8 +748,8 @@ def _cm_rmx(q, p, nu, family, z):
 
 
 def _site_pair_stack(T, a, b, N, M):
-    """_site_pair_embed of each T[k] at the sites (a[k], b[k])."""
-    out = [_site_pair_embed(t, s, u, N, M) for t, s, u in zip(T, a, b)]
+    """Each T[k] at the chain sites (a[k], b[k]) of Mat(N)^{x M}."""
+    out = [site_product(N, M, (t, s, u)) for t, s, u in zip(T, a, b)]
     return np.array(out).reshape(-1, N ** M, N ** M)
 
 

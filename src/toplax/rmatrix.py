@@ -15,7 +15,8 @@ import numpy as np
 
 from . import specfun as sf
 from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, kron, permutation_P,
-                     sin_basis_T_int, partial_trace_1, partial_trace_2)
+                     sin_basis_T_int, partial_trace_1, partial_trace_2,
+                     site_product, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -410,144 +411,102 @@ def make_family(kind, N=2, tau=None, C=None):
     raise ValueError(f"unknown family {kind!r}")
 
 
-# --- three-site embeddings ------------------------------------------------
-# of a two-site matrix or stack (..., N^2, N^2), as the products np.kron
-# forms, by an einsum against the identity
-
-def _embed(spec, T, N):
-    T = np.asarray(T, dtype=complex)
-    out = np.einsum(spec, T.reshape(T.shape[:-2] + (N,) * 4), eye(N))
-    return out.reshape(T.shape[:-2] + (N ** 3, N ** 3))
-
-
-def embed12(T, N):
-    return _embed("...ikjl,ab->...ikajlb", T, N)
-
-
-def embed23(T, N):
-    return _embed("...ikjl,ab->...aikbjl", T, N)
-
-
-def embed13(T, N):
-    return _embed("...ikjl,ab->...iakjbl", T, N)
-
-
-def swap_sites(T, N):
-    """Conjugate a two-site operator, or each of a stack, by the factor
-    swap: T_12 -> T_21 = P T P."""
-    T = np.asarray(T, dtype=complex)
-    T4 = T.reshape(T.shape[:-2] + (N,) * 4)
-    return T4.swapaxes(-4, -3).swapaxes(-2, -1).reshape(T.shape)
-
-
-def perm13(N):
-    """Permutation of sites 1 and 3 on Mat(N)^3."""
-    I6 = eye(N ** 3).reshape((N,) * 6)
-    return I6.transpose(0, 1, 2, 5, 4, 3).reshape(N ** 3, N ** 3)
-
-
-def perm23(N):
-    I6 = eye(N ** 3).reshape((N,) * 6)
-    return I6.transpose(0, 1, 2, 3, 5, 4).reshape(N ** 3, N ** 3)
-
-
 # --- certification --------------------------------------------------------
-# Each identity below forms its three-site products as (n, N^3, N^3) stacks
-# over n samples and drops them on return; a residual is one per sample.
+# Each identity below writes every three-site term as one site_product over
+# n samples, holds the terms as (n, N^3, N^3) stacks and drops them on
+# return; a residual is one per sample, from tensor.stack_norms.
 
 def _norms(*mats):
-    """Frobenius norms of the matrices (per matrix of a stack) for sf._rel."""
-    return [np.linalg.norm(T, axis=(-2, -1)) for T in mats]
+    """Frobenius norms of the matrices of each (..., n, n) stack, over its
+    leading axes, for sf._rel."""
+    return [stack_norms(T.reshape(-1, T.shape[-1] ** 2)).reshape(T.shape[:-2])
+            for T in mats]
 
 
 def _chunk_size(N):
-    """Samples per stack: an identity below holds at most 16 complex
-    (n, N^3, N^3) stacks at once, and together they fit the array budget."""
+    """Samples per stack: an identity below holds at most 8 complex
+    (n, N^3, N^3) stacks at once (half_cybe's or half_cybe_limit's six
+    stacked terms and two partial sums of its residual), and 16 of them
+    fit the array budget together."""
     return MAX_ARRAY_BYTES // (16 * 16 * N ** 6)
 
 
 def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
     """Associative Yang-Baxter relation R12 R23 = R13 R12b + R23b R13b."""
-    lhs = embed12(R12, N) @ embed23(R23, N)
-    t1 = embed13(R13, N) @ embed12(R12b, N)
-    t2 = embed23(R23b, N) @ embed13(R13b, N)
+    lhs = site_product(N, 3, (R12, 0, 1), (R23, 1, 2))
+    t1 = site_product(N, 3, (R13, 0, 2), (R12b, 0, 1))
+    t2 = site_product(N, 3, (R23b, 1, 2), (R13b, 0, 2))
     return sf._rel(*_norms(lhs - t1 - t2, lhs, t1, t2))
 
 
 def _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y):
     """Mixed relation between R^z and its argument derivative F^z."""
-    a1 = embed12(Rzx, N) @ embed23(Fzy, N)
-    a2 = embed12(Fzx, N) @ embed23(Rzy, N)
-    R13 = embed13(Rzxy, N)
-    b1 = embed23(F0y, N) @ R13
-    b2 = R13 @ embed12(F0x, N)
+    a1 = site_product(N, 3, (Rzx, 0, 1), (Fzy, 1, 2))
+    a2 = site_product(N, 3, (Fzx, 0, 1), (Rzy, 1, 2))
+    b1 = site_product(N, 3, (F0y, 1, 2), (Rzxy, 0, 2))
+    b2 = site_product(N, 3, (Rzxy, 0, 2), (F0x, 0, 1))
     return sf._rel(*_norms(a1 - a2 - b1 + b2, a1, a2, b1, b2))
 
 
-def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, Rz0, Rz1, F0x):
-    """The y -> 0 degeneration of the mixed relation."""
+def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, rz, mz, F0x):
+    """The y -> 0 degeneration of the mixed relation; R^z(q) = r(z) P
+    + q m(z) P + O(q^2) near q = 0."""
     N = family.N
-    Rx = embed13(Rzx, N)
-    a1 = embed12(Rzx, N) @ embed23(Rz1, N)
-    a2 = embed12(Fzx, N) @ embed23(Rz0, N)
-    b1 = embed23(family.r1(), N) @ Rx
-    b2 = Rx @ embed12(F0x, N)
-    b3 = 0.5 * perm23(N) @ embed13(Rzx2, N)
+    a1 = site_product(N, 3, (Rzx, 0, 1), (mz, 1, 2), (None, 1, 2))
+    a2 = site_product(N, 3, (Fzx, 0, 1), (rz, 1, 2), (None, 1, 2))
+    b1 = site_product(N, 3, (family.r1(), 1, 2), (Rzx, 0, 2))
+    b2 = site_product(N, 3, (Rzx, 0, 2), (F0x, 0, 1))
+    b3 = 0.5 * site_product(N, 3, (None, 1, 2), (Rzx2, 0, 2))
     return sf._rel(*_norms(a1 - a2 - b1 + b2 + b3, a1, a2, b1, b2, b3))
 
 
-def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, Rz0, Rz1, F0y):
+def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, rz, mz, F0y):
     """The x -> 0 degeneration of the mixed relation."""
     N = family.N
-    Ry = embed13(Rzy, N)
-    a1 = embed12(Rz0, N) @ embed23(Fzy, N)
-    a2 = embed12(Rz1, N) @ embed23(Rzy, N)
-    b1 = embed23(F0y, N) @ Ry
-    b2 = Ry @ embed12(family.r1(), N)
-    b3 = 0.5 * embed13(Rzy2, N) @ embed12(permutation_P(N), N)
+    a1 = site_product(N, 3, (rz, 0, 1), (None, 0, 1), (Fzy, 1, 2))
+    a2 = site_product(N, 3, (mz, 0, 1), (None, 0, 1), (Rzy, 1, 2))
+    b1 = site_product(N, 3, (F0y, 1, 2), (Rzy, 0, 2))
+    b2 = site_product(N, 3, (Rzy, 0, 2), (family.r1(), 0, 1))
+    b3 = 0.5 * site_product(N, 3, (Rzy2, 0, 2), (None, 0, 1))
     return sf._rel(*_norms(a1 - a2 - b1 + b2 - b3, a1, a2, b1, b2, b3))
 
 
 def _q_product(N, Rzq, Rz_q, rz, rq, F0z, F0q):
     """Opposite-argument product R^z(q) R^z(-q) in commutator form."""
-    P13 = perm13(N)
-    lhs = embed12(Rzq, N) @ embed23(Rz_q, N)
-    r13z = embed13(rz, N)
-    r32q = embed23(swap_sites(rq, N), N)
-    c1 = r13z @ r32q @ P13
-    c2 = r32q @ r13z @ P13
-    c3 = embed13(F0z, N) @ P13
-    c4 = embed23(swap_sites(F0q, N), N) @ P13
+    lhs = site_product(N, 3, (Rzq, 0, 1), (Rz_q, 1, 2))
+    c1 = site_product(N, 3, (rz, 0, 2), (rq, 2, 1), (None, 0, 2))
+    c2 = site_product(N, 3, (rq, 2, 1), (rz, 0, 2), (None, 0, 2))
+    c3 = site_product(N, 3, (F0z, 0, 2), (None, 0, 2))
+    c4 = site_product(N, 3, (F0q, 2, 1), (None, 0, 2))
     return sf._rel(*_norms(lhs - c1 + c2 + c3 - c4, lhs, c1, c2, c3, c4))
 
 
 def _half_cybe(N, rz, rw, rzw, mz, mw, mzw):
     """Half of the classical Yang-Baxter relation."""
-    p1 = embed12(rz, N) @ embed13(rzw, N)
-    p2 = embed23(rw, N) @ embed12(rz, N)
-    p3 = embed13(rzw, N) @ embed23(rw, N)
-    m1 = embed12(mz, N)
-    m2 = embed23(mw, N)
-    m3 = embed13(mzw, N)
+    p1 = site_product(N, 3, (rz, 0, 1), (rzw, 0, 2))
+    p2 = site_product(N, 3, (rw, 1, 2), (rz, 0, 1))
+    p3 = site_product(N, 3, (rzw, 0, 2), (rw, 1, 2))
+    m1 = site_product(N, 3, (mz, 0, 1))
+    m2 = site_product(N, 3, (mw, 1, 2))
+    m3 = site_product(N, 3, (mzw, 0, 2))
+    # the norm of the identity on Mat(N)^3 floors the scale
     return sf._rel(*_norms(p1 - p2 + p3 - m1 - m2 - m3, p1, p2, p3, m1, m2,
-                           m3, eye(N ** 3)))
+                           m3), np.sqrt(N ** 3))
 
 
 def _half_cybe_limit(family, rz, F0z, mz):
     """The w -> 0 limit of the half classical Yang-Baxter relation."""
     N = family.N
-    r0_23 = embed23(family.r0(), N)
-    m0_23 = embed23(family.m0(), N)
-    r12z = embed12(rz, N)
-    r13z = embed13(rz, N)
-    p1 = r12z @ r13z
-    c1 = r0_23 @ r12z
-    c2 = r13z @ r0_23
-    c3 = embed13(F0z, N) @ perm23(N)
-    m1 = embed12(mz, N)
-    m3 = embed13(mz, N)
+    r0, m0 = family.r0(), family.m0()
+    p1 = site_product(N, 3, (rz, 0, 1), (rz, 0, 2))
+    c1 = site_product(N, 3, (r0, 1, 2), (rz, 0, 1))
+    c2 = site_product(N, 3, (rz, 0, 2), (r0, 1, 2))
+    c3 = site_product(N, 3, (F0z, 0, 2), (None, 1, 2))
+    m1 = site_product(N, 3, (mz, 0, 1))
+    m0_23 = site_product(N, 3, (m0, 1, 2))
+    m3 = site_product(N, 3, (mz, 0, 2))
     return sf._rel(*_norms(p1 - c1 + c2 + c3 - m1 - m0_23 - m3,
-                           p1, c1, c2, c3, m1, m0_23, m3, eye(N ** 3)))
+                           p1, c1, c2, c3, m1, m0_23, m3), np.sqrt(N ** 3))
 
 
 def _certify_stack(family, hb, et, z, w, x, y):
@@ -565,11 +524,11 @@ def _certify_stack(family, hb, et, z, w, x, y):
                         R(et - hb, w), R(hb, z + w))
 
     # skew-symmetry
-    B = -swap_sites(R(-hb, -z), N)
+    B = -site_product(N, 2, (R(-hb, -z), 1, 0))
     out["skew_symmetry"] = sf._rel(*_norms(A - B, A, B))
 
     # unitarity: product is scalar, scalar equals wp(hb) - wp(z)
-    prod = A @ swap_sites(R(hb, -z), N)
+    prod = A @ site_product(N, 2, (R(hb, -z), 1, 0))
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
     out["unitarity_scalar"] = sf._rel(
         *_norms(prod - scal[..., None, None] * I2, prod))
@@ -597,13 +556,12 @@ def _certify_stack(family, hb, et, z, w, x, y):
     Rzx, Fzx, Rzy, Fzy = R(z, x), R(z, x, 1), R(z, y), R(z, y, 1)
     F0x, F0y = r(x, 1), r(y, 1)
     mz = m(z)
-    Rz0, Rz1 = rz @ P, mz @ P
     out["mixed_rf"] = _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, R(z, x + y), F0x,
                                 F0y)
     out["mixed_rf_limit_y"] = _mixed_rf_limit_y(
-        family, Rzx, Fzx, R(z, x, 2), Rz0, Rz1, F0x)
+        family, Rzx, Fzx, R(z, x, 2), rz, mz, F0x)
     out["mixed_rf_limit_x"] = _mixed_rf_limit_x(
-        family, Rzy, Fzy, R(z, y, 2), Rz0, Rz1, F0y)
+        family, Rzy, Fzy, R(z, y, 2), rz, mz, F0y)
 
     # opposite-argument product in commutator form, q = x
     F0z = r(z, 1)

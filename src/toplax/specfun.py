@@ -97,15 +97,6 @@ class SectorIndex:
         """Lattice fraction (a1 + a2*tau)/N attached to this sector."""
         return (self.a1 + self.a2 * tau) / self.N
 
-    def __neg__(self):
-        return SectorIndex((-self.a1) % self.N, (-self.a2) % self.N, self.N)
-
-    def __add__(self, other):
-        if self.N != other.N:
-            raise ValueError("mismatched N")
-        return SectorIndex((self.a1 + other.a1) % self.N,
-                           (self.a2 + other.a2) % self.N, self.N)
-
 
 def all_sectors(N):
     """All N^2 sector labels in row-major (a1, a2) order."""

@@ -4,7 +4,8 @@ Flattening convention, fixed once for the whole package: the elementary
 operator e_ij (x) e_kl has its single nonzero entry at row i*N + k,
 column j*N + l (0-based).  This is exactly numpy's kron ordering, and the
 same rule applied recursively flattens longer tensor products with the
-leftmost factor outermost.
+leftmost factor outermost.  site_product multiplies two-site operators on
+any sites of Mat(N)^{x k} by contracting their legs, with no dense embedding.
 """
 
 import cmath
@@ -20,6 +21,8 @@ MAX_ARRAY_BYTES = 2 ** 28
 # whose largest array fits this, so that a check of many points keeps the
 # peak memory of a few
 STACK_BYTES = 224 << 10
+# the subscript letters np.einsum accepts
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def check_scale(entries, what):
@@ -114,20 +117,6 @@ def sin_basis_T_int(a1, a2, N):
         np.linalg.matrix_power(Lam, a2 % N)
 
 
-def kappa(a, b):
-    """Structure phase in T_a T_b = kappa(a, b) T_{a+b}, for sector labels
-    a, b (specfun.SectorIndex)."""
-    if a.N != b.N:
-        raise ValueError("mismatched N")
-    return cmath.exp(1j * cmath.pi * (b.a1 * a.a2 - b.a2 * a.a1) / a.N)
-
-
-def commutator(A, B):
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    return A @ B - B @ A
-
-
 def frobenius_norm(A):
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
 
@@ -141,6 +130,48 @@ def stack_norms(X):
     re, im = X.real, X.imag
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
                    .reshape(-1))
+
+
+def site_product(N, k, *factors):
+    """The left-to-right product of operators on Mat(N)^{x k}, as an
+    (..., N^k, N^k) matrix or stack, from one np.einsum over their legs.
+
+    A factor (T, s, t) is the two-site (..., N^2, N^2) matrix or stack T
+    with its first tensor factor on site s and its second on site t, so
+    (T, 1, 0) is T_21; (None, s, t) swaps the sites s and t, which only
+    relabels legs.  Each run of sites that no factor names is one identity
+    leg, so the einsum's letters and axes do not grow with k.
+    """
+    named = {int(site) for _, *sites in factors for site in sites}
+    sizes, leg = [], {}
+    for site in range(k):
+        if site in named or site - 1 in named or not sizes:
+            leg[site] = len(sizes)
+            sizes.append(N)
+        else:
+            sizes[-1] *= N
+    letters = iter(_LETTERS)
+    rows = [next(letters) for _ in sizes]
+    cols, specs, operands = list(rows), [], []
+    for T, s, t in factors:
+        a, b = leg[int(s)], leg[int(t)]
+        if T is None:
+            cols[a], cols[b] = cols[b], cols[a]
+            continue
+        new = next(letters) + next(letters)
+        specs.append("..." + cols[a] + cols[b] + new)
+        operands.append(np.reshape(T, np.shape(T)[:-2] + (N,) * 4))
+        cols[a], cols[b] = new
+    # a row leg that reaches the columns untouched, or only swapped, is
+    # joined to its column by an identity
+    for i, c in enumerate(cols):
+        if c in rows:
+            cols[i] = next(letters)
+            specs.append(c + cols[i])
+            operands.append(eye(sizes[rows.index(c)]))
+    out = np.einsum(",".join(specs) + "->..." + "".join(rows + cols),
+                    *operands)
+    return out.reshape(out.shape[:-2 * len(sizes)] + (N ** k,) * 2)
 
 
 def block_grid(A, M, N):

@@ -2,8 +2,8 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 another way: the dense dynamical r-matrix and its q-derivative term against
-the support planes of the exchange check, the tops potential against
-potential_U, the R-matrix-valued Lax pair, the per-sector scalar functions
+the support planes of the exchange check, the pair potentials of the
+Hamiltonian, the R-matrix-valued Lax pair, the per-sector scalar functions
 against specfun.sector_table, and small helpers on the package's types.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from toplax import model as md
 from toplax import specfun as sf
-from toplax.tensor import kron
+from toplax.tensor import kron, permutation_P
 
 
 # --- phase space -------------------------------------------------------------
@@ -28,6 +28,14 @@ def replace(state, q=None, p=None, spin=None):
     return md.PhaseState(state.q if q is None else q,
                          state.p if p is None else p,
                          state.spin if spin is None else spin, state.family)
+
+
+def potential_U(family, Sij, Sji, q):
+    """Interaction potential tr_12(F^0_21(q) P_12 S^ij_1 S^ji_2) =
+    tr_12(P_12 F^0_12(q) S^ij_1 S^ji_2), the pair term of md.hamiltonian."""
+    W = permutation_P(family.N) @ family.r(q, 1)
+    return complex(md._pair_traces(W[None], np.asarray(Sij)[None],
+                                   np.asarray(Sji)[None])[0])
 
 
 def potential_V(family, Sii, Sjj, q):
@@ -76,6 +84,35 @@ def r_big_q_derivative_sum(state, z, w):
 def is_zero(a):
     """Whether the sector label a is (0, 0)."""
     return a.a1 == 0 and a.a2 == 0
+
+
+def neg(a):
+    """The sector label -a, reduced mod N."""
+    return sf.SectorIndex((-a.a1) % a.N, (-a.a2) % a.N, a.N)
+
+
+def add(a, b):
+    """The sector label a + b, reduced mod N."""
+    if a.N != b.N:
+        raise ValueError("mismatched N")
+    return sf.SectorIndex((a.a1 + b.a1) % a.N, (a.a2 + b.a2) % a.N, a.N)
+
+
+def kappa(a, b):
+    """Structure phase in T_a T_b = kappa(a, b) T_{a+b}, for sector labels
+    a, b."""
+    if a.N != b.N:
+        raise ValueError("mismatched N")
+    return cmath.exp(1j * cmath.pi * (b.a1 * a.a2 - b.a2 * a.a1) / a.N)
+
+
+# --- matrices ----------------------------------------------------------------
+
+def commutator(A, B):
+    """[A, B] = AB - BA."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    return A @ B - B @ A
 
 
 def sector_phi(flavor, a, z, u):

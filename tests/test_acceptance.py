@@ -221,7 +221,7 @@ def test_06_reduction_fidelity():
         fam = rm.make_family(key, N=2, **kwargs)
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
         q = st.qdiff(0, 1)
-        U = md.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
+        U = rf.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
         V = rf.potential_V(fam, st.spin.block(0, 0), st.spin.block(1, 1), q)
         d = abs(U - V) / max(abs(U), 1.0)
         worst = max(worst, d)
@@ -234,7 +234,7 @@ def test_06_reduction_fidelity():
     Sij = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
     Sji = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
     q = 0.31 + 0.22j
-    U = md.potential_U(fam, Sij, Sji, q)
+    U = rf.potential_U(fam, Sij, Sji, q)
     total = 0j
     for a1 in range(2):
         for a2 in range(2):

@@ -110,6 +110,24 @@ def test_check_cm_rmx(capsys):
     assert report["cm_rmx_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("m", [32, 33])
+def test_check_cm_rmx_long_chain(capsys, m):
+    # the chain sites no operator names are joined into identity legs, so a
+    # chain of N = 1 sites takes a few einsum letters and array axes, not
+    # two per site (M = 33 would need 66 axes, over numpy's 64); the M = 32
+    # residual is the one a kron embedding with one leg per site gives
+    code, out, err = run_capture(capsys, [
+        "check-cm-rmx", "--family", "xxx", "--n", "1", "--m", str(m),
+        "--seed", "0"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["config_echo"]["M"] == m
+    if m == 32:
+        assert report["cm_rmx_residual"] == 4.33301876550609e-16
+    assert report["cm_rmx_residual"] < 1e-9
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = write_config(tmp_path, nu=[[1.0, 0.0], [2.0, 0.0]])
     code, _, err = run_capture(capsys, ["check-lax", "--config", bad])

@@ -126,7 +126,7 @@ def test_U_equals_V_for_rank1():
         fam = rm.make_family(key, N=2, **kwargs)
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
         q = st.qdiff(0, 1)
-        U = md.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
+        U = rf.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
         V = rf.potential_V(fam, st.spin.block(0, 0), st.spin.block(1, 1), q)
         assert abs(U - V) < 1e-12 * max(abs(U), 1.0), key
 
@@ -197,7 +197,7 @@ def test_elliptic_potential_sector_form():
     Sij = rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
     Sji = rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
     for q in (0.31 + 0.22j, 0.12 + 0.45j):
-        U = md.potential_U(fam, Sij, Sji, q)
+        U = rf.potential_U(fam, Sij, Sji, q)
         total = 0j
         for a1 in range(N):
             for a2 in range(N):
@@ -337,10 +337,10 @@ def test_site_pair_embed():
     A = rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
     B = rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
     T = tn.kron(A, B)
-    got = md._site_pair_embed(T, 0, 2, N, M)
+    got = tn.site_product(N, M, (T, 0, 2))
     expect = tn.kron(A, tn.eye(N), B)
     assert np.max(np.abs(got - expect)) < 1e-13
-    got = md._site_pair_embed(T, 2, 0, N, M)
+    got = tn.site_product(N, M, (T, 2, 0))
     expect = tn.kron(B, tn.eye(N), A)
     assert np.max(np.abs(got - expect)) < 1e-13
 

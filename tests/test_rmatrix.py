@@ -557,12 +557,14 @@ def test_embedding_helpers():
     T = rng.uniform(-1, 1, (N * N, N * N)) + 1j * rng.uniform(
         -1, 1, (N * N, N * N))
     I = tn.eye(N)
-    assert np.max(np.abs(rm.embed12(T, N) - tn.kron(T, I))) < 1e-15
-    assert np.max(np.abs(rm.embed23(T, N) - tn.kron(I, T))) < 1e-15
+    T12 = tn.site_product(N, 3, (T, 0, 1))
+    assert np.max(np.abs(T12 - tn.kron(T, I))) < 1e-15
+    assert np.max(np.abs(tn.site_product(N, 3, (T, 1, 2))
+                         - tn.kron(I, T))) < 1e-15
     # 13-embedding: conjugate the 12-embedding by the (2,3) site swap
-    P23 = rm.perm23(N)
-    assert np.max(np.abs(rm.embed13(T, N)
-                         - P23 @ rm.embed12(T, N) @ P23)) < 1e-13
+    P23 = tn.site_product(N, 3, (None, 1, 2))
+    assert np.max(np.abs(tn.site_product(N, 3, (T, 0, 2))
+                         - P23 @ T12 @ P23)) < 1e-13
 
 
 def test_certify_yang_all_pass():
@@ -591,21 +593,40 @@ def test_certify_elliptic_smoke():
     assert len(report["measured_phi_tilde"]) > 0
 
 
-def _perturbed(fam, args, scale):
-    """A family whose R is multiplied by 1 + scale at the arguments args
-    (each of a stack's elements is checked)."""
+def _perturbed(fam, args, scale, kernel="R"):
+    """A family whose kernel R, r or m is multiplied by 1 + scale at the
+    arguments args (each of a stack's elements is checked; the argument of
+    R(hbar, z) is z)."""
+    base = getattr(type(fam), kernel)
 
-    class Perturbed(type(fam)):
-        def R(self, hbar, z, dz=0):
+    def method(self, *call):
+        out = base(self, *call)
+        z = call[1] if kernel == "R" else call[0]
+
+        def scaled(stack):
             # a copy: a family may return a read-only view
-            out = super().R(hbar, z, dz).copy()
-            hit = np.isin(np.broadcast_to(z, np.shape(out)[:-2]), args)
-            out[hit] *= 1.0 + scale
-            return out
+            stack = stack.copy()
+            hit = np.isin(np.broadcast_to(z, np.shape(stack)[:-2]), args)
+            stack[hit] *= 1.0 + scale
+            return stack
 
+        return tuple(map(scaled, out)) if isinstance(out, tuple) \
+            else scaled(out)
+
+    Perturbed = type("Perturbed", (type(fam),), {kernel: method})
     obj = Perturbed.__new__(Perturbed)
     obj.__dict__.update(fam.__dict__)
     return obj
+
+
+def _certify_draws(fam, n, seed):
+    """The sample rows (hb, et, z, w, x, y) that certify draws."""
+    rng = np.random.default_rng(seed)
+    return [sf.sample_tuple(
+        rng, fam.flavor, 4, 0.05,
+        extra=[(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)])
+        + sf.sample_tuple(rng, fam.flavor, 2, 0.05, extra=[(1, 1)])
+        for _ in range(n)]
 
 
 def test_certify_one_family_call_per_kernel(family_calls):
@@ -624,18 +645,48 @@ def test_certify_finds_a_single_sample_defect():
     # R perturbed by 1e-7 relative at one sample's z of 12 fails aybe: the
     # residual is a max over per-sample norms, not one norm of the stack
     fam = rm.make_family("xxx", N=2)
-    rng = np.random.default_rng(0)
-    draws = []
-    for _ in range(12):
-        draws.append(sf.sample_tuple(
-            rng, fam.flavor, 4, 0.05,
-            extra=[(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)]))
-        sf.sample_tuple(rng, fam.flavor, 2, 0.05, extra=[(1, 1)])
+    draws = _certify_draws(fam, 12, 0)
     # z of sample 7 is the argument of R(hbar, z) in the lhs of aybe
     bad = _perturbed(fam, [draws[7][2]], 1e-7)
     report = rm.certify(bad, 12, seed=0, tol=1e-8)
     assert report["properties"]["aybe"]["pass"] is False
     assert rm.certify(fam, 12, seed=0, tol=1e-8)["properties"]["aybe"]["pass"]
+
+
+@pytest.mark.parametrize("identity, kernel, argument", [
+    # R^z(x + y) enters mixed_rf's b-terms only
+    ("mixed_rf", "R", lambda hb, et, z, w, x, y: x + y),
+    # F^0(x) enters one term of the y -> 0 limit, F^0(y) one of x -> 0
+    ("mixed_rf_limit_y", "r", lambda hb, et, z, w, x, y: x),
+    ("mixed_rf_limit_x", "r", lambda hb, et, z, w, x, y: y),
+    # R^z(-q) enters the lhs only
+    ("q_product", "R", lambda hb, et, z, w, x, y: -x),
+    # r(z + w) enters two of the three products
+    ("half_cybe", "r", lambda hb, et, z, w, x, y: z + w),
+    # m(z) enters two of the three m-terms
+    ("half_cybe_limit", "m", lambda hb, et, z, w, x, y: z),
+])
+def test_certify_finds_a_single_sample_defect_in_each_identity(
+        identity, kernel, argument):
+    # one kernel off by 1e-7 relative at one argument of sample 7 of 12
+    # fails the three-site identity it enters, and only the defect does
+    fam = rm.make_family("bb", N=2, tau=1j)
+    draws = _certify_draws(fam, 12, 0)
+    bad = _perturbed(fam, [argument(*draws[7])], 1e-7, kernel)
+    report = rm.certify(bad, 12, seed=0, tol=1e-8)
+    assert report["properties"][identity]["pass"] is False
+    report = rm.certify(fam, 12, seed=0, tol=1e-8)
+    assert report["properties"][identity]["pass"] is True
+
+
+@pytest.mark.parametrize("key", ["xxx", "bb"])
+def test_certify_at_N_4(key):
+    # every identity holds at N = 4, where the three-site stacks are
+    # 64 x 64 per sample
+    fam = rm.make_family(key, N=4, tau=0.3 + 0.8j)
+    report = rm.certify(fam, 2, seed=0, tol=1e-8)
+    for name, entry in report["properties"].items():
+        assert entry["pass"], f"{name}: {entry['max_residual']:.3e}"
 
 
 @pytest.mark.parametrize("key", ["bb", "7v"])

@@ -1,11 +1,15 @@
 """Unit tests for the tensor-product plumbing and the sin-algebra basis."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toplax import specfun as sf
 from toplax import tensor as tn
+
+import reference as rf
 
 
 def random_matrix(rng, n):
@@ -143,19 +147,19 @@ def test_sin_basis_products():
         for b in sf.all_sectors(N):
             lhs = tn.sin_basis_T_int(a.a1, a.a2, N) \
                 @ tn.sin_basis_T_int(b.a1, b.a2, N)
-            c = a + b
-            rhs = tn.kappa(a, b) * tn.sin_basis_T_int(c.a1, c.a2, N)
+            c = rf.add(a, b)
+            rhs = rf.kappa(a, b) * tn.sin_basis_T_int(c.a1, c.a2, N)
             # the canonical representative of a+b can differ from the
             # integer sum by a sign; compare projectively then fix phase
             lhs_int = tn.sin_basis_T_int(a.a1 + b.a1, a.a2 + b.a2, N)
-            assert np.max(np.abs(lhs - tn.kappa(a, b) * lhs_int)) < 1e-12
+            assert np.max(np.abs(lhs - rf.kappa(a, b) * lhs_int)) < 1e-12
             ratio = lhs[np.abs(rhs) > 0.5] / rhs[np.abs(rhs) > 0.5]
             assert np.max(np.abs(np.abs(ratio) - 1.0)) < 1e-12
 
 
 def test_kappa_diagonal_is_one():
     for a in sf.all_sectors(3):
-        assert abs(tn.kappa(a, a) - 1.0) < 1e-15
+        assert abs(rf.kappa(a, a) - 1.0) < 1e-15
 
 
 def test_right_multiplication_by_P_swaps_columns():
@@ -171,10 +175,76 @@ def test_right_multiplication_by_P_swaps_columns():
 def test_commutator_and_norm():
     rng = np.random.default_rng(19)
     A, B = random_matrix(rng, 3), random_matrix(rng, 3)
-    assert np.max(np.abs(tn.commutator(A, A))) < 1e-15
-    assert abs(np.trace(tn.commutator(A, B))) < 1e-13
+    assert np.max(np.abs(rf.commutator(A, A))) < 1e-15
+    assert abs(np.trace(rf.commutator(A, B))) < 1e-13
     loop = sum(abs(A[i, j]) ** 2 for i in range(3) for j in range(3))
     assert abs(tn.frobenius_norm(A) - np.sqrt(loop)) < 1e-12
+
+
+def placed(N, k, ops):
+    """The kron product with ops[s] on site s and the identity elsewhere."""
+    return tn.kron(*(ops.get(s, tn.eye(N)) for s in range(k)))
+
+
+def swap_matrix(N, k, s, t):
+    """The permutation of sites s and t on Mat(N)^{x k}, entry by entry."""
+    P = np.zeros((N ** k, N ** k), dtype=complex)
+    for row in itertools.product(range(N), repeat=k):
+        col = list(row)
+        col[s], col[t] = row[t], row[s]
+        P[np.ravel_multi_index(row, (N,) * k),
+          np.ravel_multi_index(col, (N,) * k)] = 1.0
+    return P
+
+
+def test_site_product_against_kron():
+    rng = np.random.default_rng(29)
+    N = 2
+    A, B, C, D = (random_matrix(rng, N) for _ in range(4))
+    # a two-site operator that is not a single product
+    T = tn.kron(A, B) + tn.kron(C, D)
+    for k in (2, 3, 4):
+        for s, t in itertools.permutations(range(k), 2):
+            want = placed(N, k, {s: A, t: B}) + placed(N, k, {s: C, t: D})
+            got = tn.site_product(N, k, (T, s, t))
+            assert np.max(np.abs(got - want)) < 1e-14, (k, s, t)
+            P = swap_matrix(N, k, s, t)
+            assert np.array_equal(tn.site_product(N, k, (None, s, t)), P)
+            got = tn.site_product(N, k, (None, s, t), (T, s, t),
+                                  (None, s, t))
+            assert np.max(np.abs(got - P @ want @ P)) < 1e-14, (k, s, t)
+    # a product of two operators sharing one site
+    U = random_matrix(rng, N * N)
+    got = tn.site_product(N, 3, (T, 2, 0), (U, 0, 1))
+    want = (placed(N, 3, {2: A, 0: B}) + placed(N, 3, {2: C, 0: D})) \
+        @ np.kron(U, tn.eye(N))
+    assert np.max(np.abs(got - want)) < 1e-13
+    # each run of sites no factor names is one identity leg
+    got = tn.site_product(N, 5, (T, 0, 4))
+    want = placed(N, 5, {0: A, 4: B}) + placed(N, 5, {0: C, 4: D})
+    assert np.max(np.abs(got - want)) < 1e-14
+    got = tn.site_product(N, 5, (T, 3, 1), (None, 1, 3))
+    want = placed(N, 5, {3: A, 1: B}) + placed(N, 5, {3: C, 1: D})
+    assert np.max(np.abs(got - want @ swap_matrix(N, 5, 1, 3))) < 1e-14
+
+
+def test_site_product_of_stacks():
+    rng = np.random.default_rng(31)
+    N = 3
+    S = np.array([random_matrix(rng, N * N) for _ in range(4)])
+    V = np.array([random_matrix(rng, N * N) for _ in range(4)])
+    T = random_matrix(rng, N * N)
+    # a stack holds bitwise the products of its matrices one at a time
+    got = tn.site_product(N, 3, (S, 0, 2), (V, 2, 1), (None, 0, 2))
+    one = [tn.site_product(N, 3, (s, 0, 2), (v, 2, 1), (None, 0, 2))
+           for s, v in zip(S, V)]
+    assert got.shape == (4, N ** 3, N ** 3)
+    assert np.array_equal(got, np.array(one))
+    # a matrix broadcasts against a stack
+    got = tn.site_product(N, 3, (T, 1, 2), (S, 0, 1))
+    for g, s in zip(got, S):
+        want = np.kron(tn.eye(N), T) @ np.kron(s, tn.eye(N))
+        assert np.max(np.abs(g - want)) < 1e-13
 
 
 def test_block_grid_is_a_view():
