@@ -25,24 +25,18 @@ the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.
 The Lax side reads kernel tables of spectral points z (_pair_tables): L(z),
 M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
 contractions over R^z(q_ij) and F^z(q_ij), with r(z) P and m(z) P on the
-diagonal.  The Lax and exchange checks take arrays of points and evaluate
-them as stacks, in chunks whose largest array fits tensor.STACK_BYTES: a
-chunk is one table stack and one contraction per term over a leading sample
-axis, and each sample keeps its own norm and residual.
+diagonal, each one batched matrix product (tensor.matvec4 against the spin,
+_site_products onto an exchange plane).  The Lax and exchange checks take
+arrays of points and evaluate them as stacks, in chunks whose largest array
+fits tensor.STACK_BYTES, and each sample keeps its own norm and residual.
 
 Every table is one family call over an array of pair differences: eom_rhs,
 bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
 r(q, (1, 2)) call, and a stack of pair tables takes R^z and F^z of all its
-points against all ordered pairs from one R(z, q, (0, 1)) call.
-
-The exchange check reads the tables of z, w, z - w and w - z of a chunk of
-pairs as one stack from one R(z, q, (0, 1)) and one Rz_coefficients call.
-Both of its sides
-live on the entries of Mat(M)^2 x Mat(N)^2 with l = i or k = j (r(z, w)
-and r_{2'1'21}(w, z) are nonzero only on the blocks E_ij x E_ji), so every
-term is a small contraction written onto one of two (M, M, M, N, N, N, N)
-support planes, with no dense (MN)^2 x (MN)^2 array; the q-derivative term
-lives on their overlap alone and is kept as its overlap blocks.
+points against all ordered pairs from one R(z, q, (0, 1)) call; the
+exchange check reads the tables of z, w, z - w and w - z of a chunk of
+pairs as one such stack, and holds both of its sides on two support planes
+with no dense (MN)^2 x (MN)^2 array.
 """
 
 import cmath
@@ -56,7 +50,7 @@ from . import specfun as sf
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
 from .tensor import (as_four_index, block_grid, check_scale, frobenius_norm,
-                     op_contract, op_contract_1, permutation_P, site_product,
+                     matvec4, op_contract, op_contract_1, site_product,
                      stack_chunk, stack_norms)
 
 
@@ -226,23 +220,20 @@ def _require_constraints(state):
 def _pairs(M):
     """The site pairs i < j in row-major order, as two read-only index
     arrays."""
-    return _index_arrays([(i, j) for i in range(M) for j in range(i + 1, M)])
+    return _read_only(np.triu_indices(M, 1))
 
 
 @functools.lru_cache(maxsize=16)
 def _ordered_pairs(M):
     """The site pairs i != j in row-major order, as two read-only index
     arrays."""
-    return _index_arrays([(i, j) for i in range(M) for j in range(M)
-                          if i != j])
+    return _read_only(np.nonzero(~np.eye(M, dtype=bool)))
 
 
-def _index_arrays(pairs):
-    out = tuple(np.array([p[k] for p in pairs], dtype=np.intp)
-                for k in (0, 1))
-    for a in out:
+def _read_only(arrays):
+    for a in arrays:
         a.flags.writeable = False
-    return out
+    return tuple(arrays)
 
 
 def _pair_traces(W, A, B):
@@ -280,37 +271,29 @@ def hamiltonian(state):
 def _hamiltonian(state, table):
     """hamiltonian(state) from the F^0 table _f0_table(state)."""
     fam, spin = state.family, state.spin
-    M = spin.M
     total = 0.5 * sum(p * p for p in state.p)
-    for i in range(M):
+    for i in range(spin.M):
         total += top_H(fam, spin.block(i, i))
     i, j, F0, _ = table
-    U = _pair_traces(permutation_P(spin.N) @ F0, spin.blocks[i, j],
-                     spin.blocks[j, i])
+    U = _pair_traces(fam._P @ F0, spin.blocks[i, j], spin.blocks[j, i])
     # added pair by pair, in the order i < j
     return complex(sum(U.tolist(), total))
 
 
 # --- per-pair kernel tables ------------------------------------------------
 
-# block (i, j) of the contraction of a pair table T (or of each table of a
-# stack) with a spin S: tr_2(S^{ij}_2 T[i, j] P_12), entry [i, a, j, b] =
-# sum_kl T[i, j]_{(a,k),(l,b)} S^{ij}_{lk}, with S in its (M, N, M, N) layout
-_PAIR = "...ijaklb,iljk->...iajb"
-
-
 def _pair_tables(state, z):
     """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N), or
     a stack of them, z.shape + (M, M, N, N, N, N), at an array z.
 
-    R[..., i, j] = R^z(q_ij) and F[..., i, j] = F^z(q_ij) in four-index
-    form, from one R(z, q, (0, 1)) call over all ordered pairs (at an array
-    z, over the broadcast of z[..., None] against them).  The diagonal holds
-    their q -> 0 coefficients r(z) P and m(z) P, from one Rz_coefficients
-    call, so a contraction with the spin gives tr_2(S^{ii}_2 r_12(z)) and
-    tr_2(S^{ii}_2 m_12(z)) there.  Both are views of T P in memory: that
-    layout fixes the summation order of every contraction to that of
-    tr_2(S_2 T P) block by block.
+    R[..., i, j, a, k, l, b] = R^z(q_ij)_{(a,k),(l,b)} and F the same of
+    F^z(q_ij), from one R(z, q, (0, 1)) call over all ordered pairs (at an
+    array z, over the broadcast of z[..., None] against them).  The diagonal
+    holds their q -> 0 coefficients r(z) P and m(z) P, from one
+    Rz_coefficients call, so a contraction with the spin gives
+    tr_2(S^{ii}_2 r_12(z)) and tr_2(S^{ii}_2 m_12(z)) there.  Each table is
+    the swapaxes(-3, -1) view of memory in the order [..., i, j, a, b, l, k]:
+    per block the (a, b) x (l, k) matrix that _contract multiplies in place.
     """
     fam = state.family
     M, N = state.M, state.N
@@ -322,7 +305,7 @@ def _pair_tables(state, z):
     off = list(fam.R(z[..., None] if shape else z, state.qdiff(i, j), (0, 1)))
     tables = []
     for diagonal in fam.Rz_coefficients(z):
-        T = np.empty(shape + (M, M) + (N,) * 4, dtype=complex).swapaxes(-2, -1)
+        T = np.empty(shape + (M, M) + (N,) * 4, dtype=complex).swapaxes(-3, -1)
         T[..., sites, sites, :, :, :, :] = diagonal.reshape(
             shape + (1, N, N, N, N))
         # each family stack is dropped once copied, so that the two tables
@@ -333,11 +316,12 @@ def _pair_tables(state, z):
 
 
 def _contract(T, S):
-    """The NM x NM matrix with blocks tr_2(S^{ij}_2 T[i, j] P_12), or the
-    stack of them for a stack of tables T."""
+    """The NM x NM matrix with blocks tr_2(S^{ij}_2 T[i, j] P_12), entry
+    [i, a, j, b] = sum_kl T[i, j, a, k, l, b] S^{ij}_{lk}, or the stack of
+    them for a stack of tables T laid out as by _pair_tables (matvec4)."""
     M, N = T.shape[-6], T.shape[-4]
-    out = np.einsum(_PAIR, T, S.reshape(M, N, M, N))
-    return out.reshape(T.shape[:-6] + (M * N, M * N))
+    out = matvec4(T.swapaxes(-3, -1), block_grid(S, M, N))
+    return out.swapaxes(-3, -2).reshape(T.shape[:-6] + (M * N, M * N))
 
 
 def _plus_diagonal(A, d):
@@ -380,49 +364,45 @@ def eom_rhs(state, diagonal_form="general"):
     K^{ii} = J(S^{ii}) = tr_2(m_12(0) S^{ii}_2).  "commutator" replaces
     the diagonal blocks by the interacting-tops form
     [S^{ii}, J(S^{ii}) + sum_{k!=i} tr_2(F^0_12(q_ik) S^{kk}_2)], valid for
-    rank-1 spin.  dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2).
+    rank-1 spin.  dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2) is the
+    trace of the block (i, i) of K' S, K' being K with F^0' for F^0.
 
     F^0 and F^0' come from one family call over the pairs i < j (whose
     pole guard covers q_ji, the pole set being symmetric); the pair j, i
-    follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  dq (the
-    state's read-only p) and dp are length-M arrays; dS is the (M, M, N, N)
-    block view of the NM x NM derivative.
+    follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  K and K'
+    are one _contract over both tables, laid out as by _pair_tables.  dq
+    (the state's read-only p) and dp are length-M arrays; dS is the
+    (M, M, N, N) block view of the NM x NM derivative.
     """
     if diagonal_form not in ("general", "commutator"):
         raise ValueError(f"unknown diagonal_form {diagonal_form!r}")
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    # pair tables [i, j, a, c, b, d] = F^0(q_ij)_{(a,c),(b,d)}, zero on i = j;
-    # conjugation by P swaps the two tensor factors
-    F = np.zeros((M, M, N, N, N, N), dtype=complex)
-    D = np.zeros_like(F)
+    # the F^0 and F^0' tables in the layout of _pair_tables, F^0' zero on
+    # i = j; conjugation by P swaps the two tensor factors
+    tables = np.zeros((2, M, M) + (N,) * 4, dtype=complex).swapaxes(-3, -1)
     i, j = _pairs(M)
-    F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
-    F[i, j] = F0.reshape(-1, N, N, N, N)
-    D[i, j] = dF0.reshape(-1, N, N, N, N)
-    F = F + F.transpose(1, 0, 3, 2, 5, 4)
-    D = D - D.transpose(1, 0, 3, 2, 5, 4)
-
-    S = spin.matrix
-    S4 = S.reshape(M, N, M, N)
-    sites = np.arange(M)
-    # K^{ij}_{ab} = sum_kl F^0(q_ij)_{(a,k),(l,b)} S^{ij}_{lk}
-    K = np.einsum(_PAIR, F, S4)
-    J = np.einsum("akbl,ilik->iab", as_four_index(fam.m0(), N), S4)
-    K[sites, :, sites, :] += J
-    K = K.reshape(M * N, M * N)
+    X = np.stack(fam.r(state.qdiff(i, j), (1, 2))).reshape(2, -1, N, N, N, N)
+    tables[:, i, j] = X
+    X[1] *= -1
+    tables[:, j, i] = X.transpose(0, 1, 3, 2, 5, 4)
+    # m(0) P, m(0) with its column factors swapped, on the diagonal of the
+    # F^0 table gives K^{ii} = J(S^{ii})
+    S, sites = spin.matrix, np.arange(M)
+    tables[0, sites, sites] = as_four_index(fam.m0()).swapaxes(-2, -1)
+    K, Kd = _contract(tables, S)
     dS = S @ K - K @ S
 
     if diagonal_form == "commutator":
         Sd = spin.blocks[sites, sites]
-        V = J + np.einsum("ikacbd,kdc->iab", F, Sd)
+        F = tables[0].reshape(M, M, N * N, N * N)
+        F[sites, sites] = 0
+        V = block_grid(K, M, N)[sites, sites] + op_contract(F, Sd).sum(axis=1)
         block_grid(dS, M, N)[sites, sites] = Sd @ V - V @ Sd
 
-    # tr_12(P F^0'_12 (A (x) B)) = sum F^0'_{(c,a),(b,d)} A_{ba} B_{dc}
-    dp = -np.einsum("ikcabd,ibka,kdic->i", D, S4, S4)
+    dp = -np.einsum("iaia->i", (Kd @ S).reshape(M, N, M, N))
     return state.p, dp, block_grid(dS, M, N)
-
 
 
 # --- Poisson-bracket oracle ------------------------------------------------
@@ -433,27 +413,22 @@ def _ham_spin_gradient(state, i, j, W):
     P F^0(q_ij) for the pair i[p] < j[p]."""
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
-    m0 = fam.m0()
+    m0, sites = fam.m0(), np.arange(M)
     G = np.zeros((M * N, M * N), dtype=complex)
     grad = block_grid(G, M, N)
-    for k in range(M):
-        Skk = spin.block(k, k)
-        grad[k, k] += 0.5 * (op_contract(m0, Skk).T
-                             + op_contract_1(m0, Skk).T)
+    Sd = spin.blocks[sites, sites]
+    grad[sites, sites] += 0.5 * (op_contract(m0, Sd)
+                                 + op_contract_1(m0, Sd)).swapaxes(1, 2)
     # op_contract and op_contract_1 of every pair at once
-    W4 = W.reshape(-1, N, N, N, N)
-    grad[i, j] += np.einsum("pikjl,plk->pij", W4,
-                            spin.blocks[j, i]).swapaxes(1, 2)
-    grad[j, i] += np.einsum("pikjl,pji->pkl", W4,
-                            spin.blocks[i, j]).swapaxes(1, 2)
+    grad[i, j] += op_contract(W, spin.blocks[j, i]).swapaxes(1, 2)
+    grad[j, i] += op_contract_1(W, spin.blocks[i, j]).swapaxes(1, 2)
     return G
 
 
 def _ham_q_gradient(state, i, j, Wd):
     """dH/dq_s, analytic through Wd[p] = P d/dq F^0(q_ij) for the pair
     i[p] < j[p]: pair p adds g_p to site i[p] and -g_p to site j[p]."""
-    spin = state.spin
-    M = spin.M
+    spin, M = state.spin, state.M
     g = _pair_traces(Wd, spin.blocks[i, j], spin.blocks[j, i])
     signed = np.zeros((M, M), dtype=complex)
     signed[i, j] = g
@@ -482,15 +457,12 @@ def bracket_flow(state):
 def _bracket_flow(state, table):
     """bracket_flow(state) from the F^0 table _f0_table(state)."""
     _require_constraints(state)
-    spin = state.spin
-    M, N = spin.M, spin.N
     i, j, F0, dF0 = table
-    P = permutation_P(N)
+    P, S = state.family._P, state.spin.matrix
     Gt = _ham_spin_gradient(state, i, j, P @ F0).T
-    S = spin.matrix
     dS = S @ Gt - Gt @ S
     dp = -_ham_q_gradient(state, i, j, P @ dF0)
-    return state.p, dp, block_grid(dS, M, N)
+    return state.p, dp, block_grid(dS, state.M, state.N)
 
 
 def _flow_L(R, Mz, flow):
@@ -596,7 +568,6 @@ def _exchange_lhs(state, R, D):
     # gradients dL^{ij}_{ab}(z) / dS^{ij}_{xy} = A[i, j, a, y, b, x] (B at w)
     A, B = R[:, 0].swapaxes(-2, -1), R[:, 1].swapaxes(-2, -1)
     D1, D2 = D[:, 0], D[:, 1]
-    eN = np.eye(N)
     n = len(A)
     out = np.empty((n, 2, M, M, M, N, N, N, N), dtype=complex)
     P0, P1 = out[:, 0], out[:, 1]
@@ -623,15 +594,16 @@ def _exchange_lhs(state, R, D):
         0, 2, 1, 5, 3, 6, 4, 7)
     # canonical sector, {p_i, q_k} = d_ik: p_i on L^{ii}(z) meets q_i in
     # L^{il}(w) (i = j = k) and L^{ki}(w) (l = i = j), and p_k on L^{kk}(w)
-    # meets q_k in L^{kj}(z) (k = l = i) and L^{ik}(z) (j = k = l)
-    np.einsum("nkkl...->nkl...", P1)[...] += np.einsum(
-        "nkcld,ab->nklacbd", D2, eN)
-    np.einsum("niki...->nik...", P0)[...] -= np.einsum(
-        "nkcid,ab->nikacbd", D2, eN)
-    np.einsum("niij...->nij...", P0)[...] -= np.einsum(
-        "niajb,cd->nijacbd", D1, eN)
-    np.einsum("nkik...->nki...", P1)[...] += np.einsum(
-        "niakb,cd->nkiacbd", D1, eN)
+    # meets q_k in L^{kj}(z) (k = l = i) and L^{ik}(z) (j = k = l); each is
+    # a q-derivative times a unit factor, added on that factor's diagonal
+    np.einsum("nkklacad->nklacd", P1)[...] += \
+        D2.transpose(0, 1, 3, 2, 4)[:, :, :, None]
+    np.einsum("nikiacad->nikacd", P0)[...] -= \
+        D2.transpose(0, 3, 1, 2, 4)[:, :, :, None]
+    np.einsum("niijacbc->nijacb", P0)[...] -= \
+        D1.transpose(0, 1, 3, 2, 4)[:, :, :, :, None]
+    np.einsum("nkikacbc->nkiacb", P1)[...] += \
+        D1.transpose(0, 3, 1, 2, 4)[:, :, :, :, None]
     return _fold_overlap(out)
 
 
@@ -661,18 +633,40 @@ def _exchange_rhs(state, R, buf):
     blocks E_ij x E_ji, where it is G[i, j] = R^{z-w}(q_ij) P (r(z - w) on
     i = j), and so is r_{2'1'21}(w, z), there H[i, j], its w - z table with
     both factor pairs swapped: dr lies on the overlap, and each product with
-    L(z) x 1 or 1 x L(w) is one small contraction onto one plane."""
+    L(z) x 1 or 1 x L(w) lands on one plane (_site_products)."""
     M, N = state.M, state.N
-    Lz, Lw = (_lax_L(state, R[:, k]).reshape(-1, M, N, M, N) for k in (0, 1))
-    G = R[:, 2].swapaxes(-2, -1)
-    H = R[:, 3].swapaxes(-2, -1).transpose(0, 2, 1, 4, 3, 6, 5)
+    n = len(R)
+    Lz, Lw = (_lax_L(state, R[:, k]).reshape(n, M, N, M, N) for k in (0, 1))
+    # the memory of the z - w and w - z tables: G[n, i, j, a, k, b, l] is
+    # X[n, i, j, a, b, l, k] and H[n, i, j, a, k, b, l] Y[n, j, i, k, l, b, a]
+    X, Y = R[:, 2].swapaxes(-3, -1), R[:, 3].swapaxes(-3, -1)
     P0, P1 = buf[:, 0], buf[:, 1]
-    np.einsum("nskacyd,nkyjb->nskjacbd", G, Lz, out=P0)
-    np.einsum("nialy,nlsycbd->nsilacbd", -Lz, G, out=P1)
+    # plane 0 of c1 at k: sum_y Lz[n, k, y, j, b] G[n, s, k, a, c, y, d]
+    _site_products(P0, 2, Lz.transpose(0, 1, 3, 4, 2),
+                   X.transpose(0, 2, 4, 1, 3, 6, 5), (0, 2, 5, 1, 3, 4, 6))
+    # plane 1 of c1 at l: -sum_y Lz[n, i, a, l, y] G[n, l, s, y, c, b, d]
+    _site_products(P1, 3, -Lz.transpose(0, 3, 1, 2, 4),
+                   X.transpose(0, 1, 3, 2, 4, 5, 6), (0, 2, 3, 1, 5, 6, 4))
     yield _fold_overlap(buf)
-    np.einsum("nkcjy,nsjaybd->nskjacbd", Lw, H, out=P0)
-    np.einsum("nisacby,niyld->nsilacbd", H, -Lw, out=P1)
+    # plane 0 of c2 at j: sum_y Lw[n, k, c, j, y] H[n, s, j, a, y, b, d]
+    _site_products(P0, 3, Lw.transpose(0, 3, 1, 2, 4),
+                   Y.transpose(0, 1, 3, 2, 4, 5, 6), (0, 2, 4, 1, 6, 5, 3))
+    # plane 1 of c2 at i: -sum_y Lw[n, i, y, l, d] H[n, i, s, a, c, b, y]
+    _site_products(P1, 2, -Lw.transpose(0, 1, 3, 4, 2),
+                   Y.transpose(0, 2, 4, 1, 3, 5, 6), (0, 2, 6, 1, 4, 5, 3))
     yield _fold_overlap(buf)
+
+
+def _site_products(plane, axis, A, B, axes):
+    """Write sum_y A[:, t, ..., y] B[:, t, y, ...] into the slice t of a plane
+    stack on axis, for every site t, axes listing the slice's axes in the
+    order of the product's: one batched matrix product per site, so that no
+    temporary outgrows a slice of the plane."""
+    n, M = A.shape[:2]
+    A, B = A.reshape(n, M, -1, A.shape[-1]), B.reshape(n, M, B.shape[2], -1)
+    for t in range(M):
+        dest = plane[(slice(None),) * axis + (t,)].transpose(axes)
+        dest[...] = (A[:, t] @ B[:, t]).reshape(dest.shape)
 
 
 def _exchange_residuals(state, points):

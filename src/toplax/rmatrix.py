@@ -14,7 +14,7 @@ import cmath
 import numpy as np
 
 from . import specfun as sf
-from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, kron, permutation_P,
+from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, permutation_P,
                      sin_basis_T_int, partial_trace_1, partial_trace_2,
                      site_product, stack_norms)
 
@@ -306,10 +306,12 @@ class BaxterBelavin(RMatrixFamily):
         self._nonzero = self._sectors[1:]
         self._omegas = np.array([a.omega(self.tau) for a in self._nonzero])
         # flattened tensor-basis elements T_a (x) T_{-a} (integer-negated
-        # label), one row per sector
-        self._TT = np.array([kron(sin_basis_T_int(a.a1, a.a2, self.N),
-                                  sin_basis_T_int(-a.a1, -a.a2, self.N))
-                             .reshape(-1) for a in self._sectors])
+        # label), one row per sector: [a, (i, k), (j, l)] = T_a[i, j]
+        # T_{-a}[k, l], one broadcast product of the two stacks
+        T, Tm = (np.array([sin_basis_T_int(sign * a.a1, sign * a.a2, self.N)
+                           for a in self._sectors]) for sign in (1, -1))
+        self._TT = (T[:, :, None, :, None] * Tm[:, None, :, None, :]).reshape(
+            len(T), -1)
 
     def params(self):
         return {"tau": [self.tau.real, self.tau.imag]}

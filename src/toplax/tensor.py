@@ -9,6 +9,7 @@ any sites of Mat(N)^{x k} by contracting their legs, with no dense embedding.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -54,48 +55,48 @@ def eye(n):
 
 def permutation_P(N):
     """The factor-swap operator sum_ij e_ij (x) e_ji on Mat(N) x Mat(N)."""
-    P = np.zeros((N * N, N * N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            P[i * N + j, j * N + i] = 1.0
-    return P
+    return eye(N * N).reshape((N,) * 4).swapaxes(2, 3).reshape(N * N, N * N)
 
 
-def as_four_index(T, N):
-    """View an N^2 x N^2 operator as T[i, k, j, l] acting on e_jl -> e_ik."""
-    return np.asarray(T, dtype=complex).reshape(N, N, N, N)
+def as_four_index(T, N=None):
+    """View an N^2 x N^2 operator, or each of a stack, as T[..., i, k, j, l]
+    acting on e_jl -> e_ik."""
+    T = np.asarray(T, dtype=complex)
+    return T.reshape(T.shape[:-2] + (N or math.isqrt(T.shape[-1]),) * 4)
 
 
 def partial_trace_1(T):
     """Contract the first tensor factor: sum_i T_{(i,k),(i,l)}, of a matrix
     or of each matrix of a stack."""
-    T = np.asarray(T, dtype=complex)
-    N = int(round(np.sqrt(T.shape[-1])))
-    return np.einsum("...ikil->...kl", T.reshape(T.shape[:-2] + (N,) * 4))
+    return np.einsum("...ikil->...kl", as_four_index(T))
 
 
 def partial_trace_2(T):
     """Contract the second tensor factor: sum_k T_{(i,k),(j,k)}, of a matrix
     or of each matrix of a stack."""
-    T = np.asarray(T, dtype=complex)
-    N = int(round(np.sqrt(T.shape[-1])))
-    return np.einsum("...ikjk->...ij", T.reshape(T.shape[:-2] + (N,) * 4))
+    return np.einsum("...ikjk->...ij", as_four_index(T))
+
+
+def matvec4(X, S):
+    """sum_lk X[..., a, b, l, k] S[..., l, k] as the (..., N, N) stack of
+    [a, b]: one batched product of each (a, b) x (l, k) matrix with the
+    vector of S, each summed as it would be alone, whatever its stack."""
+    n = X.shape[-1]
+    out = np.reshape(X, X.shape[:-4] + (n * n, n * n)) \
+        @ np.reshape(S, np.shape(S)[:-2] + (n * n, 1))
+    return out.reshape(out.shape[:-2] + (n, n))
 
 
 def op_contract(T, S):
-    """tr_2(T * (1 (x) S)) as an N x N matrix: sum_kl T_{ikjl} S_{lk}."""
-    T = np.asarray(T, dtype=complex)
-    N = int(round(np.sqrt(T.shape[0])))
-    return np.einsum("ikjl,lk->ij", as_four_index(T, N),
-                     np.asarray(S, dtype=complex))
+    """tr_2(T * (1 (x) S)) as an N x N matrix, sum_kl T_{ikjl} S_{lk}, or
+    the stack of them for stacks T and S (matvec4 over (l, k))."""
+    return matvec4(as_four_index(T).swapaxes(-3, -2).swapaxes(-2, -1), S)
 
 
 def op_contract_1(T, S):
-    """tr_1(T * (S (x) 1)) as an N x N matrix: sum_ij T_{ikjl} S_{ji}."""
-    T = np.asarray(T, dtype=complex)
-    N = int(round(np.sqrt(T.shape[0])))
-    return np.einsum("ikjl,ji->kl", as_four_index(T, N),
-                     np.asarray(S, dtype=complex))
+    """tr_1(T * (S (x) 1)) as an N x N matrix, sum_ij T_{ikjl} S_{ji}, or
+    the stack of them for stacks T and S (matvec4 over (j, i))."""
+    return matvec4(as_four_index(T).swapaxes(-4, -1).swapaxes(-4, -3), S)
 
 
 def sin_basis_T_int(a1, a2, N):
@@ -109,9 +110,7 @@ def sin_basis_T_int(a1, a2, N):
     not its mod-N representative.
     """
     Q = np.diag([cmath.exp(2j * cmath.pi * (k + 1) / N) for k in range(N)])
-    Lam = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        Lam[k, (k + 1) % N] = 1.0
+    Lam = np.roll(eye(N), 1, axis=1)
     phase = cmath.exp(1j * cmath.pi * a1 * a2 / N)
     return phase * np.linalg.matrix_power(Q, a1 % N) @ \
         np.linalg.matrix_power(Lam, a2 % N)

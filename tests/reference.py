@@ -2,9 +2,11 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 another way: the dense dynamical r-matrix and its q-derivative term against
-the support planes of the exchange check, the pair potentials of the
-Hamiltonian, the R-matrix-valued Lax pair, the per-sector scalar functions
-against specfun.sector_table, and small helpers on the package's types.
+the support planes of the exchange check, the pair and plane contractions as
+np.einsum subscripts against their batched matrix products, the pair
+potentials of the Hamiltonian, the R-matrix-valued Lax pair, the per-sector
+scalar functions against specfun.sector_table, and small helpers on the
+package's types.
 """
 
 import cmath
@@ -77,6 +79,61 @@ def r_big_q_derivative_sum(state, z, w):
     (tr S^ii - tr S^jj) F^{z-w}(q_ij) P, as a dense array."""
     return exchange_blocks(md._trace_weight(state)
                            * md._pair_tables(state, z - w)[1])
+
+
+# --- pair and plane contractions as einsum subscripts ----------------------
+
+# block (i, j) of the contraction of a pair table T (or of each table of a
+# stack) with a spin S: tr_2(S^{ij}_2 T[i, j] P_12), entry [i, a, j, b] =
+# sum_kl T[i, j]_{(a,k),(l,b)} S^{ij}_{lk}, with S in its (M, N, M, N) layout
+PAIR = "...ijaklb,iljk->...iajb"
+
+
+def contract(T, S):
+    """md._contract(T, S) as one einsum over the pair table or stack T."""
+    M, N = T.shape[-6], T.shape[-4]
+    out = np.einsum(PAIR, T, S.reshape(M, N, M, N))
+    return out.reshape(T.shape[:-6] + (M * N, M * N))
+
+
+def eom_terms(state):
+    """(K, dp, size) of md.eom_rhs as einsums over its F^0 and F^0' pair
+    tables: K with J(S^ii) = tr_2(m_12(0) S^ii_2) on its diagonal blocks,
+    dp_i = -sum_k tr_12(P F^0'(q_ik) S^ik_1 S^ki_2), and size_i the sum of
+    the magnitudes of the terms of dp_i, the scale of its rounding."""
+    fam, M, N = state.family, state.M, state.N
+    F = np.zeros((M, M, N, N, N, N), dtype=complex)
+    D = np.zeros_like(F)
+    i, j = md._pairs(M)
+    F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
+    F[i, j] = F0.reshape(-1, N, N, N, N)
+    D[i, j] = dF0.reshape(-1, N, N, N, N)
+    F = F + F.transpose(1, 0, 3, 2, 5, 4)
+    D = D - D.transpose(1, 0, 3, 2, 5, 4)
+    S4 = state.spin.matrix.reshape(M, N, M, N)
+    sites = np.arange(M)
+    K = np.einsum(PAIR, F, S4)
+    J = np.einsum("akbl,ilik->iab", fam.m0().reshape(N, N, N, N), S4)
+    K[sites, :, sites, :] += J
+    dp = "ikcabd,ibka,kdic->i"
+    return (K.reshape(M * N, M * N), -np.einsum(dp, D, S4, S4),
+            np.einsum(dp, abs(D), abs(S4), abs(S4)))
+
+
+def exchange_products(state, R):
+    """The four plane products of md._exchange_rhs as einsums, from the R
+    tables of a stack of pairs at (z, w, z - w, w - z): plane 0 and plane 1
+    of [L(z) x 1, r(z, w)], then of [1 x L(w), r_{2'1'21}(w, z)], before
+    their overlaps fold."""
+    M, N = state.M, state.N
+    Lz, Lw = (md._lax_L(state, R[:, k]).reshape(-1, M, N, M, N)
+              for k in (0, 1))
+    G = R[:, 2].swapaxes(-2, -1)
+    H = R[:, 3].swapaxes(-2, -1).transpose(0, 2, 1, 4, 3, 6, 5)
+    return (np.einsum("nskacyd,nkyjb->nskjacbd", G, Lz),
+            np.einsum("nialy,nlsycbd->nsilacbd", -Lz, G),
+            np.einsum("nkcjy,nsjaybd->nskjacbd", Lw, H),
+            np.einsum("nisacby,niyld->nsilacbd", H, -Lw))
 
 
 # --- sector functions --------------------------------------------------------

@@ -529,6 +529,34 @@ def test_stacked_checks_peak_memory(tmp_path, capsys):
         assert peak < 3.6 * tn.STACK_BYTES, argv[0]
 
 
+def test_command_paths_make_no_einsum_products(tmp_path, capsys,
+                                               monkeypatch):
+    # check-lax, check-exchange and simulate steps with monitor rows form
+    # every contraction as a matrix product: np.einsum is left with
+    # one-operand diagonal views
+    products = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        # subscripts and operands, or interleaved operands and sublists
+        if (len(args) - 1 if isinstance(args[0], str) else len(args) // 2) > 1:
+            products.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(cli.md.np, "einsum", counting)
+    out = str(tmp_path / "traj.csv")
+    for overrides in ({"N": 3, "M": 3}, {"family": "11v", "M": 2},
+                      {"family": "bb", "M": 3, "tau": [0.0, 1.0]}):
+        path = write_config(tmp_path, **overrides)
+        for argv in (["check-lax", "--z-samples", "3"],
+                     ["check-exchange", "--pairs", "2"],
+                     ["simulate", "--dt", "1e-4", "--steps", "2",
+                      "--monitor-every", "1", "--monitor-z", "0.3,0.4",
+                      "--out", out]):
+            assert run_capture(capsys, argv + ["--config", path])[0] == 0
+    assert products == []
+
+
 def test_check_exchange_checks_every_requested_pair(tmp_path, capsys,
                                                     monkeypatch):
     # 250 pairs take more than 200 draws: each is checked

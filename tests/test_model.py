@@ -234,6 +234,58 @@ def test_lax_blocks_match_per_pair_kernels():
                 assert np.array_equal(Mz[i, j], wantM), (key, i, j)
 
 
+_FAMILY_ARGS = {"xxx": {}, "11v": {}, "xxz": {}, "7v": {"C": 0.7 + 0.2j},
+                "bb": {"tau": 0.3 + 0.9j}}
+
+
+def _agrees(got, want, N, bitwise=True):
+    # bit for bit at N <= 2, else within 1e-15 of the largest entry
+    if N <= 2 and bitwise:
+        return np.array_equal(got, want)
+    return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("key, N", [
+    (key, N) for key in rm.FAMILY_KEYS
+    for N in ((1, 2, 3, 4) if key in ("xxx", "bb") else (2,))])
+def test_matrix_products_match_einsum_oracles(key, N):
+    # the pair contraction, the equations of motion and the four exchange
+    # plane products against their einsum forms; a one-point stack against
+    # its point, and a stack's first table or pair against it alone, bit
+    # for bit.  11v's tables put two nonzero products in one sum, which
+    # BLAS may round unlike einsum's running sum
+    exact = key != "11v"
+    fam = rm.make_family(key, N=N, **_FAMILY_ARGS[key])
+    w = 0.17 + 0.52j
+    zs = np.array([0.31 + 0.42j, 0.55 + 0.23j, 0.12 + 0.71j])
+    for M in (1, 2, 3, 4):
+        st = md.random_state(fam, M, 1.0, seed=M)
+        S = st.spin.matrix
+        for T, T1, Ts in zip(md._pair_tables(st, zs[0]),
+                             md._pair_tables(st, zs[:1]),
+                             md._pair_tables(st, zs)):
+            got, stack = md._contract(T, S), md._contract(Ts, S)
+            assert _agrees(got, rf.contract(T, S), N, exact), (key, M)
+            assert _agrees(stack, rf.contract(Ts, S), N, exact), (key, M)
+            assert np.array_equal(md._contract(T1, S)[0], got)
+            assert np.array_equal(stack[0], md._contract(Ts[0], S))
+        K, dp, size = rf.eom_terms(st)
+        _, got_dp, dS = md.eom_rhs(st)
+        assert _agrees(dS.swapaxes(1, 2).reshape(S.shape), S @ K - K @ S, N,
+                       exact)
+        assert np.all(np.abs(got_dp - dp) <= 1e-15 * size), (key, M)
+        R = md._pair_tables(st, [[z, w, z - w, w - z] for z in zs])[0]
+        products = rf.exchange_products(st, R)
+        buf = np.empty((3, 2) + (M,) * 3 + (N,) * 4, dtype=complex)
+        one = np.empty_like(buf[:1])
+        terms = zip(md._exchange_rhs(st, R, buf),
+                    md._exchange_rhs(st, R[:1], one))
+        for k, (got, alone) in enumerate(terms):
+            want = md._fold_overlap(np.stack(products[2 * k:2 * k + 2], 1))
+            assert _agrees(got, want, N, exact), (key, M, k)
+            assert np.array_equal(alone, got[:1])
+
+
 def test_eom_matches_bracket_flow():
     for key, kwargs in (("xxx", {}), ("11v", {}), ("bb", {"tau": 1j})):
         fam = rm.make_family(key, N=2, **kwargs)

@@ -182,6 +182,15 @@ def _sector_basis(a):
                    tn.sin_basis_T_int(-a.a1, -a.a2, N))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_bb_tensor_basis_is_each_sector_kron(N):
+    # the stacked basis from one broadcast product of T_a and T_{-a} holds
+    # T_a (x) T_{-a} of every sector, bit for bit
+    fam = rm.make_family("bb", N=N, tau=1j)
+    want = [_sector_basis(a).reshape(-1) for a in fam._sectors]
+    assert np.array_equal(fam._TT, want)
+
+
 def _sector_dz(fl, a, z, w, order):
     """order-th z-derivative of phi_a(z, w) from the scalar kernels."""
     p = cmath.exp(2j * cmath.pi * a.a2 * z / a.N) * sf.kronecker_phi(fl, z, w)
