@@ -15,8 +15,8 @@ import numpy as np
 
 from . import specfun as sf
 from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, permutation_P,
-                     sin_basis_T_int, partial_trace_1, partial_trace_2,
-                     site_product, stack_norms)
+                     rows_product, sin_basis_T_int, partial_trace_1,
+                     partial_trace_2, site_product, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -293,7 +293,8 @@ class BaxterBelavin(RMatrixFamily):
     and their derivatives are the same sector sums at hbar -> 0.  Every
     matrix, or stack of matrices over an array of z, is built from one
     specfun.sector_table and one product of its coefficients with the
-    stacked basis; the table's cell reduction is the pole guard.
+    stacked basis.  The table guards z and omega_a + hbar/N only: z +
+    omega_a + hbar/N on the lattice is a zero of the sector's coefficient.
     """
 
     kind = "bb"
@@ -321,14 +322,10 @@ class BaxterBelavin(RMatrixFamily):
 
     def _sum(self, coeffs):
         """sum_a coeffs[..., a] T_a (x) T_{-a} over all sectors, zero
-        first.
-
-        A single row is doubled: numpy sends it to the matrix-vector BLAS
-        call, which rounds unlike the matrix-matrix call of a longer stack."""
+        first, each matrix rounded as in any stack."""
         n = self.N * self.N
-        rows = coeffs.reshape(-1, coeffs.shape[-1])
-        out = (rows if len(rows) > 1 else np.repeat(rows, 2, 0)) @ self._TT
-        return out[:len(rows)].reshape(coeffs.shape[:-1] + (n, n))
+        return rows_product(coeffs, self._TT).reshape(coeffs.shape[:-1]
+                                                      + (n, n))
 
     def _R(self, hbar, z, orders):
         _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
@@ -579,18 +576,11 @@ def _draw(rng, family, margin=0.05):
     return sf.sample_point(rng, family.flavor, eps=margin)
 
 
-def _expansion_radius(family):
-    """Radius at 0 for r and R(., z): LAURENT_RADIUS times the shortest period
-    and, on bb (guarded at z + omega_a), each pole distance of omega_a."""
-    d = family.pole_distance(family._omegas) if family.kind == "bb" else []
-    return sf.LAURENT_RADIUS * float(
-        np.min(d, initial=sf.shortest_period(family.flavor)))
-
-
 def measure_r1(family):
-    """The linear coefficient of r(z) at 0, from one family call."""
-    return sf.laurent_coefficients(family.r, 0.0, _expansion_radius(family),
-                                   (1,))[0]
+    """The linear coefficient of r(z) at 0, from one family call; r(z), and
+    R(hbar, z) in hbar, are singular only on the lattice."""
+    radius = sf.LAURENT_RADIUS * sf.shortest_period(family.flavor)
+    return sf.laurent_coefficients(family.r, 0.0, radius, (1,))[0]
 
 
 def certify(family, n_samples, seed, tol):
@@ -622,7 +612,8 @@ def certify(family, n_samples, seed, tol):
     # (v) classical expansion: the hbar-coefficients -1, 0 and 1 of R(hbar, z)
     z = _draw(rng, family)
     worst["classical_expansion"] = float(sf.expansion_residual(
-        lambda hb: family.R(hb, z), 0.0, _expansion_radius(family),
+        lambda hb: family.R(hb, z), 0.0,
+        sf.LAURENT_RADIUS * sf.shortest_period(family.flavor),
         {-1: eye(N * N), 0: family.r(z), 1: family.m(z)}, np.linalg.norm))
 
     # (xi) linear coefficient of r equals m(0) P, measured independently

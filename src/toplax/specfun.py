@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadModulus, DegenerateDraw, PoleProximity, ThetaOverflow
-from .tensor import MAX_ARRAY_BYTES
+from .tensor import MAX_ARRAY_BYTES, rows_product
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -145,9 +145,8 @@ def theta_sum(zs, tau, upto=0):
 
     Returns (t, c, K, n, z0): t[i, d] is the d-th derivative of theta at the
     reduced argument z0[i], c[i] the log factor, K the number of term pairs
-    summed per argument and n[i] the tau-shift count.  The log-derivatives
-    of theta at zs[i] are those at z0[i], except that the first one shifts
-    by -2*pi*i*n[i].  zs is a tuple, so that a call is hashable.
+    summed per argument and n[i] the tau-shift count (see _shifted for the
+    derivatives at zs[i]).  zs is a tuple, so that a call is hashable.
     """
     z = np.array(zs, dtype=complex)
     n = np.rint(z.imag / tau.imag)
@@ -155,16 +154,30 @@ def theta_sum(zs, tau, upto=0):
     z0 = z - n * tau - m
     c = PI_I * (m + n) - PI_I * tau * n * n - TWO_PI_I * n * z0
     h, W = _theta_weights(tau, upto)
-    t = np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h) @ W
+    t = rows_product(np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h), W)
     return t, c, len(h) // 2, n, z0
+
+
+def _shifted(t, n):
+    """[theta, theta', ...] at z over exp(c), from theta_sum's t[0], t[1],
+    ... at z0 and n (numbers or arrays): theta^(d)(z) = exp(c) sum_k
+    binom(d, k) s^(d-k) t[k], s = -2*pi*i*n being the derivative of c; the
+    powers of s are products, which round alike in a number and an array."""
+    s = -TWO_PI_I * n
+    out = [t[0]]
+    for d in range(1, len(t)):
+        total, power = t[d], s
+        for k in range(d - 1, 0, -1):
+            total = total + math.comb(d, k) * (power * t[k])
+            power = power * s
+        out.append(total + power * t[0])
+    return out
 
 
 def theta_derivs(z, tau, upto):
     """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass.
-
-    With s = -2*pi*i*n, the derivative of the log factor of theta_sum,
-    theta^(d)(z) = exp(c) sum_k binom(d, k) s^(d-k) theta^(k)(z0).  Raises
-    ThetaOverflow where theta itself is not representable in floating point.
+    Raises ThetaOverflow where theta itself is not representable in
+    floating point.
     """
     tau = complex(tau)
     _check_modulus(tau)
@@ -172,12 +185,9 @@ def theta_derivs(z, tau, upto):
         raise ValueError("derivative order must be >= 0")
     z = complex(z)
     t, c, _, n, _ = theta_sum((z,), tau, upto)
-    s = -TWO_PI_I * n[0]
     try:
         scale = cmath.exp(c[0])
-        values = [complex(scale * sum(math.comb(d, k) * s ** (d - k)
-                                      * t[0, k] for k in range(d + 1)))
-                  for d in range(upto + 1)]
+        values = [scale * v for v in _shifted(t[0].tolist(), float(n[0]))]
     except OverflowError:
         values = [math.inf]
     if not all(map(cmath.isfinite, values)):
@@ -201,22 +211,6 @@ def _theta_at_zero(tau):
     """
     t = theta_sum((0j,), tau, 3)[0][0]
     return complex(t[1]), complex(t[3] / t[1])
-
-
-def _theta_rows(flavor, args, upto):
-    """theta_sum over the tuple args on the flavor's modulus, with the pole
-    guard read from the same cell reduction; returns (t, c, n).
-
-    A lattice point within Im tau / 2 of z is the m + n*tau of the
-    reduction, so |z0| is the pole distance of z wherever either is below
-    Im tau / 2, which exceeds POLE_EPS for every allowed modulus.
-    """
-    t, c, _, n, z0 = theta_sum(args, flavor.tau, upto)
-    d = list(map(abs, z0.tolist()))
-    nearest = min(d, default=math.inf)
-    if nearest <= POLE_EPS:
-        raise PoleProximity(complex(args[d.index(nearest)]), nearest)
-    return t, c, n
 
 
 def pole_distance(flavor, z):
@@ -284,7 +278,7 @@ def shortest_period(flavor):
 
 
 # the points of a laurent_coefficients circle, and its radius over the
-# distance from its center to the nearest other point the pole guard rejects
+# distance from its center to the nearest other pole of the function
 LAURENT_POINTS = 16
 LAURENT_RADIUS = 1 / 8
 
@@ -339,15 +333,12 @@ def _log_derivs(t):
 
 def _log_theta(flavor, z, upto):
     """[E1, -E2, -E2'][:upto] at a number or an array z, as arrays of its
-    shape: the z-derivatives of log theta (elliptic: one series over all of
-    z, whose cell reduction is the pole guard), of log sinh (trigonometric)
-    or of log (rational)."""
-    z = np.asarray(z, dtype=complex)
+    shape: the z-derivatives of log theta (elliptic: the log_z of a
+    sector_table over no sector), of log sinh (trigonometric) or of log
+    (rational)."""
     if flavor.kind == ELLIPTIC:
-        t, _, n = _theta_rows(flavor, tuple(z.ravel().tolist()), upto)
-        out = _log_derivs(t.T)
-        out[0] = out[0] - TWO_PI_I * n
-        return [v.reshape(z.shape) for v in out]
+        return sector_table(flavor, (), z, 0.0, upto - 1)[0]
+    z = np.asarray(z, dtype=complex)
     check_pole(flavor, z)
     ch, sh = (1.0, z) if flavor.kind == RATIONAL else (np.cosh(z), np.sinh(z))
     # np.power, unlike ** on an array, rounds as on a single element, so a
@@ -384,34 +375,29 @@ def weierstrass_p(flavor, z):
     return _number(e2)
 
 
+# phi(z, w) is the sector function of the zero sector
+_ZERO_SECTOR = (SectorIndex(0, 0, 1),)
+
+
 def kronecker_phi(flavor, eta, z):
     """Two-variable kernel function phi(eta, z); symmetric in its arguments,
-    which broadcast against each other."""
+    which broadcast against each other: E1(eta) + E1(z), or on the
+    elliptic flavor the zero sector's sector_table."""
+    if flavor.kind == ELLIPTIC:
+        return _number(sector_table(flavor, _ZERO_SECTOR, eta, z, 0)[1][0]
+                       [..., 0])
     eta, z = np.broadcast_arrays(np.asarray(eta, dtype=complex),
                                  np.asarray(z, dtype=complex))
-    if flavor.kind != ELLIPTIC:
-        # phi = E1(eta) + E1(z), guarded at eta + z too
-        e1 = _log_theta(flavor, np.stack([eta, z]), 1)[0]
-        check_pole(flavor, eta + z)
-        return _number(e1[0] + e1[1])
-    # phi = theta'(0) theta(eta + z) / (theta(eta) theta(z)), with the log
-    # factors of the cell reduction combined before exponentiating
-    args = np.stack([eta, z, eta + z])
-    t, c, _ = _theta_rows(flavor, tuple(args.ravel().tolist()), 0)
-    t, c = (v.reshape((3,) + eta.shape) for v in (t[:, 0], c))
-    return _number(_theta_at_zero(flavor.tau)[0]
-                   * np.exp(c[2] - c[0] - c[1]) * t[2] / (t[0] * t[1]))
+    e1 = _log_theta(flavor, np.stack([eta, z]), 1)[0]
+    return _number(e1[0] + e1[1])
 
 
 def phi_derivative_f(flavor, z, q):
-    """f(z, q) = d/dq phi(z, q), via the closed form phi*(E1(z+q) - E1(q));
-    z and q broadcast."""
-    z, q = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                               np.asarray(q, dtype=complex))
-    # an array p: numpy multiplies as for a stack, Python's complex does not
-    p = np.asarray(kronecker_phi(flavor, z, q))
-    e1 = eisenstein_E1(flavor, np.stack([z + q, q]))
-    return _number(p * (e1[0] - e1[1]))
+    """f(z, q) = d/dq phi(z, q), z and q broadcast: -E2(q), or on the
+    elliptic flavor the zero sector's sector_table."""
+    if flavor.kind == ELLIPTIC:
+        return _number(sector_table(flavor, _ZERO_SECTOR, z, q, 0)[2][..., 0])
+    return _number(_log_theta(flavor, np.broadcast_arrays(z, q)[1], 2)[1])
 
 
 def sector_table(flavor, sectors, z, u, upto):
@@ -423,53 +409,71 @@ def sector_table(flavor, sectors, z, u, upto):
     exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) = theta'(0) theta(z + w)
     / (theta(z) theta(w)).  One theta_sum call (to order upto + 1) covers
     each element of z, each w = omega_a + u (once per sector and element
-    of u) and each z + w over the broadcast, and its cell reduction is the
-    pole guard of all of them.
+    of u) and each z + w over the broadcast.  Its cell reduction guards the
+    poles, z and w on the lattice: a lattice point within Im tau / 2 (over
+    POLE_EPS) of an argument is the m + n*tau of its reduction.  z + w on
+    the lattice is a zero of phi_a (DLMF 20.2(iv)), so nothing divides by
+    theta(z + w): with G = theta'(0) exp(2*pi*i*a2*z/N) / (theta(z)
+    theta(w)), a = 2*pi*i*a2/N - E1(z) and Th = theta(z + w),
+        phi = G Th,  phi' = G (Th' + a Th),
+        phi'' = G (Th'' + 2 a Th' + (a^2 - E1'(z)) Th),
+        f = G (Th' - E1(w) Th).
 
     Returns (log_z, phi, f): log_z[k], with the shape of z, is the
     (k + 1)-th z-derivative of log theta at z (E1, -E2, -E2') for
-    k <= upto + 1; phi[k][..., i], with the broadcast shape in front, is the
+    k <= upto; phi[k][..., i], with the broadcast shape in front, is the
     k-th z-derivative of phi_a for a = sectors[i] and k <= upto (at most
-    2); for the number u = 0 and upto >= 1, f[..., i] =
-    exp(2*pi*i*a2*z/N) f(z, omega_a), the q-derivative of phi(z, q) at
-    omega_a, and f is None otherwise.
+    2); f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a + u), the q-derivative
+    of phi(z, q) at omega_a + u.
     """
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
         raise ValueError("order must be 0, 1 or 2")
-    z = np.asarray(z, dtype=complex)
-    u = np.asarray(u, dtype=complex)
+    zc = np.asarray(z, dtype=complex)[..., None]
     # ws[..., i] = omega_a + u for a = sectors[i], per element of u; the
     # sector axis comes last in every group
-    ws = u[..., None] + np.array([a.omega(flavor.tau) for a in sectors])
-    zc = z[..., None]
+    ws = np.asarray(u, dtype=complex)[..., None] + np.array(
+        [a.omega(flavor.tau) for a in sectors], dtype=complex)
     zw = zc + ws
-    twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
     args = np.concatenate([zc.ravel(), ws.ravel(), zw.ravel()])
-    t, c, n = _theta_rows(flavor, tuple(args.tolist()), upto + 1)
-    # each group's values in its own shape, the order axis first
+    t, c, _, n, z0 = theta_sum(tuple(args.tolist()), flavor.tau, upto + 1)
     P, W = zc.size, zc.size + ws.size
-    cuts = ((0, P, zc.shape), (P, W, ws.shape), (W, len(args), zw.shape))
-    (tz, tw, tzw), (cz, cw, czw), (nz, nw, nzw) = (
-        [v[lo:hi].T.reshape(v.shape[1:] + shape) for lo, hi, shape in cuts]
-        for v in (t, c, n))
+    d = list(map(abs, z0[:W].tolist()))
+    nearest = min(d, default=math.inf)
+    if nearest <= POLE_EPS:
+        raise PoleProximity(complex(args[d.index(nearest)]), nearest)
+    t = t.T
+
+    def group(v, lo, hi, shape):
+        # v at args[lo:hi] in its group's shape, after t's order axis
+        return v[..., lo:hi].reshape(v.shape[:-1] + shape)
+
+    tz = group(t, 0, P, zc.shape)
     log_z = _log_derivs(tz)
-    log_z[0] = log_z[0] - TWO_PI_I * nz
-    p = _theta_at_zero(flavor.tau)[0] \
-        * np.exp(zc * twist + czw - cz - cw) * tzw[0] / (tz[0] * tw[0])
-    phi = [p]
-    f = None
+    log_z[0] = log_z[0] - TWO_PI_I * group(n, 0, P, zc.shape)
+    if not sectors:
+        # E1, E2 and E2' alone: phi and f are empty
+        empty = np.zeros(zw.shape, dtype=complex)
+        return [v[..., 0] for v in log_z], [empty] * (upto + 1), empty
+    (tw, cw, nw), (tzw, czw, nzw) = (
+        [group(v, lo, hi, shape) for v in (t, c, n)]
+        for lo, hi, shape in ((P, W, ws.shape), (W, len(args), zw.shape)))
+    twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
+    th = _shifted(tzw[:max(upto, 1) + 1], nzw)
+    # the log factors of the cell reduction combined before exponentiating
+    G = _theta_at_zero(flavor.tau)[0] \
+        * np.exp(zc * twist + czw - group(c, 0, P, zc.shape) - cw) \
+        / (tz[0] * tw[0])
+    phi = [G * th[0]]
     if upto:
-        log_zw = _log_derivs(tzw[:upto + 1])
-        e1_zw = log_zw[0] - TWO_PI_I * nzw
-        d = twist + (e1_zw - log_z[0])
-        phi.append(p * d)
+        a = twist - log_z[0]
+        phi.append(G * (th[1] + a * th[0]))
         if upto == 2:
-            phi.append(p * (d * d + (log_zw[1] - log_z[1])))
-        if u.ndim == 0 and u == 0:
-            f = p * (e1_zw - (_log_derivs(tw)[0] - TWO_PI_I * nw))
-    return [v[..., 0] for v in log_z], phi, f
+            phi.append(G * (th[2] + 2.0 * a * th[1]
+                            + (a * a - log_z[1]) * th[0]))
+    e1_w = tw[1] / tw[0] - TWO_PI_I * nw
+    return [v[..., 0] for v in log_z], phi, G * (th[1] - e1_w * th[0])
 
 
 def sample_point(rng, flavor, eps=1e-2):
@@ -550,25 +554,25 @@ def _expansion_residuals(flavor, z, u):
     + O(x^3) at x = 0; f(0, u) = -E2(u), the removable value of f(x, u)
     there; and f(z, u), the linear coefficient of phi(z, .) at u.  Each
     circle is one kernel call over the arrays z and u."""
-    period = shortest_period(flavor)
-    # phi(x, u) and f(x, u) are guarded at x + u on the lattice too
-    d_u = pole_distance(flavor, u)
-    near_u = LAURENT_RADIUS * np.minimum(period, d_u)
+    # phi(x, u) and f(x, u) are singular in x only on the lattice, and
+    # phi(z, v) in v only where v is on it; one circle at 0 per sample
+    origin = np.zeros(u.shape)
+    near_0 = LAURENT_RADIUS * shortest_period(flavor)
     kap = kappa_const(flavor)
     e1u, e2u = eisenstein_E1(flavor, u), eisenstein_E2(flavor, u)
     return {   # z[..., None] and u[..., None] against the circle axis
         "phi_local_expansion": expansion_residual(
-            lambda x: kronecker_phi(flavor, x, u[..., None]), 0.0, near_u,
+            lambda x: kronecker_phi(flavor, x, u[..., None]), origin, near_0,
             {-1: 1.0, 0: e1u, 1: (e1u * e1u - e2u - kap / 3.0) / 2.0}),
         "e1_local_expansion": expansion_residual(
-            lambda x: eisenstein_E1(flavor, x), 0.0, LAURENT_RADIUS * period,
+            lambda x: eisenstein_E1(flavor, x), 0.0, near_0,
             {-1: 1.0, 0: 0.0, 1: kap / 3.0}),
         "f_at_zero": expansion_residual(
-            lambda x: phi_derivative_f(flavor, x, u[..., None]), 0.0, near_u,
-            {0: -e2u}),
+            lambda x: phi_derivative_f(flavor, x, u[..., None]), origin,
+            near_0, {0: -e2u}),
         "f_closed_form": expansion_residual(
             lambda v: kronecker_phi(flavor, z[..., None], v), u,
-            LAURENT_RADIUS * np.minimum(d_u, pole_distance(flavor, z + u)),
+            LAURENT_RADIUS * pole_distance(flavor, u),
             {1: phi_derivative_f(flavor, z, u)}),
     }
 

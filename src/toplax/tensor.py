@@ -41,12 +41,14 @@ def stack_chunk(entries):
     return max(1, STACK_BYTES // (16 * entries))
 
 
-def kron(*mats):
-    """Kronecker product of one or more matrices, leftmost factor outermost."""
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
+def rows_product(A, B):
+    """A @ B for a stack of rows A (..., k) and a k x n matrix B, each row
+    rounded as in any longer stack: numpy sends a single row to the
+    matrix-vector BLAS call, which rounds unlike the matrix-matrix call,
+    so one row is doubled."""
+    rows = A.reshape(-1, A.shape[-1])
+    out = (rows if len(rows) != 1 else rows.repeat(2, 0)) @ B
+    return out[:len(rows)].reshape(A.shape[:-1] + B.shape[-1:])
 
 
 def eye(n):

@@ -5,17 +5,18 @@ another way: the dense dynamical r-matrix and its q-derivative term against
 the support planes of the exchange check, the pair and plane contractions as
 np.einsum subscripts against their batched matrix products, the pair
 potentials of the Hamiltonian, the R-matrix-valued Lax pair, the per-sector
-scalar functions against specfun.sector_table, and small helpers on the
-package's types.
+scalar functions against specfun.sector_table, the sector functions from
+mpmath's theta at 30 digits, and small helpers on the package's types.
 """
 
 import cmath
+import functools
 
 import numpy as np
 
 from toplax import model as md
 from toplax import specfun as sf
-from toplax.tensor import kron, permutation_P
+from toplax.tensor import permutation_P
 
 
 # --- phase space -------------------------------------------------------------
@@ -165,6 +166,14 @@ def kappa(a, b):
 
 # --- matrices ----------------------------------------------------------------
 
+def kron(*mats):
+    """Kronecker product of one or more matrices, leftmost factor outermost."""
+    out = np.asarray(mats[0], dtype=complex)
+    for m in mats[1:]:
+        out = np.kron(out, np.asarray(m, dtype=complex))
+    return out
+
+
 def commutator(A, B):
     """[A, B] = AB - BA."""
     A = np.asarray(A, dtype=complex)
@@ -190,3 +199,43 @@ def sector_f(flavor, a, z, u):
     arg = a.omega(flavor.tau) + complex(u)
     return (cmath.exp(sf.TWO_PI_I * a.a2 * z / a.N)
             * sf.phi_derivative_f(flavor, z, arg))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_theta(x, tau, upto):
+    """[theta, theta', ..., theta^(upto)] at x (a complex or an mpmath
+    number) on modulus tau, as mpmath numbers at 30 digits: theta^(d)(x) =
+    -pi^d jtheta(1, pi x, exp(pi i tau), d)."""
+    import mpmath
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        return [-mpmath.pi ** d * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(x),
+                                                q, derivative=d)
+                for d in range(upto + 1)]
+
+
+def mp_sector(a, z, w, tau):
+    """(phi_a, phi_a', phi_a'', f_a) at the complex numbers (z, w) on
+    modulus tau, from mp_theta: phi_a(z, w) = exp(t z) theta'(0)
+    theta(z + w) / (theta(z) theta(w)) with t = 2*pi*i*a2/N, its first two
+    z-derivatives by the quotient rule on U / A, U = exp(t z) theta(z + w)
+    and A = theta(z), and f_a its w-derivative.  Nothing divides by
+    theta(z + w), whose zeros are zeros of phi_a."""
+    import mpmath
+    z, w, tau = complex(z), complex(w), complex(tau)
+    with mpmath.workdps(30):
+        A, B = mp_theta(z, tau, 2), mp_theta(w, tau, 1)
+        # z + w exactly, not rounded to a float
+        C = mp_theta(mpmath.mpc(z) + mpmath.mpc(w), tau, 2)
+        c = mp_theta(0j, tau, 1)[1]
+        t = 2j * mpmath.pi * a.a2 / a.N
+        e = mpmath.exp(t * z)
+        U = [e * C[0], e * (t * C[0] + C[1]),
+             e * (t * t * C[0] + 2 * t * C[1] + C[2])]
+        k = c / B[0]
+        values = (k * U[0] / A[0],
+                  k * (U[1] * A[0] - U[0] * A[1]) / A[0] ** 2,
+                  k * (U[2] * A[0] ** 2 - 2 * U[1] * A[1] * A[0]
+                       - U[0] * A[2] * A[0] + 2 * U[0] * A[1] ** 2) / A[0] ** 3,
+                  e * c / A[0] * (C[1] * B[0] - C[0] * B[1]) / B[0] ** 2)
+        return [complex(v) for v in values]

@@ -191,6 +191,37 @@ def test_simulate_numerical_failure_exits_1(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == report["rows"] + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-lax"], ["check-exchange"],
+    ["simulate", "--dt", "1e-4", "--steps", "20", "--monitor-every", "10",
+     "--monitor-z", "0.3,0.2"]])
+def test_sites_half_a_period_apart_pass(tmp_path, capsys, argv):
+    # q_1 - q_2 = -(1 + tau)/2 = -omega_(1,1) at N = 2, tau = i: there
+    # phi_(1,1)(q_12, omega_(1,1)) has a zero, and r(q_12) is finite
+    path = write_config(tmp_path, family="bb", tau=[0.0, 1.0],
+                        q0=[[0.1, 0.2], [0.6, 0.7]])
+    argv = argv + ["--config", path]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "traj.csv")]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_monitor_point_at_half_a_period_passes(tmp_path, capsys):
+    # z = (1 + i)/2 = omega_(1,1): z + omega_(1,1) is the lattice point
+    # 1 + tau, a zero of phi_(1,1), so the Lax check there is finite
+    path = write_config(tmp_path, family="bb", M=4, tau=[0.0, 1.0], seed=0)
+    code, out, _ = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "1e-5", "--steps", "6",
+        "--monitor-every", "3", "--monitor-z", "0.5,0.5",
+        "--out", str(tmp_path / "traj.csv")])
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["drift"]["max_lax_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("field", ["N", "M", "seed"])
 def test_fractional_size_exits_2(tmp_path, capsys, field):
     path = write_config(tmp_path, **{field: 2.7})
@@ -491,7 +522,9 @@ def test_check_exchange_without_residual_exits_2(tmp_path, capsys,
     (["check-lax", "--z-samples", "20"], {"M": 8}),
     (["check-exchange", "--pairs", "10"],
      {"family": "bb", "N": 3, "M": 3, "tau": [0.1, 1.1], "seed": 0}),
-    (["check-exchange", "--pairs", "6"], {"M": 4})])
+    (["check-exchange", "--pairs", "6"], {"M": 4}),
+    (["check-lax", "--z-samples", "12"],
+     {"family": "bb", "N": 1, "M": 3, "tau": [0.3, 0.9], "seed": 2})])
 def test_stack_chunks_give_the_same_report(tmp_path, capsys, monkeypatch,
                                            argv, overrides):
     # one point per chunk and the default chunks (one stack of 10 points;

@@ -388,12 +388,12 @@ def test_site_pair_embed():
     N, M = 2, 3
     A = rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
     B = rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
-    T = tn.kron(A, B)
+    T = rf.kron(A, B)
     got = tn.site_product(N, M, (T, 0, 2))
-    expect = tn.kron(A, tn.eye(N), B)
+    expect = rf.kron(A, tn.eye(N), B)
     assert np.max(np.abs(got - expect)) < 1e-13
     got = tn.site_product(N, M, (T, 2, 0))
-    expect = tn.kron(B, tn.eye(N), A)
+    expect = rf.kron(B, tn.eye(N), A)
     assert np.max(np.abs(got - expect)) < 1e-13
 
 
@@ -780,7 +780,7 @@ def _per_pair_reference(state):
             F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
             # tr_12(F^0_21 P_12 ...) with F^0_21 = P F^0 P
             W, Wd = P @ F0 @ P @ P, P @ dF0 @ P @ P
-            pair = tn.kron(spin.block(i, j), spin.block(j, i))
+            pair = rf.kron(spin.block(i, j), spin.block(j, i))
             H += complex(np.trace(W @ pair))
             grad[i, j] += tn.op_contract(W, spin.block(j, i)).T
             grad[j, i] += tn.op_contract_1(W, spin.block(i, j)).T

@@ -158,10 +158,7 @@ def test_F0_mirror_identities(a, b):
     q = complex(a, b)
     norm = np.linalg.norm
     for fam in MIRROR_FAMILIES:
-        # on bb the sector table also guards q + omega_a (and -q + omega_a,
-        # which is -(q + omega_-a)) against the lattice
-        omegas = fam._omegas if fam.kind == "bb" else []
-        if not np.all(fam.pole_distance(q + np.append(omegas, 0.0)) > 0.1):
+        if fam.pole_distance(q) <= 0.1:
             continue
         P = tn.permutation_P(fam.N)
         stack = fam.r(np.array([q, -q]), (1, 2))
@@ -178,7 +175,7 @@ def test_F0_mirror_identities(a, b):
 
 def _sector_basis(a):
     N = a.N
-    return tn.kron(tn.sin_basis_T_int(a.a1, a.a2, N),
+    return rf.kron(tn.sin_basis_T_int(a.a1, a.a2, N),
                    tn.sin_basis_T_int(-a.a1, -a.a2, N))
 
 
@@ -361,27 +358,100 @@ def test_bb_pole_guard_covers_each_argument_once(theta_calls):
 
 
 def test_bb_pole_guards_raise():
+    # the guard fires at the true poles only: z on the lattice, and
+    # omega_a + hbar/N on it (hbar on the lattice); where z + omega_a +
+    # hbar/N is on it, phi_a vanishes and r, R and m are finite
     N = 2
     fam = rm.make_family("bb", N=N, tau=1j)
-    for a in sf.all_sectors(N)[1:]:
-        w = a.omega(fam.tau)
-        # z + omega_{-a} sits 1e-9 from a lattice point
+    hbar = 0.23 + 0.11j
+    for bad in (1e-9, 1 + fam.tau + 1e-9j):
         with pytest.raises(PoleProximity):
-            fam.r(w + 1e-9)
+            fam.r(bad)
         with pytest.raises(PoleProximity):
-            fam.r(w + 1e-9, (1, 2))
+            fam.m(np.array([0.3 + 0.2j, bad]))
         # one bad element fails the whole array
         with pytest.raises(PoleProximity):
-            fam.r(np.array([0.3 + 0.2j, w + 1e-9]), (1, 2))
-        # omega_a + hbar/N + q on the lattice point 1 + tau
-        hbar = 0.23 + 0.11j
-        q = 1 + fam.tau - w - hbar / N
+            fam.R(hbar, np.array([0.3 + 0.2j, bad]), (0, 1))
         with pytest.raises(PoleProximity):
-            fam.R(hbar, q)
-        with pytest.raises(PoleProximity):
-            fam.R(hbar, q, (0, 1))
-        with pytest.raises(PoleProximity):
-            fam.R(hbar, np.array([q, 0.3 + 0.2j]), (0, 1))
+            fam.R(bad, 0.3 + 0.2j)
+    for a in sf.all_sectors(N)[1:]:
+        w = a.omega(fam.tau)
+        # z + omega_a 1e-9 from the lattice point 1 + tau, and omega_a +
+        # hbar/N + q on it: finite, an array holding the matrices of its
+        # elements (mpmath checks the values below)
+        q, qh = 1 + fam.tau - w + 1e-9, 1 + fam.tau - w - hbar / N
+        pairs = ((fam.r(np.array([0.3 + 0.2j, q]), (0, 1, 2)),
+                  fam.r(q, (0, 1, 2))),
+                 (fam.R(hbar, np.array([0.3 + 0.2j, qh]), (0, 1, 2)),
+                  fam.R(hbar, qh, (0, 1, 2))),
+                 ([fam.m(np.array([0.3 + 0.2j, q]))], [fam.m(q)]))
+        for stacks, ones in pairs:
+            for stack, one in zip(stacks, ones):
+                assert np.all(np.isfinite(stack))
+                assert np.linalg.norm(stack[1] - one) \
+                    <= 1e-13 * np.linalg.norm(one)
+
+
+def _mp_bb(fam, q, hbar=None):
+    """bb matrices at q from the mpmath sector functions and the kron
+    basis: (r, r', r'', m), with r = (E1(q) 1 + sum_{a != 0} phi_a(q,
+    omega_a) T_a (x) T_-a) / N and m = ((E1^2 - wp)(q) / 2 + sum_{a != 0}
+    f_a(q, omega_a) T_a (x) T_-a) / N^2; or for a number hbar (R, R', R''),
+    with R = sum_a phi_a(q, omega_a + hbar/N) T_a (x) T_-a / N."""
+    N = fam.N
+    if hbar is None:
+        t = rf.mp_theta(complex(q), fam.tau, 3)
+        kap = rf.mp_theta(0j, fam.tau, 3)
+        e1 = t[1] / t[0]
+        # E1, E1', E1'' and (E1^2 - wp)/2 = (theta''/theta - kappa/3)/2
+        scal = [complex(v) for v in (
+            e1, t[2] / t[0] - e1 ** 2,
+            t[3] / t[0] - 3 * t[2] * t[1] / t[0] ** 2 + 2 * e1 ** 3,
+            (t[2] / t[0] - kap[3] / (3 * kap[1])) / 2)]
+        out = [v * tn.eye(N * N) for v in scal]
+        sectors, shift = sf.all_sectors(N)[1:], 0.0
+    else:
+        out, sectors, shift = [0.0] * 3, sf.all_sectors(N), hbar / N
+    for a in sectors:
+        values = rf.mp_sector(a, q, a.omega(fam.tau) + shift, fam.tau)
+        for k in range(len(out)):
+            out[k] = out[k] + values[k] * _sector_basis(a)
+    return [v / N ** (2 if k == 3 else 1) for k, v in enumerate(out)]
+
+
+@pytest.mark.parametrize("N, tau, sectors", [
+    (2, 1j, [(0, 1), (1, 0), (1, 1)]), (3, 0.3 + 0.8j, [(1, 2), (2, 1)])])
+def test_bb_matrices_at_the_zeros_of_phi(N, tau, sectors):
+    # at q = -omega_a + lattice + delta, phi_a(q, omega_a) has its zero
+    # (delta = 0) or is near it, and at q - hbar/N so has phi_a(q, omega_a
+    # + hbar/N): r, its derivatives, m and R with its derivatives match
+    # the mpmath sector sums to 1e-12
+    pytest.importorskip("mpmath")
+    fam = rm.make_family("bb", N=N, tau=tau)
+    hbar = 0.23 + 0.11j
+    for a1, a2 in sectors:
+        w = sf.SectorIndex(a1, a2, N).omega(fam.tau)
+        for delta in (0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-3j):
+            q = 1 + fam.tau - w + delta
+            got = [*fam.r(q, (0, 1, 2)), fam.m(q),
+                   *fam.R(hbar, q - hbar / N, (0, 1, 2))]
+            want = _mp_bb(fam, q) + _mp_bb(fam, q - hbar / N, hbar)
+            for k, (g, v) in enumerate(zip(got, want)):
+                assert np.linalg.norm(g - v) <= 1e-12 * np.linalg.norm(v), \
+                    ((a1, a2), delta, k)
+
+
+def test_bb_N1_number_and_array_give_the_same_bits():
+    # at N = 1 r and m have no sector, so their theta series has one
+    # argument for a number: it is summed as in a stack, and a number and
+    # the same number inside an array give the same bits
+    fam = rm.make_family("bb", N=1, tau=0.3 + 0.9j)
+    zs = np.array([0.31 + 0.42j, 0.1 - 0.2j, 0.7 + 0.3j])
+    for k, z in enumerate(zs.tolist()):
+        for d in (0, 1, 2):
+            assert np.array_equal(fam.r(zs, d)[k], fam.r(z, d))
+        assert np.array_equal(fam.m(zs)[k], fam.m(z))
+        assert np.array_equal(fam.R(0.2 + 0.1j, zs)[k], fam.R(0.2 + 0.1j, z))
 
 
 def test_bb_far_off_the_cell():
@@ -567,9 +637,9 @@ def test_embedding_helpers():
         -1, 1, (N * N, N * N))
     I = tn.eye(N)
     T12 = tn.site_product(N, 3, (T, 0, 1))
-    assert np.max(np.abs(T12 - tn.kron(T, I))) < 1e-15
+    assert np.max(np.abs(T12 - rf.kron(T, I))) < 1e-15
     assert np.max(np.abs(tn.site_product(N, 3, (T, 1, 2))
-                         - tn.kron(I, T))) < 1e-15
+                         - rf.kron(I, T))) < 1e-15
     # 13-embedding: conjugate the 12-embedding by the (2,3) site swap
     P23 = tn.site_product(N, 3, (None, 1, 2))
     assert np.max(np.abs(tn.site_product(N, 3, (T, 0, 2))

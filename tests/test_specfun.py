@@ -90,13 +90,14 @@ def test_theta_derivs_against_mpmath(tau):
 
 def test_one_series_per_theta_argument(theta_calls):
     # E1, E2 and E2' take all their orders from one one-row series; phi
-    # takes its three arguments from one series, and theta'(0) in phi is
-    # summed once per modulus (a modulus no other test uses)
+    # takes its three arguments from one series (to order 1, for f), and
+    # theta'(0) in phi is summed once per modulus (a modulus no other test
+    # uses)
     fl = sf.Flavor.elliptic(0.37 + 0.91j)
     eta, z = 0.2 + 0.1j, 0.3 - 0.2j
     sf.kronecker_phi(fl, eta, z)
     sf.kronecker_phi(fl, 0.25 + 0.1j, z)
-    assert [upto for _, upto in theta_calls] == [0, 3, 0]
+    assert [upto for _, upto in theta_calls] == [1, 3, 1]
     assert theta_calls[0][0] == (eta, z, eta + z)
     del theta_calls[:]
     sf.eisenstein_E1(fl, 0.2 + 0.1j)
@@ -146,8 +147,8 @@ def test_kernels_take_arrays(flavor, tol):
 
 
 def test_kernel_arrays_one_series(theta_calls):
-    # every elliptic kernel sums one series over its whole array (phi's
-    # three arguments included); f adds one for its two E1 values
+    # every elliptic kernel sums one series over its whole array; phi and f
+    # take one series over z, q and z + q, a number q entering once
     fl = sf.Flavor.elliptic(0.3 + 0.8j)
     zs = np.array([[0.21 + 0.13j, 0.43 - 0.11j, 0.37 + 0.29j],
                    [0.42 + 0.26j, 0.86 - 0.22j, 0.74 + 0.58j]])
@@ -158,7 +159,7 @@ def test_kernel_arrays_one_series(theta_calls):
         kernel(fl, zs)
     sf.kronecker_phi(fl, zs, 0.1 + 0.2j)
     sf.phi_derivative_f(fl, zs, 0.1 + 0.2j)
-    assert [len(args) for args, _ in theta_calls] == [6] * 4 + [18] * 2 + [12]
+    assert [len(args) for args, _ in theta_calls] == [6] * 4 + [13] * 2
 
 
 def test_expansion_and_sector_oracles_series_counts(theta_calls):
@@ -329,8 +330,8 @@ def test_pole_guard():
     fl = sf.Flavor.rational()
     with pytest.raises(PoleProximity):
         sf.kronecker_phi(fl, 1e-9, 0.5)
-    with pytest.raises(PoleProximity):
-        sf.kronecker_phi(fl, 0.5, -0.5)  # eta + z on the pole
+    # eta + z on a pole of E1 is a zero of phi, not a pole
+    assert sf.kronecker_phi(fl, 0.5, -0.5) == 0
     with pytest.raises(PoleProximity):
         sf.eisenstein_E1(sf.Flavor.trigonometric(), 1j * cmath.pi)
 
@@ -550,24 +551,52 @@ def test_sector_table_array_u(theta_calls):
     sf.sector_table(fl, sectors, zs, us, 2)   # fills the modulus caches
     del theta_calls[:]
     _, phi, f = sf.sector_table(fl, sectors, zs, us, 2)
-    assert f is None
     # one series over each z, each omega_a + u and each z + omega_a + u
     (args, upto), = theta_calls
     assert upto == 3 and len(args) == 4 + 2 * 4 * len(sectors)
+    assert f.shape == zs.shape + (len(sectors),)
     for idx in np.ndindex(zs.shape):
-        _, want, _ = sf.sector_table(fl, sectors, zs[idx], us[idx], 2)
+        _, want, want_f = sf.sector_table(fl, sectors, zs[idx], us[idx], 2)
         for d in range(3):
             assert phi[d].shape == zs.shape + (len(sectors),)
             err = np.abs(phi[d][idx] - want[d])
             assert np.all(err <= 1e-13 * np.abs(want[d])), (idx, d)
+        assert np.all(np.abs(f[idx] - want_f) <= 1e-13 * np.abs(want_f))
         for i, a in enumerate(sectors):
             expect = rf.sector_phi(fl, a, zs[idx], us[idx])
             assert abs(phi[0][idx][i] - expect) <= 1e-13 * abs(expect)
+            expect = rf.sector_f(fl, a, zs[idx], us[idx])
+            assert abs(f[idx][i] - expect) <= 1e-13 * abs(expect)
     # a number z broadcasts against the array u
     _, phi, _ = sf.sector_table(fl, sectors, zs[0, 0], us, 1)
     assert phi[1].shape == us.shape + (len(sectors),)
     _, want, _ = sf.sector_table(fl, sectors, zs[0, 0], us[1, 0], 1)
     assert np.all(np.abs(phi[1][1, 0] - want[1]) <= 1e-13 * np.abs(want[1]))
+
+
+# distances from a zero of phi_a: on it, then off it along 1 and along i
+ZERO_OFFSETS = (0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-3j)
+
+
+@pytest.mark.parametrize("N, tau", [(2, 1j), (3, 0.3 + 0.8j)])
+def test_sector_table_at_the_zeros_of_phi(N, tau):
+    # z + w on the lattice is a zero of phi_a (DLMF 20.2(iv)), not a pole:
+    # there and near it, at w = omega_a and w = omega_a + u, the table
+    # matches mpmath's quotient rule to 1e-12, scaled by |phi_a'|, which
+    # is the size of phi_a's rounding near its zero
+    pytest.importorskip("mpmath")
+    fl = sf.Flavor.elliptic(tau)
+    for a in sf.all_sectors(N)[1:]:
+        for u, lattice in ((0.0, 0.0), (0.13 + 0.05j, 1 + tau)):
+            w = a.omega(tau) + u
+            zs = np.array([lattice - w + d for d in ZERO_OFFSETS])
+            _, phi, f = sf.sector_table(fl, [a], zs, u, 2)
+            for k, z in enumerate(zs):
+                want = rf.mp_sector(a, z, w, tau)
+                got = (phi[0][k, 0], phi[1][k, 0], phi[2][k, 0], f[k, 0])
+                for g, v in zip(got, want):
+                    assert abs(g - v) <= 1e-12 * max(abs(v), abs(want[1])), \
+                        (a, u, ZERO_OFFSETS[k])
 
 
 def test_sector_functions_need_elliptic():

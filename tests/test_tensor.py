@@ -23,12 +23,12 @@ def unit(i, j, n):
 
 
 def test_kron_identity():
-    assert np.array_equal(tn.kron(tn.eye(2), tn.eye(2)), tn.eye(4))
+    assert np.array_equal(rf.kron(tn.eye(2), tn.eye(2)), tn.eye(4))
 
 
 def test_kron_elementary_placement():
     # e_00 (x) e_11 sits at row 0*2+1, col 0*2+1
-    got = tn.kron(unit(0, 0, 2), unit(1, 1, 2))
+    got = rf.kron(unit(0, 0, 2), unit(1, 1, 2))
     expect = np.zeros((4, 4))
     expect[1, 1] = 1.0
     assert np.array_equal(got, expect)
@@ -36,7 +36,7 @@ def test_kron_elementary_placement():
 
 def test_kron_three_factors():
     A, B, C = np.eye(2), unit(0, 1, 2), np.eye(2)
-    assert np.array_equal(tn.kron(A, B, C),
+    assert np.array_equal(rf.kron(A, B, C),
                           np.kron(A, np.kron(B, C)))
 
 
@@ -45,8 +45,8 @@ def test_kron_three_factors():
 def test_kron_mixed_product(seed):
     rng = np.random.default_rng(seed)
     A, B, C, D = (random_matrix(rng, 2) for _ in range(4))
-    lhs = tn.kron(A, B) @ tn.kron(C, D)
-    rhs = tn.kron(A @ C, B @ D)
+    lhs = rf.kron(A, B) @ rf.kron(C, D)
+    rhs = rf.kron(A @ C, B @ D)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -70,7 +70,7 @@ def test_permutation_swaps_factors(seed, N):
     rng = np.random.default_rng(seed)
     A, B = random_matrix(rng, N), random_matrix(rng, N)
     P = tn.permutation_P(N)
-    assert np.max(np.abs(P @ tn.kron(A, B) @ P - tn.kron(B, A))) < 1e-13
+    assert np.max(np.abs(P @ rf.kron(A, B) @ P - rf.kron(B, A))) < 1e-13
 
 
 def test_partial_traces_of_permutation():
@@ -83,7 +83,7 @@ def test_partial_traces_of_permutation():
 def test_partial_traces_factorized():
     rng = np.random.default_rng(7)
     A, B = random_matrix(rng, 3), random_matrix(rng, 3)
-    K = tn.kron(A, B)
+    K = rf.kron(A, B)
     assert np.max(np.abs(tn.partial_trace_2(K) - A * np.trace(B))) < 1e-13
     assert np.max(np.abs(tn.partial_trace_1(K) - B * np.trace(A))) < 1e-13
     assert abs(np.trace(tn.partial_trace_1(K)) - np.trace(K)) < 1e-13
@@ -115,7 +115,7 @@ def test_op_contract_matches_partial_trace_form():
     N = 2
     T = random_matrix(rng, N * N)
     S = random_matrix(rng, N)
-    via_trace = tn.partial_trace_2(T @ tn.kron(tn.eye(N), S))
+    via_trace = tn.partial_trace_2(T @ rf.kron(tn.eye(N), S))
     assert np.max(np.abs(tn.op_contract(T, S) - via_trace)) < 1e-13
 
 
@@ -183,7 +183,7 @@ def test_commutator_and_norm():
 
 def placed(N, k, ops):
     """The kron product with ops[s] on site s and the identity elsewhere."""
-    return tn.kron(*(ops.get(s, tn.eye(N)) for s in range(k)))
+    return rf.kron(*(ops.get(s, tn.eye(N)) for s in range(k)))
 
 
 def swap_matrix(N, k, s, t):
@@ -202,7 +202,7 @@ def test_site_product_against_kron():
     N = 2
     A, B, C, D = (random_matrix(rng, N) for _ in range(4))
     # a two-site operator that is not a single product
-    T = tn.kron(A, B) + tn.kron(C, D)
+    T = rf.kron(A, B) + rf.kron(C, D)
     for k in (2, 3, 4):
         for s, t in itertools.permutations(range(k), 2):
             want = placed(N, k, {s: A, t: B}) + placed(N, k, {s: C, t: D})
