@@ -119,12 +119,14 @@ def spin_rank1(M, N, nu, seed):
 def spin_general(M, N, nu, seed):
     """Random full-rank spin matrix with diagonal blocks shifted so that
     tr(S^{ii}) = nu exactly."""
-    rng = np.random.default_rng(seed)
-    blocks = [[rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
-               for _ in range(M)] for _ in range(M)]
-    for i in range(M):
-        blocks[i][i] = blocks[i][i] + \
-            ((nu - np.trace(blocks[i][i])) / N) * np.eye(N)
+    # one draw, block by block in row-major order, each block's real part
+    # and then its imaginary part
+    u = np.random.default_rng(seed).uniform(-1, 1, (M, M, 2, N, N))
+    blocks = u[:, :, 0] + 1j * u[:, :, 1]
+    sites = np.arange(M)
+    diagonal = blocks[sites, sites]
+    shift = (nu - np.trace(diagonal, axis1=1, axis2=2)) / N
+    blocks[sites, sites] = diagonal + shift[:, None, None] * np.eye(N)
     return SpinConfig(M, N, blocks)
 
 
@@ -355,7 +357,7 @@ def build_M(state, z):
 
 # --- equations of motion (printed form) ------------------------------------
 
-def eom_rhs(state, diagonal_form="general"):
+def eom_rhs(state, diagonal_form="general", table=None):
     """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij}.
 
     The printed off-diagonal equations and the "general" diagonal ones
@@ -368,7 +370,8 @@ def eom_rhs(state, diagonal_form="general"):
     trace of the block (i, i) of K' S, K' being K with F^0' for F^0.
 
     F^0 and F^0' come from one family call over the pairs i < j (whose
-    pole guard covers q_ji, the pole set being symmetric); the pair j, i
+    pole guard covers q_ji, the pole set being symmetric), or from table,
+    the _f0_table(state) a caller already holds; the pair j, i
     follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  K and K'
     are one _contract over both tables, laid out as by _pair_tables.  dq
     (the state's read-only p) and dp are length-M arrays; dS is the
@@ -382,8 +385,8 @@ def eom_rhs(state, diagonal_form="general"):
     # the F^0 and F^0' tables in the layout of _pair_tables, F^0' zero on
     # i = j; conjugation by P swaps the two tensor factors
     tables = np.zeros((2, M, M) + (N,) * 4, dtype=complex).swapaxes(-3, -1)
-    i, j = _pairs(M)
-    X = np.stack(fam.r(state.qdiff(i, j), (1, 2))).reshape(2, -1, N, N, N, N)
+    i, j, *F0 = _f0_table(state) if table is None else table
+    X = np.stack(F0).reshape(2, -1, N, N, N, N)
     tables[:, i, j] = X
     X[1] *= -1
     tables[:, j, i] = X.transpose(0, 1, 3, 2, 5, 4)

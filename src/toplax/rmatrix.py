@@ -15,7 +15,7 @@ import numpy as np
 
 from . import specfun as sf
 from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, permutation_P,
-                     rows_product, sin_basis_T_int, partial_trace_1,
+                     rows_product, sin_basis, partial_trace_1,
                      partial_trace_2, site_product, stack_norms)
 
 
@@ -120,7 +120,13 @@ class YangXXX(RMatrixFamily):
         out = []
         for d in orders:
             if d == 0:
-                out.append(self._I / hbar[..., None, None] + self._pole(z, 0))
+                # P / z written by a broadcast assignment, then I / hbar
+                # added in place: numpy buffers each broadcast operand of a
+                # sum, and the assignment needs no buffer
+                R = np.empty(shape, dtype=complex)
+                R[...] = self._pole(z, 0)
+                R += self._I / hbar[..., None, None]
+                out.append(R)
             else:
                 # the z-derivatives of R^hbar(z) are those of P/z: the same
                 # stack along the axes of hbar, as a read-only view of it
@@ -308,9 +314,11 @@ class BaxterBelavin(RMatrixFamily):
         self._omegas = np.array([a.omega(self.tau) for a in self._nonzero])
         # flattened tensor-basis elements T_a (x) T_{-a} (integer-negated
         # label), one row per sector: [a, (i, k), (j, l)] = T_a[i, j]
-        # T_{-a}[k, l], one broadcast product of the two stacks
-        T, Tm = (np.array([sin_basis_T_int(sign * a.a1, sign * a.a2, self.N)
-                           for a in self._sectors]) for sign in (1, -1))
+        # T_{-a}[k, l], one broadcast product of the two halves of one stack
+        a1, a2 = np.array([(a.a1, a.a2) for a in self._sectors]).T
+        T, Tm = sin_basis(np.concatenate([a1, -a1]),
+                          np.concatenate([a2, -a2]), self.N).reshape(
+            (2, -1) + (self.N,) * 2)
         self._TT = (T[:, :, None, :, None] * Tm[:, None, :, None, :]).reshape(
             len(T), -1)
 
@@ -422,12 +430,24 @@ def _norms(*mats):
             for T in mats]
 
 
+def _sample_entries(N):
+    """Complex entries one certification sample holds at once: 16 (N^3 x
+    N^3) three-site stacks (an identity holds at most 8: half_cybe's or
+    half_cybe_limit's six stacked terms and two partial sums of its
+    residual), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R,
+    2 F^z, 2 of its derivative, 4 r, 3 F^0, 3 m), and twice (its exponents
+    and their exp) the theta series of its largest family call: on bb, R at
+    order 0 over 14 pairs of 1 + 2 N^2 arguments (z, then w and z + w per
+    sector) of 2K terms, K as at MIN_IM_TAU, the most any modulus needs;
+    the other families sum no series, so this bounds theirs."""
+    terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 3)[0])
+    return 16 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
+
+
 def _chunk_size(N):
-    """Samples per stack: an identity below holds at most 8 complex
-    (n, N^3, N^3) stacks at once (half_cybe's or half_cybe_limit's six
-    stacked terms and two partial sums of its residual), and 16 of them
-    fit the array budget together."""
-    return MAX_ARRAY_BYTES // (16 * 16 * N ** 6)
+    """Samples per stack: as many as _sample_entries(N) each fit the array
+    budget together."""
+    return MAX_ARRAY_BYTES // (16 * _sample_entries(N))
 
 
 def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
@@ -510,24 +530,38 @@ def _half_cybe_limit(family, rz, F0z, mz):
 
 def _certify_stack(family, hb, et, z, w, x, y):
     """Every sampled identity over the sample arrays hb, ..., y, with one
-    family call per distinct kernel argument and order (F^z as R(z, q, 1),
-    F^0 as r(q, 1)): {name: residual per sample} and the measured
-    (phi_tilde, E1_tilde)."""
+    family call per kernel and order (F^z as R(z, q, 1), F^0 as r(q, 1))
+    over the stack of every argument it is read at: {name: residual per
+    sample} and the measured (phi_tilde, E1_tilde).
+
+    Each call's stack is split back into named stacks.  The orders are
+    never merged into one call, since a joint call sums the theta series
+    to its highest order; within one order a stack of arguments gives each
+    row the bits of its own call."""
     N, P = family.N, family._P
-    R, r, m = family.R, family.r, family.m
     I2 = eye(N * N)
     out = {}
+    (A, Ret_w, Ret_zw, Rhe_z, Reh_w, Rhb_zw, Rskew, Runit, Rfourier, Rwz,
+     Rzx, Rzy, Rzxy, Rz_x) = family.R(
+        np.stack([hb, et, et, hb - et, et - hb, hb, -hb, hb, z, w,
+                  z, z, z, z]),
+        np.stack([z, w, z + w, z, w, z + w, -z, -z, hb, z,
+                  x, y, x + y, -x]))
+    xy = np.stack([x, y])
+    Fzx, Fzy = family.R(z, xy, 1)
+    Rzx2, Rzy2 = family.R(z, xy, 2)
+    rz, rx, rw, rzw = family.r(np.stack([z, x, w, z + w]))
+    F0x, F0y, F0z = family.r(np.stack([x, y, z]), 1)
+    mz, mw, mzw = family.m(np.stack([z, w, z + w]))
 
-    A = R(hb, z)
-    out["aybe"] = _aybe(N, A, R(et, w), R(et, z + w), R(hb - et, z),
-                        R(et - hb, w), R(hb, z + w))
+    out["aybe"] = _aybe(N, A, Ret_w, Ret_zw, Rhe_z, Reh_w, Rhb_zw)
 
     # skew-symmetry
-    B = -site_product(N, 2, (R(-hb, -z), 1, 0))
+    B = -site_product(N, 2, (Rskew, 1, 0))
     out["skew_symmetry"] = sf._rel(*_norms(A - B, A, B))
 
     # unitarity: product is scalar, scalar equals wp(hb) - wp(z)
-    prod = A @ site_product(N, 2, (R(hb, -z), 1, 0))
+    prod = A @ site_product(N, 2, (Runit, 1, 0))
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
     out["unitarity_scalar"] = sf._rel(
         *_norms(prod - scal[..., None, None] * I2, prod))
@@ -537,12 +571,9 @@ def _certify_stack(family, hb, et, z, w, x, y):
 
     # Fourier symmetry
     lhs = A @ P
-    rhs = R(z, hb)
-    out["fourier_symmetry"] = sf._rel(*_norms(lhs - rhs, lhs, rhs))
+    out["fourier_symmetry"] = sf._rel(*_norms(lhs - Rfourier, lhs, Rfourier))
 
     # partial traces are scalar; the measured functions are their traces
-    rz = r(z)
-    Rwz = R(w, z)
     tr = np.stack([partial_trace_1(Rwz), partial_trace_2(Rwz),
                    partial_trace_1(rz)])
     phit, e1t = np.trace(tr[::2], axis1=-2, axis2=-1) / N
@@ -552,22 +583,17 @@ def _certify_stack(family, hb, et, z, w, x, y):
 
     # mixed relation between R and its argument derivative, and its
     # boundary degenerations
-    Rzx, Fzx, Rzy, Fzy = R(z, x), R(z, x, 1), R(z, y), R(z, y, 1)
-    F0x, F0y = r(x, 1), r(y, 1)
-    mz = m(z)
-    out["mixed_rf"] = _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, R(z, x + y), F0x,
-                                F0y)
+    out["mixed_rf"] = _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y)
     out["mixed_rf_limit_y"] = _mixed_rf_limit_y(
-        family, Rzx, Fzx, R(z, x, 2), rz, mz, F0x)
+        family, Rzx, Fzx, Rzx2, rz, mz, F0x)
     out["mixed_rf_limit_x"] = _mixed_rf_limit_x(
-        family, Rzy, Fzy, R(z, y, 2), rz, mz, F0y)
+        family, Rzy, Fzy, Rzy2, rz, mz, F0y)
 
     # opposite-argument product in commutator form, q = x
-    F0z = r(z, 1)
-    out["q_product"] = _q_product(N, Rzx, R(z, -x), rz, r(x), F0z, F0x)
+    out["q_product"] = _q_product(N, Rzx, Rz_x, rz, rx, F0z, F0x)
 
     # half of the classical Yang-Baxter relation and its w -> 0 limit
-    out["half_cybe"] = _half_cybe(N, rz, r(w), r(z + w), mz, m(w), m(z + w))
+    out["half_cybe"] = _half_cybe(N, rz, rw, rzw, mz, mw, mzw)
     out["half_cybe_limit"] = _half_cybe_limit(family, rz, F0z, mz)
     return out, (phit, e1t)
 
@@ -587,12 +613,12 @@ def certify(family, n_samples, seed, tol):
     """Residual report for every R-matrix identity used by the construction.
 
     All samples are drawn first; sf.max_residuals evaluates _certify_stack
-    over stacks of _chunk_size(N).  Returns {"family", "N", "params",
-    "properties": {name: {max_residual, samples, tol, pass}}} plus the
-    measured trace scalars.
+    over stacks of _chunk_size(N), one family call per kernel and order per
+    stack.  Returns {"family", "N", "params", "properties": {name:
+    {max_residual, samples, tol, pass}}} plus the measured trace scalars.
     """
     N = family.N
-    check_scale(16 * N ** 6, f"one sample's three-site stacks at N = {N}")
+    check_scale(_sample_entries(N), f"one certification sample at N = {N}")
     rng = np.random.default_rng(seed)
     # rows (hb, et, z, w, x, y)
     samples = np.array([sf.sample_tuple(

@@ -111,11 +111,22 @@ def sin_basis_T_int(a1, a2, N):
     other coordinate is odd, so T_{-a} means the integer-negated label,
     not its mod-N representative.
     """
+    return sin_basis([a1], [a2], N)[0]
+
+
+def sin_basis(a1, a2, N):
+    """The (k, N, N) stack of T_a (sin_basis_T_int) over the integer labels
+    a = (a1[i], a2[i]): the powers of Q and L are formed once per exponent,
+    and each element is (phase * Q^a1) @ L^a2 in that order."""
     Q = np.diag([cmath.exp(2j * cmath.pi * (k + 1) / N) for k in range(N)])
     Lam = np.roll(eye(N), 1, axis=1)
-    phase = cmath.exp(1j * cmath.pi * a1 * a2 / N)
-    return phase * np.linalg.matrix_power(Q, a1 % N) @ \
-        np.linalg.matrix_power(Lam, a2 % N)
+    Qp, Lp = (np.array([np.linalg.matrix_power(X, e) for e in range(N)])
+              for X in (Q, Lam))
+    a1, a2 = np.asarray(a1, dtype=int), np.asarray(a2, dtype=int)
+    phase = np.array([cmath.exp(1j * cmath.pi * x * y / N)
+                      for x, y in zip(a1.tolist(), a2.tolist())],
+                     dtype=complex)
+    return (phase[:, None, None] * Qp[a1 % N]) @ Lp[a2 % N]
 
 
 def frobenius_norm(A):

@@ -239,3 +239,26 @@ def mp_sector(a, z, w, tau):
                        - U[0] * A[2] * A[0] + 2 * U[0] * A[1] ** 2) / A[0] ** 3,
                   e * c / A[0] * (C[1] * B[0] - C[0] * B[1]) / B[0] ** 2)
         return [complex(v) for v in values]
+
+
+def spin_general(M, N, nu, seed):
+    """md.spin_general block by block: each block's real and imaginary
+    draws in row-major order, then each diagonal block shifted by
+    (nu - tr) / N times the identity."""
+    rng = np.random.default_rng(seed)
+    blocks = [[rng.uniform(-1, 1, (N, N)) + 1j * rng.uniform(-1, 1, (N, N))
+               for _ in range(M)] for _ in range(M)]
+    for i in range(M):
+        blocks[i][i] = blocks[i][i] + \
+            ((nu - np.trace(blocks[i][i])) / N) * np.eye(N)
+    return md.SpinConfig(M, N, blocks)
+
+
+def sin_basis_T(a1, a2, N):
+    """The finite Heisenberg element exp(pi*i*a1*a2/N) Q^a1 L^a2 of one
+    integer label, from its own matrix powers."""
+    Q = np.diag([cmath.exp(2j * cmath.pi * (k + 1) / N) for k in range(N)])
+    Lam = np.roll(np.eye(N, dtype=complex), 1, axis=1)
+    phase = cmath.exp(1j * cmath.pi * a1 * a2 / N)
+    return phase * np.linalg.matrix_power(Q, a1 % N) @ \
+        np.linalg.matrix_power(Lam, a2 % N)

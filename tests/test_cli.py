@@ -247,8 +247,9 @@ def test_fractional_size_exits_2(tmp_path, capsys, field):
 def test_oversized_arrays_exit_2(tmp_path, capsys, argv, overrides):
     # the largest array a command would allocate (N^4 per matrix, M^2 N^4
     # per pair table, 16 N^6 for the three-site matrices of one certify
-    # sample, 2 M^3 N^4 for the exchange relation) is checked against the
-    # byte budget before anything is allocated
+    # sample and its kernel stacks and series, 2 M^3 N^4 for the exchange
+    # relation) is checked against the byte budget before anything is
+    # allocated
     if overrides is not None:
         argv = argv + ["--config", write_config(tmp_path, **overrides)]
     code, out, err = run_capture(capsys, argv)
@@ -408,7 +409,7 @@ def test_simulate_nan_drift_exits_1(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path)
     monkeypatch.setattr(
         cli.dy, "_rk4_step",
-        lambda state, dt: state.from_vector(state.vector * float("nan")))
+        lambda state, *_: state.from_vector(state.vector * float("nan")))
     code, out, _ = run_capture(capsys, [
         "simulate", "--config", path, "--steps", "10",
         "--out", str(tmp_path / "traj.csv")])
@@ -449,8 +450,8 @@ def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
     step = cli.dy._rk4_step
     calls = []
 
-    def perturbed(state, dt):
-        state = step(state, dt)
+    def perturbed(state, *args):
+        state = step(state, *args)
         calls.append(1)
         if len(calls) == 3:
             vec = state.vector

@@ -150,8 +150,37 @@ def test_monitor_row_one_f0_table(family_calls, monitor_z):
     rec = dy.integrate(st, cfg)
     rows = [name for name, _, d in family_calls
             if (name, d) == ("r", (1, 2))]
-    # the RK4 stages make theirs inside eom_rhs: 4 per step
-    assert len(rows) == rec.rows() + 4 * cfg.steps
+    # the RK4 stages make theirs inside eom_rhs, 4 per step, except the
+    # first stage after a row (at steps 0 and 2), which reads its table
+    assert rec.rows() == 3
+    assert len(rows) == rec.rows() + 4 * cfg.steps - 2
+
+
+def test_simulate_r_calls(family_calls):
+    # the bb flow of the benchmark: 6 steps, a row every 3 and two monitor
+    # points make 3 rows and 24 RK4 stages, one r call each, less the
+    # first stages of steps 1 and 4, which read the table of the row before
+    # them (27 calls before it was shared)
+    st = md.random_state(rm.make_family("bb", N=2, tau=1j), 4, 1.0, seed=0)
+    cfg = dy.IntegratorConfig(dt=1e-5, steps=6, monitor_every=3,
+                              monitor_z=(0.3 + 0.4j, 0.6 + 0.5j))
+    del family_calls[:]
+    rec = dy.integrate(st, cfg)
+    assert rec.rows() == 3 and rec.failure is None
+    assert sum(name == "r" for name, _, _ in family_calls) == 25
+
+
+def test_monitor_table_gives_the_same_trajectory(monkeypatch):
+    # the first stage after a row reads that row's table: the same bits as
+    # a fresh r call
+    st = make_state(key="bb", M=3, tau=1j)
+    cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
+                              monitor_z=(0.3 + 0.2j,))
+    shared = dy.csv_text(dy.integrate(st, cfg))
+    step = dy._rk4_step
+    monkeypatch.setattr(dy, "_rk4_step", lambda state, dt, table: step(
+        state, dt, None))
+    assert dy.csv_text(dy.integrate(st, cfg)) == shared
 
 
 def test_nan_residual_after_first_row_reported(monkeypatch):

@@ -41,6 +41,16 @@ def test_spin_general_constraints():
     assert svals[-1] > 1e-6  # generically full rank
 
 
+@pytest.mark.parametrize("M, N", [(1, 1), (2, 3), (3, 2), (4, 5), (8, 2)])
+def test_spin_general_is_the_blockwise_draw(M, N):
+    # one draw of every block gives the bits of the block-by-block loop
+    for nu in (1.0, 1.5 - 0.3j):
+        for seed in (0, 7):
+            got = md.spin_general(M, N, nu, seed).matrix
+            want = rf.spin_general(M, N, nu, seed).matrix
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_spin_roundtrip():
     spin = md.spin_general(2, 3, 1.0, seed=6)
     again = md.spin_from_matrix(spin.assemble(), 2, 3)

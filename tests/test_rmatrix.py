@@ -1,6 +1,8 @@
 """Unit tests for the R-matrix families and their classical data."""
 
 import cmath
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -549,6 +551,33 @@ def test_spectral_array_against_pairs(key):
             assert np.array_equal(g, w)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("key, N", [("xxx", 3), ("11v", 2), ("xxz", 2),
+                                    ("7v", 2), ("bb", 2), ("bb", 3)])
+def test_stacked_rows_keep_their_bits(key, N):
+    # certify evaluates each kernel and order once over a (k, n) stack of
+    # argument rows; each row holds the bits of its own (n,) call, with
+    # hbar given per row or broadcast against every row
+    fam = rm.make_family(key, N=N, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    rng = np.random.default_rng(29)
+    hs, zs = (np.array([rm._draw(rng, fam, margin=0.1) for _ in range(12)])
+              .reshape(4, 3) for _ in range(2))
+    for d in (0, 1, 2):
+        for h, stack in ((hs, fam.R(hs, zs, d)), (hs[0], fam.R(hs[0], zs, d))):
+            for row, z in enumerate(zs):
+                want = fam.R(h if np.ndim(h) == 1 else h[row], z, d)
+                assert np.array_equal(_bits(stack[row]), _bits(want)), d
+        stack = fam.r(zs, d)
+        for row, z in enumerate(zs):
+            assert np.array_equal(_bits(stack[row]), _bits(fam.r(z, d))), d
+    stack = fam.m(zs)
+    for row, z in enumerate(zs):
+        assert np.array_equal(_bits(stack[row]), _bits(fam.m(z)))
+
+
 def test_m0_cached_read_only():
     for key in rm.FAMILY_KEYS:
         fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
@@ -718,6 +747,48 @@ def test_certify_one_family_call_per_kernel(family_calls):
         rm.certify(fam, samples, seed=4, tol=1e-8)
         counts.append(len(family_calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_certify_stack_one_call_per_kernel_and_order(family_calls,
+                                                     monkeypatch, key):
+    # a chunk evaluates R at the orders 0, 1 and 2, r at 0 and 1, m and the
+    # Weierstrass function once each, over every argument they are read at
+    fam = rm.make_family(key, N=2, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    wp_calls = []
+    weierstrass_p = sf.weierstrass_p
+
+    def counted(*args):
+        wp_calls.append(1)
+        return weierstrass_p(*args)
+
+    monkeypatch.setattr(sf, "weierstrass_p", counted)
+    samples = np.array(_certify_draws(fam, 5, 0))
+    rm._certify_stack(fam, *samples.T)
+    kernels = Counter((name, d) for name, _, d in family_calls
+                      if name in ("R", "r", "m"))
+    assert kernels == {("R", 0): 1, ("R", 1): 1, ("R", 2): 1, ("r", 0): 1,
+                       ("r", 1): 1, ("m", None): 1}
+    assert len(wp_calls) == 1
+
+
+@pytest.mark.parametrize("key, N, n", [("bb", 1, 200), ("bb", 2, 60),
+                                       ("xxx", 3, 20)])
+def test_certify_peak_within_its_sample_count(key, N, n):
+    # a chunk of n samples holds at most _sample_entries(N) complex entries
+    # per sample at once, N = 1 (where the theta series outweigh the
+    # three-site stacks) included; these read 0.51, 0.44 and 0.26 of it
+    fam = rm.make_family(key, N=N, tau=0.3 + 0.8j)
+    assert n <= rm._chunk_size(N)
+    rm.certify(fam, 2, seed=0, tol=1e-8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rm.certify(fam, n, seed=0, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * rm._sample_entries(N) * n
 
 
 def test_certify_finds_a_single_sample_defect():

@@ -255,3 +255,17 @@ def test_block_grid_is_a_view():
     assert np.array_equal(grid[1, 2], A[2:4, 4:6])
     assert np.shares_memory(grid, A)
     assert np.array_equal(grid.swapaxes(1, 2).reshape(M * N, M * N), A)
+
+
+def test_sin_basis_stack_is_each_label():
+    # the stack from shared powers of Q and L holds each label's element
+    # from its own matrix powers, bit for bit, negative labels included
+    for N in range(1, 8):
+        labels = list(itertools.product(range(-N, 2 * N), repeat=2))
+        a1, a2 = zip(*labels)
+        stack = tn.sin_basis(a1, a2, N)
+        for (b1, b2), T in zip(labels, stack):
+            want = rf.sin_basis_T(b1, b2, N).view(np.uint64)
+            assert np.array_equal(T.view(np.uint64), want), (N, b1, b2)
+            assert np.array_equal(
+                tn.sin_basis_T_int(b1, b2, N).view(np.uint64), want)
