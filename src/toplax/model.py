@@ -27,8 +27,8 @@ M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
 contractions over R^z(q_ij) and F^z(q_ij), with r(z) P and m(z) P on the
 diagonal, each one batched matrix product (tensor.matvec4 against the spin,
 _site_products onto an exchange plane).  The Lax and exchange checks take
-arrays of points and evaluate them as stacks, in chunks whose largest array
-fits tensor.STACK_BYTES, and each sample keeps its own norm and residual.
+arrays of points and evaluate them as stacks, in tensor.chunks whose
+largest array fits STACK_BYTES; each sample keeps its own norm and residual.
 
 Every table is one family call over an array of pair differences: eom_rhs,
 bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
@@ -47,11 +47,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun as sf
+from . import tensor as tn
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
 from .tensor import (as_four_index, block_grid, check_scale, frobenius_norm,
                      matvec4, op_contract, op_contract_1, site_product,
-                     stack_chunk, stack_norms)
+                     stack_norms)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -501,16 +502,14 @@ def _lax_check(state, zs, flow):
     the sequence zs, as a stack of L and an array of residuals; flow =
     bracket_flow(state).
 
-    The points go in chunks of stack_chunk(M^2 N^4), the entries of one
-    table: L, M and {H, L} of a chunk are contractions over one stack of
-    pair tables (_lax_stack), and each point gets its own norms."""
+    The points go in tensor.chunks of M^2 N^4 entries (one table) within
+    STACK_BYTES: L, M and {H, L} of a chunk are contractions over one stack
+    of pair tables (_lax_stack), and each point gets its own norms."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     M, N = state.M, state.N
     Ls = np.empty((len(zs), M * N, M * N), dtype=complex)
     residuals = np.empty(len(zs))
-    size = stack_chunk(M * M * N ** 4)
-    for start in range(0, len(zs), size):
-        chunk = slice(start, start + size)
+    for chunk in tn.chunks(len(zs), M * M * N ** 4, tn.STACK_BYTES):
         Ls[chunk], residuals[chunk] = _lax_stack(state, zs[chunk], flow)
     return Ls, residuals
 
@@ -698,9 +697,9 @@ def exchange_residual(state, z, w):
     (z, w) of numbers (a float), or at each pair of the broadcast of two
     arrays z, w (an array of that shape).
 
-    The pairs go in chunks of stack_chunk(2 M^3 N^4), the entries of one
-    pair's support planes; a chunk reads the pair tables of its z, w,
-    z - w and w - z from one stack: one R(z, q, (0, 1)) and one
+    The pairs go in tensor.chunks of 2 M^3 N^4 entries, those of one pair's
+    support planes, within STACK_BYTES; a chunk reads the pair tables of
+    its z, w, z - w and w - z from one stack: one R(z, q, (0, 1)) and one
     Rz_coefficients call."""
     M, N = state.M, state.N
     entries = 2 * M ** 3 * N ** 4
@@ -710,9 +709,7 @@ def exchange_residual(state, z, w):
                                np.asarray(w, dtype=complex))
     points = np.stack([z, w, z - w, w - z], axis=-1).reshape(-1, 4)
     out = np.empty(len(points))
-    size = stack_chunk(entries)
-    for start in range(0, len(points), size):
-        chunk = slice(start, start + size)
+    for chunk in tn.chunks(len(points), entries, tn.STACK_BYTES):
         out[chunk] = _exchange_residuals(state, points[chunk])
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 

@@ -14,9 +14,9 @@ import cmath
 import numpy as np
 
 from . import specfun as sf
-from .tensor import (MAX_ARRAY_BYTES, check_scale, eye, permutation_P,
-                     rows_product, sin_basis, partial_trace_1,
-                     partial_trace_2, site_product, stack_norms)
+from .tensor import (check_scale, eye, permutation_P, rows_product,
+                     sin_basis, partial_trace_1, partial_trace_2,
+                     site_product, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -36,9 +36,12 @@ class RMatrixFamily:
 
     R, r, m and everything built on them take the argument z (for
     R^z(q), q) as a number or as an array of pair differences; an array of
-    shape s gives a stack of shape s + (N^2, N^2), one matrix per element.
-    The hbar of R may be an array too, which broadcasts against z, so that
-    certify evaluates each kernel once over a whole stack of samples.
+    shape s gives a stack of shape s + (N^2, N^2), one matrix per element,
+    with its bits in a stack of any size: so a complex product with a
+    temporary b is np.multiply(a, b), as numpy runs a * b on a large b as
+    b *= a, whose swapped factors round otherwise.  The hbar of R may be an
+    array too, which broadcasts against z, so that certify evaluates each
+    kernel once over a whole stack of samples.
 
     A family implements _R(hbar, z, orders) and _r(z, orders), on complex
     arrays, returning one stack per order and guarding the poles itself.
@@ -444,12 +447,6 @@ def _sample_entries(N):
     return 16 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
 
 
-def _chunk_size(N):
-    """Samples per stack: as many as _sample_entries(N) each fit the array
-    budget together."""
-    return MAX_ARRAY_BYTES // (16 * _sample_entries(N))
-
-
 def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
     """Associative Yang-Baxter relation R12 R23 = R13 R12b + R23b R13b."""
     lhs = site_product(N, 3, (R12, 0, 1), (R23, 1, 2))
@@ -613,9 +610,10 @@ def certify(family, n_samples, seed, tol):
     """Residual report for every R-matrix identity used by the construction.
 
     All samples are drawn first; sf.max_residuals evaluates _certify_stack
-    over stacks of _chunk_size(N), one family call per kernel and order per
-    stack.  Returns {"family", "N", "params", "properties": {name:
-    {max_residual, samples, tol, pass}}} plus the measured trace scalars.
+    over the tensor.chunks of _sample_entries(N) per sample, one family
+    call per kernel and order per chunk.  Returns {"family", "N", "params",
+    "properties": {name: {max_residual, samples, tol, pass}}} plus the
+    measured trace scalars.
     """
     N = family.N
     check_scale(_sample_entries(N), f"one certification sample at N = {N}")
@@ -633,7 +631,7 @@ def certify(family, n_samples, seed, tol):
         measured.extend(zip(*np.broadcast_arrays(*traces)))
         return residuals
 
-    worst = sf.max_residuals(samples, _chunk_size(N), evaluate)
+    worst = sf.max_residuals(samples, _sample_entries(N), evaluate)
 
     # (v) classical expansion: the hbar-coefficients -1, 0 and 1 of R(hbar, z)
     z = _draw(rng, family)

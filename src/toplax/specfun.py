@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as tn
 from .errors import BadModulus, DegenerateDraw, PoleProximity, ThetaOverflow
-from .tensor import MAX_ARRAY_BYTES, rows_product
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -154,7 +154,7 @@ def theta_sum(zs, tau, upto=0):
     z0 = z - n * tau - m
     c = PI_I * (m + n) - PI_I * tau * n * n - TWO_PI_I * n * z0
     h, W = _theta_weights(tau, upto)
-    t = rows_product(np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h), W)
+    t = tn.rows_product(np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h), W)
     return t, c, len(h) // 2, n, z0
 
 
@@ -299,8 +299,14 @@ def laurent_coefficients(g, center, radius, orders):
         + np.expand_dims(radius, -1) * np.exp(1j * angles)
     values = np.moveaxis(np.asarray(g(points), dtype=complex),
                          points.ndim - 1, 0)
-    return [np.tensordot(np.exp(-1j * j * angles), values, axes=1)
-            / (n * radius ** j) for j in orders]
+    # a stack of one circle of numbers is doubled, column-major as a longer
+    # one: numpy sends one column to a dot product, not a matrix-vector call
+    cols = values.reshape(n, -1)
+    if cols.shape[1] == 1 and points.ndim > 1:
+        cols = np.asfortranarray(cols.repeat(2, 1))
+    return [np.tensordot(np.exp(-1j * j * angles), cols, axes=1)[
+        :values[0].size].reshape(values.shape[1:]) / (n * radius ** j)
+        for j in orders]
 
 
 def kappa_const(flavor):
@@ -462,18 +468,19 @@ def sector_table(flavor, sectors, z, u, upto):
     twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
     th = _shifted(tzw[:max(upto, 1) + 1], nzw)
     # the log factors of the cell reduction combined before exponentiating
-    G = _theta_at_zero(flavor.tau)[0] \
-        * np.exp(zc * twist + czw - group(c, 0, P, zc.shape) - cw) \
-        / (tz[0] * tw[0])
+    # (np.multiply: a stack's rows round alike, see rmatrix.RMatrixFamily)
+    G = np.multiply(_theta_at_zero(flavor.tau)[0], np.exp(
+        zc * twist + czw - group(c, 0, P, zc.shape) - cw)) / (tz[0] * tw[0])
     phi = [G * th[0]]
     if upto:
         a = twist - log_z[0]
-        phi.append(G * (th[1] + a * th[0]))
+        phi.append(np.multiply(G, th[1] + a * th[0]))
         if upto == 2:
-            phi.append(G * (th[2] + 2.0 * a * th[1]
-                            + (a * a - log_z[1]) * th[0]))
+            phi.append(np.multiply(G, th[2] + 2.0 * a * th[1]
+                                   + (a * a - log_z[1]) * th[0]))
     e1_w = tw[1] / tw[0] - TWO_PI_I * nw
-    return [v[..., 0] for v in log_z], phi, G * (th[1] - e1_w * th[0])
+    return ([v[..., 0] for v in log_z], phi,
+            np.multiply(G, th[1] - e1_w * th[0]))
 
 
 def sample_point(rng, flavor, eps=1e-2):
@@ -529,23 +536,16 @@ def expansion_residual(g, center, radius, closed, norm=np.abs):
         for v, c in zip(got, closed.values())])
 
 
-def max_residuals(samples, chunk, evaluate):
-    """{name: largest residual} over the rows of samples: evaluate maps a
-    stack of at most chunk rows to {name: one residual per row}, one stack
-    at a time.  np.maximum keeps a NaN, which then fails its tolerance."""
+def max_residuals(samples, entries, evaluate):
+    """{name: largest residual} over the rows of samples, each holding this
+    many complex entries at once: evaluate maps one tensor.chunks stack of
+    rows (within CERTIFY_BYTES) at a time to {name: one residual per row}.
+    np.maximum keeps a NaN, which then fails its tolerance."""
     worst = {}
-    for start in range(0, len(samples), chunk):
-        for name, values in evaluate(samples[start:start + chunk]).items():
+    for chunk in tn.chunks(len(samples), entries, tn.CERTIFY_BYTES):
+        for name, values in evaluate(samples[chunk]).items():
             worst[name] = np.maximum(worst.get(name, 0.0), np.max(values))
     return {name: float(value) for name, value in worst.items()}
-
-
-def _chunk_size(batch):
-    """Samples per stack if one sample's largest theta series has batch
-    arguments, each summed as 2K complex terms at once (K as at MIN_IM_TAU,
-    the most any modulus needs): the stack's series fit the array budget."""
-    h = _theta_weights(complex(0, MIN_IM_TAU), 2)[0]
-    return max(1, MAX_ARRAY_BYTES // (16 * len(h) * batch))
 
 
 def _expansion_residuals(flavor, z, u):
@@ -640,7 +640,7 @@ def _sector_residuals(flavor, N, samples):
     # (1/N) sum_a kappa^2 phi_a(N*hb, w_a + z/N) = phi_g(z, w_g + hb)
     _, (phi,), _ = sector_table(flavor, sectors, np.stack([N * hb, z], -1),
                                 np.stack([z / N, hb], -1), 0)
-    total = phi[:, 0] @ phase.T / N
+    total = tn.rows_product(phi[:, 0], phase.T) / N
     out["fourier_sum"] = _rel(total - phi[:, 1], total, phi[:, 1]).max(-1)
 
     # residuals of the lattice sums are scaled by the largest summand, since
@@ -681,20 +681,22 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     Returns {"flavor", "samples", "seed", "identities": {name: max_residual}}.
     Sector identities are evaluated for the elliptic flavor only, for each
     N in sector_sizes (they are lattice sums over Z_N x Z_N).  All samples
-    are drawn first; a stack's size follows from one sample's largest theta
-    series: 3 arguments per expansion-circle point, 2 + 4 N^2 per sector.
+    are drawn first; a sample holds its largest theta series at once: 3
+    arguments per expansion-circle point, 2 + 4 N^2 per sector, each summed
+    as 2K complex terms (K as at MIN_IM_TAU, the most any modulus needs).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     samples = np.array([sample_tuple(rng, flavor, 4)
                         for _ in range(n_samples)])
-    worst = max_residuals(samples, _chunk_size(3 * LAURENT_POINTS),
+    terms = len(_theta_weights(complex(0, MIN_IM_TAU), 2)[0])
+    worst = max_residuals(samples, terms * 3 * LAURENT_POINTS,
                           functools.partial(_core_residuals, flavor))
     for N in sector_sizes if flavor.kind == ELLIPTIC else ():
         draws = np.array([_sector_draw(rng, flavor, N)
                           for _ in range(n_samples)])
-        res = max_residuals(draws, _chunk_size(2 + 4 * N * N),
+        res = max_residuals(draws, terms * (2 + 4 * N * N),
                             functools.partial(_sector_residuals, flavor, N))
         worst.update((f"{key}_N{N}", value) for key, value in res.items())
     return {

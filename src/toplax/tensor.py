@@ -17,11 +17,13 @@ from .errors import ScaleExceeded
 
 # the largest complex array a command may allocate, checked before it does
 MAX_ARRAY_BYTES = 2 ** 28
-# the largest array of one chunk of a stacked check: check-lax,
-# check-exchange and a monitor row stack their spectral points in chunks
-# whose largest array fits this, so that a check of many points keeps the
-# peak memory of a few
+# the byte budgets of a chunk of a stacked path (chunks): check-lax,
+# check-exchange and a monitor row hold the largest array of a chunk of
+# spectral points to STACK_BYTES, so that a check of many points keeps the
+# peak memory of a few; the certification suites hold what a chunk of
+# samples holds at once to CERTIFY_BYTES
 STACK_BYTES = 224 << 10
+CERTIFY_BYTES = 16 << 20
 # the subscript letters np.einsum accepts
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -35,10 +37,11 @@ def check_scale(entries, what):
             f"{MAX_ARRAY_BYTES >> 20} MiB array budget")
 
 
-def stack_chunk(entries):
-    """Samples per chunk of a stacked check whose largest array holds this
-    many complex entries per sample: max(1, STACK_BYTES // (16 entries))."""
-    return max(1, STACK_BYTES // (16 * entries))
+def chunks(n, entries, budget):
+    """The row slices of a stack of n rows, each holding this many complex
+    entries, in chunks of max(1, budget // (16 entries)) rows."""
+    size = max(1, budget // (16 * entries))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def rows_product(A, B):

@@ -438,9 +438,7 @@ def test_check_exchange_no_one_row_sector_sum(tmp_path, capsys, monkeypatch):
     code, out, _ = run_capture(capsys, [
         "check-exchange", "--config", path, "--pairs", "10"])
     assert code == 0
-    n = tn.stack_chunk(2 * 3 ** 3 * 3 ** 4)
-    chunks = [n] * (10 // n) + [10 % n]
-    assert rows == [r for k in chunks for r in (48 * k, 8 * k)]
+    assert rows == [r for k in (3, 3, 3, 1) for r in (48 * k, 8 * k)]
     assert min(rows) == 8
 
 
@@ -535,8 +533,50 @@ def test_stack_chunks_give_the_same_report(tmp_path, capsys, monkeypatch,
     code, out, _ = run_capture(capsys, argv)
     assert code == 0
     monkeypatch.setattr(tn, "STACK_BYTES", 0)
-    assert tn.stack_chunk(1) == 1
+    assert tn.chunks(2, 1, tn.STACK_BYTES) == [slice(0, 1), slice(1, 2)]
     assert run_capture(capsys, argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, overrides, budget", [
+    (["certify-rmatrix", "--family", "bb", "--n", "3", "--tau", "0.1,1.1",
+      "--samples", "40"], None, "CERTIFY_BYTES"),
+    (["certify-functions", "--flavor", "elliptic", "--tau", "0.3,0.8",
+      "--samples", "12"], None, "CERTIFY_BYTES"),
+    (["check-lax", "--z-samples", "6"],
+     {"family": "bb", "M": 3, "tau": [0.1, 1.1]}, "STACK_BYTES"),
+    (["check-exchange", "--pairs", "4"],
+     {"family": "bb", "M": 3, "tau": [0.1, 1.1]}, "STACK_BYTES"),
+    (["simulate", "--steps", "4", "--monitor-every", "2",
+      "--monitor-z", "0.3,0.2;0.6,0.4;0.1,0.7"],
+     {"family": "bb", "M": 3, "tau": [0.1, 1.1]}, "STACK_BYTES")])
+def test_every_stacked_path_takes_its_chunks_from_one_rule(
+        tmp_path, capsys, monkeypatch, argv, overrides, budget):
+    # each command takes its row slices from tensor.chunks, within its
+    # budget, and with both budgets at 0 (one row per chunk) prints the
+    # bytes of its default chunks (31 then 9 samples, then one chunk each)
+    if overrides is not None:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "traj.csv")]
+    budgets = []
+    chunks = tn.chunks
+
+    def spy(n, entries, bytes_):
+        budgets.append(bytes_)
+        return chunks(n, entries, bytes_)
+
+    monkeypatch.setattr(tn, "chunks", spy)
+    runs = []
+    for _ in range(2):
+        runs.append(run_capture(capsys, argv))
+        if argv[0] == "simulate":
+            runs.append((tmp_path / "traj.csv").read_text())
+        assert budgets and set(budgets) == {getattr(tn, budget)}
+        del budgets[:]
+        monkeypatch.setattr(tn, "STACK_BYTES", 0)
+        monkeypatch.setattr(tn, "CERTIFY_BYTES", 0)
+    assert runs[0][0] == 0
+    assert runs[:len(runs) // 2] == runs[len(runs) // 2:]
 
 
 def test_stacked_checks_peak_memory(tmp_path, capsys):

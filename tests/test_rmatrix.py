@@ -578,6 +578,28 @@ def test_stacked_rows_keep_their_bits(key, N):
         assert np.array_equal(_bits(stack[row]), _bits(fam.m(z)))
 
 
+@pytest.mark.parametrize("key, N", [("xxx", 3), ("11v", 2), ("xxz", 2),
+                                    ("7v", 2), ("bb", 3)])
+def test_long_stacks_keep_the_bits_of_short_ones(key, N):
+    # 2000 rows, where bb's sector tables pass the 256 KiB from which numpy
+    # reuses a temporary operand in place, give each row the bits it has in
+    # a stack of 5, so no report depends on the chunk its sample sits in
+    fam = rm.make_family(key, N=N, tau=0.3 + 0.8j, C=0.7 + 0.2j)
+    rng = np.random.default_rng(31)
+    hs, zs = (np.array([rm._draw(rng, fam, margin=0.1) for _ in range(2000)])
+              for _ in range(2))
+    kernels = {"m": lambda h, z: (fam.m(z),),
+               "Rz_coefficients": lambda h, z: fam.Rz_coefficients(z)}
+    for d in (0, 1, 2):
+        kernels[f"R{d}"] = lambda h, z, d=d: fam.R(h, z, (d,))
+        kernels[f"r{d}"] = lambda h, z, d=d: fam.r(z, (d,))
+    for name, kernel in kernels.items():
+        parts = [kernel(hs[k:k + 5], zs[k:k + 5]) for k in range(0, 2000, 5)]
+        for stack, short in zip(kernel(hs, zs), zip(*parts)):
+            assert np.array_equal(_bits(stack), _bits(np.concatenate(short))), \
+                name
+
+
 def test_m0_cached_read_only():
     for key in rm.FAMILY_KEYS:
         fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
@@ -779,7 +801,8 @@ def test_certify_peak_within_its_sample_count(key, N, n):
     # per sample at once, N = 1 (where the theta series outweigh the
     # three-site stacks) included; these read 0.51, 0.44 and 0.26 of it
     fam = rm.make_family(key, N=N, tau=0.3 + 0.8j)
-    assert n <= rm._chunk_size(N)
+    entries = rm._sample_entries(N)
+    assert len(tn.chunks(n, entries, tn.CERTIFY_BYTES)) == 1
     rm.certify(fam, 2, seed=0, tol=1e-8)
     tracemalloc.start()
     try:
@@ -788,7 +811,7 @@ def test_certify_peak_within_its_sample_count(key, N, n):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 16 * rm._sample_entries(N) * n
+    assert peak < 16 * entries * n
 
 
 def test_certify_finds_a_single_sample_defect():
@@ -857,12 +880,19 @@ def test_classical_expansion_finds_a_perturbed_m(key):
 
 @pytest.mark.parametrize("key, N", [("xxx", 2), ("xxx", 3), ("11v", 2),
                                     ("xxz", 2), ("7v", 2), ("bb", 2),
-                                    ("bb", 3)])
+                                    ("bb", 3), ("bb", 5)])
 def test_certify_chunks_give_the_same_report(monkeypatch, key, N):
-    # one sample per stack gives the report of one stack of all samples,
-    # byte for byte: every kernel matrix is evaluated per element, and a bb
-    # sector sum over one row is taken as a matrix-matrix product too
+    # one sample per stack and 37 per stack give the report of the default
+    # stacks, byte for byte: of one stack of 5 samples, and on bb of 200 at
+    # N = 3 and 60 at N = 5 (31 and 3 at a time); every kernel matrix is
+    # evaluated per element, with the bits of that element in a stack of
+    # any size, and a bb sector sum over one row is taken as a
+    # matrix-matrix product too
     fam = rm.make_family(key, N=N, tau=0.3 + 0.8j, C=0.7 + 0.2j)
-    whole = rm.certify(fam, 5, seed=6, tol=1e-8)
-    monkeypatch.setattr(rm, "_chunk_size", lambda N: 1)
-    assert rm.certify(fam, 5, seed=6, tol=1e-8) == whole
+    for n in {("bb", 3): (5, 200), ("bb", 5): (60,)}.get((key, N), (5,)):
+        monkeypatch.undo()
+        whole = rm.certify(fam, n, seed=6, tol=1e-8)
+        for size in (1, 37):
+            monkeypatch.setattr(tn, "CERTIFY_BYTES",
+                                size * 16 * rm._sample_entries(N))
+            assert rm.certify(fam, n, seed=6, tol=1e-8) == whole, (n, size)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from toplax import specfun as sf
+from toplax import tensor as tn
 from toplax.errors import BadModulus, PoleProximity, ThetaOverflow
 
 import reference as rf
@@ -654,7 +655,9 @@ def test_identity_report_chunks_give_the_same_report(monkeypatch, flavor,
     # closed forms are elementwise, so bit for bit on the rational and
     # trigonometric flavors
     whole = sf.scalar_identity_report(flavor, 30, seed=3)
-    monkeypatch.setattr(sf, "_chunk_size", lambda batch: 7)
+    chunks = tn.chunks
+    monkeypatch.setattr(tn, "chunks", lambda n, entries, budget:
+                        chunks(n, entries, 7 * 16 * entries))
     chunked = sf.scalar_identity_report(flavor, 30, seed=3)
     assert chunked["identities"].keys() == whole["identities"].keys()
     for name, value in whole["identities"].items():
