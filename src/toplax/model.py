@@ -220,23 +220,12 @@ def _require_constraints(state):
 # --- contraction helpers ---------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _pairs(M):
-    """The site pairs i < j in row-major order, as two read-only index
-    arrays."""
-    return _read_only(np.triu_indices(M, 1))
-
-
-@functools.lru_cache(maxsize=16)
 def _ordered_pairs(M):
     """The site pairs i != j in row-major order, as two read-only index
     arrays."""
-    return _read_only(np.nonzero(~np.eye(M, dtype=bool)))
-
-
-def _read_only(arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
+    i, j = np.nonzero(~np.eye(M, dtype=bool))
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _pair_traces(W, A, B):
@@ -260,7 +249,7 @@ def top_H(family, S):
 
 def _f0_table(state):
     """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
-    i, j = _pairs(state.M)
+    i, j = sf._pairs(state.M)
     return (i, j) + state.family.r(state.qdiff(i, j), (1, 2))
 
 
@@ -731,7 +720,7 @@ def _cm_rmx(q, p, nu, family, z):
         raise ScaleExceeded(f"chain dimension N^M = {N ** M} exceeds 256")
     i, j = _ordered_pairs(M)
     R, F = family.R(z, q[i] - q[j], (0, 1))
-    k, l = _pairs(M)
+    k, l = sf._pairs(M)
     G = _site_pair_stack(family.r(q[k] - q[l], 1), k, l, N, M)
     R, F = (_site_pair_stack(T, i, j, N, M) for T in (R, F))
     L = _cm_blocks(p[:, None, None] * np.eye(N ** M), i, j, nu * R)

@@ -16,7 +16,7 @@ import numpy as np
 from . import specfun as sf
 from .tensor import (check_scale, eye, permutation_P, rows_product,
                      sin_basis, partial_trace_1, partial_trace_2,
-                     site_product, stack_norms)
+                     site_legs, site_product, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -57,7 +57,7 @@ class RMatrixFamily:
         self.flavor = flavor
         self._P = permutation_P(self.N)
         self._I = eye(self.N * self.N)
-        self._m0 = None
+        self._r0_m0 = None
 
     def R(self, hbar, z, dz=0):
         """The dz-th z-derivative of R^hbar(z), or for a tuple dz the tuple
@@ -76,28 +76,35 @@ class RMatrixFamily:
         raise NotImplementedError
 
     def m0(self):
-        """m(0), evaluated on first use and then shared read-only."""
-        if self._m0 is None:
-            m0 = np.array(self._m_at_zero(), dtype=complex)
-            m0.flags.writeable = False
-            self._m0 = m0
-        return self._m0
+        """m(0), evaluated on first use with r0 and then shared read-only."""
+        if self._r0_m0 is None:
+            self._r0_m0 = tuple(map(np.array, self._r0_and_m0()))
+            for v in self._r0_m0:
+                v.flags.writeable = False
+        return self._r0_m0[1]
 
-    def _m_at_zero(self):
-        return self.m(0.0)
+    def _r0_and_m0(self):
+        return np.zeros(self._I.shape, dtype=complex), self.m(0.0)
 
     def r0(self):
-        """Constant coefficient of r(z) = P/z + r0 + z*r1 + O(z^2)."""
-        return np.zeros(self._I.shape, dtype=complex)
+        """Constant coefficient of r(z) = P/z + r0 + z*r1 + O(z^2), shared
+        read-only as m0 is."""
+        self.m0()
+        return self._r0_m0[0]
 
     def r1(self):
         """Linear coefficient of r(z) near 0, equal to m(0) P."""
         return self.m0() @ self._P
 
+    def r_and_m(self, z):
+        """(r(z), m(z)), from one evaluation where the family has one."""
+        return self.r(z), self.m(z)
+
     def Rz_coefficients(self, z):
         """(r(z) P, m(z) P): the constant and linear q-coefficients of
         R^z(q) near q = 0."""
-        return self.r(z) @ self._P, self.m(z) @ self._P
+        r, m = self.r_and_m(z)
+        return r @ self._P, m @ self._P
 
     def pole_distance(self, z):
         return sf.pole_distance(self.flavor, z)
@@ -357,12 +364,17 @@ class BaxterBelavin(RMatrixFamily):
         coeffs = np.array([self._r_coeffs(log_z, phi, d) for d in orders])
         return list(self._sum(coeffs) / self.N)
 
-    def _m_at_zero(self):
-        # z -> 0 limit: the scalar part tends to kappa/3, the sector part
-        # to f(0, omega_a) = -E2(omega_a)
-        coeffs = np.concatenate([[sf.kappa_const(self.flavor) / 3.0],
-                                 -sf.eisenstein_E2(self.flavor, self._omegas)])
-        return self._sum(coeffs) / (self.N * self.N)
+    def _r0_and_m0(self):
+        # E1 and -E2 at the omega_a from one series: r0's sector parts are
+        # E1(omega_a) + 2 pi i a2 / N, and in the z -> 0 limit of m the
+        # scalar part tends to kappa/3, the sector part to f(0, omega_a) =
+        # -E2(omega_a)
+        e1, f0 = sf._log_theta(self.flavor, self._omegas, 2)
+        a2 = np.array([a.a2 for a in self._nonzero])
+        r0, m0 = self._sum(np.array([
+            np.concatenate([[0.0], e1 + 2j * cmath.pi * a2 / self.N]),
+            np.concatenate([[sf.kappa_const(self.flavor) / 3.0], f0])]))
+        return r0 / self.N, m0 / (self.N * self.N)
 
     def _m_coeffs(self, log_z, f):
         # scalar part (E1^2 - wp)/2 with wp = E2 + kappa/3 = kappa/3 - log_z[1]
@@ -382,18 +394,12 @@ class BaxterBelavin(RMatrixFamily):
         log_z, _, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
         return self._sum(self._m_coeffs(log_z, f)) / (self.N * self.N)
 
-    def Rz_coefficients(self, z):
-        # r(z) and m(z) from one series and one two-row sum
+    def r_and_m(self, z):
+        # one series and one two-row sum
         log_z, phi, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
         r, m = self._sum(np.stack([self._r_coeffs(log_z, phi, 0),
                                    self._m_coeffs(log_z, f)]))
-        return r / self.N @ self._P, m / (self.N * self.N) @ self._P
-
-    def r0(self):
-        a2 = np.array([a.a2 for a in self._nonzero])
-        e1 = sf.eisenstein_E1(self.flavor, self._omegas)
-        coeffs = np.concatenate([[0.0], e1 + 2j * cmath.pi * a2 / self.N])
-        return self._sum(coeffs) / self.N
+        return r / self.N, m / (self.N * self.N)
 
 
 FAMILY_KEYS = ("xxx", "11v", "xxz", "7v", "bb")
@@ -422,9 +428,9 @@ def make_family(kind, N=2, tau=None, C=None):
 
 
 # --- certification --------------------------------------------------------
-# Each identity below writes every three-site term as one site_product over
-# n samples, holds the terms as (n, N^3, N^3) stacks and drops them on
-# return; a residual is one per sample, from tensor.stack_norms.
+# Each identity below is a signed sum of three-site terms over n samples,
+# a term being the tensor.site_legs factors of one product; _site_rel forms
+# each in one scratch stack, so an identity holds two (n, N^3, N^3) stacks.
 
 def _norms(*mats):
     """Frobenius norms of the matrices of each (..., n, n) stack, over its
@@ -433,96 +439,102 @@ def _norms(*mats):
             for T in mats]
 
 
+def _site_rel(N, signs, *terms, floor=0.0):
+    """sf._rel of terms[0] plus or minus each later term (one sign character
+    each) over the norm of each term and floor, one per sample: each term
+    is formed in the leading entries of one scratch stack, normed there in
+    its memory order and added into the C-ordered residual, so that each
+    sum and norm takes one order whatever the number of samples."""
+    size = N ** 6
+    batch = np.broadcast_shapes(*(np.shape(T)[:-2] for term in terms
+                                  for T, *_ in term if T is not None))
+    residual = np.empty(batch + (N,) * 6, dtype=complex)
+    scratch = np.empty(residual.size, dtype=complex)
+    norms = []
+    for sign, term in zip("=" + signs, terms):
+        X = site_legs(N, 3, *term, out=scratch)
+        norms.append(stack_norms(scratch[:X.size].reshape(-1, size))
+                     .reshape(X.shape[:-6]))
+        if sign == "=":
+            residual[...] = X
+        else:
+            (np.add if sign == "+" else np.subtract)(residual, X,
+                                                     out=residual)
+    return sf._rel(stack_norms(residual.reshape(-1, size)).reshape(batch),
+                   *norms, floor)
+
+
 def _sample_entries(N):
-    """Complex entries one certification sample holds at once: 16 (N^3 x
-    N^3) three-site stacks (an identity holds at most 8: half_cybe's or
-    half_cybe_limit's six stacked terms and two partial sums of its
-    residual), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R,
-    2 F^z, 2 of its derivative, 4 r, 3 F^0, 3 m), and twice (its exponents
-    and their exp) the theta series of its largest family call: on bb, R at
-    order 0 over 14 pairs of 1 + 2 N^2 arguments (z, then w and z + w per
-    sector) of 2K terms, K as at MIN_IM_TAU, the most any modulus needs;
-    the other families sum no series, so this bounds theirs."""
+    """Complex entries one certification sample holds at once: 2 (N^3 x
+    N^3) three-site stacks (_site_rel's residual and scratch stack), the 28
+    N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z, 2 of its
+    derivative, 4 r, 3 F^0, 3 m), and twice (its exponents and their exp)
+    the theta series of its largest family call: on bb, R at order 0 over
+    14 pairs of 1 + 2 N^2 arguments (z, then w and z + w per sector) of 2K
+    terms, K as at MIN_IM_TAU, the most any modulus needs; the other
+    families sum no series, so this bounds theirs."""
     terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 3)[0])
-    return 16 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
+    return 2 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
 
 
 def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
     """Associative Yang-Baxter relation R12 R23 = R13 R12b + R23b R13b."""
-    lhs = site_product(N, 3, (R12, 0, 1), (R23, 1, 2))
-    t1 = site_product(N, 3, (R13, 0, 2), (R12b, 0, 1))
-    t2 = site_product(N, 3, (R23b, 1, 2), (R13b, 0, 2))
-    return sf._rel(*_norms(lhs - t1 - t2, lhs, t1, t2))
+    return _site_rel(N, "--", [(R12, 0, 1), (R23, 1, 2)],
+                     [(R13, 0, 2), (R12b, 0, 1)], [(R23b, 1, 2), (R13b, 0, 2)])
 
 
 def _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y):
     """Mixed relation between R^z and its argument derivative F^z."""
-    a1 = site_product(N, 3, (Rzx, 0, 1), (Fzy, 1, 2))
-    a2 = site_product(N, 3, (Fzx, 0, 1), (Rzy, 1, 2))
-    b1 = site_product(N, 3, (F0y, 1, 2), (Rzxy, 0, 2))
-    b2 = site_product(N, 3, (Rzxy, 0, 2), (F0x, 0, 1))
-    return sf._rel(*_norms(a1 - a2 - b1 + b2, a1, a2, b1, b2))
+    return _site_rel(N, "--+", [(Rzx, 0, 1), (Fzy, 1, 2)],
+                     [(Fzx, 0, 1), (Rzy, 1, 2)], [(F0y, 1, 2), (Rzxy, 0, 2)],
+                     [(Rzxy, 0, 2), (F0x, 0, 1)])
 
 
 def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, rz, mz, F0x):
     """The y -> 0 degeneration of the mixed relation; R^z(q) = r(z) P
     + q m(z) P + O(q^2) near q = 0."""
-    N = family.N
-    a1 = site_product(N, 3, (Rzx, 0, 1), (mz, 1, 2), (None, 1, 2))
-    a2 = site_product(N, 3, (Fzx, 0, 1), (rz, 1, 2), (None, 1, 2))
-    b1 = site_product(N, 3, (family.r1(), 1, 2), (Rzx, 0, 2))
-    b2 = site_product(N, 3, (Rzx, 0, 2), (F0x, 0, 1))
-    b3 = 0.5 * site_product(N, 3, (None, 1, 2), (Rzx2, 0, 2))
-    return sf._rel(*_norms(a1 - a2 - b1 + b2 + b3, a1, a2, b1, b2, b3))
+    return _site_rel(family.N, "--++",
+                     [(Rzx, 0, 1), (mz, 1, 2), (None, 1, 2)],
+                     [(Fzx, 0, 1), (rz, 1, 2), (None, 1, 2)],
+                     [(family.r1(), 1, 2), (Rzx, 0, 2)],
+                     [(Rzx, 0, 2), (F0x, 0, 1)],
+                     [(None, 1, 2), (0.5 * Rzx2, 0, 2)])
 
 
 def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, rz, mz, F0y):
     """The x -> 0 degeneration of the mixed relation."""
-    N = family.N
-    a1 = site_product(N, 3, (rz, 0, 1), (None, 0, 1), (Fzy, 1, 2))
-    a2 = site_product(N, 3, (mz, 0, 1), (None, 0, 1), (Rzy, 1, 2))
-    b1 = site_product(N, 3, (F0y, 1, 2), (Rzy, 0, 2))
-    b2 = site_product(N, 3, (Rzy, 0, 2), (family.r1(), 0, 1))
-    b3 = 0.5 * site_product(N, 3, (Rzy2, 0, 2), (None, 0, 1))
-    return sf._rel(*_norms(a1 - a2 - b1 + b2 - b3, a1, a2, b1, b2, b3))
+    return _site_rel(family.N, "--+-",
+                     [(rz, 0, 1), (None, 0, 1), (Fzy, 1, 2)],
+                     [(mz, 0, 1), (None, 0, 1), (Rzy, 1, 2)],
+                     [(F0y, 1, 2), (Rzy, 0, 2)],
+                     [(Rzy, 0, 2), (family.r1(), 0, 1)],
+                     [(0.5 * Rzy2, 0, 2), (None, 0, 1)])
 
 
 def _q_product(N, Rzq, Rz_q, rz, rq, F0z, F0q):
     """Opposite-argument product R^z(q) R^z(-q) in commutator form."""
-    lhs = site_product(N, 3, (Rzq, 0, 1), (Rz_q, 1, 2))
-    c1 = site_product(N, 3, (rz, 0, 2), (rq, 2, 1), (None, 0, 2))
-    c2 = site_product(N, 3, (rq, 2, 1), (rz, 0, 2), (None, 0, 2))
-    c3 = site_product(N, 3, (F0z, 0, 2), (None, 0, 2))
-    c4 = site_product(N, 3, (F0q, 2, 1), (None, 0, 2))
-    return sf._rel(*_norms(lhs - c1 + c2 + c3 - c4, lhs, c1, c2, c3, c4))
+    return _site_rel(N, "-++-", [(Rzq, 0, 1), (Rz_q, 1, 2)],
+                     [(rz, 0, 2), (rq, 2, 1), (None, 0, 2)],
+                     [(rq, 2, 1), (rz, 0, 2), (None, 0, 2)],
+                     [(F0z, 0, 2), (None, 0, 2)], [(F0q, 2, 1), (None, 0, 2)])
 
 
 def _half_cybe(N, rz, rw, rzw, mz, mw, mzw):
-    """Half of the classical Yang-Baxter relation."""
-    p1 = site_product(N, 3, (rz, 0, 1), (rzw, 0, 2))
-    p2 = site_product(N, 3, (rw, 1, 2), (rz, 0, 1))
-    p3 = site_product(N, 3, (rzw, 0, 2), (rw, 1, 2))
-    m1 = site_product(N, 3, (mz, 0, 1))
-    m2 = site_product(N, 3, (mw, 1, 2))
-    m3 = site_product(N, 3, (mzw, 0, 2))
-    # the norm of the identity on Mat(N)^3 floors the scale
-    return sf._rel(*_norms(p1 - p2 + p3 - m1 - m2 - m3, p1, p2, p3, m1, m2,
-                           m3), np.sqrt(N ** 3))
+    """Half of the classical Yang-Baxter relation; the norm of the identity
+    on Mat(N)^3 floors the scale."""
+    return _site_rel(N, "-+---", [(rz, 0, 1), (rzw, 0, 2)],
+                     [(rw, 1, 2), (rz, 0, 1)], [(rzw, 0, 2), (rw, 1, 2)],
+                     [(mz, 0, 1)], [(mw, 1, 2)], [(mzw, 0, 2)],
+                     floor=np.sqrt(N ** 3))
 
 
 def _half_cybe_limit(family, rz, F0z, mz):
     """The w -> 0 limit of the half classical Yang-Baxter relation."""
-    N = family.N
     r0, m0 = family.r0(), family.m0()
-    p1 = site_product(N, 3, (rz, 0, 1), (rz, 0, 2))
-    c1 = site_product(N, 3, (r0, 1, 2), (rz, 0, 1))
-    c2 = site_product(N, 3, (rz, 0, 2), (r0, 1, 2))
-    c3 = site_product(N, 3, (F0z, 0, 2), (None, 1, 2))
-    m1 = site_product(N, 3, (mz, 0, 1))
-    m0_23 = site_product(N, 3, (m0, 1, 2))
-    m3 = site_product(N, 3, (mz, 0, 2))
-    return sf._rel(*_norms(p1 - c1 + c2 + c3 - m1 - m0_23 - m3,
-                           p1, c1, c2, c3, m1, m0_23, m3), np.sqrt(N ** 3))
+    return _site_rel(family.N, "-++---", [(rz, 0, 1), (rz, 0, 2)],
+                     [(r0, 1, 2), (rz, 0, 1)], [(rz, 0, 2), (r0, 1, 2)],
+                     [(F0z, 0, 2), (None, 1, 2)], [(mz, 0, 1)], [(m0, 1, 2)],
+                     [(mz, 0, 2)], floor=np.sqrt(family.N ** 3))
 
 
 def _certify_stack(family, hb, et, z, w, x, y):
@@ -599,13 +611,6 @@ def _draw(rng, family, margin=0.05):
     return sf.sample_point(rng, family.flavor, eps=margin)
 
 
-def measure_r1(family):
-    """The linear coefficient of r(z) at 0, from one family call; r(z), and
-    R(hbar, z) in hbar, are singular only on the lattice."""
-    radius = sf.LAURENT_RADIUS * sf.shortest_period(family.flavor)
-    return sf.laurent_coefficients(family.r, 0.0, radius, (1,))[0]
-
-
 def certify(family, n_samples, seed, tol):
     """Residual report for every R-matrix identity used by the construction.
 
@@ -633,17 +638,27 @@ def certify(family, n_samples, seed, tol):
 
     worst = sf.max_residuals(samples, _sample_entries(N), evaluate)
 
-    # (v) classical expansion: the hbar-coefficients -1, 0 and 1 of R(hbar, z)
+    # (xi) the linear coefficient of r at 0, measured on a circle about 0
+    # (r, and R(hbar, z) in hbar, are singular only on the lattice), equals
+    # m(0) P; r(z) and m(z) for (v) come from the circle's r_and_m call
     z = _draw(rng, family)
-    worst["classical_expansion"] = float(sf.expansion_residual(
-        lambda hb: family.R(hb, z), 0.0,
-        sf.LAURENT_RADIUS * sf.shortest_period(family.flavor),
-        {-1: eye(N * N), 0: family.r(z), 1: family.m(z)}, np.linalg.norm))
+    radius = sf.LAURENT_RADIUS * sf.shortest_period(family.flavor)
+    at_z = []
 
-    # (xi) linear coefficient of r equals m(0) P, measured independently
-    r1, got = family.r1(), measure_r1(family)
+    def r_on_circle(points):
+        r, m = family.r_and_m(np.append(points, z))
+        at_z.extend((r[-1], m[-1]))
+        return r[:-1]
+
+    got = sf.laurent_coefficients(r_on_circle, 0.0, radius, (1,))[0]
+    r1 = family.r1()
     worst["r1_is_m0P"] = float(sf._rel(
         *map(np.linalg.norm, (got - r1, got, r1)), 1.0))
+
+    # (v) classical expansion: the hbar-coefficients -1, 0 and 1 of R(hbar, z)
+    worst["classical_expansion"] = float(sf.expansion_residual(
+        lambda hb: family.R(hb, z), 0.0, radius,
+        {-1: eye(N * N), 0: at_z[0], 1: at_z[1]}, np.linalg.norm))
 
     properties = {name: {"max_residual": value, "samples": int(n_samples),
                          "tol": tol, "pass": bool(value < tol)}

@@ -5,10 +5,12 @@ operator e_ij (x) e_kl has its single nonzero entry at row i*N + k,
 column j*N + l (0-based).  This is exactly numpy's kron ordering, and the
 same rule applied recursively flattens longer tensor products with the
 leftmost factor outermost.  site_product multiplies two-site operators on
-any sites of Mat(N)^{x k} by contracting their legs, with no dense embedding.
+any sites of Mat(N)^{x k} as batched matrix products over their legs, with
+no dense embedding.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -24,8 +26,6 @@ MAX_ARRAY_BYTES = 2 ** 28
 # samples holds at once to CERTIFY_BYTES
 STACK_BYTES = 224 << 10
 CERTIFY_BYTES = 16 << 20
-# the subscript letters np.einsum accepts
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def check_scale(entries, what):
@@ -147,46 +147,110 @@ def stack_norms(X):
                    .reshape(-1))
 
 
-def site_product(N, k, *factors):
-    """The left-to-right product of operators on Mat(N)^{x k}, as an
-    (..., N^k, N^k) matrix or stack, from one np.einsum over their legs.
+@functools.lru_cache(maxsize=256)
+def _plan(N, k, pattern):
+    """The steps of site_legs for factors of this pattern, one (s, t, b)
+    per factor: its sites, and its number of batch axes or None for a swap.
 
-    A factor (T, s, t) is the two-site (..., N^2, N^2) matrix or stack T
-    with its first tensor factor on site s and its second on site t, so
-    (T, 1, 0) is T_21; (None, s, t) swaps the sites s and t, which only
-    relabels legs.  Each run of sites that no factor names is one identity
-    leg, so the einsum's letters and axes do not grow with k.
-    """
-    named = {int(site) for _, *sites in factors for site in sites}
+    Returns (ops, embed, final).  For two operators, ops holds each one's
+    axis order and matrix shape for one batched product over the legs they
+    share, e.g. (R_12 R_23)[abc, def] = sum_g R_12[ab, dg] R_23[gc, ef] as
+    (n, N^3, N) @ (n, N, N^3), and the leg shape of that product.  embed is
+    None if two operators name every leg, else the batch axes, the identity
+    on the other legs as a row and its leg shape, for one outer product.
+    final is the axis order of the result."""
+    named = {site for s, t, _ in pattern for site in (s, t)}
     sizes, leg = [], {}
     for site in range(k):
+        # a named site is one leg, and so is each run of the other sites
         if site in named or site - 1 in named or not sizes:
             leg[site] = len(sizes)
             sizes.append(N)
         else:
             sizes[-1] *= N
-    letters = iter(_LETTERS)
-    rows = [next(letters) for _ in sizes]
-    cols, specs, operands = list(rows), [], []
-    for T, s, t in factors:
-        a, b = leg[int(s)], leg[int(t)]
-        if T is None:
-            cols[a], cols[b] = cols[b], cols[a]
-            continue
-        new = next(letters) + next(letters)
-        specs.append("..." + cols[a] + cols[b] + new)
-        operands.append(np.reshape(T, np.shape(T)[:-2] + (N,) * 4))
-        cols[a], cols[b] = new
-    # a row leg that reaches the columns untouched, or only swapped, is
-    # joined to its column by an identity
-    for i, c in enumerate(cols):
-        if c in rows:
-            cols[i] = next(letters)
-            specs.append(c + cols[i])
-            operands.append(eye(sizes[rows.index(c)]))
-    out = np.einsum(",".join(specs) + "->..." + "".join(rows + cols),
-                    *operands)
-    return out.reshape(out.shape[:-2 * len(sizes)] + (N ** k,) * 2)
+    # X P Y = X (P Y P) P: an operator acts on the wires the swaps before it
+    # have moved to its sites, and the swaps end as one column permutation
+    wire, ops = list(range(len(sizes))), []
+    for s, t, batch in pattern:
+        if batch is None:
+            wire[leg[s]], wire[leg[t]] = wire[leg[t]], wire[leg[s]]
+        else:
+            ops.append(([wire[leg[s]], wire[leg[t]]], batch))
+    if len(ops) > 2:
+        raise ValueError("site_product multiplies at most two operators, "
+                         f"not {len(ops)}")
+    b, two = max((batch for _, batch in ops), default=0), len(ops) == 2
+    # the axes of the operators' product, ("r", leg) a row, ("c", leg) a
+    # column; X's columns on the legs Y names are summed with Y's rows there
+    axes = [(rc, i) for rc in "rc" for i in ops[0][0]] if ops else []
+    if two:
+        (xs, bx), (ys, by) = ops
+        X = [("r", i) for i in xs] + [("s" if i in ys else "c", i) for i in xs]
+        Y = [("s" if i in xs else "r", i) for i in ys] + [("c", i) for i in ys]
+        inner = [a for a in X if a[0] == "s"]
+        left, right = ([a for a in U if a[0] != "s"] for U in (X, Y))
+        ops = ((*range(bx), *(bx + X.index(a) for a in left + inner)),
+               (N ** len(left), N ** len(inner)),
+               (*range(by), *(by + Y.index(a) for a in inner + right)),
+               (N ** len(inner), N ** len(right)), (N,) * len(left + right))
+        axes = left + right
+    rest = [i for i in range(len(sizes)) if ("r", i) not in axes]
+    ident = eye(math.prod(sizes[i] for i in rest)).reshape(1, -1)
+    ident.flags.writeable = False
+    embed = None if two and not rest else (
+        b, ident, tuple(sizes[i] for i in rest) * 2)
+    axes += [(rc, i) for rc in "rc" for i in rest]
+    final = [axes.index(("r", i)) for i in range(len(sizes))] \
+        + [axes.index(("c", w)) for w in wire]
+    return ops, embed, tuple(range(b)) + tuple(b + a for a in final)
+
+
+def _matmul(A, B, out):
+    """A @ B, into the leading entries of the flat array out unless None."""
+    if out is not None:
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) \
+            + (A.shape[-2], B.shape[-1])
+        out = out[:math.prod(shape)].reshape(shape)
+    return np.matmul(A, B, out=out)
+
+
+def site_legs(N, k, *factors, out=None):
+    """site_product with its row and column legs apart, over the legs of
+    Mat(N)^{x k} (_plan): a transposed view of one matrix product, which
+    fills the leading entries of the flat complex array out if given."""
+    ops, embed, final = _plan(N, k, tuple(
+        (int(s), int(t), None if T is None else np.ndim(T) - 2)
+        for T, s, t in factors))
+    Ts = [np.reshape(T, np.shape(T)[:-2] + (N,) * 4)
+          for T, *_ in factors if T is not None]
+    legs = Ts[0] if Ts else np.ones(())
+    if len(Ts) == 2:
+        X, Y = Ts[0].transpose(ops[0]), Ts[1].transpose(ops[2])
+        legs = _matmul(X.reshape(X.shape[:-4] + ops[1]),
+                       Y.reshape(Y.shape[:-4] + ops[3]),
+                       None if embed else out)
+        legs = legs.reshape(legs.shape[:-2] + ops[4])
+    if embed:
+        b, ident, shape = embed
+        legs = _matmul(legs.reshape(legs.shape[:b] + (-1, 1)), ident,
+                       out).reshape(legs.shape + shape)
+    return legs.transpose(final)
+
+
+def site_product(N, k, *factors):
+    """The left-to-right product of operators on Mat(N)^{x k}, as an
+    (..., N^k, N^k) matrix or stack.
+
+    A factor (T, s, t) is the two-site (..., N^2, N^2) matrix or stack T
+    with its first tensor factor on site s and its second on site t, so
+    (T, 1, 0) is T_21; (None, s, t) swaps the sites s and t, which only
+    relabels legs.  Two operators at most are one batched matrix product
+    over the legs they share, times the identity on the other sites.
+    """
+    out = site_legs(N, k, *factors)
+    batch = np.broadcast_shapes(*(np.shape(T)[:-2] for T, *_ in factors
+                                  if T is not None))
+    return out.reshape(batch + (N ** k,) * 2)
 
 
 def block_grid(A, M, N):

@@ -2,11 +2,12 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 another way: the dense dynamical r-matrix and its q-derivative term against
-the support planes of the exchange check, the pair and plane contractions as
-np.einsum subscripts against their batched matrix products, the pair
-potentials of the Hamiltonian, the R-matrix-valued Lax pair, the per-sector
-scalar functions against specfun.sector_table, the sector functions from
-mpmath's theta at 30 digits, and small helpers on the package's types.
+the support planes of the exchange check, the pair and plane contractions
+and the site products of operators on Mat(N)^{x k} as np.einsum subscripts
+against their batched matrix products, the pair potentials of the
+Hamiltonian, the R-matrix-valued Lax pair, the per-sector scalar functions
+against specfun.sector_table, the sector functions from mpmath's theta at
+30 digits, and small helpers on the package's types.
 """
 
 import cmath
@@ -82,7 +83,7 @@ def r_big_q_derivative_sum(state, z, w):
                            * md._pair_tables(state, z - w)[1])
 
 
-# --- pair and plane contractions as einsum subscripts ----------------------
+# --- pair, plane and site products as einsum subscripts --------------------
 
 # block (i, j) of the contraction of a pair table T (or of each table of a
 # stack) with a spin S: tr_2(S^{ij}_2 T[i, j] P_12), entry [i, a, j, b] =
@@ -105,7 +106,7 @@ def eom_terms(state):
     fam, M, N = state.family, state.M, state.N
     F = np.zeros((M, M, N, N, N, N), dtype=complex)
     D = np.zeros_like(F)
-    i, j = md._pairs(M)
+    i, j = sf._pairs(M)
     F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
     F[i, j] = F0.reshape(-1, N, N, N, N)
     D[i, j] = dF0.reshape(-1, N, N, N, N)
@@ -135,6 +136,43 @@ def exchange_products(state, R):
             np.einsum("nialy,nlsycbd->nsilacbd", -Lz, G),
             np.einsum("nkcjy,nsjaybd->nskjacbd", Lw, H),
             np.einsum("nisacby,niyld->nsilacbd", H, -Lw))
+
+
+def site_product(N, k, *factors):
+    """tn.site_product as one np.einsum over the legs of its factors: each
+    run of sites that no factor names is one identity leg, a factor
+    (T, s, t) contracts the column letters of its sites' legs and gives them
+    new ones, and a swap (None, s, t) exchanges two column letters."""
+    named = {int(site) for _, *sites in factors for site in sites}
+    sizes, leg = [], {}
+    for site in range(k):
+        if site in named or site - 1 in named or not sizes:
+            leg[site] = len(sizes)
+            sizes.append(N)
+        else:
+            sizes[-1] *= N
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    rows = [next(letters) for _ in sizes]
+    cols, specs, operands = list(rows), [], []
+    for T, s, t in factors:
+        a, b = leg[int(s)], leg[int(t)]
+        if T is None:
+            cols[a], cols[b] = cols[b], cols[a]
+            continue
+        new = next(letters) + next(letters)
+        specs.append("..." + cols[a] + cols[b] + new)
+        operands.append(np.reshape(T, np.shape(T)[:-2] + (N,) * 4))
+        cols[a], cols[b] = new
+    # a row leg that reaches the columns untouched, or only swapped, is
+    # joined to its column by an identity
+    for i, c in enumerate(cols):
+        if c in rows:
+            cols[i] = next(letters)
+            specs.append(c + cols[i])
+            operands.append(np.eye(sizes[rows.index(c)], dtype=complex))
+    out = np.einsum(",".join(specs) + "->..." + "".join(rows + cols),
+                    *operands)
+    return out.reshape(out.shape[:-2 * len(sizes)] + (N ** k,) * 2)
 
 
 # --- sector functions --------------------------------------------------------

@@ -242,11 +242,11 @@ def test_fractional_size_exits_2(tmp_path, capsys, field):
     (["certify-rmatrix", "--family", "xxx", "--n", "3000"], None),
     (["check-cm-rmx", "--family", "xxx", "--n", "200"], None),
     (["certify-rmatrix", "--family", "xxx", "--n", "17"], None),
-    (["certify-rmatrix", "--family", "xxx", "--n", "11"], None),
+    (["certify-rmatrix", "--family", "xxx", "--n", "15"], None),
 ])
 def test_oversized_arrays_exit_2(tmp_path, capsys, argv, overrides):
     # the largest array a command would allocate (N^4 per matrix, M^2 N^4
-    # per pair table, 16 N^6 for the three-site matrices of one certify
+    # per pair table, 2 N^6 for the three-site matrices of one certify
     # sample and its kernel stacks and series, 2 M^3 N^4 for the exchange
     # relation) is checked against the byte budget before anything is
     # allocated
@@ -605,9 +605,10 @@ def test_stacked_checks_peak_memory(tmp_path, capsys):
 
 def test_command_paths_make_no_einsum_products(tmp_path, capsys,
                                                monkeypatch):
-    # check-lax, check-exchange and simulate steps with monitor rows form
-    # every contraction as a matrix product: np.einsum is left with
-    # one-operand diagonal views
+    # check-lax, check-exchange, simulate steps with monitor rows,
+    # certify-rmatrix and check-cm-rmx form every contraction and site
+    # product as a matrix product: np.einsum is left with one-operand
+    # diagonal views and partial traces
     products = []
     einsum = np.einsum
 
@@ -628,6 +629,13 @@ def test_command_paths_make_no_einsum_products(tmp_path, capsys,
                       "--monitor-every", "1", "--monitor-z", "0.3,0.4",
                       "--out", out]):
             assert run_capture(capsys, argv + ["--config", path])[0] == 0
+    for argv in (["certify-rmatrix", "--family", "xxx"],
+                 ["certify-rmatrix", "--family", "7v", "--c", "0.7,0.2"],
+                 ["certify-rmatrix", "--family", "bb", "--tau", "0.1,1.1"],
+                 ["check-cm-rmx", "--family", "xxx", "--m", "3"],
+                 ["check-cm-rmx", "--family", "bb", "--tau", "0,1"]):
+        assert run_capture(capsys, argv + ["--samples", "3"] * (
+            argv[0] == "certify-rmatrix"))[0] == 0
     assert products == []
 
 

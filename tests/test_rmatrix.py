@@ -601,13 +601,15 @@ def test_long_stacks_keep_the_bits_of_short_ones(key, N):
 
 
 def test_m0_cached_read_only():
+    # r0 and m0 come from one evaluation on first use, then are shared
     for key in rm.FAMILY_KEYS:
         fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
-        m0 = fam.m0()
-        assert fam.m0() is m0, key
-        assert np.array_equal(m0, fam._m_at_zero()), key
-        with pytest.raises(ValueError):
-            m0[0, 0] = 1.0
+        r0, m0 = fam.r0(), fam.m0()
+        assert fam.m0() is m0 and fam.r0() is r0, key
+        for got, want in zip((r0, m0), fam._r0_and_m0()):
+            assert np.array_equal(got, want), key
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
 
 
 def test_r0_structure():
@@ -624,7 +626,9 @@ def test_r1_is_m0_P():
     for key in rm.FAMILY_KEYS:
         fam = rm.make_family(key, tau=1j, C=0.7 + 0.2j)
         P = tn.permutation_P(fam.N)
-        measured = rm.measure_r1(fam)
+        measured = sf.laurent_coefficients(
+            fam.r, 0.0, sf.LAURENT_RADIUS * sf.shortest_period(fam.flavor),
+            (1,))[0]
         assert np.max(np.abs(measured - fam.m0() @ P)) < 1e-12, key
         assert np.max(np.abs(fam.r1() - fam.m0() @ P)) < 1e-12, key
 
@@ -794,12 +798,26 @@ def test_certify_stack_one_call_per_kernel_and_order(family_calls,
     assert len(wp_calls) == 1
 
 
+def test_certify_bb_sums_ten_sector_tables(monkeypatch):
+    # bb N = 3 at 6 samples, one chunk: 7 tables in the chunk (R at orders
+    # 0, 1 and 2, r at 0 and 1, m, the Weierstrass function), one for r0
+    # with m0, one for the hbar circle of R(hbar, z) and one for r and m at
+    # z with r on the circle about 0
+    fam = rm.make_family("bb", N=3, tau=0.1 + 1.1j)
+    calls = []
+    table = sf.sector_table
+    monkeypatch.setattr(sf, "sector_table", lambda *args: (
+        calls.append(args), table(*args))[1])
+    rm.certify(fam, 6, seed=0, tol=1e-8)
+    assert len(calls) <= 10
+
+
 @pytest.mark.parametrize("key, N, n", [("bb", 1, 200), ("bb", 2, 60),
                                        ("xxx", 3, 20)])
 def test_certify_peak_within_its_sample_count(key, N, n):
     # a chunk of n samples holds at most _sample_entries(N) complex entries
     # per sample at once, N = 1 (where the theta series outweigh the
-    # three-site stacks) included; these read 0.51, 0.44 and 0.26 of it
+    # three-site stacks) included; these read 0.40, 0.38 and 0.20 of it
     fam = rm.make_family(key, N=N, tau=0.3 + 0.8j)
     entries = rm._sample_entries(N)
     assert len(tn.chunks(n, entries, tn.CERTIFY_BYTES)) == 1
@@ -870,6 +888,11 @@ def test_classical_expansion_finds_a_perturbed_m(key):
     class Perturbed(type(fam)):
         def m(self, z):
             return super().m(z) * (1.0 + 1e-9)
+
+        def r_and_m(self, z):
+            # m is perturbed wherever it is formed: bb's joint r and m
+            # table would bypass the m above
+            return self.r(z), self.m(z)
 
     bad = Perturbed.__new__(Perturbed)
     bad.__dict__.update(fam.__dict__)

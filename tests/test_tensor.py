@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,6 +246,46 @@ def test_site_product_of_stacks():
     for g, s in zip(got, S):
         want = np.kron(tn.eye(N), T) @ np.kron(s, tn.eye(N))
         assert np.max(np.abs(g - want)) < 1e-13
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_site_product_against_einsum_oracle(k):
+    # up to two operators, stacks or single matrices on ordered or reversed
+    # site pairs, with swaps before, between and after them and in runs,
+    # against the einsum form, to 1e-15 relative
+    rng = np.random.default_rng(41 + k)
+    seen = set()
+    for kinds in ("T", "S", "SS", "TT", "STS", "TST", "SSTT", "TSST", "TTSS",
+                  "STTS", "SSTSS", "TSTSS") * 12:
+        N = int(rng.integers(1, 4))
+        factors = []
+        for kind in kinds:
+            s, t = map(int, rng.choice(k, 2, replace=False))
+            T = None
+            if kind == "T":
+                stacked = rng.random() < 0.6
+                shape = (3,) * stacked + (N * N, N * N)
+                T = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+                seen.update({("stack", stacked), ("reversed", s > t)})
+            factors.append((T, s, t))
+        want = rf.site_product(N, k, *factors)
+        got = tn.site_product(N, k, *factors)
+        assert got.shape == want.shape, kinds
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
+            (kinds, N)
+        # into a buffer's leading entries, the same values
+        out = np.full(want.size + 3, np.nan, dtype=complex)
+        legs = tn.site_legs(N, k, *factors, out=out)
+        assert np.shares_memory(legs, out) and np.isnan(out[-3:]).all()
+        assert np.array_equal(legs.reshape(want.shape), got), kinds
+    assert seen == {("stack", True), ("stack", False), ("reversed", True),
+                    ("reversed", False)}
+
+
+def test_site_product_takes_two_operators_at_most():
+    T = tn.eye(4)
+    with pytest.raises(ValueError, match="at most two operators"):
+        tn.site_product(2, 3, (T, 0, 1), (T, 1, 2), (None, 0, 1), (T, 0, 2))
 
 
 def test_block_grid_is_a_view():
