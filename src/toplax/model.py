@@ -20,7 +20,10 @@ and {p_i, q_j} = d_{ij}.  Their agreement is part of the certification.
 eom_rhs writes the spin flow as one commutator dS = [S, K] of NM x NM
 matrices.  Pairs couple only through F^0(q_ij) and its q-derivative, each
 evaluated once per pair i < j; the skew-symmetry r_12(z) = -r_21(-z) gives
-the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.
+the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  The
+tables of K and K' are one gather of [F^0, F^0', -F^0', m(0), 0] through
+an index plan cached per (M, N) (_eom_plan), the one place that holds
+their layout, and K and K' are one _contract over both.
 
 The Lax side reads kernel tables of spectral points z (_pair_tables): L(z),
 M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
@@ -50,9 +53,8 @@ from . import specfun as sf
 from . import tensor as tn
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (as_four_index, block_grid, check_scale, frobenius_norm,
-                     matvec4, op_contract, op_contract_1, site_product,
-                     stack_norms)
+from .tensor import (block_grid, check_scale, frobenius_norm, matvec4,
+                     op_contract, op_contract_1, site_product, stack_norms)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -236,17 +238,6 @@ def _pair_traces(W, A, B):
     return np.trace(W @ AB.reshape(-1, n, n), axis1=1, axis2=2)
 
 
-def inertia_J(family, S):
-    """Inverse inertia tensor J(S) = tr_2(m_12(0) S_2)."""
-    return op_contract(family.m0(), np.asarray(S, dtype=complex))
-
-
-def top_H(family, S):
-    """Single-top Hamiltonian tr(S J(S)) / 2."""
-    S = np.asarray(S, dtype=complex)
-    return 0.5 * complex(np.trace(S @ inertia_J(family, S)))
-
-
 def _f0_table(state):
     """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
     i, j = sf._pairs(state.M)
@@ -264,8 +255,14 @@ def _hamiltonian(state, table):
     """hamiltonian(state) from the F^0 table _f0_table(state)."""
     fam, spin = state.family, state.spin
     total = 0.5 * sum(p * p for p in state.p)
-    for i in range(spin.M):
-        total += top_H(fam, spin.block(i, i))
+    # the top terms tr(S^ii J(S^ii)) / 2 of every site, with the inverse
+    # inertia tensor J(S) = tr_2(m_12(0) S_2) from one m0 read, added in
+    # site order
+    sites = np.arange(spin.M)
+    Sd = spin.blocks[sites, sites]
+    tops = np.trace(Sd @ op_contract(fam.m0(), Sd), axis1=1, axis2=2)
+    for top in tops.tolist():
+        total += 0.5 * top
     i, j, F0, _ = table
     U = _pair_traces(fam._P @ F0, spin.blocks[i, j], spin.blocks[j, i])
     # added pair by pair, in the order i < j
@@ -347,53 +344,60 @@ def build_M(state, z):
 
 # --- equations of motion (printed form) ------------------------------------
 
-def eom_rhs(state, diagonal_form="general", table=None):
+@functools.lru_cache(maxsize=16)
+def _eom_plan(M, N):
+    """The gather of eom_rhs's F^0 and F^0' tables, (2, M, M, N, N, N, N) in
+    the memory order of _pair_tables, as read-only positions in the source
+    [F^0, F^0', -F^0', m(0), 0] of the pairs i < j (each flattened).
+
+    It is the scatter of the tables run once on positions: the pairs i < j,
+    their mirrors j, i (F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P;
+    conjugation by P swaps the two tensor factors), m(0) P (m(0) with its
+    column factors swapped) on the diagonal of the F^0 table, which gives
+    K^{ii} = J(S^{ii}), and 0 elsewhere."""
+    i, j = sf._pairs(M)
+    size = len(i) * N ** 4
+    plan = np.full((2, M, M) + (N,) * 4, 3 * size + N ** 4)
+    tables = plan.swapaxes(-3, -1)
+    X = np.arange(2 * size).reshape(2, -1, N, N, N, N)
+    tables[:, i, j] = X
+    # the mirror pairs read the factors swapped, F^0' from -F^0'
+    X[1] += size
+    tables[:, j, i] = X.transpose(0, 1, 3, 2, 5, 4)
+    sites = np.arange(M)
+    tables[0, sites, sites] = (3 * size + np.arange(N ** 4)).reshape(
+        (N,) * 4).swapaxes(-2, -1)
+    plan.flags.writeable = False
+    return plan
+
+
+def eom_rhs(state, table=None):
     """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij}.
 
-    The printed off-diagonal equations and the "general" diagonal ones
-    are together dS = S K - K S on NM x NM matrices, with
-    K^{ij} = tr_2(F^0_12(q_ij) P_12 S^{ij}_2) for i != j and
-    K^{ii} = J(S^{ii}) = tr_2(m_12(0) S^{ii}_2).  "commutator" replaces
-    the diagonal blocks by the interacting-tops form
-    [S^{ii}, J(S^{ii}) + sum_{k!=i} tr_2(F^0_12(q_ik) S^{kk}_2)], valid for
-    rank-1 spin.  dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2) is the
-    trace of the block (i, i) of K' S, K' being K with F^0' for F^0.
+    The printed equations are together dS = S K - K S on NM x NM matrices,
+    with K^{ij} = tr_2(F^0_12(q_ij) P_12 S^{ij}_2) for i != j and
+    K^{ii} = J(S^{ii}) = tr_2(m_12(0) S^{ii}_2).
+    dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2) is the trace of the
+    block (i, i) of K' S, K' being K with F^0' for F^0 and 0 on the
+    diagonal.
 
     F^0 and F^0' come from one family call over the pairs i < j (whose
     pole guard covers q_ji, the pole set being symmetric), or from table,
-    the _f0_table(state) a caller already holds; the pair j, i
-    follows from F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  K and K'
-    are one _contract over both tables, laid out as by _pair_tables.  dq
-    (the state's read-only p) and dp are length-M arrays; dS is the
-    (M, M, N, N) block view of the NM x NM derivative.
+    the _f0_table(state) a caller already holds.  The tables of K and K',
+    laid out as by _pair_tables, are one gather through the cached
+    _eom_plan, and K and K' are one _contract over both.  dq (the state's
+    read-only p) and dp are length-M arrays; dS is the (M, M, N, N) block
+    view of the NM x NM derivative.
     """
-    if diagonal_form not in ("general", "commutator"):
-        raise ValueError(f"unknown diagonal_form {diagonal_form!r}")
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    # the F^0 and F^0' tables in the layout of _pair_tables, F^0' zero on
-    # i = j; conjugation by P swaps the two tensor factors
-    tables = np.zeros((2, M, M) + (N,) * 4, dtype=complex).swapaxes(-3, -1)
-    i, j, *F0 = _f0_table(state) if table is None else table
-    X = np.stack(F0).reshape(2, -1, N, N, N, N)
-    tables[:, i, j] = X
-    X[1] *= -1
-    tables[:, j, i] = X.transpose(0, 1, 3, 2, 5, 4)
-    # m(0) P, m(0) with its column factors swapped, on the diagonal of the
-    # F^0 table gives K^{ii} = J(S^{ii})
-    S, sites = spin.matrix, np.arange(M)
-    tables[0, sites, sites] = as_four_index(fam.m0()).swapaxes(-2, -1)
-    K, Kd = _contract(tables, S)
+    _, _, F0, dF0 = _f0_table(state) if table is None else table
+    source = np.concatenate([F0.reshape(-1), dF0.reshape(-1),
+                             -dF0.reshape(-1), fam.m0().reshape(-1), [0]])
+    S = spin.matrix
+    K, Kd = _contract(source[_eom_plan(M, N)].swapaxes(-3, -1), S)
     dS = S @ K - K @ S
-
-    if diagonal_form == "commutator":
-        Sd = spin.blocks[sites, sites]
-        F = tables[0].reshape(M, M, N * N, N * N)
-        F[sites, sites] = 0
-        V = block_grid(K, M, N)[sites, sites] + op_contract(F, Sd).sum(axis=1)
-        block_grid(dS, M, N)[sites, sites] = Sd @ V - V @ Sd
-
     dp = -np.einsum("iaia->i", (Kd @ S).reshape(M, N, M, N))
     return state.p, dp, block_grid(dS, M, N)
 

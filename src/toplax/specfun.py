@@ -567,6 +567,15 @@ def _expansion_residuals(flavor, z, u):
     # phi(z, v) in v only where v is on it; one circle at 0 per sample
     origin = np.zeros(u.shape)
     near_0 = LAURENT_RADIUS * shortest_period(flavor)
+    near_f = near_0
+    if flavor.kind == ELLIPTIC:
+        # the residues of f(., u) at x = +-tau, -+2 pi i e^(-+2 pi i u),
+        # reach 2 pi e^(2 pi |Im u|), and the trapezoid rule's truncation,
+        # |residue| (radius / distance)^LAURENT_POINTS, with them: f's
+        # circle shrinks by the LAURENT_POINTS-th root of that size (its
+        # coefficient c_0 is not divided by a power of the radius)
+        near_f = near_0 * (2.0 * math.pi * np.exp(
+            2.0 * math.pi * np.abs(u.imag))) ** (-1.0 / LAURENT_POINTS)
     kap = kappa_const(flavor)
     e1u, e2u = eisenstein_E1(flavor, u), eisenstein_E2(flavor, u)
     return {   # z[..., None] and u[..., None] against the circle axis
@@ -575,7 +584,7 @@ def _expansion_residuals(flavor, z, u):
             {-1: 1.0, 0: e1u, 1: (e1u * e1u - e2u - kap / 3.0) / 2.0}),
         "f_at_zero": expansion_residual(
             lambda x: phi_derivative_f(flavor, x, u[..., None]), origin,
-            near_0, {0: -e2u}),
+            near_f, {0: -e2u}),
         "f_closed_form": expansion_residual(
             lambda v: kronecker_phi(flavor, z[..., None], v), u,
             LAURENT_RADIUS * pole_distance(flavor, u),

@@ -4,10 +4,11 @@ Each is a direct, unoptimized statement of a quantity the package computes
 another way: the dense dynamical r-matrix and its q-derivative term against
 the support planes of the exchange check, the pair and plane contractions
 and the site products of operators on Mat(N)^{x k} as np.einsum subscripts
-against their batched matrix products, the pair potentials of the
-Hamiltonian, the R-matrix-valued Lax pair, the per-sector scalar functions
-against specfun.sector_table, the sector functions from mpmath's theta at
-30 digits, and small helpers on the package's types.
+against their batched matrix products, the single-top terms and pair
+potentials of the Hamiltonian, the interacting-tops diagonal of the spin
+flow for rank-1 spin, the R-matrix-valued Lax pair, the per-sector scalar
+functions against specfun.sector_table, the sector functions from mpmath's
+theta at 30 digits, and small helpers on the package's types.
 """
 
 import cmath
@@ -17,7 +18,7 @@ import numpy as np
 
 from toplax import model as md
 from toplax import specfun as sf
-from toplax.tensor import permutation_P
+from toplax.tensor import op_contract, permutation_P
 
 
 # --- phase space -------------------------------------------------------------
@@ -42,10 +43,34 @@ def potential_U(family, Sij, Sji, q):
                                    np.asarray(Sji)[None])[0])
 
 
+def top_H(family, S):
+    """Single-top Hamiltonian tr(S J(S)) / 2, with the inverse inertia
+    tensor J(S) = tr_2(m_12(0) S_2): the top term of md.hamiltonian."""
+    S = np.asarray(S, dtype=complex)
+    return 0.5 * complex(np.trace(S @ op_contract(family.m0(), S)))
+
+
 def potential_V(family, Sii, Sjj, q):
     """Tops potential tr_12(F^0_12(q) S^ii_1 S^jj_2); equals potential_U
     for rank-1 spin."""
     return complex(np.trace(family.r(q, 1) @ kron(Sii, Sjj)))
+
+
+def eom_commutator_diagonal(state):
+    """The diagonal blocks of dS in the interacting-tops form
+    [S^ii, J(S^ii) + sum_{k != i} tr_2(F^0_12(q_ik) S^kk_2)], with one
+    family call per ordered pair: those of md.eom_rhs for rank-1 spin."""
+    fam, spin = state.family, state.spin
+    out = []
+    for i in range(spin.M):
+        Sii = spin.block(i, i)
+        V = op_contract(fam.m0(), Sii)
+        for k in range(spin.M):
+            if k != i:
+                V = V + op_contract(fam.r(state.qdiff(i, k), 1),
+                                    spin.block(k, k))
+        out.append(Sii @ V - V @ Sii)
+    return np.array(out)
 
 
 def cm_rmx_lax(q, p, nu, family, z):

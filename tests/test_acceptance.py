@@ -119,12 +119,13 @@ def test_04_eom_equivalence():
             worst = max(worst, diff / scale)
             assert diff / scale < 1e-10, f"{key} state {s}"
             assert np.max(np.abs(np.array(dq1) - np.array(dq2))) == 0.0
-        # rank-1 states: general and commutator diagonal forms agree
+        # rank-1 states: the general diagonal blocks equal the
+        # interacting-tops commutator form
         st = md.random_state(fam, 3, 1.0, seed=300, spin_mode="rank1")
-        _, _, dSa = md.eom_rhs(st, diagonal_form="general")
-        _, _, dSb = md.eom_rhs(st, diagonal_form="commutator")
+        _, _, dSa = md.eom_rhs(st)
+        dSb = rf.eom_commutator_diagonal(st)
         for i in range(3):
-            diff = np.max(np.abs(dSa[i][i] - dSb[i][i]))
+            diff = np.max(np.abs(dSa[i][i] - dSb[i]))
             worst = max(worst, diff)
             assert diff < 1e-10, f"{key} rank-1 site {i}"
     report_line("equations-of-motion equivalence", worst, 1e-10)

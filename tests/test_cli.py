@@ -170,21 +170,24 @@ def test_simulate_leaves_the_cell(tmp_path, capsys):
 
 
 def test_simulate_numerical_failure_exits_1(tmp_path, capsys):
-    # the config of test_simulate_leaves_the_cell at half the step: a
-    # near-collision around t = 0.7 throws an RK4 stage off the constraint
-    # surface, which is a failure of the trajectory, not of its input
+    # a head-on collision (q_12 = 0.1i closing along the imaginary axis)
+    # at a step too long for it: at step 66 a stage rate throws the next
+    # stage's tr(S^ii) spread to about 1e-6 or more, far over the stage
+    # check's 1e-8, after steps whose spread and drift stay under 1e-9, so
+    # the stage check fires first whatever the last digits of the flow.
+    # It is a failure of the trajectory, not of its input
     path = write_config(tmp_path, family="bb", tau=[0.0, 1.0],
-                        q0=[[0.1, 0.3], [0.5, 0.2]],
-                        p0=[[0.0, 8.0], [0.0, -8.0]])
+                        q0=[[0.1, 0.3], [0.1, 0.2]],
+                        p0=[[0.0, -4.0], [0.0, 4.0]])
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run_capture(capsys, [
-        "simulate", "--config", path, "--dt", "5e-4", "--steps", "2000",
+        "simulate", "--config", path, "--dt", "2e-3", "--steps", "200",
         "--out", str(out_csv)])
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
     step = report["failure"]["step"]
-    assert 0 < step <= 2000
+    assert 0 < step <= 200
     assert "tr(S^ii)" in report["failure"]["error"]
     # the record ends at the last monitor row before the failing step
     assert report["rows"] == (step - 1) // 10 + 1
@@ -601,6 +604,18 @@ def test_stacked_checks_peak_memory(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         assert peak < 3.6 * tn.STACK_BYTES, argv[0]
+
+
+def test_simulate_builds_one_eom_plan(tmp_path, capsys):
+    # every RK4 stage of a simulate gathers its F0 tables through the one
+    # cached plan of its M and N: 16 steps of 4 stages build it once
+    cli.md._eom_plan.cache_clear()
+    argv = ["simulate", "--dt", "1e-4", "--steps", "16",
+            "--out", str(tmp_path / "traj.csv"),
+            "--config", write_config(tmp_path, M=8)]
+    assert run_capture(capsys, argv)[0] == 0
+    info = cli.md._eom_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 16 * 4 - 1)
 
 
 def test_command_paths_make_no_einsum_products(tmp_path, capsys,

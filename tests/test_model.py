@@ -259,11 +259,11 @@ def _agrees(got, want, N, bitwise=True):
     (key, N) for key in rm.FAMILY_KEYS
     for N in ((1, 2, 3, 4) if key in ("xxx", "bb") else (2,))])
 def test_matrix_products_match_einsum_oracles(key, N):
-    # the pair contraction, the equations of motion and the four exchange
-    # plane products against their einsum forms; a one-point stack against
-    # its point, and a stack's first table or pair against it alone, bit
-    # for bit.  11v's tables put two nonzero products in one sum, which
-    # BLAS may round unlike einsum's running sum
+    # the pair contraction and the four exchange plane products against
+    # their einsum forms; a one-point stack against its point, and a
+    # stack's first table or pair against it alone, bit for bit.  11v's
+    # tables put two nonzero products in one sum, which BLAS may round
+    # unlike einsum's running sum
     exact = key != "11v"
     fam = rm.make_family(key, N=N, **_FAMILY_ARGS[key])
     w = 0.17 + 0.52j
@@ -279,11 +279,6 @@ def test_matrix_products_match_einsum_oracles(key, N):
             assert _agrees(stack, rf.contract(Ts, S), N, exact), (key, M)
             assert np.array_equal(md._contract(T1, S)[0], got)
             assert np.array_equal(stack[0], md._contract(Ts[0], S))
-        K, dp, size = rf.eom_terms(st)
-        _, got_dp, dS = md.eom_rhs(st)
-        assert _agrees(dS.swapaxes(1, 2).reshape(S.shape), S @ K - K @ S, N,
-                       exact)
-        assert np.all(np.abs(got_dp - dp) <= 1e-15 * size), (key, M)
         R = md._pair_tables(st, [[z, w, z - w, w - z] for z in zs])[0]
         products = rf.exchange_products(st, R)
         buf = np.empty((3, 2) + (M,) * 3 + (N,) * 4, dtype=complex)
@@ -294,6 +289,30 @@ def test_matrix_products_match_einsum_oracles(key, N):
             want = md._fold_overlap(np.stack(products[2 * k:2 * k + 2], 1))
             assert _agrees(got, want, N, exact), (key, M, k)
             assert np.array_equal(alone, got[:1])
+
+
+@pytest.mark.parametrize("key, N", [
+    (key, N) for key in rm.FAMILY_KEYS
+    for N in ((1, 2, 3, 4) if key in ("xxx", "bb") else (2,))])
+def test_planned_eom_matches_einsum_terms(key, N):
+    # the tables gathered through _eom_plan against the einsums over the
+    # scattered pair tables of rf.eom_terms, M = 1 holding no pair; a
+    # caller's F0 table gives the bits of the family call.  11v's tables
+    # put two nonzero products in one sum, which BLAS may round unlike
+    # einsum's running sum
+    exact = key != "11v"
+    fam = rm.make_family(key, N=N, **_FAMILY_ARGS[key])
+    for M in (1, 2, 3, 8):
+        st = md.random_state(fam, M, 1.0, seed=M)
+        S = st.spin.matrix
+        K, dp, size = rf.eom_terms(st)
+        dq, got_dp, dS = md.eom_rhs(st)
+        assert dq is st.p
+        assert _agrees(dS.swapaxes(1, 2).reshape(S.shape), S @ K - K @ S, N,
+                       exact), (key, M)
+        assert np.all(np.abs(got_dp - dp) <= 1e-15 * size), (key, M)
+        _, tab_dp, tab_dS = md.eom_rhs(st, table=md._f0_table(st))
+        assert np.array_equal(tab_dp, got_dp) and np.array_equal(tab_dS, dS)
 
 
 def test_eom_matches_bracket_flow():
@@ -311,16 +330,16 @@ def test_eom_matches_bracket_flow():
 
 
 def test_rank1_diagonal_forms_agree():
+    # for rank-1 spin the general diagonal blocks of the flow equal the
+    # interacting-tops commutator form
     for key in ("xxx", "11v"):
         fam = rm.make_family(key, N=2)
         st = md.random_state(fam, 3, 1.0, seed=17, spin_mode="rank1")
-        _, _, dSa = md.eom_rhs(st, diagonal_form="general")
-        _, _, dSb = md.eom_rhs(st, diagonal_form="commutator")
+        _, _, dS = md.eom_rhs(st)
+        want = rf.eom_commutator_diagonal(st)
         for i in range(3):
-            diff = np.max(np.abs(dSa[i][i] - dSb[i][i]))
+            diff = np.max(np.abs(dS[i][i] - want[i]))
             assert diff < 1e-10, f"{key} site {i}: {diff:.3e}"
-    with pytest.raises(ValueError):
-        md.eom_rhs(st, diagonal_form="nope")
 
 
 def test_hamiltonian_gradient_by_finite_difference():
@@ -744,17 +763,16 @@ def test_exchange_lhs_matches_bracket_oracle(key, N):
 @pytest.mark.parametrize("key", ["xxx", "bb"])
 def test_flow_and_energy_one_family_call(family_calls, key):
     # eom_rhs, bracket_flow and hamiltonian each take F0 and F0' of every
-    # pair from one r call at the orders (1, 2), besides m0 for the
-    # single-top terms
+    # pair from one r call at the orders (1, 2), besides one m0 read for
+    # the single-top terms of every site
     fam = rm.make_family(key, N=2, tau=1j)
     M = 4
     st = md.random_state(fam, M, 1.0, seed=3)
-    for run, m0_calls in ((md.eom_rhs, 1), (md.bracket_flow, 1),
-                          (md.hamiltonian, M)):
+    for run in (md.eom_rhs, md.bracket_flow, md.hamiltonian):
         del family_calls[:]
         run(st)
         assert Counter((name, d) for name, _, d in family_calls) == {
-            ("r", (1, 2)): 1, ("m0", None): m0_calls}, run.__name__
+            ("r", (1, 2)): 1, ("m0", None): 1}, run.__name__
 
 
 def test_bb_bracket_flow_series_count(theta_calls):
@@ -777,7 +795,7 @@ def _per_pair_reference(state):
     m0 = fam.m0()
     H = 0.5 * sum(p * p for p in state.p)
     for i in range(M):
-        H += md.top_H(fam, spin.block(i, i))
+        H += rf.top_H(fam, spin.block(i, i))
     G = np.zeros((M * N, M * N), dtype=complex)
     grad = tn.block_grid(G, M, N)
     dH = np.zeros(M, dtype=complex)

@@ -646,6 +646,23 @@ def test_f_oracle_finds_a_perturbed_closed_form(monkeypatch, flavor):
     assert not report["identities"]["f_closed_form"] < 1e-10
 
 
+def test_f_at_zero_resolves_the_kernel(monkeypatch):
+    # at tau = i the residues of f(., u) at x = +-tau reach 2 pi e^(2 pi)
+    # for u near the top of the cell; f's circle shrinks with them, so the
+    # trapezoid rule's truncation (1.1e-12 on a circle of fixed radius at
+    # seed 0) falls under the kernels' rounding, and f off by 1e-12
+    # relative shows
+    fl = sf.Flavor.elliptic(1j)
+    report = sf.scalar_identity_report(fl, 100, seed=0, sector_sizes=())
+    assert report["identities"]["f_at_zero"] < 1e-13
+    f = sf.phi_derivative_f
+    for defect, floor in ((1e-12, 5e-13), (1e-6, 1e-8)):
+        monkeypatch.setattr(sf, "phi_derivative_f",
+                            lambda fl, z, q, d=defect: f(fl, z, q) * (1 + d))
+        report = sf.scalar_identity_report(fl, 100, seed=0, sector_sizes=())
+        assert report["identities"]["f_at_zero"] > floor, defect
+
+
 @pytest.mark.parametrize("flavor, tol", [
     (sf.Flavor.rational(), 0.0), (sf.Flavor.trigonometric(), 0.0),
     (sf.Flavor.elliptic(0.3 + 0.8j), 1e-15)])
