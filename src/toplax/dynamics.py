@@ -61,18 +61,16 @@ class TrajectoryRecord:
         return len(self.times)
 
 
-def _rate(state, table=None):
-    """The flow eom_rhs at state, as a phase vector; table is the state's
-    F^0 table, if a caller holds it."""
-    return md.PhaseState.pack(*md.eom_rhs(state, table=table))
+def _rate(state):
+    """The flow eom_rhs at state, as a phase vector."""
+    return md.PhaseState.pack(*md.eom_rhs(state))
 
 
-def _rk4_step(state, dt, table):
-    """The state one classical RK4 step of dt after state; table, the
-    state's F^0 table if a monitor row holds it (else None), serves the
-    first stage."""
+def _rk4_step(state, dt):
+    """The state one classical RK4 step of dt after state; its first stage
+    reads the F^0 table of state, which a monitor row may have read."""
     vec = state.vector
-    k1 = _rate(state, table)
+    k1 = _rate(state)
     k2 = _rate(state.from_vector(vec + 0.5 * dt * k1))
     k3 = _rate(state.from_vector(vec + 0.5 * dt * k2))
     k4 = _rate(state.from_vector(vec + dt * k3))
@@ -87,17 +85,14 @@ def _power_traces(A):
 
 
 def _monitor_row(rec, t, state, monitor_z):
-    """Append the monitor row of state at time t to rec; returns the F^0
-    table it read, for the next step's first stage."""
-    # H and the bracket flow read one F0 table; the flow does not depend on
-    # z, so one evaluation serves the stack of every point
-    table = md._f0_table(state)
-    energy = md._hamiltonian(state, table)
+    """Append the monitor row of state at time t to rec.  H and the one
+    bracket flow of every monitor point read the state's F^0 table, as does
+    the next RK4 step's first stage."""
+    energy = md.hamiltonian(state)
     traces = []
     residual = None
     if monitor_z:
-        Ls, residuals = md._lax_check(state, monitor_z,
-                                      md._bracket_flow(state, table))
+        Ls, residuals = md.lax_check(state, monitor_z)
         traces = [v for L in Ls for v in _power_traces(L)]
         # a NaN residual propagates into the record
         residual = float(np.max(residuals))
@@ -107,7 +102,6 @@ def _monitor_row(rec, t, state, monitor_z):
     rec.times.append(t)
     rec.values.append(row)
     rec.lax_residual.append(residual)
-    return table
 
 
 def integrate(state0, cfg):
@@ -121,21 +115,18 @@ def integrate(state0, cfg):
     """
     nu = state0.spin.traces()[0]
     rec = TrajectoryRecord(_columns(state0.M, len(cfg.monitor_z)))
-    # the F^0 table of the last monitor row, while it is the current state's
-    table = _monitor_row(rec, 0.0, state0, cfg.monitor_z)
+    _monitor_row(rec, 0.0, state0, cfg.monitor_z)
     state = state0
     for step in range(1, cfg.steps + 1):
         try:
-            state = _rk4_step(state, cfg.dt, table)
-            table = None
+            state = _rk4_step(state, cfg.dt)
             drift = np.max(np.abs(state.spin.traces() - nu))
             # a NaN drift is a blow-up too
             if not drift <= 1e-6:
                 raise ConstraintDrift(
                     f"constraint drift {drift:.3e} at step {step}")
             if step % cfg.monitor_every == 0:
-                table = _monitor_row(rec, step * cfg.dt, state,
-                                     cfg.monitor_z)
+                _monitor_row(rec, step * cfg.dt, state, cfg.monitor_z)
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
             rec.failure = {"step": step, "error": str(exc)}
             break

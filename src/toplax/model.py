@@ -34,12 +34,12 @@ arrays of points and evaluate them as stacks, in tensor.chunks whose
 largest array fits STACK_BYTES; each sample keeps its own norm and residual.
 
 Every table is one family call over an array of pair differences: eom_rhs,
-bracket_flow and hamiltonian take F^0 and F^0' of all pairs i < j from one
-r(q, (1, 2)) call, and a stack of pair tables takes R^z and F^z of all its
-points against all ordered pairs from one R(z, q, (0, 1)) call; the
-exchange check reads the tables of z, w, z - w and w - z of a chunk of
-pairs as one such stack, and holds both of its sides on two support planes
-with no dense (MN)^2 x (MN)^2 array.
+bracket_flow and hamiltonian read the state's f0_table, F^0 and F^0' of all
+pairs i < j from one r(q, (1, 2)) call on its first read, and a stack of
+pair tables takes R^z and F^z of all its points against all ordered pairs
+from one R(z, q, (0, 1)) call; the exchange check reads the tables of z, w,
+z - w and w - z of a chunk of pairs as one such stack, and holds both of
+its sides on two support planes with no dense (MN)^2 x (MN)^2 array.
 """
 
 import cmath
@@ -163,6 +163,13 @@ class PhaseState:
         """q_i - q_j, for sites or index arrays i, j."""
         return self.q[i] - self.q[j]
 
+    @functools.cached_property
+    def f0_table(self):
+        """(i, j, F^0, F^0') over the pairs i < j, from one family call on
+        first read; kept, as q is read-only."""
+        i, j = sf._pairs(self.M)
+        return (i, j) + self.family.r(self.qdiff(i, j), (1, 2))
+
     @staticmethod
     def pack(q, p, blocks):
         """The phase vector of (q, p, S), S given as its (M, M, N, N) block
@@ -238,21 +245,10 @@ def _pair_traces(W, A, B):
     return np.trace(W @ AB.reshape(-1, n, n), axis1=1, axis2=2)
 
 
-def _f0_table(state):
-    """(i, j, F^0, F^0') over the pairs i < j, from one family call."""
-    i, j = sf._pairs(state.M)
-    return (i, j) + state.family.r(state.qdiff(i, j), (1, 2))
-
-
 def hamiltonian(state):
     """H = sum p^2/2 + top terms + the pair potentials
     U_ij = tr_12(P_12 F^0_12(q_ij) S^ij_1 S^ji_2), with F^0 for every pair
-    i < j from one family call."""
-    return _hamiltonian(state, _f0_table(state))
-
-
-def _hamiltonian(state, table):
-    """hamiltonian(state) from the F^0 table _f0_table(state)."""
+    i < j from the state's f0_table."""
     fam, spin = state.family, state.spin
     total = 0.5 * sum(p * p for p in state.p)
     # the top terms tr(S^ii J(S^ii)) / 2 of every site, with the inverse
@@ -263,7 +259,7 @@ def _hamiltonian(state, table):
     tops = np.trace(Sd @ op_contract(fam.m0(), Sd), axis1=1, axis2=2)
     for top in tops.tolist():
         total += 0.5 * top
-    i, j, F0, _ = table
+    i, j, F0, _ = state.f0_table
     U = _pair_traces(fam._P @ F0, spin.blocks[i, j], spin.blocks[j, i])
     # added pair by pair, in the order i < j
     return complex(sum(U.tolist(), total))
@@ -336,12 +332,6 @@ def _lax_L(state, R):
     return _plus_diagonal(_contract(R, state.spin.matrix), state.p)
 
 
-def build_M(state, z):
-    """Accompanying matrix: M^{ij} = d_ij tr_2(S^ii_2 m_12(z)) +
-    (1 - d_ij) tr_2(S^ij_2 F^z_12(q_ij) P_12)."""
-    return _contract(_pair_tables(state, z)[1], state.spin.matrix)
-
-
 # --- equations of motion (printed form) ------------------------------------
 
 @functools.lru_cache(maxsize=16)
@@ -371,7 +361,7 @@ def _eom_plan(M, N):
     return plan
 
 
-def eom_rhs(state, table=None):
+def eom_rhs(state):
     """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij}.
 
     The printed equations are together dS = S K - K S on NM x NM matrices,
@@ -381,18 +371,17 @@ def eom_rhs(state, table=None):
     block (i, i) of K' S, K' being K with F^0' for F^0 and 0 on the
     diagonal.
 
-    F^0 and F^0' come from one family call over the pairs i < j (whose
-    pole guard covers q_ji, the pole set being symmetric), or from table,
-    the _f0_table(state) a caller already holds.  The tables of K and K',
-    laid out as by _pair_tables, are one gather through the cached
-    _eom_plan, and K and K' are one _contract over both.  dq (the state's
-    read-only p) and dp are length-M arrays; dS is the (M, M, N, N) block
-    view of the NM x NM derivative.
+    F^0 and F^0' are the state's f0_table (whose pole guard covers q_ji,
+    the pole set being symmetric).  The tables of K and K', laid out as by
+    _pair_tables, are one gather through the cached _eom_plan, and K and K'
+    are one _contract over both.  dq (the state's read-only p) and dp are
+    length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
+    derivative.
     """
     fam, spin = state.family, state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
-    _, _, F0, dF0 = _f0_table(state) if table is None else table
+    _, _, F0, dF0 = state.f0_table
     source = np.concatenate([F0.reshape(-1), dF0.reshape(-1),
                              -dF0.reshape(-1), fam.m0().reshape(-1), [0]])
     S = spin.matrix
@@ -443,18 +432,12 @@ def bracket_flow(state):
 
     Returns the full derivative (dq, dp, dS) as a brute-force oracle for
     eom_rhs: dq = p, dp = -dH/dq, and the spin flow dS = [S, G^T] with G
-    the entrywise spin gradient of H.  F^0 and its q-derivative come from
-    one family call over the pairs i < j.  dq (the state's read-only p) and
-    dp are length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
-    derivative.
+    the entrywise spin gradient of H.  F^0 and its q-derivative are the
+    state's f0_table.  dq (the state's read-only p) and dp are length-M
+    arrays; dS is the (M, M, N, N) block view of the NM x NM derivative.
     """
-    return _bracket_flow(state, _f0_table(state))
-
-
-def _bracket_flow(state, table):
-    """bracket_flow(state) from the F^0 table _f0_table(state)."""
+    i, j, F0, dF0 = state.f0_table
     _require_constraints(state)
-    i, j, F0, dF0 = table
     P, S = state.family._P, state.spin.matrix
     Gt = _ham_spin_gradient(state, i, j, P @ F0).T
     dS = S @ Gt - Gt @ S
@@ -476,7 +459,7 @@ def _flow_L(R, Mz, flow):
 
 
 def _lax_stack(state, zs, flow):
-    """(L, residuals) of _lax_check at an array zs of points, from one stack
+    """(L, residuals) of lax_check at an array zs of points, from one stack
     of pair tables."""
     R, F = _pair_tables(state, zs)
     Mz = _contract(F, state.spin.matrix)
@@ -490,14 +473,15 @@ def _lax_stack(state, zs, flow):
     return L, stack_norms(lhs - rhs) / scale
 
 
-def _lax_check(state, zs, flow):
+def lax_check(state, zs):
     """(L(z), relative residual of {H, L(z)} = [L(z), M(z)]) at every z of
-    the sequence zs, as a stack of L and an array of residuals; flow =
-    bracket_flow(state).
+    the sequence zs, as a stack of L and an array of residuals, from one
+    bracket_flow.
 
     The points go in tensor.chunks of M^2 N^4 entries (one table) within
     STACK_BYTES: L, M and {H, L} of a chunk are contractions over one stack
     of pair tables (_lax_stack), and each point gets its own norms."""
+    flow = bracket_flow(state)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     M, N = state.M, state.N
     Ls = np.empty((len(zs), M * N, M * N), dtype=complex)
@@ -505,17 +489,6 @@ def _lax_check(state, zs, flow):
     for chunk in tn.chunks(len(zs), M * M * N ** 4, tn.STACK_BYTES):
         Ls[chunk], residuals[chunk] = _lax_stack(state, zs[chunk], flow)
     return Ls, residuals
-
-
-def lax_residuals(state, zs):
-    """Relative residuals of {H, L(z)} = [L(z), M(z)] at each z in zs, as a
-    list: one bracket flow, and the points as stacks (_lax_check)."""
-    return _lax_check(state, zs, bracket_flow(state))[1].tolist()
-
-
-def lax_residual(state, z):
-    """Relative residual of {H, L(z)} = [L(z), M(z)]."""
-    return lax_residuals(state, (z,))[0]
 
 
 # --- classical exchange relation ------------------------------------------

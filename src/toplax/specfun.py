@@ -629,7 +629,7 @@ def _sector_draw(rng, flavor, N):
     """One sample (q, hb, z) of the lattice-sum identities: they, N*q, q/N
     and their shifts by each omega_a keep off the lattice."""
     om = np.array([a.omega(flavor.tau) for a in all_sectors(N)])
-    while True:
+    for _ in range(1000):
         q = sample_point(rng, flavor)
         hb = sample_point(rng, flavor)
         z = sample_point(rng, flavor)
@@ -638,6 +638,7 @@ def _sector_draw(rng, flavor, N):
                               om + hb])
         if np.all(pole_distance(flavor, pts) > 1e-2):
             return q, hb, z
+    raise DegenerateDraw("sampling failed to clear the pole margin")
 
 
 def _sector_residuals(flavor, N, samples):

@@ -6,9 +6,10 @@ the support planes of the exchange check, the pair and plane contractions
 and the site products of operators on Mat(N)^{x k} as np.einsum subscripts
 against their batched matrix products, the single-top terms and pair
 potentials of the Hamiltonian, the interacting-tops diagonal of the spin
-flow for rank-1 spin, the R-matrix-valued Lax pair, the per-sector scalar
-functions against specfun.sector_table, the sector functions from mpmath's
-theta at 30 digits, and small helpers on the package's types.
+flow for rank-1 spin, the accompanying matrix M(z) of the Lax pair, the
+R-matrix-valued Lax pair, the per-sector scalar functions against
+specfun.sector_table, the sector functions from mpmath's theta at 30
+digits, and small helpers on the package's types.
 """
 
 import cmath
@@ -71,6 +72,12 @@ def eom_commutator_diagonal(state):
                                     spin.block(k, k))
         out.append(Sii @ V - V @ Sii)
     return np.array(out)
+
+
+def build_M(state, z):
+    """Accompanying matrix: M^{ij} = d_ij tr_2(S^ii_2 m_12(z)) +
+    (1 - d_ij) tr_2(S^ij_2 F^z_12(q_ij) P_12), the M(z) of md.lax_check."""
+    return md._contract(md._pair_tables(state, z)[1], state.spin.matrix)
 
 
 def cm_rmx_lax(q, p, nu, family, z):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import importlib.util
 import json
 import tracemalloc
@@ -349,8 +350,8 @@ def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
     nan = float("nan")
     path = write_config(tmp_path)
     # check-lax: a NaN after a finite residual still decides the verdict
-    monkeypatch.setattr(cli.md, "lax_residuals",
-                        lambda state, zs: [0.0] * (len(zs) - 1) + [nan])
+    monkeypatch.setattr(cli.md, "lax_check", lambda state, zs: (
+        None, np.array([0.0] * (len(zs) - 1) + [nan])))
     code, out, _ = run_capture(capsys, ["check-lax", "--config", path])
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -652,6 +653,22 @@ def test_command_paths_make_no_einsum_products(tmp_path, capsys,
         assert run_capture(capsys, argv + ["--samples", "3"] * (
             argv[0] == "certify-rmatrix"))[0] == 0
     assert products == []
+
+
+def test_dynamics_and_cli_call_only_public_model_names():
+    # the integrator and the commands reach the model through its public
+    # functions: no md._name or model._name in their source
+    private = []
+    for mod in (cli.dy, cli):
+        tree = ast.parse(Path(mod.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("md", "model") \
+                    and node.attr.startswith("_"):
+                private.append((Path(mod.__file__).name, node.lineno,
+                                node.attr))
+    assert private == []
 
 
 def test_check_exchange_checks_every_requested_pair(tmp_path, capsys,

@@ -122,15 +122,15 @@ def test_csv_shape_and_determinism():
 
 def test_monitor_row_runs_one_bracket_flow(monkeypatch):
     # the flow is z-independent: one evaluation per row, not per point (the
-    # row takes it from the F0 table it shares with H, via _bracket_flow)
+    # row takes it from the F0 table it shares with H, via lax_check)
     calls = []
-    flow = md._bracket_flow
+    flow = md.bracket_flow
 
     def counted(*args, **kwargs):
         calls.append(1)
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(md, "_bracket_flow", counted)
+    monkeypatch.setattr(md, "bracket_flow", counted)
     st = make_state(M=3)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
                               monitor_z=(0.3 + 0.2j, 0.6 + 0.4j, 0.2 + 0.7j))
@@ -171,22 +171,22 @@ def test_simulate_r_calls(family_calls):
 
 
 def test_monitor_table_gives_the_same_trajectory(monkeypatch):
-    # the first stage after a row reads that row's table: the same bits as
-    # a fresh r call
+    # the first stage after a row reads the table the row read: the same
+    # bits as a fresh r call, made here on a copy of the state
     st = make_state(key="bb", M=3, tau=1j)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
                               monitor_z=(0.3 + 0.2j,))
     shared = dy.csv_text(dy.integrate(st, cfg))
     step = dy._rk4_step
-    monkeypatch.setattr(dy, "_rk4_step", lambda state, dt, table: step(
-        state, dt, None))
+    monkeypatch.setattr(dy, "_rk4_step", lambda state, dt: step(
+        state.from_vector(state.vector), dt))
     assert dy.csv_text(dy.integrate(st, cfg)) == shared
 
 
 def test_nan_residual_after_first_row_reported(monkeypatch):
     # the report's maximum is np.max, so a NaN residual in a later row
     # shows as it does in the first
-    check = md._lax_check
+    check = md.lax_check
     calls = []
 
     def second_nan(*args):
@@ -194,7 +194,7 @@ def test_nan_residual_after_first_row_reported(monkeypatch):
         calls.append(1)
         return L, (float("nan") if len(calls) == 2 else residual)
 
-    monkeypatch.setattr(md, "_lax_check", second_nan)
+    monkeypatch.setattr(md, "lax_check", second_nan)
     st = make_state(seed=3)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=20, monitor_z=(0.4 + 0.2j,),
                               monitor_every=10)

@@ -165,7 +165,7 @@ def test_lax_M_matrix_N1_offdiagonal():
     fam = rm.make_family("bb", N=1, tau=0.8j)
     st = md.random_state(fam, 2, 0.5 + 0.1j, seed=11)
     z = 0.33 + 0.21j
-    Mm = md.build_M(st, z)
+    Mm = rf.build_M(st, z)
     for i in range(2):
         for j in range(2):
             if i != j:
@@ -229,7 +229,7 @@ def test_lax_blocks_match_per_pair_kernels():
         z = 0.31 + 0.22j
         P = tn.permutation_P(2)
         L = tn.block_grid(md.build_L(st, z), 3, 2)
-        Mz = tn.block_grid(md.build_M(st, z), 3, 2)
+        Mz = tn.block_grid(rf.build_M(st, z), 3, 2)
         for i in range(3):
             for j in range(3):
                 S = st.spin.block(i, j)
@@ -296,10 +296,9 @@ def test_matrix_products_match_einsum_oracles(key, N):
     for N in ((1, 2, 3, 4) if key in ("xxx", "bb") else (2,))])
 def test_planned_eom_matches_einsum_terms(key, N):
     # the tables gathered through _eom_plan against the einsums over the
-    # scattered pair tables of rf.eom_terms, M = 1 holding no pair; a
-    # caller's F0 table gives the bits of the family call.  11v's tables
-    # put two nonzero products in one sum, which BLAS may round unlike
-    # einsum's running sum
+    # scattered pair tables of rf.eom_terms, M = 1 holding no pair.  11v's
+    # tables put two nonzero products in one sum, which BLAS may round
+    # unlike einsum's running sum
     exact = key != "11v"
     fam = rm.make_family(key, N=N, **_FAMILY_ARGS[key])
     for M in (1, 2, 3, 8):
@@ -311,8 +310,6 @@ def test_planned_eom_matches_einsum_terms(key, N):
         assert _agrees(dS.swapaxes(1, 2).reshape(S.shape), S @ K - K @ S, N,
                        exact), (key, M)
         assert np.all(np.abs(got_dp - dp) <= 1e-15 * size), (key, M)
-        _, tab_dp, tab_dS = md.eom_rhs(st, table=md._f0_table(st))
-        assert np.array_equal(tab_dp, got_dp) and np.array_equal(tab_dS, dS)
 
 
 def test_eom_matches_bracket_flow():
@@ -361,7 +358,7 @@ def test_lax_residual_small():
         rng = np.random.default_rng(31)
         for _ in range(3):
             z = sf.sample_point(rng, fam.flavor)
-            assert md.lax_residual(st, z) < 1e-11, key
+            assert md.lax_check(st, [z])[1][0] < 1e-11, key
 
 
 def test_exchange_residual_small():
@@ -389,12 +386,10 @@ def test_stacked_checks_match_single_points(key):
     st = md.random_state(fam, 3, 1.0, seed=61)
     rng = np.random.default_rng(67)
     zs = np.array([sf.sample_point(rng, fam.flavor) for _ in range(12)])
-    Ls, residuals = md._lax_check(st, zs, md.bracket_flow(st))
+    Ls, residuals = md.lax_check(st, zs)
     for z, L, residual in zip(zs, Ls, residuals):
         assert np.array_equal(L, md.build_L(st, z))
-        assert abs(residual - md.lax_residual(st, z)) <= 1e-15
-    assert np.max(np.abs(np.array(md.lax_residuals(st, zs)) - residuals)) \
-        <= 1e-15
+        assert abs(residual - md.lax_check(st, [z])[1][0]) <= 1e-15
     z, w = zs[:6], zs[6:]
     stacked = md.exchange_residual(st, z, w)
     assert stacked.shape == (6,)
@@ -554,9 +549,9 @@ def test_lax_residuals_share_one_bracket_flow(monkeypatch):
         fam = rm.make_family(key, N=2, tau=1j)
         st = md.random_state(fam, 3, 1.0, seed=31)
         zs = [0.31 + 0.22j, 0.52 + 0.41j, 0.17 + 0.63j]
-        want = [md.lax_residual(st, z) for z in zs]
+        want = [md.lax_check(st, [z])[1][0] for z in zs]
         del calls[:]
-        assert md.lax_residuals(st, zs) == want
+        assert md.lax_check(st, zs)[1].tolist() == want
         assert len(calls) == 1
 
 
@@ -580,8 +575,10 @@ def test_lax_residual_one_table_per_point(family_calls, monkeypatch, key):
     for budget, chunks in ((tn.STACK_BYTES, [zs]),
                            (2 * 16 * M * M * 2 ** 4, pairs_of_two)):
         monkeypatch.setattr(tn, "STACK_BYTES", budget)
+        # a fresh state each time, whose F0 table is not yet read
+        st = md.random_state(fam, M, 1.0, seed=31)
         del family_calls[:]
-        md.lax_residuals(st, zs)
+        md.lax_check(st, zs)
         assert Counter((name, d) for name, _, d in family_calls) == {
             ("R", (0, 1)): len(chunks), ("Rz_coefficients", None): len(chunks),
             ("r", (1, 2)): 1, ("m0", None): 1}
@@ -767,18 +764,38 @@ def test_flow_and_energy_one_family_call(family_calls, key):
     # the single-top terms of every site
     fam = rm.make_family(key, N=2, tau=1j)
     M = 4
-    st = md.random_state(fam, M, 1.0, seed=3)
     for run in (md.eom_rhs, md.bracket_flow, md.hamiltonian):
+        # a fresh state for each, whose F0 table is not yet read
+        st = md.random_state(fam, M, 1.0, seed=3)
         del family_calls[:]
         run(st)
         assert Counter((name, d) for name, _, d in family_calls) == {
             ("r", (1, 2)): 1, ("m0", None): 1}, run.__name__
 
 
+@pytest.mark.parametrize("key", ["xxx", "bb"])
+def test_state_reads_its_f0_table_once(family_calls, key):
+    # H, both flows and the Lax check at one point share the state's F0
+    # table: one r call at the orders (1, 2) among them all; a state made
+    # from a phase vector has read none yet
+    fam = rm.make_family(key, N=2, tau=1j)
+    st = md.random_state(fam, 3, 1.0, seed=5)
+    del family_calls[:]
+    md.hamiltonian(st)
+    md.eom_rhs(st)
+    md.bracket_flow(st)
+    md.lax_check(st, [0.31 + 0.22j, 0.52 + 0.41j])
+    assert sum((name, d) == ("r", (1, 2))
+               for name, _, d in family_calls) == 1
+    assert "f0_table" in vars(st)
+    assert "f0_table" not in vars(st.from_vector(st.vector))
+
+
 def test_bb_bracket_flow_series_count(theta_calls):
     fam = rm.make_family("bb", N=2, tau=1j)
+    md.bracket_flow(md.random_state(fam, 4, 1.0, seed=3))
+    # the same point as a fresh state, whose F0 table is not yet read
     st = md.random_state(fam, 4, 1.0, seed=3)
-    md.bracket_flow(st)
     del theta_calls[:]
     md.bracket_flow(st)
     # one F0/F0' table for all 6 pairs, from one series over 6 + 3 + 18

@@ -11,7 +11,8 @@ from hypothesis import strategies as hs
 
 from toplax import specfun as sf
 from toplax import tensor as tn
-from toplax.errors import BadModulus, PoleProximity, ThetaOverflow
+from toplax.errors import (BadModulus, DegenerateDraw, PoleProximity,
+                           ThetaOverflow)
 
 import reference as rf
 
@@ -705,3 +706,25 @@ def test_sample_point_avoids_poles():
     for _ in range(50):
         z = sf.sample_point(rng, fl)
         assert sf.pole_distance(fl, z) > 1e-2
+
+
+def test_sector_draw_gives_up(monkeypatch):
+    # every point passes alone but the combined check of a sample never
+    # does: the draw raises after its redraw limit (the guard stops a draw
+    # with no limit)
+    fl = sf.Flavor.elliptic(1j)
+    distance = sf.pole_distance
+    checks = []
+
+    def combined_fails(flavor, z):
+        if np.ndim(z) == 0:
+            return distance(flavor, z)
+        checks.append(1)
+        if len(checks) > 5000:
+            raise RuntimeError("the sector draw has no redraw limit")
+        return np.zeros(np.shape(z))
+
+    monkeypatch.setattr(sf, "pole_distance", combined_fails)
+    with pytest.raises(DegenerateDraw):
+        sf._sector_draw(np.random.default_rng(0), fl, 2)
+    assert len(checks) == 1000
