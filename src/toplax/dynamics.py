@@ -1,8 +1,8 @@
 """Time integration of the interacting-tops flow and conservation monitoring.
 
 A classical RK4 step acts on the state's own phase vector (PhaseState.vector:
-q, p, then the entries of the spin matrix), with the flow packed in the same
-layout, and returns the stepped state (PhaseState.from_vector).  Conserved
+q, p, then the entries of the spin matrix), with the flow of eom_rhs in the
+same layout, and returns the stepped state (PhaseState.from_vector).  Conserved
 quantities (the Hamiltonian, spectral invariants tr L^k(z) at chosen monitor
 points, Casimirs tr S^k) are recorded along the trajectory; conservation is
 certified through the order-4 scaling of their drift under step halving
@@ -63,7 +63,7 @@ class TrajectoryRecord:
 
 def _rate(state):
     """The flow eom_rhs at state, as a phase vector."""
-    return md.PhaseState.pack(*md.eom_rhs(state))
+    return md.eom_rhs(state, flat=True)
 
 
 def _rk4_step(state, dt):
@@ -79,9 +79,10 @@ def _rk4_step(state, dt):
 
 
 def _power_traces(A):
-    """[tr A, tr A^2, tr A^3]."""
+    """[tr A, tr A^2, tr A^3] of each matrix of the stack A, in one row."""
     A2 = A @ A
-    return [np.trace(A), np.trace(A2), np.trace(A2 @ A)]
+    return np.stack([X.trace(axis1=1, axis2=2) for X in (A, A2, A2 @ A)],
+                    axis=1).reshape(-1)
 
 
 def _monitor_row(rec, t, state, monitor_z):
@@ -89,15 +90,17 @@ def _monitor_row(rec, t, state, monitor_z):
     bracket flow of every monitor point read the state's F^0 table, as does
     the next RK4 step's first stage."""
     energy = md.hamiltonian(state)
-    traces = []
+    # the power traces of every L(z) and of S come from one stack
+    stack = state.spin.matrix[None]
     residual = None
     if monitor_z:
         Ls, residuals = md.lax_check(state, monitor_z)
-        traces = [v for L in Ls for v in _power_traces(L)]
+        stack = np.concatenate([Ls, stack])
         # a NaN residual propagates into the record
         residual = float(np.max(residuals))
-    row = np.concatenate([state.q, state.p, [energy], traces,
-                          _power_traces(state.spin.assemble())])
+    # q and p lead the phase vector
+    row = np.concatenate([state.vector[:2 * state.M], [energy],
+                          _power_traces(stack)])
     # appended only once every value is in, so a row that raises adds none
     rec.times.append(t)
     rec.values.append(row)
@@ -162,16 +165,16 @@ def _fmt(x):
 
 def write_csv(rec, fh):
     """Trajectory CSV: t, re/im of every column of the record (q_i, p_i, H,
-    tr L^k(z_s), tr S^k) and the instantaneous Lax residual (0 on a run with
-    no monitor point); 17 significant digits."""
+    tr L^k(z_s), tr S^k) and the instantaneous Lax residual (an empty field
+    on a run with no monitor point); 17 significant digits."""
     header = ["t"] + [f"{part}_{name}" for name in rec.columns
                       for part in ("re", "im")] + ["lax_residual"]
     fh.write(",".join(header) + "\n")
     for t, row, residual in zip(rec.times, rec.values, rec.lax_residual):
         # a complex128 array viewed as float64 interleaves re and im
-        cols = [t, *row.view(np.float64),
-                0.0 if residual is None else residual]
-        fh.write(",".join(map(_fmt, cols)) + "\n")
+        cols = [_fmt(x) for x in (t, *row.view(np.float64))]
+        cols.append("" if residual is None else _fmt(residual))
+        fh.write(",".join(cols) + "\n")
 
 
 def csv_text(rec):

@@ -7,9 +7,10 @@ the Hamiltonian, the equations of motion, the classical dynamical r-matrix
 and the reductions (spin Calogero-Moser at N=1, a single top at M=1, the
 R-matrix-valued Lax pair of the spinless model).
 
-A PhaseState holds q and p as read-only complex arrays and is the one owner
-of the phase-vector layout (q, p, then the entries of the NM x NM spin
-matrix row by row): vector, from_vector and pack.
+A PhaseState is one read-only complex phase vector: q, p, then the entries
+of the NM x NM spin matrix row by row.  Its q, p and spin matrix are views
+of that vector, and PhaseState.split and from_vector alone know the layout;
+eom_rhs writes its flow in the same layout when asked for a flat vector.
 
 Two independent evaluation paths are kept deliberately separate: eom_rhs
 implements the printed equations of motion, while bracket_flow derives the
@@ -35,16 +36,20 @@ largest array fits STACK_BYTES; each sample keeps its own norm and residual.
 
 Every table is one family call over an array of pair differences: eom_rhs,
 bracket_flow and hamiltonian read the state's f0_table, F^0 and F^0' of all
-pairs i < j from one r(q, (1, 2)) call on its first read, and a stack of
-pair tables takes R^z and F^z of all its points against all ordered pairs
-from one R(z, q, (0, 1)) call; the exchange check reads the tables of z, w,
-z - w and w - z of a chunk of pairs as one such stack, and holds both of
-its sides on two support planes with no dense (MN)^2 x (MN)^2 array.
+pairs i < j from one r(q, (1, 2)) call on its first read (hamiltonian and
+bracket_flow gather the spin blocks of the sites and pairs through one
+cached plan, _block_positions, and sum as the pair-by-pair loop does), and
+a stack of pair tables takes R^z and F^z of all its points against all
+ordered pairs from one R(z, q, (0, 1)) call; the exchange check reads the
+tables of z, w, z - w and w - z of a chunk of pairs as one such stack, and
+holds both of its sides on two support planes with no dense
+(MN)^2 x (MN)^2 array.
 """
 
 import cmath
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +71,8 @@ class SpinConfig:
     The spin is held as one read-only NM x NM matrix ``matrix`` (the
     S = sum E_ij (x) S^{ij} of assemble()).  ``blocks`` may be given as rows
     of blocks or as an (M, M, N, N) array and is kept as the (M, M, N, N)
-    view of that matrix, so blocks[i][j] is S^{ij}.
+    view of that matrix, so blocks[i][j] is S^{ij}; wrap holds a read-only
+    matrix as it is.
     """
 
     M: int
@@ -79,8 +85,23 @@ class SpinConfig:
         grid = np.asarray(self.blocks, dtype=complex).reshape(M, M, N, N)
         S = grid.swapaxes(1, 2).reshape(M * N, M * N).copy()
         S.flags.writeable = False
+        self._hold(S)
+
+    def _hold(self, S):
         object.__setattr__(self, "matrix", S)
-        object.__setattr__(self, "blocks", block_grid(S, M, N))
+        object.__setattr__(self, "blocks", block_grid(S, self.M, self.N))
+
+    @classmethod
+    def wrap(cls, S, M, N):
+        """The spin whose matrix is the read-only NM x NM complex array S
+        itself, with no copy."""
+        if S.flags.writeable:
+            raise ValueError("a wrapped spin matrix must be read-only")
+        spin = object.__new__(cls)
+        object.__setattr__(spin, "M", M)
+        object.__setattr__(spin, "N", N)
+        spin._hold(S)
+        return spin
 
     def block(self, i, j):
         return self.blocks[i, j]
@@ -94,8 +115,10 @@ class SpinConfig:
 
 
 def spin_from_matrix(S, M, N):
-    """Block-decompose an NM x NM matrix into a SpinConfig."""
-    return SpinConfig(M, N, block_grid(np.asarray(S, dtype=complex), M, N))
+    """The SpinConfig of a copy of the NM x NM matrix S."""
+    S = np.array(S, dtype=complex).reshape(M * N, M * N)
+    S.flags.writeable = False
+    return SpinConfig.wrap(S, M, N)
 
 
 def spin_rank1(M, N, nu, seed):
@@ -135,21 +158,35 @@ def spin_general(M, N, nu, seed):
 
 # --- phase states ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class PhaseState:
-    """A point (q, p, S) of phase space, q and p as read-only complex
-    arrays; vector, from_vector and pack own the phase-vector layout."""
+    """A point (q, p, S) of phase space, held as its phase vector: q, then
+    p, then the entries of the NM x NM spin matrix row by row, as one
+    read-only complex array ``vector``, of which q, p and spin.matrix are
+    views.  split and from_vector own the layout."""
 
-    q: np.ndarray
-    p: np.ndarray
-    spin: SpinConfig
-    family: object
+    def __init__(self, q, p, spin, family):
+        q, p = (np.asarray(a, dtype=complex).reshape(-1) for a in (q, p))
+        if len(q) != spin.M or len(p) != spin.M:
+            raise ValueError(f"q and p must hold M = {spin.M} values each")
+        self._hold(np.concatenate([q, p, spin.matrix.reshape(-1)]),
+                   spin.M, spin.N, family)
 
-    def __post_init__(self):
-        for name in ("q", "p"):
-            a = np.array(getattr(self, name), dtype=complex)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+    def _hold(self, vec, M, N, family):
+        """Make vec, which no one else holds, this state's phase vector."""
+        vec.flags.writeable = False
+        q, p, S = self.split(vec, M, N)
+        # the instance dict directly, as the state is read-only
+        vars(self).update(vector=vec, q=q, p=p, family=family,
+                          spin=SpinConfig.wrap(S, M, N))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a PhaseState is read-only: cannot set {name!r}")
+
+    @staticmethod
+    def split(vec, M, N):
+        """The views (q, p, S) of a phase vector of M sites of gl(N): of a
+        state, or of a flow (dq, dp, dS); S is the NM x NM matrix."""
+        return vec[:M], vec[M:2 * M], vec[2 * M:].reshape(M * N, M * N)
 
     @property
     def M(self):
@@ -170,22 +207,12 @@ class PhaseState:
         i, j = sf._pairs(self.M)
         return (i, j) + self.family.r(self.qdiff(i, j), (1, 2))
 
-    @staticmethod
-    def pack(q, p, blocks):
-        """The phase vector of (q, p, S), S given as its (M, M, N, N) block
-        grid: of a state, or of a flow (dq, dp, dS)."""
-        return np.concatenate([q, p, blocks.swapaxes(1, 2).reshape(-1)])
-
-    @property
-    def vector(self):
-        """The phase vector of this state."""
-        return self.pack(self.q, self.p, self.spin.blocks)
-
     def from_vector(self, vec):
-        """The state of this family at the phase vector vec."""
-        M, N = self.M, self.N
-        spin = spin_from_matrix(vec[2 * M:].reshape(M * N, M * N), M, N)
-        return PhaseState(vec[:M], vec[M:2 * M], spin, self.family)
+        """The state of this family at the phase vector vec, which is copied
+        once."""
+        state = object.__new__(PhaseState)
+        state._hold(np.array(vec, dtype=complex), self.M, self.N, self.family)
+        return state
 
 
 def random_positions(family, M, rng, margin=0.05):
@@ -221,7 +248,7 @@ def random_state(family, M, nu, seed, spin_mode="general", q=None, p=None):
 
 def _require_constraints(state):
     tr = state.spin.traces()
-    if np.max(np.abs(tr - tr[0])) > 1e-8:
+    if abs(tr - tr[0]).max() > 1e-8:
         raise ConstraintViolation(
             "tr(S^ii) must equal a common constant on all sites")
 
@@ -237,32 +264,64 @@ def _ordered_pairs(M):
     return i, j
 
 
+@functools.lru_cache(maxsize=16)
+def _block_positions(M, N):
+    """The flat positions of the blocks of an NM x NM matrix, (M^2, N, N):
+    S^{ii} of each site, then S^{ij} of each pair i < j, then S^{ji}, as
+    one read-only int array."""
+    i, j = sf._pairs(M)
+    sites = np.arange(M)
+    grid = block_grid(np.arange((M * N) ** 2).reshape(M * N, M * N), M, N)
+    pos = grid[np.concatenate([sites, i, j]), np.concatenate([sites, j, i])]
+    pos.flags.writeable = False
+    return pos
+
+
+def _block_stacks(spin):
+    """(S^{ii}, S^{ij}, S^{ji}) over the sites and the pairs i < j, as
+    three contiguous stacks from one gather."""
+    M = spin.M
+    X = spin.matrix.take(_block_positions(M, spin.N))
+    return X[:M], X[M:(M * M + M) // 2], X[(M * M + M) // 2:]
+
+
+def _swap_rows(F):
+    """P F for a stack F of N^2 x N^2 matrices: F with the two factors of
+    its row index swapped, the same values as the product with P."""
+    n = F.shape[-1]
+    N = math.isqrt(n)
+    return F.reshape(-1, N, N, n).swapaxes(1, 2).reshape(-1, n, n)
+
+
 def _pair_traces(W, A, B):
     """tr(W[p] (A[p] (x) B[p])) for every p, from stacks W of N^2 x N^2
     and A, B of N x N matrices: each product and trace as for one pair."""
     n = W.shape[-1]
     AB = A[:, :, None, :, None] * B[:, None, :, None, :]
-    return np.trace(W @ AB.reshape(-1, n, n), axis1=1, axis2=2)
+    return (W @ AB.reshape(-1, n, n)).trace(axis1=1, axis2=2)
 
 
 def hamiltonian(state):
     """H = sum p^2/2 + top terms + the pair potentials
     U_ij = tr_12(P_12 F^0_12(q_ij) S^ij_1 S^ji_2), with F^0 for every pair
     i < j from the state's f0_table."""
-    fam, spin = state.family, state.spin
-    total = 0.5 * sum(p * p for p in state.p)
+    fam, p = state.family, state.p
+    Sd, A, B = _block_stacks(state.spin)
     # the top terms tr(S^ii J(S^ii)) / 2 of every site, with the inverse
-    # inertia tensor J(S) = tr_2(m_12(0) S_2) from one m0 read, added in
-    # site order
-    sites = np.arange(spin.M)
-    Sd = spin.blocks[sites, sites]
-    tops = np.trace(Sd @ op_contract(fam.m0(), Sd), axis1=1, axis2=2)
-    for top in tops.tolist():
-        total += 0.5 * top
-    i, j, F0, _ = state.f0_table
-    U = _pair_traces(fam._P @ F0, spin.blocks[i, j], spin.blocks[j, i])
-    # added pair by pair, in the order i < j
-    return complex(sum(U.tolist(), total))
+    # inertia tensor J(S) = tr_2(m_12(0) S_2) from one m0 read
+    tops = (Sd @ op_contract(fam.m0(), Sd)).trace(axis1=1, axis2=2)
+    U = _pair_traces(_swap_rows(state.f0_table[2]), A, B)
+    # p_i^2 from the parts of p_i, each product and the difference rounded
+    # on its own as in a product of two numbers (numpy's product of complex
+    # arrays may fuse a multiply and an add, which rounds otherwise)
+    squares = np.empty_like(p)
+    squares.real = p.real * p.real - p.imag * p.imag
+    squares.imag = 2.0 * (p.real * p.imag)
+    # running sums: the kinetic term (sum p_i^2) / 2, then the top terms
+    # site by site, then the pair terms in the order i < j
+    kinetic = 0.5 * np.add.accumulate(squares)[-1]
+    terms = np.concatenate([[kinetic], 0.5 * tops, U])
+    return complex(np.add.accumulate(terms)[-1])
 
 
 # --- per-pair kernel tables ------------------------------------------------
@@ -336,9 +395,10 @@ def _lax_L(state, R):
 
 @functools.lru_cache(maxsize=16)
 def _eom_plan(M, N):
-    """The gather of eom_rhs's F^0 and F^0' tables, (2, M, M, N, N, N, N) in
-    the memory order of _pair_tables, as read-only positions in the source
-    [F^0, F^0', -F^0', m(0), 0] of the pairs i < j (each flattened).
+    """The gather of eom_rhs's F^0 and F^0' tables, (2, M^2, N^2, N^2): per
+    pair (i, j) in row-major order the (a, b) x (l, k) matrix of the
+    _pair_tables entry [i, j, a, k, l, b], as read-only positions in the
+    source [F^0, F^0', -F^0', m(0), 0] of the pairs i < j (each flattened).
 
     It is the scatter of the tables run once on positions: the pairs i < j,
     their mirrors j, i (F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P;
@@ -357,12 +417,14 @@ def _eom_plan(M, N):
     sites = np.arange(M)
     tables[0, sites, sites] = (3 * size + np.arange(N ** 4)).reshape(
         (N,) * 4).swapaxes(-2, -1)
+    plan = plan.reshape(2, M * M, N * N, N * N)
     plan.flags.writeable = False
     return plan
 
 
-def eom_rhs(state):
-    """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij}.
+def eom_rhs(state, flat=False):
+    """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij},
+    or with flat the flow as one phase vector (PhaseState.split).
 
     The printed equations are together dS = S K - K S on NM x NM matrices,
     with K^{ij} = tr_2(F^0_12(q_ij) P_12 S^{ij}_2) for i != j and
@@ -372,59 +434,62 @@ def eom_rhs(state):
     diagonal.
 
     F^0 and F^0' are the state's f0_table (whose pole guard covers q_ji,
-    the pole set being symmetric).  The tables of K and K', laid out as by
-    _pair_tables, are one gather through the cached _eom_plan, and K and K'
-    are one _contract over both.  dq (the state's read-only p) and dp are
-    length-M arrays; dS is the (M, M, N, N) block view of the NM x NM
-    derivative.
+    the pole set being symmetric).  The tables of K and K' are one gather
+    through the cached _eom_plan, and K and K' are one batched matrix
+    product of them with one copy of the spin's blocks, each (a, b) x (l, k)
+    matrix against the vector of S^{ij}, as _contract forms them.  dq (the
+    state's read-only p) and dp are length-M arrays; dS is the
+    (M, M, N, N) block view of the NM x NM derivative; dp and dS are views
+    of the flat flow.
     """
-    fam, spin = state.family, state.spin
+    spin = state.spin
     M, N = spin.M, spin.N
     _require_constraints(state)
     _, _, F0, dF0 = state.f0_table
-    source = np.concatenate([F0.reshape(-1), dF0.reshape(-1),
-                             -dF0.reshape(-1), fam.m0().reshape(-1), [0]])
+    source = np.concatenate((F0, dF0, -dF0, state.family.m0(), [0]),
+                            axis=None)
     S = spin.matrix
-    K, Kd = _contract(source[_eom_plan(M, N)].swapaxes(-3, -1), S)
-    dS = S @ K - K @ S
-    dp = -np.einsum("iaia->i", (Kd @ S).reshape(M, N, M, N))
-    return state.p, dp, block_grid(dS, M, N)
+    KK = source[_eom_plan(M, N)] @ spin.blocks.reshape(M * M, N * N, 1)
+    K, Kd = KK.reshape(2, M, M, N, N).swapaxes(2, 3).reshape(2, M * N, M * N)
+    out = np.empty_like(state.vector)
+    dq, dp, dS = PhaseState.split(out, M, N)
+    dq[...] = state.p
+    np.matmul(S, K, out=dS)
+    dS -= K @ S
+    np.negative(np.einsum("iaia->i", (Kd @ S).reshape(M, N, M, N)), out=dp)
+    return out if flat else (state.p, dp, block_grid(dS, M, N))
 
 
 # --- Poisson-bracket oracle ------------------------------------------------
 
-def _ham_spin_gradient(state, i, j, W):
+def _ham_spin_gradient(state, blocks, W):
     """Entrywise gradient G of H with respect to the big spin matrix,
-    computed analytically from the bilinear contraction forms; W[p] is
-    P F^0(q_ij) for the pair i[p] < j[p]."""
-    fam, spin = state.family, state.spin
-    M, N = spin.M, spin.N
-    m0, sites = fam.m0(), np.arange(M)
-    G = np.zeros((M * N, M * N), dtype=complex)
-    grad = block_grid(G, M, N)
-    Sd = spin.blocks[sites, sites]
-    grad[sites, sites] += 0.5 * (op_contract(m0, Sd)
-                                 + op_contract_1(m0, Sd)).swapaxes(1, 2)
-    # op_contract and op_contract_1 of every pair at once
-    grad[i, j] += op_contract(W, spin.blocks[j, i]).swapaxes(1, 2)
-    grad[j, i] += op_contract_1(W, spin.blocks[i, j]).swapaxes(1, 2)
+    computed analytically from the bilinear contraction forms; blocks are
+    the stacks of _block_stacks and W[p] is P F^0(q_ij) for the pair
+    i[p] < j[p]."""
+    fam, M, N = state.family, state.M, state.N
+    m0 = fam.m0()
+    Sd, A, B = blocks
+    # the blocks G^{ii}, G^{ij} and G^{ji} of every site and pair i < j, each
+    # transposed, put in place by one scatter
+    tops = 0.5 * (op_contract(m0, Sd) + op_contract_1(m0, Sd))
+    terms = np.concatenate([tops, op_contract(W, B), op_contract_1(W, A)])
+    G = np.empty((M * N, M * N), dtype=complex)
+    G.reshape(-1)[_block_positions(M, N).swapaxes(1, 2)] = terms
     return G
 
 
-def _ham_q_gradient(state, i, j, Wd):
+def _ham_q_gradient(M, blocks, Wd):
     """dH/dq_s, analytic through Wd[p] = P d/dq F^0(q_ij) for the pair
     i[p] < j[p]: pair p adds g_p to site i[p] and -g_p to site j[p]."""
-    spin, M = state.spin, state.M
-    g = _pair_traces(Wd, spin.blocks[i, j], spin.blocks[j, i])
+    i, j = sf._pairs(M)
+    g = _pair_traces(Wd, blocks[1], blocks[2])
     signed = np.zeros((M, M), dtype=complex)
     signed[i, j] = g
     signed[j, i] = -g
     # each site adds up its pairs in the order of the other site, which is
-    # the order of the pairs i < j: the rounding of a pair-by-pair sum
-    out = np.zeros(M, dtype=complex)
-    for t in range(M):
-        out += signed[:, t]
-    return out
+    # the order of the pairs i < j: a running sum along its row
+    return np.add.accumulate(signed, axis=1)[:, -1]
 
 
 def bracket_flow(state):
@@ -436,12 +501,12 @@ def bracket_flow(state):
     state's f0_table.  dq (the state's read-only p) and dp are length-M
     arrays; dS is the (M, M, N, N) block view of the NM x NM derivative.
     """
-    i, j, F0, dF0 = state.f0_table
+    _, _, F0, dF0 = state.f0_table
     _require_constraints(state)
-    P, S = state.family._P, state.spin.matrix
-    Gt = _ham_spin_gradient(state, i, j, P @ F0).T
+    S, blocks = state.spin.matrix, _block_stacks(state.spin)
+    Gt = _ham_spin_gradient(state, blocks, _swap_rows(F0)).T
     dS = S @ Gt - Gt @ S
-    dp = -_ham_q_gradient(state, i, j, P @ dF0)
+    dp = -_ham_q_gradient(state.M, blocks, _swap_rows(dF0))
     return state.p, dp, block_grid(dS, state.M, state.N)
 
 

@@ -1,7 +1,9 @@
 """Reference forms that only the tests call.
 
 Each is a direct, unoptimized statement of a quantity the package computes
-another way: the dense dynamical r-matrix and its q-derivative term against
+another way: the RK4 step through the public state constructor and packed
+flow tuples, the Hamiltonian and its q-gradient as loop sums, the dense
+dynamical r-matrix and its q-derivative term against
 the support planes of the exchange check, the pair and plane contractions
 and the site products of operators on Mat(N)^{x k} as np.einsum subscripts
 against their batched matrix products, the single-top terms and pair
@@ -29,11 +31,72 @@ def on_constraints(spin, nu, tol=1e-12):
     return bool(np.all(np.abs(spin.traces() - nu) < tol))
 
 
+def pack(q, p, blocks):
+    """The phase vector of (q, p, S), S given as its (M, M, N, N) block
+    grid: of a state, or of a flow (dq, dp, dS)."""
+    return np.concatenate([q, p, blocks.swapaxes(1, 2).reshape(-1)])
+
+
 def replace(state, q=None, p=None, spin=None):
     """The state with q, p or spin replaced."""
     return md.PhaseState(state.q if q is None else q,
                          state.p if p is None else p,
                          state.spin if spin is None else spin, state.family)
+
+
+def state_at(vec, template):
+    """The state of template's family at the phase vector vec, built by the
+    public constructor from slices of vec and spin_from_matrix."""
+    M, N = template.M, template.N
+    spin = md.spin_from_matrix(vec[2 * M:].reshape(M * N, M * N), M, N)
+    return md.PhaseState(vec[:M], vec[M:2 * M], spin, template.family)
+
+
+def rk4_step(state, dt):
+    """One classical RK4 step whose every stage packs the flow tuple of
+    md.eom_rhs and rebuilds its state by the public constructor: the step
+    of dynamics._rk4_step, stage by stage with the same arithmetic."""
+    def rate(st):
+        return pack(*md.eom_rhs(st))
+
+    vec = pack(state.q, state.p, state.spin.blocks)
+    k1 = rate(state)
+    k2 = rate(state_at(vec + 0.5 * dt * k1, state))
+    k3 = rate(state_at(vec + 0.5 * dt * k2, state))
+    k4 = rate(state_at(vec + dt * k3, state))
+    return state_at(vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                    state)
+
+
+def hamiltonian(state):
+    """md.hamiltonian with its sums as loops: (sum p_i^2) / 2 over numbers,
+    then each top term, then each pair term i < j, added one at a time."""
+    fam, spin = state.family, state.spin
+    total = 0.5 * sum(p * p for p in state.p)
+    sites = np.arange(spin.M)
+    Sd = spin.blocks[sites, sites]
+    tops = np.trace(Sd @ op_contract(fam.m0(), Sd), axis1=1, axis2=2)
+    for top in tops.tolist():
+        total += 0.5 * top
+    i, j, F0, _ = state.f0_table
+    U = md._pair_traces(fam._P @ F0, spin.blocks[i, j], spin.blocks[j, i])
+    return complex(sum(U.tolist(), total))
+
+
+def ham_q_gradient(state):
+    """dH/dq of md.bracket_flow with its sums as a loop: each site adds up
+    the traces of its pairs in the order of the other site."""
+    spin, M = state.spin, state.M
+    i, j, _, dF0 = state.f0_table
+    g = md._pair_traces(state.family._P @ dF0, spin.blocks[i, j],
+                        spin.blocks[j, i])
+    signed = np.zeros((M, M), dtype=complex)
+    signed[i, j] = g
+    signed[j, i] = -g
+    out = np.zeros(M, dtype=complex)
+    for t in range(M):
+        out += signed[:, t]
+    return out
 
 
 def potential_U(family, Sij, Sji, q):

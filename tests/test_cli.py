@@ -317,6 +317,23 @@ def test_size_below_one_exits_2(capsys, argv, flag):
      "Im(tau) = 1e+300 outside"),
     (["check-lax"], {"family": "bb", "tau": [0, 1e300]},
      "Im(tau) = 1e+300 outside"),
+    # past MAX_RE_TAU the identities lose their digits, and from about
+    # 1e308 the reduction of points to the cell overflows
+    (["certify-functions", "--flavor", "elliptic", "--tau", "2e5,1"], None,
+     "Re(tau) = 2e+05 outside [-100000, 100000]"),
+    (["certify-functions", "--flavor", "elliptic", "--tau", "1e308,1"],
+     None, "Re(tau) = 1e+308 outside"),
+    (["certify-rmatrix", "--family", "bb", "--tau", "1e308,1"], None,
+     "Re(tau) = 1e+308 outside"),
+    (["check-cm-rmx", "--family", "bb", "--tau=-1e308,1"], None,
+     "Re(tau) = -1e+308 outside"),
+    (["check-lax"], {"family": "bb", "tau": [1e308, 1]},
+     "Re(tau) = 1e+308 outside"),
+    (["check-exchange"], {"family": "bb", "tau": [1e308, 1]},
+     "Re(tau) = 1e+308 outside"),
+    # the configuration fails before the CSV is opened
+    (["simulate", "--out", "unwritten.csv"],
+     {"family": "bb", "tau": [1e308, 1]}, "Re(tau) = 1e+308 outside"),
 ])
 def test_complex_argument_out_of_range_exits_2(tmp_path, capsys, argv,
                                                overrides, message):
@@ -456,7 +473,7 @@ def test_simulate_drift_checked_every_step(tmp_path, capsys, monkeypatch):
         state = step(state, *args)
         calls.append(1)
         if len(calls) == 3:
-            vec = state.vector
+            vec = state.vector.copy()
             vec[2 * state.M] += 1e-3   # S^00_00, so tr S^00
             state = state.from_vector(vec)
         return state
@@ -737,7 +754,7 @@ def test_simulate_without_monitor_points_reports_no_lax_residual(tmp_path,
                                                                    capsys):
     # with no --monitor-z no Lax residual is computed, and the report says
     # so with null rather than a 0.0 that was never checked; the CSV keeps
-    # its lax_residual column at 0
+    # its lax_residual column, as an empty field
     path = write_config(tmp_path)
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run_capture(capsys, [
@@ -750,7 +767,11 @@ def test_simulate_without_monitor_points_reports_no_lax_residual(tmp_path,
     assert '"max_lax_residual": null' in out
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 4
-    assert all(row.endswith(",0") for row in rows[1:])
+    assert rows[0].endswith(",lax_residual")
+    assert all(row.endswith(",") and not row.endswith(",,")
+               for row in rows[1:])
+    width = len(rows[0].split(","))
+    assert [len(row.split(",")) for row in rows] == [width] * 4
 
 
 def _flow_oracle():

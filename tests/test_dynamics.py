@@ -7,6 +7,8 @@ from toplax import dynamics as dy
 from toplax import model as md
 from toplax import rmatrix as rm
 
+import reference as rf
+
 
 def make_state(key="xxx", M=2, seed=3, **kwargs):
     fam = rm.make_family(key, N=2, **kwargs)
@@ -181,6 +183,20 @@ def test_monitor_table_gives_the_same_trajectory(monkeypatch):
     monkeypatch.setattr(dy, "_rk4_step", lambda state, dt: step(
         state.from_vector(state.vector), dt))
     assert dy.csv_text(dy.integrate(st, cfg)) == shared
+
+
+@pytest.mark.parametrize("key, M, kwargs", [
+    ("xxx", 8, {}), ("bb", 4, {"tau": 1j}), ("7v", 3, {"C": 0.7 + 0.2j})])
+def test_rk4_step_matches_packed_stages(key, M, kwargs):
+    # the flat flow and the one-vector state run the products of the packed
+    # stages in the same order: the trajectory keeps every bit
+    st = make_state(key=key, M=M, seed=17, **kwargs)
+    want = st
+    for _ in range(4):
+        st = dy._rk4_step(st, 1e-3)
+        want = rf.rk4_step(want, 1e-3)
+        assert np.array_equal(st.vector.view(np.uint64),
+                              want.vector.view(np.uint64))
 
 
 def test_nan_residual_after_first_row_reported(monkeypatch):

@@ -82,20 +82,54 @@ def test_phase_state_is_array_native():
             assert a.dtype == complex and a.shape == (3,)
             with pytest.raises(ValueError):
                 a[0] = 0
-    vec = st.vector
+    vec = st.vector.copy()
     assert np.array_equal(vec, np.concatenate(
         [st.q, st.p, st.spin.matrix.ravel()]))
     again = st.from_vector(vec)
-    vec[:] = 0   # the state keeps no view of the vector
+    vec[:] = 0   # the state keeps no view of its input
     assert np.array_equal(again.q, st.q) and np.array_equal(again.p, st.p)
     assert np.array_equal(again.spin.matrix, st.spin.matrix)
     assert again.family is fam
-    # a flow (dq, dp, dS) packs in the same layout
+    # a flow (dq, dp, dS) packs in the same layout, which is the flat flow
     dq, dp, dS = md.eom_rhs(st)
-    flat = md.PhaseState.pack(dq, dp, dS)
+    flat = rf.pack(dq, dp, dS)
     assert np.array_equal(flat[:6], np.concatenate([dq, dp]))
     assert np.array_equal(flat[6:].reshape(6, 6),
                           np.block([[b for b in row] for row in dS]))
+    assert np.array_equal(md.eom_rhs(st, flat=True), flat)
+    with pytest.raises(ValueError):
+        md.PhaseState((0.1, 0.2), (0.3, 0.4), st.spin, fam)
+
+
+@pytest.mark.parametrize("key", ["xxx", "bb"])
+def test_state_is_one_read_only_vector(key):
+    # q, p and the spin matrix are read-only views of the state's one phase
+    # vector, which the public constructor builds with the same bits, and
+    # the state cannot be rebound
+    fam = rm.make_family(key, N=2, tau=1j)
+    st = md.random_state(fam, 4, 1.0, seed=21)
+    vec = st.vector
+    assert vec.shape == (2 * 4 + 64,) and not vec.flags.writeable
+    for part in (st.q, st.p, st.spin.matrix, st.spin.blocks):
+        assert not part.flags.writeable and np.shares_memory(part, vec)
+    built = md.PhaseState(tuple(st.q), tuple(st.p), st.spin, fam)
+    assert np.array_equal(built.vector.view(np.uint64), vec.view(np.uint64))
+    assert st.vector is vec
+    with pytest.raises(AttributeError):
+        st.q = st.p
+    # from_vector copies its input, whether writable or not
+    source = np.array(vec)
+    again = st.from_vector(source)
+    source[:] = np.nan
+    assert np.array_equal(again.vector.view(np.uint64),
+                          vec.view(np.uint64))
+    assert not np.shares_memory(st.from_vector(vec).vector, vec)
+    # a wrapped spin holds its matrix as it is; it must be read-only
+    S = np.array(st.spin.matrix)
+    with pytest.raises(ValueError):
+        md.SpinConfig.wrap(S, 4, 2)
+    S.flags.writeable = False
+    assert md.SpinConfig.wrap(S, 4, 2).matrix is S
 
 
 def test_constraint_check_raises():
@@ -855,6 +889,23 @@ def test_pair_stacks_match_per_pair_loop(key, kwargs):
                     <= 1e-13 * max(np.max(np.abs(want)), 1.0)
             else:
                 assert np.array_equal(g, want), key
+
+
+@pytest.mark.parametrize("key", rm.FAMILY_KEYS)
+def test_sums_match_loop_sums(key):
+    # H and dH/dq as whole-array running sums add their terms in the order
+    # of the loops of rf.hamiltonian and rf.ham_q_gradient: the same bits
+    fam = rm.make_family(key, N=2, **_FAMILY_ARGS[key])
+    for M in (1, 2, 3, 8):
+        for seed in (M, M + 10):
+            st = md.random_state(fam, M, 1.0 + 0.5j, seed=seed,
+                                 spin_mode=("general", "rank1")[seed > 10])
+            H = np.array([md.hamiltonian(st), rf.hamiltonian(st)])
+            bits = H.view(np.uint64).reshape(2, 2)
+            assert np.array_equal(bits[0], bits[1]), (key, M, seed)
+            dp = md.bracket_flow(st)[1]
+            assert np.array_equal(dp.view(np.uint64),
+                                  (-rf.ham_q_gradient(st)).view(np.uint64))
 
 
 def test_bracket_flow_arrays():
