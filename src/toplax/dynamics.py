@@ -61,19 +61,14 @@ class TrajectoryRecord:
         return len(self.times)
 
 
-def _rate(state):
-    """The flow eom_rhs at state, as a phase vector."""
-    return md.eom_rhs(state, flat=True)
-
-
 def _rk4_step(state, dt):
     """The state one classical RK4 step of dt after state; its first stage
     reads the F^0 table of state, which a monitor row may have read."""
     vec = state.vector
-    k1 = _rate(state)
-    k2 = _rate(state.from_vector(vec + 0.5 * dt * k1))
-    k3 = _rate(state.from_vector(vec + 0.5 * dt * k2))
-    k4 = _rate(state.from_vector(vec + dt * k3))
+    k1 = md.eom_rhs(state)
+    k2 = md.eom_rhs(state.from_vector(vec + 0.5 * dt * k1))
+    k3 = md.eom_rhs(state.from_vector(vec + 0.5 * dt * k2))
+    k4 = md.eom_rhs(state.from_vector(vec + dt * k3))
     return state.from_vector(vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
                                                  + k4))
 
@@ -98,9 +93,7 @@ def _monitor_row(rec, t, state, monitor_z):
         stack = np.concatenate([Ls, stack])
         # a NaN residual propagates into the record
         residual = float(np.max(residuals))
-    # q and p lead the phase vector
-    row = np.concatenate([state.vector[:2 * state.M], [energy],
-                          _power_traces(stack)])
+    row = np.concatenate([state.q, state.p, [energy], _power_traces(stack)])
     # appended only once every value is in, so a row that raises adds none
     rec.times.append(t)
     rec.values.append(row)

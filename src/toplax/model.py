@@ -10,7 +10,7 @@ R-matrix-valued Lax pair of the spinless model).
 A PhaseState is one read-only complex phase vector: q, p, then the entries
 of the NM x NM spin matrix row by row.  Its q, p and spin matrix are views
 of that vector, and PhaseState.split and from_vector alone know the layout;
-eom_rhs writes its flow in the same layout when asked for a flat vector.
+eom_rhs returns its flow as a vector in the same layout.
 
 Two independent evaluation paths are kept deliberately separate: eom_rhs
 implements the printed equations of motion, while bracket_flow derives the
@@ -422,25 +422,22 @@ def _eom_plan(M, N):
     return plan
 
 
-def eom_rhs(state, flat=False):
-    """Right-hand side of the flow: (dq, dp, dS) with dS[i][j] = dS^{ij},
-    or with flat the flow as one phase vector (PhaseState.split).
+def eom_rhs(state):
+    """Right-hand side of the flow, as one phase vector (dq, dp, dS in the
+    layout of PhaseState.split).
 
     The printed equations are together dS = S K - K S on NM x NM matrices,
     with K^{ij} = tr_2(F^0_12(q_ij) P_12 S^{ij}_2) for i != j and
     K^{ii} = J(S^{ii}) = tr_2(m_12(0) S^{ii}_2).
     dp_i = -sum_k tr_12(P F^0'(q_ik) S^{ik}_1 S^{ki}_2) is the trace of the
     block (i, i) of K' S, K' being K with F^0' for F^0 and 0 on the
-    diagonal.
+    diagonal; dq = p.
 
     F^0 and F^0' are the state's f0_table (whose pole guard covers q_ji,
     the pole set being symmetric).  The tables of K and K' are one gather
     through the cached _eom_plan, and K and K' are one batched matrix
     product of them with one copy of the spin's blocks, each (a, b) x (l, k)
-    matrix against the vector of S^{ij}, as _contract forms them.  dq (the
-    state's read-only p) and dp are length-M arrays; dS is the
-    (M, M, N, N) block view of the NM x NM derivative; dp and dS are views
-    of the flat flow.
+    matrix against the vector of S^{ij}, as _contract forms them.
     """
     spin = state.spin
     M, N = spin.M, spin.N
@@ -457,7 +454,7 @@ def eom_rhs(state, flat=False):
     np.matmul(S, K, out=dS)
     dS -= K @ S
     np.negative(np.einsum("iaia->i", (Kd @ S).reshape(M, N, M, N)), out=dp)
-    return out if flat else (state.p, dp, block_grid(dS, M, N))
+    return out
 
 
 # --- Poisson-bracket oracle ------------------------------------------------

@@ -37,6 +37,14 @@ def pack(q, p, blocks):
     return np.concatenate([q, p, blocks.swapaxes(1, 2).reshape(-1)])
 
 
+def eom_flow(state):
+    """The flow md.eom_rhs of state as (dq, dp, dS), dS as its (M, M, N, N)
+    block grid: the form of md.bracket_flow."""
+    M, N = state.M, state.N
+    dq, dp, dS = md.PhaseState.split(md.eom_rhs(state), M, N)
+    return dq, dp, md.block_grid(dS, M, N)
+
+
 def replace(state, q=None, p=None, spin=None):
     """The state with q, p or spin replaced."""
     return md.PhaseState(state.q if q is None else q,
@@ -54,10 +62,10 @@ def state_at(vec, template):
 
 def rk4_step(state, dt):
     """One classical RK4 step whose every stage packs the flow tuple of
-    md.eom_rhs and rebuilds its state by the public constructor: the step
+    eom_flow and rebuilds its state by the public constructor: the step
     of dynamics._rk4_step, stage by stage with the same arithmetic."""
     def rate(st):
-        return pack(*md.eom_rhs(st))
+        return pack(*eom_flow(st))
 
     vec = pack(state.q, state.p, state.spin.blocks)
     k1 = rate(state)

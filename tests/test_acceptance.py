@@ -110,7 +110,7 @@ def test_04_eom_equivalence():
         fam = rm.make_family(key, N=2, **kwargs)
         for s in range(5):
             st = md.random_state(fam, 3, 1.0, seed=200 + s)
-            dq1, dp1, dS1 = md.eom_rhs(st)
+            dq1, dp1, dS1 = rf.eom_flow(st)
             dq2, dp2, dS2 = md.bracket_flow(st)
             scale = max(np.max(np.abs(st.spin.assemble())), 1.0)
             diff = max(np.max(np.abs(np.array(dp1) - np.array(dp2))),
@@ -122,7 +122,7 @@ def test_04_eom_equivalence():
         # rank-1 states: the general diagonal blocks equal the
         # interacting-tops commutator form
         st = md.random_state(fam, 3, 1.0, seed=300, spin_mode="rank1")
-        _, _, dSa = md.eom_rhs(st)
+        _, _, dSa = rf.eom_flow(st)
         dSb = rf.eom_commutator_diagonal(st)
         for i in range(3):
             diff = np.max(np.abs(dSa[i][i] - dSb[i]))
