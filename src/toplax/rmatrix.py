@@ -10,6 +10,7 @@ identity the Lax construction relies on.
 """
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -306,11 +307,13 @@ class BaxterBelavin(RMatrixFamily):
     the expansion and symmetry properties hold with unit coefficients.
 
     R^hbar(z) = (1/N) sum_a phi_a(z, omega_a + hbar/N) T_a (x) T_{-a}; r, m
-    and their derivatives are the same sector sums at hbar -> 0.  Every
-    matrix, or stack of matrices over an array of z, is built from one
-    specfun.sector_table and one product of its coefficients with the
-    stacked basis.  The table guards z and omega_a + hbar/N only: z +
-    omega_a + hbar/N on the lattice is a zero of the sector's coefficient.
+    and their derivatives are the same sector sums at hbar -> 0, the zero
+    sector's pole removed.  Every matrix, or stack of matrices over an
+    array of z, is one product of the rows of one theta series' table with
+    the stacked basis: specfun.sector_table for R, which guards z and
+    omega_a + hbar/N only (z + omega_a + hbar/N on the lattice is a zero of
+    the sector's coefficient), and for r and m specfun.regular_table on the
+    omega_a constants the family keeps, which guards z.
     """
 
     kind = "bb"
@@ -319,9 +322,6 @@ class BaxterBelavin(RMatrixFamily):
         super().__init__(N, sf.Flavor.elliptic(tau))
         self.tau = self.flavor.tau
         self._sectors = sf.all_sectors(self.N)
-        # the zero sector comes first and T_0 (x) T_0 is the identity
-        self._nonzero = self._sectors[1:]
-        self._omegas = np.array([a.omega(self.tau) for a in self._nonzero])
         # flattened tensor-basis elements T_a (x) T_{-a} (integer-negated
         # label), one row per sector: [a, (i, k), (j, l)] = T_a[i, j]
         # T_{-a}[k, l], one broadcast product of the two halves of one stack
@@ -331,6 +331,13 @@ class BaxterBelavin(RMatrixFamily):
             (2, -1) + (self.N,) * 2)
         self._TT = (T[:, :, None, :, None] * Tm[:, None, :, None, :]).reshape(
             len(T), -1)
+        self._basis = self._TT / self.N
+
+    @functools.cached_property
+    def omega_constants(self):
+        """specfun.omega_constants of this family, from one theta series on
+        first use, then shared read-only."""
+        return sf.omega_constants(self.flavor, self.N)
 
     def params(self):
         return {"tau": [self.tau.real, self.tau.imag]}
@@ -339,48 +346,32 @@ class BaxterBelavin(RMatrixFamily):
         return f"bb(N={self.N})"
 
     def _sum(self, coeffs):
-        """sum_a coeffs[..., a] T_a (x) T_{-a} over all sectors, zero
+        """(1/N) sum_a coeffs[..., a] T_a (x) T_{-a} over all sectors, zero
         first, each matrix rounded as in any stack."""
         n = self.N * self.N
-        return rows_product(coeffs, self._TT).reshape(coeffs.shape[:-1]
-                                                      + (n, n))
+        return rows_product(coeffs, self._basis).reshape(coeffs.shape[:-1]
+                                                         + (n, n))
 
     def _R(self, hbar, z, orders):
         _, phi, _ = sf.sector_table(self.flavor, self._sectors, z,
-                                    hbar / self.N, max(orders))
-        coeffs = np.array([phi[d] for d in orders])
-        out = self._sum(coeffs)
-        out /= self.N
-        return list(out)
-
-    @staticmethod
-    def _r_coeffs(log_z, phi, d):
-        # the scalar part d^d/dz^d E1(z) multiplies T_0 (x) T_0
-        return np.concatenate([log_z[d][..., None], phi[d]], axis=-1)
+                                    hbar / self.N, max(orders), False)
+        if orders != tuple(range(len(phi))):
+            phi = phi[list(orders)]
+        return list(self._sum(phi))
 
     def _r(self, z, orders):
-        log_z, phi, _ = sf.sector_table(self.flavor, self._nonzero, z, 0.0,
-                                        max(orders))
-        coeffs = np.array([self._r_coeffs(log_z, phi, d) for d in orders])
-        return list(self._sum(coeffs) / self.N)
+        return list(self._sum(sf.regular_table(
+            self.flavor, self.omega_constants, z, orders)))
 
     def _r0_and_m0(self):
-        # E1 and -E2 at the omega_a from one series: r0's sector parts are
-        # E1(omega_a) + 2 pi i a2 / N, and in the z -> 0 limit of m the
-        # scalar part tends to kappa/3, the sector part to f(0, omega_a) =
-        # -E2(omega_a)
-        e1, f0 = sf._log_theta(self.flavor, self._omegas, 2)
-        a2 = np.array([a.a2 for a in self._nonzero])
-        r0, m0 = self._sum(np.array([
-            np.concatenate([[0.0], e1 + 2j * cmath.pi * a2 / self.N]),
-            np.concatenate([[sf.kappa_const(self.flavor) / 3.0], f0])]))
-        return r0 / self.N, m0 / (self.N * self.N)
-
-    def _m_coeffs(self, log_z, f):
-        # scalar part (E1^2 - wp)/2 with wp = E2 + kappa/3 = kappa/3 - log_z[1]
-        e1 = log_z[0]
-        wp = -log_z[1] + sf.kappa_const(self.flavor) / 3.0
-        return np.concatenate([((e1 * e1 - wp) / 2.0)[..., None], f], axis=-1)
+        # r0's sector parts are E1(omega_a) + 2 pi i a2 / N; in the z -> 0
+        # limit of m the scalar part tends to kappa/3, the sector part to
+        # f(0, omega_a) = -E2(omega_a)
+        _, twist, _, e1, e1p = self.omega_constants
+        coeffs = np.array([e1 + twist, e1p])
+        coeffs[1, 0] = sf.kappa_const(self.flavor) / 3.0
+        r0, m0 = self._sum(coeffs)
+        return r0, m0 / self.N
 
     def m(self, z):
         z = np.asarray(z, dtype=complex)
@@ -391,15 +382,16 @@ class BaxterBelavin(RMatrixFamily):
             out[small] = self.m0()
             out[~small] = self.m(z[~small])
             return out
-        log_z, _, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
-        return self._sum(self._m_coeffs(log_z, f)) / (self.N * self.N)
+        table = sf.regular_table(self.flavor, self.omega_constants, z,
+                                 (0,), f=True)
+        return self._sum(table[1:])[0] / self.N
 
     def r_and_m(self, z):
         # one series and one two-row sum
-        log_z, phi, f = sf.sector_table(self.flavor, self._nonzero, z, 0.0, 1)
-        r, m = self._sum(np.stack([self._r_coeffs(log_z, phi, 0),
-                                   self._m_coeffs(log_z, f)]))
-        return r / self.N, m / (self.N * self.N)
+        r, m = self._sum(sf.regular_table(
+            self.flavor, self.omega_constants, np.asarray(z, dtype=complex),
+            (0,), f=True))
+        return r, m / self.N
 
 
 FAMILY_KEYS = ("xxx", "11v", "xxz", "7v", "bb")

@@ -114,8 +114,10 @@ def all_sectors(N):
 
 @functools.lru_cache(maxsize=64)
 def _theta_weights(tau, upto):
-    """(h, W) for the reduced series: the half-integers h = +-(k + 1/2) for
-    k < K, and W[h, d] = exp(pi*i*tau*h^2) (2*pi*i*h)^d for d <= upto.
+    """(g, W) for the reduced series: g = 2*pi*i*h over the half-integers
+    h = k + 1/2 for k < K, and W[h, d] = exp(pi*i*(tau*h^2 + h))
+    (2*pi*i*h)^d for d <= upto over those h and then their negatives,
+    exp(pi*i*h) taken exactly as +-i.
 
     For |Im z0| <= Im tau / 2 a term is at most exp(-pi Im tau (h^2 - h))
     in modulus, while the term-magnitude sum of order d is at least
@@ -134,8 +136,9 @@ def _theta_weights(tau, upto):
     hs = [n + 0.5 for n in range(k)]
     hs += [-h for h in hs]
     W = [[cmath.exp(PI_I * tau * h * h) * (TWO_PI_I * h) ** d
-          for d in range(upto + 1)] for h in hs]
-    return np.array(hs), np.array(W)
+          * (1j if (h + 0.5) % 2 else -1j) for d in range(upto + 1)]
+         for h in hs]
+    return TWO_PI_I * np.array(hs[:k]), np.array(W)
 
 
 def theta_sum(zs, tau, upto=0):
@@ -149,22 +152,28 @@ def theta_sum(zs, tau, upto=0):
     there theta(z) = exp(c) theta(z0) with c = pi*i*(m + n) - pi*i*tau*n^2
     - 2*pi*i*n*z0 (DLMF 20.2(iii)).  The reduced series needs a number of
     terms fixed by tau alone (see _theta_weights), so all orders at
-    all arguments take one exp and one matrix product:
-    t = exp(2*pi*i*(z0 + 1/2) h) @ W.
+    all arguments take one exp, over h > 0 (the terms at -h are their
+    reciprocals), and one matrix product: t = exp(2*pi*i*z0 h) @ W.
 
     Returns (t, c, K, n, z0): t[i, d] is the d-th derivative of theta at the
     reduced argument z0[i], c[i] the log factor, K the number of term pairs
-    summed per argument and n[i] the tau-shift count (see _shifted for the
-    derivatives at zs[i]).  zs is a tuple, so that a call is hashable.
+    summed per argument and n[i] the tau-shift count, whose log factor has
+    the z-derivative -2*pi*i*n.  zs is a tuple and K the third value, as
+    perfbench's tracer hashes the arguments and reads the term count.
     """
     z = np.array(zs, dtype=complex)
     n = np.rint(z.imag / tau.imag)
-    m = np.rint((z - n * tau).real)
-    z0 = z - n * tau - m
-    c = PI_I * (m + n) - PI_I * tau * n * n - TWO_PI_I * n * z0
-    h, W = _theta_weights(tau, upto)
-    t = tn.rows_product(np.exp((TWO_PI_I * (z0 + 0.5))[:, None] * h), W)
-    return t, c, len(h) // 2, n, z0
+    nt = n * tau
+    z0 = z - nt
+    m = np.rint(z0.real)
+    z0 -= m
+    c = PI_I * (m + n - n * (nt + 2.0 * z0))
+    g, W = _theta_weights(tau, upto)
+    K = len(g)
+    E = np.empty((len(z), 2 * K), dtype=complex)
+    np.exp(z0[:, None] * g, out=E[:, :K])
+    np.divide(1.0, E[:, :K], out=E[:, K:])
+    return tn.rows_product(E, W), c, K, n, z0
 
 
 def _shifted(t, n):
@@ -331,18 +340,22 @@ def kappa_const(flavor):
     return _theta_at_zero(flavor.tau)[1]
 
 
-def _log_derivs(t):
-    """z-derivatives of log theta of orders 1 .. len(t) - 1 (at most 3)
-    from [theta, theta', ...] at the same arguments (numbers or arrays):
-    E1, -E2 and -E2' there, up to E1's shift by the cell reduction."""
-    g = t[1] / t[0]
-    out = [g]
-    if len(t) > 2:
-        r2 = t[2] / t[0]
-        gp = r2 - g * g
-        out.append(gp)
-        if len(t) > 3:
-            out.append(t[3] / t[0] - r2 * g - 2.0 * g * gp)
+def _log_derivs(t, s):
+    """E1, E1' = -E2 and E1'' = -E2' (orders 1 .. len(t) - 1, at most 3)
+    as the rows of one array, from theta_sum's rows t[d] at the reduced
+    arguments and the z-derivatives s = -2*pi*i*n of their log factors
+    (with a leading axis of 1)."""
+    out = t[1:] / t[:1]
+    g = out[0]
+    if len(out) > 1:
+        gg = g * g
+        out[1] -= gg
+    if len(out) > 2:
+        # E1'' = t3/t0 - 3 E1 t2/t0 + 2 E1^3 = t3/t0 - E1 (3 E1' + E1^2)
+        gg += 3.0 * out[1]
+        out[2] -= g * gg
+    # last, as g is a view of it
+    out[:1] += s
     return out
 
 
@@ -415,7 +428,69 @@ def phi_derivative_f(flavor, z, q):
     return _number(_log_theta(flavor, np.broadcast_arrays(z, q)[1], 2)[1])
 
 
-def sector_table(flavor, sectors, z, u, upto):
+def _pole_guard(args, z0):
+    """Raise PoleProximity if a reduced argument z0 is within POLE_EPS of 0,
+    naming the first nearest of args."""
+    d = list(map(abs, z0.tolist()))
+    nearest = min(d, default=math.inf)
+    if nearest <= POLE_EPS:
+        raise PoleProximity(complex(args[d.index(nearest)]), nearest)
+
+
+def _phi_rows(z_side, zw_side, w_side, lo, upto):
+    """phi_a and its z-derivatives of the orders lo .. upto (lo 0 or 1,
+    upto at most 2), then f_a unless E1(w) is None, as the rows of one
+    (rows, sectors) + broadcast-shape array (see sector_table).
+
+    z_side holds z and, at z, the series rows, log factors and _log_derivs;
+    zw_side the series rows, log factors and their z-derivatives s at
+    z + w;
+    w_side (2*pi*i*a2/N, log(theta'(0)/theta(w0)) - c_w, E1(w)).  The
+    shift of z + w enters through b = a + s, s = -2*pi*i*n_{z+w}, on its
+    reduced rows t: phi = G t0, phi' = G (t1 + b t0), phi'' = G (t2 +
+    2 b t1 + (b^2 - E1'(z)) t0) and f = G (t1 + (s - E1(w)) t0).
+
+    Every array has the axes (rows or 1, sectors or 1) + the broadcast
+    shape, and no complex product writes into an operand: numpy rounds a
+    product of one element otherwise in place or against an operand of
+    fewer axes, and so a number would not get the bits it has in a
+    stack."""
+    z, tz, cz, logs = z_side
+    t, czw, s = zw_side
+    twist, lw, e1w = w_side
+    f = e1w is not None
+    rows = np.empty((upto + 1 - lo + f,) + t.shape[1:], dtype=complex)
+    if lo == 0:
+        rows[0] = t[0]
+    if upto:
+        b = twist - logs[:1] + s
+        # the rows of the orders 1 .. upto
+        d = rows[1 - lo:upto + 1 - lo]
+        np.multiply(b, t[:upto], out=d)
+        d += t[1:upto + 1]
+        if upto == 2:
+            d[1:] += np.multiply(b, d[:1]) - np.multiply(logs[1:2], t[:1])
+    if f:
+        np.multiply(s - e1w, t[:1], out=rows[-1:])
+        rows[-1] += t[1]
+    # the log factors of the cell reduction combined before exponentiating
+    return np.multiply(rows, np.exp(z * twist + czw - cz + lw) / tz[:1])
+
+
+def _series(args, tau, upto):
+    """theta_sum over the tuple args, with its rows t[d] as one contiguous
+    (upto + 1, len(args)) array, and its log factors c and their
+    z-derivatives -2*pi*i*n with a leading axis of 1."""
+    t, c, _, n, z0 = theta_sum(args, tau, upto)
+    return np.ascontiguousarray(t.T), c[None], -TWO_PI_I * n[None], z0
+
+
+def _sector_last(y):
+    """The (rows, sectors) + shape array y with its sector axis last."""
+    return y.transpose((0,) + tuple(range(2, y.ndim)) + (1,))
+
+
+def sector_table(flavor, sectors, z, u, upto, f=True):
     """z-derivatives of phi_a(z, omega_a + u) for every a in sectors and
     every z of a number or an array of them, from one theta series.
 
@@ -439,57 +514,98 @@ def sector_table(flavor, sectors, z, u, upto):
     k <= upto; phi[k][..., i], with the broadcast shape in front, is the
     k-th z-derivative of phi_a for a = sectors[i] and k <= upto (at most
     2); f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a + u), the q-derivative
-    of phi(z, q) at omega_a + u.
+    of phi(z, q) at omega_a + u, or None unless f.
     """
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
         raise ValueError("order must be 0, 1 or 2")
-    zc = np.asarray(z, dtype=complex)[..., None]
-    # ws[..., i] = omega_a + u for a = sectors[i], per element of u; the
-    # sector axis comes last in every group
-    ws = np.asarray(u, dtype=complex)[..., None] + np.array(
-        [a.omega(flavor.tau) for a in sectors], dtype=complex)
-    zw = zc + ws
-    args = np.concatenate([zc.ravel(), ws.ravel(), zw.ravel()])
-    t, c, _, n, z0 = theta_sum(tuple(args.tolist()), flavor.tau, upto + 1)
-    P, W = zc.size, zc.size + ws.size
-    d = list(map(abs, z0[:W].tolist()))
-    nearest = min(d, default=math.inf)
-    if nearest <= POLE_EPS:
-        raise PoleProximity(complex(args[d.index(nearest)]), nearest)
-    t = t.T
+    z, u = np.asarray(z, dtype=complex), np.asarray(u, dtype=complex)
+    shape = np.broadcast_shapes(z.shape, u.shape)
+    # z and u with the axes of the broadcast, and the arguments with a
+    # sector axis in front: w = omega_a + u, then z + w
+    z, u = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (z, u))
+    ws = np.array([a.omega(flavor.tau) for a in sectors], dtype=complex
+                  ).reshape((-1,) + (1,) * len(shape)) + u
+    args = np.concatenate([z.ravel(), ws.ravel(), (z + ws).ravel()])
+    t, c, s, z0 = _series(tuple(args.tolist()), flavor.tau, upto + 1)
+    P, W = z.size, z.size + ws.size
+    _pole_guard(args, z0[:W])
 
     def group(v, lo, hi, shape):
-        # v at args[lo:hi] in its group's shape, after t's order axis
-        return v[..., lo:hi].reshape(v.shape[:-1] + shape)
+        # v at args[lo:hi] in its group's shape, after the leading axis
+        return v[:, lo:hi].reshape(v.shape[:1] + shape)
 
-    tz = group(t, 0, P, zc.shape)
-    log_z = _log_derivs(tz)
-    log_z[0] = log_z[0] - TWO_PI_I * group(n, 0, P, zc.shape)
+    tz, cz, sz = (group(v, 0, P, (1,) + z.shape) for v in (t, c, s))
+    log_z = _log_derivs(tz, sz)
     if not sectors:
         # E1, E2 and E2' alone: phi and f are empty
-        empty = np.zeros(zw.shape, dtype=complex)
-        return [v[..., 0] for v in log_z], [empty] * (upto + 1), empty
-    (tw, cw, nw), (tzw, czw, nzw) = (
-        [group(v, lo, hi, shape) for v in (t, c, n)]
-        for lo, hi, shape in ((P, W, ws.shape), (W, len(args), zw.shape)))
+        empty = np.zeros((upto + 2,) + shape + (0,), dtype=complex)
+        return log_z[:, 0], empty[:-1], empty[-1]
+    (tw, cw, sw), (tzw, czw, szw) = (
+        [group(v, lo, hi, shape) for v in (t, c, s)]
+        for lo, hi, shape in ((P, W, ws.shape), (W, len(args),
+                                                  (len(sectors),) + shape)))
     twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
-    th = _shifted(tzw[:max(upto, 1) + 1], nzw)
-    # the log factors of the cell reduction combined before exponentiating
-    # (np.multiply: a stack's rows round alike, see rmatrix.RMatrixFamily)
-    G = np.multiply(_theta_at_zero(flavor.tau)[0], np.exp(
-        zc * twist + czw - group(c, 0, P, zc.shape) - cw)) / (tz[0] * tw[0])
-    phi = [G * th[0]]
-    if upto:
-        a = twist - log_z[0]
-        phi.append(np.multiply(G, th[1] + a * th[0]))
-        if upto == 2:
-            phi.append(np.multiply(G, th[2] + 2.0 * a * th[1]
-                                   + (a * a - log_z[1]) * th[0]))
-    e1_w = tw[1] / tw[0] - TWO_PI_I * nw
-    return ([v[..., 0] for v in log_z], phi,
-            np.multiply(G, th[1] - e1_w * th[0]))
+    w_side = (twist.reshape((1, -1) + (1,) * len(shape)),
+              np.log(_theta_at_zero(flavor.tau)[0] / tw[:1]) - cw,
+              _log_derivs(tw[:2], sw) if f else None)
+    # the sector axis last again, in memory too: a caller's products then
+    # take the same numpy loops whatever the size of its stack
+    y = np.ascontiguousarray(_sector_last(_phi_rows(
+        (z[None, None], tz, cz, log_z), (tzw, czw, szw), w_side, 0, upto)))
+    return log_z[:, 0], y[:upto + 1], y[-1] if f else None
+
+
+def omega_constants(flavor, N):
+    """The w side of sector_table at u = 0 for all N^2 sectors a, as one
+    read-only (5, N^2) array for a family to keep: the rows omega_a,
+    2*pi*i*a2/N, log(theta'(0)/theta(w0)) - c_w, E1(w) and E1'(w) at
+    w = omega_a, from one theta series.  The zero sector's column is 0 but
+    for its log weight -inf: regular_table fills that sector itself."""
+    sectors = all_sectors(N)
+    out = np.zeros((5, N * N), dtype=complex)
+    out[0] = [a.omega(flavor.tau) for a in sectors]
+    out[1] = [TWO_PI_I * (a.a2 / N) for a in sectors]
+    out[2, 0] = -math.inf
+    if N > 1:
+        t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2)
+        out[2, 1:] = np.log(_theta_at_zero(flavor.tau)[0] / t[0]) - c
+        out[3:, 1:] = _log_derivs(t, s)
+    out.flags.writeable = False
+    return out
+
+
+def regular_table(flavor, constants, z, orders, f=False):
+    """phi_a(z, omega_a) and its z-derivatives of the orders in the tuple
+    orders (each at most 2), then f_a(z, omega_a) if f, for all N^2 sectors
+    a at every z of a complex array, as the rows of one array of shape
+    (len(orders) + f,) + z.shape + (N^2,), from one theta series over z and
+    z + omega_a; constants is omega_constants(flavor, N).
+
+    The zero sector, whose w = 0 is a pole, holds the regular part at u = 0
+    of phi_0(z, u) = 1/u + E1(z) + u (E1(z)^2 - wp(z)) / 2 + O(u^2): E1(z)
+    and its z-derivatives, and (E1^2 - wp)(z) / 2 in the f row.  The other
+    sectors are sector_table's at u = 0, with the same pole guard on z."""
+    lo, upto = min(min(orders), 1), max(orders)
+    # the sector axis in front of z's, the zero sector (omega = 0) first
+    w = constants.reshape((5, 1, -1) + (1,) * z.ndim)
+    X = z + w[0]
+    t, c, s, z0 = _series(tuple(X.ravel().tolist()), flavor.tau,
+                          max(upto, f) + 1)
+    _pole_guard(z.ravel(), z0[:z.size])
+    t = t.reshape((len(t),) + X.shape[1:])
+    c, s = c.reshape(X.shape), s.reshape(X.shape)
+    log_z = _log_derivs(t[:, :1], s[:, :1])
+    y = _phi_rows((z[None, None], t[:, :1], c[:, :1], log_z), (t, c, s),
+                  (w[1], w[2], w[3] if f else None), lo, upto)
+    y[:upto + 1 - lo, :1] = log_z[lo:upto + 1]
+    if f:
+        y[-1:, :1] = (log_z[:1] * log_z[:1] + log_z[1:2]
+                      - kappa_const(flavor) / 3.0) / 2.0
+    if orders != tuple(range(lo, upto + 1)):
+        y = y[[d - lo for d in orders] + [-1] * f]
+    return _sector_last(y)
 
 
 def sample_point(rng, flavor, eps=1e-2):
@@ -582,9 +698,12 @@ def _expansion_residuals(flavor, z, u):
         # reach 2 pi e^(2 pi |Im u|), and the trapezoid rule's truncation,
         # |residue| (radius / distance)^LAURENT_POINTS, with them: f's
         # circle shrinks by the LAURENT_POINTS-th root of that size (its
-        # coefficient c_0 is not divided by a power of the radius)
-        near_f = near_0 * (2.0 * math.pi * np.exp(
-            2.0 * math.pi * np.abs(u.imag))) ** (-1.0 / LAURENT_POINTS)
+        # coefficient c_0 is not divided by a power of the radius), but
+        # no closer to x = 0 than twice the pole guard's POLE_EPS, which
+        # it would pass from Im u = 28 or so
+        near_f = np.maximum(near_0 * (2.0 * math.pi * np.exp(
+            2.0 * math.pi * np.abs(u.imag))) ** (-1.0 / LAURENT_POINTS),
+            2.0 * POLE_EPS)
     kap = kappa_const(flavor)
     e1u, e2u = eisenstein_E1(flavor, u), eisenstein_E2(flavor, u)
     return {   # z[..., None] and u[..., None] against the circle axis

@@ -69,6 +69,21 @@ def test_expansion_oracles_pass_at_default_tol(capsys, argv):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("tau", ["0,30", "0,50"])
+def test_certify_functions_far_up_exits_1(capsys, tau):
+    # at these allowed moduli some identities miss their tolerance (exit
+    # 1), but f's Laurent circle about 0 stays outside the pole guard: no
+    # PoleProximity configuration error (exit 2)
+    code, out, err = run_capture(capsys, [
+        "certify-functions", "--flavor", "elliptic", "--tau", tau,
+        "--seed", "0"])
+    assert code == 1
+    assert "pole" not in err.lower()
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["identities"]["f_at_zero"] < 1e-8
+
+
 def test_certify_rmatrix_bad_family(capsys):
     code, _, _ = run_capture(capsys, [
         "certify-rmatrix", "--family", "unknown"])

@@ -302,11 +302,12 @@ def test_bb_one_series_per_distinct_argument(theta_calls):
     fam.r(0.31 + 0.22j, (1, 2))
     del theta_calls[:]
     # F0 and F0' of a whole array of z share one series (order 3, for
-    # -E2') over each z, each omega_a (a != 0) and each z + omega_a
+    # -E2') over each z, then each z + omega_a (a != 0) sector by sector:
+    # the omega_a are the family's constants, summed once on its first call
     zs = np.array([0.27 - 0.18j, 0.13 + 0.41j, -0.2 + 0.3j])
     fam.r(zs, (1, 2))
     ws = _omegas(fam)[1:]
-    want = list(zs) + ws + [z + w for z in zs for w in ws]
+    want = list(zs) + [z + w for w in ws for z in zs]
     assert theta_calls == [(tuple(want), 3)]
     for dz in (0, 1, 2):
         del theta_calls[:]
@@ -320,13 +321,15 @@ def test_bb_one_series_per_distinct_argument(theta_calls):
         assert len(set(args)) == len(args)
     # spectral points (2, 1) against three pair differences: each pair
     # difference enters once, not once per spectral point, and each
-    # omega_a + hbar/N once per spectral point, not once per pair
+    # omega_a + hbar/N once per spectral point, not once per pair; the
+    # w and z + w come sector by sector
     del theta_calls[:]
     hbars, qs = [0.13 + 0.05j, 0.2 - 0.1j], [0.31 + 0.22j, -0.1 + 0.4j, 0.5j]
     fam.R(np.reshape(hbars, (2, 1)), qs, (0, 1))
     ws = [_omegas(fam, np.complex128(h) / N) for h in hbars]
-    want = qs + ws[0] + ws[1] + [q + w for row in ws for q in qs
-                                 for w in row]
+    sectors = range(N * N)
+    want = qs + [ws[h][a] for a in sectors for h in (0, 1)] + [
+        q + ws[h][a] for a in sectors for h in (0, 1) for q in qs]
     assert theta_calls == [(tuple(want), 2)]
     assert len(set(want)) == len(want)
 
@@ -339,20 +342,21 @@ def test_bb_eom_series_count(theta_calls):
     state = md.random_state(fam, 4, 1.0, seed=3)
     del theta_calls[:]
     md.eom_rhs(state)
-    # one F0/F0' table for all 6 pairs, from one series over 6 + 3 + 18
-    # arguments
-    assert [(len(args), upto) for args, upto in theta_calls] == [(27, 3)]
+    # one F0/F0' table for all 6 pairs, from one series over 6 + 18
+    # arguments (the omega_a are the family's constants)
+    assert [(len(args), upto) for args, upto in theta_calls] == [(24, 3)]
 
 
 def test_bb_pole_guard_covers_each_argument_once(theta_calls):
     # the guard reads the cell reduction of the one series a matrix takes,
-    # whose batch lists z, every w and every z + w once each
+    # whose batch lists z, every w and every z + w once each; r and m take
+    # the w = omega_a from the family's constants, one series on first use
     fam = rm.make_family("bb", N=2, tau=1j)
     z, hbar = 0.31 + 0.22j, 0.13 + 0.05j
     fam.r(z, 1)
     ws = _omegas(fam)[1:]
     assert [args for args, _ in theta_calls] == [
-        tuple([z] + ws + [z + w for w in ws])]
+        tuple(ws), tuple([z] + [z + w for w in ws])]
     del theta_calls[:]
     fam.R(hbar, z)
     ws = _omegas(fam, hbar / 2)
