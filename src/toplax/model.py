@@ -111,7 +111,15 @@ class SpinConfig:
         return self.matrix
 
     def traces(self):
-        return np.einsum("iikk->i", self.blocks)
+        """tr S^ii of every site, read-only, from one einsum on first use:
+        the matrix is read-only."""
+        return self._traces
+
+    @functools.cached_property
+    def _traces(self):
+        tr = np.einsum("iikk->i", self.blocks)
+        tr.flags.writeable = False
+        return tr
 
 
 def spin_from_matrix(S, M, N):
@@ -326,6 +334,38 @@ def hamiltonian(state):
 
 # --- per-pair kernel tables ------------------------------------------------
 
+def _gather_plan(shape, fill, writes):
+    """Read-only positions that gather pair tables from a flat source, in
+    the memory order [t, i, j, a, b, l, k] of the tables t of the shape
+    (T, M, M, N, N, N, N), reshaped to (T, M^2, N^2, N^2): per pair (i, j)
+    the (a, b) x (l, k) matrix of the entries [(a, k), (l, b)] of a source
+    matrix.  writes holds (t, i, j, X): X[..., a, k, l, b] are the
+    positions of the source matrix of the block (i, j), for each pair of
+    the index arrays i, j, in the tables t; fill is the position of every
+    other entry."""
+    plan = np.full(shape, fill)
+    tables = plan.swapaxes(-3, -1)
+    for t, i, j, X in writes:
+        tables[t, i, j] = X
+    M, N = shape[1], shape[3]
+    plan = plan.reshape(shape[0], M * M, N * N, N * N)
+    plan.flags.writeable = False
+    return plan
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_plan(M, N):
+    """The gather of a _pair_tables table, (M^2, N^2, N^2), from the source
+    [the family stack of the ordered pairs, the diagonal matrix] (each
+    flattened): the pair (i, j) reads its stack matrix, each site the
+    diagonal one."""
+    i, j = _ordered_pairs(M)
+    sites = np.arange(M)
+    X = np.arange((len(i) + 1) * N ** 4).reshape(-1, N, N, N, N)
+    return _gather_plan((1, M, M) + (N,) * 4, 0, [(0, i, j, X[:-1]),
+                                                  (0, sites, sites, X[-1])])[0]
+
+
 def _pair_tables(state, z):
     """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N), or
     a stack of them, z.shape + (M, M, N, N, N, N), at an array z.
@@ -337,25 +377,24 @@ def _pair_tables(state, z):
     Rz_coefficients call, so a contraction with the spin gives
     tr_2(S^{ii}_2 r_12(z)) and tr_2(S^{ii}_2 m_12(z)) there.  Each table is
     the swapaxes(-3, -1) view of memory in the order [..., i, j, a, b, l, k]:
-    per block the (a, b) x (l, k) matrix that _contract multiplies in place.
+    per block the (a, b) x (l, k) matrix that _contract multiplies in place,
+    one gather through the cached _pair_plan.
     """
     fam = state.family
     M, N = state.M, state.N
     z = np.asarray(z, dtype=complex)
     shape = z.shape
-    sites = np.arange(M)
     i, j = _ordered_pairs(M)
     # an array of spectral points takes one more axis, for the pairs
     off = list(fam.R(z[..., None] if shape else z, state.qdiff(i, j), (0, 1)))
     tables = []
     for diagonal in fam.Rz_coefficients(z):
-        T = np.empty(shape + (M, M) + (N,) * 4, dtype=complex).swapaxes(-3, -1)
-        T[..., sites, sites, :, :, :, :] = diagonal.reshape(
-            shape + (1, N, N, N, N))
         # each family stack is dropped once copied, so that the two tables
         # and the two stacks are never held at once
-        T[..., i, j, :, :, :, :] = off.pop(0).reshape(shape + (-1, N, N, N, N))
-        tables.append(T)
+        source = np.concatenate([off.pop(0).reshape(shape + (-1,)),
+                                 diagonal.reshape(shape + (-1,))], axis=-1)
+        tables.append(np.take(source, _pair_plan(M, N), axis=-1).reshape(
+            shape + (M, M) + (N,) * 4).swapaxes(-3, -1))
     return tuple(tables)
 
 
@@ -407,19 +446,15 @@ def _eom_plan(M, N):
     K^{ii} = J(S^{ii}), and 0 elsewhere."""
     i, j = sf._pairs(M)
     size = len(i) * N ** 4
-    plan = np.full((2, M, M) + (N,) * 4, 3 * size + N ** 4)
-    tables = plan.swapaxes(-3, -1)
     X = np.arange(2 * size).reshape(2, -1, N, N, N, N)
-    tables[:, i, j] = X
     # the mirror pairs read the factors swapped, F^0' from -F^0'
-    X[1] += size
-    tables[:, j, i] = X.transpose(0, 1, 3, 2, 5, 4)
+    mirror = (X + np.array([0, size]).reshape(2, 1, 1, 1, 1, 1)).transpose(
+        0, 1, 3, 2, 5, 4)
     sites = np.arange(M)
-    tables[0, sites, sites] = (3 * size + np.arange(N ** 4)).reshape(
-        (N,) * 4).swapaxes(-2, -1)
-    plan = plan.reshape(2, M * M, N * N, N * N)
-    plan.flags.writeable = False
-    return plan
+    m0 = (3 * size + np.arange(N ** 4)).reshape((N,) * 4).swapaxes(-2, -1)
+    return _gather_plan((2, M, M) + (N,) * 4, 3 * size + N ** 4, [
+        (slice(None), i, j, X), (slice(None), j, i, mirror),
+        (0, sites, sites, m0)])
 
 
 def eom_rhs(state):
