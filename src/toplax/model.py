@@ -18,32 +18,14 @@ same flow from the Hamiltonian through the linear Poisson-Lie structure
 {S^{ij}_{ab}, S^{kl}_{cd}} = S^{kj}_{cb} d^{il} d_{ad} - S^{il}_{ad} d^{kj} d_{bc}
 and {p_i, q_j} = d_{ij}.  Their agreement is part of the certification.
 
-eom_rhs writes the spin flow as one commutator dS = [S, K] of NM x NM
-matrices.  Pairs couple only through F^0(q_ij) and its q-derivative, each
-evaluated once per pair i < j; the skew-symmetry r_12(z) = -r_21(-z) gives
-the mirror pair, F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P.  The
-tables of K and K' are one gather of [F^0, F^0', -F^0', m(0), 0] through
-an index plan cached per (M, N) (_eom_plan), the one place that holds
-their layout, and K and K' are one _contract over both.
-
-The Lax side reads kernel tables of spectral points z (_pair_tables): L(z),
-M(z), {H, L(z)}, the exchange oracle and the dynamical r-matrix are
-contractions over R^z(q_ij) and F^z(q_ij), with r(z) P and m(z) P on the
-diagonal, each one batched matrix product (tensor.matvec4 against the spin,
-_site_products onto an exchange plane).  The Lax and exchange checks take
-arrays of points and evaluate them as stacks, in tensor.chunks whose
-largest array fits STACK_BYTES; each sample keeps its own norm and residual.
-
-Every table is one family call over an array of pair differences: eom_rhs,
-bracket_flow and hamiltonian read the state's f0_table, F^0 and F^0' of all
-pairs i < j from one r(q, (1, 2)) call on its first read (hamiltonian and
-bracket_flow gather the spin blocks of the sites and pairs through one
-cached plan, _block_positions, and sum as the pair-by-pair loop does), and
-a stack of pair tables takes R^z and F^z of all its points against all
-ordered pairs from one R(z, q, (0, 1)) call; the exchange check reads the
-tables of z, w, z - w and w - z of a chunk of pairs as one such stack, and
-holds both of its sides on two support planes with no dense
-(MN)^2 x (MN)^2 array.
+Every kernel table is one family call over an array of pair differences:
+F^0 and F^0' of the pairs i < j from one r(q, (1, 2)) call per state
+(PhaseState.f0_table), and R^z and F^z of a stack of spectral points
+against all ordered pairs from one R(z, q, (0, 1)) call (_pair_tables).
+The Lax and exchange checks evaluate their points as stacks, in
+tensor.chunks whose largest array fits STACK_BYTES; each sample keeps its
+own norm and residual.  The layout of a table is written once, in cached
+gather plans (_gather_plan).
 """
 
 import cmath
@@ -111,15 +93,11 @@ class SpinConfig:
         return self.matrix
 
     def traces(self):
-        """tr S^ii of every site, read-only, from one einsum on first use:
-        the matrix is read-only."""
+        """tr S^ii of every site, from one einsum on first use (read-only)."""
+        if "_traces" not in vars(self):
+            vars(self)["_traces"] = tr = np.einsum("iikk->i", self.blocks)
+            tr.flags.writeable = False
         return self._traces
-
-    @functools.cached_property
-    def _traces(self):
-        tr = np.einsum("iikk->i", self.blocks)
-        tr.flags.writeable = False
-        return tr
 
 
 def spin_from_matrix(S, M, N):
@@ -335,14 +313,11 @@ def hamiltonian(state):
 # --- per-pair kernel tables ------------------------------------------------
 
 def _gather_plan(shape, fill, writes):
-    """Read-only positions that gather pair tables from a flat source, in
-    the memory order [t, i, j, a, b, l, k] of the tables t of the shape
-    (T, M, M, N, N, N, N), reshaped to (T, M^2, N^2, N^2): per pair (i, j)
-    the (a, b) x (l, k) matrix of the entries [(a, k), (l, b)] of a source
-    matrix.  writes holds (t, i, j, X): X[..., a, k, l, b] are the
-    positions of the source matrix of the block (i, j), for each pair of
-    the index arrays i, j, in the tables t; fill is the position of every
-    other entry."""
+    """Read-only positions in a flat source of T pair tables of the shape
+    (T, M, M, N, N, N, N), as (T, M^2, N^2, N^2): per pair (i, j) the
+    (a, b) x (l, k) matrix of a source matrix's entries [(a, k), (l, b)],
+    at the positions X[..., a, k, l, b] of each (t, i, j, X) of writes and
+    fill elsewhere."""
     plan = np.full(shape, fill)
     tables = plan.swapaxes(-3, -1)
     for t, i, j, X in writes:
@@ -355,10 +330,7 @@ def _gather_plan(shape, fill, writes):
 
 @functools.lru_cache(maxsize=16)
 def _pair_plan(M, N):
-    """The gather of a _pair_tables table, (M^2, N^2, N^2), from the source
-    [the family stack of the ordered pairs, the diagonal matrix] (each
-    flattened): the pair (i, j) reads its stack matrix, each site the
-    diagonal one."""
+    """A _pair_tables gather from [ordered pairs' stack, diagonal]."""
     i, j = _ordered_pairs(M)
     sites = np.arange(M)
     X = np.arange((len(i) + 1) * N ** 4).reshape(-1, N, N, N, N)
@@ -368,18 +340,13 @@ def _pair_plan(M, N):
 
 def _pair_tables(state, z):
     """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N), or
-    a stack of them, z.shape + (M, M, N, N, N, N), at an array z.
-
+    a stack of them, z.shape + (M, M, N, N, N, N), at an array z:
     R[..., i, j, a, k, l, b] = R^z(q_ij)_{(a,k),(l,b)} and F the same of
-    F^z(q_ij), from one R(z, q, (0, 1)) call over all ordered pairs (at an
-    array z, over the broadcast of z[..., None] against them).  The diagonal
-    holds their q -> 0 coefficients r(z) P and m(z) P, from one
-    Rz_coefficients call, so a contraction with the spin gives
-    tr_2(S^{ii}_2 r_12(z)) and tr_2(S^{ii}_2 m_12(z)) there.  Each table is
-    the swapaxes(-3, -1) view of memory in the order [..., i, j, a, b, l, k]:
-    per block the (a, b) x (l, k) matrix that _contract multiplies in place,
-    one gather through the cached _pair_plan.
-    """
+    F^z(q_ij), from one R(z, q, (0, 1)) call over all ordered pairs, and on
+    the diagonal their q -> 0 coefficients r(z) P and m(z) P, from one
+    Rz_coefficients call.  Each is one gather (_pair_plan) into memory in
+    the order [..., i, j, a, b, l, k], per block the (a, b) x (l, k) matrix
+    that _contract multiplies in place, seen through swapaxes(-3, -1)."""
     fam = state.family
     M, N = state.M, state.N
     z = np.asarray(z, dtype=complex)
@@ -418,12 +385,6 @@ def _plus_diagonal(A, d):
 
 # --- Lax pair --------------------------------------------------------------
 
-def build_L(state, z):
-    """Lax matrix: L^{ij} = d_ij (p_i 1 + tr_2(S^ii_2 r_12(z))) +
-    (1 - d_ij) tr_2(S^ij_2 R^z_12(q_ij) P_12)."""
-    return _lax_L(state, _pair_tables(state, z)[0])
-
-
 def _lax_L(state, R):
     """L(z) from the R table of z, or the stack of L from a stack of
     tables."""
@@ -434,16 +395,11 @@ def _lax_L(state, R):
 
 @functools.lru_cache(maxsize=16)
 def _eom_plan(M, N):
-    """The gather of eom_rhs's F^0 and F^0' tables, (2, M^2, N^2, N^2): per
-    pair (i, j) in row-major order the (a, b) x (l, k) matrix of the
-    _pair_tables entry [i, j, a, k, l, b], as read-only positions in the
-    source [F^0, F^0', -F^0', m(0), 0] of the pairs i < j (each flattened).
-
-    It is the scatter of the tables run once on positions: the pairs i < j,
-    their mirrors j, i (F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P;
-    conjugation by P swaps the two tensor factors), m(0) P (m(0) with its
-    column factors swapped) on the diagonal of the F^0 table, which gives
-    K^{ii} = J(S^{ii}), and 0 elsewhere."""
+    """The gather of eom_rhs's F^0 and F^0' tables from [F^0, F^0', -F^0',
+    m(0), 0] of the pairs i < j (each flattened): the pairs i < j, their
+    mirrors j, i (F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P, P
+    swapping the two tensor factors), m(0) P on the diagonal of the F^0
+    table, which gives K^{ii} = J(S^{ii}), and 0 elsewhere."""
     i, j = sf._pairs(M)
     size = len(i) * N ** 4
     X = np.arange(2 * size).reshape(2, -1, N, N, N, N)
@@ -469,10 +425,8 @@ def eom_rhs(state):
     diagonal; dq = p.
 
     F^0 and F^0' are the state's f0_table (whose pole guard covers q_ji,
-    the pole set being symmetric).  The tables of K and K' are one gather
-    through the cached _eom_plan, and K and K' are one batched matrix
-    product of them with one copy of the spin's blocks, each (a, b) x (l, k)
-    matrix against the vector of S^{ij}, as _contract forms them.
+    the pole set being symmetric); K and K' are one gather (_eom_plan) and
+    one batched product with the spin's blocks, as _contract forms them.
     """
     spin = state.spin
     M, N = spin.M, spin.N

@@ -38,11 +38,10 @@ class RMatrixFamily:
     R, r, m and everything built on them take the argument z (for
     R^z(q), q) as a number or as an array of pair differences; an array of
     shape s gives a stack of shape s + (N^2, N^2), one matrix per element,
-    with its bits in a stack of any size: so a complex product with a
-    temporary b is np.multiply(a, b), as numpy runs a * b on a large b as
-    b *= a, whose swapped factors round otherwise.  The hbar of R may be an
-    array too, which broadcasts against z, so that certify evaluates each
-    kernel once over a whole stack of samples.
+    with its bits in a stack of any size (so a complex product with a
+    temporary b is np.multiply(a, b): numpy runs a * b on a large b as
+    b *= a, which rounds otherwise).  The hbar of R may be an array too,
+    which broadcasts against z.
 
     A family implements _R(hbar, z, orders) and _r(z, orders), on complex
     arrays, returning one stack per order and guarding the poles itself.
@@ -308,12 +307,9 @@ class BaxterBelavin(RMatrixFamily):
 
     R^hbar(z) = (1/N) sum_a phi_a(z, omega_a + hbar/N) T_a (x) T_{-a}; r, m
     and their derivatives are the same sector sums at hbar -> 0, the zero
-    sector's pole removed.  Every matrix, or stack of matrices over an
-    array of z, is one product of the rows of one theta series' table with
-    the stacked basis: specfun.sector_table for R, which guards z and
-    omega_a + hbar/N only (z + omega_a + hbar/N on the lattice is a zero of
-    the sector's coefficient), and for r and m specfun.regular_table on the
-    omega_a constants the family keeps, which guards z.
+    sector's pole removed.  A matrix, or a stack over an array of z, is one
+    theta series' table (specfun.sector_table for R, regular_table on the
+    family's omega_constants for r and m) times the stacked basis.
     """
 
     kind = "bb"
@@ -335,8 +331,7 @@ class BaxterBelavin(RMatrixFamily):
 
     @functools.cached_property
     def omega_constants(self):
-        """specfun.omega_constants of this family, from one theta series on
-        first use, then shared read-only."""
+        """specfun.omega_constants, summed on first use and kept."""
         return sf.omega_constants(self.flavor, self.N)
 
     def params(self):
@@ -364,9 +359,8 @@ class BaxterBelavin(RMatrixFamily):
             self.flavor, self.omega_constants, z, orders)))
 
     def _r0_and_m0(self):
-        # r0's sector parts are E1(omega_a) + 2 pi i a2 / N; in the z -> 0
-        # limit of m the scalar part tends to kappa/3, the sector part to
-        # f(0, omega_a) = -E2(omega_a)
+        # r0's sector parts are E1(omega_a) + 2 pi i a2 / N; m(0)'s scalar
+        # part is kappa/3, its sector parts f(0, omega_a) = -E2(omega_a)
         _, twist, _, e1, e1p = self.omega_constants
         coeffs = np.array([e1 + twist, e1p])
         coeffs[1, 0] = sf.kappa_const(self.flavor) / 3.0
@@ -387,7 +381,6 @@ class BaxterBelavin(RMatrixFamily):
         return self._sum(table[1:])[0] / self.N
 
     def r_and_m(self, z):
-        # one series and one two-row sum
         r, m = self._sum(sf.regular_table(
             self.flavor, self.omega_constants, np.asarray(z, dtype=complex),
             (0,), f=True))
@@ -458,14 +451,12 @@ def _site_rel(N, signs, *terms, floor=0.0):
 
 def _sample_entries(N):
     """Complex entries one certification sample holds at once: 2 (N^3 x
-    N^3) three-site stacks (_site_rel's residual and scratch stack), the 28
-    N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z, 2 of its
-    derivative, 4 r, 3 F^0, 3 m), and twice (its exponents and their exp)
-    the theta series of its largest family call: on bb, R at order 0 over
-    14 pairs of 1 + 2 N^2 arguments (z, then w and z + w per sector) of 2K
-    terms, K as at MIN_IM_TAU, the most any modulus needs; the other
-    families sum no series, so this bounds theirs."""
-    terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 3)[0])
+    N^3) three-site stacks (_site_rel's), the 28 N^2 x N^2 kernel stacks of
+    _certify_stack (14 R, 2 F^z, 2 of its derivative, 4 r, 3 F^0, 3 m),
+    and twice the theta series of its largest family call, bb's R at order
+    0 over 14 pairs of 1 + 2 N^2 arguments of 2K terms, K as at MIN_IM_TAU
+    (the other families sum no series)."""
+    terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 3)[1])
     return 2 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
 
 

@@ -23,17 +23,12 @@ TRIGONOMETRIC = "trigonometric"
 ELLIPTIC = "elliptic"
 
 MIN_IM_TAU = 0.05
-# phi and the sector functions combine the cell-reduction factors of theta
-# as exp(c_{x+y} - c_x - c_y), of modulus up to exp(2 pi Im x Im y / Im tau);
-# the identity suites evaluate them at a sum of two cell points (Im up to
-# 2 Im tau) against a cell point, up to exp(4 pi Im tau), which stays finite
+# the cell-reduction factors exp(c_{x+y} - c_x - c_y) of phi reach
+# exp(4 pi Im tau) at a sum of two cell points against a cell point, finite
 # in double precision only below this bound (56.48)
 MAX_IM_TAU = math.log(sys.float_info.max) / (4 * math.pi)
-# the elliptic identities lose digits roughly in proportion to |Re tau|:
-# at 20 samples, seeds 0-2, the identity suite's worst residual reads
-# 7.8e-9 at Re tau = 1e5, 1.6e-8 at 3e5 and 3.4e-8 at 1e6 against its
-# default tol 1e-8, and from about 1e308 the reduction of points to the
-# cell overflows
+# the identity suite's worst residual grows with |Re tau| (20 samples, seeds
+# 0-2): 7.8e-9 at 1e5, 1.6e-8 at 3e5, against its default tol 1e-8
 MAX_RE_TAU = 1e5
 POLE_EPS = 1e-6
 # relative truncation error of the theta series (see _theta_weights)
@@ -114,18 +109,14 @@ def all_sectors(N):
 
 @functools.lru_cache(maxsize=64)
 def _theta_weights(tau, upto):
-    """(g, W) for the reduced series: g = 2*pi*i*h over the half-integers
-    h = k + 1/2 for k < K, and W[h, d] = exp(pi*i*(tau*h^2 + h))
-    (2*pi*i*h)^d for d <= upto over those h and then their negatives,
-    exp(pi*i*h) taken exactly as +-i.
-
-    For |Im z0| <= Im tau / 2 a term is at most exp(-pi Im tau (h^2 - h))
-    in modulus, while the term-magnitude sum of order d is at least
-    2 pi^d exp(-pi Im tau / 4), from the pair h = +-1/2.  K is the first k
-    whose term bound, weighted by (2 pi h)^upto, is below THETA_TOL / 2 of
-    that floor; later terms shrink by a ratio below 1/2 each, so the whole
-    tail stays below THETA_TOL times the term-magnitude sum.
-    """
+    """(g, W): g = 2*pi*i*h over h = k + 1/2, k < K, and W[h, d] =
+    exp(pi*i*(tau*h^2 + h)) (2*pi*i*h)^d, d <= upto, over those h and then
+    their negatives (exp(pi*i*h) exactly +-i).  For |Im z0| <= Im tau / 2 a
+    term is at most exp(-pi Im tau (h^2 - h)), while the term-magnitude sum
+    of order d is at least 2 pi^d exp(-pi Im tau / 4); K is the first k
+    whose bound, weighted by (2 pi h)^upto, is below THETA_TOL / 2 of that,
+    and later terms shrink by a ratio below 1/2, so the tail stays below
+    THETA_TOL times the term-magnitude sum."""
     k = 0
     while True:
         h = k + 0.5
@@ -133,8 +124,7 @@ def _theta_weights(tau, upto):
         if bound * (2 * h) ** upto < THETA_TOL / 2:
             break
         k += 1
-    hs = [n + 0.5 for n in range(k)]
-    hs += [-h for h in hs]
+    hs = [n + 0.5 for n in range(k)] + [-n - 0.5 for n in range(k)]
     W = [[cmath.exp(PI_I * tau * h * h) * (TWO_PI_I * h) ** d
           * (1j if (h + 0.5) % 2 else -1j) for d in range(upto + 1)]
          for h in hs]
@@ -142,25 +132,19 @@ def _theta_weights(tau, upto):
 
 
 def theta_sum(zs, tau, upto=0):
-    """Sum the odd theta series and its first ``upto`` z-derivatives at
-    every argument of the tuple zs, in one pass.
+    """The odd theta series, sum over half-integers h of exp(pi*i*tau*h^2
+    + 2*pi*i*(z + 1/2)*h), and its first upto z-derivatives at every z of
+    the tuple zs, in one pass.  Each z is reduced to the cell, z = z0 + m +
+    n*tau with n = round(Im z / Im tau), m = round(Re(z - n*tau)), where
+    theta(z) = exp(c) theta(z0), c = pi*i*(m + n) - pi*i*tau*n^2 -
+    2*pi*i*n*z0 (DLMF 20.2(iii)), and the reduced series has a number of
+    terms fixed by tau (_theta_weights): t = exp(2*pi*i*z0 h) @ W, one exp
+    over h > 0 (the terms at -h are their reciprocals), one product.
 
-    theta(z) is the sum over half-integers h of exp(pi*i*tau*h^2 +
-    2*pi*i*(z + 1/2)*h).  Each argument is reduced to the cell,
-    z = z0 + m + n*tau with n = round(Im z / Im tau) and
-    m = round(Re(z - n*tau)), so |Re z0| <= 1/2 and |Im z0| <= Im tau / 2;
-    there theta(z) = exp(c) theta(z0) with c = pi*i*(m + n) - pi*i*tau*n^2
-    - 2*pi*i*n*z0 (DLMF 20.2(iii)).  The reduced series needs a number of
-    terms fixed by tau alone (see _theta_weights), so all orders at
-    all arguments take one exp, over h > 0 (the terms at -h are their
-    reciprocals), and one matrix product: t = exp(2*pi*i*z0 h) @ W.
-
-    Returns (t, c, K, n, z0): t[i, d] is the d-th derivative of theta at the
-    reduced argument z0[i], c[i] the log factor, K the number of term pairs
-    summed per argument and n[i] the tau-shift count, whose log factor has
-    the z-derivative -2*pi*i*n.  zs is a tuple and K the third value, as
-    perfbench's tracer hashes the arguments and reads the term count.
-    """
+    Returns (t, c, K, n, z0): t[i, d], the d-th derivative of theta at
+    z0[i], the log factor c[i], the term pairs K per argument and the tau
+    shift n[i].  zs is a tuple, and K is returned, for perfbench's tracer,
+    which hashes the arguments and reads the count; no cache holds it."""
     z = np.array(zs, dtype=complex)
     n = np.rint(z.imag / tau.imag)
     nt = n * tau
@@ -176,36 +160,22 @@ def theta_sum(zs, tau, upto=0):
     return tn.rows_product(E, W), c, K, n, z0
 
 
-def _shifted(t, n):
-    """[theta, theta', ...] at z over exp(c), from theta_sum's t[0], t[1],
-    ... at z0 and n (numbers or arrays): theta^(d)(z) = exp(c) sum_k
-    binom(d, k) s^(d-k) t[k], s = -2*pi*i*n being the derivative of c; the
-    powers of s are products, which round alike in a number and an array."""
-    s = -TWO_PI_I * n
-    out = [t[0]]
-    for d in range(1, len(t)):
-        total, power = t[d], s
-        for k in range(d - 1, 0, -1):
-            total = total + math.comb(d, k) * (power * t[k])
-            power = power * s
-        out.append(total + power * t[0])
-    return out
-
-
 def theta_derivs(z, tau, upto):
-    """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass.
-    Raises ThetaOverflow where theta itself is not representable in
-    floating point.
-    """
+    """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass:
+    theta^(d)(z) = exp(c) sum_k binom(d, k) s^(d-k) t[k], s = -2*pi*i*n
+    being the derivative of theta_sum's log factor c.  Raises ThetaOverflow
+    where theta itself is not representable in floating point."""
     tau = complex(tau)
     _check_modulus(tau)
     if upto < 0:
         raise ValueError("derivative order must be >= 0")
     z = complex(z)
     t, c, _, n, _ = theta_sum((z,), tau, upto)
+    s, t = -TWO_PI_I * float(n[0]), t[0].tolist()
     try:
         scale = cmath.exp(c[0])
-        values = [scale * v for v in _shifted(t[0].tolist(), float(n[0]))]
+        values = [scale * sum(math.comb(d, k) * s ** (d - k) * t[k]
+                              for k in range(d + 1)) for d in range(upto + 1)]
     except OverflowError:
         values = [math.inf]
     if not all(map(cmath.isfinite, values)):
@@ -222,11 +192,7 @@ def theta(z, tau, deriv=0):
 
 @functools.lru_cache(maxsize=64)
 def _theta_at_zero(tau):
-    """(theta'(0), kappa = theta'''(0) / theta'(0)) on modulus tau.
-
-    Both depend on the modulus only, so they are summed once per tau rather
-    than on every kronecker_phi or kappa_const call.
-    """
+    """(theta'(0), kappa = theta'''(0) / theta'(0)), summed once per tau."""
     t = theta_sum((0j,), tau, 3)[0][0]
     return complex(t[1]), complex(t[3] / t[1])
 
@@ -342,9 +308,8 @@ def kappa_const(flavor):
 
 def _log_derivs(t, s):
     """E1, E1' = -E2 and E1'' = -E2' (orders 1 .. len(t) - 1, at most 3)
-    as the rows of one array, from theta_sum's rows t[d] at the reduced
-    arguments and the z-derivatives s = -2*pi*i*n of their log factors
-    (with a leading axis of 1)."""
+    as the rows of one array, from the series rows t[d] at the reduced
+    arguments and the z-derivatives s of their log factors."""
     out = t[1:] / t[:1]
     g = out[0]
     if len(out) > 1:
@@ -354,16 +319,13 @@ def _log_derivs(t, s):
         # E1'' = t3/t0 - 3 E1 t2/t0 + 2 E1^3 = t3/t0 - E1 (3 E1' + E1^2)
         gg += 3.0 * out[1]
         out[2] -= g * gg
-    # last, as g is a view of it
-    out[:1] += s
+    out[:1] += s    # last, as g is a view of it
     return out
 
 
 def _log_theta(flavor, z, upto):
     """[E1, -E2, -E2'][:upto] at a number or an array z, as arrays of its
-    shape: the z-derivatives of log theta (elliptic: the log_z of a
-    sector_table over no sector), of log sinh (trigonometric) or of log
-    (rational)."""
+    shape: the z-derivatives of log theta, log sinh or log by flavor."""
     if flavor.kind == ELLIPTIC:
         return sector_table(flavor, (), z, 0.0, upto - 1)[0]
     z = np.asarray(z, dtype=complex)
@@ -412,8 +374,8 @@ def kronecker_phi(flavor, eta, z):
     which broadcast against each other: E1(eta) + E1(z), or on the
     elliptic flavor the zero sector's sector_table."""
     if flavor.kind == ELLIPTIC:
-        return _number(sector_table(flavor, _ZERO_SECTOR, eta, z, 0)[1][0]
-                       [..., 0])
+        return _number(sector_table(flavor, _ZERO_SECTOR, eta, z, 0, False)
+                       [1][0][..., 0])
     eta, z = np.broadcast_arrays(np.asarray(eta, dtype=complex),
                                  np.asarray(z, dtype=complex))
     e1 = _log_theta(flavor, np.stack([eta, z]), 1)[0]
@@ -429,47 +391,43 @@ def phi_derivative_f(flavor, z, q):
 
 
 def _pole_guard(args, z0):
-    """Raise PoleProximity if a reduced argument z0 is within POLE_EPS of 0,
-    naming the first nearest of args."""
+    """Raise PoleProximity, naming the first nearest of args, if a reduced
+    argument z0 lies within POLE_EPS of 0."""
     d = list(map(abs, z0.tolist()))
     nearest = min(d, default=math.inf)
     if nearest <= POLE_EPS:
         raise PoleProximity(complex(args[d.index(nearest)]), nearest)
 
 
-def _phi_rows(z_side, zw_side, w_side, lo, upto):
-    """phi_a and its z-derivatives of the orders lo .. upto (lo 0 or 1,
-    upto at most 2), then f_a unless E1(w) is None, as the rows of one
-    (rows, sectors) + broadcast-shape array (see sector_table).
+def _series(args, tau, upto):
+    """theta_sum over the tuple args: its rows t[d] contiguous, and its log
+    factors c and their z-derivatives -2*pi*i*n with a leading axis."""
+    t, c, _, n, z0 = theta_sum(args, tau, upto)
+    return np.ascontiguousarray(t.T), c[None], -TWO_PI_I * n[None], z0
 
-    z_side holds z and, at z, the series rows, log factors and _log_derivs;
-    zw_side the series rows, log factors and their z-derivatives s at
-    z + w;
-    w_side (2*pi*i*a2/N, log(theta'(0)/theta(w0)) - c_w, E1(w)).  The
-    shift of z + w enters through b = a + s, s = -2*pi*i*n_{z+w}, on its
-    reduced rows t: phi = G t0, phi' = G (t1 + b t0), phi'' = G (t2 +
-    2 b t1 + (b^2 - E1'(z)) t0) and f = G (t1 + (s - E1(w)) t0).
 
-    Every array has the axes (rows or 1, sectors or 1) + the broadcast
-    shape, and no complex product writes into an operand: numpy rounds a
-    product of one element otherwise in place or against an operand of
-    fewer axes, and so a number would not get the bits it has in a
-    stack."""
-    z, tz, cz, logs = z_side
-    t, czw, s = zw_side
-    twist, lw, e1w = w_side
+def _phi_rows(z, tz, cz, log_z, t, czw, s, twist, lw, e1w, lo, upto):
+    """The rows phi_a^(lo) .. phi_a^(upto), lo <= 1, then f_a unless e1w is
+    None (sector_table), from z, its rows tz, log factor cz and log_z; the
+    rows t, log factors czw and their z-derivatives s at z + w; and per w
+    2*pi*i*a2/N, lw = log(theta'(0)/theta(w0)) - c_w and E1(w).  With G =
+    phi / theta(z + w), a = 2*pi*i*a2/N - E1(z) and b = a + s on the
+    reduced rows: phi = G t0, phi' = G (t1 + b t0), phi'' = G (t2 + 2 b t1
+    + (b^2 - E1'(z)) t0), f = G (t1 + (s - E1(w)) t0).  Each array has the
+    axes (rows or 1, sectors or 1) + shape, and no complex product writes
+    into an operand: numpy rounds such one-element products otherwise."""
     f = e1w is not None
     rows = np.empty((upto + 1 - lo + f,) + t.shape[1:], dtype=complex)
     if lo == 0:
         rows[0] = t[0]
     if upto:
-        b = twist - logs[:1] + s
+        b = twist - log_z[:1] + s
         # the rows of the orders 1 .. upto
         d = rows[1 - lo:upto + 1 - lo]
         np.multiply(b, t[:upto], out=d)
         d += t[1:upto + 1]
         if upto == 2:
-            d[1:] += np.multiply(b, d[:1]) - np.multiply(logs[1:2], t[:1])
+            d[1:] += np.multiply(b, d[:1]) - np.multiply(log_z[1:2], t[:1])
     if f:
         np.multiply(s - e1w, t[:1], out=rows[-1:])
         rows[-1] += t[1]
@@ -477,53 +435,24 @@ def _phi_rows(z_side, zw_side, w_side, lo, upto):
     return np.multiply(rows, np.exp(z * twist + czw - cz + lw) / tz[:1])
 
 
-def _series(args, tau, upto):
-    """theta_sum over the tuple args, with its rows t[d] as one contiguous
-    (upto + 1, len(args)) array, and its log factors c and their
-    z-derivatives -2*pi*i*n with a leading axis of 1."""
-    t, c, _, n, z0 = theta_sum(args, tau, upto)
-    return np.ascontiguousarray(t.T), c[None], -TWO_PI_I * n[None], z0
-
-
-def _sector_last(y):
-    """The (rows, sectors) + shape array y with its sector axis last."""
-    return y.transpose((0,) + tuple(range(2, y.ndim)) + (1,))
-
-
 def sector_table(flavor, sectors, z, u, upto, f=True):
-    """z-derivatives of phi_a(z, omega_a + u) for every a in sectors and
-    every z of a number or an array of them, from one theta series.
-
-    u is a number, or an array that broadcasts against z: each element of
-    the broadcast shape pairs one z with one u.  phi_a(z, w) =
-    exp(2*pi*i*a2*z/N) * phi(z, w), and phi(z, w) = theta'(0) theta(z + w)
-    / (theta(z) theta(w)).  One theta_sum call (to order upto + 1) covers
-    each element of z, each w = omega_a + u (once per sector and element
-    of u) and each z + w over the broadcast.  Its cell reduction guards the
-    poles, z and w on the lattice: a lattice point within Im tau / 2 (over
-    POLE_EPS) of an argument is the m + n*tau of its reduction.  z + w on
-    the lattice is a zero of phi_a (DLMF 20.2(iv)), so nothing divides by
-    theta(z + w): with G = theta'(0) exp(2*pi*i*a2*z/N) / (theta(z)
-    theta(w)), a = 2*pi*i*a2/N - E1(z) and Th = theta(z + w),
-        phi = G Th,  phi' = G (Th' + a Th),
-        phi'' = G (Th'' + 2 a Th' + (a^2 - E1'(z)) Th),
-        f = G (Th' - E1(w) Th).
-
-    Returns (log_z, phi, f): log_z[k], with the shape of z, is the
-    (k + 1)-th z-derivative of log theta at z (E1, -E2, -E2') for
-    k <= upto; phi[k][..., i], with the broadcast shape in front, is the
-    k-th z-derivative of phi_a for a = sectors[i] and k <= upto (at most
-    2); f[..., i] = exp(2*pi*i*a2*z/N) f(z, omega_a + u), the q-derivative
-    of phi(z, q) at omega_a + u, or None unless f.
-    """
+    """(log_z, phi, f) of phi_a(z, w) = exp(2*pi*i*a2*z/N) theta'(0)
+    theta(z + w) / (theta(z) theta(w)), w = omega_a + u, for every a in
+    sectors and every z of a number or an array (u broadcasts against z),
+    from one theta series over each z, w and z + w: log_z[k] the (k + 1)-th
+    z-derivative of log theta at z (E1, -E2, -E2'), phi[k][..., i] the k-th
+    z-derivative of phi_a, a = sectors[i], k <= upto <= 2, and f[..., i] =
+    exp(2*pi*i*a2*z/N) f(z, w) (None unless f).  Nothing divides by
+    theta(z + w), whose zeros (DLMF 20.2(iv)) are zeros of phi_a (see
+    _phi_rows); the cell reduction guards z and w (POLE_EPS)."""
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
         raise ValueError("order must be 0, 1 or 2")
     z, u = np.asarray(z, dtype=complex), np.asarray(u, dtype=complex)
     shape = np.broadcast_shapes(z.shape, u.shape)
-    # z and u with the axes of the broadcast, and the arguments with a
-    # sector axis in front: w = omega_a + u, then z + w
+    # z and u with the axes of the broadcast, w and z + w with a sector
+    # axis in front
     z, u = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (z, u))
     ws = np.array([a.omega(flavor.tau) for a in sectors], dtype=complex
                   ).reshape((-1,) + (1,) * len(shape)) + u
@@ -531,42 +460,34 @@ def sector_table(flavor, sectors, z, u, upto, f=True):
     t, c, s, z0 = _series(tuple(args.tolist()), flavor.tau, upto + 1)
     P, W = z.size, z.size + ws.size
     _pole_guard(args, z0[:W])
-
-    def group(v, lo, hi, shape):
-        # v at args[lo:hi] in its group's shape, after the leading axis
-        return v[:, lo:hi].reshape(v.shape[:1] + shape)
-
-    tz, cz, sz = (group(v, 0, P, (1,) + z.shape) for v in (t, c, s))
+    (tz, cz, sz), (tw, cw, sw), (tzw, czw, szw) = (
+        [v[:, lo:hi].reshape(v.shape[:1] + group) for v in (t, c, s)]
+        for lo, hi, group in ((0, P, (1,) + z.shape), (P, W, ws.shape),
+                              (W, len(args), (len(sectors),) + shape)))
     log_z = _log_derivs(tz, sz)
     if not sectors:
         # E1, E2 and E2' alone: phi and f are empty
         empty = np.zeros((upto + 2,) + shape + (0,), dtype=complex)
         return log_z[:, 0], empty[:-1], empty[-1]
-    (tw, cw, sw), (tzw, czw, szw) = (
-        [group(v, lo, hi, shape) for v in (t, c, s)]
-        for lo, hi, shape in ((P, W, ws.shape), (W, len(args),
-                                                  (len(sectors),) + shape)))
     twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
-    w_side = (twist.reshape((1, -1) + (1,) * len(shape)),
-              np.log(_theta_at_zero(flavor.tau)[0] / tw[:1]) - cw,
-              _log_derivs(tw[:2], sw) if f else None)
-    # the sector axis last again, in memory too: a caller's products then
-    # take the same numpy loops whatever the size of its stack
-    y = np.ascontiguousarray(_sector_last(_phi_rows(
-        (z[None, None], tz, cz, log_z), (tzw, czw, szw), w_side, 0, upto)))
+    y = _phi_rows(z[None, None], tz, cz, log_z, tzw, czw, szw,
+                  twist.reshape((1, -1) + (1,) * len(shape)),
+                  np.log(_theta_at_zero(flavor.tau)[0] / tw[:1]) - cw,
+                  _log_derivs(tw[:2], sw) if f else None, 0, upto)
+    # the sector axis last, in memory too, as callers take products of it
+    y = np.ascontiguousarray(y.transpose((0,) + tuple(range(2, y.ndim))
+                                         + (1,)))
     return log_z[:, 0], y[:upto + 1], y[-1] if f else None
 
 
 def omega_constants(flavor, N):
-    """The w side of sector_table at u = 0 for all N^2 sectors a, as one
-    read-only (5, N^2) array for a family to keep: the rows omega_a,
-    2*pi*i*a2/N, log(theta'(0)/theta(w0)) - c_w, E1(w) and E1'(w) at
-    w = omega_a, from one theta series.  The zero sector's column is 0 but
-    for its log weight -inf: regular_table fills that sector itself."""
-    sectors = all_sectors(N)
+    """Read-only rows over the N^2 sectors a of omega_a, 2*pi*i*a2/N,
+    log(theta'(0)/theta(w0)) - c_w, E1(w) and E1'(w) at w = omega_a, from
+    one theta series: the constants of regular_table, kept by a family.
+    The zero sector's column is 0, its log weight -inf."""
     out = np.zeros((5, N * N), dtype=complex)
-    out[0] = [a.omega(flavor.tau) for a in sectors]
-    out[1] = [TWO_PI_I * (a.a2 / N) for a in sectors]
+    out[0] = [a.omega(flavor.tau) for a in all_sectors(N)]
+    out[1] = [TWO_PI_I * (a.a2 / N) for a in all_sectors(N)]
     out[2, 0] = -math.inf
     if N > 1:
         t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2)
@@ -577,16 +498,11 @@ def omega_constants(flavor, N):
 
 
 def regular_table(flavor, constants, z, orders, f=False):
-    """phi_a(z, omega_a) and its z-derivatives of the orders in the tuple
-    orders (each at most 2), then f_a(z, omega_a) if f, for all N^2 sectors
-    a at every z of a complex array, as the rows of one array of shape
-    (len(orders) + f,) + z.shape + (N^2,), from one theta series over z and
-    z + omega_a; constants is omega_constants(flavor, N).
-
-    The zero sector, whose w = 0 is a pole, holds the regular part at u = 0
-    of phi_0(z, u) = 1/u + E1(z) + u (E1(z)^2 - wp(z)) / 2 + O(u^2): E1(z)
-    and its z-derivatives, and (E1^2 - wp)(z) / 2 in the f row.  The other
-    sectors are sector_table's at u = 0, with the same pole guard on z."""
+    """The rows phi_a^(d)(z, omega_a), d in the tuple orders, then f_a if
+    f, over a complex array z and all N^2 sectors a (the last axis), from
+    one theta series over z and z + omega_a.  The zero sector holds the
+    regular part at u = 0 of phi_0(z, u) = 1/u + E1(z) + u (E1^2 - wp)(z)
+    / 2 + O(u^2): E1 and its derivatives, and (E1^2 - wp) / 2 as f."""
     lo, upto = min(min(orders), 1), max(orders)
     # the sector axis in front of z's, the zero sector (omega = 0) first
     w = constants.reshape((5, 1, -1) + (1,) * z.ndim)
@@ -594,27 +510,24 @@ def regular_table(flavor, constants, z, orders, f=False):
     t, c, s, z0 = _series(tuple(X.ravel().tolist()), flavor.tau,
                           max(upto, f) + 1)
     _pole_guard(z.ravel(), z0[:z.size])
-    t = t.reshape((len(t),) + X.shape[1:])
-    c, s = c.reshape(X.shape), s.reshape(X.shape)
+    t, c, s = (v.reshape(v.shape[:1] + X.shape[1:]) for v in (t, c, s))
     log_z = _log_derivs(t[:, :1], s[:, :1])
-    y = _phi_rows((z[None, None], t[:, :1], c[:, :1], log_z), (t, c, s),
-                  (w[1], w[2], w[3] if f else None), lo, upto)
+    y = _phi_rows(z[None, None], t[:, :1], c[:, :1], log_z, t, c, s, w[1],
+                  w[2], w[3] if f else None, lo, upto)
     y[:upto + 1 - lo, :1] = log_z[lo:upto + 1]
     if f:
         y[-1:, :1] = (log_z[:1] * log_z[:1] + log_z[1:2]
                       - kappa_const(flavor) / 3.0) / 2.0
     if orders != tuple(range(lo, upto + 1)):
         y = y[[d - lo for d in orders] + [-1] * f]
-    return _sector_last(y)
+    return y.transpose((0,) + tuple(range(2, y.ndim)) + (1,))
 
 
 def sample_point(rng, flavor, eps=1e-2):
-    """Draw one pole-avoiding complex argument for identity sampling.
-
-    Rational/trigonometric: uniform in the unit box centered at 0.5 + 0.25i.
-    Elliptic: uniform in the fundamental cell spanned by 1 and tau.
-    Redraws until the point clears the margin eps (coarser than the pole
-    guard, so that differences and sums of samples stay well-conditioned).
+    """One complex argument for identity sampling, uniform in the unit box
+    centered at 0.5 + 0.25i (rational, trigonometric) or in the cell spanned
+    by 1 and tau (elliptic), redrawn until it clears the margin eps (coarser
+    than the pole guard, so that sums and differences stay well-conditioned).
     """
     for _ in range(1000):
         if flavor.kind == ELLIPTIC:
@@ -699,8 +612,7 @@ def _expansion_residuals(flavor, z, u):
         # |residue| (radius / distance)^LAURENT_POINTS, with them: f's
         # circle shrinks by the LAURENT_POINTS-th root of that size (its
         # coefficient c_0 is not divided by a power of the radius), but
-        # no closer to x = 0 than twice the pole guard's POLE_EPS, which
-        # it would pass from Im u = 28 or so
+        # stays twice the pole guard's POLE_EPS off x = 0
         near_f = np.maximum(near_0 * (2.0 * math.pi * np.exp(
             2.0 * math.pi * np.abs(u.imag))) ** (-1.0 / LAURENT_POINTS),
             2.0 * POLE_EPS)
@@ -820,21 +732,18 @@ def _sector_residuals(flavor, N, samples):
 
 
 def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
-    """Max relative residuals of the scalar identity suite over random draws.
-
-    Returns {"flavor", "samples", "seed", "identities": {name: max_residual}}.
-    Sector identities are evaluated for the elliptic flavor only, for each
-    N in sector_sizes (they are lattice sums over Z_N x Z_N).  All samples
-    are drawn first; a sample holds its largest theta series at once: 3
-    arguments per expansion-circle point, 2 + 4 N^2 per sector, each summed
-    as 2K complex terms (K as at MIN_IM_TAU, the most any modulus needs).
-    """
+    """Max relative residuals of the scalar identity suite over random
+    draws: {"flavor", "samples", "seed", "identities": {name: max_residual}}.
+    The sector identities (lattice sums over Z_N x Z_N) are elliptic only,
+    for each N in sector_sizes.  All samples are drawn first; a sample holds
+    its largest theta series at once: 3 arguments per expansion-circle
+    point, 2 + 4 N^2 per sector, each of 2K terms (K as at MIN_IM_TAU)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     samples = np.array([sample_tuple(rng, flavor, 4)
                         for _ in range(n_samples)])
-    terms = len(_theta_weights(complex(0, MIN_IM_TAU), 2)[0])
+    terms = len(_theta_weights(complex(0, MIN_IM_TAU), 2)[1])
     worst = max_residuals(samples, terms * 3 * LAURENT_POINTS,
                           functools.partial(_core_residuals, flavor))
     # E1(x) = 1/x + x*kappa/3 + O(x^3) at x = 0, on one circle of no sample

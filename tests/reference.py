@@ -145,6 +145,12 @@ def eom_commutator_diagonal(state):
     return np.array(out)
 
 
+def build_L(state, z):
+    """Lax matrix: L^{ij} = d_ij (p_i 1 + tr_2(S^ii_2 r_12(z))) +
+    (1 - d_ij) tr_2(S^ij_2 R^z_12(q_ij) P_12), the L(z) of md.lax_check."""
+    return md._lax_L(state, md._pair_tables(state, z)[0])
+
+
 def build_M(state, z):
     """Accompanying matrix: M^{ij} = d_ij tr_2(S^ii_2 m_12(z)) +
     (1 - d_ij) tr_2(S^ij_2 F^z_12(q_ij) P_12), the M(z) of md.lax_check."""

@@ -184,7 +184,7 @@ def test_06_reduction_fidelity():
         fl = fam.flavor
         st = md.random_state(fam, 3, 0.7 + 0.2j, seed=8)
         z = 0.63 - 0.12j
-        L = md.build_L(st, z)
+        L = rf.build_L(st, z)
         for i in range(3):
             for j in range(3):
                 s = st.spin.block(i, j)[0, 0]
@@ -213,7 +213,7 @@ def test_06_reduction_fidelity():
                 coef = cmath.exp(2j * cmath.pi * a2 * z / N) \
                     * sf.kronecker_phi(fl, z, (a1 + a2 * fl.tau) / N)
             acc += Sa * coef * tn.sin_basis_T_int(a1, a2, N)
-    diff = float(np.max(np.abs(md.build_L(st, z) - acc)))
+    diff = float(np.max(np.abs(rf.build_L(st, z) - acc)))
     worst = max(worst, diff)
     assert diff < 1e-12
 

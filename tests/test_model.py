@@ -183,7 +183,7 @@ def test_lax_N1_entrywise():
         fl = fam.flavor
         st = md.random_state(fam, 3, 0.7 + 0.2j, seed=8)
         z = 0.63 - 0.12j
-        L = md.build_L(st, z)
+        L = rf.build_L(st, z)
         for i in range(3):
             for j in range(3):
                 s = st.spin.block(i, j)[0, 0]
@@ -228,7 +228,7 @@ def test_lax_M1_sector_form():
                 coef = cmath.exp(2j * cmath.pi * a2 * z / N) \
                     * sf.kronecker_phi(fl, z, om)
             acc += Sa * coef * tn.sin_basis_T_int(a1, a2, N)
-    L = md.build_L(st, z)
+    L = rf.build_L(st, z)
     assert np.max(np.abs(L - acc)) < 1e-12
 
 
@@ -262,7 +262,7 @@ def test_lax_blocks_match_per_pair_kernels():
         st = md.random_state(fam, 3, 1.0, seed=13)
         z = 0.31 + 0.22j
         P = tn.permutation_P(2)
-        L = tn.block_grid(md.build_L(st, z), 3, 2)
+        L = tn.block_grid(rf.build_L(st, z), 3, 2)
         Mz = tn.block_grid(rf.build_M(st, z), 3, 2)
         for i in range(3):
             for j in range(3):
@@ -422,7 +422,7 @@ def test_stacked_checks_match_single_points(key):
     zs = np.array([sf.sample_point(rng, fam.flavor) for _ in range(12)])
     Ls, residuals = md.lax_check(st, zs)
     for z, L, residual in zip(zs, Ls, residuals):
-        assert np.array_equal(L, md.build_L(st, z))
+        assert np.array_equal(L, rf.build_L(st, z))
         assert abs(residual - md.lax_check(st, [z])[1][0]) <= 1e-15
     z, w = zs[:6], zs[6:]
     stacked = md.exchange_residual(st, z, w)
@@ -699,7 +699,7 @@ def test_exchange_rhs_matches_dense_commutators(key, N):
         st = _off_constraint_state(fam, M, 47)
         dim = (M * N) ** 2
         eM, eN = np.eye(M), np.eye(N)
-        Lz, Lw = (md.build_L(st, v).reshape(M, N, M, N) for v in (z, w))
+        Lz, Lw = (rf.build_L(st, v).reshape(M, N, M, N) for v in (z, w))
         L1 = np.einsum("iajb,kl,cd->ikacjlbd", Lz, eM, eN).reshape(dim, dim)
         L2 = np.einsum("ij,ab,kcld->ikacjlbd", eM, eN, Lw).reshape(dim, dim)
         r = rf.classical_r_big(st, z, w)
@@ -747,7 +747,7 @@ def _bracket_oracle(st, z, w):
     q, e = np.array(st.q), np.eye(M)
 
     def L_at(v, spin=st.spin, p=st.p, q=q):
-        return md.build_L(rf.replace(st, q=q, p=p, spin=spin), v)
+        return rf.build_L(rf.replace(st, q=q, p=p, spin=spin), v)
 
     units = np.eye(n * n).reshape(n * n, n, n)
     grads = [np.array([L_at(v, md.spin_from_matrix(E, M, N), np.zeros(M))

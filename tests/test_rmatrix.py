@@ -426,6 +426,57 @@ def _mp_bb(fam, q, hbar=None):
     return [v / N ** (2 if k == 3 else 1) for k, v in enumerate(out)]
 
 
+@pytest.mark.parametrize("N, tau", [(2, 1j), (2, 0.3 + 0.8j), (3, 1j),
+                                    (3, 0.3 + 0.8j)])
+def test_bb_kernels_match_mpmath(N, tau):
+    # r and its first two derivatives, m and r_and_m (the u = 0 table on
+    # the family's omega constants) and R with its derivatives (u != 0)
+    # against the mpmath sector sums, to 1e-13 relative, at arguments off
+    # the cell and on either side of it, whose z and z + omega_a reduce
+    # with tau shifts n != 0, one by one and as one stack
+    pytest.importorskip("mpmath")
+    fam = rm.make_family("bb", N=N, tau=tau)
+    hbar = 0.13 + 0.05j
+    qs = np.array([0.23 + 0.71j, -0.31 - 0.64j, 0.4 + 1.3j, 0.17 + 0.38j,
+                   -0.2 + 2.4j]) * fam.tau.imag
+    assert np.any(np.abs(np.rint(qs.imag / fam.tau.imag)) >= 1)
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    stacks = [*fam.r(qs, (0, 1, 2)), fam.m(qs), *fam.r_and_m(qs),
+              *fam.R(hbar, qs, (0, 1, 2))]
+    for k, q in enumerate(qs.tolist()):
+        r, dr, ddr, m = _mp_bb(fam, q)
+        want = [r, dr, ddr, m, r, m, *_mp_bb(fam, q, hbar)]
+        got = [*fam.r(q, (0, 1, 2)), fam.m(q), *fam.r_and_m(q),
+               *fam.R(hbar, q, (0, 1, 2))]
+        for g, s, w in zip(got, stacks, want):
+            close(g, w)
+            close(s[k], w)
+
+
+def test_bb_omega_constants_belong_to_their_family():
+    # the omega constants are summed once per family and shared read-only;
+    # families at another tau or N hold their own, of their own size
+    fams = [rm.make_family("bb", N=N, tau=tau)
+            for N, tau in ((2, 1j), (2, 0.3 + 0.8j), (3, 1j))]
+    held = [fam.omega_constants for fam in fams]
+    for fam, consts in zip(fams, held):
+        assert fam.omega_constants is consts
+        assert consts.shape == (5, fam.N ** 2)
+        assert not consts.flags.writeable
+        with pytest.raises(ValueError):
+            consts[0, 0] = 1.0
+    for k, a in enumerate(held):
+        for b in held[k + 1:]:
+            assert not np.shares_memory(a, b)
+            assert a.shape != b.shape or not np.array_equal(a, b)
+    # the same modulus and N again: an equal array, not the same one
+    again = rm.make_family("bb", N=2, tau=1j).omega_constants
+    assert again is not held[0] and np.array_equal(again, held[0])
+
+
 @pytest.mark.parametrize("N, tau, sectors", [
     (2, 1j, [(0, 1), (1, 0), (1, 1)]), (3, 0.3 + 0.8j, [(1, 2), (2, 1)])])
 def test_bb_matrices_at_the_zeros_of_phi(N, tau, sectors):
