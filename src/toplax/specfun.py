@@ -128,19 +128,17 @@ def _theta_weights(tau, upto):
     W = [[cmath.exp(PI_I * tau * h * h) * (TWO_PI_I * h) ** d
           * (1j if (h + 0.5) % 2 else -1j) for d in range(upto + 1)]
          for h in hs]
-    return TWO_PI_I * np.array(hs[:k]), np.array(W)
+    return TWO_PI_I * np.array(hs[:k])[:, None], np.array(W)
 
 
 def theta_sum(zs, tau, upto=0):
     """The odd theta series, sum over half-integers h of exp(pi*i*tau*h^2
     + 2*pi*i*(z + 1/2)*h), and its first upto z-derivatives at every z of
-    the tuple zs, in one pass.  Each z is reduced to the cell, z = z0 + m +
-    n*tau with n = round(Im z / Im tau), m = round(Re(z - n*tau)), where
-    theta(z) = exp(c) theta(z0), c = pi*i*(m + n) - pi*i*tau*n^2 -
-    2*pi*i*n*z0 (DLMF 20.2(iii)), and the reduced series has a number of
-    terms fixed by tau (_theta_weights): t = exp(2*pi*i*z0 h) @ W, one exp
-    over h > 0 (the terms at -h are their reciprocals), one product.
-
+    the tuple zs.  Each z is reduced to the cell, z = z0 + m + n*tau, n =
+    round(Im z / Im tau), m = round(Re(z - n*tau)): theta(z) = exp(c)
+    theta(z0), c = pi*i*(m + n) - pi*i*tau*n^2 - 2*pi*i*n*z0 (DLMF
+    20.2(iii)), with terms fixed by tau (_theta_weights): t = exp(2*pi*i*z0
+    h) @ W, one exp over h > 0 (those at -h are reciprocals), one product.
     Returns (t, c, K, n, z0): t[i, d], the d-th derivative of theta at
     z0[i], the log factor c[i], the term pairs K per argument and the tau
     shift n[i].  zs is a tuple, and K is returned, for perfbench's tracer,
@@ -154,10 +152,13 @@ def theta_sum(zs, tau, upto=0):
     c = PI_I * (m + n - n * (nt + 2.0 * z0))
     g, W = _theta_weights(tau, upto)
     K = len(g)
-    E = np.empty((len(z), 2 * K), dtype=complex)
-    np.exp(z0[:, None] * g, out=E[:, :K])
-    np.divide(1.0, E[:, :K], out=E[:, K:])
-    return tn.rows_product(E, W), c, K, n, z0
+    # a column per argument, one twice, as in tensor.rows_product
+    L = len(z)
+    E = np.empty((2 * K, L + (L == 1)), dtype=complex)
+    np.exp(g * z0, out=E[:K, :L])
+    E[:K, L:] = E[:K, :1]
+    np.reciprocal(E[:K], out=E[K:])
+    return (E.T @ W)[:L], c, K, n, z0
 
 
 def theta_derivs(z, tau, upto):
@@ -391,19 +392,19 @@ def phi_derivative_f(flavor, z, q):
 
 
 def _pole_guard(args, z0):
-    """Raise PoleProximity, naming the first nearest of args, if a reduced
-    argument z0 lies within POLE_EPS of 0."""
+    """PoleProximity at the nearest of args whose z0 is within POLE_EPS."""
     d = list(map(abs, z0.tolist()))
     nearest = min(d, default=math.inf)
     if nearest <= POLE_EPS:
         raise PoleProximity(complex(args[d.index(nearest)]), nearest)
 
 
-def _series(args, tau, upto):
-    """theta_sum over the tuple args: its rows t[d] contiguous, and its log
-    factors c and their z-derivatives -2*pi*i*n with a leading axis."""
+def _series(args, tau, upto, shape):
+    """theta_sum's rows t[d], log factors c, their z-derivatives -2*pi*i*n
+    (each of shape after a leading axis) and reduced arguments over args."""
     t, c, _, n, z0 = theta_sum(args, tau, upto)
-    return np.ascontiguousarray(t.T), c[None], -TWO_PI_I * n[None], z0
+    c, s = (v.reshape((1,) + shape) for v in (c, -TWO_PI_I * n))
+    return np.ascontiguousarray(t.T).reshape((upto + 1,) + shape), c, s, z0
 
 
 def _phi_rows(z, tz, cz, log_z, t, czw, s, twist, lw, e1w, lo, upto):
@@ -457,7 +458,8 @@ def sector_table(flavor, sectors, z, u, upto, f=True):
     ws = np.array([a.omega(flavor.tau) for a in sectors], dtype=complex
                   ).reshape((-1,) + (1,) * len(shape)) + u
     args = np.concatenate([z.ravel(), ws.ravel(), (z + ws).ravel()])
-    t, c, s, z0 = _series(tuple(args.tolist()), flavor.tau, upto + 1)
+    t, c, s, z0 = _series(tuple(args.tolist()), flavor.tau, upto + 1,
+                          args.shape)
     P, W = z.size, z.size + ws.size
     _pole_guard(args, z0[:W])
     (tz, cz, sz), (tw, cw, sw), (tzw, czw, szw) = (
@@ -490,7 +492,8 @@ def omega_constants(flavor, N):
     out[1] = [TWO_PI_I * (a.a2 / N) for a in all_sectors(N)]
     out[2, 0] = -math.inf
     if N > 1:
-        t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2)
+        t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2,
+                             (N * N - 1,))
         out[2, 1:] = np.log(_theta_at_zero(flavor.tau)[0] / t[0]) - c
         out[3:, 1:] = _log_derivs(t, s)
     out.flags.writeable = False
@@ -508,9 +511,8 @@ def regular_table(flavor, constants, z, orders, f=False):
     w = constants.reshape((5, 1, -1) + (1,) * z.ndim)
     X = z + w[0]
     t, c, s, z0 = _series(tuple(X.ravel().tolist()), flavor.tau,
-                          max(upto, f) + 1)
+                          max(upto, f) + 1, X.shape[1:])
     _pole_guard(z.ravel(), z0[:z.size])
-    t, c, s = (v.reshape(v.shape[:1] + X.shape[1:]) for v in (t, c, s))
     log_z = _log_derivs(t[:, :1], s[:, :1])
     y = _phi_rows(z[None, None], t[:, :1], c[:, :1], log_z, t, c, s, w[1],
                   w[2], w[3] if f else None, lo, upto)
@@ -607,12 +609,10 @@ def _expansion_residuals(flavor, z, u):
     near_0 = LAURENT_RADIUS * shortest_period(flavor)
     near_f = near_0
     if flavor.kind == ELLIPTIC:
-        # the residues of f(., u) at x = +-tau, -+2 pi i e^(-+2 pi i u),
-        # reach 2 pi e^(2 pi |Im u|), and the trapezoid rule's truncation,
-        # |residue| (radius / distance)^LAURENT_POINTS, with them: f's
-        # circle shrinks by the LAURENT_POINTS-th root of that size (its
-        # coefficient c_0 is not divided by a power of the radius), but
-        # stays twice the pole guard's POLE_EPS off x = 0
+        # the trapezoid rule's truncation, |residue| (radius /
+        # distance)^LAURENT_POINTS, grows with f(., u)'s residues at
+        # x = +-tau, of size 2 pi e^(2 pi |Im u|): f's circle shrinks by that
+        # size's LAURENT_POINTS-th root, to no less than 2 POLE_EPS
         near_f = np.maximum(near_0 * (2.0 * math.pi * np.exp(
             2.0 * math.pi * np.abs(u.imag))) ** (-1.0 / LAURENT_POINTS),
             2.0 * POLE_EPS)
