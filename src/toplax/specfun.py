@@ -491,11 +491,10 @@ def omega_constants(flavor, N):
     out[0] = [a.omega(flavor.tau) for a in all_sectors(N)]
     out[1] = [TWO_PI_I * (a.a2 / N) for a in all_sectors(N)]
     out[2, 0] = -math.inf
-    if N > 1:
-        t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2,
-                             (N * N - 1,))
-        out[2, 1:] = np.log(_theta_at_zero(flavor.tau)[0] / t[0]) - c
-        out[3:, 1:] = _log_derivs(t, s)
+    t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2,
+                         (N * N - 1,))
+    out[2, 1:] = np.log(_theta_at_zero(flavor.tau)[0] / t[0]) - c
+    out[3:, 1:] = _log_derivs(t, s)
     out.flags.writeable = False
     return out
 
@@ -522,7 +521,8 @@ def regular_table(flavor, constants, z, orders, f=False):
                       - kappa_const(flavor) / 3.0) / 2.0
     if orders != tuple(range(lo, upto + 1)):
         y = y[[d - lo for d in orders] + [-1] * f]
-    return y.transpose((0,) + tuple(range(2, y.ndim)) + (1,))
+    return np.ascontiguousarray(y.transpose((0,) + tuple(range(2, y.ndim))
+                                            + (1,)))
 
 
 def sample_point(rng, flavor, eps=1e-2):
@@ -705,9 +705,9 @@ def _sector_residuals(flavor, N, samples):
         flavor, np.stack([om + q[:, None], om + (q / N)[:, None]]))
     # at x = N*q and x = q, -E2(x) and, for a != 0, the first z-derivative
     # phi_a(x, w_a)(E1(x + w_a) - E1(x) + 2*pi*i*a2/N) of phi_a(x, w_a)
-    log_x, (_, dphi), _ = sector_table(flavor, sectors[1:],
-                                       np.stack([N * q, q]), 0.0, 1)
-    e2_Nq, e2_q = -log_x[1]
+    d1 = regular_table(flavor, omega_constants(flavor, N),
+                       np.stack([N * q, q]), (1,))[0]
+    (e2_Nq, e2_q), dphi = -d1[..., 0], d1[..., 1:]
 
     # lattice sum: sum_a E2(w_a + q) = N^2 E2(N*q)
     rhs = N * N * e2_Nq
