@@ -352,11 +352,11 @@ class BaxterBelavin(RMatrixFamily):
                                     hbar / self.N, max(orders), False)
         if orders != tuple(range(len(phi))):
             phi = phi[list(orders)]
-        return list(self._sum(phi))
+        return self._sum(phi)
 
     def _r(self, z, orders):
-        return list(self._sum(sf.regular_table(
-            self.flavor, self.omega_constants, z, orders)))
+        return self._sum(sf.regular_table(self.flavor, self.omega_constants,
+                                          z, orders))
 
     def _r0_and_m0(self):
         # r0's sector parts are E1(omega_a) + 2 pi i a2 / N; m(0)'s scalar

@@ -403,7 +403,7 @@ def _series(args, tau, upto, shape):
     """theta_sum's rows t[d], log factors c, their z-derivatives -2*pi*i*n
     (each of shape after a leading axis) and reduced arguments over args."""
     t, c, _, n, z0 = theta_sum(args, tau, upto)
-    c, s = (v.reshape((1,) + shape) for v in (c, -TWO_PI_I * n))
+    c, s = c.reshape((1,) + shape), (-TWO_PI_I * n).reshape((1,) + shape)
     return np.ascontiguousarray(t.T).reshape((upto + 1,) + shape), c, s, z0
 
 

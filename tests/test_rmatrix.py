@@ -856,14 +856,15 @@ def test_certify_stack_one_call_per_kernel_and_order(family_calls,
 
 def test_certify_bb_sums_ten_sector_tables(monkeypatch):
     # bb N = 3 at 6 samples, one chunk: 7 tables in the chunk (R at orders
-    # 0, 1 and 2, r at 0 and 1, m, the Weierstrass function), one for r0
-    # with m0, one for the hbar circle of R(hbar, z) and one for r and m at
-    # z with r on the circle about 0
+    # 0, 1 and 2 and the Weierstrass function from sector_table, r at 0 and
+    # 1 and m from regular_table), one for the hbar circle of R(hbar, z) and
+    # one for r and m at z with r on the circle about 0; r0 with m0 reads
+    # the family's omega constants
     fam = rm.make_family("bb", N=3, tau=0.1 + 1.1j)
     calls = []
-    table = sf.sector_table
-    monkeypatch.setattr(sf, "sector_table", lambda *args: (
-        calls.append(args), table(*args))[1])
+    for name in ("sector_table", "regular_table"):
+        monkeypatch.setattr(sf, name, lambda *args, table=getattr(sf, name),
+                            **kw: (calls.append(args), table(*args, **kw))[1])
     rm.certify(fam, 6, seed=0, tol=1e-8)
     assert len(calls) <= 10
 
