@@ -8,7 +8,7 @@ the support planes of the exchange check, the pair and plane contractions
 and the site products of operators on Mat(N)^{x k} as np.einsum subscripts
 against their batched matrix products, the single-top terms and pair
 potentials of the Hamiltonian, the interacting-tops diagonal of the spin
-flow for rank-1 spin, the accompanying matrix M(z) of the Lax pair, the
+flow for rank-1 spin, the Lax matrix L(z) and its accompanying M(z), the
 R-matrix-valued Lax pair, the per-sector scalar functions against
 specfun.sector_table, the sector functions from mpmath's theta at 30
 digits, and small helpers on the package's types.
