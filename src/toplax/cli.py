@@ -20,6 +20,7 @@ from . import model as md
 from . import rmatrix as rm
 from . import specfun as sf
 from .errors import DegenerateDraw, ToplaxError
+from .tensor import check_scale
 
 _FLAVOR_KEYS = ("rational", "trig", "elliptic")
 
@@ -125,6 +126,10 @@ def _load_config(path):
 def _cmd_check_lax(args):
     cfg = _load_config(args.config)
     family, state, nu = md.load_model_config(cfg)
+    # lax_check returns one NM x NM matrix per point
+    n = state.M * state.N
+    check_scale(args.z_samples * n * n,
+                f"{args.z_samples} Lax matrices at NM = {n}")
     rng = np.random.default_rng(int(cfg.get("seed", 0)) + 1)
     zs = [sf.sample_point(rng, family.flavor) for _ in range(args.z_samples)]
     # np.max: a NaN residual anywhere fails the check

@@ -13,9 +13,7 @@ A monitor row is one complex array under the names TrajectoryRecord.columns
 drift report are those names.
 """
 
-import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,18 +21,20 @@ from . import model as md
 from .errors import ConstraintDrift, ConstraintViolation, PoleProximity
 
 
-@dataclass(frozen=True)
 class IntegratorConfig:
-    dt: float
-    steps: int
-    monitor_z: tuple = ()
-    monitor_every: int = 10
+    """RK4 step dt, number of steps, monitor points and the steps between
+    monitor rows; read-only: setting an attribute raises AttributeError."""
 
-    def __post_init__(self):
-        if not 0 < self.dt < math.inf or self.steps <= 0 \
-                or self.monitor_every <= 0:
+    def __init__(self, dt, steps, monitor_z=(), monitor_every=10):
+        if not 0 < dt < math.inf or steps <= 0 or monitor_every <= 0:
             raise ValueError("dt (finite), steps and monitor_every must be "
                              "positive")
+        vars(self).update(dt=dt, steps=steps, monitor_z=monitor_z,
+                          monitor_every=monitor_every)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"an IntegratorConfig is read-only: cannot set {name!r}")
 
 
 def _columns(M, n_points):
@@ -46,16 +46,17 @@ def _columns(M, n_points):
             + [f"trS{k}" for k in (1, 2, 3)])
 
 
-@dataclass
 class TrajectoryRecord:
     """Monitor rows: at times[r], values[r] holds one complex value per name
     in columns, and lax_residual[r] the largest Lax residual at the monitor
-    points (None with no monitor point)."""
-    columns: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    lax_residual: list = field(default_factory=list)
-    failure: dict = None     # {"step", "error"} of a trajectory cut short
+    points (None with no monitor point); failure is the {"step", "error"}
+    of a trajectory cut short, else None."""
+
+    def __init__(self, columns=(), times=(), values=(), lax_residual=(),
+                 failure=None):
+        self.columns, self.times = list(columns), list(times)
+        self.values, self.lax_residual = list(values), list(lax_residual)
+        self.failure = failure
 
     def rows(self):
         return len(self.times)
@@ -169,8 +170,3 @@ def write_csv(rec, fh):
         cols.append("" if residual is None else _fmt(residual))
         fh.write(",".join(cols) + "\n")
 
-
-def csv_text(rec):
-    buf = io.StringIO()
-    write_csv(rec, buf)
-    return buf.getvalue()

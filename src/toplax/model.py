@@ -32,7 +32,6 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,13 +39,12 @@ from . import specfun as sf
 from . import tensor as tn
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (block_grid, check_scale, frobenius_norm, matvec4,
+from .tensor import (as_block_grid, check_scale, frobenius_norm, matvec4,
                      op_contract, op_contract_1, site_product, stack_norms)
 
 
 # --- spin configurations ---------------------------------------------------
 
-@dataclass(frozen=True)
 class SpinConfig:
     """M x M grid of N x N complex blocks.
 
@@ -54,24 +52,21 @@ class SpinConfig:
     S = sum E_ij (x) S^{ij} of assemble()).  ``blocks`` may be given as rows
     of blocks or as an (M, M, N, N) array and is kept as the (M, M, N, N)
     view of that matrix, so blocks[i][j] is S^{ij}; wrap holds a read-only
-    matrix as it is.
+    matrix as it is.  A spin is read-only: setting an attribute raises
+    AttributeError.
     """
 
-    M: int
-    N: int
-    blocks: object
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        M, N = self.M, self.N
-        grid = np.asarray(self.blocks, dtype=complex).reshape(M, M, N, N)
+    def __init__(self, M, N, blocks):
+        grid = np.asarray(blocks, dtype=complex).reshape(M, M, N, N)
         S = grid.swapaxes(1, 2).reshape(M * N, M * N).copy()
         S.flags.writeable = False
-        self._hold(S)
+        self._hold(S, M, N)
 
-    def _hold(self, S):
-        object.__setattr__(self, "matrix", S)
-        object.__setattr__(self, "blocks", block_grid(S, self.M, self.N))
+    def _hold(self, S, M, N):
+        vars(self).update(M=M, N=N, matrix=S, blocks=as_block_grid(S, M, N))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a SpinConfig is read-only: cannot set {name!r}")
 
     @classmethod
     def wrap(cls, S, M, N):
@@ -80,13 +75,8 @@ class SpinConfig:
         if S.flags.writeable:
             raise ValueError("a wrapped spin matrix must be read-only")
         spin = object.__new__(cls)
-        object.__setattr__(spin, "M", M)
-        object.__setattr__(spin, "N", N)
-        spin._hold(S)
+        spin._hold(S, M, N)
         return spin
-
-    def block(self, i, j):
-        return self.blocks[i, j]
 
     def assemble(self):
         """The NM x NM matrix S = sum E_ij (x) S^{ij} (read-only)."""
@@ -257,7 +247,7 @@ def _block_positions(M, N):
     one read-only int array."""
     i, j = sf._pairs(M)
     sites = np.arange(M)
-    grid = block_grid(np.arange((M * N) ** 2).reshape(M * N, M * N), M, N)
+    grid = as_block_grid(np.arange((M * N) ** 2).reshape(M * N, M * N), M, N)
     pos = grid[np.concatenate([sites, i, j]), np.concatenate([sites, j, i])]
     pos.flags.writeable = False
     return pos
@@ -370,7 +360,7 @@ def _contract(T, S):
     [i, a, j, b] = sum_kl T[i, j, a, k, l, b] S^{ij}_{lk}, or the stack of
     them for a stack of tables T laid out as by _pair_tables (matvec4)."""
     M, N = T.shape[-6], T.shape[-4]
-    out = matvec4(T.swapaxes(-3, -1), block_grid(S, M, N))
+    out = matvec4(T.swapaxes(-3, -1), as_block_grid(S, M, N))
     return out.swapaxes(-3, -2).reshape(T.shape[:-6] + (M * N, M * N))
 
 
@@ -493,7 +483,7 @@ def bracket_flow(state):
     Gt = _ham_spin_gradient(state, blocks, _swap_rows(F0)).T
     dS = S @ Gt - Gt @ S
     dp = -_ham_q_gradient(state.M, blocks, _swap_rows(dF0))
-    return state.p, dp, block_grid(dS, state.M, state.N)
+    return state.p, dp, as_block_grid(dS, state.M, state.N)
 
 
 def _flow_L(R, Mz, flow):

@@ -11,7 +11,6 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,27 +47,28 @@ def _check_modulus(tau):
                          f"[-{MAX_RE_TAU:g}, {MAX_RE_TAU:g}]")
 
 
-@dataclass(frozen=True)
 class Flavor:
     """Which degeneration of the elliptic function family to evaluate.
 
     For the elliptic flavor, ``tau`` is the modulus, with Im tau in
-    [MIN_IM_TAU, MAX_IM_TAU].
+    [MIN_IM_TAU, MAX_IM_TAU].  A flavor is read-only: setting an attribute
+    raises AttributeError.
     """
 
-    kind: str
-    tau: complex = None
-
-    def __post_init__(self):
-        if self.kind not in (RATIONAL, TRIGONOMETRIC, ELLIPTIC):
-            raise ValueError(f"unknown flavor kind {self.kind!r}")
-        if self.kind == ELLIPTIC:
-            if self.tau is None:
+    def __init__(self, kind, tau=None):
+        if kind not in (RATIONAL, TRIGONOMETRIC, ELLIPTIC):
+            raise ValueError(f"unknown flavor kind {kind!r}")
+        if kind == ELLIPTIC:
+            if tau is None:
                 raise BadModulus("elliptic flavor requires a modulus")
-            object.__setattr__(self, "tau", complex(self.tau))
-            _check_modulus(self.tau)
-        elif self.tau is not None:
+            tau = complex(tau)
+            _check_modulus(tau)
+        elif tau is not None:
             raise ValueError("tau is only meaningful for the elliptic flavor")
+        vars(self).update(kind=kind, tau=tau)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Flavor is read-only: cannot set {name!r}")
 
     @classmethod
     def rational(cls):
@@ -83,28 +83,18 @@ class Flavor:
         return cls(ELLIPTIC, complex(tau))
 
 
-@dataclass(frozen=True)
-class SectorIndex:
-    """Discrete label a = (a1, a2) in Z_N x Z_N for the sector functions."""
-
-    a1: int
-    a2: int
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be positive")
-        if not (0 <= self.a1 < self.N and 0 <= self.a2 < self.N):
-            raise ValueError("components must lie in [0, N)")
-
-    def omega(self, tau):
-        """Lattice fraction (a1 + a2*tau)/N attached to this sector."""
-        return (self.a1 + self.a2 * tau) / self.N
-
-
-def all_sectors(N):
-    """All N^2 sector labels in row-major (a1, a2) order."""
-    return [SectorIndex(a1, a2, N) for a1 in range(N) for a2 in range(N)]
+@functools.lru_cache(maxsize=16)
+def sector_rows(tau, N):
+    """The read-only (4, N^2) complex rows a1, a2, omega_a = (a1 + a2*tau)/N
+    and 2*pi*i*a2/N over the sectors a = (a1, a2) in Z_N x Z_N, row-major
+    (the zero sector first).  Each element is Python complex arithmetic:
+    numpy's complex division multiplies by 1/N, which can change the last
+    bit."""
+    rows = np.ascontiguousarray(np.array([
+        (a1, a2, (a1 + a2 * tau) / N, TWO_PI_I * (a2 / N))
+        for a1 in range(N) for a2 in range(N)]).T)
+    rows.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,34 +151,30 @@ def theta_sum(zs, tau, upto=0):
     return (E.T @ W)[:L], c, K, n, z0
 
 
-def theta_derivs(z, tau, upto):
-    """[theta, theta', ..., theta^(upto)] at z on modulus tau, in one pass:
-    theta^(d)(z) = exp(c) sum_k binom(d, k) s^(d-k) t[k], s = -2*pi*i*n
+def theta(z, tau, deriv=0):
+    """The deriv-th z-derivative of the odd theta function at z on modulus
+    tau: theta^(d)(z) = exp(c) sum_k binom(d, k) s^(d-k) t[k], s = -2*pi*i*n
     being the derivative of theta_sum's log factor c.  Raises ThetaOverflow
-    where theta itself is not representable in floating point."""
+    where theta or a lower derivative is not representable in floating
+    point."""
     tau = complex(tau)
     _check_modulus(tau)
-    if upto < 0:
+    if deriv < 0:
         raise ValueError("derivative order must be >= 0")
     z = complex(z)
-    t, c, _, n, _ = theta_sum((z,), tau, upto)
+    t, c, _, n, _ = theta_sum((z,), tau, deriv)
     s, t = -TWO_PI_I * float(n[0]), t[0].tolist()
     try:
         scale = cmath.exp(c[0])
         values = [scale * sum(math.comb(d, k) * s ** (d - k) * t[k]
-                              for k in range(d + 1)) for d in range(upto + 1)]
+                              for k in range(d + 1)) for d in range(deriv + 1)]
     except OverflowError:
         values = [math.inf]
     if not all(map(cmath.isfinite, values)):
         raise ThetaOverflow(
             f"theta at z = {z} is not representable in floating point "
             f"(|Im z| / Im tau = {abs(z.imag) / tau.imag:.3g})")
-    return values
-
-
-def theta(z, tau, deriv=0):
-    """Odd theta function (or its deriv-th derivative) at z on modulus tau."""
-    return theta_derivs(z, tau, deriv)[deriv]
+    return values[deriv]
 
 
 @functools.lru_cache(maxsize=64)
@@ -241,12 +227,12 @@ def _number_pole_distance(flavor, z):
     return nearest
 
 
-def check_pole(flavor, *args, eps=POLE_EPS):
+def check_pole(flavor, *args):
     """Raise PoleProximity if any argument, a number or an array of them,
-    sits within eps of a pole, naming the first such element (ravel
+    sits within POLE_EPS of a pole, naming the first such element (ravel
     order)."""
     for z in args:
-        near = np.ravel(pole_distance(flavor, z)) <= eps
+        near = np.ravel(pole_distance(flavor, z)) <= POLE_EPS
         if near.any():
             v = complex(np.ravel(z)[near.argmax()])
             raise PoleProximity(v, pole_distance(flavor, v))
@@ -327,9 +313,12 @@ def _log_derivs(t, s):
 def _log_theta(flavor, z, upto):
     """[E1, -E2, -E2'][:upto] at a number or an array z, as arrays of its
     shape: the z-derivatives of log theta, log sinh or log by flavor."""
-    if flavor.kind == ELLIPTIC:
-        return sector_table(flavor, (), z, 0.0, upto - 1)[0]
     z = np.asarray(z, dtype=complex)
+    if flavor.kind == ELLIPTIC:
+        t, _, s, z0 = _series(tuple(z.ravel().tolist()), flavor.tau, upto,
+                              z.shape)
+        _pole_guard(z.ravel(), z0)
+        return _log_derivs(t, s)
     check_pole(flavor, z)
     ch, sh = (1.0, z) if flavor.kind == RATIONAL else (np.cosh(z), np.sinh(z))
     # np.power, unlike ** on an array, rounds as on a single element, so a
@@ -366,17 +355,12 @@ def weierstrass_p(flavor, z):
     return _number(e2)
 
 
-# phi(z, w) is the sector function of the zero sector
-_ZERO_SECTOR = (SectorIndex(0, 0, 1),)
-
-
 def kronecker_phi(flavor, eta, z):
     """Two-variable kernel function phi(eta, z); symmetric in its arguments,
     which broadcast against each other: E1(eta) + E1(z), or on the
-    elliptic flavor the zero sector's sector_table."""
+    elliptic flavor the sector_table of N = 1, whose one sector is phi."""
     if flavor.kind == ELLIPTIC:
-        return _number(sector_table(flavor, _ZERO_SECTOR, eta, z, 0, False)
-                       [1][0][..., 0])
+        return _number(sector_table(flavor, 1, eta, z, 0)[0][..., 0])
     eta, z = np.broadcast_arrays(np.asarray(eta, dtype=complex),
                                  np.asarray(z, dtype=complex))
     e1 = _log_theta(flavor, np.stack([eta, z]), 1)[0]
@@ -385,9 +369,9 @@ def kronecker_phi(flavor, eta, z):
 
 def phi_derivative_f(flavor, z, q):
     """f(z, q) = d/dq phi(z, q), z and q broadcast: -E2(q), or on the
-    elliptic flavor the zero sector's sector_table."""
+    elliptic flavor the f row of the sector_table of N = 1."""
     if flavor.kind == ELLIPTIC:
-        return _number(sector_table(flavor, _ZERO_SECTOR, z, q, 0)[2][..., 0])
+        return _number(sector_table(flavor, 1, z, q, 0, f=True)[1][..., 0])
     return _number(_log_theta(flavor, np.broadcast_arrays(z, q)[1], 2)[1])
 
 
@@ -436,16 +420,16 @@ def _phi_rows(z, tz, cz, log_z, t, czw, s, twist, lw, e1w, lo, upto):
     return np.multiply(rows, np.exp(z * twist + czw - cz + lw) / tz[:1])
 
 
-def sector_table(flavor, sectors, z, u, upto, f=True):
-    """(log_z, phi, f) of phi_a(z, w) = exp(2*pi*i*a2*z/N) theta'(0)
-    theta(z + w) / (theta(z) theta(w)), w = omega_a + u, for every a in
-    sectors and every z of a number or an array (u broadcasts against z),
-    from one theta series over each z, w and z + w: log_z[k] the (k + 1)-th
-    z-derivative of log theta at z (E1, -E2, -E2'), phi[k][..., i] the k-th
-    z-derivative of phi_a, a = sectors[i], k <= upto <= 2, and f[..., i] =
-    exp(2*pi*i*a2*z/N) f(z, w) (None unless f).  Nothing divides by
-    theta(z + w), whose zeros (DLMF 20.2(iv)) are zeros of phi_a (see
-    _phi_rows); the cell reduction guards z and w (POLE_EPS)."""
+def sector_table(flavor, N, z, u, upto, f=False):
+    """The rows phi^(0) .. phi^(upto), upto <= 2, then f if f, of phi_a(z,
+    w) = exp(2*pi*i*a2*z/N) theta'(0) theta(z + w) / (theta(z) theta(w)),
+    w = omega_a + u, over every z of a number or an array (u broadcasts
+    against z) and the N^2 sectors a of sector_rows (the last axis), from
+    one theta series over each z, w and z + w: phi^(k)[..., a] is the k-th
+    z-derivative of phi_a and f[..., a] = exp(2*pi*i*a2*z/N) f(z, w).
+    Nothing divides by theta(z + w), whose zeros (DLMF 20.2(iv)) are zeros
+    of phi_a (see _phi_rows); the cell reduction guards z and w
+    (POLE_EPS)."""
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
@@ -455,8 +439,8 @@ def sector_table(flavor, sectors, z, u, upto, f=True):
     # z and u with the axes of the broadcast, w and z + w with a sector
     # axis in front
     z, u = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (z, u))
-    ws = np.array([a.omega(flavor.tau) for a in sectors], dtype=complex
-                  ).reshape((-1,) + (1,) * len(shape)) + u
+    _, _, omega, twist = sector_rows(flavor.tau, N)
+    ws = omega.reshape((-1,) + (1,) * len(shape)) + u
     args = np.concatenate([z.ravel(), ws.ravel(), (z + ws).ravel()])
     t, c, s, z0 = _series(tuple(args.tolist()), flavor.tau, upto + 1,
                           args.shape)
@@ -465,21 +449,14 @@ def sector_table(flavor, sectors, z, u, upto, f=True):
     (tz, cz, sz), (tw, cw, sw), (tzw, czw, szw) = (
         [v[:, lo:hi].reshape(v.shape[:1] + group) for v in (t, c, s)]
         for lo, hi, group in ((0, P, (1,) + z.shape), (P, W, ws.shape),
-                              (W, len(args), (len(sectors),) + shape)))
-    log_z = _log_derivs(tz, sz)
-    if not sectors:
-        # E1, E2 and E2' alone: phi and f are empty
-        empty = np.zeros((upto + 2,) + shape + (0,), dtype=complex)
-        return log_z[:, 0], empty[:-1], empty[-1]
-    twist = TWO_PI_I * np.array([a.a2 / a.N for a in sectors])
-    y = _phi_rows(z[None, None], tz, cz, log_z, tzw, czw, szw,
+                              (W, len(args), (N * N,) + shape)))
+    y = _phi_rows(z[None, None], tz, cz, _log_derivs(tz, sz), tzw, czw, szw,
                   twist.reshape((1, -1) + (1,) * len(shape)),
                   np.log(_theta_at_zero(flavor.tau)[0] / tw[:1]) - cw,
                   _log_derivs(tw[:2], sw) if f else None, 0, upto)
     # the sector axis last, in memory too, as callers take products of it
-    y = np.ascontiguousarray(y.transpose((0,) + tuple(range(2, y.ndim))
-                                         + (1,)))
-    return log_z[:, 0], y[:upto + 1], y[-1] if f else None
+    return np.ascontiguousarray(y.transpose((0,) + tuple(range(2, y.ndim))
+                                            + (1,)))
 
 
 def omega_constants(flavor, N):
@@ -488,8 +465,7 @@ def omega_constants(flavor, N):
     one theta series: the constants of regular_table, kept by a family.
     The zero sector's column is 0, its log weight -inf."""
     out = np.zeros((5, N * N), dtype=complex)
-    out[0] = [a.omega(flavor.tau) for a in all_sectors(N)]
-    out[1] = [TWO_PI_I * (a.a2 / N) for a in all_sectors(N)]
+    out[:2] = sector_rows(flavor.tau, N)[2:]
     out[2, 0] = -math.inf
     t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2,
                          (N * N - 1,))
@@ -668,7 +644,7 @@ def _core_residuals(flavor, samples):
 def _sector_draw(rng, flavor, N):
     """One sample (q, hb, z) of the lattice-sum identities: they, N*q, q/N
     and their shifts by each omega_a keep off the lattice."""
-    om = np.array([a.omega(flavor.tau) for a in all_sectors(N)])
+    om = sector_rows(flavor.tau, N)[2]
     for _ in range(1000):
         q = sample_point(rng, flavor)
         hb = sample_point(rng, flavor)
@@ -685,17 +661,16 @@ def _sector_residuals(flavor, N, samples):
     """The four lattice-sum identities for Z_N x Z_N sectors over a stack
     of samples (q, hb, z), each one expression over all samples and sectors
     (gamma indexes rows of the phase, alpha columns)."""
-    sectors = all_sectors(N)
-    om = np.array([a.omega(flavor.tau) for a in sectors])
+    a1, a2, om, _ = sector_rows(flavor.tau, N)
+    a1, a2 = a1.real, a2.real
     q, hb, z = samples.T
-    a1, a2 = np.array([(a.a1, a.a2) for a in sectors]).T
     # kappa^2(alpha, gamma) = exp(2*pi*i*(g1*a2 - g2*a1)/N)
     phase = np.exp(TWO_PI_I * (np.outer(a1, a2) - np.outer(a2, a1)) / N)
     out = {}
     # Fourier sum:
     # (1/N) sum_a kappa^2 phi_a(N*hb, w_a + z/N) = phi_g(z, w_g + hb)
-    _, (phi,), _ = sector_table(flavor, sectors, np.stack([N * hb, z], -1),
-                                np.stack([z / N, hb], -1), 0)
+    (phi,) = sector_table(flavor, N, np.stack([N * hb, z], -1),
+                          np.stack([z / N, hb], -1), 0)
     total = tn.rows_product(phi[:, 0], phase.T) / N
     out["fourier_sum"] = _rel(total - phi[:, 1], total, phi[:, 1]).max(-1)
 
@@ -737,7 +712,9 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     The sector identities (lattice sums over Z_N x Z_N) are elliptic only,
     for each N in sector_sizes.  All samples are drawn first; a sample holds
     its largest theta series at once: 3 arguments per expansion-circle
-    point, 2 + 4 N^2 per sector, each of 2K terms (K as at MIN_IM_TAU)."""
+    point, 2 + 4 N^2 per sector, each of 2K terms (K as at MIN_IM_TAU), so
+    CERTIFY_BYTES holds 642 samples (1713 and 811 for the sector
+    identities at N = 2 and 3)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)

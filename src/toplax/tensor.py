@@ -104,23 +104,17 @@ def op_contract_1(T, S):
     return matvec4(as_four_index(T).swapaxes(-4, -1).swapaxes(-4, -3), S)
 
 
-def sin_basis_T_int(a1, a2, N):
-    """Finite Heisenberg element T_a = exp(pi*i*a1*a2/N) Q^a1 L^a2 for
-    arbitrary integer labels.
+def sin_basis(a1, a2, N):
+    """The (k, N, N) stack of the finite Heisenberg elements T_a =
+    exp(pi*i*a1*a2/N) Q^a1 L^a2 over the integer labels a = (a1[i], a2[i]).
 
     Q = diag(exp(2*pi*i*k/N), k=1..N); L is the cyclic shift with
     L[k, l] = 1 iff l = k+1 mod N; Q^N = L^N = 1.  The label enters the
     phase unreduced: shifting a coordinate by N flips the sign when the
     other coordinate is odd, so T_{-a} means the integer-negated label,
-    not its mod-N representative.
+    not its mod-N representative.  The powers of Q and L are formed once
+    per exponent, and each element is (phase * Q^a1) @ L^a2 in that order.
     """
-    return sin_basis([a1], [a2], N)[0]
-
-
-def sin_basis(a1, a2, N):
-    """The (k, N, N) stack of T_a (sin_basis_T_int) over the integer labels
-    a = (a1[i], a2[i]): the powers of Q and L are formed once per exponent,
-    and each element is (phase * Q^a1) @ L^a2 in that order."""
     Q = np.diag([cmath.exp(2j * cmath.pi * (k + 1) / N) for k in range(N)])
     Lam = np.roll(eye(N), 1, axis=1)
     Qp, Lp = (np.array([np.linalg.matrix_power(X, e) for e in range(N)])
@@ -253,7 +247,7 @@ def site_product(N, k, *factors):
     return out.reshape(batch + (N ** k,) * 2)
 
 
-def block_grid(A, M, N):
+def as_block_grid(A, M, N):
     """(M, M, N, N) view of an NM x NM matrix: entry [i, j] is block (i, j).
 
     The view shares memory with A; grid.swapaxes(1, 2).reshape(M*N, M*N)

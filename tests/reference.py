@@ -11,7 +11,8 @@ potentials of the Hamiltonian, the interacting-tops diagonal of the spin
 flow for rank-1 spin, the Lax matrix L(z) and its accompanying M(z), the
 R-matrix-valued Lax pair, the per-sector scalar functions against
 specfun.sector_table, the sector functions from mpmath's theta at 30
-digits, and small helpers on the package's types.
+digits, the sector labels as (a1, a2) tuples over the columns of
+specfun.sector_rows, and small helpers on the package's types.
 """
 
 import cmath
@@ -42,7 +43,7 @@ def eom_flow(state):
     block grid: the form of md.bracket_flow."""
     M, N = state.M, state.N
     dq, dp, dS = md.PhaseState.split(md.eom_rhs(state), M, N)
-    return dq, dp, md.block_grid(dS, M, N)
+    return dq, dp, md.as_block_grid(dS, M, N)
 
 
 def replace(state, q=None, p=None, spin=None):
@@ -135,12 +136,12 @@ def eom_commutator_diagonal(state):
     fam, spin = state.family, state.spin
     out = []
     for i in range(spin.M):
-        Sii = spin.block(i, i)
+        Sii = spin.blocks[i, i]
         V = op_contract(fam.m0(), Sii)
         for k in range(spin.M):
             if k != i:
                 V = V + op_contract(fam.r(state.qdiff(i, k), 1),
-                                    spin.block(k, k))
+                                    spin.blocks[k, k])
         out.append(Sii @ V - V @ Sii)
     return np.array(out)
 
@@ -285,30 +286,30 @@ def site_product(N, k, *factors):
 
 
 # --- sector functions --------------------------------------------------------
+# A sector label is a tuple a = (a1, a2) in Z_N x Z_N.
 
-def is_zero(a):
-    """Whether the sector label a is (0, 0)."""
-    return a.a1 == 0 and a.a2 == 0
+def sectors(tau, N):
+    """[(a, omega_a)] over the columns of specfun.sector_rows, with a as a
+    tuple of ints."""
+    a1, a2, omega, _ = sf.sector_rows(tau, N)
+    return [((int(x.real), int(y.real)), w)
+            for x, y, w in zip(a1, a2, omega.tolist())]
 
 
-def neg(a):
+def neg(a, N):
     """The sector label -a, reduced mod N."""
-    return sf.SectorIndex((-a.a1) % a.N, (-a.a2) % a.N, a.N)
+    return (-a[0]) % N, (-a[1]) % N
 
 
-def add(a, b):
+def add(a, b, N):
     """The sector label a + b, reduced mod N."""
-    if a.N != b.N:
-        raise ValueError("mismatched N")
-    return sf.SectorIndex((a.a1 + b.a1) % a.N, (a.a2 + b.a2) % a.N, a.N)
+    return (a[0] + b[0]) % N, (a[1] + b[1]) % N
 
 
-def kappa(a, b):
+def kappa(a, b, N):
     """Structure phase in T_a T_b = kappa(a, b) T_{a+b}, for sector labels
     a, b."""
-    if a.N != b.N:
-        raise ValueError("mismatched N")
-    return cmath.exp(1j * cmath.pi * (b.a1 * a.a2 - b.a2 * a.a1) / a.N)
+    return cmath.exp(1j * cmath.pi * (b[0] * a[1] - b[1] * a[0]) / N)
 
 
 # --- matrices ----------------------------------------------------------------
@@ -328,23 +329,19 @@ def commutator(A, B):
     return A @ B - B @ A
 
 
-def sector_phi(flavor, a, z, u):
+def sector_phi(flavor, a, N, z, u):
     """phi_a(z, omega_a + u) = exp(2*pi*i*a2*z/N) * phi(z, omega_a + u)."""
-    if flavor.kind != sf.ELLIPTIC:
-        raise ValueError("sector functions require the elliptic flavor")
     z = complex(z)
-    arg = a.omega(flavor.tau) + complex(u)
-    return cmath.exp(sf.TWO_PI_I * a.a2 * z / a.N) \
+    arg = (a[0] + a[1] * flavor.tau) / N + complex(u)
+    return cmath.exp(sf.TWO_PI_I * a[1] * z / N) \
         * sf.kronecker_phi(flavor, z, arg)
 
 
-def sector_f(flavor, a, z, u):
+def sector_f(flavor, a, N, z, u):
     """f_a(z, omega_a + u) = exp(2*pi*i*a2*z/N) * f(z, omega_a + u)."""
-    if flavor.kind != sf.ELLIPTIC:
-        raise ValueError("sector functions require the elliptic flavor")
     z = complex(z)
-    arg = a.omega(flavor.tau) + complex(u)
-    return (cmath.exp(sf.TWO_PI_I * a.a2 * z / a.N)
+    arg = (a[0] + a[1] * flavor.tau) / N + complex(u)
+    return (cmath.exp(sf.TWO_PI_I * a[1] * z / N)
             * sf.phi_derivative_f(flavor, z, arg))
 
 
@@ -361,7 +358,7 @@ def mp_theta(x, tau, upto):
                 for d in range(upto + 1)]
 
 
-def mp_sector(a, z, w, tau):
+def mp_sector(a, N, z, w, tau):
     """(phi_a, phi_a', phi_a'', f_a) at the complex numbers (z, w) on
     modulus tau, from mp_theta: phi_a(z, w) = exp(t z) theta'(0)
     theta(z + w) / (theta(z) theta(w)) with t = 2*pi*i*a2/N, its first two
@@ -375,7 +372,7 @@ def mp_sector(a, z, w, tau):
         # z + w exactly, not rounded to a float
         C = mp_theta(mpmath.mpc(z) + mpmath.mpc(w), tau, 2)
         c = mp_theta(0j, tau, 1)[1]
-        t = 2j * mpmath.pi * a.a2 / a.N
+        t = 2j * mpmath.pi * a[1] / N
         e = mpmath.exp(t * z)
         U = [e * C[0], e * (t * C[0] + C[1]),
              e * (t * t * C[0] + 2 * t * C[1] + C[2])]

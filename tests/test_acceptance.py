@@ -74,7 +74,7 @@ def test_02_rmatrix_certification():
         for name, entry in rep["properties"].items():
             worst = max(worst, entry["max_residual"] / tol)
             assert entry["pass"], \
-                f"{fam.label()}/{name}: {entry['max_residual']:.3e}"
+                f"{fam.kind}(N={fam.N})/{name}: {entry['max_residual']:.3e}"
     elapsed = time.monotonic() - t0
     report_line("R-matrix certification", worst, 1.0)
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"
@@ -97,7 +97,7 @@ def test_03_lax_equation():
                     z = sf.sample_point(rng, fam.flavor)
                     res = md.lax_check(st, [z])[1][0]
                     worst = max(worst, res)
-                    assert res < 1e-9, f"{fam.label()} N={N} M={M}: {res:.3e}"
+                    assert res < 1e-9, f"{fam.kind} N={N} M={M}: {res:.3e}"
     elapsed = time.monotonic() - t0
     report_line("Lax equation", worst, 1e-9)
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"
@@ -154,7 +154,7 @@ def test_05_exchange_relation():
     # entrywise as (S_ii - S_jj) f(z-w, q_ij), and dies on the constraints
     fam = rm.make_family("xxx", N=1)
     st = md.random_state(fam, 3, 0.8, seed=5)
-    blocks = [[st.spin.block(i, j).copy() for j in range(3)]
+    blocks = [[st.spin.blocks[i, j].copy() for j in range(3)]
               for i in range(3)]
     blocks[0][0][0, 0] += 0.3
     off = rf.replace(st, spin=md.SpinConfig(3, 1, blocks))
@@ -164,7 +164,7 @@ def test_05_exchange_relation():
         for j in range(3):
             if i == j:
                 continue
-            s_diff = off.spin.block(i, i)[0, 0] - off.spin.block(j, j)[0, 0]
+            s_diff = off.spin.blocks[i, i][0, 0] - off.spin.blocks[j, j][0, 0]
             entry = dr[3 * i + j, 3 * j + i]
             expect = s_diff * sf.phi_derivative_f(fam.flavor, z - w,
                                                   off.qdiff(i, j))
@@ -187,7 +187,7 @@ def test_06_reduction_fidelity():
         L = rf.build_L(st, z)
         for i in range(3):
             for j in range(3):
-                s = st.spin.block(i, j)[0, 0]
+                s = st.spin.blocks[i, j][0, 0]
                 if i == j:
                     expect = st.p[i] + s * sf.eisenstein_E1(fl, z)
                 else:
@@ -202,17 +202,17 @@ def test_06_reduction_fidelity():
     N = 2
     st = md.random_state(fam, 1, 1.0, seed=5)
     z = 0.27 + 0.41j
-    S = st.spin.block(0, 0)
+    S = st.spin.blocks[0, 0]
     acc = st.p[0] * np.eye(N, dtype=complex)
     for a1 in range(N):
         for a2 in range(N):
-            Sa = np.trace(S @ tn.sin_basis_T_int(-a1, -a2, N)) / N
+            Sa = np.trace(S @ tn.sin_basis([-a1], [-a2], N)[0]) / N
             if a1 == 0 and a2 == 0:
                 coef = sf.eisenstein_E1(fl, z)
             else:
                 coef = cmath.exp(2j * cmath.pi * a2 * z / N) \
                     * sf.kronecker_phi(fl, z, (a1 + a2 * fl.tau) / N)
-            acc += Sa * coef * tn.sin_basis_T_int(a1, a2, N)
+            acc += Sa * coef * tn.sin_basis([a1], [a2], N)[0]
     diff = float(np.max(np.abs(rf.build_L(st, z) - acc)))
     worst = max(worst, diff)
     assert diff < 1e-12
@@ -222,8 +222,8 @@ def test_06_reduction_fidelity():
         fam = rm.make_family(key, N=2, **kwargs)
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
         q = st.qdiff(0, 1)
-        U = rf.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
-        V = rf.potential_V(fam, st.spin.block(0, 0), st.spin.block(1, 1), q)
+        U = rf.potential_U(fam, st.spin.blocks[0, 1], st.spin.blocks[1, 0], q)
+        V = rf.potential_V(fam, st.spin.blocks[0, 0], st.spin.blocks[1, 1], q)
         d = abs(U - V) / max(abs(U), 1.0)
         worst = max(worst, d)
         assert d < 1e-12
@@ -239,8 +239,8 @@ def test_06_reduction_fidelity():
     total = 0j
     for a1 in range(2):
         for a2 in range(2):
-            Sa = np.trace(Sij @ tn.sin_basis_T_int(-a1, -a2, 2)) / 2
-            Sma = np.trace(Sji @ tn.sin_basis_T_int(a1, a2, 2)) / 2
+            Sa = np.trace(Sij @ tn.sin_basis([-a1], [-a2], 2)[0]) / 2
+            Sma = np.trace(Sji @ tn.sin_basis([a1], [a2], 2)[0]) / 2
             total += Sa * Sma * sf.eisenstein_E2(
                 fl, (a1 + a2 * fl.tau) / 2 + q / 2)
     d = abs(U + total) / max(abs(U), 1.0)

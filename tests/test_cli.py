@@ -3,6 +3,8 @@
 import ast
 import importlib.util
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -846,3 +848,37 @@ def test_parser_shared_between_runs(tmp_path, capsys):
     assert run_capture(capsys, ["certify-rmatrix", "--samples", "3"])[0] == 2
     interleaved = [run_capture(capsys, lax), run_capture(capsys, certify)]
     assert interleaved[::-1] == separate
+
+
+def test_oversized_check_lax_exits_2(tmp_path, capsys, monkeypatch):
+    # z_samples (NM)^2 complex entries of L must fit MAX_ARRAY_BYTES, checked
+    # before any point is drawn: at xxx N=2 M=8, 65536 points fill it and
+    # 65537 exit 2 (lax_check is stubbed: the budget, not the run, is
+    # under test)
+    path = write_config(tmp_path, M=8)
+    model = cli.md.load_model_config(json.loads(Path(path).read_text()))
+    drawn = []
+    monkeypatch.setattr(cli.md, "load_model_config", lambda cfg: model)
+    monkeypatch.setattr(cli.sf, "sample_point",
+                        lambda rng, flavor: drawn.append(1) or 0.3j)
+    monkeypatch.setattr(cli.md, "lax_check",
+                        lambda state, zs: (None, np.zeros(len(zs))))
+    code, out, err = run_capture(capsys, ["check-lax", "--config", path,
+                                          "--z-samples", "65537"])
+    assert (code, out, drawn) == (2, "", [])
+    assert "65537" in err and "MiB array budget" in err
+    code, out, _ = run_capture(capsys, ["check-lax", "--config", path,
+                                        "--z-samples", "65536"])
+    assert code == 0 and len(drawn) == 65536
+    assert json.loads(out)["z_samples"] == 65536
+
+
+def test_import_leaves_out_dataclasses():
+    # the package's value types are plain classes: a fresh interpreter
+    # that imports the CLI has not loaded dataclasses
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import toplax.cli; "
+            "print('dataclasses' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, str(src)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

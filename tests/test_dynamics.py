@@ -1,5 +1,7 @@
 """Unit tests for the RK4 integrator and trajectory records."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,13 @@ def make_state(key="xxx", M=2, seed=3, **kwargs):
     return md.random_state(fam, M, 1.0, seed=seed)
 
 
+def csv_text(rec):
+    """The CSV that write_csv writes for rec."""
+    buf = io.StringIO()
+    dy.write_csv(rec, buf)
+    return buf.getvalue()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         dy.IntegratorConfig(dt=0.0, steps=10)
@@ -22,6 +31,14 @@ def test_config_validation():
         dy.IntegratorConfig(dt=0.1, steps=0)
     with pytest.raises(ValueError):
         dy.IntegratorConfig(dt=0.1, steps=10, monitor_every=0)
+
+
+def test_config_is_read_only():
+    cfg = dy.IntegratorConfig(dt=0.1, steps=10, monitor_z=(0.3j,))
+    assert (cfg.dt, cfg.steps, cfg.monitor_z, cfg.monitor_every) == \
+        (0.1, 10, (0.3j,), 10)
+    with pytest.raises(AttributeError):
+        cfg.dt = 0.2
 
 
 def test_vector_roundtrip():
@@ -105,7 +122,7 @@ def test_csv_shape_and_determinism():
     cfg = dy.IntegratorConfig(dt=1e-3, steps=30, monitor_z=(0.5 + 0.3j,),
                               monitor_every=10)
     rec = dy.integrate(st, cfg)
-    text = dy.csv_text(rec)
+    text = csv_text(rec)
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     assert header == [
@@ -119,7 +136,7 @@ def test_csv_shape_and_determinism():
         assert len(line.split(",")) == len(header)
     # a re-run from the same state is byte-identical
     rec2 = dy.integrate(st, cfg)
-    assert dy.csv_text(rec2) == text
+    assert csv_text(rec2) == text
 
 
 def test_monitor_row_runs_one_bracket_flow(monkeypatch):
@@ -178,11 +195,11 @@ def test_monitor_table_gives_the_same_trajectory(monkeypatch):
     st = make_state(key="bb", M=3, tau=1j)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
                               monitor_z=(0.3 + 0.2j,))
-    shared = dy.csv_text(dy.integrate(st, cfg))
+    shared = csv_text(dy.integrate(st, cfg))
     step = dy._rk4_step
     monkeypatch.setattr(dy, "_rk4_step", lambda state, dt: step(
         state.from_vector(state.vector), dt))
-    assert dy.csv_text(dy.integrate(st, cfg)) == shared
+    assert csv_text(dy.integrate(st, cfg)) == shared
 
 
 @pytest.mark.parametrize("key, M, kwargs", [

@@ -56,7 +56,22 @@ def test_spin_roundtrip():
     again = md.spin_from_matrix(spin.assemble(), 2, 3)
     for i in range(2):
         for j in range(2):
-            assert np.array_equal(spin.block(i, j), again.block(i, j))
+            assert np.array_equal(spin.blocks[i, j], again.blocks[i, j])
+
+
+def test_spin_is_read_only():
+    # a plain class: M, N, matrix and blocks are set once, the matrix
+    # read-only and blocks its (M, M, N, N) view
+    spin = md.SpinConfig(2, 3, np.arange(36).reshape(2, 2, 3, 3))
+    assert (spin.M, spin.N) == (2, 3)
+    assert spin.blocks[1, 0][2, 1] == 25 and spin.matrix[5, 1] == 25
+    assert np.shares_memory(spin.blocks, spin.matrix)
+    assert not spin.matrix.flags.writeable
+    for name in ("M", "matrix", "blocks"):
+        with pytest.raises(AttributeError):
+            setattr(spin, name, None)
+    with pytest.raises(AttributeError):
+        md.SpinConfig.wrap(spin.matrix, 2, 3).N = 2
 
 
 def test_random_state_is_constrained():
@@ -135,7 +150,7 @@ def test_state_is_one_read_only_vector(key):
 def test_constraint_check_raises():
     fam = rm.make_family("xxx", N=2)
     st = md.random_state(fam, 2, 1.0, seed=2)
-    blocks = [[st.spin.block(i, j) for j in range(2)] for i in range(2)]
+    blocks = [[st.spin.blocks[i, j] for j in range(2)] for i in range(2)]
     blocks[1][1] = blocks[1][1] + 0.5 * np.eye(2)
     bad = rf.replace(st, spin=md.SpinConfig(2, 2, blocks))
     with pytest.raises(ConstraintViolation):
@@ -170,8 +185,8 @@ def test_U_equals_V_for_rank1():
         fam = rm.make_family(key, N=2, **kwargs)
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
         q = st.qdiff(0, 1)
-        U = rf.potential_U(fam, st.spin.block(0, 1), st.spin.block(1, 0), q)
-        V = rf.potential_V(fam, st.spin.block(0, 0), st.spin.block(1, 1), q)
+        U = rf.potential_U(fam, st.spin.blocks[0, 1], st.spin.blocks[1, 0], q)
+        V = rf.potential_V(fam, st.spin.blocks[0, 0], st.spin.blocks[1, 1], q)
         assert abs(U - V) < 1e-12 * max(abs(U), 1.0), key
 
 
@@ -186,7 +201,7 @@ def test_lax_N1_entrywise():
         L = rf.build_L(st, z)
         for i in range(3):
             for j in range(3):
-                s = st.spin.block(i, j)[0, 0]
+                s = st.spin.blocks[i, j][0, 0]
                 if i == j:
                     expect = st.p[i] + s * sf.eisenstein_E1(fl, z)
                 else:
@@ -203,7 +218,7 @@ def test_lax_M_matrix_N1_offdiagonal():
     for i in range(2):
         for j in range(2):
             if i != j:
-                expect = st.spin.block(i, j)[0, 0] * sf.phi_derivative_f(
+                expect = st.spin.blocks[i, j][0, 0] * sf.phi_derivative_f(
                     fam.flavor, z, st.qdiff(i, j))
                 assert abs(Mm[i, j] - expect) < 1e-12
 
@@ -216,18 +231,18 @@ def test_lax_M1_sector_form():
     N = 2
     st = md.random_state(fam, 1, 1.0, seed=5)
     z = 0.27 + 0.41j
-    S = st.spin.block(0, 0)
+    S = st.spin.blocks[0, 0]
     acc = st.p[0] * np.eye(N, dtype=complex)
     for a1 in range(N):
         for a2 in range(N):
-            Sa = np.trace(S @ tn.sin_basis_T_int(-a1, -a2, N)) / N
+            Sa = np.trace(S @ tn.sin_basis([-a1], [-a2], N)[0]) / N
             if a1 == 0 and a2 == 0:
                 coef = sf.eisenstein_E1(fl, z)
             else:
                 om = (a1 + a2 * fl.tau) / N
                 coef = cmath.exp(2j * cmath.pi * a2 * z / N) \
                     * sf.kronecker_phi(fl, z, om)
-            acc += Sa * coef * tn.sin_basis_T_int(a1, a2, N)
+            acc += Sa * coef * tn.sin_basis([a1], [a2], N)[0]
     L = rf.build_L(st, z)
     assert np.max(np.abs(L - acc)) < 1e-12
 
@@ -245,8 +260,8 @@ def test_elliptic_potential_sector_form():
         total = 0j
         for a1 in range(N):
             for a2 in range(N):
-                Sa = np.trace(Sij @ tn.sin_basis_T_int(-a1, -a2, N)) / N
-                Sma = np.trace(Sji @ tn.sin_basis_T_int(a1, a2, N)) / N
+                Sa = np.trace(Sij @ tn.sin_basis([-a1], [-a2], N)[0]) / N
+                Sma = np.trace(Sji @ tn.sin_basis([a1], [a2], N)[0]) / N
                 om = (a1 + a2 * fl.tau) / N
                 total += Sa * Sma * sf.eisenstein_E2(fl, om + q / N)
         assert abs(U + total) < 1e-8 * max(abs(U), 1.0)
@@ -262,11 +277,11 @@ def test_lax_blocks_match_per_pair_kernels():
         st = md.random_state(fam, 3, 1.0, seed=13)
         z = 0.31 + 0.22j
         P = tn.permutation_P(2)
-        L = tn.block_grid(rf.build_L(st, z), 3, 2)
-        Mz = tn.block_grid(rf.build_M(st, z), 3, 2)
+        L = tn.as_block_grid(rf.build_L(st, z), 3, 2)
+        Mz = tn.as_block_grid(rf.build_M(st, z), 3, 2)
         for i in range(3):
             for j in range(3):
-                S = st.spin.block(i, j)
+                S = st.spin.blocks[i, j]
                 if i == j:
                     wantL = st.p[i] * np.eye(2) + tn.op_contract(fam.r(z), S)
                     wantM = tn.op_contract(fam.m(z), S)
@@ -846,12 +861,12 @@ def _per_pair_reference(state):
     m0 = fam.m0()
     H = 0.5 * sum(p * p for p in state.p)
     for i in range(M):
-        H += rf.top_H(fam, spin.block(i, i))
+        H += rf.top_H(fam, spin.blocks[i, i])
     G = np.zeros((M * N, M * N), dtype=complex)
-    grad = tn.block_grid(G, M, N)
+    grad = tn.as_block_grid(G, M, N)
     dH = np.zeros(M, dtype=complex)
     for i in range(M):
-        Sii = spin.block(i, i)
+        Sii = spin.blocks[i, i]
         grad[i, i] += 0.5 * (tn.op_contract(m0, Sii).T
                              + tn.op_contract_1(m0, Sii).T)
     for i in range(M):
@@ -859,10 +874,10 @@ def _per_pair_reference(state):
             F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
             # tr_12(F^0_21 P_12 ...) with F^0_21 = P F^0 P
             W, Wd = P @ F0 @ P @ P, P @ dF0 @ P @ P
-            pair = rf.kron(spin.block(i, j), spin.block(j, i))
+            pair = rf.kron(spin.blocks[i, j], spin.blocks[j, i])
             H += complex(np.trace(W @ pair))
-            grad[i, j] += tn.op_contract(W, spin.block(j, i)).T
-            grad[j, i] += tn.op_contract_1(W, spin.block(i, j)).T
+            grad[i, j] += tn.op_contract(W, spin.blocks[j, i]).T
+            grad[j, i] += tn.op_contract_1(W, spin.blocks[i, j]).T
             g = complex(np.trace(Wd @ pair))
             dH[i] += g
             dH[j] -= g

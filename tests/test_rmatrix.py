@@ -168,17 +168,16 @@ def test_F0_mirror_identities(a, b):
             lhs = fam.r(-q, 1 + d)
             rhs = sign * P @ fam.r(q, 1 + d) @ P
             assert norm(lhs - rhs) < 1e-12 * max(norm(lhs), norm(rhs)), \
-                f"{fam.label()} d={d} q={q}"
+                f"{fam.kind} d={d} q={q}"
             for k, v in enumerate((q, -q)):
                 one = fam.r(v, 1 + d)
                 assert norm(stack[d][k] - one) <= 1e-13 * norm(one), \
-                    f"{fam.label()} d={d} q={v}"
+                    f"{fam.kind} d={d} q={v}"
 
 
-def _sector_basis(a):
-    N = a.N
-    return rf.kron(tn.sin_basis_T_int(a.a1, a.a2, N),
-                   tn.sin_basis_T_int(-a.a1, -a.a2, N))
+def _sector_basis(a, N):
+    T, Tm = tn.sin_basis([a[0], -a[0]], [a[1], -a[1]], N)
+    return rf.kron(T, Tm)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
@@ -186,14 +185,14 @@ def test_bb_tensor_basis_is_each_sector_kron(N):
     # the stacked basis from one broadcast product of T_a and T_{-a} holds
     # T_a (x) T_{-a} of every sector, bit for bit
     fam = rm.make_family("bb", N=N, tau=1j)
-    want = [_sector_basis(a).reshape(-1) for a in fam._sectors]
+    want = [_sector_basis(a, N).reshape(-1) for a, _ in rf.sectors(1j, N)]
     assert np.array_equal(fam._TT, want)
 
 
-def _sector_dz(fl, a, z, w, order):
+def _sector_dz(fl, a, N, z, w, order):
     """order-th z-derivative of phi_a(z, w) from the scalar kernels."""
-    p = cmath.exp(2j * cmath.pi * a.a2 * z / a.N) * sf.kronecker_phi(fl, z, w)
-    d = (2j * cmath.pi * a.a2 / a.N + sf.eisenstein_E1(fl, z + w)
+    p = cmath.exp(2j * cmath.pi * a[1] * z / N) * sf.kronecker_phi(fl, z, w)
+    d = (2j * cmath.pi * a[1] / N + sf.eisenstein_E1(fl, z + w)
          - sf.eisenstein_E1(fl, z))
     if order == 0:
         return p
@@ -203,36 +202,36 @@ def _sector_dz(fl, a, z, w, order):
 
 
 def _scalar_R(fam, hbar, z, dz):
-    out = 0.0
-    for a in sf.all_sectors(fam.N):
-        w = a.omega(fam.tau) + hbar / fam.N
-        out = out + _sector_dz(fam.flavor, a, z, w, dz) * _sector_basis(a)
-    return out / fam.N
+    N, out = fam.N, 0.0
+    for a, w in rf.sectors(fam.tau, N):
+        out = out + _sector_dz(fam.flavor, a, N, z, w + hbar / N, dz) \
+            * _sector_basis(a, N)
+    return out / N
 
 
 def _scalar_r(fam, z, d):
     fl = fam.flavor
     scal = (sf.eisenstein_E1(fl, z), -sf.eisenstein_E2(fl, z),
             -sf.eisenstein_E2_prime(fl, z))[d]
-    out = scal * tn.eye(fam.N ** 2)
-    for a in sf.all_sectors(fam.N)[1:]:
-        out = out + _sector_dz(fl, a, z, a.omega(fam.tau), d) \
-            * _sector_basis(a)
-    return out / fam.N
+    N = fam.N
+    out = scal * tn.eye(N ** 2)
+    for a, w in rf.sectors(fam.tau, N)[1:]:
+        out = out + _sector_dz(fl, a, N, z, w, d) * _sector_basis(a, N)
+    return out / N
 
 
 def _scalar_m(fam, z):
     fl = fam.flavor
     e1 = sf.eisenstein_E1(fl, z)
-    out = (e1 * e1 - sf.weierstrass_p(fl, z)) / 2.0 * tn.eye(fam.N ** 2)
-    for a in sf.all_sectors(fam.N)[1:]:
-        out = out + rf.sector_f(fl, a, z, 0.0) * _sector_basis(a)
-    return out / fam.N ** 2
+    N = fam.N
+    out = (e1 * e1 - sf.weierstrass_p(fl, z)) / 2.0 * tn.eye(N ** 2)
+    for a, _ in rf.sectors(fam.tau, N)[1:]:
+        out = out + rf.sector_f(fl, a, N, z, 0.0) * _sector_basis(a, N)
+    return out / N ** 2
 
 
 def _sector_args_clear(fam, z, hbar, margin=0.05):
-    for a in sf.all_sectors(fam.N):
-        w = a.omega(fam.tau)
+    for _, w in rf.sectors(fam.tau, fam.N):
         for x in (z, w + hbar / fam.N, z + w + hbar / fam.N, z + w):
             if fam.pole_distance(x) < margin:
                 return False
@@ -292,7 +291,7 @@ def test_joint_orders_match_single_orders():
 
 
 def _omegas(fam, u=0.0):
-    return [a.omega(fam.tau) + u for a in sf.all_sectors(fam.N)]
+    return [w + u for _, w in rf.sectors(fam.tau, fam.N)]
 
 
 def test_bb_one_series_per_distinct_argument(theta_calls):
@@ -381,8 +380,7 @@ def test_bb_pole_guards_raise():
             fam.R(hbar, np.array([0.3 + 0.2j, bad]), (0, 1))
         with pytest.raises(PoleProximity):
             fam.R(bad, 0.3 + 0.2j)
-    for a in sf.all_sectors(N)[1:]:
-        w = a.omega(fam.tau)
+    for _, w in rf.sectors(fam.tau, N)[1:]:
         # z + omega_a 1e-9 from the lattice point 1 + tau, and omega_a +
         # hbar/N + q on it: finite, an array holding the matrices of its
         # elements (mpmath checks the values below)
@@ -416,13 +414,13 @@ def _mp_bb(fam, q, hbar=None):
             t[3] / t[0] - 3 * t[2] * t[1] / t[0] ** 2 + 2 * e1 ** 3,
             (t[2] / t[0] - kap[3] / (3 * kap[1])) / 2)]
         out = [v * tn.eye(N * N) for v in scal]
-        sectors, shift = sf.all_sectors(N)[1:], 0.0
+        sectors, shift = rf.sectors(fam.tau, N)[1:], 0.0
     else:
-        out, sectors, shift = [0.0] * 3, sf.all_sectors(N), hbar / N
-    for a in sectors:
-        values = rf.mp_sector(a, q, a.omega(fam.tau) + shift, fam.tau)
+        out, sectors, shift = [0.0] * 3, rf.sectors(fam.tau, N), hbar / N
+    for a, w in sectors:
+        values = rf.mp_sector(a, N, q, w + shift, fam.tau)
         for k in range(len(out)):
-            out[k] = out[k] + values[k] * _sector_basis(a)
+            out[k] = out[k] + values[k] * _sector_basis(a, N)
     return [v / N ** (2 if k == 3 else 1) for k, v in enumerate(out)]
 
 
@@ -488,7 +486,7 @@ def test_bb_matrices_at_the_zeros_of_phi(N, tau, sectors):
     fam = rm.make_family("bb", N=N, tau=tau)
     hbar = 0.23 + 0.11j
     for a1, a2 in sectors:
-        w = sf.SectorIndex(a1, a2, N).omega(fam.tau)
+        w = dict(rf.sectors(fam.tau, N))[a1, a2]
         for delta in (0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-3j):
             q = 1 + fam.tau - w + delta
             got = [*fam.r(q, (0, 1, 2)), fam.m(q),

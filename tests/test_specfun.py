@@ -73,11 +73,10 @@ def _term_magnitude_sum(z, tau, deriv):
 @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.1 + 0.07j])
 def test_theta_derivs_against_mpmath(tau):
     # theta^(d)(z | tau) = -pi^d * jtheta(1, pi*z, exp(i*pi*tau), d), with
-    # every order from one pass within 256 ulps of the term-magnitude sum
+    # every order within 256 ulps of the term-magnitude sum
     mpmath = pytest.importorskip("mpmath")
     for z in (0.21 + 0.13j, -0.37 + 0.05j, 0.44 - 0.29j, 0.1 + 0.02j):
-        values = sf.theta_derivs(z, tau, 3)
-        assert len(values) == 4
+        values = [sf.theta(z, tau, deriv=d) for d in range(4)]
         with mpmath.workdps(30):
             q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
             refs = [complex(-mpmath.pi ** d * mpmath.jtheta(
@@ -86,8 +85,6 @@ def test_theta_derivs_against_mpmath(tau):
         for d in range(4):
             ulp = sys.float_info.epsilon * _term_magnitude_sum(z, tau, d)
             assert abs(values[d] - refs[d]) < 256 * ulp
-            assert sf.theta(z, tau, deriv=d) == \
-                sf.theta_derivs(z, tau, d)[d]
 
 
 def test_one_series_per_theta_argument(theta_calls):
@@ -209,7 +206,7 @@ def test_theta_overflow_is_package_error():
     with pytest.raises(ThetaOverflow):
         sf.theta(0.3 + 20j, 1j)
     with pytest.raises(ThetaOverflow):
-        sf.theta_derivs(0.3 - 25j, 1j, 2)
+        sf.theta(0.3 - 25j, 1j, 2)
 
 
 def _mpmath_kernels(mpmath, z, w, tau):
@@ -301,6 +298,15 @@ def test_flavor_validation():
         sf.Flavor("weird")
     with pytest.raises(ValueError):
         sf.Flavor(sf.RATIONAL, tau=1j)
+
+
+def test_flavor_is_read_only():
+    fl = sf.Flavor(sf.ELLIPTIC, 1j)
+    assert (fl.kind, fl.tau) == (sf.ELLIPTIC, 1j) and type(fl.tau) is complex
+    assert sf.Flavor.rational().tau is None
+    for name in ("kind", "tau"):
+        with pytest.raises(AttributeError):
+            setattr(fl, name, None)
 
 
 def test_phi_rational_value():
@@ -488,12 +494,11 @@ def test_f_matches_difference_quotient():
 
 
 def test_phi_dz_orders():
-    # the zero sector's table holds phi(z, u) and its z-derivatives
+    # the table of N = 1 holds phi(z, u) and its z-derivatives
     fl = sf.Flavor.elliptic(1j)
-    zero = [sf.SectorIndex(0, 0, 1)]
 
     def phi_dz(z, u, order):
-        return sf.sector_table(fl, zero, z, u, 2)[1][order][0]
+        return sf.sector_table(fl, 1, z, u, 2)[order][0]
 
     z, u = 0.23 + 0.08j, 0.41
     h = 1e-5
@@ -506,19 +511,36 @@ def test_phi_dz_orders():
     assert abs(phi_dz(z, u, 2) - richardson) < 1e-7
 
 
+@pytest.mark.parametrize("tau", [1j, 0.1 + 1.1j])
+def test_sector_rows_are_the_per_element_values(tau):
+    # the cached rows hold (a1 + a2*tau)/N and 2*pi*i*(a2/N) of Python
+    # complex arithmetic bit for bit, the sectors row-major, read-only and
+    # one array per (tau, N); numpy's division differs in the last bit at
+    # N = 3 on tau = 0.1 + 1.1i and at N = 5 on both
+    for N in (1, 2, 3, 5):
+        rows = sf.sector_rows(tau, N)
+        assert rows.shape == (4, N * N) and not rows.flags.writeable
+        assert sf.sector_rows(tau, N) is rows
+        want = [(a1, a2, (a1 + a2 * tau) / N, sf.TWO_PI_I * (a2 / N))
+                for a1 in range(N) for a2 in range(N)]
+        want = np.ascontiguousarray(np.array(want, dtype=complex).T)
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(sf.omega_constants(sf.Flavor.elliptic(tau), N)
+                              [:2].view(np.uint64), rows[2:].view(np.uint64))
+
+
 def test_sector_phi_reduces_at_zero_sector():
+    # the column of a = (0, 0) is phi itself
     fl = sf.Flavor.elliptic(1j)
-    a = sf.SectorIndex(0, 0, 2)
     z, u = 0.2, 0.1
-    assert abs(rf.sector_phi(fl, a, z, u)
-               - sf.kronecker_phi(fl, z, u)) < 1e-14
+    got = sf.sector_table(fl, 2, z, u, 0)[0][0]
+    assert abs(got - sf.kronecker_phi(fl, z, u)) < 1e-14
 
 
 def test_sector_phi_real_shift():
     # a = (1, 0): unit exponential factor, shifted second argument
     fl = sf.Flavor.elliptic(1j)
-    a = sf.SectorIndex(1, 0, 2)
-    got = rf.sector_phi(fl, a, 0.2, 0.1)
+    got = sf.sector_table(fl, 2, 0.2, 0.1, 0)[0][2]
     assert abs(got - sf.kronecker_phi(fl, 0.2, 0.6)) < 1e-14
 
 
@@ -526,53 +548,53 @@ def test_sector_phi_tau_shift():
     # a = (0, 1): explicit component-wise re-evaluation
     tau = 1j
     fl = sf.Flavor.elliptic(tau)
-    a = sf.SectorIndex(0, 1, 2)
     z, u = 0.3, 0.15
     expect = cmath.exp(2j * cmath.pi * z / 2) \
         * sf.kronecker_phi(fl, z, tau / 2 + u)
-    assert abs(rf.sector_phi(fl, a, z, u) - expect) < 1e-14
+    got = sf.sector_table(fl, 2, z, u, 0)[0][1]
+    assert abs(got - expect) < 1e-14
 
 
 def test_sector_f_prefactor():
+    # a = (1, 1) at N = 3, column 4
     fl = sf.Flavor.elliptic(1j)
-    a = sf.SectorIndex(1, 1, 3)
     z, u = 0.21, 0.17
-    pref = cmath.exp(2j * cmath.pi * a.a2 * z / 3)
-    expect = pref * sf.phi_derivative_f(fl, z, a.omega(fl.tau) + u)
-    assert abs(rf.sector_f(fl, a, z, u) - expect) < 1e-14
+    pref = cmath.exp(2j * cmath.pi * z / 3)
+    expect = pref * sf.phi_derivative_f(fl, z, (1 + fl.tau) / 3 + u)
+    got = sf.sector_table(fl, 3, z, u, 0, f=True)[1][4]
+    assert abs(got - expect) < 1e-14
 
 
 def test_sector_table_array_u(theta_calls):
     # an array u pairs each z with its own u: the table equals the tables
     # of the number u at each element, against the per-sector kernels too
     fl = sf.Flavor.elliptic(0.2 + 0.9j)
-    sectors = [sf.SectorIndex(a1, a2, 3) for a1 in range(3)
-               for a2 in range(3)]
+    N = 3
     zs = np.array([[0.21 + 0.13j, 0.43 - 0.11j], [0.37 + 0.29j, -0.18 + 0.2j]])
     us = np.array([[0.05 + 0.02j, -0.07 + 0.03j], [0.11 - 0.04j, 0.02j]])
-    sf.sector_table(fl, sectors, zs, us, 2)   # fills the modulus caches
+    sf.sector_table(fl, N, zs, us, 2)   # fills the modulus caches
     del theta_calls[:]
-    _, phi, f = sf.sector_table(fl, sectors, zs, us, 2)
+    table = sf.sector_table(fl, N, zs, us, 2, f=True)
     # one series over each z, each omega_a + u and each z + omega_a + u
     (args, upto), = theta_calls
-    assert upto == 3 and len(args) == 4 + 2 * 4 * len(sectors)
-    assert f.shape == zs.shape + (len(sectors),)
+    assert upto == 3 and len(args) == 4 + 2 * 4 * N * N
+    assert table.shape == (4,) + zs.shape + (N * N,)
+    # the phi rows are the same whether or not f is asked for
+    assert np.array_equal(sf.sector_table(fl, N, zs, us, 2), table[:3])
     for idx in np.ndindex(zs.shape):
-        _, want, want_f = sf.sector_table(fl, sectors, zs[idx], us[idx], 2)
-        for d in range(3):
-            assert phi[d].shape == zs.shape + (len(sectors),)
-            err = np.abs(phi[d][idx] - want[d])
+        want = sf.sector_table(fl, N, zs[idx], us[idx], 2, f=True)
+        for d in range(4):
+            err = np.abs(table[d][idx] - want[d])
             assert np.all(err <= 1e-13 * np.abs(want[d])), (idx, d)
-        assert np.all(np.abs(f[idx] - want_f) <= 1e-13 * np.abs(want_f))
-        for i, a in enumerate(sectors):
-            expect = rf.sector_phi(fl, a, zs[idx], us[idx])
-            assert abs(phi[0][idx][i] - expect) <= 1e-13 * abs(expect)
-            expect = rf.sector_f(fl, a, zs[idx], us[idx])
-            assert abs(f[idx][i] - expect) <= 1e-13 * abs(expect)
+        for k, (a, _) in enumerate(rf.sectors(fl.tau, N)):
+            expect = rf.sector_phi(fl, a, N, zs[idx], us[idx])
+            assert abs(table[0][idx][k] - expect) <= 1e-13 * abs(expect)
+            expect = rf.sector_f(fl, a, N, zs[idx], us[idx])
+            assert abs(table[3][idx][k] - expect) <= 1e-13 * abs(expect)
     # a number z broadcasts against the array u
-    _, phi, _ = sf.sector_table(fl, sectors, zs[0, 0], us, 1)
-    assert phi[1].shape == us.shape + (len(sectors),)
-    _, want, _ = sf.sector_table(fl, sectors, zs[0, 0], us[1, 0], 1)
+    phi = sf.sector_table(fl, N, zs[0, 0], us, 1)
+    assert phi[1].shape == us.shape + (N * N,)
+    want = sf.sector_table(fl, N, zs[0, 0], us[1, 0], 1)
     assert np.all(np.abs(phi[1][1, 0] - want[1]) <= 1e-13 * np.abs(want[1]))
 
 
@@ -583,37 +605,41 @@ ZERO_OFFSETS = (0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-3j)
 @pytest.mark.parametrize("N, tau", [(2, 1j), (3, 0.3 + 0.8j)])
 def test_sector_table_at_the_zeros_of_phi(N, tau):
     # z + w on the lattice is a zero of phi_a (DLMF 20.2(iv)), not a pole:
-    # there and near it, at w = omega_a and w = omega_a + u, the table
-    # matches mpmath's quotient rule to 1e-12, scaled by |phi_a'|, which
-    # is the size of phi_a's rounding near its zero
+    # there and near it, at w = omega_a (the column of a in regular_table)
+    # and w = omega_a + u (in sector_table), the table matches mpmath's
+    # quotient rule to 1e-12, scaled by |phi_a'|, which is the size of
+    # phi_a's rounding near its zero
     pytest.importorskip("mpmath")
     fl = sf.Flavor.elliptic(tau)
-    for a in sf.all_sectors(N)[1:]:
+    for k, (a, omega) in enumerate(rf.sectors(tau, N)):
+        if k == 0:
+            continue
         for u, lattice in ((0.0, 0.0), (0.13 + 0.05j, 1 + tau)):
-            w = a.omega(tau) + u
+            w = omega + u
             zs = np.array([lattice - w + d for d in ZERO_OFFSETS])
-            _, phi, f = sf.sector_table(fl, [a], zs, u, 2)
-            for k, z in enumerate(zs):
-                want = rf.mp_sector(a, z, w, tau)
-                got = (phi[0][k, 0], phi[1][k, 0], phi[2][k, 0], f[k, 0])
-                for g, v in zip(got, want):
+            if u:
+                table = sf.sector_table(fl, N, zs, u, 2, f=True)
+            else:
+                table = sf.regular_table(fl, sf.omega_constants(fl, N), zs,
+                                         (0, 1, 2), f=True)
+            for j, z in enumerate(zs):
+                want = rf.mp_sector(a, N, z, w, tau)
+                for g, v in zip(table[:, j, k], want):
                     assert abs(g - v) <= 1e-12 * max(abs(v), abs(want[1])), \
-                        (a, u, ZERO_OFFSETS[k])
+                        (a, u, ZERO_OFFSETS[j])
 
 
 def test_sector_functions_need_elliptic():
-    a = sf.SectorIndex(0, 1, 2)
     with pytest.raises(ValueError):
-        rf.sector_phi(sf.Flavor.rational(), a, 0.2, 0.1)
+        sf.sector_table(sf.Flavor.rational(), 2, 0.2, 0.1, 0)
 
 
-def test_sector_index_validation():
-    with pytest.raises(ValueError):
-        sf.SectorIndex(2, 0, 2)
-    a = sf.SectorIndex(1, 1, 3)
-    b = rf.neg(a)
-    assert (b.a1, b.a2) == (2, 2)
-    assert rf.is_zero(rf.add(a, b))
+def test_sector_label_negation_and_sum():
+    a = (1, 1)
+    b = rf.neg(a, 3)
+    assert b == (2, 2)
+    assert rf.add(a, b, 3) == (0, 0)
+    assert rf.add((2, 1), (2, 0), 3) == (1, 1)
 
 
 def test_identity_report_rational():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toplax import specfun as sf
 from toplax import tensor as tn
 
 import reference as rf
@@ -120,9 +119,14 @@ def test_op_contract_matches_partial_trace_form():
     assert np.max(np.abs(tn.op_contract(T, S) - via_trace)) < 1e-13
 
 
+def _T(a, N):
+    """T_a of the integer label a = (a1, a2), as one row of sin_basis."""
+    return tn.sin_basis([a[0]], [a[1]], N)[0]
+
+
 def test_sin_basis_identity_element():
     for N in (2, 3, 4):
-        T0 = tn.sin_basis_T_int(0, 0, N)
+        T0 = _T((0, 0), N)
         assert np.max(np.abs(T0 - np.eye(N))) < 1e-14
 
 
@@ -131,36 +135,35 @@ def test_sin_basis_trace_pairing():
     for N in (2, 3, 4):
         for a1 in range(N):
             for a2 in range(N):
-                Ta = tn.sin_basis_T_int(a1, a2, N)
-                Tb = tn.sin_basis_T_int(-a1, -a2, N)
+                Ta = _T((a1, a2), N)
+                Tb = _T((-a1, -a2), N)
                 assert abs(np.trace(Ta @ Tb) - N) < 1e-12
                 for b1 in range(N):
                     for b2 in range(N):
                         if (b1 + a1) % N == 0 and (b2 + a2) % N == 0:
                             continue
-                        prod = np.trace(Ta @ tn.sin_basis_T_int(b1, b2, N))
+                        prod = np.trace(Ta @ _T((b1, b2), N))
                         assert abs(prod) < 1e-12
 
 
 def test_sin_basis_products():
     N = 3
-    for a in sf.all_sectors(N):
-        for b in sf.all_sectors(N):
-            lhs = tn.sin_basis_T_int(a.a1, a.a2, N) \
-                @ tn.sin_basis_T_int(b.a1, b.a2, N)
-            c = rf.add(a, b)
-            rhs = rf.kappa(a, b) * tn.sin_basis_T_int(c.a1, c.a2, N)
+    labels = [a for a, _ in rf.sectors(1j, N)]
+    for a in labels:
+        for b in labels:
+            lhs = _T(a, N) @ _T(b, N)
+            rhs = rf.kappa(a, b, N) * _T(rf.add(a, b, N), N)
             # the canonical representative of a+b can differ from the
             # integer sum by a sign; compare projectively then fix phase
-            lhs_int = tn.sin_basis_T_int(a.a1 + b.a1, a.a2 + b.a2, N)
-            assert np.max(np.abs(lhs - rf.kappa(a, b) * lhs_int)) < 1e-12
+            lhs_int = _T((a[0] + b[0], a[1] + b[1]), N)
+            assert np.max(np.abs(lhs - rf.kappa(a, b, N) * lhs_int)) < 1e-12
             ratio = lhs[np.abs(rhs) > 0.5] / rhs[np.abs(rhs) > 0.5]
             assert np.max(np.abs(np.abs(ratio) - 1.0)) < 1e-12
 
 
 def test_kappa_diagonal_is_one():
-    for a in sf.all_sectors(3):
-        assert abs(rf.kappa(a, a) - 1.0) < 1e-15
+    for a, _ in rf.sectors(1j, 3):
+        assert abs(rf.kappa(a, a, 3) - 1.0) < 1e-15
 
 
 def test_right_multiplication_by_P_swaps_columns():
@@ -292,7 +295,7 @@ def test_block_grid_is_a_view():
     rng = np.random.default_rng(23)
     M, N = 3, 2
     A = random_matrix(rng, M * N)
-    grid = tn.block_grid(A, M, N)
+    grid = tn.as_block_grid(A, M, N)
     assert np.array_equal(grid[1, 2], A[2:4, 4:6])
     assert np.shares_memory(grid, A)
     assert np.array_equal(grid.swapaxes(1, 2).reshape(M * N, M * N), A)
@@ -308,5 +311,4 @@ def test_sin_basis_stack_is_each_label():
         for (b1, b2), T in zip(labels, stack):
             want = rf.sin_basis_T(b1, b2, N).view(np.uint64)
             assert np.array_equal(T.view(np.uint64), want), (N, b1, b2)
-            assert np.array_equal(
-                tn.sin_basis_T_int(b1, b2, N).view(np.uint64), want)
+            assert np.array_equal(_T((b1, b2), N).view(np.uint64), want)
