@@ -126,14 +126,14 @@ def _load_config(path):
 def _cmd_check_lax(args):
     cfg = _load_config(args.config)
     family, state, nu = md.load_model_config(cfg)
-    # lax_check returns one NM x NM matrix per point
+    # one NM x NM L per point, a chunk at a time
     n = state.M * state.N
     check_scale(args.z_samples * n * n,
                 f"{args.z_samples} Lax matrices at NM = {n}")
     rng = np.random.default_rng(int(cfg.get("seed", 0)) + 1)
     zs = [sf.sample_point(rng, family.flavor) for _ in range(args.z_samples)]
     # np.max: a NaN residual anywhere fails the check
-    worst = float(np.max(md.lax_check(state, zs)[1]))
+    worst = float(np.max(md.lax_check(state, zs)))
     passed = worst < args.tol
     body = {"max_lax_residual": worst, "z_samples": args.z_samples,
             "tol": args.tol}

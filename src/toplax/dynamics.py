@@ -10,7 +10,8 @@ rather than exact preservation.
 
 A monitor row is one complex array under the names TrajectoryRecord.columns
 (q0.., p0.., H, trL{k}_z{s}, trS{k}); the CSV header and the keys of the
-drift report are those names.
+drift report are those names.  The rows' Lax checks wait until the pending
+rows fill a chunk, to be one stack (model.lax_chunks).
 """
 
 import math
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from . import model as md
+from . import tensor as tn
 from .errors import ConstraintDrift, ConstraintViolation, PoleProximity
 
 
@@ -75,58 +77,80 @@ def _rk4_step(state, dt):
 
 
 def _power_traces(A):
-    """[tr A, tr A^2, tr A^3] of each matrix of the stack A, in one row."""
+    """[tr A, tr A^2, tr A^3] of each matrix of the stack A, on a last
+    axis."""
     A2 = A @ A
-    return np.stack([X.trace(axis1=1, axis2=2) for X in (A, A2, A2 @ A)],
-                    axis=1).reshape(-1)
+    return np.stack([X.trace(axis1=-2, axis2=-1) for X in (A, A2, A2 @ A)],
+                    axis=-1)
 
 
-def _monitor_row(rec, t, state, monitor_z):
-    """Append the monitor row of state at time t to rec.  H and the one
-    bracket flow of every monitor point read the state's F^0 table, as does
-    the next RK4 step's first stage."""
-    energy = md.hamiltonian(state)
-    # the power traces of every L(z) and of S come from one stack
-    stack = state.spin.matrix[None]
-    residual = None
+def _flush(rec, pending, monitor_z):
+    """Append the pending rows to rec, Lax checked, and empty pending."""
+    if not pending:
+        return
+    times, states, energies, flows = zip(*pending)
+    traces = np.empty((len(states), len(monitor_z) + 1, 3), dtype=complex)
+    residuals = np.empty((len(states), len(monitor_z)))
+    traces[:, -1] = _power_traces(np.array([s.spin.matrix for s in states]))
     if monitor_z:
-        Ls, residuals = md.lax_check(state, monitor_z)
-        stack = np.concatenate([Ls, stack])
+        for rows, points, L, chunk in md.lax_chunks(states, flows, monitor_z):
+            traces[:, :-1][rows, points] = _power_traces(L)
+            residuals[rows, points] = chunk
+    for t, state, energy, row, residual in zip(times, states, energies,
+                                                traces, residuals):
+        rec.times.append(t)
+        rec.values.append(np.concatenate([state.q, state.p, [energy],
+                                          row.reshape(-1)]))
         # a NaN residual propagates into the record
-        residual = float(np.max(residuals))
-    row = np.concatenate([state.q, state.p, [energy], _power_traces(stack)])
-    # appended only once every value is in, so a row that raises adds none
-    rec.times.append(t)
-    rec.values.append(row)
-    rec.lax_residual.append(residual)
+        rec.lax_residual.append(float(np.max(residual)) if monitor_z
+                                else None)
+    pending.clear()
 
 
 def integrate(state0, cfg):
     """RK4 trajectory of the Hamiltonian flow with monitoring.
 
-    Any error at the first row raises.  After it, PoleProximity (a pair or
-    monitor point in the pole margin), ConstraintViolation (in an RK4 stage)
-    or ConstraintDrift (|tr S^ii - nu| > 1e-6, read after every step) ends
-    the record and sets rec.failure = {"step", "error"}: a numerical
-    failure of a valid start.
+    Any error at the first row raises.  After it, PoleProximity (a pair in
+    the pole margin), ConstraintViolation (in an RK4 stage or a row's
+    bracket flow) or ConstraintDrift (|tr S^ii - nu| > 1e-6, read after
+    every step) ends the record and sets rec.failure = {"step", "error"}:
+    a numerical failure of a valid start.
+
+    A row's H and bracket flow are formed at its step; its Lax check runs
+    once the pending rows fill a chunk of M^2 N^4 entries per monitor point
+    (one if none) within STACK_BYTES, before a failure is recorded and at
+    the end.  An error there raises as one at the first row does: its
+    monitor points are every row's, and its pairs' guard is H's.
     """
     nu = state0.spin.traces()[0]
-    rec = TrajectoryRecord(_columns(state0.M, len(cfg.monitor_z)))
-    _monitor_row(rec, 0.0, state0, cfg.monitor_z)
-    state = state0
-    for step in range(1, cfg.steps + 1):
+    zs = cfg.monitor_z
+    rec = TrajectoryRecord(_columns(state0.M, len(zs)))
+    entries = max(len(zs), 1) * state0.M ** 2 * state0.N ** 4
+    pending, state, failure = [], state0, None
+    for step in range(cfg.steps + 1):
+        if len(tn.chunks(len(pending) + 1, entries, tn.STACK_BYTES)) > 1:
+            _flush(rec, pending, zs)
         try:
-            state = _rk4_step(state, cfg.dt)
-            drift = np.max(np.abs(state.spin.traces() - nu))
-            # a NaN drift is a blow-up too
-            if not drift <= 1e-6:
-                raise ConstraintDrift(
-                    f"constraint drift {drift:.3e} at step {step}")
+            if step:
+                state = _rk4_step(state, cfg.dt)
+                drift = np.max(np.abs(state.spin.traces() - nu))
+                # a NaN drift is a blow-up too
+                if not drift <= 1e-6:
+                    raise ConstraintDrift(
+                        f"constraint drift {drift:.3e} at step {step}")
             if step % cfg.monitor_every == 0:
-                _monitor_row(rec, step * cfg.dt, state, cfg.monitor_z)
+                # H and the flow read the state's F^0 table, as does the
+                # next step's first stage
+                energy = md.hamiltonian(state)
+                pending.append((step * cfg.dt, state, energy,
+                                md.bracket_flow(state) if zs else None))
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
-            rec.failure = {"step": step, "error": str(exc)}
+            if not step:
+                raise
+            failure = {"step": step, "error": str(exc)}
             break
+    _flush(rec, pending, zs)
+    rec.failure = failure
     return rec
 
 

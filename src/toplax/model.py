@@ -21,11 +21,11 @@ and {p_i, q_j} = d_{ij}.  Their agreement is part of the certification.
 Every kernel table is one family call over an array of pair differences:
 F^0 and F^0' of the pairs i < j from one r(q, (1, 2)) call per state
 (PhaseState.f0_table), and R^z and F^z of a stack of spectral points
-against all ordered pairs from one R(z, q, (0, 1)) call (_pair_tables).
-The Lax and exchange checks evaluate their points as stacks, in
-tensor.chunks whose largest array fits STACK_BYTES; each sample keeps its
-own norm and residual.  The layout of a table is written once, in cached
-gather plans (_gather_plan).
+against all ordered pairs of one or more states from one R(z, q, (0, 1))
+call (_pair_tables).  The Lax and exchange checks evaluate their points as
+stacks, in tensor.chunks whose largest array fits STACK_BYTES; each sample
+keeps its own norm and residual.  The layout of a table is written once,
+in cached gather plans (_gather_plan).
 """
 
 import cmath
@@ -160,9 +160,11 @@ class PhaseState:
 
     @staticmethod
     def split(vec, M, N):
-        """The views (q, p, S) of a phase vector of M sites of gl(N): of a
-        state, or of a flow (dq, dp, dS); S is the NM x NM matrix."""
-        return vec[:M], vec[M:2 * M], vec[2 * M:].reshape(M * N, M * N)
+        """The views (q, p, S) of a phase vector of M sites of gl(N), or of
+        each of a stack: of a state, or of a flow (dq, dp, dS); S is the NM
+        x NM matrix."""
+        return vec[..., :M], vec[..., M:2 * M], \
+            vec[..., 2 * M:].reshape(vec.shape[:-1] + (M * N, M * N))
 
     @property
     def M(self):
@@ -320,45 +322,52 @@ def _gather_plan(shape, fill, writes):
 
 @functools.lru_cache(maxsize=16)
 def _pair_plan(M, N):
-    """A _pair_tables gather from [ordered pairs' stack, diagonal]."""
+    """A _pair_tables gather from the ordered pairs' stack (its diagonal
+    blocks read entry 0, to be overwritten)."""
     i, j = _ordered_pairs(M)
-    sites = np.arange(M)
-    X = np.arange((len(i) + 1) * N ** 4).reshape(-1, N, N, N, N)
-    return _gather_plan((1, M, M) + (N,) * 4, 0, [(0, i, j, X[:-1]),
-                                                  (0, sites, sites, X[-1])])[0]
+    X = np.arange(len(i) * N ** 4).reshape(-1, N, N, N, N)
+    return _gather_plan((1, M, M) + (N,) * 4, 0, [(0, i, j, X)])[0]
 
 
-def _pair_tables(state, z):
-    """Kernel tables (R, F) at the spectral point z, (M, M, N, N, N, N), or
-    a stack of them, z.shape + (M, M, N, N, N, N), at an array z:
+def _pair_tables(family, q, z):
+    """Kernel tables (R, F) of the positions q at the spectral point z,
+    (M, M, N, N, N, N), or a stack of them, z.shape + q.shape[:-1] + (M, M,
+    N, N, N, N), at an array z or positions (s, M):
     R[..., i, j, a, k, l, b] = R^z(q_ij)_{(a,k),(l,b)} and F the same of
     F^z(q_ij), from one R(z, q, (0, 1)) call over all ordered pairs, and on
     the diagonal their q -> 0 coefficients r(z) P and m(z) P, from one
     Rz_coefficients call.  Each is one gather (_pair_plan) into memory in
     the order [..., i, j, a, b, l, k], per block the (a, b) x (l, k) matrix
-    that _contract multiplies in place, seen through swapaxes(-3, -1)."""
-    fam = state.family
-    M, N = state.M, state.N
+    that _contract multiplies in place, seen through swapaxes(-3, -1), and
+    one write of its diagonal blocks."""
+    M, N = q.shape[-1], family.N
     z = np.asarray(z, dtype=complex)
-    shape = z.shape
     i, j = _ordered_pairs(M)
     # an array of spectral points takes one more axis, for the pairs
-    off = list(fam.R(z[..., None] if shape else z, state.qdiff(i, j), (0, 1)))
+    off = list(family.R(z[..., None] if z.ndim else z,
+                        (q[..., i] - q[..., j]).reshape(-1), (0, 1)))
+    shape = z.shape + q.shape[:-1]
     tables = []
-    for diagonal in fam.Rz_coefficients(z):
-        # each family stack is dropped once copied, so that the two tables
-        # and the two stacks are never held at once
-        source = np.concatenate([off.pop(0).reshape(shape + (-1,)),
-                                 diagonal.reshape(shape + (-1,))], axis=-1)
-        tables.append(np.take(source, _pair_plan(M, N), axis=-1).reshape(
-            shape + (M, M) + (N,) * 4).swapaxes(-3, -1))
+    for diagonal in family.Rz_coefficients(z):
+        # each family stack is dropped once read, so that the two tables
+        # and the two stacks are never held at once; one site has no pairs
+        T = np.empty(shape + (N ** 4,), dtype=complex) if M == 1 else \
+            np.take(off.pop(0).reshape(shape + (-1,)), _pair_plan(M, N),
+                    axis=-1)
+        T = T.reshape(shape + (M * M, N ** 4))
+        # the blocks (i, i), the entry (a, k), (l, b) at [a, b, l, k]
+        T[..., ::M + 1, :] = diagonal.reshape(
+            z.shape + (1,) * q.ndim + (N,) * 4).swapaxes(-3, -1).reshape(
+            z.shape + (1,) * q.ndim + (-1,))
+        tables.append(T.reshape(shape + (M, M) + (N,) * 4).swapaxes(-3, -1))
     return tuple(tables)
 
 
 def _contract(T, S):
     """The NM x NM matrix with blocks tr_2(S^{ij}_2 T[i, j] P_12), entry
     [i, a, j, b] = sum_kl T[i, j, a, k, l, b] S^{ij}_{lk}, or the stack of
-    them for a stack of tables T laid out as by _pair_tables (matvec4)."""
+    them for a stack of tables T laid out as by _pair_tables (matvec4) and
+    S or a stack of S."""
     M, N = T.shape[-6], T.shape[-4]
     out = matvec4(T.swapaxes(-3, -1), as_block_grid(S, M, N))
     return out.swapaxes(-3, -2).reshape(T.shape[:-6] + (M * N, M * N))
@@ -366,19 +375,11 @@ def _contract(T, S):
 
 def _plus_diagonal(A, d):
     """A, or each matrix of a stack A, plus d_i 1 on its diagonal blocks, in
-    place."""
+    place (d, or a stack of d)."""
     n = A.shape[-1]
     k = np.arange(n)
-    A[..., k, k] += np.repeat(d, n // len(d))
+    A[..., k, k] += np.repeat(d, n // d.shape[-1], axis=-1)
     return A
-
-
-# --- Lax pair --------------------------------------------------------------
-
-def _lax_L(state, R):
-    """L(z) from the R table of z, or the stack of L from a stack of
-    tables."""
-    return _plus_diagonal(_contract(R, state.spin.matrix), state.p)
 
 
 # --- equations of motion (printed form) ------------------------------------
@@ -422,8 +423,14 @@ def eom_rhs(state):
     M, N = spin.M, spin.N
     _require_constraints(state)
     _, _, F0, dF0 = state.f0_table
-    source = np.concatenate((F0, dF0, -dF0, state.family.m0(), [0]),
-                            axis=None)
+    tail = state.family.m0_tail()
+    # the source [F^0, F^0', -F^0', m(0), 0] of _eom_plan
+    n = F0.size
+    source = np.empty(3 * n + tail.size, dtype=complex)
+    head = source[:3 * n].reshape((3,) + F0.shape)
+    head[0], head[1] = F0, dF0
+    np.negative(dF0, out=head[2])
+    source[3 * n:] = tail
     S = spin.matrix
     KK = source[_eom_plan(M, N)] @ spin.blocks.reshape(M * M, N * N, 1)
     K, Kd = KK.reshape(2, M, M, N, N).swapaxes(2, 3).reshape(2, M * N, M * N)
@@ -487,49 +494,71 @@ def bracket_flow(state):
 
 
 def _flow_L(R, Mz, flow):
-    """{H, L(z)} by the chain rule from the bracket-side flow and a stack of
-    R tables: the spin flow through R, the momenta on the diagonal, and the
-    positions through dL^{ij}/dq_i = tr_2(S^ij_2 F^z_12(q_ij) P_12), which
-    is the off-diagonal block M^{ij}(z) of the stack Mz."""
+    """{H, L(z)} by the chain rule from the bracket-side flow (dq, dp, dS
+    as a matrix), or a stack of flows, and a stack of R tables: the spin
+    flow through R, the momenta on the diagonal, and the positions through
+    dL^{ij}/dq_i = tr_2(S^ij_2 F^z_12(q_ij) P_12), which is the
+    off-diagonal block M^{ij}(z) of the stack Mz."""
     dq, dp, dS = flow
     M, N = R.shape[-6], R.shape[-4]
-    out = _contract(R, dS.swapaxes(1, 2).reshape(M * N, M * N))
-    weight = (dq[:, None] - dq[None, :])[:, None, :, None]
-    out += (weight * Mz.reshape(-1, M, N, M, N)).reshape(out.shape)
+    out = _contract(R, dS)
+    weight = (dq[..., :, None] - dq[..., None, :])[..., :, None, :, None]
+    out += (weight * Mz.reshape(Mz.shape[:-2] + (M, N, M, N))).reshape(
+        out.shape)
     return _plus_diagonal(out, dp)
 
 
-def _lax_stack(state, zs, flow):
-    """(L, residuals) of lax_check at an array zs of points, from one stack
-    of pair tables."""
-    R, F = _pair_tables(state, zs)
-    Mz = _contract(F, state.spin.matrix)
-    # each table is dropped once read, so that the stack holds one at a time
-    del F
-    L = _lax_L(state, R)
-    lhs = _flow_L(R, Mz, flow)
-    del R
-    rhs = L @ Mz - Mz @ L
-    scale = np.maximum(np.maximum(stack_norms(lhs), stack_norms(rhs)), 1.0)
-    return L, stack_norms(lhs - rhs) / scale
+def lax_chunks(states, flows, zs):
+    """Yield (rows, points, L, residuals) over the grid of the states of
+    one family and the points zs, flows[r] being bracket_flow of states[r]:
+    per block, L[r, s] = L(z) of states[rows][r] at zs[points][s] and the
+    relative residual of {H, L(z)} = [L(z), M(z)] there.  A block is a
+    tensor.chunks chunk of one table (M^2 N^4 entries) per point within
+    STACK_BYTES, of whole rows while a row fits one, and its L, M and
+    {H, L} are contractions over one stack of pair tables."""
+    first = states[0]
+    fam, M, N = first.family, first.M, first.N
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    n, cell, budget = len(zs), M * M * N ** 4, tn.STACK_BYTES
+    if len(tn.chunks(n, cell, budget)) == 1:
+        blocks = [(rows, slice(None))
+                  for rows in tn.chunks(len(states), n * cell, budget)]
+    else:
+        blocks = [(slice(r, r + 1), points) for r in range(len(states))
+                  for points in tn.chunks(n, cell, budget)]
+    q, p, S = PhaseState.split(np.array([st.vector for st in states]), M, N)
+    # the flow's dq is p
+    dp = np.array([flow[1] for flow in flows])
+    dS = np.array([flow[2] for flow in flows]).swapaxes(-3, -2).reshape(
+        S.shape)
+    for rows, points in blocks:
+        # the stacks are [point, state]
+        R, F = _pair_tables(fam, q[rows], zs[points])
+        Mz = _contract(F, S[rows])
+        # each table is dropped once read, so that the stack holds one at
+        # a time
+        del F
+        L = _plus_diagonal(_contract(R, S[rows]), p[rows])
+        # {H, L}, [L, M] and their difference, for one norm call
+        X = np.empty((3,) + L.shape, dtype=complex)
+        X[0] = _flow_L(R, Mz, (p[rows], dp[rows], dS[rows]))
+        del R
+        np.matmul(L, Mz, out=X[1])
+        X[1] -= Mz @ L
+        np.subtract(X[0], X[1], out=X[2])
+        lhs, rhs, diff = stack_norms(X.reshape((-1,) + L.shape[-2:])).reshape(
+            X.shape[:3])
+        residuals = diff / np.maximum(np.maximum(lhs, rhs), 1.0)
+        yield rows, points, L.swapaxes(0, 1), residuals.T
 
 
 def lax_check(state, zs):
-    """(L(z), relative residual of {H, L(z)} = [L(z), M(z)]) at every z of
-    the sequence zs, as a stack of L and an array of residuals, from one
-    bracket_flow.
-
-    The points go in tensor.chunks of M^2 N^4 entries (one table) within
-    STACK_BYTES: L, M and {H, L} of a chunk are contractions over one stack
-    of pair tables (_lax_stack), and each point gets its own norms."""
-    flow = bracket_flow(state)
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    M, N = state.M, state.N
-    Ls = np.empty((len(zs), M * N, M * N), dtype=complex)
+    """The relative residual of {H, L(z)} = [L(z), M(z)] at every z of the
+    sequence zs, as an array: lax_chunks of the state alone."""
     residuals = np.empty(len(zs))
-    for chunk in tn.chunks(len(zs), M * M * N ** 4, tn.STACK_BYTES):
-        Ls[chunk], residuals[chunk] = _lax_stack(state, zs[chunk], flow)
-    return Ls, residuals
+    for _, points, _, chunk in lax_chunks([state], [bracket_flow(state)], zs):
+        residuals[points] = chunk[0]
+    return residuals
 
 
 # --- classical exchange relation ------------------------------------------
@@ -645,7 +674,8 @@ def _exchange_rhs(state, R, buf):
     L(z) x 1 or 1 x L(w) lands on one plane (_site_products)."""
     M, N = state.M, state.N
     n = len(R)
-    Lz, Lw = (_lax_L(state, R[:, k]).reshape(n, M, N, M, N) for k in (0, 1))
+    Lz, Lw = (_plus_diagonal(_contract(R[:, k], state.spin.matrix),
+                             state.p).reshape(n, M, N, M, N) for k in (0, 1))
     # the memory of the z - w and w - z tables: G[n, i, j, a, k, b, l] is
     # X[n, i, j, a, b, l, k] and H[n, i, j, a, k, b, l] Y[n, j, i, k, l, b, a]
     X, Y = R[:, 2].swapaxes(-3, -1), R[:, 3].swapaxes(-3, -1)
@@ -681,7 +711,7 @@ def _site_products(plane, axis, A, B, axes):
 def _exchange_residuals(state, points):
     """exchange_residual at the pairs of points[k] = (z, w, z - w, w - z),
     from one stack of their pair tables."""
-    R, F = _pair_tables(state, points)
+    R, F = _pair_tables(state.family, state.q, points)
     # the F tables enter through dL/dq at z and w and the dr blocks alone,
     # which are formed first, so that F is dropped before the planes
     D, W = _q_derivatives(state, F[:, :2]), _dr_overlap(state, F[:, 2])

@@ -20,10 +20,10 @@ from .errors import ScaleExceeded
 # the largest complex array a command may allocate, checked before it does
 MAX_ARRAY_BYTES = 2 ** 28
 # the byte budgets of a chunk of a stacked path (chunks): check-lax,
-# check-exchange and a monitor row hold the largest array of a chunk of
-# spectral points to STACK_BYTES, so that a check of many points keeps the
-# peak memory of a few; the certification suites hold what a chunk of
-# samples holds at once to CERTIFY_BYTES
+# check-exchange and the monitor rows of a trajectory hold the largest
+# array of a chunk of spectral points to STACK_BYTES, so that a check of
+# many points keeps the peak memory of a few; the certification suites
+# hold what a chunk of samples holds at once to CERTIFY_BYTES
 STACK_BYTES = 224 << 10
 CERTIFY_BYTES = 16 << 20
 
@@ -248,9 +248,10 @@ def site_product(N, k, *factors):
 
 
 def as_block_grid(A, M, N):
-    """(M, M, N, N) view of an NM x NM matrix: entry [i, j] is block (i, j).
+    """(M, M, N, N) view of an NM x NM matrix, or of each of a stack:
+    entry [..., i, j] is block (i, j).
 
     The view shares memory with A; grid.swapaxes(1, 2).reshape(M*N, M*N)
     is A again.
     """
-    return A.reshape(M, N, M, N).swapaxes(1, 2)
+    return A.reshape(A.shape[:-2] + (M, N, M, N)).swapaxes(-3, -2)

@@ -2,7 +2,8 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 another way: the RK4 step through the public state constructor and packed
-flow tuples, the Hamiltonian and its q-gradient as loop sums, the dense
+flow tuples, the trajectory record with each monitor row checked on its
+own, the Hamiltonian and its q-gradient as loop sums, the dense
 dynamical r-matrix and its q-derivative term against
 the support planes of the exchange check, the pair and plane contractions
 and the site products of operators on Mat(N)^{x k} as np.einsum subscripts
@@ -20,8 +21,10 @@ import functools
 
 import numpy as np
 
+from toplax import dynamics as dy
 from toplax import model as md
 from toplax import specfun as sf
+from toplax.errors import ConstraintDrift, ConstraintViolation, PoleProximity
 from toplax.tensor import op_contract, permutation_P
 
 
@@ -75,6 +78,43 @@ def rk4_step(state, dt):
     k4 = rate(state_at(vec + dt * k3, state))
     return state_at(vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
                     state)
+
+
+def monitor_record(state0, cfg):
+    """dy.integrate's record with every monitor row complete at its step:
+    H, one lax_check of the row's state alone at the monitor points, and
+    the power traces of each L(z) (build_L) and of S, appended at once;
+    the same RK4 steps, drift check and failures."""
+    nu = state0.spin.traces()[0]
+    zs = cfg.monitor_z
+    rec = dy.TrajectoryRecord(dy._columns(state0.M, len(zs)))
+
+    def row(t, state):
+        energy = md.hamiltonian(state)
+        residual = float(np.max(md.lax_check(state, zs))) if zs else None
+        stack = np.array([build_L(state, z) for z in zs]
+                         + [state.spin.matrix])
+        rec.times.append(t)
+        rec.values.append(np.concatenate([
+            state.q, state.p, [energy],
+            dy._power_traces(stack).reshape(-1)]))
+        rec.lax_residual.append(residual)
+
+    row(0.0, state0)
+    state = state0
+    for step in range(1, cfg.steps + 1):
+        try:
+            state = dy._rk4_step(state, cfg.dt)
+            drift = np.max(np.abs(state.spin.traces() - nu))
+            if not drift <= 1e-6:
+                raise ConstraintDrift(
+                    f"constraint drift {drift:.3e} at step {step}")
+            if step % cfg.monitor_every == 0:
+                row(step * cfg.dt, state)
+        except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
+            rec.failure = {"step": step, "error": str(exc)}
+            break
+    return rec
 
 
 def hamiltonian(state):
@@ -149,13 +189,15 @@ def eom_commutator_diagonal(state):
 def build_L(state, z):
     """Lax matrix: L^{ij} = d_ij (p_i 1 + tr_2(S^ii_2 r_12(z))) +
     (1 - d_ij) tr_2(S^ij_2 R^z_12(q_ij) P_12), the L(z) of md.lax_check."""
-    return md._lax_L(state, md._pair_tables(state, z)[0])
+    R = md._pair_tables(state.family, state.q, z)[0]
+    return md._plus_diagonal(md._contract(R, state.spin.matrix), state.p)
 
 
 def build_M(state, z):
     """Accompanying matrix: M^{ij} = d_ij tr_2(S^ii_2 m_12(z)) +
     (1 - d_ij) tr_2(S^ij_2 F^z_12(q_ij) P_12), the M(z) of md.lax_check."""
-    return md._contract(md._pair_tables(state, z)[1], state.spin.matrix)
+    return md._contract(md._pair_tables(state.family, state.q, z)[1],
+                        state.spin.matrix)
 
 
 def cm_rmx_lax(q, p, nu, family, z):
@@ -183,14 +225,14 @@ def classical_r_big(state, z, w):
     """The dynamical r-matrix on Mat(M)^2 x Mat(N)^2, primed factors first:
     sum_i E_ii x E_ii x r_12(z-w) + sum_{i!=j} E_ij x E_ji x R^{z-w}(q_ij) P,
     as a dense array."""
-    return exchange_blocks(md._pair_tables(state, z - w)[0])
+    return exchange_blocks(md._pair_tables(state.family, state.q, z - w)[0])
 
 
 def r_big_q_derivative_sum(state, z, w):
     """sum_k tr(S^kk) d/dq_k of the dynamical r-matrix, which places
     (tr S^ii - tr S^jj) F^{z-w}(q_ij) P, as a dense array."""
     return exchange_blocks(md._trace_weight(state)
-                           * md._pair_tables(state, z - w)[1])
+                           * md._pair_tables(state.family, state.q, z - w)[1])
 
 
 # --- pair, plane and site products as einsum subscripts --------------------
@@ -238,7 +280,8 @@ def exchange_products(state, R):
     of [L(z) x 1, r(z, w)], then of [1 x L(w), r_{2'1'21}(w, z)], before
     their overlaps fold."""
     M, N = state.M, state.N
-    Lz, Lw = (md._lax_L(state, R[:, k]).reshape(-1, M, N, M, N)
+    Lz, Lw = (md._plus_diagonal(md._contract(R[:, k], state.spin.matrix),
+                                state.p).reshape(-1, M, N, M, N)
               for k in (0, 1))
     G = R[:, 2].swapaxes(-2, -1)
     H = R[:, 3].swapaxes(-2, -1).transpose(0, 2, 1, 4, 3, 6, 5)

@@ -384,8 +384,8 @@ def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
     nan = float("nan")
     path = write_config(tmp_path)
     # check-lax: a NaN after a finite residual still decides the verdict
-    monkeypatch.setattr(cli.md, "lax_check", lambda state, zs: (
-        None, np.array([0.0] * (len(zs) - 1) + [nan])))
+    monkeypatch.setattr(cli.md, "lax_check", lambda state, zs: np.array(
+        [0.0] * (len(zs) - 1) + [nan]))
     code, out, _ = run_capture(capsys, ["check-lax", "--config", path])
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -641,6 +641,40 @@ def test_stacked_checks_peak_memory(tmp_path, capsys):
         assert peak < 3.6 * tn.STACK_BYTES, argv[0]
 
 
+def test_lax_memory_does_not_grow_with_points(tmp_path, capsys):
+    # no L stack outlives its chunk: at xxx N=2 M=8, check-lax at 2000
+    # points and simulate at 400 monitor points peak within 1 MiB of the
+    # same command at 20 points (8.6 and 6.5 MiB when each L of a check
+    # was held at once, against 0.76 and 0.79 MiB)
+    path = write_config(tmp_path, M=8, seed=0)
+
+    def points(n):
+        return ";".join(f"{0.1 + 0.5 * k / n:.4f},{0.3 + 0.4 * k / n:.4f}"
+                        for k in range(n))
+
+    def argv(command, n):
+        if command == "check-lax":
+            return ["check-lax", "--config", path, "--z-samples", str(n)]
+        return ["simulate", "--config", path, "--dt", "1e-4", "--steps", "4",
+                "--monitor-every", "2", "--monitor-z", points(n),
+                "--out", str(tmp_path / "traj.csv")]
+
+    def peak(args):
+        # a first run fills the caches that outlive a command
+        assert run_capture(capsys, args)[0] == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_capture(capsys, args)[0] == 0
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    for command, few, many in (("check-lax", 20, 2000),
+                               ("simulate", 20, 400)):
+        assert peak(argv(command, many)) < peak(argv(command, few)) + 2 ** 20
+
+
 def test_simulate_builds_one_eom_plan(tmp_path, capsys):
     # every RK4 stage of a simulate gathers its F0 tables through the one
     # cached plan of its M and N: 16 steps of 4 stages build it once
@@ -862,7 +896,7 @@ def test_oversized_check_lax_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.sf, "sample_point",
                         lambda rng, flavor: drawn.append(1) or 0.3j)
     monkeypatch.setattr(cli.md, "lax_check",
-                        lambda state, zs: (None, np.zeros(len(zs))))
+                        lambda state, zs: np.zeros(len(zs)))
     code, out, err = run_capture(capsys, ["check-lax", "--config", path,
                                           "--z-samples", "65537"])
     assert (code, out, drawn) == (2, "", [])

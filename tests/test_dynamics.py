@@ -1,6 +1,7 @@
 """Unit tests for the RK4 integrator and trajectory records."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from toplax import dynamics as dy
 from toplax import model as md
 from toplax import rmatrix as rm
+from toplax import tensor as tn
+from toplax.errors import PoleProximity
 
 import reference as rf
 
@@ -141,7 +144,8 @@ def test_csv_shape_and_determinism():
 
 def test_monitor_row_runs_one_bracket_flow(monkeypatch):
     # the flow is z-independent: one evaluation per row, not per point (the
-    # row takes it from the F0 table it shares with H, via lax_check)
+    # row takes it from the F0 table it shares with H, and its Lax check
+    # reads it at the flush)
     calls = []
     flow = md.bracket_flow
 
@@ -175,18 +179,29 @@ def test_monitor_row_one_f0_table(family_calls, monitor_z):
     assert len(rows) == rec.rows() + 4 * cfg.steps - 2
 
 
-def test_simulate_r_calls(family_calls):
+def test_simulate_r_calls(family_calls, monkeypatch):
     # the bb flow of the benchmark: 6 steps, a row every 3 and two monitor
     # points make 3 rows and 24 RK4 stages, one r call each, less the
     # first stages of steps 1 and 4, which read the table of the row before
-    # them (27 calls before it was shared)
+    # them (27 calls before it was shared); the 3 rows take one bracket
+    # flow each, and their Lax checks are one stack: one R call over the
+    # ordered pairs of the 3 states and one Rz_coefficients call over the
+    # 2 points (3 of each when each row was checked alone)
+    flows = []
+    flow = md.bracket_flow
+    monkeypatch.setattr(md, "bracket_flow",
+                        lambda state: flows.append(1) or flow(state))
     st = md.random_state(rm.make_family("bb", N=2, tau=1j), 4, 1.0, seed=0)
     cfg = dy.IntegratorConfig(dt=1e-5, steps=6, monitor_every=3,
                               monitor_z=(0.3 + 0.4j, 0.6 + 0.5j))
     del family_calls[:]
     rec = dy.integrate(st, cfg)
     assert rec.rows() == 3 and rec.failure is None
-    assert sum(name == "r" for name, _, _ in family_calls) == 25
+    calls = Counter(name for name, _, _ in family_calls)
+    assert (calls["r"], calls["R"], calls["Rz_coefficients"]) == (25, 1, 1)
+    assert len(flows) == 3
+    (zs, qs), = [args for name, args, _ in family_calls if name == "R"]
+    assert zs.shape == (2, 1) and qs.shape == (3 * 12,)
 
 
 def test_monitor_table_gives_the_same_trajectory(monkeypatch):
@@ -218,19 +233,130 @@ def test_rk4_step_matches_packed_stages(key, M, kwargs):
 
 def test_nan_residual_after_first_row_reported(monkeypatch):
     # the report's maximum is np.max, so a NaN residual in a later row
-    # shows as it does in the first
-    check = md.lax_check
-    calls = []
+    # shows as it does in the first: the three rows are checked as one
+    # stack, whose residual of the second row is made NaN
+    chunks = md.lax_chunks
+    stacks = []
 
-    def second_nan(*args):
-        L, residual = check(*args)
-        calls.append(1)
-        return L, (float("nan") if len(calls) == 2 else residual)
+    def second_row_nan(states, flows, zs):
+        stacks.append(len(states))
+        for rows, points, L, residuals in chunks(states, flows, zs):
+            residuals[1] = float("nan")
+            yield rows, points, L, residuals
 
-    monkeypatch.setattr(md, "lax_check", second_nan)
+    monkeypatch.setattr(md, "lax_chunks", second_row_nan)
     st = make_state(seed=3)
     cfg = dy.IntegratorConfig(dt=1e-3, steps=20, monitor_z=(0.4 + 0.2j,),
                               monitor_every=10)
     rec = dy.integrate(st, cfg)
-    assert rec.rows() == 3
+    assert rec.rows() == 3 and stacks == [3]
+    assert [np.isnan(r) for r in rec.lax_residual] == [False, True, False]
     assert np.isnan(dy.isospectrality_report(rec)["max_lax_residual"])
+
+
+def _equal_records(got, want):
+    """Times, values, residuals and failure equal bit for bit."""
+    assert got.columns == want.columns
+    assert got.times == want.times
+    assert len(got.values) == len(want.values)
+    for row, expect in zip(got.values, want.values):
+        assert np.array_equal(row.view(np.uint64), expect.view(np.uint64))
+    assert got.lax_residual == want.lax_residual
+    assert got.failure == want.failure
+
+
+# a head-on collision (q_12 = 0.1i closing along the imaginary axis) fails
+# at step 66, after 7 rows
+_HEAD_ON = {"q": (0.1 + 0.3j, 0.1 + 0.2j), "p": (-4j, 4j)}
+
+
+@pytest.mark.parametrize("budget", ["default", "zero", "three rows"])
+@pytest.mark.parametrize("key, M, kwargs, steps", [
+    ("bb", 3, {"tau": 1j}, 12), ("xxx", 3, {}, 12),
+    ("7v", 3, {"C": 0.7 + 0.2j}, 12), ("bb", 2, {"tau": 1j}, 200)])
+def test_stacked_rows_match_rows_checked_alone(monkeypatch, budget, key, M,
+                                               kwargs, steps):
+    # the monitor rows' Lax checks as stacks over (row, point), flushed
+    # when the pending rows fill a chunk, give the record of rows each
+    # checked at its step, bit for bit: at the default budget (all rows in
+    # one flush), with one row per flush and one point per chunk, and with
+    # three rows per flush; the head-on collision (200 steps) fails mid-run
+    # and its rows before the failure keep their residuals
+    fam = rm.make_family(key, N=2, **kwargs)
+    head_on = steps == 200
+    st = md.random_state(fam, M, 1.0, seed=9, **(_HEAD_ON if head_on else {}))
+    zs = (0.3 + 0.4j, 0.6 + 0.5j)
+    cfg = dy.IntegratorConfig(dt=2e-3, steps=steps, monitor_z=zs,
+                              monitor_every=10 if head_on else 2)
+    want = rf.monitor_record(st, cfg)
+    flushes = []
+    chunks = md.lax_chunks
+
+    def counted(states, flows, points):
+        flushes.append(len(states))
+        return chunks(states, flows, points)
+
+    monkeypatch.setattr(md, "lax_chunks", counted)
+    if budget != "default":
+        monkeypatch.setattr(tn, "STACK_BYTES", 0 if budget == "zero"
+                            else 3 * 16 * len(zs) * M * M * 2 ** 4)
+    got = dy.integrate(st, cfg)
+    _equal_records(got, want)
+    assert got.rows() == 7
+    assert (got.failure is not None) == head_on
+    assert all(r < 1e-9 for r in got.lax_residual)
+    assert flushes == {"default": [7], "zero": [1] * 7,
+                       "three rows": [3, 3, 1]}[budget]
+
+
+def test_monitor_point_in_the_pole_margin_raises(monkeypatch):
+    # a monitor point in the pole margin is in it at every row, so the
+    # first flush, which comes after all 20 steps, raises the PoleProximity
+    # of the point's own Lax check out of integrate, not as a failure
+    steps = []
+    step = dy._rk4_step
+    monkeypatch.setattr(dy, "_rk4_step",
+                        lambda state, dt: steps.append(1) or step(state, dt))
+    st = make_state(seed=3)
+    zs = (0.4 + 0.2j, 1e-9 + 0j)
+    cfg = dy.IntegratorConfig(dt=1e-3, steps=20, monitor_z=zs,
+                              monitor_every=10)
+    with pytest.raises(PoleProximity) as exc:
+        dy.integrate(st, cfg)
+    assert str(exc.value) == \
+        "argument (1e-09+0j) too close to a pole (distance 1.000e-09)"
+    assert len(steps) == 20
+    with pytest.raises(PoleProximity) as alone:
+        md.lax_check(st, zs)
+    assert str(alone.value) == str(exc.value)
+
+
+def test_constraint_violation_at_a_row_ends_the_record_there(monkeypatch):
+    # tr S^00 pushed 1e-7 off nu at step 20 passes the drift check (1e-6)
+    # but not the constraint check of the row's bracket flow (1e-8): the
+    # record ends with the rows of steps 0 and 10, checked with their
+    # residuals, and the failure names step 20
+    step = dy._rk4_step
+    calls = []
+
+    def perturbed(state, dt):
+        state = step(state, dt)
+        calls.append(1)
+        if len(calls) == 20:
+            vec = state.vector.copy()
+            vec[2 * state.M] += 1e-7   # S^00_00, so tr S^00
+            state = state.from_vector(vec)
+        return state
+
+    monkeypatch.setattr(dy, "_rk4_step", perturbed)
+    st = make_state(seed=3)
+    cfg = dy.IntegratorConfig(dt=1e-3, steps=40, monitor_z=(0.4 + 0.2j,),
+                              monitor_every=10)
+    rec = dy.integrate(st, cfg)
+    assert rec.failure == {"step": 20, "error": "tr(S^ii) must equal a "
+                           "common constant on all sites"}
+    assert rec.times == [0.0, 10 * 1e-3] and len(calls) == 20
+    assert all(r < 1e-11 for r in rec.lax_residual)
+    # the rows checked alone, with the same perturbation
+    del calls[:]
+    _equal_records(rec, rf.monitor_record(st, cfg))

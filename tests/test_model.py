@@ -320,15 +320,16 @@ def test_matrix_products_match_einsum_oracles(key, N):
     for M in (1, 2, 3, 4):
         st = md.random_state(fam, M, 1.0, seed=M)
         S = st.spin.matrix
-        for T, T1, Ts in zip(md._pair_tables(st, zs[0]),
-                             md._pair_tables(st, zs[:1]),
-                             md._pair_tables(st, zs)):
+        for T, T1, Ts in zip(md._pair_tables(st.family, st.q, zs[0]),
+                             md._pair_tables(st.family, st.q, zs[:1]),
+                             md._pair_tables(st.family, st.q, zs)):
             got, stack = md._contract(T, S), md._contract(Ts, S)
             assert _agrees(got, rf.contract(T, S), N, exact), (key, M)
             assert _agrees(stack, rf.contract(Ts, S), N, exact), (key, M)
             assert np.array_equal(md._contract(T1, S)[0], got)
             assert np.array_equal(stack[0], md._contract(Ts[0], S))
-        R = md._pair_tables(st, [[z, w, z - w, w - z] for z in zs])[0]
+        R = md._pair_tables(st.family, st.q,
+                            [[z, w, z - w, w - z] for z in zs])[0]
         products = rf.exchange_products(st, R)
         buf = np.empty((3, 2) + (M,) * 3 + (N,) * 4, dtype=complex)
         one = np.empty_like(buf[:1])
@@ -407,7 +408,7 @@ def test_lax_residual_small():
         rng = np.random.default_rng(31)
         for _ in range(3):
             z = sf.sample_point(rng, fam.flavor)
-            assert md.lax_check(st, [z])[1][0] < 1e-11, key
+            assert md.lax_check(st, [z])[0] < 1e-11, key
 
 
 def test_exchange_residual_small():
@@ -435,10 +436,14 @@ def test_stacked_checks_match_single_points(key):
     st = md.random_state(fam, 3, 1.0, seed=61)
     rng = np.random.default_rng(67)
     zs = np.array([sf.sample_point(rng, fam.flavor) for _ in range(12)])
-    Ls, residuals = md.lax_check(st, zs)
-    for z, L, residual in zip(zs, Ls, residuals):
+    # the twelve points are one chunk of the grid of one state
+    (_, _, Ls, chunk), = md.lax_chunks([st], [md.bracket_flow(st)], zs)
+    residuals = md.lax_check(st, zs)
+    assert Ls.shape[:2] == chunk.shape == (1, 12)
+    assert np.array_equal(chunk[0], residuals)
+    for z, L, residual in zip(zs, Ls[0], residuals):
         assert np.array_equal(L, rf.build_L(st, z))
-        assert abs(residual - md.lax_check(st, [z])[1][0]) <= 1e-15
+        assert abs(residual - md.lax_check(st, [z])[0]) <= 1e-15
     z, w = zs[:6], zs[6:]
     stacked = md.exchange_residual(st, z, w)
     assert stacked.shape == (6,)
@@ -598,9 +603,9 @@ def test_lax_residuals_share_one_bracket_flow(monkeypatch):
         fam = rm.make_family(key, N=2, tau=1j)
         st = md.random_state(fam, 3, 1.0, seed=31)
         zs = [0.31 + 0.22j, 0.52 + 0.41j, 0.17 + 0.63j]
-        want = [md.lax_check(st, [z])[1][0] for z in zs]
+        want = [md.lax_check(st, [z])[0] for z in zs]
         del calls[:]
-        assert md.lax_check(st, zs)[1].tolist() == want
+        assert md.lax_check(st, zs).tolist() == want
         assert len(calls) == 1
 
 
@@ -724,7 +729,8 @@ def test_exchange_rhs_matches_dense_commutators(key, N):
         # -c1, c2 and dr, the terms as they enter the residual
         want = (r @ L1 - L1 @ r, L2 @ rt - rt @ L2,
                 rf.r_big_q_derivative_sum(st, z, w))
-        R, F = md._pair_tables(st, np.array([[z, w, z - w, w - z]]))
+        R, F = md._pair_tables(st.family, st.q,
+                               np.array([[z, w, z - w, w - z]]))
         buf = np.empty((1, 2, M, M, M, N, N, N, N), dtype=complex)
         # the commutator terms come in turn in one buffer, so each is
         # checked before the next is asked for
@@ -798,7 +804,7 @@ def test_exchange_lhs_matches_bracket_oracle(key, N):
         st = _off_constraint_state(fam, M, 53)
         want = _bracket_oracle(st, z, w)
         planes, off = _support_planes(want, M, N)
-        R, F = md._pair_tables(st, [[z, w]])
+        R, F = md._pair_tables(st.family, st.q, [[z, w]])
         got = md._exchange_lhs(st, R, md._q_derivatives(st, F))[0]
         scale = np.max(np.abs(want))
         assert got.shape == planes.shape
