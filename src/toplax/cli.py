@@ -19,22 +19,17 @@ from . import dynamics as dy
 from . import model as md
 from . import rmatrix as rm
 from . import specfun as sf
+from . import tensor as tn
 from .errors import DegenerateDraw, ToplaxError
-from .tensor import check_scale
-
-_FLAVOR_KEYS = ("rational", "trig", "elliptic")
 
 
 def _parse_complex(text):
-    parts = str(text).split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected RE,IM pair, got {text!r}")
     try:
-        z = complex(float(parts[0]), float(parts[1]))
+        re, im = map(float, str(text).split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected RE,IM pair, got {text!r}")
+    z = complex(re, im)
     if not cmath.isfinite(z):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return z
@@ -61,101 +56,100 @@ def _complex_pair(z):
     return [z.real, z.imag]
 
 
-def _emit(report):
+def _check_count(flag, count, entries):
+    """Check the sample array of a count flag, entries complex entries per
+    count, against the array budget before anything is drawn."""
+    tn.check_scale(entries * count, f"the sample array of {flag} {count}")
+
+
+def _finish(command, echo, seed, body, passed):
+    """Print the JSON report of a command and return its exit code: 0 if
+    passed, else 1."""
+    report = {"tool_version": __version__, "command": command,
+              "config_echo": echo, "seed": int(seed), "pass": bool(passed),
+              **body}
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
-
-
-def _report(command, config_echo, seed, body, passed):
-    out = {
-        "tool_version": __version__,
-        "command": command,
-        "config_echo": config_echo,
-        "seed": int(seed),
-        "pass": bool(passed),
-    }
-    out.update(body)
-    return out
-
-
-def _flavor_from_args(args):
-    if args.flavor == "rational":
-        return sf.Flavor.rational()
-    if args.flavor == "trig":
-        return sf.Flavor.trigonometric()
-    tau = args.tau if args.tau is not None else 1j
-    return sf.Flavor.elliptic(tau)
-
-
-def _cmd_certify_functions(args):
-    flavor = _flavor_from_args(args)
-    report = sf.scalar_identity_report(flavor, args.samples, args.seed)
-    passed = all(v < args.tol for v in report["identities"].values())
-    echo = {"flavor": args.flavor, "samples": args.samples,
-            "tol": args.tol}
-    if args.flavor == "elliptic":
-        echo["tau"] = _complex_pair(flavor.tau)
-    _emit(_report("certify-functions", echo, args.seed, report, passed))
     return 0 if passed else 1
 
 
-def _cmd_certify_rmatrix(args):
+def _family(args):
+    """The family of --family, --n, --tau and --c, and its config_echo:
+    family and N, and tau and C when given."""
     family = rm.make_family(args.family, N=args.n, tau=args.tau, C=args.c)
-    report = rm.certify(family, args.samples, args.seed, args.tol)
-    passed = all(p["pass"] for p in report["properties"].values())
-    echo = {"family": args.family, "N": family.N, "samples": args.samples,
-            "tol": args.tol}
+    echo = {"family": args.family, "N": family.N}
     if args.tau is not None:
         echo["tau"] = _complex_pair(args.tau)
     if args.c is not None:
         echo["C"] = _complex_pair(args.c)
-    _emit(_report("certify-rmatrix", echo, args.seed, report, passed))
-    return 0 if passed else 1
+    return family, echo
 
 
-def _load_config(path):
+def _model(args):
+    """The config of --config (the config_echo), its seed and the state it
+    describes."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}")
+    _, state, _ = md.load_model_config(cfg)
+    return cfg, int(cfg.get("seed", 0)), state
+
+
+def _cmd_certify_functions(args):
+    echo = {"flavor": args.flavor, "samples": args.samples, "tol": args.tol}
+    if args.flavor == "rational":
+        flavor = sf.Flavor.rational()
+    elif args.flavor == "trig":
+        flavor = sf.Flavor.trigonometric()
+    else:
+        flavor = sf.Flavor.elliptic(args.tau if args.tau is not None else 1j)
+        echo["tau"] = _complex_pair(flavor.tau)
+    _check_count("--samples", args.samples, 4)
+    report = sf.scalar_identity_report(flavor, args.samples, args.seed)
+    return _finish("certify-functions", echo, args.seed, report,
+                   all(v < args.tol for v in report["identities"].values()))
+
+
+def _cmd_certify_rmatrix(args):
+    family, echo = _family(args)
+    _check_count("--samples", args.samples, 6)
+    report = rm.certify(family, args.samples, args.seed, args.tol)
+    echo.update(samples=args.samples, tol=args.tol)
+    return _finish("certify-rmatrix", echo, args.seed, report,
+                   all(p["pass"] for p in report["properties"].values()))
 
 
 def _cmd_check_lax(args):
-    cfg = _load_config(args.config)
-    family, state, nu = md.load_model_config(cfg)
-    # one NM x NM L per point, a chunk at a time
-    n = state.M * state.N
-    check_scale(args.z_samples * n * n,
-                f"{args.z_samples} Lax matrices at NM = {n}")
-    rng = np.random.default_rng(int(cfg.get("seed", 0)) + 1)
-    zs = [sf.sample_point(rng, family.flavor) for _ in range(args.z_samples)]
+    cfg, seed, state = _model(args)
+    _check_count("--z-samples", args.z_samples, 1)
+    rng = np.random.default_rng(seed + 1)
+    zs = [sf.sample_point(rng, state.family.flavor)
+          for _ in range(args.z_samples)]
     # np.max: a NaN residual anywhere fails the check
     worst = float(np.max(md.lax_check(state, zs)))
-    passed = worst < args.tol
     body = {"max_lax_residual": worst, "z_samples": args.z_samples,
             "tol": args.tol}
-    _emit(_report("check-lax", cfg, cfg.get("seed", 0), body, passed))
-    return 0 if passed else 1
+    return _finish("check-lax", cfg, seed, body, worst < args.tol)
 
 
 def _cmd_check_exchange(args):
-    cfg = _load_config(args.config)
-    family, state, nu = md.load_model_config(cfg)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)) + 2)
-    pairs = []
-    attempts = 0
+    cfg, seed, state = _model(args)
+    # z, w, z - w and w - z of each pair
+    _check_count("--pairs", args.pairs, 4)
+    rng = np.random.default_rng(seed + 2)
     # 200 draws up to 5 pairs, 40 per pair above
     draws = max(200, 40 * args.pairs)
-    while len(pairs) < args.pairs and attempts < draws:
-        attempts += 1
-        z = sf.sample_point(rng, family.flavor)
-        w = sf.sample_point(rng, family.flavor)
-        if family.pole_distance(z - w) < 0.05:
-            continue
-        pairs.append((z, w))
+    pairs = []
+    for _ in range(draws):
+        if len(pairs) == args.pairs:
+            break
+        z, w = (sf.sample_point(rng, state.family.flavor) for _ in range(2))
+        if not state.family.pole_distance(z - w) < 0.05:
+            pairs.append((z, w))
     if len(pairs) < args.pairs:
         raise DegenerateDraw(
             f"{len(pairs) or 'no'} (z, w) pairs of the {args.pairs} "
@@ -163,48 +157,37 @@ def _cmd_check_exchange(args):
     z, w = np.array(pairs).T
     # np.max: a NaN residual anywhere fails the check
     worst = float(np.max(md.exchange_residual(state, z, w)))
-    passed = worst < args.tol
     body = {"max_exchange_residual": worst, "pairs": args.pairs,
             "tol": args.tol}
-    _emit(_report("check-exchange", cfg, cfg.get("seed", 0), body, passed))
-    return 0 if passed else 1
+    return _finish("check-exchange", cfg, seed, body, worst < args.tol)
 
 
 def _cmd_check_cm_rmx(args):
-    family = rm.make_family(args.family, N=args.n, tau=args.tau, C=args.c)
+    family, echo = _family(args)
     rng = np.random.default_rng(args.seed)
     q = md.random_positions(family, args.m, rng)
     p = tuple(rng.uniform(-1, 1, args.m) + 1j * rng.uniform(-1, 1, args.m))
     z = sf.sample_point(rng, family.flavor)
     residual = md.cm_rmx_residual(q, p, args.nu, family, z)
-    passed = residual < args.tol
-    echo = {"family": args.family, "N": args.n, "M": args.m,
-            "nu": _complex_pair(args.nu), "tol": args.tol}
-    body = {"cm_rmx_residual": residual}
-    _emit(_report("check-cm-rmx", echo, args.seed, body, passed))
-    return 0 if passed else 1
+    echo.update(M=args.m, nu=_complex_pair(args.nu), tol=args.tol)
+    return _finish("check-cm-rmx", echo, args.seed,
+                   {"cm_rmx_residual": residual}, residual < args.tol)
 
 
 def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    family, state, nu = md.load_model_config(cfg)
-    icfg = dy.IntegratorConfig(dt=args.dt, steps=args.steps,
-                               monitor_z=args.monitor_z,
-                               monitor_every=args.monitor_every)
-    rec = dy.integrate(state, icfg)
+    cfg, seed, state = _model(args)
+    rec = dy.integrate(state, args.dt, args.steps, args.monitor_z,
+                       args.monitor_every)
     try:
         with open(args.out, "w") as fh:
             dy.write_csv(rec, fh)
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out}: {exc}")
-    report = dy.isospectrality_report(rec)
-    body = {"drift": report, "rows": rec.rows(), "dt": args.dt,
-            "steps": args.steps, "out": args.out}
-    passed = rec.failure is None
-    if not passed:
+    body = {"drift": dy.isospectrality_report(rec), "rows": rec.rows(),
+            "dt": args.dt, "steps": args.steps, "out": args.out}
+    if rec.failure is not None:
         body["failure"] = rec.failure
-    _emit(_report("simulate", cfg, cfg.get("seed", 0), body, passed))
-    return 0 if passed else 1
+    return _finish("simulate", cfg, seed, body, rec.failure is None)
 
 
 @functools.cache
@@ -218,19 +201,23 @@ def _build_parser():
 
     p = sub.add_parser("certify-functions",
                        help="scalar special-function identity suite")
-    p.add_argument("--flavor", choices=_FLAVOR_KEYS, required=True)
+    p.add_argument("--flavor", choices=("rational", "trig", "elliptic"),
+                   required=True)
     p.add_argument("--tau", type=_parse_complex, default=None)
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_certify_functions)
 
-    p = sub.add_parser("certify-rmatrix",
+    # the R-matrix family options of certify-rmatrix and check-cm-rmx
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=rm.FAMILY_KEYS, required=True)
+    family.add_argument("--n", type=_count, default=2)
+    family.add_argument("--tau", type=_parse_complex, default=None)
+    family.add_argument("--c", type=_parse_complex, default=None)
+
+    p = sub.add_parser("certify-rmatrix", parents=[family],
                        help="R-matrix identity certification")
-    p.add_argument("--family", choices=rm.FAMILY_KEYS, required=True)
-    p.add_argument("--n", type=_count, default=2)
-    p.add_argument("--tau", type=_parse_complex, default=None)
-    p.add_argument("--c", type=_parse_complex, default=None)
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -249,13 +236,9 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_check_exchange)
 
-    p = sub.add_parser("check-cm-rmx",
+    p = sub.add_parser("check-cm-rmx", parents=[family],
                        help="R-matrix-valued Calogero-Moser Lax residual")
-    p.add_argument("--family", choices=rm.FAMILY_KEYS, required=True)
-    p.add_argument("--n", type=_count, default=2)
     p.add_argument("--m", type=_count, default=2)
-    p.add_argument("--tau", type=_parse_complex, default=None)
-    p.add_argument("--c", type=_parse_complex, default=None)
     p.add_argument("--nu", type=_parse_complex, default=1 + 0j)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)

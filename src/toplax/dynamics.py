@@ -1,16 +1,18 @@
 """Time integration of the interacting-tops flow and conservation monitoring.
 
-A classical RK4 step acts on the state's own phase vector (PhaseState.vector:
-q, p, then the entries of the spin matrix), with the flow of eom_rhs in the
-same layout, and returns the stepped state (PhaseState.from_vector).  Conserved
-quantities (the Hamiltonian, spectral invariants tr L^k(z) at chosen monitor
+integrate(state0, dt, steps, monitor_z, monitor_every) takes classical RK4
+steps on the state's own phase vector (PhaseState.vector: q, p, then the
+entries of the spin matrix), with the flow of eom_rhs in the same layout,
+each returning the stepped state (PhaseState.from_vector).  Conserved
+quantities (the Hamiltonian, spectral invariants tr L^k(z) at the monitor
 points, Casimirs tr S^k) are recorded along the trajectory; conservation is
 certified through the order-4 scaling of their drift under step halving
 rather than exact preservation.
 
 A monitor row is one complex array under the names TrajectoryRecord.columns
 (q0.., p0.., H, trL{k}_z{s}, trS{k}); the CSV header and the keys of the
-drift report are those names.  The rows' Lax checks wait until the pending
+drift report are those names.  The rows together are checked against the
+array budget before the first step; their Lax checks wait until the pending
 rows fill a chunk, to be one stack (model.lax_chunks).
 """
 
@@ -21,22 +23,6 @@ import numpy as np
 from . import model as md
 from . import tensor as tn
 from .errors import ConstraintDrift, ConstraintViolation, PoleProximity
-
-
-class IntegratorConfig:
-    """RK4 step dt, number of steps, monitor points and the steps between
-    monitor rows; read-only: setting an attribute raises AttributeError."""
-
-    def __init__(self, dt, steps, monitor_z=(), monitor_every=10):
-        if not 0 < dt < math.inf or steps <= 0 or monitor_every <= 0:
-            raise ValueError("dt (finite), steps and monitor_every must be "
-                             "positive")
-        vars(self).update(dt=dt, steps=steps, monitor_z=monitor_z,
-                          monitor_every=monitor_every)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"an IntegratorConfig is read-only: cannot set {name!r}")
 
 
 def _columns(M, n_points):
@@ -54,11 +40,9 @@ class TrajectoryRecord:
     points (None with no monitor point); failure is the {"step", "error"}
     of a trajectory cut short, else None."""
 
-    def __init__(self, columns=(), times=(), values=(), lax_residual=(),
-                 failure=None):
-        self.columns, self.times = list(columns), list(times)
-        self.values, self.lax_residual = list(values), list(lax_residual)
-        self.failure = failure
+    def __init__(self, columns=()):
+        self.columns, self.times, self.values = list(columns), [], []
+        self.lax_residual, self.failure = [], None
 
     def rows(self):
         return len(self.times)
@@ -107,14 +91,18 @@ def _flush(rec, pending, monitor_z):
     pending.clear()
 
 
-def integrate(state0, cfg):
-    """RK4 trajectory of the Hamiltonian flow with monitoring.
+def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
+    """RK4 trajectory from state0, steps steps of dt, with a monitor row
+    (the invariants; the Lax residual at the points monitor_z) at step 0
+    and every monitor_every-th step.
 
-    Any error at the first row raises.  After it, PoleProximity (a pair in
-    the pole margin), ConstraintViolation (in an RK4 stage or a row's
-    bracket flow) or ConstraintDrift (|tr S^ii - nu| > 1e-6, read after
-    every step) ends the record and sets rec.failure = {"step", "error"}:
-    a numerical failure of a valid start.
+    A non-positive or non-finite dt, steps or monitor_every raises
+    ValueError, and a record over MAX_ARRAY_BYTES ScaleExceeded, before
+    the first step.  Any error at the first row raises.  After it,
+    PoleProximity (a pair in the pole margin), ConstraintViolation (in an
+    RK4 stage or a row's bracket flow) or ConstraintDrift (|tr S^ii - nu|
+    > 1e-6, read after every step) ends the record and sets rec.failure =
+    {"step", "error"}: a numerical failure of a valid start.
 
     A row's H and bracket flow are formed at its step; its Lax check runs
     once the pending rows fill a chunk of M^2 N^4 entries per monitor point
@@ -122,35 +110,39 @@ def integrate(state0, cfg):
     the end.  An error there raises as one at the first row does: its
     monitor points are every row's, and its pairs' guard is H's.
     """
+    if not 0 < dt < math.inf or steps <= 0 or monitor_every <= 0:
+        raise ValueError("dt (finite), steps and monitor_every must be "
+                         "positive")
     nu = state0.spin.traces()[0]
-    zs = cfg.monitor_z
-    rec = TrajectoryRecord(_columns(state0.M, len(zs)))
-    entries = max(len(zs), 1) * state0.M ** 2 * state0.N ** 4
-    pending, state, failure = [], state0, None
-    for step in range(cfg.steps + 1):
+    rec = TrajectoryRecord(_columns(state0.M, len(monitor_z)))
+    rows = steps // monitor_every + 1
+    tn.check_scale(rows * len(rec.columns), f"the record of {rows} rows "
+                   f"(steps {steps}, monitor_every {monitor_every})")
+    entries = max(len(monitor_z), 1) * state0.M ** 2 * state0.N ** 4
+    pending, state = [], state0
+    for step in range(steps + 1):
         if len(tn.chunks(len(pending) + 1, entries, tn.STACK_BYTES)) > 1:
-            _flush(rec, pending, zs)
+            _flush(rec, pending, monitor_z)
         try:
             if step:
-                state = _rk4_step(state, cfg.dt)
+                state = _rk4_step(state, dt)
                 drift = np.max(np.abs(state.spin.traces() - nu))
                 # a NaN drift is a blow-up too
                 if not drift <= 1e-6:
                     raise ConstraintDrift(
                         f"constraint drift {drift:.3e} at step {step}")
-            if step % cfg.monitor_every == 0:
+            if step % monitor_every == 0:
                 # H and the flow read the state's F^0 table, as does the
                 # next step's first stage
                 energy = md.hamiltonian(state)
-                pending.append((step * cfg.dt, state, energy,
-                                md.bracket_flow(state) if zs else None))
+                pending.append((step * dt, state, energy,
+                                md.bracket_flow(state) if monitor_z else None))
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
             if not step:
                 raise
-            failure = {"step": step, "error": str(exc)}
+            rec.failure = {"step": step, "error": str(exc)}
             break
-    _flush(rec, pending, zs)
-    rec.failure = failure
+    _flush(rec, pending, monitor_z)
     return rec
 
 

@@ -423,14 +423,14 @@ def eom_rhs(state):
     M, N = spin.M, spin.N
     _require_constraints(state)
     _, _, F0, dF0 = state.f0_table
-    tail = state.family.m0_tail()
     # the source [F^0, F^0', -F^0', m(0), 0] of _eom_plan
     n = F0.size
-    source = np.empty(3 * n + tail.size, dtype=complex)
+    source = np.empty(3 * n + N ** 4 + 1, dtype=complex)
     head = source[:3 * n].reshape((3,) + F0.shape)
     head[0], head[1] = F0, dF0
     np.negative(dF0, out=head[2])
-    source[3 * n:] = tail
+    source[3 * n:-1] = state.family.m0().reshape(-1)
+    source[-1] = 0
     S = spin.matrix
     KK = source[_eom_plan(M, N)] @ spin.blocks.reshape(M * M, N * N, 1)
     K, Kd = KK.reshape(2, M, M, N, N).swapaxes(2, 3).reshape(2, M * N, M * N)

@@ -78,16 +78,10 @@ class RMatrixFamily:
     def m0(self):
         """m(0), evaluated on first use with r0 and then shared read-only."""
         if self._r0_m0 is None:
-            r0, m0 = map(np.array, self._r0_and_m0())
-            self._r0_m0 = (r0, m0, np.append(m0, 0))
+            self._r0_m0 = tuple(map(np.array, self._r0_and_m0()))
             for v in self._r0_m0:
                 v.flags.writeable = False
         return self._r0_m0[1]
-
-    def m0_tail(self):
-        """[m(0) flat, 0] (model.eom_rhs), kept read-only with m0."""
-        self.m0()
-        return self._r0_m0[2]
 
     def _r0_and_m0(self):
         return np.zeros(self._I.shape, dtype=complex), self.m(0.0)

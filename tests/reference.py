@@ -80,13 +80,13 @@ def rk4_step(state, dt):
                     state)
 
 
-def monitor_record(state0, cfg):
+def monitor_record(state0, dt, steps, monitor_z=(), monitor_every=10):
     """dy.integrate's record with every monitor row complete at its step:
     H, one lax_check of the row's state alone at the monitor points, and
     the power traces of each L(z) (build_L) and of S, appended at once;
     the same RK4 steps, drift check and failures."""
     nu = state0.spin.traces()[0]
-    zs = cfg.monitor_z
+    zs = monitor_z
     rec = dy.TrajectoryRecord(dy._columns(state0.M, len(zs)))
 
     def row(t, state):
@@ -102,15 +102,15 @@ def monitor_record(state0, cfg):
 
     row(0.0, state0)
     state = state0
-    for step in range(1, cfg.steps + 1):
+    for step in range(1, steps + 1):
         try:
-            state = dy._rk4_step(state, cfg.dt)
+            state = dy._rk4_step(state, dt)
             drift = np.max(np.abs(state.spin.traces() - nu))
             if not drift <= 1e-6:
                 raise ConstraintDrift(
                     f"constraint drift {drift:.3e} at step {step}")
-            if step % cfg.monitor_every == 0:
-                row(step * cfg.dt, state)
+            if step % monitor_every == 0:
+                row(step * dt, state)
         except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
             rec.failure = {"step": step, "error": str(exc)}
             break

@@ -250,10 +250,8 @@ def test_06_reduction_fidelity():
 
 def drift_summary(family, dt, steps, seed=21):
     st = md.random_state(family, 2, 1.0, seed=seed)
-    cfg = dy.IntegratorConfig(dt=dt, steps=steps,
-                              monitor_z=(0.45 + 0.2j, 0.8 - 0.15j),
-                              monitor_every=max(1, steps // 20))
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt, steps, monitor_z=(0.45 + 0.2j, 0.8 - 0.15j),
+                       monitor_every=max(1, steps // 20))
     rep = dy.isospectrality_report(rec)
     out = {"H": rep["hamiltonian_drift"]}
     out.update(rep["lax_trace_drift"])

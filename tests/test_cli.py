@@ -724,18 +724,27 @@ def test_command_paths_make_no_einsum_products(tmp_path, capsys,
 
 
 def test_dynamics_and_cli_call_only_public_model_names():
-    # the integrator and the commands reach the model through its public
-    # functions: no md._name or model._name in their source
+    # the integrator and the commands reach the other modules through their
+    # public names: no md._name, rm._name, sf._name, dy._name or tn._name
+    # (nor the module names spelled out) in their source, and no private
+    # name imported from them
+    modules = {"md", "model", "rm", "rmatrix", "sf", "specfun", "dy",
+               "dynamics", "tn", "tensor"}
     private = []
     for mod in (cli.dy, cli):
         tree = ast.parse(Path(mod.__file__).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) \
                     and isinstance(node.value, ast.Name) \
-                    and node.value.id in ("md", "model") \
+                    and node.value.id in modules \
                     and node.attr.startswith("_"):
                 private.append((Path(mod.__file__).name, node.lineno,
                                 node.attr))
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module in modules:
+                private.extend((Path(mod.__file__).name, node.lineno,
+                                alias.name) for alias in node.names
+                               if alias.name.startswith("_"))
     assert private == []
 
 
@@ -885,10 +894,11 @@ def test_parser_shared_between_runs(tmp_path, capsys):
 
 
 def test_oversized_check_lax_exits_2(tmp_path, capsys, monkeypatch):
-    # z_samples (NM)^2 complex entries of L must fit MAX_ARRAY_BYTES, checked
-    # before any point is drawn: at xxx N=2 M=8, 65536 points fill it and
-    # 65537 exit 2 (lax_check is stubbed: the budget, not the run, is
-    # under test)
+    # the budget holds the --z-samples points, not z_samples (NM)^2
+    # entries of L, which lax_chunks never holds at once: at xxx N=2 M=8,
+    # 65537 points (over a budget of Lax matrices) run, and 2^24 + 1
+    # points exit 2 before any is drawn (lax_check is stubbed: the budget,
+    # not the run, is under test)
     path = write_config(tmp_path, M=8)
     model = cli.md.load_model_config(json.loads(Path(path).read_text()))
     drawn = []
@@ -898,13 +908,126 @@ def test_oversized_check_lax_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.md, "lax_check",
                         lambda state, zs: np.zeros(len(zs)))
     code, out, err = run_capture(capsys, ["check-lax", "--config", path,
-                                          "--z-samples", "65537"])
+                                          "--z-samples", "16777217"])
     assert (code, out, drawn) == (2, "", [])
-    assert "65537" in err and "MiB array budget" in err
+    assert "--z-samples 16777217 has 16777217 complex entries" in err
+    assert "MiB array budget" in err
     code, out, _ = run_capture(capsys, ["check-lax", "--config", path,
-                                        "--z-samples", "65536"])
-    assert code == 0 and len(drawn) == 65536
-    assert json.loads(out)["z_samples"] == 65536
+                                        "--z-samples", "65537"])
+    assert code == 0 and len(drawn) == 65537
+    assert json.loads(out)["z_samples"] == 65537
+
+
+@pytest.mark.parametrize("argv, flag, count, budget", [
+    (["certify-functions", "--flavor", "rational"], "--samples", 20, 80),
+    (["certify-rmatrix", "--family", "xxx"], "--samples", 1608, 9648),
+    (["check-lax"], "--z-samples", 64, 64),
+    (["check-exchange"], "--pairs", 64, 256),
+    (["simulate", "--monitor-z", "0.4,0.2", "--monitor-every", "1"],
+     "--steps", 5, 66),
+], ids=["certify-functions", "certify-rmatrix", "check-lax",
+        "check-exchange", "simulate"])
+def test_count_flags_fit_the_array_budget(tmp_path, capsys, monkeypatch,
+                                          argv, flag, count, budget):
+    # the array a count flag sizes (4 entries per certify-functions sample,
+    # 6 per certify-rmatrix sample, 1 per check-lax point, 4 per
+    # check-exchange pair, 2M + 4 + 3 per monitor point in each of
+    # simulate's steps // monitor_every + 1 rows) is checked against
+    # MAX_ARRAY_BYTES before anything is drawn or integrated: at a budget
+    # that count fills the run passes, and one more exits 2 with no draw
+    # and no step (at M = 2, N = 2 the budget also holds the pair tables,
+    # the exchange planes and one certification sample)
+    if argv[0] in ("check-lax", "check-exchange", "simulate"):
+        path = write_config(tmp_path)
+        model = cli.md.load_model_config(json.loads(Path(path).read_text()))
+        monkeypatch.setattr(cli.md, "load_model_config", lambda cfg: model)
+        argv = argv + ["--config", path]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "traj.csv")]
+    calls = []
+    for owner, name in [(cli.sf, "sample_point"), (cli.sf, "sample_tuple"),
+                        (cli.dy, "_rk4_step")]:
+        def counted(*args, fn=getattr(owner, name), **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(tn, "MAX_ARRAY_BYTES", 16 * budget)
+    code, out, err = run_capture(capsys, argv + [flag, str(count)])
+    assert (code, err) == (0, "") and calls
+    assert json.loads(out)["pass"] is True
+    del calls[:]
+    code, out, err = run_capture(capsys, argv + [flag, str(count + 1)])
+    assert (code, out, calls) == (2, "", [])
+    assert "array budget" in err
+
+
+@pytest.mark.parametrize("family, flag, values, key", [
+    ("bb", "--tau", ("0.1,1.1", "0.3,0.9"), "tau"),
+    ("7v", "--c", ("0.7,0.2", "0.4,-0.1"), "C")])
+def test_check_cm_rmx_echoes_its_family_flags(capsys, family, flag, values,
+                                              key):
+    # check-cm-rmx and certify-rmatrix read --family/--n/--tau/--c from one
+    # option group and echo them alike: two values of the flag give two
+    # echoes, each holding it as [re, im]; certify-rmatrix's echo is the
+    # one it always had
+    echoes = []
+    for value in values:
+        pair = [float(x) for x in value.split(",")]
+        code, out, _ = run_capture(capsys, [
+            "check-cm-rmx", "--family", family, flag, value])
+        assert code == 0
+        echo = json.loads(out)["config_echo"]
+        assert echo == {"family": family, "N": 2, "M": 2, "nu": [1.0, 0.0],
+                        "tol": 1e-9, key: pair}
+        code, out, _ = run_capture(capsys, [
+            "certify-rmatrix", "--family", family, flag, value,
+            "--samples", "2"])
+        assert code == 0
+        assert json.loads(out)["config_echo"] == {
+            "family": family, "N": 2, "samples": 2, "tol": 1e-8, key: pair}
+        echoes.append(echo)
+    assert echoes[0] != echoes[1]
+
+
+_CONTRACT_ARGV = {
+    "certify-functions": ["--flavor", "rational", "--samples", "5"],
+    "certify-rmatrix": ["--family", "xxx", "--samples", "3"],
+    "check-lax": ["--z-samples", "2"],
+    "check-exchange": ["--pairs", "2"],
+    "check-cm-rmx": ["--family", "xxx"],
+    "simulate": ["--steps", "10"],
+}
+
+
+@pytest.mark.parametrize("command", list(_CONTRACT_ARGV))
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, command):
+    # every command reports through one path: a passing run exits 0 with
+    # "pass": true, and the same run with a residual over its tolerance
+    # (--tol 0; for simulate, a step that returns NaN) exits 1 with
+    # "pass": false; both reports carry the same head
+    argv = [command] + _CONTRACT_ARGV[command]
+    if command in ("check-lax", "check-exchange", "simulate"):
+        argv += ["--config", write_config(tmp_path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "traj.csv")]
+    reports = []
+    for code_want in (0, 1):
+        if code_want and command == "simulate":
+            monkeypatch.setattr(
+                cli.dy, "_rk4_step",
+                lambda state, *_: state.from_vector(
+                    state.vector * float("nan")))
+        elif code_want:
+            argv += ["--tol", "0"]
+        code, out, err = run_capture(capsys, argv)
+        report = json.loads(out)
+        assert (code, err) == (code_want, "")
+        assert report["pass"] is (code_want == 0)
+        assert report["command"] == command
+        reports.append(report)
+    head = {"tool_version", "command", "config_echo", "seed", "pass"}
+    assert all(head <= set(report) for report in reports)
+    assert reports[0]["seed"] == reports[1]["seed"]
 
 
 def test_import_leaves_out_dataclasses():

@@ -10,7 +10,7 @@ from toplax import dynamics as dy
 from toplax import model as md
 from toplax import rmatrix as rm
 from toplax import tensor as tn
-from toplax.errors import PoleProximity
+from toplax.errors import PoleProximity, ScaleExceeded
 
 import reference as rf
 
@@ -27,21 +27,37 @@ def csv_text(rec):
     return buf.getvalue()
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        dy.IntegratorConfig(dt=0.0, steps=10)
-    with pytest.raises(ValueError):
-        dy.IntegratorConfig(dt=0.1, steps=0)
-    with pytest.raises(ValueError):
-        dy.IntegratorConfig(dt=0.1, steps=10, monitor_every=0)
+def test_config_validation(monkeypatch):
+    # integrate checks its step parameters before the first step
+    monkeypatch.setattr(dy, "_rk4_step", None)
+    st = make_state()
+    for dt, steps, every in [(0.0, 10, 10), (float("nan"), 10, 10),
+                             (float("inf"), 10, 10), (0.1, 0, 10),
+                             (0.1, 10, 0), (0.1, 10, -1)]:
+        with pytest.raises(ValueError) as exc:
+            dy.integrate(st, dt, steps, monitor_every=every)
+        assert str(exc.value) == \
+            "dt (finite), steps and monitor_every must be positive"
 
 
-def test_config_is_read_only():
-    cfg = dy.IntegratorConfig(dt=0.1, steps=10, monitor_z=(0.3j,))
-    assert (cfg.dt, cfg.steps, cfg.monitor_z, cfg.monitor_every) == \
-        (0.1, 10, (0.3j,), 10)
-    with pytest.raises(AttributeError):
-        cfg.dt = 0.2
+def test_record_over_the_budget_raises_before_the_first_step(monkeypatch):
+    # steps // monitor_every + 1 rows of 2M + 4 + 3 (points) entries: at
+    # M = 2 and one point, 6 rows of 11 fill a budget of 66 entries and a
+    # seventh raises ScaleExceeded with no step taken
+    steps = []
+    step = dy._rk4_step
+    monkeypatch.setattr(dy, "_rk4_step",
+                        lambda state, dt: steps.append(1) or step(state, dt))
+    monkeypatch.setattr(tn, "MAX_ARRAY_BYTES", 66 * 16)
+    st = make_state()
+    assert dy.integrate(st, 1e-3, 5, (0.4 + 0.2j,), 1).rows() == 6
+    del steps[:]
+    with pytest.raises(ScaleExceeded) as exc:
+        dy.integrate(st, 1e-3, 6, (0.4 + 0.2j,), 1)
+    assert str(exc.value).startswith(
+        "the record of 7 rows (steps 6, monitor_every 1) has 77 complex "
+        "entries")
+    assert steps == []
 
 
 def test_vector_roundtrip():
@@ -55,8 +71,7 @@ def test_vector_roundtrip():
 def test_single_top_momentum_constant():
     # M = 1: no interactions, so p is frozen and q moves linearly
     st = make_state(M=1)
-    cfg = dy.IntegratorConfig(dt=1e-2, steps=50, monitor_every=10)
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=1e-2, steps=50, monitor_every=10)
     q0, p0 = rec.columns.index("q0"), rec.columns.index("p0")
     assert abs(rec.values[-1][p0] - rec.values[0][p0]) < 1e-13
     expect = st.q[0] + st.p[0] * rec.times[-1]
@@ -65,8 +80,7 @@ def test_single_top_momentum_constant():
 
 def test_energy_conservation_single_run():
     st = make_state(seed=5)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=200, monitor_every=20)
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=1e-3, steps=200, monitor_every=20)
     report = dy.isospectrality_report(rec)
     assert report["hamiltonian_drift"] < 1e-9
 
@@ -74,8 +88,7 @@ def test_energy_conservation_single_run():
 def test_linear_casimir_exact():
     # tr S is a linear invariant of the flow: conserved to rounding by RK4
     st = make_state(seed=7)
-    cfg = dy.IntegratorConfig(dt=5e-3, steps=100, monitor_every=20)
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=5e-3, steps=100, monitor_every=20)
     report = dy.isospectrality_report(rec)
     assert report["casimir_drift"]["trS1"] < 1e-13
 
@@ -86,8 +99,7 @@ def test_quadratic_casimir_drift_order():
     st = make_state(seed=9)
     drifts = {}
     for dt, steps in ((2e-2, 25), (1e-2, 50)):
-        cfg = dy.IntegratorConfig(dt=dt, steps=steps, monitor_every=5)
-        rec = dy.integrate(st, cfg)
+        rec = dy.integrate(st, dt=dt, steps=steps, monitor_every=5)
         drifts[dt] = dy.isospectrality_report(rec)["casimir_drift"]["trS2"]
     ratio = drifts[2e-2] / drifts[1e-2]
     assert 8.0 < ratio < 32.0
@@ -96,9 +108,7 @@ def test_quadratic_casimir_drift_order():
 def test_monitor_traces_recorded():
     st = make_state(seed=11)
     zs = (0.4 + 0.2j, 0.7 - 0.1j)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=20, monitor_z=zs,
-                              monitor_every=10)
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=1e-3, steps=20, monitor_z=zs, monitor_every=10)
     assert rec.rows() == 3
     traces = [name for name in rec.columns if name.startswith("trL")]
     assert traces == [f"trL{k}_z{s}" for s in (0, 1) for k in (1, 2, 3)]
@@ -109,8 +119,7 @@ def test_monitor_traces_recorded():
 def test_report_without_monitor_points():
     # no monitor point, no Lax residual: None in every row and the report
     st = make_state(seed=11)
-    rec = dy.integrate(st, dy.IntegratorConfig(dt=1e-3, steps=20,
-                                               monitor_every=10))
+    rec = dy.integrate(st, dt=1e-3, steps=20, monitor_every=10)
     assert rec.rows() == 3 and rec.lax_residual == [None] * 3
     assert dy.isospectrality_report(rec)["max_lax_residual"] is None
 
@@ -122,9 +131,9 @@ def test_report_requires_rows():
 
 def test_csv_shape_and_determinism():
     st = make_state(seed=13)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=30, monitor_z=(0.5 + 0.3j,),
-                              monitor_every=10)
-    rec = dy.integrate(st, cfg)
+    cfg = dict(dt=1e-3, steps=30, monitor_z=(0.5 + 0.3j,),
+               monitor_every=10)
+    rec = dy.integrate(st, **cfg)
     text = csv_text(rec)
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -138,7 +147,7 @@ def test_csv_shape_and_determinism():
     for line in lines[1:]:
         assert len(line.split(",")) == len(header)
     # a re-run from the same state is byte-identical
-    rec2 = dy.integrate(st, cfg)
+    rec2 = dy.integrate(st, **cfg)
     assert csv_text(rec2) == text
 
 
@@ -155,9 +164,8 @@ def test_monitor_row_runs_one_bracket_flow(monkeypatch):
 
     monkeypatch.setattr(md, "bracket_flow", counted)
     st = make_state(M=3)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
-                              monitor_z=(0.3 + 0.2j, 0.6 + 0.4j, 0.2 + 0.7j))
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=1e-3, steps=4, monitor_every=2,
+                       monitor_z=(0.3 + 0.2j, 0.6 + 0.4j, 0.2 + 0.7j))
     assert rec.rows() == 3
     assert len(calls) == 3
     assert max(rec.lax_residual) < 1e-11
@@ -168,15 +176,14 @@ def test_monitor_row_one_f0_table(family_calls, monitor_z):
     # H and the bracket flow of a row share one r call at the orders (1, 2)
     # over the pairs
     st = make_state(M=3)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
-                              monitor_z=monitor_z)
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, 1e-3, 4, monitor_z, monitor_every=2)
     rows = [name for name, _, d in family_calls
             if (name, d) == ("r", (1, 2))]
-    # the RK4 stages make theirs inside eom_rhs, 4 per step, except the
-    # first stage after a row (at steps 0 and 2), which reads its table
+    # the RK4 stages make theirs inside eom_rhs, 4 per step of the 4,
+    # except the first stage after a row (at steps 0 and 2), which reads
+    # its table
     assert rec.rows() == 3
-    assert len(rows) == rec.rows() + 4 * cfg.steps - 2
+    assert len(rows) == rec.rows() + 4 * 4 - 2
 
 
 def test_simulate_r_calls(family_calls, monkeypatch):
@@ -192,10 +199,9 @@ def test_simulate_r_calls(family_calls, monkeypatch):
     monkeypatch.setattr(md, "bracket_flow",
                         lambda state: flows.append(1) or flow(state))
     st = md.random_state(rm.make_family("bb", N=2, tau=1j), 4, 1.0, seed=0)
-    cfg = dy.IntegratorConfig(dt=1e-5, steps=6, monitor_every=3,
-                              monitor_z=(0.3 + 0.4j, 0.6 + 0.5j))
     del family_calls[:]
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=1e-5, steps=6, monitor_every=3,
+                       monitor_z=(0.3 + 0.4j, 0.6 + 0.5j))
     assert rec.rows() == 3 and rec.failure is None
     calls = Counter(name for name, _, _ in family_calls)
     assert (calls["r"], calls["R"], calls["Rz_coefficients"]) == (25, 1, 1)
@@ -208,13 +214,13 @@ def test_monitor_table_gives_the_same_trajectory(monkeypatch):
     # the first stage after a row reads the table the row read: the same
     # bits as a fresh r call, made here on a copy of the state
     st = make_state(key="bb", M=3, tau=1j)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=4, monitor_every=2,
-                              monitor_z=(0.3 + 0.2j,))
-    shared = csv_text(dy.integrate(st, cfg))
+    cfg = dict(dt=1e-3, steps=4, monitor_every=2,
+               monitor_z=(0.3 + 0.2j,))
+    shared = csv_text(dy.integrate(st, **cfg))
     step = dy._rk4_step
     monkeypatch.setattr(dy, "_rk4_step", lambda state, dt: step(
         state.from_vector(state.vector), dt))
-    assert csv_text(dy.integrate(st, cfg)) == shared
+    assert csv_text(dy.integrate(st, **cfg)) == shared
 
 
 @pytest.mark.parametrize("key, M, kwargs", [
@@ -246,9 +252,8 @@ def test_nan_residual_after_first_row_reported(monkeypatch):
 
     monkeypatch.setattr(md, "lax_chunks", second_row_nan)
     st = make_state(seed=3)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=20, monitor_z=(0.4 + 0.2j,),
-                              monitor_every=10)
-    rec = dy.integrate(st, cfg)
+    rec = dy.integrate(st, dt=1e-3, steps=20, monitor_z=(0.4 + 0.2j,),
+                       monitor_every=10)
     assert rec.rows() == 3 and stacks == [3]
     assert [np.isnan(r) for r in rec.lax_residual] == [False, True, False]
     assert np.isnan(dy.isospectrality_report(rec)["max_lax_residual"])
@@ -286,9 +291,9 @@ def test_stacked_rows_match_rows_checked_alone(monkeypatch, budget, key, M,
     head_on = steps == 200
     st = md.random_state(fam, M, 1.0, seed=9, **(_HEAD_ON if head_on else {}))
     zs = (0.3 + 0.4j, 0.6 + 0.5j)
-    cfg = dy.IntegratorConfig(dt=2e-3, steps=steps, monitor_z=zs,
-                              monitor_every=10 if head_on else 2)
-    want = rf.monitor_record(st, cfg)
+    cfg = dict(dt=2e-3, steps=steps, monitor_z=zs,
+               monitor_every=10 if head_on else 2)
+    want = rf.monitor_record(st, **cfg)
     flushes = []
     chunks = md.lax_chunks
 
@@ -300,7 +305,7 @@ def test_stacked_rows_match_rows_checked_alone(monkeypatch, budget, key, M,
     if budget != "default":
         monkeypatch.setattr(tn, "STACK_BYTES", 0 if budget == "zero"
                             else 3 * 16 * len(zs) * M * M * 2 ** 4)
-    got = dy.integrate(st, cfg)
+    got = dy.integrate(st, **cfg)
     _equal_records(got, want)
     assert got.rows() == 7
     assert (got.failure is not None) == head_on
@@ -319,10 +324,8 @@ def test_monitor_point_in_the_pole_margin_raises(monkeypatch):
                         lambda state, dt: steps.append(1) or step(state, dt))
     st = make_state(seed=3)
     zs = (0.4 + 0.2j, 1e-9 + 0j)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=20, monitor_z=zs,
-                              monitor_every=10)
     with pytest.raises(PoleProximity) as exc:
-        dy.integrate(st, cfg)
+        dy.integrate(st, dt=1e-3, steps=20, monitor_z=zs, monitor_every=10)
     assert str(exc.value) == \
         "argument (1e-09+0j) too close to a pole (distance 1.000e-09)"
     assert len(steps) == 20
@@ -350,13 +353,13 @@ def test_constraint_violation_at_a_row_ends_the_record_there(monkeypatch):
 
     monkeypatch.setattr(dy, "_rk4_step", perturbed)
     st = make_state(seed=3)
-    cfg = dy.IntegratorConfig(dt=1e-3, steps=40, monitor_z=(0.4 + 0.2j,),
-                              monitor_every=10)
-    rec = dy.integrate(st, cfg)
+    cfg = dict(dt=1e-3, steps=40, monitor_z=(0.4 + 0.2j,),
+               monitor_every=10)
+    rec = dy.integrate(st, **cfg)
     assert rec.failure == {"step": 20, "error": "tr(S^ii) must equal a "
                            "common constant on all sites"}
     assert rec.times == [0.0, 10 * 1e-3] and len(calls) == 20
     assert all(r < 1e-11 for r in rec.lax_residual)
     # the rows checked alone, with the same perturbation
     del calls[:]
-    _equal_records(rec, rf.monitor_record(st, cfg))
+    _equal_records(rec, rf.monitor_record(st, **cfg))
