@@ -184,7 +184,9 @@ def _cmd_simulate(args):
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out}: {exc}")
     body = {"drift": dy.isospectrality_report(rec), "rows": rec.rows(),
-            "dt": args.dt, "steps": args.steps, "out": args.out}
+            "dt": args.dt, "steps": args.steps, "out": args.out,
+            "monitor_z": [_complex_pair(z) for z in args.monitor_z],
+            "monitor_every": args.monitor_every}
     if rec.failure is not None:
         body["failure"] = rec.failure
     return _finish("simulate", cfg, seed, body, rec.failure is None)

@@ -3,11 +3,13 @@
 integrate(state0, dt, steps, monitor_z, monitor_every) takes classical RK4
 steps on the state's own phase vector (PhaseState.vector: q, p, then the
 entries of the spin matrix), with the flow of eom_rhs in the same layout,
-each returning the stepped state (PhaseState.from_vector).  Conserved
-quantities (the Hamiltonian, spectral invariants tr L^k(z) at the monitor
-points, Casimirs tr S^k) are recorded along the trajectory; conservation is
-certified through the order-4 scaling of their drift under step halving
-rather than exact preservation.
+each returning the stepped state (PhaseState.from_vector).  As dq = p, a
+stage's positions are known one stage early, so a step makes two family
+calls (model.f0_tables), each giving the F^0 tables of two stages: stages 2
+and 3, then stage 4 and the stepped state, whose table its monitor row and
+the next step's first stage read.  Conserved quantities (the Hamiltonian,
+spectral invariants tr L^k(z) at the monitor points, Casimirs tr S^k) are
+recorded along the trajectory, with their largest drifts reported.
 
 A monitor row is one complex array under the names TrajectoryRecord.columns
 (q0.., p0.., H, trL{k}_z{s}, trS{k}); the CSV header and the keys of the
@@ -48,16 +50,37 @@ class TrajectoryRecord:
         return len(self.times)
 
 
+def _look_ahead(family, *qs):
+    """The F^0 tables of the positions qs from one family call, or Nones if
+    that call raises or would warn (a pair in the pole margin, an overflow):
+    each stage then makes its own table, so that the error or warning comes
+    where and as a stage alone gives it, or not at all if no stage reads
+    the table."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return md.f0_tables(family, np.array(qs))
+    except Exception:
+        return (None,) * len(qs)
+
+
 def _rk4_step(state, dt):
-    """The state one classical RK4 step of dt after state; its first stage
-    reads the F^0 table of state, which a monitor row may have read."""
-    vec = state.vector
+    """The state one classical RK4 step of dt after state, carrying its F^0
+    table.  The first stage reads the table of state.  A stage's rate has
+    dq = p of its vector, so k1 fixes the positions of stages 2 and 3, and
+    k3 those of stage 4 and of the stepped state: two _look_ahead calls,
+    each position a slice of the sums that make its vector, so its bits."""
+    M, vec, h = state.M, state.vector, 0.5 * dt
+    q = vec[:M]
     k1 = md.eom_rhs(state)
-    k2 = md.eom_rhs(state.from_vector(vec + 0.5 * dt * k1))
-    k3 = md.eom_rhs(state.from_vector(vec + 0.5 * dt * k2))
-    k4 = md.eom_rhs(state.from_vector(vec + dt * k3))
-    return state.from_vector(vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3
-                                                 + k4))
+    v2 = vec + h * k1
+    t2, t3 = _look_ahead(state.family, v2[:M], q + h * v2[M:2 * M])
+    k2 = md.eom_rhs(state.from_vector(v2, t2))
+    k3 = md.eom_rhs(state.from_vector(vec + h * k2, t3))
+    v4, head = vec + dt * k3, k1 + 2.0 * k2 + 2.0 * k3
+    t4, t5 = _look_ahead(state.family, v4[:M],
+                         q + (dt / 6.0) * (head[:M] + v4[M:2 * M]))
+    k4 = md.eom_rhs(state.from_vector(v4, t4))
+    return state.from_vector(vec + (dt / 6.0) * (head + k4), t5)
 
 
 def _power_traces(A):

@@ -19,13 +19,14 @@ same flow from the Hamiltonian through the linear Poisson-Lie structure
 and {p_i, q_j} = d_{ij}.  Their agreement is part of the certification.
 
 Every kernel table is one family call over an array of pair differences:
-F^0 and F^0' of the pairs i < j from one r(q, (1, 2)) call per state
-(PhaseState.f0_table), and R^z and F^z of a stack of spectral points
-against all ordered pairs of one or more states from one R(z, q, (0, 1))
-call (_pair_tables).  The Lax and exchange checks evaluate their points as
-stacks, in tensor.chunks whose largest array fits STACK_BYTES; each sample
-keeps its own norm and residual.  The layout of a table is written once,
-in cached gather plans (_gather_plan).
+F^0 and F^0' of the pairs i < j from one r(q, (1, 2)) call over the
+positions of a state (PhaseState.f0_table) or of a stack of states
+(f0_tables, which the RK4 step calls once per two stages), and R^z and F^z
+of a stack of spectral points against all ordered pairs of one or more
+states from one R(z, q, (0, 1)) call (_pair_tables).  The Lax and exchange
+checks evaluate their points as stacks, in tensor.chunks whose largest
+array fits STACK_BYTES; each sample keeps its own norm and residual.  The
+layout of a table is written once, in cached gather plans (_gather_plan).
 """
 
 import cmath
@@ -174,23 +175,31 @@ class PhaseState:
     def N(self):
         return self.spin.N
 
-    def qdiff(self, i, j):
-        """q_i - q_j, for sites or index arrays i, j."""
-        return self.q[i] - self.q[j]
-
     @functools.cached_property
     def f0_table(self):
-        """(i, j, F^0, F^0') over the pairs i < j, from one family call on
-        first read; kept, as q is read-only."""
-        i, j = sf._pairs(self.M)
-        return (i, j) + self.family.r(self.qdiff(i, j), (1, 2))
+        """(i, j, F^0, F^0') over the pairs i < j, from one family call
+        (f0_tables) on first read; kept, as q is read-only."""
+        return f0_tables(self.family, self.q[None])[0]
 
-    def from_vector(self, vec):
+    def from_vector(self, vec, f0_table=None):
         """The state of this family at the phase vector vec, which is copied
-        once."""
+        once; it keeps f0_table, the table of its positions, if given."""
         state = object.__new__(PhaseState)
         state._hold(np.array(vec, dtype=complex), self.M, self.N, self.family)
+        if f0_table is not None:
+            vars(state)["f0_table"] = f0_table
         return state
+
+
+def f0_tables(family, q):
+    """The f0_table of each row of the positions q, (s, M), from one r(q,
+    (1, 2)) call over the pairs i < j of every row; a stacked call gives
+    each table the bits of its own."""
+    i, j = sf._pairs(q.shape[-1])
+    F0, dF0 = family.r((q.take(i, 1) - q.take(j, 1)).reshape(-1), (1, 2))
+    n = len(i)
+    return [(i, j, F0[k * n:(k + 1) * n], dF0[k * n:(k + 1) * n])
+            for k in range(len(q))]
 
 
 def random_positions(family, M, rng, margin=0.05):

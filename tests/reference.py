@@ -66,8 +66,9 @@ def state_at(vec, template):
 
 def rk4_step(state, dt):
     """One classical RK4 step whose every stage packs the flow tuple of
-    eom_flow and rebuilds its state by the public constructor: the step
-    of dynamics._rk4_step, stage by stage with the same arithmetic."""
+    eom_flow and rebuilds its state by the public constructor, which makes
+    the stage's own F^0 table: the step of dynamics._rk4_step, stage by
+    stage with the same arithmetic."""
     def rate(st):
         return pack(*eom_flow(st))
 
@@ -84,7 +85,8 @@ def monitor_record(state0, dt, steps, monitor_z=(), monitor_every=10):
     """dy.integrate's record with every monitor row complete at its step:
     H, one lax_check of the row's state alone at the monitor points, and
     the power traces of each L(z) (build_L) and of S, appended at once;
-    the same RK4 steps, drift check and failures."""
+    the RK4 steps of rk4_step, each stage making its own F^0 table, and
+    the same drift check and failures."""
     nu = state0.spin.traces()[0]
     zs = monitor_z
     rec = dy.TrajectoryRecord(dy._columns(state0.M, len(zs)))
@@ -104,7 +106,7 @@ def monitor_record(state0, dt, steps, monitor_z=(), monitor_every=10):
     state = state0
     for step in range(1, steps + 1):
         try:
-            state = dy._rk4_step(state, dt)
+            state = rk4_step(state, dt)
             drift = np.max(np.abs(state.spin.traces() - nu))
             if not drift <= 1e-6:
                 raise ConstraintDrift(
@@ -180,7 +182,7 @@ def eom_commutator_diagonal(state):
         V = op_contract(fam.m0(), Sii)
         for k in range(spin.M):
             if k != i:
-                V = V + op_contract(fam.r(state.qdiff(i, k), 1),
+                V = V + op_contract(fam.r(state.q[i] - state.q[k], 1),
                                     spin.blocks[k, k])
         out.append(Sii @ V - V @ Sii)
     return np.array(out)
@@ -259,7 +261,7 @@ def eom_terms(state):
     F = np.zeros((M, M, N, N, N, N), dtype=complex)
     D = np.zeros_like(F)
     i, j = sf._pairs(M)
-    F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
+    F0, dF0 = fam.r(state.q[i] - state.q[j], (1, 2))
     F[i, j] = F0.reshape(-1, N, N, N, N)
     D[i, j] = dF0.reshape(-1, N, N, N, N)
     F = F + F.transpose(1, 0, 3, 2, 5, 4)

@@ -167,7 +167,7 @@ def test_05_exchange_relation():
             s_diff = off.spin.blocks[i, i][0, 0] - off.spin.blocks[j, j][0, 0]
             entry = dr[3 * i + j, 3 * j + i]
             expect = s_diff * sf.phi_derivative_f(fam.flavor, z - w,
-                                                  off.qdiff(i, j))
+                                                  off.q[i] - off.q[j])
             assert abs(entry - expect) < 1e-12
     assert np.max(np.abs(rf.r_big_q_derivative_sum(st, z, w))) < 1e-13
     res = md.exchange_residual(st, z, w)
@@ -191,7 +191,7 @@ def test_06_reduction_fidelity():
                 if i == j:
                     expect = st.p[i] + s * sf.eisenstein_E1(fl, z)
                 else:
-                    expect = s * sf.kronecker_phi(fl, z, st.qdiff(i, j))
+                    expect = s * sf.kronecker_phi(fl, z, st.q[i] - st.q[j])
                 worst = max(worst, abs(L[i, j] - expect))
                 assert abs(L[i, j] - expect) < 1e-12
 
@@ -221,7 +221,7 @@ def test_06_reduction_fidelity():
     for key, kwargs in (("xxx", {}), ("11v", {}), ("bb", {"tau": TAU})):
         fam = rm.make_family(key, N=2, **kwargs)
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
-        q = st.qdiff(0, 1)
+        q = st.q[0] - st.q[1]
         U = rf.potential_U(fam, st.spin.blocks[0, 1], st.spin.blocks[1, 0], q)
         V = rf.potential_V(fam, st.spin.blocks[0, 0], st.spin.blocks[1, 1], q)
         d = abs(U - V) / max(abs(U), 1.0)

@@ -810,6 +810,29 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert report["drift"]["hamiltonian_drift"] < 1e-9
 
 
+def test_simulate_reports_its_monitor_settings(tmp_path, capsys):
+    # runs at different monitor points and intervals share their config
+    # echo and their drift keys (trL{k}_z0), so the report names both
+    # settings: the points as [re, im] pairs, none as an empty list
+    path = write_config(tmp_path)
+    out_csv = str(tmp_path / "traj.csv")
+    reports = []
+    for extra in (["--monitor-z", "0.4,0.2", "--monitor-every", "10"],
+                  ["--monitor-z", "0.5,0.1", "--monitor-every", "5"], []):
+        code, out, _ = run_capture(capsys, [
+            "simulate", "--config", path, "--dt", "0.001", "--steps", "20",
+            "--out", out_csv] + extra)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert [(r["monitor_z"], r["monitor_every"]) for r in reports] == [
+        ([[0.4, 0.2]], 10), ([[0.5, 0.1]], 5), ([], 10)]
+    first, second, _ = reports
+    assert first["config_echo"] == second["config_echo"]
+    assert first["drift"]["lax_trace_drift"].keys() == \
+        second["drift"]["lax_trace_drift"].keys()
+    assert first != second
+
+
 def test_simulate_without_monitor_points_reports_no_lax_residual(tmp_path,
                                                                    capsys):
     # with no --monitor-z no Lax residual is computed, and the report says

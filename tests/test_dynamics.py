@@ -179,21 +179,21 @@ def test_monitor_row_one_f0_table(family_calls, monitor_z):
     rec = dy.integrate(st, 1e-3, 4, monitor_z, monitor_every=2)
     rows = [name for name, _, d in family_calls
             if (name, d) == ("r", (1, 2))]
-    # the RK4 stages make theirs inside eom_rhs, 4 per step of the 4,
-    # except the first stage after a row (at steps 0 and 2), which reads
-    # its table
+    # the row at step 0 makes the table of the start; each of the 4 steps
+    # makes two, of stages 2 and 3 and of stage 4 and the stepped state,
+    # which the row at step 2 and the next step's first stage read
     assert rec.rows() == 3
-    assert len(rows) == rec.rows() + 4 * 4 - 2
+    assert len(rows) == 1 + 2 * 4
 
 
 def test_simulate_r_calls(family_calls, monkeypatch):
     # the bb flow of the benchmark: 6 steps, a row every 3 and two monitor
-    # points make 3 rows and 24 RK4 stages, one r call each, less the
-    # first stages of steps 1 and 4, which read the table of the row before
-    # them (27 calls before it was shared); the 3 rows take one bracket
-    # flow each, and their Lax checks are one stack: one R call over the
-    # ordered pairs of the 3 states and one Rz_coefficients call over the
-    # 2 points (3 of each when each row was checked alone)
+    # points make 3 rows and 24 RK4 stages; the row at step 0 makes the
+    # start's table and each step two, of stages 2 and 3 and of stage 4
+    # and the stepped state, which the next row and step read; the 3 rows
+    # take one bracket flow each, and their Lax checks are one stack: one
+    # R call over the ordered pairs of the 3 states and one
+    # Rz_coefficients call over the 2 points
     flows = []
     flow = md.bracket_flow
     monkeypatch.setattr(md, "bracket_flow",
@@ -204,7 +204,7 @@ def test_simulate_r_calls(family_calls, monkeypatch):
                        monitor_z=(0.3 + 0.4j, 0.6 + 0.5j))
     assert rec.rows() == 3 and rec.failure is None
     calls = Counter(name for name, _, _ in family_calls)
-    assert (calls["r"], calls["R"], calls["Rz_coefficients"]) == (25, 1, 1)
+    assert (calls["r"], calls["R"], calls["Rz_coefficients"]) == (13, 1, 1)
     assert len(flows) == 3
     (zs, qs), = [args for name, args, _ in family_calls if name == "R"]
     assert zs.shape == (2, 1) and qs.shape == (3 * 12,)
@@ -339,19 +339,20 @@ def test_constraint_violation_at_a_row_ends_the_record_there(monkeypatch):
     # but not the constraint check of the row's bracket flow (1e-8): the
     # record ends with the rows of steps 0 and 10, checked with their
     # residuals, and the failure names step 20
-    step = dy._rk4_step
     calls = []
 
-    def perturbed(state, dt):
-        state = step(state, dt)
-        calls.append(1)
-        if len(calls) == 20:
-            vec = state.vector.copy()
-            vec[2 * state.M] += 1e-7   # S^00_00, so tr S^00
-            state = state.from_vector(vec)
-        return state
+    def perturbed(step):
+        def stepped(state, dt):
+            state = step(state, dt)
+            calls.append(1)
+            if len(calls) == 20:
+                vec = state.vector.copy()
+                vec[2 * state.M] += 1e-7   # S^00_00, so tr S^00
+                state = state.from_vector(vec)
+            return state
+        return stepped
 
-    monkeypatch.setattr(dy, "_rk4_step", perturbed)
+    monkeypatch.setattr(dy, "_rk4_step", perturbed(dy._rk4_step))
     st = make_state(seed=3)
     cfg = dict(dt=1e-3, steps=40, monitor_z=(0.4 + 0.2j,),
                monitor_every=10)
@@ -360,6 +361,65 @@ def test_constraint_violation_at_a_row_ends_the_record_there(monkeypatch):
                            "common constant on all sites"}
     assert rec.times == [0.0, 10 * 1e-3] and len(calls) == 20
     assert all(r < 1e-11 for r in rec.lax_residual)
-    # the rows checked alone, with the same perturbation
+    # the rows checked alone, with the same perturbation of the reference
+    # step
     del calls[:]
+    monkeypatch.setattr(rf, "rk4_step", perturbed(rf.rk4_step))
     _equal_records(rec, rf.monitor_record(st, **cfg))
+
+
+class _Guarded:
+    """family, with r raising PoleProximity at the first argument that is
+    one of the pair differences guarded."""
+
+    def __init__(self, family, guarded):
+        self._family, self._guarded = family, guarded
+
+    def __getattr__(self, name):
+        return getattr(self._family, name)
+
+    def r(self, z, d=0):
+        for x in np.ravel(z).tolist():
+            if x in self._guarded:
+                raise PoleProximity(x, 0.0)
+        return self._family.r(z, d)
+
+
+@pytest.mark.parametrize("where, step, failure", [
+    ("stage 2", 2, 2), ("stage 3", 3, 3), ("stage 4", 6, 6),
+    ("stage 4", 7, 7), ("stepped", 2, 3), ("stepped", 3, 3),
+    ("stepped", 6, 6), ("stepped", 7, None)])
+def test_look_ahead_in_the_pole_margin_fails_as_a_stage_alone(
+        monkeypatch, where, step, failure):
+    # the positions of one stage, or of the stepped state, of one step put
+    # in the guard: the look-ahead call that holds them raises, and the
+    # stages make their own tables, so the record (rows, failure step and
+    # message) is the reference's, whose every stage makes its own; rows
+    # at steps 0, 3 and 6 of 7, so the failure is at a step with a row, at
+    # one without (at step 3 for the state stepped at 2, which the first
+    # stage of step 3 reads), at the last step, or none, the last state
+    # being read by no row
+    fam = rm.make_family("xxx", N=2)
+    st = md.random_state(fam, 3, 1.0, seed=9)
+    cfg = dict(dt=2e-3, steps=7, monitor_z=(0.3 + 0.4j,), monitor_every=3)
+    # the positions of the stages of the reference step
+    before = st
+    for _ in range(step - 1):
+        before = rf.rk4_step(before, cfg["dt"])
+    seen = []
+    eom = md.eom_rhs
+    monkeypatch.setattr(md, "eom_rhs", lambda s: seen.append(s.q) or eom(s))
+    seen.append(rf.rk4_step(before, cfg["dt"]).q)
+    monkeypatch.undo()
+    q = seen[{"stage 2": 1, "stage 3": 2, "stage 4": 3, "stepped": 4}[where]]
+    i, j = np.triu_indices(3, 1)
+    guarded = md.PhaseState(st.q, st.p, st.spin,
+                            _Guarded(fam, set((q[i] - q[j]).tolist())))
+    got = dy.integrate(guarded, **cfg)
+    _equal_records(got, rf.monitor_record(guarded, **cfg))
+    if failure is None:
+        assert got.failure is None and got.rows() == 3
+    else:
+        assert got.failure["step"] == failure
+        assert got.failure["error"].endswith(
+            "too close to a pole (distance 0.000e+00)")

@@ -81,7 +81,7 @@ def test_random_state_is_constrained():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert fam.pole_distance(st.qdiff(i, j)) > 0.05
+                assert fam.pole_distance(st.q[i] - st.q[j]) > 0.05
 
 
 def test_phase_state_is_array_native():
@@ -184,7 +184,7 @@ def test_U_equals_V_for_rank1():
     for key, kwargs in (("xxx", {}), ("11v", {}), ("bb", {"tau": 1j})):
         fam = rm.make_family(key, N=2, **kwargs)
         st = md.random_state(fam, 2, 1.0, seed=7, spin_mode="rank1")
-        q = st.qdiff(0, 1)
+        q = st.q[0] - st.q[1]
         U = rf.potential_U(fam, st.spin.blocks[0, 1], st.spin.blocks[1, 0], q)
         V = rf.potential_V(fam, st.spin.blocks[0, 0], st.spin.blocks[1, 1], q)
         assert abs(U - V) < 1e-12 * max(abs(U), 1.0), key
@@ -205,7 +205,7 @@ def test_lax_N1_entrywise():
                 if i == j:
                     expect = st.p[i] + s * sf.eisenstein_E1(fl, z)
                 else:
-                    expect = s * sf.kronecker_phi(fl, z, st.qdiff(i, j))
+                    expect = s * sf.kronecker_phi(fl, z, st.q[i] - st.q[j])
                 assert abs(L[i, j] - expect) < 1e-12, key
 
 
@@ -219,7 +219,7 @@ def test_lax_M_matrix_N1_offdiagonal():
         for j in range(2):
             if i != j:
                 expect = st.spin.blocks[i, j][0, 0] * sf.phi_derivative_f(
-                    fam.flavor, z, st.qdiff(i, j))
+                    fam.flavor, z, st.q[i] - st.q[j])
                 assert abs(Mm[i, j] - expect) < 1e-12
 
 
@@ -286,7 +286,7 @@ def test_lax_blocks_match_per_pair_kernels():
                     wantL = st.p[i] * np.eye(2) + tn.op_contract(fam.r(z), S)
                     wantM = tn.op_contract(fam.m(z), S)
                 else:
-                    R, F = fam.R(z, st.qdiff(i, j), (0, 1))
+                    R, F = fam.R(z, st.q[i] - st.q[j], (0, 1))
                     wantL = tn.op_contract(R @ P, S)
                     wantM = tn.op_contract(F @ P, S)
                 assert np.array_equal(L[i, j], wantL), (key, i, j)
@@ -846,6 +846,32 @@ def test_state_reads_its_f0_table_once(family_calls, key):
     assert "f0_table" not in vars(st.from_vector(st.vector))
 
 
+@pytest.mark.parametrize("key, N, kwargs", [
+    ("xxx", 2, {}), ("xxx", 3, {}), ("11v", 2, {}), ("xxz", 2, {}),
+    ("7v", 2, {"C": 0.7 + 0.2j}), ("bb", 2, {"tau": 0.3 + 0.9j}),
+    ("bb", 3, {"tau": 1j})])
+def test_stacked_f0_tables_keep_each_states_bits(family_calls, key, N,
+                                                 kwargs):
+    # one r call over the pairs of three sets of positions gives each the
+    # bits of its own call, which is PhaseState.f0_table's; a state made
+    # from a phase vector with a table keeps it and makes none
+    fam = rm.make_family(key, N=N, **kwargs)
+    for M in (1, 2, 5):
+        states = [md.random_state(fam, M, 1.0, seed=seed)
+                  for seed in (M, M + 1, M + 2)]
+        del family_calls[:]
+        tables = md.f0_tables(fam, np.array([st.q for st in states]))
+        assert [name for name, _, _ in family_calls] == ["r"]
+        for st, table in zip(states, tables):
+            assert len(table) == 4
+            for got, want in zip(table, st.f0_table):
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        del family_calls[:]
+        kept = states[0].from_vector(states[0].vector, tables[0])
+        assert kept.f0_table is tables[0] and family_calls == []
+
+
 def test_bb_bracket_flow_series_count(theta_calls):
     fam = rm.make_family("bb", N=2, tau=1j)
     md.bracket_flow(md.random_state(fam, 4, 1.0, seed=3))
@@ -877,7 +903,7 @@ def _per_pair_reference(state):
                              + tn.op_contract_1(m0, Sii).T)
     for i in range(M):
         for j in range(i + 1, M):
-            F0, dF0 = fam.r(state.qdiff(i, j), (1, 2))
+            F0, dF0 = fam.r(state.q[i] - state.q[j], (1, 2))
             # tr_12(F^0_21 P_12 ...) with F^0_21 = P F^0 P
             W, Wd = P @ F0 @ P @ P, P @ dF0 @ P @ P
             pair = rf.kron(spin.blocks[i, j], spin.blocks[j, i])
