@@ -24,7 +24,8 @@ import numpy as np
 
 from . import model as md
 from . import tensor as tn
-from .errors import ConstraintDrift, ConstraintViolation, PoleProximity
+from .errors import (ConstraintDrift, ConstraintViolation, Overflow,
+                     PoleProximity)
 
 
 def _columns(M, n_points):
@@ -122,10 +123,11 @@ def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
     A non-positive or non-finite dt, steps or monitor_every raises
     ValueError, and a record over MAX_ARRAY_BYTES ScaleExceeded, before
     the first step.  Any error at the first row raises.  After it,
-    PoleProximity (a pair in the pole margin), ConstraintViolation (in an
-    RK4 stage or a row's bracket flow) or ConstraintDrift (|tr S^ii - nu|
-    > 1e-6, read after every step) ends the record and sets rec.failure =
-    {"step", "error"}: a numerical failure of a valid start.
+    PoleProximity (a pair in the pole margin), Overflow (a kernel value
+    past floating point), ConstraintViolation (in an RK4 stage or a row's
+    bracket flow) or ConstraintDrift (|tr S^ii - nu| > 1e-6, read after
+    every step) ends the record and sets rec.failure = {"step", "error"}:
+    a numerical failure of a valid start.
 
     A row's H and bracket flow are formed at its step; its Lax check runs
     once the pending rows fill a chunk of M^2 N^4 entries per monitor point
@@ -160,7 +162,8 @@ def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
                 energy = md.hamiltonian(state)
                 pending.append((step * dt, state, energy,
                                 md.bracket_flow(state) if monitor_z else None))
-        except (ConstraintDrift, ConstraintViolation, PoleProximity) as exc:
+        except (ConstraintDrift, ConstraintViolation, Overflow,
+                PoleProximity) as exc:
             if not step:
                 raise
             rec.failure = {"step": step, "error": str(exc)}

@@ -28,6 +28,16 @@ class PoleProximity(ToplaxError):
         super().__init__(msg)
 
 
+class Overflow(ToplaxError):
+    """A family's value at an argument is not representable in floating
+    point."""
+
+    def __init__(self, argument):
+        self.argument = argument
+        super().__init__(f"a value at argument {argument} is not "
+                         "representable in floating point")
+
+
 class DegenerateDraw(ToplaxError):
     """A random draw failed within its redraw limit: a rank-1 spin draw kept
     a near-zero diagonal pairing, or sample points or positions could not

@@ -11,13 +11,15 @@ identity the Lax construction relies on.
 
 import cmath
 import functools
+import math
 
 import numpy as np
 
 from . import specfun as sf
-from .tensor import (check_scale, eye, permutation_P, rows_product,
-                     sin_basis, partial_trace_1, partial_trace_2,
-                     site_legs, site_product, stack_norms)
+from .errors import Overflow
+from .tensor import (check_scale, eye, identity_diagonal, permutation_P,
+                     rows_product, sin_basis, partial_trace_1,
+                     partial_trace_2, site_legs, site_product, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -159,6 +161,15 @@ class YangXXX(RMatrixFamily):
         return np.zeros(np.shape(z) + self._I.shape, dtype=complex)
 
 
+def _n2_values(values, d, v):
+    """values(d, *v), or Overflow naming v (a single argument alone) where
+    Python's complex arithmetic overflows."""
+    try:
+        return values(d, *v)
+    except OverflowError:
+        raise Overflow(v[0] if len(v) == 1 else v) from None
+
+
 def _n2_stack(layout, values, orders, *args):
     """4 x 4 matrices over the broadcast of the complex arrays args, one
     stack per order d in orders, with the entries at the positions
@@ -167,14 +178,15 @@ def _n2_stack(layout, values, orders, *args):
     The closed forms of the N = 2 families are evaluated per element in
     Python complex arithmetic, so a stack holds bitwise the matrices of its
     elements; numpy's vector loops round complex division and products
-    differently in the last bits.
+    differently in the last bits.  An element whose values overflow raises
+    Overflow.
     """
     args = np.broadcast_arrays(*args)
     shape = args[0].shape
     points = list(zip(*(a.ravel().tolist() for a in args)))
     stacks = []
     for d in orders:
-        table = np.array([values(d, *v) for v in points],
+        table = np.array([_n2_values(values, d, v) for v in points],
                          dtype=complex).reshape(shape + (len(layout),))
         out = np.zeros(shape + (4, 4), dtype=complex)
         for k, cells in enumerate(layout):
@@ -407,8 +419,13 @@ def make_family(kind, N=2, tau=None, C=None):
 
 # --- certification --------------------------------------------------------
 # Each identity below is a signed sum of three-site terms over n samples,
-# a term being the tensor.site_legs factors of one product; _site_rel forms
-# each in one scratch stack, so an identity holds two (n, N^3, N^3) stacks.
+# a term being the tensor.site_legs factors of one product.  _site_rel forms
+# each product of two operators in one scratch stack, so an identity holds
+# two (n, N^3, N^3) stacks; a term of one operator (and swaps), T (x) 1, is
+# never formed: it is added on the identity leg's diagonal of the residual
+# (tensor.identity_diagonal), with the bits of adding its stack, and its
+# norm is sqrt(N) ||T||.
+
 
 def _norms(*mats):
     """Frobenius norms of the matrices of each (..., n, n) stack, over its
@@ -419,10 +436,12 @@ def _norms(*mats):
 
 def _site_rel(N, signs, *terms, floor=0.0):
     """sf._rel of terms[0] plus or minus each later term (one sign character
-    each) over the norm of each term and floor, one per sample: each term
-    is formed in the leading entries of one scratch stack, normed there in
-    its memory order and added into the C-ordered residual, so that each
-    sum and norm takes one order whatever the number of samples."""
+    each) over the norm of each term and floor, one per sample: a product
+    of two operators is formed in the leading entries of one scratch stack,
+    normed there in its memory order and added into the C-ordered residual,
+    and one of a single operator T added on its support, normed as sqrt(N)
+    ||T||, so that each sum and norm takes one order whatever the number
+    of samples."""
     size = N ** 6
     batch = np.broadcast_shapes(*(np.shape(T)[:-2] for term in terms
                                   for T, *_ in term if T is not None))
@@ -430,27 +449,40 @@ def _site_rel(N, signs, *terms, floor=0.0):
     scratch = np.empty(residual.size, dtype=complex)
     norms = []
     for sign, term in zip("=" + signs, terms):
-        X = site_legs(N, 3, *term, out=scratch)
-        norms.append(stack_norms(scratch[:X.size].reshape(-1, size))
-                     .reshape(X.shape[:-6]))
-        if sign == "=":
-            residual[...] = X
+        ops = [T for T, *_ in term if T is not None]
+        if len(ops) == 1:
+            T = ops[0]
+            norms.append(math.sqrt(N) * stack_norms(
+                np.reshape(T, (-1, N ** 4))).reshape(np.shape(T)[:-2]))
+            X = np.reshape(T, np.shape(T)[:-2] + (N,) * 4 + (1,))
+            if sign == "=":
+                residual[...] = 0.0
+            target = identity_diagonal(N, 3, residual, *term)
         else:
-            (np.add if sign == "+" else np.subtract)(residual, X,
-                                                     out=residual)
+            X = site_legs(N, 3, *term, out=scratch)
+            norms.append(stack_norms(scratch[:X.size].reshape(-1, size))
+                         .reshape(X.shape[:-6]))
+            target = residual
+        if sign == "=":
+            target[...] = X
+        else:
+            (np.add if sign == "+" else np.subtract)(target, X, out=target)
     return sf._rel(stack_norms(residual.reshape(-1, size)).reshape(batch),
                    *norms, floor)
 
 
 def _sample_entries(N):
     """Complex entries one certification sample holds at once: 2 (N^3 x
-    N^3) three-site stacks (_site_rel's), the 28 N^2 x N^2 kernel stacks of
-    _certify_stack (14 R, 2 F^z, 2 of its derivative, 4 r, 3 F^0, 3 m),
-    and twice the theta series of its largest family call, bb's R at order
-    0 over 14 pairs of 1 + 2 N^2 arguments of 2K terms, K as at MIN_IM_TAU
-    (the other families sum no series).  CERTIFY_BYTES holds 108 samples
-    at N = 2, 45 at N = 3, 10 at N = 5 and 5 at N = 6."""
-    terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 3)[1])
+    N^3) three-site stacks (_site_rel's residual and scratch, which only
+    products of two operators fill: a lone-operator term holds no N^6
+    stack), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z,
+    2 of its derivative, 4 r, 3 F^0, 3 m), and twice the theta series of
+    its largest family call, bb's R at order 0 over 14 pairs, counted as
+    1 + 2 N^2 arguments of 2K terms each, K as at MIN_IM_TAU (the other
+    families sum no series): a bound, as the series sums 3 arguments per
+    pair (z, u and z + u) into 2 N^2 entries each.  CERTIFY_BYTES holds
+    108 samples at N = 2, 45 at N = 3, 10 at N = 5 and 5 at N = 6."""
+    terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 1, 3)[1])
     return 2 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
 
 

@@ -4,7 +4,12 @@ The rational, trigonometric and elliptic flavors share one interface: the
 two-variable kernel function phi, the Eisenstein functions E1 and E2, the
 Weierstrass function, and the q-derivative f of phi.  The elliptic flavor is
 built on an odd theta series, summed for a whole batch of cell-reduced
-arguments and all derivative orders at once (theta_sum).
+arguments and all derivative orders at once (theta_sum).  The Z_N x Z_N
+sector tables read theta at x + omega_a, omega_a = (a1 + a2 tau)/N, from
+one series per reduced argument x: the shift only reweights the Fourier
+modes exp(2 pi i h x) (DLMF 20.2), so one weight table per (tau, N,
+order) (_theta_weights, its K bound widened to the shifted strip) gives
+all N^2 sectors at once.
 """
 
 import cmath
@@ -98,52 +103,69 @@ def sector_rows(tau, N):
 
 
 @functools.lru_cache(maxsize=64)
-def _theta_weights(tau, upto):
-    """(g, W): g = 2*pi*i*h over h = k + 1/2, k < K, and W[h, d] =
-    exp(pi*i*(tau*h^2 + h)) (2*pi*i*h)^d, d <= upto, over those h and then
-    their negatives (exp(pi*i*h) exactly +-i).  For |Im z0| <= Im tau / 2 a
-    term is at most exp(-pi Im tau (h^2 - h)), while the term-magnitude sum
+def _theta_weights(tau, N, upto):
+    """(g, W): g = 2*pi*i*h over h = k + 1/2, k < K, and W[h, a (upto + 1)
+    + d] = exp(pi*i*(tau*h^2 + h) + 2*pi*i*h*omega_a) (2*pi*i*h)^d over
+    those h and then their negatives (exp(pi*i*h) exactly +-i), the sectors
+    a of sector_rows(tau, N) and d <= upto: the sector factor exp(2*pi*i*h
+    omega_a) turns the series at x0 into the one at x0 + omega_a, and for
+    N = 1 W is the plain series' table.  For |Im x0| <= Im tau / 2 and
+    0 <= Im omega_a <= s Im tau, s = (N - 1) / N, a term is at most
+    exp(-pi Im tau (h^2 - b h)), b = 1 + 2 s, while the term-magnitude sum
     of order d is at least 2 pi^d exp(-pi Im tau / 4); K is the first k
     whose bound, weighted by (2 pi h)^upto, is below THETA_TOL / 2 of that,
     and later terms shrink by a ratio below 1/2, so the tail stays below
-    THETA_TOL times the term-magnitude sum."""
+    THETA_TOL times the term-magnitude sum.  The weights are one exp each,
+    so that exp(2*pi*h Im omega_a) does not overflow alone."""
+    b = 1.0 + 2.0 * (N - 1) / N
     k = 0
     while True:
         h = k + 0.5
-        bound = math.exp(-math.pi * tau.imag * (h * h - h - 0.25))
+        bound = math.exp(-math.pi * tau.imag * (h * h - b * h - 0.25))
         if bound * (2 * h) ** upto < THETA_TOL / 2:
             break
         k += 1
     hs = [n + 0.5 for n in range(k)] + [-n - 0.5 for n in range(k)]
-    W = [[cmath.exp(PI_I * tau * h * h) * (TWO_PI_I * h) ** d
-          * (1j if (h + 0.5) % 2 else -1j) for d in range(upto + 1)]
-         for h in hs]
+    omega = sector_rows(tau, N)[2].tolist()
+    W = [[cmath.exp(PI_I * tau * h * h + TWO_PI_I * h * w)
+          * (TWO_PI_I * h) ** d * (1j if (h + 0.5) % 2 else -1j)
+          for w in omega for d in range(upto + 1)] for h in hs]
     return TWO_PI_I * np.array(hs[:k])[:, None], np.array(W)
 
 
-def theta_sum(zs, tau, upto=0):
-    """The odd theta series, sum over half-integers h of exp(pi*i*tau*h^2
-    + 2*pi*i*(z + 1/2)*h), and its first upto z-derivatives at every z of
-    the tuple zs.  Each z is reduced to the cell, z = z0 + m + n*tau, n =
-    round(Im z / Im tau), m = round(Re(z - n*tau)): theta(z) = exp(c)
-    theta(z0), c = pi*i*(m + n) - pi*i*tau*n^2 - 2*pi*i*n*z0 (DLMF
-    20.2(iii)), with terms fixed by tau (_theta_weights): t = exp(2*pi*i*z0
-    h) @ W, one exp over h > 0 (those at -h are reciprocals), one product.
-    Returns (t, c, K, n, z0): t[i, d], the d-th derivative of theta at
-    z0[i], the log factor c[i], the term pairs K per argument and the tau
-    shift n[i].  zs is a tuple, and K is returned, for perfbench's tracer,
-    which hashes the arguments and reads the count; no cache holds it."""
-    z = np.array(zs, dtype=complex)
+def _cell(z, tau):
+    """(z0, m, n, n*tau): z = z0 + m + n*tau, n = round(Im z / Im tau),
+    m = round(Re(z - n*tau)), over a complex array z."""
     n = np.rint(z.imag / tau.imag)
     nt = n * tau
     z0 = z - nt
     m = np.rint(z0.real)
     z0 -= m
+    return z0, m, n, nt
+
+
+def theta_sum(zs, tau, upto=0, N=1):
+    """The odd theta series, sum over half-integers h of exp(pi*i*tau*h^2
+    + 2*pi*i*(z + 1/2)*h), and its first upto z-derivatives at z + omega_a
+    for every z of the tuple zs and every sector a of sector_rows(tau, N)
+    (omega_0 = 0 alone for N = 1).  Each z is reduced to the cell, z = z0 +
+    m + n*tau (_cell): theta(z0 + omega_a + m + n*tau) = exp(c - 2*pi*i*n
+    omega_a) theta(z0 + omega_a), c = pi*i*(m + n) - pi*i*tau*n^2 -
+    2*pi*i*n*z0 (DLMF 20.2(iii)), and the terms at x0 = z0 + omega_a are
+    fixed by tau and N (_theta_weights): t = exp(2*pi*i*z0 h) @ W, one exp
+    over h > 0 (those at -h are reciprocals) and one product for all N^2
+    sectors, so each argument is summed once however many sectors read it.
+    Returns (t, c, K, n, z0): t[i, a (upto + 1) + d], the d-th derivative
+    of theta at z0[i] + omega_a, the log factor c[i], the term pairs K per
+    argument and the tau shift n[i].  zs is a tuple, and K is returned, for
+    perfbench's tracer, which hashes the arguments and reads the count; no
+    cache holds it."""
+    z0, m, n, nt = _cell(np.array(zs, dtype=complex), tau)
     c = PI_I * (m + n - n * (nt + 2.0 * z0))
-    g, W = _theta_weights(tau, upto)
+    g, W = _theta_weights(tau, N, upto)
     K = len(g)
     # a column per argument, one twice, as in tensor.rows_product
-    L = len(z)
+    L = len(z0)
     E = np.empty((2 * K, L + (L == 1)), dtype=complex)
     np.exp(g * z0, out=E[:K, :L])
     E[:K, L:] = E[:K, :1]
@@ -318,7 +340,7 @@ def _log_theta(flavor, z, upto):
         t, _, s, z0 = _series(tuple(z.ravel().tolist()), flavor.tau, upto,
                               z.shape)
         _pole_guard(z.ravel(), z0)
-        return _log_derivs(t, s)
+        return _log_derivs(t[:, 0], s[:, 0])
     check_pole(flavor, z)
     ch, sh = (1.0, z) if flavor.kind == RATIONAL else (np.cosh(z), np.sinh(z))
     # np.power, unlike ** on an array, rounds as on a single element, so a
@@ -383,12 +405,18 @@ def _pole_guard(args, z0):
         raise PoleProximity(complex(args[d.index(nearest)]), nearest)
 
 
-def _series(args, tau, upto, shape):
-    """theta_sum's rows t[d], log factors c, their z-derivatives -2*pi*i*n
-    (each of shape after a leading axis) and reduced arguments over args."""
-    t, c, _, n, z0 = theta_sum(args, tau, upto)
-    c, s = c.reshape((1,) + shape), (-TWO_PI_I * n).reshape((1,) + shape)
-    return np.ascontiguousarray(t.T).reshape((upto + 1,) + shape), c, s, z0
+def _series(args, tau, upto, shape, N=1):
+    """theta_sum's rows t[d] at each argument x plus omega_a and their log
+    factors c - 2*pi*i*n*omega_a, with the axes (rows or 1, N^2 sectors) +
+    shape, the z-derivatives -2*pi*i*n of those (axes (1, 1) + shape: one
+    per argument, whatever its sector) and the reduced arguments over
+    args."""
+    t, c, _, n, z0 = theta_sum(args, tau, upto, N)
+    s = -TWO_PI_I * n
+    c = c + np.multiply.outer(sector_rows(tau, N)[2], s)
+    t = t.reshape(len(args), N * N, upto + 1).transpose(2, 1, 0)
+    return (np.ascontiguousarray(t).reshape((upto + 1, N * N) + shape),
+            c.reshape((1, N * N) + shape), s.reshape((1, 1) + shape), z0)
 
 
 def _phi_rows(z, tz, cz, log_z, t, czw, s, twist, lw, e1w, lo, upto):
@@ -425,34 +453,39 @@ def sector_table(flavor, N, z, u, upto, f=False):
     w) = exp(2*pi*i*a2*z/N) theta'(0) theta(z + w) / (theta(z) theta(w)),
     w = omega_a + u, over every z of a number or an array (u broadcasts
     against z) and the N^2 sectors a of sector_rows (the last axis), from
-    one theta series over each z, w and z + w: phi^(k)[..., a] is the k-th
-    z-derivative of phi_a and f[..., a] = exp(2*pi*i*a2*z/N) f(z, w).
-    Nothing divides by theta(z + w), whose zeros (DLMF 20.2(iv)) are zeros
-    of phi_a (see _phi_rows); the cell reduction guards z and w
-    (POLE_EPS)."""
+    one theta series over each z, u and z + u, whose sector weights give
+    theta at w and z + w of every sector (theta_sum): phi^(k)[..., a] is
+    the k-th z-derivative of phi_a and f[..., a] = exp(2*pi*i*a2*z/N) f(z,
+    w).  Nothing divides by theta(z + w), whose zeros (DLMF 20.2(iv)) are
+    zeros of phi_a (see _phi_rows); the guard names the nearest of z and
+    the w within POLE_EPS of a pole."""
     if flavor.kind != ELLIPTIC:
         raise ValueError("sector functions require the elliptic flavor")
     if not 0 <= upto <= 2:
         raise ValueError("order must be 0, 1 or 2")
+    tau = flavor.tau
     z, u = np.asarray(z, dtype=complex), np.asarray(u, dtype=complex)
     shape = np.broadcast_shapes(z.shape, u.shape)
-    # z and u with the axes of the broadcast, w and z + w with a sector
-    # axis in front
+    # z and u with the axes of the broadcast
     z, u = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (z, u))
-    _, _, omega, twist = sector_rows(flavor.tau, N)
-    ws = omega.reshape((-1,) + (1,) * len(shape)) + u
-    args = np.concatenate([z.ravel(), ws.ravel(), (z + ws).ravel()])
-    t, c, s, z0 = _series(tuple(args.tolist()), flavor.tau, upto + 1,
-                          args.shape)
-    P, W = z.size, z.size + ws.size
-    _pole_guard(args, z0[:W])
+    _, _, omega, twist = sector_rows(tau, N)
+    args = np.concatenate([z.ravel(), u.ravel(), (z + u).ravel()])
+    t, c, s, z0 = _series(tuple(args.tolist()), tau, upto + 1, args.shape, N)
+    P, W = z.size, z.size + u.size
+    # the w = omega_a + u reduced as a series over them would be
+    ws = (omega.reshape((-1,) + (1,) * u.ndim) + u).ravel()
+    _pole_guard(np.concatenate([z.ravel(), ws]),
+                np.concatenate([z0[:P], _cell(ws, tau)[0]]))
+    # the zero sector of z, and every sector of u and z + u
     (tz, cz, sz), (tw, cw, sw), (tzw, czw, szw) = (
-        [v[:, lo:hi].reshape(v.shape[:1] + group) for v in (t, c, s)]
-        for lo, hi, group in ((0, P, (1,) + z.shape), (P, W, ws.shape),
-                              (W, len(args), (N * N,) + shape)))
+        (t[:, :k, lo:hi].reshape((len(t), k) + group),
+         c[:, :k, lo:hi].reshape((1, k) + group),
+         s[..., lo:hi].reshape((1, 1) + group))
+        for lo, hi, k, group in ((0, P, 1, z.shape), (P, W, N * N, u.shape),
+                                 (W, len(args), N * N, shape)))
     y = _phi_rows(z[None, None], tz, cz, _log_derivs(tz, sz), tzw, czw, szw,
                   twist.reshape((1, -1) + (1,) * len(shape)),
-                  np.log(_theta_at_zero(flavor.tau)[0] / tw[:1]) - cw,
+                  np.log(_theta_at_zero(tau)[0] / tw[:1]) - cw,
                   _log_derivs(tw[:2], sw) if f else None, 0, upto)
     # the sector axis last, in memory too, as callers take products of it
     return np.ascontiguousarray(y.transpose((0,) + tuple(range(2, y.ndim))
@@ -461,16 +494,17 @@ def sector_table(flavor, N, z, u, upto, f=False):
 
 def omega_constants(flavor, N):
     """Read-only rows over the N^2 sectors a of omega_a, 2*pi*i*a2/N,
-    log(theta'(0)/theta(w0)) - c_w, E1(w) and E1'(w) at w = omega_a, from
-    one theta series: the constants of regular_table, kept by a family.
-    The zero sector's column is 0, its log weight -inf."""
+    log(theta'(0)/theta(omega_a)), E1(omega_a) and E1'(omega_a), from one
+    theta series at the single point 0, whose sector weights give theta at
+    every omega_a with no cell reduction (theta_sum): the constants of
+    regular_table, kept by a family.  The zero sector's column is 0, its
+    log weight -inf."""
     out = np.zeros((5, N * N), dtype=complex)
     out[:2] = sector_rows(flavor.tau, N)[2:]
     out[2, 0] = -math.inf
-    t, c, s, _ = _series(tuple(out[0, 1:].tolist()), flavor.tau, 2,
-                         (N * N - 1,))
-    out[2, 1:] = np.log(_theta_at_zero(flavor.tau)[0] / t[0]) - c
-    out[3:, 1:] = _log_derivs(t, s)
+    t = _series((0j,), flavor.tau, 2, (), N)[0]
+    out[2, 1:] = np.log(_theta_at_zero(flavor.tau)[0] / t[0, 1:])
+    out[3:, 1:] = _log_derivs(t[:, 1:], 0.0)
     out.flags.writeable = False
     return out
 
@@ -478,17 +512,18 @@ def omega_constants(flavor, N):
 def regular_table(flavor, constants, z, orders, f=False):
     """The rows phi_a^(d)(z, omega_a), d in the tuple orders, then f_a if
     f, over a complex array z and all N^2 sectors a (the last axis), from
-    one theta series over z and z + omega_a.  The zero sector holds the
-    regular part at u = 0 of phi_0(z, u) = 1/u + E1(z) + u (E1^2 - wp)(z)
-    / 2 + O(u^2): E1 and its derivatives, and (E1^2 - wp) / 2 as f."""
+    one theta series over z, whose sector weights give theta at every z +
+    omega_a (theta_sum).  The zero sector holds the regular part at u = 0
+    of phi_0(z, u) = 1/u + E1(z) + u (E1^2 - wp)(z) / 2 + O(u^2): E1 and
+    its derivatives, and (E1^2 - wp) / 2 as f."""
     lo, upto = min(min(orders), 1), max(orders)
     # the sector axis in front of z's, the zero sector (omega = 0) first
     w = constants.reshape((5, 1, -1) + (1,) * z.ndim)
-    X = z + w[0]
-    t, c, s, z0 = _series(tuple(X.ravel().tolist()), flavor.tau,
-                          max(upto, f) + 1, X.shape[1:])
-    _pole_guard(z.ravel(), z0[:z.size])
-    log_z = _log_derivs(t[:, :1], s[:, :1])
+    t, c, s, z0 = _series(tuple(z.ravel().tolist()), flavor.tau,
+                          max(upto, f) + 1, z.shape,
+                          math.isqrt(constants.shape[1]))
+    _pole_guard(z.ravel(), z0)
+    log_z = _log_derivs(t[:, :1], s)
     y = _phi_rows(z[None, None], t[:, :1], c[:, :1], log_z, t, c, s, w[1],
                   w[2], w[3] if f else None, lo, upto)
     y[:upto + 1 - lo, :1] = log_z[lo:upto + 1]
@@ -712,15 +747,15 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     The sector identities (lattice sums over Z_N x Z_N) are elliptic only,
     for each N in sector_sizes.  All samples are drawn first; a sample holds
     its largest theta series at once: 3 arguments per expansion-circle
-    point, 2 + 4 N^2 per sector, each of 2K terms (K as at MIN_IM_TAU), so
-    CERTIFY_BYTES holds 642 samples (1713 and 811 for the sector
-    identities at N = 2 and 3)."""
+    point, 2 + 4 N^2 per sector (a bound: with the sector weights the
+    largest, the E2 shifts, has 2 N^2), each of 2K terms (K as at MIN_IM_TAU), so CERTIFY_BYTES holds 642
+    samples (1713 and 811 for the sector identities at N = 2 and 3)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     samples = np.array([sample_tuple(rng, flavor, 4)
                         for _ in range(n_samples)])
-    terms = len(_theta_weights(complex(0, MIN_IM_TAU), 2)[1])
+    terms = len(_theta_weights(complex(0, MIN_IM_TAU), 1, 2)[1])
     worst = max_residuals(samples, terms * 3 * LAURENT_POINTS,
                           functools.partial(_core_residuals, flavor))
     # E1(x) = 1/x + x*kappa/3 + O(x^3) at x = 0, on one circle of no sample

@@ -231,6 +231,30 @@ def site_legs(N, k, *factors, out=None):
     return legs.transpose(final)
 
 
+def identity_diagonal(N, k, legs, *factors):
+    """The entries of legs, (..., N^k legs, N^k legs) laid out as site_legs
+    lays out a product on Mat(N)^{x k}, on which the product of factors,
+    one operator T and swaps, can be nonzero: T (x) 1 with its columns
+    permuted by the swaps (_plan's wires).  The view has T's legs [..., i_s,
+    i_t, j_s, j_t] then one leg per other site, whose column leg is its row
+    leg: a writable einsum view (a subscript repeated on one operand), so
+    that np.add(view, T, out=view), T broadcast over the last k - 2 axes,
+    adds the product into legs with no N^{2k} stack and the bits of adding
+    site_legs' stack."""
+    wire = list(range(k))
+    for T, s, t in factors:
+        if T is None:
+            wire[s], wire[t] = wire[t], wire[s]
+        else:
+            sites = (wire[s], wire[t])
+    rows, cols = "abcdefghijklm"[:k], "nopqrstuvwxyz"[:k]
+    col = [cols[q] if q in sites else rows[q] for q in range(k)]
+    rest = "".join(rows[q] for q in range(k) if q not in sites)
+    return np.einsum(f"...{rows}{''.join(col[w] for w in wire)}->..."
+                     f"{rows[sites[0]]}{rows[sites[1]]}{cols[sites[0]]}"
+                     f"{cols[sites[1]]}{rest}", legs)
+
+
 def site_product(N, k, *factors):
     """The left-to-right product of operators on Mat(N)^{x k}, as an
     (..., N^k, N^k) matrix or stack.

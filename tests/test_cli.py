@@ -212,6 +212,36 @@ def test_simulate_numerical_failure_exits_1(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == report["rows"] + 1
 
 
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_simulate_overflow_is_a_recorded_failure(tmp_path, capsys, seed):
+    # an xxz blow-up at dt 0.5 takes a pair difference past the range of
+    # the closed forms' complex arithmetic (cmath.sinh, sh ** 3): the step
+    # fails with Overflow, recorded as any numerical failure, not a
+    # traceback
+    path = write_config(tmp_path, family="xxz", M=3, nu=[1.0, 0.2],
+                        seed=seed)
+    code, out, err = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "0.5", "--steps", "40",
+        "--monitor-every", "3", "--out", str(tmp_path / "traj.csv")])
+    report = json.loads(out)
+    assert (code, err, report["pass"]) == (1, "", False)
+    assert report["failure"]["step"] > 0
+    assert "not representable" in report["failure"]["error"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"family": "7v", "C": [1.0, 0.0], "q0": [[0, 0], [300, 0]]},
+    {"family": "11v", "q0": [[0, 0], [1e300, 0]]}])
+def test_overflow_at_the_start_state_exits_2(tmp_path, capsys, overrides):
+    # a start state whose kernel values overflow is a configuration the
+    # family cannot represent: one error line, exit 2
+    path = write_config(tmp_path, **overrides)
+    code, out, err = run_capture(capsys, ["check-lax", "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not representable" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["check-lax"], ["check-exchange"],
     ["simulate", "--dt", "1e-4", "--steps", "20", "--monitor-every", "10",

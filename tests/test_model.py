@@ -879,9 +879,9 @@ def test_bb_bracket_flow_series_count(theta_calls):
     st = md.random_state(fam, 4, 1.0, seed=3)
     del theta_calls[:]
     md.bracket_flow(st)
-    # one F0/F0' table for all 6 pairs, from one series over 6 + 18
-    # arguments (the omega_a are the family's constants)
-    assert [(len(args), upto) for args, upto in theta_calls] == [(24, 3)]
+    # one F0/F0' table for all 6 pairs, from one series over the 6 pair
+    # differences (the sector weights give each q_ij + omega_a)
+    assert [(len(args), upto) for args, upto in theta_calls] == [(6, 3)]
 
 
 def _per_pair_reference(state):

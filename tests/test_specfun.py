@@ -575,9 +575,11 @@ def test_sector_table_array_u(theta_calls):
     sf.sector_table(fl, N, zs, us, 2)   # fills the modulus caches
     del theta_calls[:]
     table = sf.sector_table(fl, N, zs, us, 2, f=True)
-    # one series over each z, each omega_a + u and each z + omega_a + u
+    # one series over each z, each u and each z + u, whose sector weights
+    # give every omega_a + u and z + omega_a + u
     (args, upto), = theta_calls
-    assert upto == 3 and len(args) == 4 + 2 * 4 * N * N
+    assert upto == 3 and args == tuple(zs.ravel()) + tuple(us.ravel()) \
+        + tuple((zs + us).ravel())
     assert table.shape == (4,) + zs.shape + (N * N,)
     # the phi rows are the same whether or not f is asked for
     assert np.array_equal(sf.sector_table(fl, N, zs, us, 2), table[:3])
@@ -596,6 +598,34 @@ def test_sector_table_array_u(theta_calls):
     assert phi[1].shape == us.shape + (N * N,)
     want = sf.sector_table(fl, N, zs[0, 0], us[1, 0], 1)
     assert np.all(np.abs(phi[1][1, 0] - want[1]) <= 1e-13 * np.abs(want[1]))
+
+
+@pytest.mark.parametrize("N, tau", [(1, 0.3 + 0.8j), (2, 1j),
+                                    (3, 0.1 + 1.1j), (4, 0.1 + 0.3j)])
+def test_sector_tables_rows_are_single_calls(N, tau):
+    # a stack of 1 to 33 arguments, on and off the cell, gives each row of
+    # sector_table and regular_table the bits of its single call: the
+    # shared series' product over the sector weights rounds a row as in
+    # any stack (f0_tables and lax_chunks rely on this)
+    fl = sf.Flavor.elliptic(tau)
+    consts = sf.omega_constants(fl, N)
+    rng = np.random.default_rng(N)
+    zs = (rng.uniform(-1, 2, 33) + rng.uniform(-1.5, 1.5, 33) * tau)
+    us = 0.1 * (rng.uniform(-1, 1, 33) + 1j * rng.uniform(-1, 1, 33))
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    single = [(sf.sector_table(fl, N, z, u, 2, f=True),
+               sf.regular_table(fl, consts, np.array(z), (0, 1, 2), f=True))
+              for z, u in zip(zs, us)]
+    for n in range(1, 34):
+        table = sf.sector_table(fl, N, zs[:n], us[:n], 2, f=True)
+        regular = sf.regular_table(fl, consts, zs[:n], (0, 1, 2), f=True)
+        for k, (want, want_regular) in enumerate(single[:n]):
+            assert np.array_equal(bits(table[:, k]), bits(want)), (n, k)
+            assert np.array_equal(bits(regular[:, k]), bits(want_regular)), \
+                (n, k)
 
 
 # distances from a zero of phi_a: on it, then off it along 1 and along i
