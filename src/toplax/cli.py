@@ -63,12 +63,13 @@ def _check_count(flag, count, entries):
 
 
 def _finish(command, echo, seed, body, passed):
-    """Print the JSON report of a command and return its exit code: 0 if
-    passed, else 1."""
+    """Print the JSON report of a command, strict JSON with null for a
+    non-finite number, and return its exit code: 0 if passed, else 1."""
     report = {"tool_version": __version__, "command": command,
               "config_echo": echo, "seed": int(seed), "pass": bool(passed),
               **body}
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
+    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    json.dump(report, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return 0 if passed else 1
 

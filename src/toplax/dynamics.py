@@ -115,6 +115,7 @@ def _flush(rec, pending, monitor_z):
     pending.clear()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
     """RK4 trajectory from state0, steps steps of dt, with a monitor row
     (the invariants; the Lax residual at the points monitor_z) at step 0
@@ -123,11 +124,12 @@ def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
     A non-positive or non-finite dt, steps or monitor_every raises
     ValueError, and a record over MAX_ARRAY_BYTES ScaleExceeded, before
     the first step.  Any error at the first row raises.  After it,
-    PoleProximity (a pair in the pole margin), Overflow (a kernel value
-    past floating point), ConstraintViolation (in an RK4 stage or a row's
-    bracket flow) or ConstraintDrift (|tr S^ii - nu| > 1e-6, read after
-    every step) ends the record and sets rec.failure = {"step", "error"}:
-    a numerical failure of a valid start.
+    PoleProximity (a pair in the pole margin), Overflow (a kernel value, a
+    state or a row's H past floating point), ConstraintViolation (in an RK4
+    stage or a row's bracket flow) or ConstraintDrift (|tr S^ii - nu| >
+    1e-6, read after every step) ends the record and sets rec.failure =
+    {"step", "error"}: a numerical failure of a valid start, whose numpy
+    overflow and invalid-value warnings are off.
 
     A row's H and bracket flow are formed at its step; its Lax check runs
     once the pending rows fill a chunk of M^2 N^4 entries per monitor point
@@ -156,10 +158,14 @@ def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
                 if not drift <= 1e-6:
                     raise ConstraintDrift(
                         f"constraint drift {drift:.3e} at step {step}")
+                if not np.isfinite(state.vector).all():
+                    raise Overflow(step, "the state at step")
             if step % monitor_every == 0:
                 # H and the flow read the state's F^0 table, as does the
                 # next step's first stage
                 energy = md.hamiltonian(state)
+                if not np.isfinite(energy):
+                    raise Overflow(step, "H at step")
                 pending.append((step * dt, state, energy,
                                 md.bracket_flow(state) if monitor_z else None))
         except (ConstraintDrift, ConstraintViolation, Overflow,

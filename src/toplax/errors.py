@@ -29,13 +29,13 @@ class PoleProximity(ToplaxError):
 
 
 class Overflow(ToplaxError):
-    """A family's value at an argument is not representable in floating
-    point."""
+    """A value is not representable in floating point: a family's at an
+    argument, or a trajectory's state or energy at a step."""
 
-    def __init__(self, argument):
+    def __init__(self, argument, what="a value at argument"):
         self.argument = argument
-        super().__init__(f"a value at argument {argument} is not "
-                         "representable in floating point")
+        super().__init__(f"{what} {argument} is not representable in "
+                         "floating point")
 
 
 class DegenerateDraw(ToplaxError):

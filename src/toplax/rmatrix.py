@@ -9,7 +9,6 @@ from one evaluation.  The certify() routine measures the residual of every
 identity the Lax construction relies on.
 """
 
-import cmath
 import functools
 import math
 
@@ -41,14 +40,15 @@ class RMatrixFamily:
     R^z(q), q) as a number or as an array of pair differences; an array of
     shape s gives a stack of shape s + (N^2, N^2), one matrix per element,
     with its bits in a stack of any size (so a complex product with a
-    temporary b is np.multiply(a, b): numpy runs a * b on a large b as
-    b *= a, which rounds otherwise).  The hbar of R may be an array too,
-    which broadcasts against z.
+    temporary b is np.multiply(a, b) or b * a: numpy runs a * b on a large
+    b as b *= a, which rounds otherwise).  The hbar of R may be an array
+    too, which broadcasts against z.
 
     A family implements _R(hbar, z, orders) and _r(z, orders), on complex
     arrays, returning one stack per order and guarding the poles itself.
     A stack may be a read-only view (a matrix repeated along the axes of
-    hbar), so a caller copies before writing into one.
+    hbar), so a caller copies before writing into one.  The N = 2 families
+    write the closed forms of R once (_ClosedForms).
     """
 
     kind = None
@@ -73,9 +73,6 @@ class RMatrixFamily:
         stacks from one evaluation; F^0(q) is r(q, 1)."""
         out = self._r(np.asarray(z, dtype=complex), _orders(d))
         return tuple(out) if isinstance(d, tuple) else out[0]
-
-    def m(self, z):
-        raise NotImplementedError
 
     def m0(self):
         """m(0), evaluated on first use with r0 and then shared read-only."""
@@ -161,48 +158,58 @@ class YangXXX(RMatrixFamily):
         return np.zeros(np.shape(z) + self._I.shape, dtype=complex)
 
 
-def _n2_values(values, d, v):
-    """values(d, *v), or Overflow naming v (a single argument alone) where
-    Python's complex arithmetic overflows."""
-    try:
-        return values(d, *v)
-    except OverflowError:
-        raise Overflow(v[0] if len(v) == 1 else v) from None
-
-
-def _n2_stack(layout, values, orders, *args):
+def _n2_stack(cells, values, orders, *args):
     """4 x 4 matrices over the broadcast of the complex arrays args, one
-    stack per order d in orders, with the entries at the positions
-    layout[k] equal to values(d, *v)[k] at each element v of the broadcast.
-
-    The closed forms of the N = 2 families are evaluated per element in
-    Python complex arithmetic, so a stack holds bitwise the matrices of its
-    elements; numpy's vector loops round complex division and products
-    differently in the last bits.  An element whose values overflow raises
-    Overflow.
-    """
+    stack per order d in orders: entry (a, b) is the value cells[a, b] of
+    values(d, *args), or 0 where cells[a, b] is their count.  values runs
+    once per order on the broadcast raveled to one axis (0-d arrays would
+    take numpy's scalar path, which rounds otherwise), with overflow and
+    invalid-value warnings off; np.take gathers the matrices, contiguous.
+    A value that is not finite raises Overflow naming its element: its
+    args, (z, hbar) for R, or its one arg."""
     args = np.broadcast_arrays(*args)
-    shape = args[0].shape
-    points = list(zip(*(a.ravel().tolist() for a in args)))
+    shape, flat = args[0].shape + (4, 4), [a.ravel() for a in args]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = [values(d, *flat) for d in orders]
     stacks = []
-    for d in orders:
-        table = np.array([_n2_values(values, d, v) for v in points],
-                         dtype=complex).reshape(shape + (len(layout),))
-        out = np.zeros(shape + (4, 4), dtype=complex)
-        for k, cells in enumerate(layout):
-            for a, b in cells:
-                out[..., a, b] = table[..., k]
-        stacks.append(out)
+    for columns in tables:
+        table = np.zeros((len(flat[0]), len(columns) + 1), dtype=complex)
+        for k, column in enumerate(columns):
+            table[:, k] = column
+        if not np.isfinite(table).all():
+            v = [complex(a[np.isfinite(table).all(-1).argmin()]) for a in flat]
+            raise Overflow(v[0] if len(v) == 1 else tuple(v))
+        stacks.append(np.take(table, cells, 1).reshape(shape))
     return stacks
 
 
-class SevenVertex(RMatrixFamily):
-    """Trigonometric deformation of the XXZ matrix with corner constant C."""
+class _ClosedForms(RMatrixFamily):
+    """An N = 2 family from closed forms, placed by _CELLS: _values(d, z,
+    h) gives those of the d-th z-derivative of R^h(z), and with h None
+    those of r(z), R's regular part at h = 0 (its 1/h terms dropped and
+    h = 0 elsewhere); _m_values(z) gives those of m(z)."""
+
+    def _R(self, hbar, z, orders):
+        sf.check_pole(self.flavor, hbar, z)
+        return _n2_stack(self._CELLS, self._values, orders, z, hbar)
+
+    def _r(self, z, orders):
+        sf.check_pole(self.flavor, z)
+        return _n2_stack(self._CELLS, self._values, orders, z)
+
+    def m(self, z):
+        return _n2_stack(self._CELLS, lambda _, z: self._m_values(z), (0,),
+                         np.asarray(z, dtype=complex))[0]
+
+
+class SevenVertex(_ClosedForms):
+    """Trigonometric deformation of the XXZ matrix with corner constant C:
+    R^h(z) is coth z + coth h at (0, 0) and (3, 3), csch h at (1, 1) and
+    (2, 2), csch z at (1, 2) and (2, 1), and C sinh(z + h) at (3, 0)."""
 
     kind = "7v"
-    # the diagonal pairs, the swap pair and the corner
-    _LAYOUT = (((0, 0), (3, 3)), ((1, 1), (2, 2)), ((1, 2), (2, 1)),
-               ((3, 0),))
+    _CELLS = np.array([[0, 4, 4, 4], [4, 1, 2, 4], [4, 2, 1, 4],
+                       [3, 4, 4, 0]])
 
     def __init__(self, C):
         super().__init__(2, sf.Flavor.trigonometric())
@@ -211,46 +218,27 @@ class SevenVertex(RMatrixFamily):
     def params(self):
         return {"C": [self.C.real, self.C.imag]}
 
-    def _R(self, hbar, z, orders):
-        sf.check_pole(self.flavor, hbar, z)
-        C = self.C
+    def _corner(self, d, z):
+        # C sinh^(d)(z), or 0 at C = 0, where C times inf would be NaN
+        return (np.cosh if d % 2 else np.sinh)(z) * self.C if self.C else 0.0
 
-        def values(d, h, z):
-            sh, ch = cmath.sinh(z), cmath.cosh(z)
-            if d == 0:
-                shh = cmath.sinh(h)
-                return (ch / sh + cmath.cosh(h) / shh, 1.0 / shh, 1.0 / sh,
-                        C * cmath.sinh(z + h))
-            if d == 1:
-                return (-1.0 / sh ** 2, 0.0, -ch / sh ** 2,
-                        C * cmath.cosh(z + h))
-            return (2.0 * ch / sh ** 3, 0.0,
-                    (2.0 * ch * ch - sh * sh) / sh ** 3,
-                    C * cmath.sinh(z + h))
+    def _values(self, d, z, h=None):
+        coth, csch = sf.coth_csch(z)
+        coth_h = csch_h = 0.0
+        if h is not None:
+            coth_h, csch_h = sf.coth_csch(h)
+            z = z + h    # the corner's argument
+        corner = self._corner(d, z)
+        if d == 0:
+            return coth + coth_h, csch_h, csch, corner
+        if d == 1:
+            return -csch * csch, 0.0, -coth * csch, corner
+        return (2.0 * coth * csch * csch, 0.0,
+                (2.0 * coth * coth - 1.0) * csch, corner)
 
-        return _n2_stack(self._LAYOUT, values, orders, hbar, z)
-
-    def _r(self, z, orders):
-        sf.check_pole(self.flavor, z)
-        C = self.C
-
-        def values(d, z):
-            sh, ch = cmath.sinh(z), cmath.cosh(z)
-            if d == 0:
-                return ch / sh, 0.0, 1.0 / sh, C * sh
-            if d == 1:
-                return -1.0 / sh ** 2, 0.0, -ch / sh ** 2, C * ch
-            return (2.0 * ch / sh ** 3, 0.0,
-                    (2.0 * ch * ch - sh * sh) / sh ** 3, C * sh)
-
-        return _n2_stack(self._LAYOUT, values, orders, z)
-
-    def m(self, z):
-        # the diagonal pairs 1/3 and -1/6, and the corner
-        C = self.C
-        return _n2_stack(self._LAYOUT, lambda _, z: (
-            1.0 / 3.0, -0.5 / 3.0, 0.0, C * cmath.cosh(z)), (0,),
-            np.asarray(z, dtype=complex))[0]
+    def _m_values(self, z):
+        # the h-coefficients of coth h, csch h and the corner
+        return 1.0 / 3.0, -0.5 / 3.0, 0.0, self._corner(1, z)
 
 
 class SixVertexXXZ(SevenVertex):
@@ -265,49 +253,34 @@ class SixVertexXXZ(SevenVertex):
         return {}
 
 
-class ElevenVertex(RMatrixFamily):
-    """Rational deformation of Yang's matrix at N = 2."""
+class ElevenVertex(_ClosedForms):
+    """Rational deformation of Yang's matrix at N = 2: R^h(z) is 1/h + 1/z
+    at (0, 0) and (3, 3), 1/h at (1, 1) and (2, 2), 1/z at (1, 2) and
+    (2, 1), -(h + z) at (1, 0) and (2, 0), h + z at (3, 1) and (3, 2), and
+    -(h + z)(h^2 + h z + z^2) at (3, 0)."""
 
     kind = "11v"
-    # the diagonal pairs, the swap pair, the column-0 pair, the row-3 pair
-    # and the corner
-    _LAYOUT = (((0, 0), (3, 3)), ((1, 1), (2, 2)), ((1, 2), (2, 1)),
-               ((1, 0), (2, 0)), ((3, 1), (3, 2)), ((3, 0),))
+    _CELLS = np.array([[0, 6, 6, 6], [3, 1, 2, 6], [3, 2, 1, 6],
+                       [5, 4, 4, 0]])
 
     def __init__(self):
         super().__init__(2, sf.Flavor.rational())
 
-    def _R(self, hbar, z, orders):
-        sf.check_pole(self.flavor, hbar, z)
+    def _values(self, d, z, h=None):
+        pole, h = (0.0, 0.0) if h is None else (1.0 / h, h)
+        if d == 0:
+            inv, u = 1.0 / z, h + z
+            return (pole + inv, pole, inv, -u, u,
+                    np.multiply(-u, h * h + h * z + z * z))
+        if d == 1:
+            inv = -1.0 / (z * z)
+            return (inv, 0.0, inv, -1.0, 1.0,
+                    -(2.0 * h * h + 4.0 * h * z + 3.0 * z * z))
+        inv = 2.0 / (z * z * z)
+        return inv, 0.0, inv, 0.0, 0.0, -(4.0 * h + 6.0 * z)
 
-        def values(d, h, z):
-            if d == 0:
-                return (1.0 / h + 1.0 / z, 1.0 / h, 1.0 / z, -h - z, h + z,
-                        -h ** 3 - 2 * z * h ** 2 - 2 * h * z ** 2 - z ** 3)
-            if d == 1:
-                return (-1.0 / z ** 2, 0.0, -1.0 / z ** 2, -1.0, 1.0,
-                        -2 * h ** 2 - 4 * h * z - 3 * z ** 2)
-            return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -4 * h - 6 * z
-
-        return _n2_stack(self._LAYOUT, values, orders, hbar, z)
-
-    def _r(self, z, orders):
-        sf.check_pole(self.flavor, z)
-
-        def values(d, z):
-            if d == 0:
-                return 1.0 / z, 0.0, 1.0 / z, -z, z, -z ** 3
-            if d == 1:
-                return (-1.0 / z ** 2, 0.0, -1.0 / z ** 2, -1.0, 1.0,
-                        -3 * z ** 2)
-            return 2.0 / z ** 3, 0.0, 2.0 / z ** 3, 0.0, 0.0, -6 * z
-
-        return _n2_stack(self._LAYOUT, values, orders, z)
-
-    def m(self, z):
-        return _n2_stack(self._LAYOUT, lambda _, z: (
-            0.0, 0.0, 0.0, -1.0, 1.0, -2 * z ** 2), (0,),
-            np.asarray(z, dtype=complex))[0]
+    def _m_values(self, z):
+        return 0.0, 0.0, 0.0, -1.0, 1.0, -2.0 * z * z
 
 
 class BaxterBelavin(RMatrixFamily):

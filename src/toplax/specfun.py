@@ -342,11 +342,22 @@ def _log_theta(flavor, z, upto):
         _pole_guard(z.ravel(), z0)
         return _log_derivs(t[:, 0], s[:, 0])
     check_pole(flavor, z)
-    ch, sh = (1.0, z) if flavor.kind == RATIONAL else (np.cosh(z), np.sinh(z))
-    # np.power, unlike ** on an array, rounds as on a single element, so a
-    # stack holds bitwise the values of its elements
-    return [ch / sh, -1.0 / np.power(sh, 2),
-            2.0 * ch / np.power(sh, 3)][:upto]
+    if flavor.kind == RATIONAL:
+        # np.power, unlike ** on an array, rounds as a single element does
+        return [1.0 / z, -1.0 / np.power(z, 2), 2.0 / np.power(z, 3)][:upto]
+    coth, csch = coth_csch(z)
+    return [coth, -csch * csch, 2.0 * coth * csch * csch][:upto]
+
+
+def coth_csch(z):
+    """(coth z, csch z) over a complex array z, finite at every finite z
+    off the poles i pi Z: with s = +-1 the sign bit of Re z, |e^(-s z)| <=
+    1, and d = -expm1(-2 s z) (its digits kept near 0) and g = 2 s / d give
+    coth z = s (2/d - 1) = g - s and csch z = 2 s e^(-s z) / d = g e^(-s z)."""
+    s = np.copysign(1.0, z.real)
+    sz = s * z
+    g = (-2.0 * s) / np.expm1(-2.0 * sz)
+    return g - s, np.exp(-sz) * g
 
 
 def _number(v):
@@ -710,9 +721,15 @@ def _sector_residuals(flavor, N, samples):
     out["fourier_sum"] = _rel(total - phi[:, 1], total, phi[:, 1]).max(-1)
 
     # residuals of the lattice sums are scaled by the largest summand, since
-    # the sums themselves suffer heavy cancellation near the cell boundary
-    e2_shift, e2_frac = eisenstein_E2(
-        flavor, np.stack([om + q[:, None], om + (q / N)[:, None]]))
+    # the sums themselves suffer heavy cancellation near the cell boundary.
+    # E2 = -E1' at every w_a + q and w_a + q/N is one series over q and q/N
+    x = np.stack([q, q / N])
+    ws = (om + x[..., None]).ravel()
+    _pole_guard(ws, _cell(ws, flavor.tau)[0])
+    t, _, s, _ = _series(tuple(x.ravel().tolist()), flavor.tau, 2, x.shape, N)
+    # the sector axis last in memory, as the sums below run over it
+    e2_shift, e2_frac = np.ascontiguousarray(
+        np.moveaxis(-_log_derivs(t, s)[1], 0, -1))
     # at x = N*q and x = q, -E2(x) and, for a != 0, the first z-derivative
     # phi_a(x, w_a)(E1(x + w_a) - E1(x) + 2*pi*i*a2/N) of phi_a(x, w_a)
     d1 = regular_table(flavor, omega_constants(flavor, N),
@@ -746,10 +763,11 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     draws: {"flavor", "samples", "seed", "identities": {name: max_residual}}.
     The sector identities (lattice sums over Z_N x Z_N) are elliptic only,
     for each N in sector_sizes.  All samples are drawn first; a sample holds
-    its largest theta series at once: 3 arguments per expansion-circle
-    point, 2 + 4 N^2 per sector (a bound: with the sector weights the
-    largest, the E2 shifts, has 2 N^2), each of 2K terms (K as at MIN_IM_TAU), so CERTIFY_BYTES holds 642
-    samples (1713 and 811 for the sector identities at N = 2 and 3)."""
+    its largest theta series at once, 2K terms per argument (K as at
+    MIN_IM_TAU): 3 arguments per expansion-circle point (CERTIFY_BYTES holds
+    642 samples), and sector_table's 6 per sector sample, z, u and z + u of
+    two pairs, with 2 N^2 sector values each (4161 samples at N = 2, 3360
+    at N = 3)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -766,7 +784,7 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     for N in sector_sizes if flavor.kind == ELLIPTIC else ():
         draws = np.array([_sector_draw(rng, flavor, N)
                           for _ in range(n_samples)])
-        res = max_residuals(draws, terms * (2 + 4 * N * N),
+        res = max_residuals(draws, 6 * (terms + 2 * N * N),
                             functools.partial(_sector_residuals, flavor, N))
         worst.update((f"{key}_N{N}", value) for key, value in res.items())
     return {

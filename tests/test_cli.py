@@ -214,10 +214,10 @@ def test_simulate_numerical_failure_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_simulate_overflow_is_a_recorded_failure(tmp_path, capsys, seed):
-    # an xxz blow-up at dt 0.5 takes a pair difference past the range of
-    # the closed forms' complex arithmetic (cmath.sinh, sh ** 3): the step
-    # fails with Overflow, recorded as any numerical failure, not a
-    # traceback
+    # an xxz blow-up at dt 0.5 leaves the constraint surface or takes H
+    # past floating point: the closed forms stay finite at any real part,
+    # and the first step whose state or H is not finite ends the record,
+    # with no numpy warning on the way, not a pass with a NaN drift
     path = write_config(tmp_path, family="xxz", M=3, nu=[1.0, 0.2],
                         seed=seed)
     code, out, err = run_capture(capsys, [
@@ -226,11 +226,27 @@ def test_simulate_overflow_is_a_recorded_failure(tmp_path, capsys, seed):
     report = json.loads(out)
     assert (code, err, report["pass"]) == (1, "", False)
     assert report["failure"]["step"] > 0
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12, 13])
+def test_simulate_kernel_overflow_is_a_recorded_failure(tmp_path, capsys,
+                                                        seed):
+    # a 7v step of dt 5 takes a pair difference past the range of the
+    # corner C sinh z: the step fails with Overflow, recorded as any
+    # numerical failure, not a traceback
+    path = write_config(tmp_path, family="7v", C=[1.0, 0.0], M=3,
+                        nu=[1.0, 0.2], seed=seed)
+    code, out, err = run_capture(capsys, [
+        "simulate", "--config", path, "--dt", "5", "--steps", "40",
+        "--monitor-every", "3", "--out", str(tmp_path / "traj.csv")])
+    report = json.loads(out)
+    assert (code, err, report["pass"]) == (1, "", False)
+    assert report["failure"]["step"] > 0
     assert "not representable" in report["failure"]["error"]
 
 
 @pytest.mark.parametrize("overrides", [
-    {"family": "7v", "C": [1.0, 0.0], "q0": [[0, 0], [300, 0]]},
+    {"family": "7v", "C": [1.0, 0.0], "q0": [[0, 0], [800, 0]]},
     {"family": "11v", "q0": [[0, 0], [1e300, 0]]}])
 def test_overflow_at_the_start_state_exits_2(tmp_path, capsys, overrides):
     # a start state whose kernel values overflow is a configuration the
@@ -427,6 +443,25 @@ def test_nan_residual_fails(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
+def _strict_loads(text):
+    """json.loads that rejects NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"bare {name} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_is_null(tmp_path, capsys):
+    # xxx far out on the real axis makes a NaN Lax residual (its P / z^2
+    # overflows, with numpy's warning): the report is strict JSON, with
+    # null for it, and fails
+    path = write_config(tmp_path, q0=[[0, 0], [1e300, 0]])
+    code, out, _ = run_capture(capsys, ["check-lax", "--config", path])
+    report = _strict_loads(out)
+    assert (code, report["pass"]) == (1, False)
+    assert report["max_lax_residual"] is None
+
+
 def test_nan_certification_fails(capsys, monkeypatch):
     # a NaN kernel makes NaN residuals: the records keep them and fail
     nan = float("nan")
@@ -437,14 +472,15 @@ def test_nan_certification_fails(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
-    assert np.isnan(report["identities"]["symmetry"])
+    # the report is strict JSON: a NaN residual is written as null
+    assert report["identities"]["symmetry"] is None
 
     # a NaN in one closed-form coefficient is kept by the max over orders
     monkeypatch.setattr(cli.sf, "kappa_const", lambda flavor: complex(nan))
     code, out, _ = run_capture(capsys, [
         "certify-functions", "--flavor", "rational", "--samples", "3"])
     assert code == 1
-    assert np.isnan(json.loads(out)["identities"]["e1_local_expansion"])
+    assert json.loads(out)["identities"]["e1_local_expansion"] is None
 
     monkeypatch.setattr(cli.rm.YangXXX, "R", lambda self, hbar, z, dz=0:
                         np.full(np.broadcast(hbar, z).shape + (4, 4), nan))
@@ -454,7 +490,7 @@ def test_nan_certification_fails(capsys, monkeypatch):
     report = json.loads(out)
     assert report["pass"] is False
     aybe = report["properties"]["aybe"]
-    assert np.isnan(aybe["max_residual"]) and aybe["pass"] is False
+    assert aybe["max_residual"] is None and aybe["pass"] is False
 
 
 @pytest.mark.parametrize("dt", ["nan", "inf"])
@@ -591,7 +627,10 @@ def test_check_exchange_without_residual_exits_2(tmp_path, capsys,
      {"family": "bb", "N": 3, "M": 3, "tau": [0.1, 1.1], "seed": 0}),
     (["check-exchange", "--pairs", "6"], {"M": 4}),
     (["check-lax", "--z-samples", "12"],
-     {"family": "bb", "N": 1, "M": 3, "tau": [0.3, 0.9], "seed": 2})])
+     {"family": "bb", "N": 1, "M": 3, "tau": [0.3, 0.9], "seed": 2}),
+    # coth and csch are written in e^(-2 s z), finite far along the real
+    # axis, where sinh and cosh overflow
+    (["check-lax"], {"family": "xxz", "q0": [[0, 0], [800, 0]]})])
 def test_stack_chunks_give_the_same_report(tmp_path, capsys, monkeypatch,
                                            argv, overrides):
     # one point per chunk and the default chunks (one stack of 10 points;

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as hs
 from toplax import rmatrix as rm
 from toplax import specfun as sf
 from toplax import tensor as tn
-from toplax.errors import PoleProximity
+from toplax.errors import Overflow, PoleProximity
 
 import reference as rf
 
@@ -650,7 +651,9 @@ def test_stacked_rows_keep_their_bits(key, N):
 def test_long_stacks_keep_the_bits_of_short_ones(key, N):
     # 2000 rows, where bb's sector tables pass the 256 KiB from which numpy
     # reuses a temporary operand in place, give each row the bits it has in
-    # a stack of 5, so no report depends on the chunk its sample sits in
+    # a stack of 5 and, over the first 33 stacks of each size, in a stack
+    # of 1 to 33 (numpy's vector loops and their remainders), so no report
+    # depends on the chunk its sample sits in
     fam = rm.make_family(key, N=N, tau=0.3 + 0.8j, C=0.7 + 0.2j)
     rng = np.random.default_rng(31)
     hs, zs = (np.array([rm._draw(rng, fam, margin=0.1) for _ in range(2000)])
@@ -661,10 +664,44 @@ def test_long_stacks_keep_the_bits_of_short_ones(key, N):
         kernels[f"R{d}"] = lambda h, z, d=d: fam.R(h, z, (d,))
         kernels[f"r{d}"] = lambda h, z, d=d: fam.r(z, (d,))
     for name, kernel in kernels.items():
-        parts = [kernel(hs[k:k + 5], zs[k:k + 5]) for k in range(0, 2000, 5)]
-        for stack, short in zip(kernel(hs, zs), zip(*parts)):
-            assert np.array_equal(_bits(stack), _bits(np.concatenate(short))), \
-                name
+        stacks = kernel(hs, zs)
+        for size, rows in [(5, 2000)] + [(n, 33 * n) for n in range(1, 34)]:
+            parts = [kernel(hs[k:k + size], zs[k:k + size])
+                     for k in range(0, rows, size)]
+            for stack, short in zip(stacks, zip(*parts)):
+                assert np.array_equal(_bits(stack[:rows]),
+                                      _bits(np.concatenate(short))), \
+                    (name, size)
+
+
+N2_FAMILIES = [rm.make_family(key, C=0.7 + 0.2j)
+               for key in ("11v", "xxz", "7v")]
+_far = hs.builds(complex, hs.floats(-1e300, 1e300), hs.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_far, _far)
+def test_n2_closed_forms_are_finite_or_overflow(z, h):
+    # off the poles, R, r and m of 11v, xxz and 7v at real parts up to
+    # 1e300 are finite matrices or raise Overflow, with no warning: xxz's
+    # coth and csch stay finite at every finite z, 7v's corner C sinh z and
+    # 11v's polynomials overflow
+    for fam in N2_FAMILIES:
+        if min(fam.pole_distance(z), fam.pole_distance(h)) <= sf.POLE_EPS:
+            continue
+        kernels = [lambda: fam.R(h, z, (0, 1, 2)),
+                   lambda: fam.R(np.array([h, z]), z, (0, 1, 2)),
+                   lambda: fam.r(np.array([z, h]), (0, 1, 2)),
+                   lambda: (fam.m(z),)]
+        for kernel in kernels:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    stacks = kernel()
+                except Overflow:
+                    assert fam.kind != "xxz", (z, h)
+                    continue
+            assert all(np.isfinite(s).all() for s in stacks), (fam.kind, z, h)
 
 
 def test_m0_cached_read_only():
