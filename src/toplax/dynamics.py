@@ -2,14 +2,16 @@
 
 integrate(state0, dt, steps, monitor_z, monitor_every) takes classical RK4
 steps on the state's own phase vector (PhaseState.vector: q, p, then the
-entries of the spin matrix), with the flow of eom_rhs in the same layout,
-each returning the stepped state (PhaseState.from_vector).  As dq = p, a
-stage's positions are known one stage early, so a step makes two family
-calls (model.f0_tables), each giving the F^0 tables of two stages: stages 2
-and 3, then stage 4 and the stepped state, whose table its monitor row and
-the next step's first stage read.  Conserved quantities (the Hamiltonian,
-spectral invariants tr L^k(z) at the monitor points, Casimirs tr S^k) are
-recorded along the trajectory, with their largest drifts reported.
+entries of the spin matrix).  Stages 2-4 are phase vectors, not states:
+each rate is model.phase_flow of its vector and its F^0 table, and the
+stepped state (PhaseState.from_vector) is the one state a step builds.  As
+dq = p, a stage's positions are known one stage early, so a step makes two
+family calls (model.f0_tables), each giving the F^0 tables of two stages:
+stages 2 and 3, then stage 4 and the stepped state, whose table its
+monitor row and the next step's first stage read.  Conserved quantities
+(the Hamiltonian, spectral invariants tr L^k(z) at the monitor points,
+Casimirs tr S^k) are recorded along the trajectory, with their largest
+drifts reported.
 
 A monitor row is one complex array under the names TrajectoryRecord.columns
 (q0.., p0.., H, trL{k}_z{s}, trS{k}); the CSV header and the keys of the
@@ -66,21 +68,23 @@ def _look_ahead(family, *qs):
 
 def _rk4_step(state, dt):
     """The state one classical RK4 step of dt after state, carrying its F^0
-    table.  The first stage reads the table of state.  A stage's rate has
-    dq = p of its vector, so k1 fixes the positions of stages 2 and 3, and
-    k3 those of stage 4 and of the stepped state: two _look_ahead calls,
-    each position a slice of the sums that make its vector, so its bits."""
-    M, vec, h = state.M, state.vector, 0.5 * dt
+    table.  The first stage is eom_rhs of state, reading its table; stages
+    2-4 are phase_flow of their phase vectors.  A stage's rate has dq = p
+    of its vector, so k1 fixes the positions of stages 2 and 3, and k3
+    those of stage 4 and of the stepped state: two _look_ahead calls, each
+    position a slice of the sums that make its vector, so its bits.  A
+    stage whose table is None makes its own."""
+    fam, M, N, vec, h = state.family, state.M, state.N, state.vector, 0.5 * dt
     q = vec[:M]
     k1 = md.eom_rhs(state)
     v2 = vec + h * k1
-    t2, t3 = _look_ahead(state.family, v2[:M], q + h * v2[M:2 * M])
-    k2 = md.eom_rhs(state.from_vector(v2, t2))
-    k3 = md.eom_rhs(state.from_vector(vec + h * k2, t3))
+    t2, t3 = _look_ahead(fam, v2[:M], q + h * v2[M:2 * M])
+    k2 = md.phase_flow(fam, v2, M, N, t2)
+    k3 = md.phase_flow(fam, vec + h * k2, M, N, t3)
     v4, head = vec + dt * k3, k1 + 2.0 * k2 + 2.0 * k3
-    t4, t5 = _look_ahead(state.family, v4[:M],
+    t4, t5 = _look_ahead(fam, v4[:M],
                          q + (dt / 6.0) * (head[:M] + v4[M:2 * M]))
-    k4 = md.eom_rhs(state.from_vector(v4, t4))
+    k4 = md.phase_flow(fam, v4, M, N, t4)
     return state.from_vector(vec + (dt / 6.0) * (head + k4), t5)
 
 
@@ -145,10 +149,11 @@ def integrate(state0, dt, steps, monitor_z=(), monitor_every=10):
     rows = steps // monitor_every + 1
     tn.check_scale(rows * len(rec.columns), f"the record of {rows} rows "
                    f"(steps {steps}, monitor_every {monitor_every})")
-    entries = max(len(monitor_z), 1) * state0.M ** 2 * state0.N ** 4
+    per_chunk = tn.chunk_rows(max(len(monitor_z), 1) * state0.M ** 2
+                              * state0.N ** 4, tn.STACK_BYTES)
     pending, state = [], state0
     for step in range(steps + 1):
-        if len(tn.chunks(len(pending) + 1, entries, tn.STACK_BYTES)) > 1:
+        if len(pending) >= per_chunk:
             _flush(rec, pending, monitor_z)
         try:
             if step:

@@ -9,8 +9,9 @@ R-matrix-valued Lax pair of the spinless model).
 
 A PhaseState is one read-only complex phase vector: q, p, then the entries
 of the NM x NM spin matrix row by row.  Its q, p and spin matrix are views
-of that vector, and PhaseState.split and from_vector alone know the layout;
-eom_rhs returns its flow as a vector in the same layout.
+of that vector, and PhaseState.split and from_vector alone know the layout.
+The flow is one kernel on phase vectors, phase_flow, which returns its
+flow as a vector in the same layout; eom_rhs is phase_flow at a state.
 
 Two independent evaluation paths are kept deliberately separate: eom_rhs
 implements the printed equations of motion, while bracket_flow derives the
@@ -233,8 +234,8 @@ def random_state(family, M, nu, seed, spin_mode="general", q=None, p=None):
     return PhaseState(q, p, spin, family)
 
 
-def _require_constraints(state):
-    tr = state.spin.traces()
+def _require_constraints(tr):
+    """Raise ConstraintViolation unless the block traces tr S^ii agree."""
     if abs(tr - tr[0]).max() > 1e-8:
         raise ConstraintViolation(
             "tr(S^ii) must equal a common constant on all sites")
@@ -399,7 +400,10 @@ def _eom_plan(M, N):
     m(0), 0] of the pairs i < j (each flattened): the pairs i < j, their
     mirrors j, i (F^0(-q) = P F^0(q) P and F^0'(-q) = -P F^0'(q) P, P
     swapping the two tensor factors), m(0) P on the diagonal of the F^0
-    table, which gives K^{ii} = J(S^{ii}), and 0 elsewhere."""
+    table, which gives K^{ii} = J(S^{ii}), and 0 elsewhere.  It is laid
+    out (M^2, 2 N^2, N^2): per pair (i, j), F^0's (a, b) x (l, k) matrix
+    over F^0''s, so that one product per pair forms both of its blocks,
+    each row summed as in the product of its table alone."""
     i, j = sf._pairs(M)
     size = len(i) * N ** 4
     X = np.arange(2 * size).reshape(2, -1, N, N, N, N)
@@ -408,14 +412,17 @@ def _eom_plan(M, N):
         0, 1, 3, 2, 5, 4)
     sites = np.arange(M)
     m0 = (3 * size + np.arange(N ** 4)).reshape((N,) * 4).swapaxes(-2, -1)
-    return _gather_plan((2, M, M) + (N,) * 4, 3 * size + N ** 4, [
+    plan = _gather_plan((2, M, M) + (N,) * 4, 3 * size + N ** 4, [
         (slice(None), i, j, X), (slice(None), j, i, mirror),
-        (0, sites, sites, m0)])
+        (0, sites, sites, m0)]).swapaxes(0, 1).reshape(M * M, -1, N * N)
+    plan.flags.writeable = False
+    return plan
 
 
-def eom_rhs(state):
-    """Right-hand side of the flow, as one phase vector (dq, dp, dS in the
-    layout of PhaseState.split).
+def phase_flow(family, vec, M, N, f0_table=None):
+    """Right-hand side of the flow at the phase vector vec of M sites of
+    gl(N) of family, as one phase vector (dq, dp, dS in the layout of
+    PhaseState.split).
 
     The printed equations are together dS = S K - K S on NM x NM matrices,
     with K^{ij} = tr_2(F^0_12(q_ij) P_12 S^{ij}_2) for i != j and
@@ -424,32 +431,52 @@ def eom_rhs(state):
     block (i, i) of K' S, K' being K with F^0' for F^0 and 0 on the
     diagonal; dq = p.
 
-    F^0 and F^0' are the state's f0_table (whose pole guard covers q_ji,
-    the pole set being symmetric); K and K' are one gather (_eom_plan) and
-    one batched product with the spin's blocks, as _contract forms them.
+    The block traces tr S^ii are checked first (ConstraintViolation).  F^0
+    and F^0' are f0_table, the table of vec's positions as f0_tables gives
+    it (whose pole guard covers q_ji, the pole set being symmetric), or
+    with None the table of one f0_tables call, made after that check.  K
+    and K' are one gather (_eom_plan) and one batched product with the
+    spin's blocks, one (2 N^2) x N^2 matrix per pair.
     """
-    spin = state.spin
-    M, N = spin.M, spin.N
-    _require_constraints(state)
-    _, _, F0, dF0 = state.f0_table
+    q, p, S = PhaseState.split(vec, M, N)
+    blocks = as_block_grid(S, M, N)
+    _require_constraints(np.einsum("iikk->i", blocks))
+    if f0_table is None:
+        f0_table = f0_tables(family, q[None])[0]
+    _, _, F0, dF0 = f0_table
     # the source [F^0, F^0', -F^0', m(0), 0] of _eom_plan
     n = F0.size
     source = np.empty(3 * n + N ** 4 + 1, dtype=complex)
     head = source[:3 * n].reshape((3,) + F0.shape)
     head[0], head[1] = F0, dF0
     np.negative(dF0, out=head[2])
-    source[3 * n:-1] = state.family.m0().reshape(-1)
+    source[3 * n:-1] = family.m0().reshape(-1)
     source[-1] = 0
-    S = spin.matrix
-    KK = source[_eom_plan(M, N)] @ spin.blocks.reshape(M * M, N * N, 1)
-    K, Kd = KK.reshape(2, M, M, N, N).swapaxes(2, 3).reshape(2, M * N, M * N)
-    out = np.empty_like(state.vector)
+    KK = source[_eom_plan(M, N)] @ blocks.reshape(M * M, N * N, 1)
+    # [i, j, (t, a, b)]: K (t = 0) and K' (t = 1) as NM x NM matrices
+    KK = KK.reshape(M, M, 2, N, N).transpose(2, 0, 3, 1, 4).reshape(
+        2, M * N, M * N)
+    # K S and K' S as one stack, each matrix its own product
+    KS, KdS = KK @ S
+    out = np.empty_like(vec)
     dq, dp, dS = PhaseState.split(out, M, N)
-    dq[...] = state.p
-    np.matmul(S, K, out=dS)
-    dS -= K @ S
-    np.negative(np.einsum("iaia->i", (Kd @ S).reshape(M, N, M, N)), out=dp)
+    dq[...] = p
+    np.matmul(S, KK[0], out=dS)
+    dS -= KS
+    np.negative(np.einsum("iaia->i", KdS.reshape(M, N, M, N)), out=dp)
     return out
+
+
+def eom_rhs(state):
+    """The flow at state: phase_flow of its vector and its f0_table.  A
+    state with no table yet is checked before it makes its table, in
+    phase_flow's order of errors.  An RK4 step calls it on its first stage
+    alone: stages 2-4 are phase vectors, which phase_flow takes with their
+    look-ahead tables, building no state."""
+    if "f0_table" not in vars(state):
+        _require_constraints(state.spin.traces())
+    return phase_flow(state.family, state.vector, state.M, state.N,
+                      state.f0_table)
 
 
 # --- Poisson-bracket oracle ------------------------------------------------
@@ -494,7 +521,7 @@ def bracket_flow(state):
     arrays; dS is the (M, M, N, N) block view of the NM x NM derivative.
     """
     _, _, F0, dF0 = state.f0_table
-    _require_constraints(state)
+    _require_constraints(state.spin.traces())
     S, blocks = state.spin.matrix, _block_stacks(state.spin)
     Gt = _ham_spin_gradient(state, blocks, _swap_rows(F0)).T
     dS = S @ Gt - Gt @ S
@@ -750,7 +777,7 @@ def exchange_residual(state, z, w):
     M, N = state.M, state.N
     entries = 2 * M ** 3 * N ** 4
     check_scale(entries, f"the exchange relation at N = {N}, M = {M}")
-    _require_constraints(state)
+    _require_constraints(state.spin.traces())
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                np.asarray(w, dtype=complex))
     points = np.stack([z, w, z - w, w - z], axis=-1).reshape(-1, 4)

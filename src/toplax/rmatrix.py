@@ -120,8 +120,27 @@ class YangXXX(RMatrixFamily):
     def __init__(self, N=2):
         super().__init__(N, sf.Flavor.rational())
 
+    # 2^(1023 // (d + 1)): the |z| up to which z^(d + 1), and so the d-th
+    # derivative -(-1)^d d! P / z^(d + 1), stays finite
+    _REACH = {0: 2.0 ** 1023, 1: 2.0 ** 511, 2: 2.0 ** 341}
+
+    def _guard(self, orders, z, *hbar):
+        """check_pole of hbar and z, then Overflow where |z| passes the
+        reach of the highest order, naming the first such element of the
+        broadcast (z, hbar) as _n2_stack does: one reduction over the pole
+        distances of z."""
+        reach = self._REACH[max(orders)]
+        d = sf.check_pole(self.flavor, *hbar, z)[-1]
+        # a NaN distance fails too
+        if not np.maximum.reduce(d, initial=0.0) <= reach:
+            args = np.broadcast_arrays(z, *hbar)
+            far = np.broadcast_to(~(d.reshape(z.shape) <= reach),
+                                  args[0].shape).ravel().argmax()
+            v = [complex(a.ravel()[far]) for a in args]
+            raise Overflow(v[0] if len(v) == 1 else tuple(v))
+
     def _R(self, hbar, z, orders):
-        sf.check_pole(self.flavor, hbar, z)
+        self._guard(orders, z, hbar)
         shape = np.broadcast(hbar, z).shape + self._I.shape
         out = []
         for d in orders:
@@ -140,7 +159,7 @@ class YangXXX(RMatrixFamily):
         return out
 
     def _r(self, z, orders):
-        sf.check_pole(self.flavor, z)
+        self._guard(orders, z)
         return [self._pole(z, d) for d in orders]
 
     def _pole(self, z, d):
@@ -160,17 +179,18 @@ class YangXXX(RMatrixFamily):
 
 def _n2_stack(cells, values, orders, *args):
     """4 x 4 matrices over the broadcast of the complex arrays args, one
-    stack per order d in orders: entry (a, b) is the value cells[a, b] of
-    values(d, *args), or 0 where cells[a, b] is their count.  values runs
-    once per order on the broadcast raveled to one axis (0-d arrays would
-    take numpy's scalar path, which rounds otherwise), with overflow and
-    invalid-value warnings off; np.take gathers the matrices, contiguous.
+    stack per order in orders: entry (a, b) is the value cells[a, b] of
+    that order's values in values(orders, *args), or 0 where cells[a, b]
+    is their count.  values runs once on the broadcast raveled to one axis
+    (0-d arrays would take numpy's scalar path, which rounds otherwise),
+    with overflow and invalid-value warnings off; np.take gathers the
+    matrices, contiguous.
     A value that is not finite raises Overflow naming its element: its
     args, (z, hbar) for R, or its one arg."""
     args = np.broadcast_arrays(*args)
     shape, flat = args[0].shape + (4, 4), [a.ravel() for a in args]
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = [values(d, *flat) for d in orders]
+        tables = values(orders, *flat)
     stacks = []
     for columns in tables:
         table = np.zeros((len(flat[0]), len(columns) + 1), dtype=complex)
@@ -184,10 +204,11 @@ def _n2_stack(cells, values, orders, *args):
 
 
 class _ClosedForms(RMatrixFamily):
-    """An N = 2 family from closed forms, placed by _CELLS: _values(d, z,
-    h) gives those of the d-th z-derivative of R^h(z), and with h None
-    those of r(z), R's regular part at h = 0 (its 1/h terms dropped and
-    h = 0 elsewhere); _m_values(z) gives those of m(z)."""
+    """An N = 2 family from closed forms, placed by _CELLS: _values(orders,
+    z, h) gives, for each order d, those of the d-th z-derivative of
+    R^h(z), and with h None those of r(z), R's regular part at h = 0 (its
+    1/h terms dropped and h = 0 elsewhere); _m_values(z) gives those of
+    m(z)."""
 
     def _R(self, hbar, z, orders):
         sf.check_pole(self.flavor, hbar, z)
@@ -198,7 +219,7 @@ class _ClosedForms(RMatrixFamily):
         return _n2_stack(self._CELLS, self._values, orders, z)
 
     def m(self, z):
-        return _n2_stack(self._CELLS, lambda _, z: self._m_values(z), (0,),
+        return _n2_stack(self._CELLS, lambda _, z: [self._m_values(z)], (0,),
                          np.asarray(z, dtype=complex))[0]
 
 
@@ -222,19 +243,24 @@ class SevenVertex(_ClosedForms):
         # C sinh^(d)(z), or 0 at C = 0, where C times inf would be NaN
         return (np.cosh if d % 2 else np.sinh)(z) * self.C if self.C else 0.0
 
-    def _values(self, d, z, h=None):
+    def _values(self, orders, z, h=None):
+        # coth and csch of z (and of h) once for all orders
         coth, csch = sf.coth_csch(z)
         coth_h = csch_h = 0.0
         if h is not None:
             coth_h, csch_h = sf.coth_csch(h)
             z = z + h    # the corner's argument
-        corner = self._corner(d, z)
-        if d == 0:
-            return coth + coth_h, csch_h, csch, corner
-        if d == 1:
-            return -csch * csch, 0.0, -coth * csch, corner
-        return (2.0 * coth * csch * csch, 0.0,
-                (2.0 * coth * coth - 1.0) * csch, corner)
+        out = []
+        for d in orders:
+            corner = self._corner(d, z)
+            if d == 0:
+                out.append((coth + coth_h, csch_h, csch, corner))
+            elif d == 1:
+                out.append((-csch * csch, 0.0, -coth * csch, corner))
+            else:
+                out.append((2.0 * coth * csch * csch, 0.0,
+                            (2.0 * coth * coth - 1.0) * csch, corner))
+        return out
 
     def _m_values(self, z):
         # the h-coefficients of coth h, csch h and the corner
@@ -266,18 +292,22 @@ class ElevenVertex(_ClosedForms):
     def __init__(self):
         super().__init__(2, sf.Flavor.rational())
 
-    def _values(self, d, z, h=None):
+    def _values(self, orders, z, h=None):
         pole, h = (0.0, 0.0) if h is None else (1.0 / h, h)
-        if d == 0:
-            inv, u = 1.0 / z, h + z
-            return (pole + inv, pole, inv, -u, u,
-                    np.multiply(-u, h * h + h * z + z * z))
-        if d == 1:
-            inv = -1.0 / (z * z)
-            return (inv, 0.0, inv, -1.0, 1.0,
-                    -(2.0 * h * h + 4.0 * h * z + 3.0 * z * z))
-        inv = 2.0 / (z * z * z)
-        return inv, 0.0, inv, 0.0, 0.0, -(4.0 * h + 6.0 * z)
+        out = []
+        for d in orders:
+            if d == 0:
+                inv, u = 1.0 / z, h + z
+                out.append((pole + inv, pole, inv, -u, u,
+                            np.multiply(-u, h * h + h * z + z * z)))
+            elif d == 1:
+                inv = -1.0 / (z * z)
+                out.append((inv, 0.0, inv, -1.0, 1.0,
+                            -(2.0 * h * h + 4.0 * h * z + 3.0 * z * z)))
+            else:
+                inv = 2.0 / (z * z * z)
+                out.append((inv, 0.0, inv, 0.0, 0.0, -(4.0 * h + 6.0 * z)))
+        return out
 
     def _m_values(self, z):
         return 0.0, 0.0, 0.0, -1.0, 1.0, -2.0 * z * z

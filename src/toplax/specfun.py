@@ -252,12 +252,17 @@ def _number_pole_distance(flavor, z):
 def check_pole(flavor, *args):
     """Raise PoleProximity if any argument, a number or an array of them,
     sits within POLE_EPS of a pole, naming the first such element (ravel
-    order)."""
+    order); else return the pole distances of each argument, raveled.  The
+    test is one reduction, fmin's, which passes over a NaN distance as the
+    elementwise test does."""
+    out = []
     for z in args:
-        near = np.ravel(pole_distance(flavor, z)) <= POLE_EPS
-        if near.any():
-            v = complex(np.ravel(z)[near.argmax()])
+        d = np.ravel(pole_distance(flavor, z))
+        if np.fmin.reduce(d, initial=math.inf) <= POLE_EPS:
+            v = complex(np.ravel(z)[(d <= POLE_EPS).argmax()])
             raise PoleProximity(v, pole_distance(flavor, v))
+        out.append(d)
+    return out
 
 
 def shortest_period(flavor):

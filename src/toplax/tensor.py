@@ -37,10 +37,16 @@ def check_scale(entries, what):
             f"{MAX_ARRAY_BYTES >> 20} MiB array budget")
 
 
+def chunk_rows(entries, budget):
+    """The rows of a chunk of a stack whose rows each hold this many
+    complex entries: max(1, budget // (16 entries))."""
+    return max(1, budget // (16 * entries))
+
+
 def chunks(n, entries, budget):
     """The row slices of a stack of n rows, each holding this many complex
-    entries, in chunks of max(1, budget // (16 entries)) rows."""
-    size = max(1, budget // (16 * entries))
+    entries, in chunks of chunk_rows(entries, budget) rows."""
+    size = chunk_rows(entries, budget)
     return [slice(start, start + size) for start in range(0, n, size)]
 
 

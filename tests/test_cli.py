@@ -247,7 +247,8 @@ def test_simulate_kernel_overflow_is_a_recorded_failure(tmp_path, capsys,
 
 @pytest.mark.parametrize("overrides", [
     {"family": "7v", "C": [1.0, 0.0], "q0": [[0, 0], [800, 0]]},
-    {"family": "11v", "q0": [[0, 0], [1e300, 0]]}])
+    {"family": "11v", "q0": [[0, 0], [1e300, 0]]},
+    {"family": "xxx", "q0": [[0, 0], [1e300, 0]]}])
 def test_overflow_at_the_start_state_exits_2(tmp_path, capsys, overrides):
     # a start state whose kernel values overflow is a configuration the
     # family cannot represent: one error line, exit 2
@@ -450,12 +451,12 @@ def _strict_loads(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_residual_is_null(tmp_path, capsys):
-    # xxx far out on the real axis makes a NaN Lax residual (its P / z^2
-    # overflows, with numpy's warning): the report is strict JSON, with
-    # null for it, and fails
-    path = write_config(tmp_path, q0=[[0, 0], [1e300, 0]])
+def test_non_finite_residual_is_null(tmp_path, capsys, monkeypatch):
+    # a NaN kernel value makes a NaN Lax residual: the report is strict
+    # JSON, with null for it, and fails
+    monkeypatch.setattr(cli.rm.YangXXX, "Rz_coefficients", lambda self, z: (
+        np.full(np.shape(z) + (4, 4), complex("nan")),) * 2)
+    path = write_config(tmp_path)
     code, out, _ = run_capture(capsys, ["check-lax", "--config", path])
     report = _strict_loads(out)
     assert (code, report["pass"]) == (1, False)

@@ -224,7 +224,8 @@ def test_monitor_table_gives_the_same_trajectory(monkeypatch):
 
 
 @pytest.mark.parametrize("key, M, kwargs", [
-    ("xxx", 8, {}), ("bb", 4, {"tau": 1j}), ("7v", 3, {"C": 0.7 + 0.2j})])
+    ("xxx", 8, {}), ("bb", 4, {"tau": 1j}), ("7v", 3, {"C": 0.7 + 0.2j}),
+    ("11v", 3, {}), ("xxz", 3, {})])
 def test_rk4_step_matches_packed_stages(key, M, kwargs):
     # the flat flow and the one-vector state run the products of the packed
     # stages in the same order: the trajectory keeps every bit
@@ -235,6 +236,19 @@ def test_rk4_step_matches_packed_stages(key, M, kwargs):
         want = rf.rk4_step(want, 1e-3)
         assert np.array_equal(st.vector.view(np.uint64),
                               want.vector.view(np.uint64))
+
+
+def test_rk4_step_builds_one_state(monkeypatch):
+    # stages 2-4 are phase vectors: the stepped state is the only state a
+    # step builds, and it carries the look-ahead table of its positions
+    st = make_state(key="bb", M=3, tau=1j)
+    st.f0_table
+    hold, built = md.PhaseState._hold, []
+    monkeypatch.setattr(md.PhaseState, "_hold", lambda self, *args: (
+        built.append(self), hold(self, *args)))
+    stepped = dy._rk4_step(st, 1e-3)
+    assert built == [stepped]
+    assert "f0_table" in vars(stepped)
 
 
 def test_nan_residual_after_first_row_reported(monkeypatch):

@@ -675,17 +675,17 @@ def test_long_stacks_keep_the_bits_of_short_ones(key, N):
 
 
 N2_FAMILIES = [rm.make_family(key, C=0.7 + 0.2j)
-               for key in ("11v", "xxz", "7v")]
+               for key in ("xxx", "11v", "xxz", "7v")]
 _far = hs.builds(complex, hs.floats(-1e300, 1e300), hs.floats(-4.0, 4.0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_far, _far)
 def test_n2_closed_forms_are_finite_or_overflow(z, h):
-    # off the poles, R, r and m of 11v, xxz and 7v at real parts up to
-    # 1e300 are finite matrices or raise Overflow, with no warning: xxz's
-    # coth and csch stay finite at every finite z, 7v's corner C sinh z and
-    # 11v's polynomials overflow
+    # off the poles, R, r and m of xxx, 11v, xxz and 7v at N = 2 and real
+    # parts up to 1e300 are finite matrices or raise Overflow, with no
+    # warning: xxz's coth and csch stay finite at every finite z, 7v's
+    # corner C sinh z, 11v's polynomials and xxx's powers of z overflow
     for fam in N2_FAMILIES:
         if min(fam.pole_distance(z), fam.pole_distance(h)) <= sf.POLE_EPS:
             continue
