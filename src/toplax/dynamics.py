@@ -27,7 +27,7 @@ import numpy as np
 from . import model as md
 from . import tensor as tn
 from .errors import (ConstraintDrift, ConstraintViolation, Overflow,
-                     PoleProximity)
+                     PoleProximity, ToplaxError)
 
 
 def _columns(M, n_points):
@@ -55,14 +55,13 @@ class TrajectoryRecord:
 
 def _look_ahead(family, *qs):
     """The F^0 tables of the positions qs from one family call, or Nones if
-    that call raises or would warn (a pair in the pole margin, an overflow):
+    it meets a pole or an overflow (a ToplaxError, or a warning raised):
     each stage then makes its own table, so that the error or warning comes
-    where and as a stage alone gives it, or not at all if no stage reads
-    the table."""
+    where and as a stage alone gives it, or not if no stage reads it."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return md.f0_tables(family, np.array(qs))
-    except Exception:
+    except (ToplaxError, FloatingPointError):
         return (None,) * len(qs)
 
 
@@ -75,15 +74,16 @@ def _rk4_step(state, dt):
     position a slice of the sums that make its vector, so its bits.  A
     stage whose table is None makes its own."""
     fam, M, N, vec, h = state.family, state.M, state.N, state.vector, 0.5 * dt
-    q = vec[:M]
     k1 = md.eom_rhs(state)
     v2 = vec + h * k1
-    t2, t3 = _look_ahead(fam, v2[:M], q + h * v2[M:2 * M])
+    q2, p2, _ = md.PhaseState.split(v2, M, N)
+    t2, t3 = _look_ahead(fam, q2, state.q + h * p2)
     k2 = md.phase_flow(fam, v2, M, N, t2)
     k3 = md.phase_flow(fam, vec + h * k2, M, N, t3)
     v4, head = vec + dt * k3, k1 + 2.0 * k2 + 2.0 * k3
-    t4, t5 = _look_ahead(fam, v4[:M],
-                         q + (dt / 6.0) * (head[:M] + v4[M:2 * M]))
+    q4, p4, _ = md.PhaseState.split(v4, M, N)
+    t4, t5 = _look_ahead(fam, q4, state.q + (dt / 6.0) * (
+        md.PhaseState.split(head, M, N)[0] + p4))
     k4 = md.phase_flow(fam, v4, M, N, t4)
     return state.from_vector(vec + (dt / 6.0) * (head + k4), t5)
 

@@ -41,8 +41,8 @@ from . import specfun as sf
 from . import tensor as tn
 from .errors import ConstraintViolation, DegenerateDraw, ScaleExceeded
 from .rmatrix import FAMILY_KEYS, make_family
-from .tensor import (as_block_grid, check_scale, frobenius_norm, matvec4,
-                     op_contract, op_contract_1, site_product, stack_norms)
+from .tensor import (as_block_grid, check_scale, embed, frobenius_norm,
+                     matvec4, op_contract, op_contract_1, stack_norms)
 
 
 # --- spin configurations ---------------------------------------------------
@@ -178,8 +178,8 @@ class PhaseState:
 
     @functools.cached_property
     def f0_table(self):
-        """(i, j, F^0, F^0') over the pairs i < j, from one family call
-        (f0_tables) on first read; kept, as q is read-only."""
+        """(F^0, F^0') over the pairs i < j (specfun.pairs), from one family
+        call (f0_tables) on first read; kept, as q is read-only."""
         return f0_tables(self.family, self.q[None])[0]
 
     def from_vector(self, vec, f0_table=None):
@@ -196,10 +196,10 @@ def f0_tables(family, q):
     """The f0_table of each row of the positions q, (s, M), from one r(q,
     (1, 2)) call over the pairs i < j of every row; a stacked call gives
     each table the bits of its own."""
-    i, j = sf._pairs(q.shape[-1])
+    i, j = sf.pairs(q.shape[-1])
     F0, dF0 = family.r((q.take(i, 1) - q.take(j, 1)).reshape(-1), (1, 2))
     n = len(i)
-    return [(i, j, F0[k * n:(k + 1) * n], dF0[k * n:(k + 1) * n])
+    return [(F0[k * n:(k + 1) * n], dF0[k * n:(k + 1) * n])
             for k in range(len(q))]
 
 
@@ -257,7 +257,7 @@ def _block_positions(M, N):
     """The flat positions of the blocks of an NM x NM matrix, (M^2, N, N):
     S^{ii} of each site, then S^{ij} of each pair i < j, then S^{ji}, as
     one read-only int array."""
-    i, j = sf._pairs(M)
+    i, j = sf.pairs(M)
     sites = np.arange(M)
     grid = as_block_grid(np.arange((M * N) ** 2).reshape(M * N, M * N), M, N)
     pos = grid[np.concatenate([sites, i, j]), np.concatenate([sites, j, i])]
@@ -298,7 +298,7 @@ def hamiltonian(state):
     # the top terms tr(S^ii J(S^ii)) / 2 of every site, with the inverse
     # inertia tensor J(S) = tr_2(m_12(0) S_2) from one m0 read
     tops = (Sd @ op_contract(fam.m0(), Sd)).trace(axis1=1, axis2=2)
-    U = _pair_traces(_swap_rows(state.f0_table[2]), A, B)
+    U = _pair_traces(_swap_rows(state.f0_table[0]), A, B)
     # p_i^2 from the parts of p_i, each product and the difference rounded
     # on its own as in a product of two numbers (numpy's product of complex
     # arrays may fuse a multiply and an add, which rounds otherwise)
@@ -404,7 +404,7 @@ def _eom_plan(M, N):
     out (M^2, 2 N^2, N^2): per pair (i, j), F^0's (a, b) x (l, k) matrix
     over F^0''s, so that one product per pair forms both of its blocks,
     each row summed as in the product of its table alone."""
-    i, j = sf._pairs(M)
+    i, j = sf.pairs(M)
     size = len(i) * N ** 4
     X = np.arange(2 * size).reshape(2, -1, N, N, N, N)
     # the mirror pairs read the factors swapped, F^0' from -F^0'
@@ -443,7 +443,7 @@ def phase_flow(family, vec, M, N, f0_table=None):
     _require_constraints(np.einsum("iikk->i", blocks))
     if f0_table is None:
         f0_table = f0_tables(family, q[None])[0]
-    _, _, F0, dF0 = f0_table
+    F0, dF0 = f0_table
     # the source [F^0, F^0', -F^0', m(0), 0] of _eom_plan
     n = F0.size
     source = np.empty(3 * n + N ** 4 + 1, dtype=complex)
@@ -501,7 +501,7 @@ def _ham_spin_gradient(state, blocks, W):
 def _ham_q_gradient(M, blocks, Wd):
     """dH/dq_s, analytic through Wd[p] = P d/dq F^0(q_ij) for the pair
     i[p] < j[p]: pair p adds g_p to site i[p] and -g_p to site j[p]."""
-    i, j = sf._pairs(M)
+    i, j = sf.pairs(M)
     g = _pair_traces(Wd, blocks[1], blocks[2])
     signed = np.zeros((M, M), dtype=complex)
     signed[i, j] = g
@@ -520,7 +520,7 @@ def bracket_flow(state):
     state's f0_table.  dq (the state's read-only p) and dp are length-M
     arrays; dS is the (M, M, N, N) block view of the NM x NM derivative.
     """
-    _, _, F0, dF0 = state.f0_table
+    F0, dF0 = state.f0_table
     _require_constraints(state.spin.traces())
     S, blocks = state.spin.matrix, _block_stacks(state.spin)
     Gt = _ham_spin_gradient(state, blocks, _swap_rows(F0)).T
@@ -804,7 +804,7 @@ def _cm_rmx(q, p, nu, family, z):
         raise ScaleExceeded(f"chain dimension N^M = {N ** M} exceeds 256")
     i, j = _ordered_pairs(M)
     R, F = family.R(z, q[i] - q[j], (0, 1))
-    k, l = sf._pairs(M)
+    k, l = sf.pairs(M)
     G = _site_pair_stack(family.r(q[k] - q[l], 1), k, l, N, M)
     R, F = (_site_pair_stack(T, i, j, N, M) for T in (R, F))
     L = _cm_blocks(p[:, None, None] * np.eye(N ** M), i, j, nu * R)
@@ -816,7 +816,7 @@ def _cm_rmx(q, p, nu, family, z):
 
 def _site_pair_stack(T, a, b, N, M):
     """Each T[k] at the chain sites (a[k], b[k]) of Mat(N)^{x M}."""
-    out = [site_product(N, M, (t, s, u)) for t, s, u in zip(T, a, b)]
+    out = [embed(t, s, u, N, M) for t, s, u in zip(T, a, b)]
     return np.array(out).reshape(-1, N ** M, N ** M)
 
 

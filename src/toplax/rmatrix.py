@@ -16,9 +16,9 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import Overflow
-from .tensor import (check_scale, eye, identity_diagonal, permutation_P,
-                     rows_product, sin_basis, partial_trace_1,
-                     partial_trace_2, site_legs, site_product, stack_norms)
+from .tensor import (check_scale, embed, eye, identity_diagonal,
+                     permutation_P, rows_product, sin_basis, partial_trace_1,
+                     partial_trace_2, site_legs, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -432,13 +432,13 @@ def make_family(kind, N=2, tau=None, C=None):
 
 def _norms(*mats):
     """Frobenius norms of the matrices of each (..., n, n) stack, over its
-    leading axes, for sf._rel."""
+    leading axes, for sf.rel."""
     return [stack_norms(T.reshape(-1, T.shape[-1] ** 2)).reshape(T.shape[:-2])
             for T in mats]
 
 
 def _site_rel(N, signs, *terms, floor=0.0):
-    """sf._rel of terms[0] plus or minus each later term (one sign character
+    """sf.rel of terms[0] plus or minus each later term (one sign character
     each) over the norm of each term and floor, one per sample: a product
     of two operators is formed in the leading entries of one scratch stack,
     normed there in its memory order and added into the C-ordered residual,
@@ -460,9 +460,9 @@ def _site_rel(N, signs, *terms, floor=0.0):
             X = np.reshape(T, np.shape(T)[:-2] + (N,) * 4 + (1,))
             if sign == "=":
                 residual[...] = 0.0
-            target = identity_diagonal(N, 3, residual, *term)
+            target = identity_diagonal(N, residual, *term)
         else:
-            X = site_legs(N, 3, *term, out=scratch)
+            X = site_legs(N, *term, out=scratch)
             norms.append(stack_norms(scratch[:X.size].reshape(-1, size))
                          .reshape(X.shape[:-6]))
             target = residual
@@ -470,8 +470,8 @@ def _site_rel(N, signs, *terms, floor=0.0):
             target[...] = X
         else:
             (np.add if sign == "+" else np.subtract)(target, X, out=target)
-    return sf._rel(stack_norms(residual.reshape(-1, size)).reshape(batch),
-                   *norms, floor)
+    return sf.rel(stack_norms(residual.reshape(-1, size)).reshape(batch),
+                  *norms, floor)
 
 
 def _sample_entries(N):
@@ -485,8 +485,8 @@ def _sample_entries(N):
     families sum no series): a bound, as the series sums 3 arguments per
     pair (z, u and z + u) into 2 N^2 entries each.  CERTIFY_BYTES holds
     108 samples at N = 2, 45 at N = 3, 10 at N = 5 and 5 at N = 6."""
-    terms = len(sf._theta_weights(complex(0, sf.MIN_IM_TAU), 1, 3)[1])
-    return 2 * N ** 6 + 28 * N ** 4 + 2 * 14 * (1 + 2 * N * N) * terms
+    return 2 * N ** 6 + 28 * N ** 4 \
+        + 2 * 14 * (1 + 2 * N * N) * sf.series_terms(3)
 
 
 def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
@@ -578,28 +578,28 @@ def _certify_stack(family, hb, et, z, w, x, y):
     out["aybe"] = _aybe(N, A, Ret_w, Ret_zw, Rhe_z, Reh_w, Rhb_zw)
 
     # skew-symmetry
-    B = -site_product(N, 2, (Rskew, 1, 0))
-    out["skew_symmetry"] = sf._rel(*_norms(A - B, A, B))
+    B = -embed(Rskew, 1, 0, N, 2)
+    out["skew_symmetry"] = sf.rel(*_norms(A - B, A, B))
 
     # unitarity: product is scalar, scalar equals wp(hb) - wp(z)
-    prod = A @ site_product(N, 2, (Runit, 1, 0))
+    prod = A @ embed(Runit, 1, 0, N, 2)
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
-    out["unitarity_scalar"] = sf._rel(
+    out["unitarity_scalar"] = sf.rel(
         *_norms(prod - scal[..., None, None] * I2, prod))
     wp = sf.weierstrass_p(family.flavor, np.stack([hb, z]))
     target = wp[0] - wp[1]
-    out["unitarity_value"] = sf._rel(scal - target, scal, target, 1.0)
+    out["unitarity_value"] = sf.rel(scal - target, scal, target, 1.0)
 
     # Fourier symmetry
     lhs = A @ P
-    out["fourier_symmetry"] = sf._rel(*_norms(lhs - Rfourier, lhs, Rfourier))
+    out["fourier_symmetry"] = sf.rel(*_norms(lhs - Rfourier, lhs, Rfourier))
 
     # partial traces are scalar; the measured functions are their traces
     tr = np.stack([partial_trace_1(Rwz), partial_trace_2(Rwz),
                    partial_trace_1(rz)])
     phit, e1t = np.trace(tr[::2], axis1=-2, axis2=-1) / N
     scal = np.stack([phit, phit, e1t])[..., None, None] * eye(N)
-    res = sf._rel(*_norms(tr - scal, tr))
+    res = sf.rel(*_norms(tr - scal, tr))
     out["trace_scalar"], out["trace_scalar_r"] = np.maximum(*res[:2]), res[2]
 
     # mixed relation between R and its argument derivative, and its
@@ -664,7 +664,7 @@ def certify(family, n_samples, seed, tol):
 
     got = sf.laurent_coefficients(r_on_circle, 0.0, radius, (1,))[0]
     r1 = family.r1()
-    worst["r1_is_m0P"] = float(sf._rel(
+    worst["r1_is_m0P"] = float(sf.rel(
         *map(np.linalg.norm, (got - r1, got, r1)), 1.0))
 
     # (v) classical expansion: the hbar-coefficients -1, 0 and 1 of R(hbar, z)

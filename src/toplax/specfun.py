@@ -133,6 +133,11 @@ def _theta_weights(tau, N, upto):
     return TWO_PI_I * np.array(hs[:k])[:, None], np.array(W)
 
 
+def series_terms(upto):
+    """The terms of the longest theta series to order upto (MIN_IM_TAU)."""
+    return len(_theta_weights(complex(0, MIN_IM_TAU), 1, upto)[1])
+
+
 def _cell(z, tau):
     """(z0, m, n, n*tau): z = z0 + m + n*tau, n = round(Im z / Im tau),
     m = round(Re(z - n*tau)), over a complex array z."""
@@ -569,7 +574,7 @@ def sample_point(rng, flavor, eps=1e-2):
 
 
 @functools.lru_cache(maxsize=16)
-def _pairs(count):
+def pairs(count):
     """The pairs i < j of count points in row-major order, as two read-only
     index arrays."""
     i, j = np.triu_indices(count, 1)
@@ -583,7 +588,7 @@ def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
     for _ in range(1000):
         pts = [sample_point(rng, flavor, eps) for _ in range(count)]
         p = np.array(pts)
-        i, j = _pairs(count)
+        i, j = pairs(count)
         combos = np.concatenate([p, p[i] + p[j], p[i] - p[j],
                                  np.reshape(extra, (-1, count)) @ p])
         if np.all(pole_distance(flavor, combos) > eps):
@@ -595,7 +600,7 @@ def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
 # Each suite (the one below, rmatrix.certify) draws its samples first, as
 # rows, then evaluates each identity once over stacks of them.
 
-def _rel(residual, *terms):
+def rel(residual, *terms):
     """|residual| over the largest |term|, elementwise, or |residual| itself
     where every term vanishes (a term 1.0 floors the scale); np.maximum
     keeps a NaN."""
@@ -604,11 +609,11 @@ def _rel(residual, *terms):
 
 
 def expansion_residual(g, center, radius, closed, norm=np.abs):
-    """Per circle, the largest _rel over norm, floored at 1, of g's
+    """Per circle, the largest rel over norm, floored at 1, of g's
     laurent_coefficients at center against closed = {order: closed form}."""
     got = laurent_coefficients(g, center, radius, closed)
     return functools.reduce(np.maximum, [
-        _rel(norm(v - c), norm(v), norm(c), 1.0)
+        rel(norm(v - c), norm(v), norm(c), 1.0)
         for v, c in zip(got, closed.values())])
 
 
@@ -682,12 +687,12 @@ def _core_residuals(flavor, samples):
     # phi(z,u)phi(w,u) = phi(z+w,u)(E1(z) + E1(w)) - f(z+w,u)
     sum_rhs = p_su * (e1_z + e1_w) - f_su
     return {
-        "symmetry": _rel(p_ez - p_ze, p_ez),
-        "fay": _rel(t1 - t2 - t3, t1, t2, t3),
-        "wp_difference": _rel(lhs - rhs, lhs, rhs),
-        "unitarity": np.maximum(_rel(prod - wdiff, prod, wdiff),
-                                _rel(prod - ediff, prod, ediff)),
-        "e1_sum_product": _rel(t1 - sum_rhs, t1, sum_rhs),
+        "symmetry": rel(p_ez - p_ze, p_ez),
+        "fay": rel(t1 - t2 - t3, t1, t2, t3),
+        "wp_difference": rel(lhs - rhs, lhs, rhs),
+        "unitarity": np.maximum(rel(prod - wdiff, prod, wdiff),
+                                rel(prod - ediff, prod, ediff)),
+        "e1_sum_product": rel(t1 - sum_rhs, t1, sum_rhs),
         **_expansion_residuals(flavor, z, u),
     }
 
@@ -723,7 +728,7 @@ def _sector_residuals(flavor, N, samples):
     (phi,) = sector_table(flavor, N, np.stack([N * hb, z], -1),
                           np.stack([z / N, hb], -1), 0)
     total = tn.rows_product(phi[:, 0], phase.T) / N
-    out["fourier_sum"] = _rel(total - phi[:, 1], total, phi[:, 1]).max(-1)
+    out["fourier_sum"] = rel(total - phi[:, 1], total, phi[:, 1]).max(-1)
 
     # residuals of the lattice sums are scaled by the largest summand, since
     # the sums themselves suffer heavy cancellation near the cell boundary.
@@ -743,23 +748,23 @@ def _sector_residuals(flavor, N, samples):
 
     # lattice sum: sum_a E2(w_a + q) = N^2 E2(N*q)
     rhs = N * N * e2_Nq
-    out["e2_lattice_sum"] = _rel(e2_shift.sum(-1) - rhs, rhs,
-                                 np.max(np.abs(e2_shift), -1))
+    out["e2_lattice_sum"] = rel(e2_shift.sum(-1) - rhs, rhs,
+                                np.max(np.abs(e2_shift), -1))
 
     # twisted sum, gamma != 0:
     # sum_a kappa^2 E2(w_a + q) = -N^2 phi_g(N*q, w_g)(E1(N*q+w_g)-E1(N*q)+c_g)
     terms = phase[1:] * e2_shift[:, None]
     rhs = -N * N * dphi[0]
     out["e2_twisted_sum"] = np.max(
-        _rel(terms.sum(-1) - rhs, rhs, np.max(np.abs(terms), -1)), -1)
+        rel(terms.sum(-1) - rhs, rhs, np.max(np.abs(terms), -1)), -1)
 
     # converse: -E2(q) + sum_{a!=0} kappa^2 phi_a(q, w_a)(E1(q+w_a)-E1(q)+c_a)
     #           = -E2(w_g + q/N)
     terms = phase[:, 1:] * dphi[1][:, None]
     total = terms.sum(-1) - e2_q[:, None]
-    out["e2_converse_sum"] = np.max(_rel(total + e2_frac, e2_frac,
-                                         e2_q[:, None],
-                                         np.max(np.abs(terms), -1)), -1)
+    out["e2_converse_sum"] = np.max(rel(total + e2_frac, e2_frac,
+                                        e2_q[:, None],
+                                        np.max(np.abs(terms), -1)), -1)
     return out
 
 
@@ -778,7 +783,7 @@ def scalar_identity_report(flavor, n_samples, seed, sector_sizes=(2, 3)):
     rng = np.random.default_rng(seed)
     samples = np.array([sample_tuple(rng, flavor, 4)
                         for _ in range(n_samples)])
-    terms = len(_theta_weights(complex(0, MIN_IM_TAU), 1, 2)[1])
+    terms = series_terms(2)
     worst = max_residuals(samples, terms * 3 * LAURENT_POINTS,
                           functools.partial(_core_residuals, flavor))
     # E1(x) = 1/x + x*kappa/3 + O(x^3) at x = 0, on one circle of no sample

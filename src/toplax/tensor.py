@@ -4,9 +4,10 @@ Flattening convention, fixed once for the whole package: the elementary
 operator e_ij (x) e_kl has its single nonzero entry at row i*N + k,
 column j*N + l (0-based).  This is exactly numpy's kron ordering, and the
 same rule applied recursively flattens longer tensor products with the
-leftmost factor outermost.  site_product multiplies two-site operators on
-any sites of Mat(N)^{x k} as batched matrix products over their legs, with
-no dense embedding.
+leftmost factor outermost.  embed places one two-site operator on two
+sites of Mat(N)^{x k}; site_legs multiplies two of them on Mat(N)^{x 3} as
+one batched matrix product over their legs, with no dense embedding, and
+identity_diagonal is the support of one of them times the identity there.
 """
 
 import cmath
@@ -147,134 +148,112 @@ def stack_norms(X):
                    .reshape(-1))
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(N, k, pattern):
-    """The steps of site_legs for factors of this pattern, one (s, t, b)
-    per factor: its sites, and its number of batch axes or None for a swap.
-
-    Returns (ops, embed, final).  For two operators, ops holds each one's
-    axis order and matrix shape for one batched product over the legs they
-    share, e.g. (R_12 R_23)[abc, def] = sum_g R_12[ab, dg] R_23[gc, ef] as
-    (n, N^3, N) @ (n, N, N^3), and the leg shape of that product.  embed is
-    None if two operators name every leg, else the batch axes, the identity
-    on the other legs as a row and its leg shape, for one outer product.
-    final is the axis order of the result."""
-    named = {site for s, t, _ in pattern for site in (s, t)}
-    sizes, leg = [], {}
-    for site in range(k):
-        # a named site is one leg, and so is each run of the other sites
-        if site in named or site - 1 in named or not sizes:
-            leg[site] = len(sizes)
-            sizes.append(N)
-        else:
-            sizes[-1] *= N
-    # X P Y = X (P Y P) P: an operator acts on the wires the swaps before it
-    # have moved to its sites, and the swaps end as one column permutation
-    wire, ops = list(range(len(sizes))), []
-    for s, t, batch in pattern:
-        if batch is None:
-            wire[leg[s]], wire[leg[t]] = wire[leg[t]], wire[leg[s]]
-        else:
-            ops.append(([wire[leg[s]], wire[leg[t]]], batch))
-    if len(ops) > 2:
-        raise ValueError("site_product multiplies at most two operators, "
-                         f"not {len(ops)}")
-    b, two = max((batch for _, batch in ops), default=0), len(ops) == 2
-    # the axes of the operators' product, ("r", leg) a row, ("c", leg) a
-    # column; X's columns on the legs Y names are summed with Y's rows there
-    axes = [(rc, i) for rc in "rc" for i in ops[0][0]] if ops else []
-    if two:
-        (xs, bx), (ys, by) = ops
-        X = [("r", i) for i in xs] + [("s" if i in ys else "c", i) for i in xs]
-        Y = [("s" if i in xs else "r", i) for i in ys] + [("c", i) for i in ys]
-        inner = [a for a in X if a[0] == "s"]
-        left, right = ([a for a in U if a[0] != "s"] for U in (X, Y))
-        ops = ((*range(bx), *(bx + X.index(a) for a in left + inner)),
-               (N ** len(left), N ** len(inner)),
-               (*range(by), *(by + Y.index(a) for a in inner + right)),
-               (N ** len(inner), N ** len(right)), (N,) * len(left + right))
-        axes = left + right
-    rest = [i for i in range(len(sizes)) if ("r", i) not in axes]
-    ident = eye(math.prod(sizes[i] for i in rest)).reshape(1, -1)
-    ident.flags.writeable = False
-    embed = None if two and not rest else (
-        b, ident, tuple(sizes[i] for i in rest) * 2)
-    axes += [(rc, i) for rc in "rc" for i in rest]
-    final = [axes.index(("r", i)) for i in range(len(sizes))] \
-        + [axes.index(("c", w)) for w in wire]
-    return ops, embed, tuple(range(b)) + tuple(b + a for a in final)
+def embed(T, s, t, N, k):
+    """The two-site (..., N^2, N^2) matrix or stack T with its first tensor
+    factor on site s and its second on site t of Mat(N)^{x k}, as an (...,
+    N^k, N^k) matrix or stack, so embed(T, 1, 0, N, 2) is T_21 = P T P: one
+    outer product with the identity on the other sites, as three legs (the
+    sites before, between and after s and t), and one transpose into site
+    order, so that each entry is an entry of T times 1 or 0."""
+    lo, hi = sorted((s, t))
+    sizes = (N ** lo, N ** (hi - lo - 1), N ** (k - 1 - hi))
+    T = np.reshape(T, np.shape(T)[:-2] + (N,) * 4 + (1,) * 6)
+    X = T * eye(math.prod(sizes)).reshape(sizes * 2)
+    b, (i, j) = X.ndim - 10, (0, 1) if s < t else (1, 0)
+    # after the batch axes: T's [i_s, i_t, j_s, j_t], then the identity's
+    # three row legs and its three column legs
+    order = (4, i, 5, j, 6, 7, 2 + i, 8, 2 + j, 9)
+    return X.transpose(*range(b), *(b + a for a in order)).reshape(
+        X.shape[:b] + (N ** k,) * 2)
 
 
-def _matmul(A, B, out):
-    """A @ B, into the leading entries of the flat array out unless None."""
-    if out is not None:
-        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) \
-            + (A.shape[-2], B.shape[-1])
-        out = out[:math.prod(shape)].reshape(shape)
-    return np.matmul(A, B, out=out)
-
-
-def site_legs(N, k, *factors, out=None):
-    """site_product with its row and column legs apart, over the legs of
-    Mat(N)^{x k} (_plan): a transposed view of one matrix product, which
-    fills the leading entries of the flat complex array out if given."""
-    ops, embed, final = _plan(N, k, tuple(
-        (int(s), int(t), None if T is None else np.ndim(T) - 2)
-        for T, s, t in factors))
-    Ts = [np.reshape(T, np.shape(T)[:-2] + (N,) * 4)
-          for T, *_ in factors if T is not None]
-    legs = Ts[0] if Ts else np.ones(())
-    if len(Ts) == 2:
-        X, Y = Ts[0].transpose(ops[0]), Ts[1].transpose(ops[2])
-        legs = _matmul(X.reshape(X.shape[:-4] + ops[1]),
-                       Y.reshape(Y.shape[:-4] + ops[3]),
-                       None if embed else out)
-        legs = legs.reshape(legs.shape[:-2] + ops[4])
-    if embed:
-        b, ident, shape = embed
-        legs = _matmul(legs.reshape(legs.shape[:b] + (-1, 1)), ident,
-                       out).reshape(legs.shape + shape)
-    return legs.transpose(final)
-
-
-def identity_diagonal(N, k, legs, *factors):
-    """The entries of legs, (..., N^k legs, N^k legs) laid out as site_legs
-    lays out a product on Mat(N)^{x k}, on which the product of factors,
-    one operator T and swaps, can be nonzero: T (x) 1 with its columns
-    permuted by the swaps (_plan's wires).  The view has T's legs [..., i_s,
-    i_t, j_s, j_t] then one leg per other site, whose column leg is its row
-    leg: a writable einsum view (a subscript repeated on one operand), so
-    that np.add(view, T, out=view), T broadcast over the last k - 2 axes,
-    adds the product into legs with no N^{2k} stack and the bits of adding
-    site_legs' stack."""
-    wire = list(range(k))
-    for T, s, t in factors:
-        if T is None:
+def _wires(factors):
+    """The walk of the swaps of factors (X, s, t) over the wires of
+    Mat(N)^{x 3}, X None for a swap: X P Y = X (P Y P) P, so an operator
+    acts on the wires the swaps before it have moved to its sites, and the
+    swaps end as one column permutation.  Returns the final wires and
+    ((wire of s, wire of t), X) of each operator."""
+    wire, ops = [0, 1, 2], []
+    for X, s, t in factors:
+        if X is None:
             wire[s], wire[t] = wire[t], wire[s]
         else:
-            sites = (wire[s], wire[t])
-    rows, cols = "abcdefghijklm"[:k], "nopqrstuvwxyz"[:k]
-    col = [cols[q] if q in sites else rows[q] for q in range(k)]
-    rest = "".join(rows[q] for q in range(k) if q not in sites)
+            ops.append(((wire[s], wire[t]), X))
+    return wire, ops
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(N, pattern):
+    """The steps of site_legs for factors of this pattern, one (b, s, t)
+    per factor: its number of batch axes, or None for a swap, and its sites.
+
+    Returns each operator's axis order and matrix shape for one batched
+    product over the legs they share, e.g. (R_12 R_23)[abc, def] = sum_g
+    R_12[ab, dg] R_23[gc, ef] as (n, N^3, N) @ (n, N, N^3), then the axis
+    order of the result."""
+    wire, ops = _wires(pattern)
+    if len(ops) != 2 or len({*ops[0][0], *ops[1][0]}) != 3:
+        raise ValueError("site_legs multiplies two operators that name "
+                         "every site of Mat(N)^{x 3}")
+    (xs, bx), (ys, by) = ops
+    # the axes of the product, ("r", leg) a row, ("c", leg) a column; X's
+    # columns on the legs Y names are summed with Y's rows there
+    X = [("r", i) for i in xs] + [("s" if i in ys else "c", i) for i in xs]
+    Y = [("s" if i in xs else "r", i) for i in ys] + [("c", i) for i in ys]
+    inner = [a for a in X if a[0] == "s"]
+    left, right = ([a for a in U if a[0] != "s"] for U in (X, Y))
+    axes, b = left + right, max(bx, by)
+    final = [axes.index(("r", i)) for i in range(3)] \
+        + [axes.index(("c", w)) for w in wire]
+    return ((*range(bx), *(bx + X.index(a) for a in left + inner)),
+            (N ** len(left), N ** len(inner)),
+            (*range(by), *(by + Y.index(a) for a in inner + right)),
+            (N ** len(inner), N ** len(right)),
+            (*range(b), *(b + a for a in final)))
+
+
+def site_legs(N, *factors, out=None):
+    """The left-to-right product of factors on Mat(N)^{x 3}, two operators
+    that name every site and any swaps, with its row and column legs apart.
+
+    A factor (T, s, t) is the two-site (..., N^2, N^2) matrix or stack T
+    with its first tensor factor on site s and its second on site t;
+    (None, s, t) swaps the sites s and t, which only relabels legs.  The
+    result is a transposed view of one batched matrix product over the legs
+    the operators share (_plan), which fills the leading entries of the
+    flat complex array out if given."""
+    xo, xshape, yo, yshape, final = _plan(N, tuple(
+        (None if T is None else np.ndim(T) - 2, int(s), int(t))
+        for T, s, t in factors))
+    X, Y = (np.reshape(T, np.shape(T)[:-2] + (N,) * 4)
+            for T, *_ in factors if T is not None)
+    X = X.transpose(xo).reshape(X.shape[:-4] + xshape)
+    Y = Y.transpose(yo).reshape(Y.shape[:-4] + yshape)
+    if out is not None:
+        shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2]) + (
+            xshape[0], yshape[1])
+        out = out[:math.prod(shape)].reshape(shape)
+    legs = np.matmul(X, Y, out=out)
+    return legs.reshape(legs.shape[:-2] + (N,) * 6).transpose(final)
+
+
+def identity_diagonal(N, legs, *factors):
+    """The entries of legs, (..., N^3 legs, N^3 legs) laid out as site_legs
+    lays out a product on Mat(N)^{x 3}, on which the product of factors,
+    one operator T and swaps, can be nonzero: T (x) 1 with its columns
+    permuted by the swaps (_wires).  The view has T's legs [..., i_s, i_t,
+    j_s, j_t] then the other site's leg, whose column leg is its row leg: a
+    writable einsum view (a subscript repeated on one operand), so that
+    np.add(view, T, out=view), T broadcast over the last axis, adds the
+    product into legs with no N^6 stack and the bits of adding the dense
+    T (x) 1."""
+    wire, [(sites, _)] = _wires(factors)
+    rows, cols = "abc", "def"
+    col = [cols[q] if q in sites else rows[q] for q in range(3)]
+    rest = "".join(rows[q] for q in range(3) if q not in sites)
     return np.einsum(f"...{rows}{''.join(col[w] for w in wire)}->..."
                      f"{rows[sites[0]]}{rows[sites[1]]}{cols[sites[0]]}"
                      f"{cols[sites[1]]}{rest}", legs)
-
-
-def site_product(N, k, *factors):
-    """The left-to-right product of operators on Mat(N)^{x k}, as an
-    (..., N^k, N^k) matrix or stack.
-
-    A factor (T, s, t) is the two-site (..., N^2, N^2) matrix or stack T
-    with its first tensor factor on site s and its second on site t, so
-    (T, 1, 0) is T_21; (None, s, t) swaps the sites s and t, which only
-    relabels legs.  Two operators at most are one batched matrix product
-    over the legs they share, times the identity on the other sites.
-    """
-    out = site_legs(N, k, *factors)
-    batch = np.broadcast_shapes(*(np.shape(T)[:-2] for T, *_ in factors
-                                  if T is not None))
-    return out.reshape(batch + (N ** k,) * 2)
 
 
 def as_block_grid(A, M, N):

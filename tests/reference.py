@@ -129,7 +129,7 @@ def hamiltonian(state):
     tops = np.trace(Sd @ op_contract(fam.m0(), Sd), axis1=1, axis2=2)
     for top in tops.tolist():
         total += 0.5 * top
-    i, j, F0, _ = state.f0_table
+    (i, j), (F0, _) = sf.pairs(spin.M), state.f0_table
     U = md._pair_traces(fam._P @ F0, spin.blocks[i, j], spin.blocks[j, i])
     return complex(sum(U.tolist(), total))
 
@@ -138,7 +138,7 @@ def ham_q_gradient(state):
     """dH/dq of md.bracket_flow with its sums as a loop: each site adds up
     the traces of its pairs in the order of the other site."""
     spin, M = state.spin, state.M
-    i, j, _, dF0 = state.f0_table
+    (i, j), (_, dF0) = sf.pairs(M), state.f0_table
     g = md._pair_traces(state.family._P @ dF0, spin.blocks[i, j],
                         spin.blocks[j, i])
     signed = np.zeros((M, M), dtype=complex)
@@ -260,7 +260,7 @@ def eom_terms(state):
     fam, M, N = state.family, state.M, state.N
     F = np.zeros((M, M, N, N, N, N), dtype=complex)
     D = np.zeros_like(F)
-    i, j = sf._pairs(M)
+    i, j = sf.pairs(M)
     F0, dF0 = fam.r(state.q[i] - state.q[j], (1, 2))
     F[i, j] = F0.reshape(-1, N, N, N, N)
     D[i, j] = dF0.reshape(-1, N, N, N, N)
@@ -294,7 +294,8 @@ def exchange_products(state, R):
 
 
 def site_product(N, k, *factors):
-    """tn.site_product as one np.einsum over the legs of its factors: each
+    """The product of factors on Mat(N)^{x k}, the oracle of tn.embed and
+    tn.site_legs, as one np.einsum over the legs of its factors: each
     run of sites that no factor names is one identity leg, a factor
     (T, s, t) contracts the column letters of its sites' legs and gives them
     new ones, and a swap (None, s, t) exchanges two column letters."""

@@ -130,10 +130,10 @@ def test_check_cm_rmx(capsys):
 
 @pytest.mark.parametrize("m", [32, 33])
 def test_check_cm_rmx_long_chain(capsys, m):
-    # the chain sites no operator names are joined into identity legs, so a
-    # chain of N = 1 sites takes a few einsum letters and array axes, not
-    # two per site (M = 33 would need 66 axes, over numpy's 64); the M = 32
-    # residual is the one a kron embedding with one leg per site gives
+    # the chain sites a pair does not name are joined into three identity
+    # legs (tensor.embed), so a chain of N = 1 sites takes a few array axes,
+    # not two per site (M = 33 would need 66 axes, over numpy's 64); the
+    # M = 32 residual is the one a kron embedding with one leg per site gives
     code, out, err = run_capture(capsys, [
         "check-cm-rmx", "--family", "xxx", "--n", "1", "--m", str(m),
         "--seed", "0"])
@@ -794,26 +794,27 @@ def test_command_paths_make_no_einsum_products(tmp_path, capsys,
 
 
 def test_dynamics_and_cli_call_only_public_model_names():
-    # the integrator and the commands reach the other modules through their
-    # public names: no md._name, rm._name, sf._name, dy._name or tn._name
-    # (nor the module names spelled out) in their source, and no private
-    # name imported from them
+    # every module of the package, the integrator and the commands among
+    # them, reaches the others through their public names: no md._name,
+    # rm._name, sf._name, dy._name or tn._name (nor the module names spelled
+    # out) in its source, and no private name imported from them
     modules = {"md", "model", "rm", "rmatrix", "sf", "specfun", "dy",
                "dynamics", "tn", "tensor"}
     private = []
-    for mod in (cli.dy, cli):
-        tree = ast.parse(Path(mod.__file__).read_text())
-        for node in ast.walk(tree):
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert {"cli.py", "dynamics.py", "model.py", "rmatrix.py", "specfun.py",
+            "tensor.py"} <= {path.name for path in paths}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) \
                     and isinstance(node.value, ast.Name) \
                     and node.value.id in modules \
                     and node.attr.startswith("_"):
-                private.append((Path(mod.__file__).name, node.lineno,
-                                node.attr))
+                private.append((path.name, node.lineno, node.attr))
             if isinstance(node, ast.ImportFrom) \
                     and node.module in modules:
-                private.extend((Path(mod.__file__).name, node.lineno,
-                                alias.name) for alias in node.names
+                private.extend((path.name, node.lineno, alias.name)
+                               for alias in node.names
                                if alias.name.startswith("_"))
     assert private == []
 

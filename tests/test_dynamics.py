@@ -437,3 +437,25 @@ def test_look_ahead_in_the_pole_margin_fails_as_a_stage_alone(
         assert got.failure["step"] == failure
         assert got.failure["error"].endswith(
             "too close to a pole (distance 0.000e+00)")
+
+
+class _Faulty(_Guarded):
+    """family, with r recording its arguments and raising TypeError, as a
+    fault in the program would."""
+
+    def r(self, z, d=0):
+        self._guarded.append(z)
+        raise TypeError("a fault in r")
+
+
+def test_look_ahead_raises_a_fault_at_once():
+    # a look-ahead catches only what a family call can meet (a ToplaxError,
+    # or a FloatingPointError under its errstate): a TypeError ends the step
+    # at the first look-ahead call, whose r call is the step's only one
+    fam = rm.make_family("xxx", N=2)
+    st = md.random_state(fam, 3, 1.0, seed=9)
+    calls = []
+    faulty = md.PhaseState(st.q, st.p, st.spin, _Faulty(fam, calls))
+    with pytest.raises(TypeError, match="a fault in r"):
+        dy._rk4_step(faulty.from_vector(st.vector, st.f0_table), 1e-3)
+    assert len(calls) == 1

@@ -795,14 +795,12 @@ def test_embedding_helpers():
     T = rng.uniform(-1, 1, (N * N, N * N)) + 1j * rng.uniform(
         -1, 1, (N * N, N * N))
     I = tn.eye(N)
-    T12 = tn.site_product(N, 3, (T, 0, 1))
+    T12 = tn.embed(T, 0, 1, N, 3)
     assert np.max(np.abs(T12 - rf.kron(T, I))) < 1e-15
-    assert np.max(np.abs(tn.site_product(N, 3, (T, 1, 2))
-                         - rf.kron(I, T))) < 1e-15
+    assert np.max(np.abs(tn.embed(T, 1, 2, N, 3) - rf.kron(I, T))) < 1e-15
     # 13-embedding: conjugate the 12-embedding by the (2,3) site swap
-    P23 = tn.site_product(N, 3, (None, 1, 2))
-    assert np.max(np.abs(tn.site_product(N, 3, (T, 0, 2))
-                         - P23 @ T12 @ P23)) < 1e-13
+    P23 = rf.kron(I, tn.permutation_P(N))
+    assert np.max(np.abs(tn.embed(T, 0, 2, N, 3) - P23 @ T12 @ P23)) < 1e-13
 
 
 def test_certify_yang_all_pass():
@@ -1015,8 +1013,8 @@ LONE_TERMS = [
 @pytest.mark.parametrize("name, pattern", LONE_TERMS)
 def test_lone_terms_match_the_dense_product(name, pattern, batch, N):
     # a lone term added on the identity leg's diagonal (as _site_rel adds
-    # it) gives the residual of adding its dense N^6 stack (site_legs, the
-    # outer product with the identity) bit for bit, and alone in _site_rel
+    # it) gives the residual of adding its dense N^6 stack (the einsum
+    # oracle, T times the identity) bit for bit, and alone in _site_rel
     # its norm sqrt(N) ||T|| is that stack's norm to 1e-15
     rng = np.random.default_rng(N)
 
@@ -1025,17 +1023,69 @@ def test_lone_terms_match_the_dense_product(name, pattern, batch, N):
 
     T = draw((() if name == "m0" else batch) + (N * N, N * N))
     term = [(None if X is None else T, s, t) for X, s, t in pattern]
-    dense = tn.site_legs(N, 3, *term)
+    dense = rf.site_product(N, 3, *term).reshape(T.shape[:-2] + (N,) * 6)
     start = draw(batch + (N,) * 6)
     for op in (np.add, np.subtract):
         got = start.copy()
-        view = tn.identity_diagonal(N, 3, got, *term)
+        view = tn.identity_diagonal(N, got, *term)
         op(view, T.reshape(T.shape[:-2] + (N,) * 4 + (1,)), out=view)
         want = op(start, dense)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     rel = rm._site_rel(N, "", term)
     assert rel.shape == T.shape[:-2]
     assert np.all(np.abs(rel - 1.0) <= 1e-15)
+
+
+# the 10 products of two operators (and swaps) in the identities, T an
+# operator: aybe's, mixed_rf's and half_cybe's orders of the three site
+# pairs, each limit's product with a swap between or after, q_product's
+# two with a swap after
+PRODUCT_TERMS = [
+    [("T", 0, 1), ("T", 1, 2)], [("T", 0, 2), ("T", 0, 1)],
+    [("T", 1, 2), ("T", 0, 2)], [("T", 0, 1), ("T", 0, 2)],
+    [("T", 1, 2), ("T", 0, 1)], [("T", 0, 2), ("T", 1, 2)],
+    [("T", 0, 1), ("T", 1, 2), (None, 1, 2)],
+    [("T", 0, 1), (None, 0, 1), ("T", 1, 2)],
+    [("T", 0, 2), ("T", 2, 1), (None, 0, 2)],
+    [("T", 2, 1), ("T", 0, 2), (None, 0, 2)],
+]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("pattern", PRODUCT_TERMS)
+def test_product_terms_match_the_oracle(pattern, N):
+    # each product _site_rel forms, of a stack and a matrix, is the einsum
+    # oracle's to 1e-15 relative
+    rng = np.random.default_rng(N)
+
+    def draw(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    shapes = iter([(5, N * N, N * N), (N * N, N * N)])
+    term = [(None if X is None else draw(next(shapes)), s, t)
+            for X, s, t in pattern]
+    want = rf.site_product(N, 3, *term)
+    got = tn.site_legs(N, *term).reshape(want.shape)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_site_rel_forms_the_listed_terms(monkeypatch):
+    # the terms of every identity of certify are those of PRODUCT_TERMS and
+    # LONE_TERMS, so that the tests above cover each
+    seen = set()
+
+    def recorded(f):
+        def call(N, *args, **kwargs):
+            seen.add(tuple((None if T is None else "T", s, t)
+                           for T, s, t in args[f is tn.identity_diagonal:]))
+            return f(N, *args, **kwargs)
+        return call
+
+    for f in (tn.site_legs, tn.identity_diagonal):
+        monkeypatch.setattr(rm, f.__name__, recorded(f))
+    rm.certify(rm.make_family("xxx", N=2), 2, seed=0, tol=1e-8)
+    assert seen == {tuple(p) for p in PRODUCT_TERMS} \
+        | {tuple(p) for _, p in LONE_TERMS}
 
 
 @pytest.mark.parametrize("key", ["xxx", "bb"])

@@ -201,94 +201,130 @@ def swap_matrix(N, k, s, t):
     return P
 
 
-def test_site_product_against_kron():
+def test_embed_against_kron():
+    # one operator on every ordered site pair at k = 2, 3, 5 and N = 1, 2, 3
+    # is its kron placement, bit for bit: the kron factors have small
+    # integer parts, so that each product is exact whatever its order (kron
+    # multiplies B A where a pair is reversed)
     rng = np.random.default_rng(29)
-    N = 2
-    A, B, C, D = (random_matrix(rng, N) for _ in range(4))
-    # a two-site operator that is not a single product
-    T = rf.kron(A, B) + rf.kron(C, D)
-    for k in (2, 3, 4):
+    for k, N in itertools.product((2, 3, 5), (1, 2, 3)):
+        A, B, C, D = (rng.integers(-4, 5, (N, N))
+                      + 1j * rng.integers(-4, 5, (N, N)) for _ in range(4))
+        # a two-site operator that is not a single product
+        T = rf.kron(A, B) + rf.kron(C, D)
         for s, t in itertools.permutations(range(k), 2):
             want = placed(N, k, {s: A, t: B}) + placed(N, k, {s: C, t: D})
-            got = tn.site_product(N, k, (T, s, t))
-            assert np.max(np.abs(got - want)) < 1e-14, (k, s, t)
-            P = swap_matrix(N, k, s, t)
-            assert np.array_equal(tn.site_product(N, k, (None, s, t)), P)
-            got = tn.site_product(N, k, (None, s, t), (T, s, t),
-                                  (None, s, t))
-            assert np.max(np.abs(got - P @ want @ P)) < 1e-14, (k, s, t)
-    # a product of two operators sharing one site
-    U = random_matrix(rng, N * N)
-    got = tn.site_product(N, 3, (T, 2, 0), (U, 0, 1))
-    want = (placed(N, 3, {2: A, 0: B}) + placed(N, 3, {2: C, 0: D})) \
-        @ np.kron(U, tn.eye(N))
-    assert np.max(np.abs(got - want)) < 1e-13
-    # each run of sites no factor names is one identity leg
-    got = tn.site_product(N, 5, (T, 0, 4))
-    want = placed(N, 5, {0: A, 4: B}) + placed(N, 5, {0: C, 4: D})
-    assert np.max(np.abs(got - want)) < 1e-14
-    got = tn.site_product(N, 5, (T, 3, 1), (None, 1, 3))
-    want = placed(N, 5, {3: A, 1: B}) + placed(N, 5, {3: C, 1: D})
-    assert np.max(np.abs(got - want @ swap_matrix(N, 5, 1, 3))) < 1e-14
-
-
-def test_site_product_of_stacks():
-    rng = np.random.default_rng(31)
-    N = 3
-    S = np.array([random_matrix(rng, N * N) for _ in range(4)])
-    V = np.array([random_matrix(rng, N * N) for _ in range(4)])
-    T = random_matrix(rng, N * N)
-    # a stack holds bitwise the products of its matrices one at a time
-    got = tn.site_product(N, 3, (S, 0, 2), (V, 2, 1), (None, 0, 2))
-    one = [tn.site_product(N, 3, (s, 0, 2), (v, 2, 1), (None, 0, 2))
-           for s, v in zip(S, V)]
-    assert got.shape == (4, N ** 3, N ** 3)
-    assert np.array_equal(got, np.array(one))
-    # a matrix broadcasts against a stack
-    got = tn.site_product(N, 3, (T, 1, 2), (S, 0, 1))
-    for g, s in zip(got, S):
-        want = np.kron(tn.eye(N), T) @ np.kron(s, tn.eye(N))
-        assert np.max(np.abs(g - want)) < 1e-13
+            assert np.array_equal(tn.embed(T, s, t, N, k), want), (k, N, s, t)
+        P = tn.permutation_P(N)
+        assert np.array_equal(tn.embed(T, 1, 0, N, 2), P @ T @ P)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_site_product_against_einsum_oracle(k):
-    # up to two operators, stacks or single matrices on ordered or reversed
-    # site pairs, with swaps before, between and after them and in runs,
-    # against the einsum form, to 1e-15 relative
+def test_embed_against_einsum_oracle(k):
+    # a matrix or a stack on every ordered site pair at N = 1, 2, 3 is the
+    # einsum form, bit for bit
     rng = np.random.default_rng(41 + k)
+    for N in (1, 2, 3):
+        S = np.array([random_matrix(rng, N * N) for _ in range(3)])
+        for s, t in itertools.permutations(range(k), 2):
+            assert np.array_equal(tn.embed(S[0], s, t, N, k),
+                                  rf.site_product(N, k, (S[0], s, t)))
+            got = tn.embed(S, s, t, N, k)
+            assert got.shape == (3, N ** k, N ** k)
+            assert np.array_equal(got, rf.site_product(N, k, (S, s, t)))
+
+
+def test_embed_joins_the_other_sites_into_three_legs():
+    # a chain of 33 sites of Mat(1) would take 66 axes with one leg per
+    # site, over numpy's 64; three identity legs take 10
+    T = np.array([[0.5 - 2j]])
+    for s, t in ((0, 32), (32, 0), (7, 20)):
+        assert np.array_equal(tn.embed(T, s, t, 1, 33), T)
+
+
+def two_operators(factors):
+    """Whether the operators of factors, two, name two site pairs of
+    Mat(N)^{x 3} after the swaps before them: then they name every site."""
+    wire, named = [0, 1, 2], []
+    for T, s, t in factors:
+        if T is None:
+            wire[s], wire[t] = wire[t], wire[s]
+        else:
+            named.append(frozenset((wire[s], wire[t])))
+    return len(named) == 2 and named[0] != named[1]
+
+
+def test_site_legs_against_einsum_oracle():
+    # random products of two operators that name every site of
+    # Mat(N)^{x 3}, stacks or single matrices on ordered or reversed site
+    # pairs, with swaps before, between and after them and in runs, against
+    # the einsum form to 1e-15 relative
+    rng = np.random.default_rng(47)
     seen = set()
-    for kinds in ("T", "S", "SS", "TT", "STS", "TST", "SSTT", "TSST", "TTSS",
-                  "STTS", "SSTSS", "TSTSS") * 12:
+    for kinds in ("TT", "STT", "TST", "TTS", "SSTT", "TSST", "TTSS", "STTS",
+                  "SSTST", "TSTSS") * 12:
         N = int(rng.integers(1, 4))
         factors = []
-        for kind in kinds:
-            s, t = map(int, rng.choice(k, 2, replace=False))
-            T = None
-            if kind == "T":
-                stacked = rng.random() < 0.6
-                shape = (3,) * stacked + (N * N, N * N)
-                T = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-                seen.update({("stack", stacked), ("reversed", s > t)})
-            factors.append((T, s, t))
-        want = rf.site_product(N, k, *factors)
-        got = tn.site_product(N, k, *factors)
-        assert got.shape == want.shape, kinds
+        while not two_operators(factors):
+            factors = []
+            for kind in kinds:
+                s, t = map(int, rng.choice(3, 2, replace=False))
+                T = None
+                if kind == "T":
+                    stacked = rng.random() < 0.6
+                    shape = (3,) * stacked + (N * N, N * N)
+                    T = rng.uniform(-1, 1, shape) \
+                        + 1j * rng.uniform(-1, 1, shape)
+                factors.append((T, s, t))
+        seen.update(("stack", np.ndim(T) == 3) for T, *_ in factors
+                    if T is not None)
+        seen.update(("reversed", s > t) for T, s, t in factors
+                    if T is not None)
+        want = rf.site_product(N, 3, *factors)
+        got = tn.site_legs(N, *factors)
+        assert got.shape == want.shape[:-2] + (N,) * 6, kinds
+        got = got.reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
             (kinds, N)
         # into a buffer's leading entries, the same values
         out = np.full(want.size + 3, np.nan, dtype=complex)
-        legs = tn.site_legs(N, k, *factors, out=out)
+        legs = tn.site_legs(N, *factors, out=out)
         assert np.shares_memory(legs, out) and np.isnan(out[-3:]).all()
         assert np.array_equal(legs.reshape(want.shape), got), kinds
     assert seen == {("stack", True), ("stack", False), ("reversed", True),
                     ("reversed", False)}
 
 
-def test_site_product_takes_two_operators_at_most():
+def test_site_legs_of_stacks():
+    rng = np.random.default_rng(31)
+    N = 3
+    S = np.array([random_matrix(rng, N * N) for _ in range(4)])
+    V = np.array([random_matrix(rng, N * N) for _ in range(4)])
+    T = random_matrix(rng, N * N)
+    # a stack holds bitwise the products of its matrices one at a time
+    got = tn.site_legs(N, (S, 0, 2), (V, 2, 1), (None, 0, 2))
+    one = [tn.site_legs(N, (s, 0, 2), (v, 2, 1), (None, 0, 2))
+           for s, v in zip(S, V)]
+    assert got.shape == (4,) + (N,) * 6
+    assert np.array_equal(got, np.array(one))
+    # the product of the placed operators, its columns permuted by the swap
+    want = tn.embed(S, 0, 2, N, 3) @ tn.embed(V, 2, 1, N, 3) \
+        @ swap_matrix(N, 3, 0, 2)
+    assert np.max(np.abs(got.reshape(want.shape) - want)) < 1e-13
+    # a matrix broadcasts against a stack
+    got = tn.site_legs(N, (T, 1, 2), (S, 0, 1)).reshape(4, N ** 3, N ** 3)
+    for g, s in zip(got, S):
+        want = np.kron(tn.eye(N), T) @ np.kron(s, tn.eye(N))
+        assert np.max(np.abs(g - want)) < 1e-13
+
+
+def test_site_legs_takes_two_operators_naming_every_site():
     T = tn.eye(4)
-    with pytest.raises(ValueError, match="at most two operators"):
-        tn.site_product(2, 3, (T, 0, 1), (T, 1, 2), (None, 0, 1), (T, 0, 2))
+    for factors in ([(T, 0, 1)], [(T, 0, 1), (T, 1, 2), (T, 0, 2)],
+                    [(T, 0, 1), (T, 1, 0)],
+                    [(T, 0, 1), (None, 1, 2), (T, 0, 2)]):
+        with pytest.raises(ValueError, match="two operators that name"):
+            tn.site_legs(2, *factors)
 
 
 def test_block_grid_is_a_view():
