@@ -69,8 +69,8 @@ def _finish(command, echo, seed, body, passed):
               "config_echo": echo, "seed": int(seed), "pass": bool(passed),
               **body}
     report = json.loads(json.dumps(report), parse_constant=lambda _: None)
-    json.dump(report, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2,
+                                allow_nan=False) + "\n")
     return 0 if passed else 1
 
 

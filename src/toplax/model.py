@@ -204,14 +204,10 @@ def f0_tables(family, q):
 
 
 def random_positions(family, M, rng, margin=0.05):
-    """Draw M positions with all pairwise differences pole-avoiding."""
-    for _ in range(2000):
-        q = [sf.sample_point(rng, family.flavor, eps=margin)
-             for _ in range(M)]
-        diff = np.subtract.outer(q, q)[~np.eye(M, dtype=bool)]
-        if np.all(family.pole_distance(diff) > margin):
-            return tuple(q)
-    raise DegenerateDraw("failed to draw pole-avoiding positions")
+    """Draw M positions with all pairwise differences pole-avoiding (the
+    pole sets are symmetric): sf.sample_tuple's M-point case."""
+    return tuple(sf.sample_tuple(rng, family.flavor, M, margin, signs="-",
+                                 tries=2000))
 
 
 def random_state(family, M, nu, seed, spin_mode="general", q=None, p=None):

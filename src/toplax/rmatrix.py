@@ -16,9 +16,9 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import Overflow
-from .tensor import (check_scale, embed, eye, identity_diagonal,
-                     permutation_P, rows_product, sin_basis, partial_trace_1,
-                     partial_trace_2, site_legs, stack_norms)
+from .tensor import (check_scale, diagonal_plan, embed, eye, legs_plan,
+                     legs_product, norms_reader, permutation_P, rows_product,
+                     sin_basis, partial_trace_1, partial_trace_2, stack_norms)
 
 
 _ORDERS = frozenset((0, 1, 2))
@@ -422,61 +422,111 @@ def make_family(kind, N=2, tau=None, C=None):
 
 # --- certification --------------------------------------------------------
 # Each identity below is a signed sum of three-site terms over n samples,
-# a term being the tensor.site_legs factors of one product.  _site_rel forms
-# each product of two operators in one scratch stack, so an identity holds
-# two (n, N^3, N^3) stacks; a term of one operator (and swaps), T (x) 1, is
-# never formed: it is added on the identity leg's diagonal of the residual
-# (tensor.identity_diagonal), with the bits of adding its stack, and its
-# norm is sqrt(N) ||T||.
+# a term being the factors of one product on Mat(N)^{x 3} (tensor.legs_plan)
+# left to right: name@st is the kernel stack of that name in _certify_stack
+# on the sites s and t, and P@st swaps them.
+_IDENTITIES = {
+    # associative Yang-Baxter relation R12 R23 = R13 R12b + R23b R13b
+    "aybe": "A@01 Ret_w@12 - Ret_zw@02 Rhe_z@01 - Reh_w@12 Rhb_zw@02",
+    # mixed relation between R^z and its argument derivative F^z
+    "mixed_rf": "Rzx@01 Fzy@12 - Fzx@01 Rzy@12 - F0y@12 Rzxy@02"
+                " + Rzxy@02 F0x@01",
+    # its y -> 0 degeneration, R^z(q) = r(z) P + q m(z) P + O(q^2)
+    "mixed_rf_limit_y": "Rzx@01 mz@12 P@12 - Fzx@01 rz@12 P@12"
+                        " - r1@12 Rzx@02 + Rzx@02 F0x@01 + P@12 Rzx2/2@02",
+    # its x -> 0 degeneration
+    "mixed_rf_limit_x": "rz@01 P@01 Fzy@12 - mz@01 P@01 Rzy@12"
+                        " - F0y@12 Rzy@02 + Rzy@02 r1@01 - Rzy2/2@02 P@01",
+    # opposite-argument product R^z(q) R^z(-q) in commutator form, q = x
+    "q_product": "Rzx@01 Rz_x@12 - rz@02 rx@21 P@02 + rx@21 rz@02 P@02"
+                 " + F0z@02 P@02 - F0x@21 P@02",
+    # half of the classical Yang-Baxter relation
+    "half_cybe": "rz@01 rzw@02 - rw@12 rz@01 + rzw@02 rw@12 - mz@01"
+                 " - mw@12 - mzw@02",
+    # its w -> 0 limit
+    "half_cybe_limit": "rz@01 rz@02 - r0@12 rz@01 + rz@02 r0@12"
+                       " + F0z@02 P@12 - mz@01 - m0@12 - mz@02",
+}
 
 
 def _norms(*mats):
-    """Frobenius norms of the matrices of each (..., n, n) stack, over its
-    leading axes, for sf.rel."""
-    return [stack_norms(T.reshape(-1, T.shape[-1] ** 2)).reshape(T.shape[:-2])
-            for T in mats]
+    """Frobenius norms of the matrices of each (..., m, m) stack, all of
+    one m, over its leading axes, for sf.rel: one stack_norms call."""
+    sizes = [T.size // T.shape[-1] ** 2 for T in mats]
+    norms = stack_norms(np.concatenate([T.reshape(size, -1)
+                                        for T, size in zip(mats, sizes)]))
+    return [norms[end - size:end].reshape(T.shape[:-2])
+            for T, size, end in zip(mats, sizes, np.cumsum(sizes))]
 
 
-def _site_rel(N, signs, *terms, floor=0.0):
-    """sf.rel of terms[0] plus or minus each later term (one sign character
-    each) over the norm of each term and floor, one per sample: a product
-    of two operators is formed in the leading entries of one scratch stack,
-    normed there in its memory order and added into the C-ordered residual,
-    and one of a single operator T added on its support, normed as sqrt(N)
-    ||T||, so that each sum and norm takes one order whatever the number
-    of samples."""
-    size = N ** 6
-    batch = np.broadcast_shapes(*(np.shape(T)[:-2] for term in terms
-                                  for T, *_ in term if T is not None))
-    residual = np.empty(batch + (N,) * 6, dtype=complex)
-    scratch = np.empty(residual.size, dtype=complex)
-    norms = []
-    for sign, term in zip("=" + signs, terms):
-        ops = [T for T, *_ in term if T is not None]
+@functools.lru_cache(maxsize=64)
+def _rel_plan(N, identity):
+    """_site_rel's walk of identity, written as in _IDENTITIES: per term
+    the ufunc that adds it into the residual (None for the first, which is
+    written), its operators' names and their legs_plan (stacks with one
+    batch axis) or diagonal_plan."""
+    steps, add, factors = [], None, []
+    for token in identity.split() + ["+"]:
+        if token not in ("+", "-"):
+            name, st = token.split("@")
+            factors.append((name, int(st[0]), int(st[1])))
+            continue
+        ops = [k for k, _, _ in factors if k != "P"]
+        pattern = tuple((None if k == "P" else 1, s, t) for k, s, t in factors)
+        plan = (legs_plan(N, pattern) if len(ops) == 2
+                else diagonal_plan(pattern))
+        steps.append((add, ops, plan))
+        add, factors = {"+": np.add, "-": np.subtract}[token], []
+    return steps
+
+
+def _site_rel(N, identity, kernels, floor=0.0):
+    """sf.rel of an identity's first term plus or minus each later term
+    over the norm of each term and floor, one per sample; kernels maps its
+    operators' names to (n, N^2, N^2) stacks or (1, N^2, N^2) matrices.
+    _rel_plan resolves the walk once; each sum and norm takes one order
+    whatever n is.  A product of two operators is formed in the scratch
+    half of one buffer, normed there in its memory order when the next is
+    due (the last with the residual) and added into the C-ordered residual
+    in the other half.  A term T (x) 1 of one operator is added on the
+    identity leg's diagonal of the residual (diagonal_plan) with the bits
+    of adding its stack, and normed as sqrt(N) ||T||, all in one call."""
+    steps = _rel_plan(N, identity)
+    n = max(len(kernels[k]) for _, ops, _ in steps for k in ops)
+    stacks = np.empty((2 * n,) + (N,) * 6, dtype=complex)
+    scratch, residual = stacks[:n], stacks[n:]
+    scratch_norms, norms, lone, formed = norms_reader(scratch), [], [], False
+    for add, ops, plan in steps:
         if len(ops) == 1:
-            T = ops[0]
-            norms.append(math.sqrt(N) * stack_norms(
-                np.reshape(T, (-1, N ** 4))).reshape(np.shape(T)[:-2]))
-            X = np.reshape(T, np.shape(T)[:-2] + (N,) * 4 + (1,))
-            if sign == "=":
+            lone.append(kernels[ops[0]])
+            X = lone[-1].reshape((-1,) + (N,) * 4 + (1,))
+            if add is None:
                 residual[...] = 0.0
-            target = identity_diagonal(N, residual, *term)
+            target = np.einsum(plan, residual)
         else:
-            X = site_legs(N, *term, out=scratch)
-            norms.append(stack_norms(scratch[:X.size].reshape(-1, size))
-                         .reshape(X.shape[:-6]))
-            target = residual
-        if sign == "=":
+            if formed:
+                norms.append(scratch_norms())
+            X = legs_product(N, plan, kernels[ops[0]], kernels[ops[1]],
+                             out=scratch.reshape(n, plan[1][0], -1))
+            formed, target = True, residual
+        if add is None:
             target[...] = X
         else:
-            (np.add if sign == "+" else np.subtract)(target, X, out=target)
-    return sf.rel(stack_norms(residual.reshape(-1, size)).reshape(batch),
-                  *norms, floor)
+            add(target, X, out=target)
+    if lone:
+        # sqrt(N) times the largest norm is the largest of sqrt(N) times each
+        norms.append(math.sqrt(N) * functools.reduce(np.maximum,
+                                                     _norms(*lone)))
+    # the residual's norms, after the last product's if any, in one call
+    last = stack_norms(stacks[n * (not formed):].reshape(-1, N ** 6))
+    norms += [last[:n]] * formed
+    # the norms are not negative: their largest is sf.rel's scale
+    return sf.rel(last[-n:], functools.reduce(np.maximum, norms, floor))
 
 
 def _sample_entries(N):
     """Complex entries one certification sample holds at once: 2 (N^3 x
-    N^3) three-site stacks (_site_rel's residual and scratch, which only
+    N^3) three-site stacks (_site_rel's scratch and residual, which only
     products of two operators fill: a lone-operator term holds no N^6
     stack), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z,
     2 of its derivative, 4 r, 3 F^0, 3 m), and twice the theta series of
@@ -489,133 +539,64 @@ def _sample_entries(N):
         + 2 * 14 * (1 + 2 * N * N) * sf.series_terms(3)
 
 
-def _aybe(N, R12, R23, R13, R12b, R23b, R13b):
-    """Associative Yang-Baxter relation R12 R23 = R13 R12b + R23b R13b."""
-    return _site_rel(N, "--", [(R12, 0, 1), (R23, 1, 2)],
-                     [(R13, 0, 2), (R12b, 0, 1)], [(R23b, 1, 2), (R13b, 0, 2)])
-
-
-def _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y):
-    """Mixed relation between R^z and its argument derivative F^z."""
-    return _site_rel(N, "--+", [(Rzx, 0, 1), (Fzy, 1, 2)],
-                     [(Fzx, 0, 1), (Rzy, 1, 2)], [(F0y, 1, 2), (Rzxy, 0, 2)],
-                     [(Rzxy, 0, 2), (F0x, 0, 1)])
-
-
-def _mixed_rf_limit_y(family, Rzx, Fzx, Rzx2, rz, mz, F0x):
-    """The y -> 0 degeneration of the mixed relation; R^z(q) = r(z) P
-    + q m(z) P + O(q^2) near q = 0."""
-    return _site_rel(family.N, "--++",
-                     [(Rzx, 0, 1), (mz, 1, 2), (None, 1, 2)],
-                     [(Fzx, 0, 1), (rz, 1, 2), (None, 1, 2)],
-                     [(family.r1(), 1, 2), (Rzx, 0, 2)],
-                     [(Rzx, 0, 2), (F0x, 0, 1)],
-                     [(None, 1, 2), (0.5 * Rzx2, 0, 2)])
-
-
-def _mixed_rf_limit_x(family, Rzy, Fzy, Rzy2, rz, mz, F0y):
-    """The x -> 0 degeneration of the mixed relation."""
-    return _site_rel(family.N, "--+-",
-                     [(rz, 0, 1), (None, 0, 1), (Fzy, 1, 2)],
-                     [(mz, 0, 1), (None, 0, 1), (Rzy, 1, 2)],
-                     [(F0y, 1, 2), (Rzy, 0, 2)],
-                     [(Rzy, 0, 2), (family.r1(), 0, 1)],
-                     [(0.5 * Rzy2, 0, 2), (None, 0, 1)])
-
-
-def _q_product(N, Rzq, Rz_q, rz, rq, F0z, F0q):
-    """Opposite-argument product R^z(q) R^z(-q) in commutator form."""
-    return _site_rel(N, "-++-", [(Rzq, 0, 1), (Rz_q, 1, 2)],
-                     [(rz, 0, 2), (rq, 2, 1), (None, 0, 2)],
-                     [(rq, 2, 1), (rz, 0, 2), (None, 0, 2)],
-                     [(F0z, 0, 2), (None, 0, 2)], [(F0q, 2, 1), (None, 0, 2)])
-
-
-def _half_cybe(N, rz, rw, rzw, mz, mw, mzw):
-    """Half of the classical Yang-Baxter relation; the norm of the identity
-    on Mat(N)^3 floors the scale."""
-    return _site_rel(N, "-+---", [(rz, 0, 1), (rzw, 0, 2)],
-                     [(rw, 1, 2), (rz, 0, 1)], [(rzw, 0, 2), (rw, 1, 2)],
-                     [(mz, 0, 1)], [(mw, 1, 2)], [(mzw, 0, 2)],
-                     floor=np.sqrt(N ** 3))
-
-
-def _half_cybe_limit(family, rz, F0z, mz):
-    """The w -> 0 limit of the half classical Yang-Baxter relation."""
-    r0, m0 = family.r0(), family.m0()
-    return _site_rel(family.N, "-++---", [(rz, 0, 1), (rz, 0, 2)],
-                     [(r0, 1, 2), (rz, 0, 1)], [(rz, 0, 2), (r0, 1, 2)],
-                     [(F0z, 0, 2), (None, 1, 2)], [(mz, 0, 1)], [(m0, 1, 2)],
-                     [(mz, 0, 2)], floor=np.sqrt(family.N ** 3))
-
-
 def _certify_stack(family, hb, et, z, w, x, y):
     """Every sampled identity over the sample arrays hb, ..., y, with one
     family call per kernel and order (F^z as R(z, q, 1), F^0 as r(q, 1))
     over the stack of every argument it is read at: {name: residual per
     sample} and the measured (phi_tilde, E1_tilde).
 
-    Each call's stack is split back into named stacks.  The orders are
-    never merged into one call, since a joint call sums the theta series
-    to its highest order; within one order a stack of arguments gives each
-    row the bits of its own call."""
+    Each call's stack is split back into the named stacks the identities
+    read (_IDENTITIES).  The orders are never merged into one call, since
+    a joint call sums the theta series to its highest order; within one
+    order a stack of arguments gives each row the bits of its own call."""
     N, P = family.N, family._P
-    I2 = eye(N * N)
-    out = {}
-    (A, Ret_w, Ret_zw, Rhe_z, Reh_w, Rhb_zw, Rskew, Runit, Rfourier, Rwz,
-     Rzx, Rzy, Rzxy, Rz_x) = family.R(
-        np.stack([hb, et, et, hb - et, et - hb, hb, -hb, hb, z, w,
-                  z, z, z, z]),
-        np.stack([z, w, z + w, z, w, z + w, -z, -z, hb, z,
-                  x, y, x + y, -x]))
     xy = np.stack([x, y])
-    Fzx, Fzy = family.R(z, xy, 1)
-    Rzx2, Rzy2 = family.R(z, xy, 2)
-    rz, rx, rw, rzw = family.r(np.stack([z, x, w, z + w]))
-    F0x, F0y, F0z = family.r(np.stack([x, y, z]), 1)
-    mz, mw, mzw = family.m(np.stack([z, w, z + w]))
+    k = {}
+    for names, stack in (
+            ("A Ret_w Ret_zw Rhe_z Reh_w Rhb_zw Rskew Runit Rfourier Rwz Rzx "
+             "Rzy Rzxy Rz_x", family.R(
+                 np.stack([hb, et, et, hb - et, et - hb, hb, -hb, hb, z, w,
+                           z, z, z, z]),
+                 np.stack([z, w, z + w, z, w, z + w, -z, -z, hb, z,
+                           x, y, x + y, -x]))),
+            ("Fzx Fzy", family.R(z, xy, 1)), ("Rzx2 Rzy2", family.R(z, xy, 2)),
+            ("rz rx rw rzw", family.r(np.stack([z, x, w, z + w]))),
+            ("F0x F0y F0z", family.r(np.stack([x, y, z]), 1)),
+            ("mz mw mzw", family.m(np.stack([z, w, z + w])))):
+        k.update(zip(names.split(), stack))
+    k.update({"Rzx2/2": 0.5 * k["Rzx2"], "Rzy2/2": 0.5 * k["Rzy2"],
+              "r0": family.r0()[None], "r1": family.r1()[None],
+              "m0": family.m0()[None]})
+    A, Rfourier, Rwz = k["A"], k["Rfourier"], k["Rwz"]
 
-    out["aybe"] = _aybe(N, A, Ret_w, Ret_zw, Rhe_z, Reh_w, Rhb_zw)
-
-    # skew-symmetry
-    B = -embed(Rskew, 1, 0, N, 2)
-    out["skew_symmetry"] = sf.rel(*_norms(A - B, A, B))
-
-    # unitarity: product is scalar, scalar equals wp(hb) - wp(z)
-    prod = A @ embed(Runit, 1, 0, N, 2)
+    # skew-symmetry; unitarity: the product is scalar, and the scalar is
+    # wp(hb) - wp(z); Fourier symmetry
+    B = -embed(k["Rskew"], 1, 0, N, 2)
+    prod = A @ embed(k["Runit"], 1, 0, N, 2)
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
-    out["unitarity_scalar"] = sf.rel(
-        *_norms(prod - scal[..., None, None] * I2, prod))
+    lhs = A @ P
+    norms = _norms(A - B, A, B, prod - scal[..., None, None] * eye(N * N),
+                   prod, lhs - Rfourier, lhs, Rfourier)
+    out = {"skew_symmetry": sf.rel(*norms[:3]),
+           "unitarity_scalar": sf.rel(*norms[3:5]),
+           "fourier_symmetry": sf.rel(*norms[5:])}
     wp = sf.weierstrass_p(family.flavor, np.stack([hb, z]))
     target = wp[0] - wp[1]
     out["unitarity_value"] = sf.rel(scal - target, scal, target, 1.0)
 
-    # Fourier symmetry
-    lhs = A @ P
-    out["fourier_symmetry"] = sf.rel(*_norms(lhs - Rfourier, lhs, Rfourier))
-
     # partial traces are scalar; the measured functions are their traces
     tr = np.stack([partial_trace_1(Rwz), partial_trace_2(Rwz),
-                   partial_trace_1(rz)])
+                   partial_trace_1(k["rz"])])
     phit, e1t = np.trace(tr[::2], axis1=-2, axis2=-1) / N
     scal = np.stack([phit, phit, e1t])[..., None, None] * eye(N)
     res = sf.rel(*_norms(tr - scal, tr))
     out["trace_scalar"], out["trace_scalar_r"] = np.maximum(*res[:2]), res[2]
 
-    # mixed relation between R and its argument derivative, and its
-    # boundary degenerations
-    out["mixed_rf"] = _mixed_rf(N, Rzx, Fzx, Rzy, Fzy, Rzxy, F0x, F0y)
-    out["mixed_rf_limit_y"] = _mixed_rf_limit_y(
-        family, Rzx, Fzx, Rzx2, rz, mz, F0x)
-    out["mixed_rf_limit_x"] = _mixed_rf_limit_x(
-        family, Rzy, Fzy, Rzy2, rz, mz, F0y)
-
-    # opposite-argument product in commutator form, q = x
-    out["q_product"] = _q_product(N, Rzx, Rz_x, rz, rx, F0z, F0x)
-
-    # half of the classical Yang-Baxter relation and its w -> 0 limit
-    out["half_cybe"] = _half_cybe(N, rz, rw, rzw, mz, mw, mzw)
-    out["half_cybe_limit"] = _half_cybe_limit(family, rz, F0z, mz)
+    # the three-site identities; the norm of the identity on Mat(N)^3
+    # floors the scale of the classical Yang-Baxter halves
+    for name, identity in _IDENTITIES.items():
+        out[name] = _site_rel(N, identity, k, np.sqrt(N ** 3)
+                              if name.startswith("half_cybe") else 0.0)
     return out, (phit, e1t)
 
 

@@ -557,17 +557,21 @@ def regular_table(flavor, constants, z, orders, f=False):
                                             + (1,)))
 
 
-def sample_point(rng, flavor, eps=1e-2):
-    """One complex argument for identity sampling, uniform in the unit box
-    centered at 0.5 + 0.25i (rational, trigonometric) or in the cell spanned
-    by 1 and tau (elliptic), redrawn until it clears the margin eps (coarser
-    than the pole guard, so that sums and differences stay well-conditioned).
-    """
-    for _ in range(1000):
-        if flavor.kind == ELLIPTIC:
-            z = rng.random() + rng.random() * flavor.tau
-        else:
-            z = complex(rng.random(), rng.random() - 0.25)
+def _box_points(flavor, a, b):
+    """The points of the uniform doubles a and b, numbers or arrays alike:
+    a + b*tau in the cell spanned by 1 and tau (elliptic), else a + (b -
+    0.25)i in the unit box centered at 0.5 + 0.25i."""
+    return a + (b * flavor.tau if flavor.kind == ELLIPTIC
+                else 1j * (b - 0.25))
+
+
+def sample_point(rng, flavor, eps=1e-2, tries=1000):
+    """One complex argument for identity sampling, redrawn until it clears
+    the margin eps (coarser than the pole guard, so that sums and
+    differences stay well-conditioned), at most tries times: sample_tuple's
+    1-point case, as a number (pole_distance's scalar path)."""
+    for _ in range(tries):
+        z = _box_points(flavor, *rng.random(2).tolist())
         if pole_distance(flavor, z) > eps:
             return z
     raise DegenerateDraw("sampling failed to clear the pole margin")
@@ -582,18 +586,36 @@ def pairs(count):
     return i, j
 
 
-def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
-    """Draw count points such that they, their pairwise sums and differences
-    and their combinations with each coefficient row of extra clear eps."""
-    for _ in range(1000):
-        pts = [sample_point(rng, flavor, eps) for _ in range(count)]
-        p = np.array(pts)
-        i, j = pairs(count)
-        combos = np.concatenate([p, p[i] + p[j], p[i] - p[j],
-                                 np.reshape(extra, (-1, count)) @ p])
-        if np.all(pole_distance(flavor, combos) > eps):
-            return pts
-    raise DegenerateDraw("sampling failed to clear the pole margin")
+def sample_tuple(rng, flavor, count, eps=1e-2, extra=(), signs="+-",
+                 tries=1000):
+    """Draw count points as sample_point draws each such that their pairwise
+    sums (sign "+") and differences ("-") and their combinations with each
+    coefficient row of extra clear eps too, up to tries tuples: one
+    rng.random call (the same doubles as one call each) and one
+    pole_distance call a tuple, a point that fails taking the next point's
+    draw as sample_point would (for count < 1000)."""
+    i, j = pairs(count)
+    rows = np.reshape(extra, (-1, count))
+
+    def combos(p):
+        return np.concatenate([p, *[p[i] + p[j]] * ("+" in signs),
+                               *[p[i] - p[j]] * ("-" in signs), rows @ p])
+
+    for _ in range(tries):
+        u = rng.random(2 * count)
+        p = _box_points(flavor, u[0::2], u[1::2])
+        d = pole_distance(flavor, combos(p))
+        ok = d[:count] > eps
+        if not ok.all():
+            # the first point still missing has drawn the trailing failures
+            fails = count - 1 - max(np.flatnonzero(ok), default=-1)
+            p = np.array(p[ok].tolist() + [
+                sample_point(rng, flavor, eps, 1000 - fails * (m == 0))
+                for m in range(count - ok.sum())])
+            d = pole_distance(flavor, combos(p))
+        if np.all(d > eps):
+            return p.tolist()
+    raise DegenerateDraw("failed to draw pole-avoiding points")
 
 
 # --- certification engine ---------------------------------------------------

@@ -6,8 +6,9 @@ column j*N + l (0-based).  This is exactly numpy's kron ordering, and the
 same rule applied recursively flattens longer tensor products with the
 leftmost factor outermost.  embed places one two-site operator on two
 sites of Mat(N)^{x k}; site_legs multiplies two of them on Mat(N)^{x 3} as
-one batched matrix product over their legs, with no dense embedding, and
-identity_diagonal is the support of one of them times the identity there.
+one batched matrix product over their legs, with no dense embedding, as
+legs_plan resolves once per pattern, and diagonal_plan gives the support of
+one of them times the identity there.
 """
 
 import cmath
@@ -142,10 +143,16 @@ def stack_norms(X):
     frobenius_norm of a C-contiguous X[k]: the BLAS dot products of its
     real and of its imaginary part, one pair per sample, so that a
     sample's norm does not depend on the stack it sits in."""
-    X = np.ascontiguousarray(X).reshape(len(X), 1, -1)
+    return norms_reader(np.ascontiguousarray(X))()
+
+
+def norms_reader(X):
+    """stack_norms of what the C-contiguous stack X holds at each call: a
+    buffer refilled many times forms its views once."""
+    X = X.reshape(len(X), 1, -1)
     re, im = X.real, X.imag
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
-                   .reshape(-1))
+    ret, imt = re.swapaxes(1, 2), im.swapaxes(1, 2)
+    return lambda: np.sqrt((re @ ret + im @ imt).reshape(-1))
 
 
 def embed(T, s, t, N, k):
@@ -183,14 +190,14 @@ def _wires(factors):
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(N, pattern):
-    """The steps of site_legs for factors of this pattern, one (b, s, t)
-    per factor: its number of batch axes, or None for a swap, and its sites.
-
-    Returns each operator's axis order and matrix shape for one batched
-    product over the legs they share, e.g. (R_12 R_23)[abc, def] = sum_g
-    R_12[ab, dg] R_23[gc, ef] as (n, N^3, N) @ (n, N, N^3), then the axis
-    order of the result."""
+def legs_plan(N, pattern):
+    """The plan of a product on Mat(N)^{x 3} of factors (b, s, t), each a
+    two-site operator with b batch axes on the sites s and t or (None, s,
+    t), a swap of them, and two operators that name every site: one batched
+    matrix product over the legs they share (legs_product), e.g. (R_12
+    R_23)[abc, def] = sum_g R_12[ab, dg] R_23[gc, ef] as (n, N^3, N) @ (n,
+    N, N^3), each one's axis order and matrix shape, then the axis order of
+    the product's legs."""
     wire, ops = _wires(pattern)
     if len(ops) != 2 or len({*ops[0][0], *ops[1][0]}) != 3:
         raise ValueError("site_legs multiplies two operators that name "
@@ -212,48 +219,42 @@ def _plan(N, pattern):
             (*range(b), *(b + a for a in final)))
 
 
-def site_legs(N, *factors, out=None):
-    """The left-to-right product of factors on Mat(N)^{x 3}, two operators
-    that name every site and any swaps, with its row and column legs apart.
+@functools.lru_cache(maxsize=256)
+def diagonal_plan(pattern):
+    """The einsum subscripts of the writable view of legs laid out as by
+    legs_product on which T (x) 1 can be nonzero, one operator T and swaps
+    (a legs_plan pattern, _wires): T's legs [..., i_s, i_t, j_s, j_t], then
+    the other site's row leg.  np.add(view, T, out=view), T broadcast over
+    its last axis, adds T (x) 1 with the bits of adding the dense stack."""
+    wire, [(sites, _)] = _wires(pattern)
+    rows, cols = "abc", "def"
+    col = [cols[q] if q in sites else rows[q] for q in range(3)]
+    rest = "".join(rows[q] for q in range(3) if q not in sites)
+    return (f"...{rows}{''.join(col[w] for w in wire)}->..."
+            f"{rows[sites[0]]}{rows[sites[1]]}{cols[sites[0]]}"
+            f"{cols[sites[1]]}{rest}")
 
-    A factor (T, s, t) is the two-site (..., N^2, N^2) matrix or stack T
-    with its first tensor factor on site s and its second on site t;
-    (None, s, t) swaps the sites s and t, which only relabels legs.  The
-    result is a transposed view of one batched matrix product over the legs
-    the operators share (_plan), which fills the leading entries of the
-    flat complex array out if given."""
-    xo, xshape, yo, yshape, final = _plan(N, tuple(
-        (None if T is None else np.ndim(T) - 2, int(s), int(t))
-        for T, s, t in factors))
-    X, Y = (np.reshape(T, np.shape(T)[:-2] + (N,) * 4)
-            for T, *_ in factors if T is not None)
-    X = X.transpose(xo).reshape(X.shape[:-4] + xshape)
-    Y = Y.transpose(yo).reshape(Y.shape[:-4] + yshape)
-    if out is not None:
-        shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2]) + (
-            xshape[0], yshape[1])
-        out = out[:math.prod(shape)].reshape(shape)
+
+def legs_product(N, plan, X, Y, out=None):
+    """The product of the operators X and Y of a legs_plan, its row and
+    column legs apart: a view of one batched matrix product, written into
+    out if given (an array of the product's batch and matrix shape)."""
+    xo, xshape, yo, yshape, final = plan
+    X = X.reshape(X.shape[:-2] + (N,) * 4).transpose(xo).reshape(
+        X.shape[:-2] + xshape)
+    Y = Y.reshape(Y.shape[:-2] + (N,) * 4).transpose(yo).reshape(
+        Y.shape[:-2] + yshape)
     legs = np.matmul(X, Y, out=out)
     return legs.reshape(legs.shape[:-2] + (N,) * 6).transpose(final)
 
 
-def identity_diagonal(N, legs, *factors):
-    """The entries of legs, (..., N^3 legs, N^3 legs) laid out as site_legs
-    lays out a product on Mat(N)^{x 3}, on which the product of factors,
-    one operator T and swaps, can be nonzero: T (x) 1 with its columns
-    permuted by the swaps (_wires).  The view has T's legs [..., i_s, i_t,
-    j_s, j_t] then the other site's leg, whose column leg is its row leg: a
-    writable einsum view (a subscript repeated on one operand), so that
-    np.add(view, T, out=view), T broadcast over the last axis, adds the
-    product into legs with no N^6 stack and the bits of adding the dense
-    T (x) 1."""
-    wire, [(sites, _)] = _wires(factors)
-    rows, cols = "abc", "def"
-    col = [cols[q] if q in sites else rows[q] for q in range(3)]
-    rest = "".join(rows[q] for q in range(3) if q not in sites)
-    return np.einsum(f"...{rows}{''.join(col[w] for w in wire)}->..."
-                     f"{rows[sites[0]]}{rows[sites[1]]}{cols[sites[0]]}"
-                     f"{cols[sites[1]]}{rest}", legs)
+def site_legs(N, *factors):
+    """legs_product under their legs_plan of factors (T, s, t) on Mat(N)^{x
+    3}, two-site (..., N^2, N^2) matrices or stacks T on the sites s and t
+    or swaps (None, s, t), left to right, two operators naming every site."""
+    return legs_product(N, legs_plan(N, tuple(
+        (None if T is None else np.ndim(T) - 2, s, t) for T, s, t in factors)),
+        *(np.asarray(T) for T, _, _ in factors if T is not None))
 
 
 def as_block_grid(A, M, N):

@@ -13,7 +13,8 @@ flow for rank-1 spin, the Lax matrix L(z) and its accompanying M(z), the
 R-matrix-valued Lax pair, the per-sector scalar functions against
 specfun.sector_table, the sector functions from mpmath's theta at 30
 digits, the sector labels as (a1, a2) tuples over the columns of
-specfun.sector_rows, and small helpers on the package's types.
+specfun.sector_rows, the sampling draws one point at a time, and small
+helpers on the package's types.
 """
 
 import cmath
@@ -24,7 +25,8 @@ import numpy as np
 from toplax import dynamics as dy
 from toplax import model as md
 from toplax import specfun as sf
-from toplax.errors import ConstraintDrift, ConstraintViolation, PoleProximity
+from toplax.errors import (ConstraintDrift, ConstraintViolation,
+                           DegenerateDraw, PoleProximity)
 from toplax.tensor import op_contract, permutation_P
 
 
@@ -208,6 +210,46 @@ def cm_rmx_lax(q, p, nu, family, z):
     L_ab = d_ab p_a 1 + nu (1 - d_ab) R^z_ab(q_a - q_b) and
     Mbar = M - nu 1_M x F0_total."""
     return md._cm_rmx(q, p, nu, family, z)[:2]
+
+
+# --- sampling, one point at a time -------------------------------------------
+
+def sample_point(rng, flavor, eps=1e-2):
+    """specfun.sample_point as two scalar draws a point, redrawn until it
+    clears eps, at most 1000 times."""
+    for _ in range(1000):
+        if flavor.kind == sf.ELLIPTIC:
+            z = rng.random() + rng.random() * flavor.tau
+        else:
+            z = complex(rng.random(), rng.random() - 0.25)
+        if sf.pole_distance(flavor, z) > eps:
+            return z
+    raise DegenerateDraw("sampling failed to clear the pole margin")
+
+
+def sample_tuple(rng, flavor, count, eps=1e-2, extra=()):
+    """specfun.sample_tuple as count sample_point draws a tuple, up to
+    1000 tuples."""
+    for _ in range(1000):
+        pts = [sample_point(rng, flavor, eps) for _ in range(count)]
+        p = np.array(pts)
+        i, j = sf.pairs(count)
+        combos = np.concatenate([p, p[i] + p[j], p[i] - p[j],
+                                 np.reshape(extra, (-1, count)) @ p])
+        if np.all(sf.pole_distance(flavor, combos) > eps):
+            return pts
+    raise DegenerateDraw("sampling failed to clear the pole margin")
+
+
+def random_positions(family, M, rng, margin=0.05):
+    """model.random_positions as M sample_point draws a tuple, every
+    ordered pairwise difference checked, up to 2000 tuples."""
+    for _ in range(2000):
+        q = [sample_point(rng, family.flavor, eps=margin) for _ in range(M)]
+        diff = np.subtract.outer(q, q)[~np.eye(M, dtype=bool)]
+        if np.all(family.pole_distance(diff) > margin):
+            return tuple(q)
+    raise DegenerateDraw("failed to draw pole-avoiding positions")
 
 
 # --- the dense dynamical r-matrix --------------------------------------------

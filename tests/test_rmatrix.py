@@ -900,6 +900,43 @@ def test_certify_stack_one_call_per_kernel_and_order(family_calls,
     assert len(wp_calls) == 1
 
 
+@pytest.mark.parametrize("n", [1, 5])
+def test_certify_stack_set_up_per_chunk(monkeypatch, n):
+    # a chunk norms in 31 stack_norms calls whatever its size, where one
+    # call a term took 52: each identity's lone terms in one, each product
+    # when the next is due and the last with the residual, and the dense
+    # identities' N^2 x N^2 and N x N matrices in one each.  The first
+    # chunk resolves the 7 walks, the 10 product plans and the 8 plans of
+    # one operator; a later one looks up its 7 walks and no plan
+    fam = rm.make_family("bb", N=2, tau=0.3 + 0.8j)
+    samples = np.array(_certify_draws(fam, n, 0)).T
+    calls = []
+    reader = tn.norms_reader
+
+    def counted(X):
+        read = reader(X)
+
+        def norms():
+            calls.append(1)
+            return read()
+        return norms
+
+    monkeypatch.setattr(tn, "norms_reader", counted)
+    monkeypatch.setattr(rm, "norms_reader", counted)
+    plans = (rm._rel_plan, tn.legs_plan, tn.diagonal_plan)
+    for plan in plans:
+        plan.cache_clear()
+    rm._certify_stack(fam, *samples)
+    assert [plan.cache_info().misses for plan in plans] == [7, 10, 8]
+    del calls[:]
+    before = [plan.cache_info() for plan in plans]
+    rm._certify_stack(fam, *samples)
+    assert len(calls) == 31
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(
+        [plan.cache_info() for plan in plans], before)] == [(7, 0), (0, 0),
+                                                            (0, 0)]
+
+
 def test_certify_bb_sums_ten_sector_tables(monkeypatch, theta_calls):
     # bb N = 3 at 6 samples, one chunk: 7 tables in the chunk (R at orders
     # 0, 1 and 2 and the Weierstrass function from sector_table, r at 0 and
@@ -1008,14 +1045,27 @@ LONE_TERMS = [
 ]
 
 
+def _pattern(term):
+    """The tensor.legs_plan pattern of a term of arrays and swaps."""
+    return tuple((None if T is None else np.ndim(T) - 2, s, t)
+                 for T, s, t in term)
+
+
+def _written(pattern):
+    """A term as rm._IDENTITIES writes it, its operator named T."""
+    return " ".join(f"{'P' if X is None else 'T'}@{s}{t}"
+                    for X, s, t in pattern)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("batch", [(), (1,), (5,)])
 @pytest.mark.parametrize("name, pattern", LONE_TERMS)
 def test_lone_terms_match_the_dense_product(name, pattern, batch, N):
     # a lone term added on the identity leg's diagonal (as _site_rel adds
-    # it) gives the residual of adding its dense N^6 stack (the einsum
-    # oracle, T times the identity) bit for bit, and alone in _site_rel
-    # its norm sqrt(N) ||T|| is that stack's norm to 1e-15
+    # it, through the view of its diagonal_plan) gives the residual of adding
+    # its dense N^6 stack (the einsum oracle, T times the identity) bit for
+    # bit, and alone in _site_rel its norm sqrt(N) ||T|| is that stack's
+    # norm to 1e-15
     rng = np.random.default_rng(N)
 
     def draw(shape):
@@ -1027,12 +1077,13 @@ def test_lone_terms_match_the_dense_product(name, pattern, batch, N):
     start = draw(batch + (N,) * 6)
     for op in (np.add, np.subtract):
         got = start.copy()
-        view = tn.identity_diagonal(N, got, *term)
+        view = np.einsum(tn.diagonal_plan(_pattern(term)), got)
         op(view, T.reshape(T.shape[:-2] + (N,) * 4 + (1,)), out=view)
         want = op(start, dense)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    rel = rm._site_rel(N, "", term)
-    assert rel.shape == T.shape[:-2]
+    rel = rm._site_rel(N, _written(pattern),
+                       {"T": T.reshape(-1, N * N, N * N)})
+    assert rel.shape == (int(np.prod(T.shape[:-2])),)
     assert np.all(np.abs(rel - 1.0) <= 1e-15)
 
 
@@ -1061,29 +1112,38 @@ def test_product_terms_match_the_oracle(pattern, N):
     def draw(shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    shapes = iter([(5, N * N, N * N), (N * N, N * N)])
-    term = [(None if X is None else draw(next(shapes)), s, t)
-            for X, s, t in pattern]
-    want = rf.site_product(N, 3, *term)
-    got = tn.site_legs(N, *term).reshape(want.shape)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # the matrix as a matrix, and as a stack of one as _site_rel passes it
+    for matrix in ((N * N, N * N), (1, N * N, N * N)):
+        shapes = iter([(5, N * N, N * N), matrix])
+        term = [(None if X is None else draw(next(shapes)), s, t)
+                for X, s, t in pattern]
+        want = rf.site_product(N, 3, *term)
+        got = tn.legs_product(N, tn.legs_plan(N, _pattern(term)),
+                              *(T for T, *_ in term if T is not None))
+        got = got.reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_site_rel_forms_the_listed_terms(monkeypatch):
     # the terms of every identity of certify are those of PRODUCT_TERMS and
-    # LONE_TERMS, so that the tests above cover each
+    # LONE_TERMS, so that the tests above cover each: every term _site_rel
+    # walks is planned by legs_plan when its identity's walk is resolved
     seen = set()
 
-    def recorded(f):
-        def call(N, *args, **kwargs):
-            seen.add(tuple((None if T is None else "T", s, t)
-                           for T, s, t in args[f is tn.identity_diagonal:]))
-            return f(N, *args, **kwargs)
+    def recorded(plan):
+        def call(*args):
+            seen.add(tuple((b if b is None else "T", s, t)
+                           for b, s, t in args[-1]))
+            return plan(*args)
         return call
 
-    for f in (tn.site_legs, tn.identity_diagonal):
-        monkeypatch.setattr(rm, f.__name__, recorded(f))
-    rm.certify(rm.make_family("xxx", N=2), 2, seed=0, tol=1e-8)
+    for plan in (tn.legs_plan, tn.diagonal_plan):
+        monkeypatch.setattr(rm, plan.__name__, recorded(plan))
+    rm._rel_plan.cache_clear()
+    try:
+        rm.certify(rm.make_family("xxx", N=2), 2, seed=0, tol=1e-8)
+    finally:
+        rm._rel_plan.cache_clear()
     assert seen == {tuple(p) for p in PRODUCT_TERMS} \
         | {tuple(p) for _, p in LONE_TERMS}
 
@@ -1125,15 +1185,17 @@ def test_classical_expansion_finds_a_perturbed_m(key):
 def test_certify_chunks_give_the_same_report(monkeypatch, key, N):
     # one sample per stack and 37 per stack give the report of the default
     # stacks, byte for byte: of one stack of 5 samples, and on bb of 200 at
-    # N = 3 and 60 at N = 5 (31 and 3 at a time); every kernel matrix is
-    # evaluated per element, with the bits of that element in a stack of
-    # any size, and a bb sector sum over one row is taken as a
+    # N = 2 and N = 3 and 60 at N = 5 (several default stacks); every
+    # kernel matrix is evaluated per element, with the bits of that element
+    # in a stack of any size, and a bb sector sum over one row is taken as a
     # matrix-matrix product too
     fam = rm.make_family(key, N=N, tau=0.3 + 0.8j, C=0.7 + 0.2j)
-    for n in {("bb", 3): (5, 200), ("bb", 5): (60,)}.get((key, N), (5,)):
+    for n in {("bb", 2): (5, 200), ("bb", 3): (5, 200),
+              ("bb", 5): (60,)}.get((key, N), (5,)):
         monkeypatch.undo()
         whole = rm.certify(fam, n, seed=6, tol=1e-8)
-        for size in (1, 37):
+        # bb N = 2 at 200 samples also in 20 chunks of 10 and in one stack
+        for size in (1, 37) + (10, 200) * ((key, N, n) == ("bb", 2, 200)):
             monkeypatch.setattr(tn, "CERTIFY_BYTES",
                                 size * 16 * rm._sample_entries(N))
             assert rm.certify(fam, n, seed=6, tol=1e-8) == whole, (n, size)

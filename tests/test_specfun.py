@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
+from toplax import model as md
+from toplax import rmatrix as rm
 from toplax import specfun as sf
 from toplax import tensor as tn
 from toplax.errors import (BadModulus, DegenerateDraw, PoleProximity,
@@ -762,6 +764,86 @@ def test_sample_point_avoids_poles():
     for _ in range(50):
         z = sf.sample_point(rng, fl)
         assert sf.pole_distance(fl, z) > 1e-2
+
+
+# a flavor each, a family of it for model.random_positions, and a margin
+# wide enough that points and tuples are redrawn, yet most draws succeed
+SAMPLED = [(sf.Flavor.rational(), "xxx", 0.3),
+           (sf.Flavor.trigonometric(), "7v", 0.3),
+           (sf.Flavor.elliptic(0.3 + 0.8j), "bb", 0.2)]
+CERTIFY_EXTRA = [(1, -1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)]
+
+
+def _drawn(draw, seed, *args):
+    """The bits of what draw(rng, *args) returns (or DegenerateDraw) and
+    how many doubles it took from rng, a generator seeded by seed."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = np.array(draw(rng, *args), dtype=complex, ndmin=1).view(np.uint64)
+        out = tuple(out.tolist())
+    except DegenerateDraw:
+        out = DegenerateDraw
+    after = rng.random()
+    doubles = np.random.default_rng(seed).random(1 << 16)
+    return out, int(np.flatnonzero(doubles == after)[0])
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("flavor, key, eps", SAMPLED,
+                         ids=[flavor.kind for flavor, *_ in SAMPLED])
+def test_bulk_draws_are_the_per_point_draws(flavor, key, eps, wide):
+    # sample_tuple draws a tuple's doubles with one rng.random call and
+    # checks it with one pole_distance call, sample_point and
+    # random_positions being its 1- and M-point cases: on 200 seeds the
+    # points are, bit for bit, those of the per-point draws of the
+    # reference, and the generator stands where the reference leaves it,
+    # at the default margins and at a wide margin eps, where points and
+    # tuples are redrawn
+    family = rm.make_family(key, N=2, tau=flavor.tau, C=0.7 + 0.2j)
+
+    def positions(draw):
+        return lambda rng, M, margin: draw(family, M, rng, margin)
+
+    def margin(default):
+        return eps if wide else default
+
+    # (ours, the reference, their arguments after rng, points drawn)
+    cases = [(sf.sample_point, rf.sample_point, (flavor, margin(1e-2)), 1),
+             (sf.sample_tuple, rf.sample_tuple,
+              (flavor, 4, margin(0.05), CERTIFY_EXTRA), 4),
+             (sf.sample_tuple, rf.sample_tuple,
+              (flavor, 2, margin(0.05), [(1, 1)]), 2),
+             (sf.sample_tuple, rf.sample_tuple, (flavor, 4, margin(1e-2)), 4),
+             (positions(md.random_positions), positions(rf.random_positions),
+              (3, margin(0.05)), 3)]
+    redrawn = 0
+    for seed in range(200):
+        for ours, theirs, args, points in cases:
+            got, want = _drawn(ours, seed, *args), _drawn(theirs, seed, *args)
+            assert got == want, (seed, args)
+            redrawn += want[1] > 2 * points
+    assert redrawn > (200 if wide else 0)
+
+
+@pytest.mark.parametrize("flavor, key, eps", SAMPLED,
+                         ids=[flavor.kind for flavor, *_ in SAMPLED])
+def test_bulk_draws_give_up_as_the_per_point_draws(flavor, key, eps):
+    # a margin no point clears gives up after the first point's 1000 draws,
+    # and a combination always on a pole (the row 0) after 1000 tuples;
+    # each leaves the generator where the reference leaves it
+    family = rm.make_family(key, N=2, tau=flavor.tau, C=0.7 + 0.2j)
+    for ours, theirs, args, doubles in [
+            (sf.sample_point, rf.sample_point, (flavor, 10.0), 2000),
+            (sf.sample_tuple, rf.sample_tuple, (flavor, 3, 10.0), 2000),
+            (sf.sample_tuple, rf.sample_tuple, (flavor, 3, 0.05, [(0,) * 3]),
+             6000)]:
+        got, want = _drawn(ours, 0, *args), _drawn(theirs, 0, *args)
+        assert got == want and got[0] is DegenerateDraw
+        # 2 doubles a draw, and the tuples' points are redrawn at times
+        assert got[1] >= doubles
+    got, want = (_drawn(lambda rng: f(family, 3, rng, 10.0), 0)
+                 for f in (md.random_positions, rf.random_positions))
+    assert got == want and got[0] is DegenerateDraw and got[1] == 2000
 
 
 def test_sector_draw_gives_up(monkeypatch):

@@ -286,9 +286,14 @@ def test_site_legs_against_einsum_oracle():
         got = got.reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
             (kinds, N)
-        # into a buffer's leading entries, the same values
+        # its plan's product into a buffer's leading entries, the same
+        # values
+        plan = tn.legs_plan(N, tuple((None if T is None else T.ndim - 2, s, t)
+                                     for T, s, t in factors))
         out = np.full(want.size + 3, np.nan, dtype=complex)
-        legs = tn.site_legs(N, *factors, out=out)
+        legs = tn.legs_product(
+            N, plan, *(T for T, *_ in factors if T is not None),
+            out=out[:want.size].reshape(want.shape[:-2] + (plan[1][0], -1)))
         assert np.shares_memory(legs, out) and np.isnan(out[-3:]).all()
         assert np.array_equal(legs.reshape(want.shape), got), kinds
     assert seen == {("stack", True), ("stack", False), ("reversed", True),
