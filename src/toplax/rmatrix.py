@@ -526,9 +526,9 @@ def _site_rel(N, identity, kernels, floor=0.0):
 
 def _sample_entries(N):
     """Complex entries one certification sample holds at once: 2 (N^3 x
-    N^3) three-site stacks (_site_rel's scratch and residual, which only
-    products of two operators fill: a lone-operator term holds no N^6
-    stack), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z,
+    N^3) three-site stacks (the scratch and residual halves of _site_rel's
+    buffer; a lone-operator term holds no N^6 stack, and an identity's
+    norms no copy of one), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z,
     2 of its derivative, 4 r, 3 F^0, 3 m), and twice the theta series of
     its largest family call, bb's R at order 0 over 14 pairs, counted as
     1 + 2 N^2 arguments of 2K terms each, K as at MIN_IM_TAU (the other
