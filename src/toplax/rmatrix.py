@@ -450,8 +450,7 @@ _IDENTITIES = {
 
 
 def _norms(*mats):
-    """Frobenius norms of the matrices of each (..., m, m) stack, all of
-    one m, over its leading axes, for sf.rel: one stack_norms call."""
+    """The norms of each stack's m x m matrices, one m, in one call."""
     sizes = [T.size // T.shape[-1] ** 2 for T in mats]
     norms = stack_norms(np.concatenate([T.reshape(size, -1)
                                         for T, size in zip(mats, sizes)]))
@@ -480,32 +479,32 @@ def _rel_plan(N, identity):
     return steps
 
 
-def _site_rel(N, identity, kernels, floor=0.0):
+def _site_rel(N, identity, kernels, norms, floor=0.0):
     """sf.rel of an identity's first term plus or minus each later term
     over the norm of each term and floor, one per sample; kernels maps its
-    operators' names to (n, N^2, N^2) stacks or (1, N^2, N^2) matrices.
-    _rel_plan resolves the walk once; each sum and norm takes one order
-    whatever n is.  A product of two operators is formed in the scratch
-    half of one buffer, normed there in its memory order when the next is
-    due (the last with the residual) and added into the C-ordered residual
-    in the other half.  A term T (x) 1 of one operator is added on the
-    identity leg's diagonal of the residual (diagonal_plan) with the bits
-    of adding its stack, and normed as sqrt(N) ||T||, all in one call."""
+    operators' names to (n, N^2, N^2) stacks or (1, N^2, N^2) matrices,
+    norms those of its lone terms (_lone) to their norms.  _rel_plan
+    resolves the walk once.  A product of two operators is formed in the
+    scratch half of one buffer, normed there in its memory order when the
+    next is due (the last with the residual) and added into the C-ordered
+    residual in the other half.  A lone term T (x) 1 is added on the
+    identity leg's diagonal (diagonal_plan) with the bits of adding its
+    stack; its norm is sqrt(N) ||T||."""
     steps = _rel_plan(N, identity)
     n = max(len(kernels[k]) for _, ops, _ in steps for k in ops)
     stacks = np.empty((2 * n,) + (N,) * 6, dtype=complex)
     scratch, residual = stacks[:n], stacks[n:]
-    scratch_norms, norms, lone, formed = norms_reader(scratch), [], [], False
+    scratch_norms, scale, lone, formed = norms_reader(scratch), [], [], False
     for add, ops, plan in steps:
         if len(ops) == 1:
-            lone.append(kernels[ops[0]])
-            X = lone[-1].reshape((-1,) + (N,) * 4 + (1,))
+            lone.append(norms[ops[0]])
+            X = kernels[ops[0]].reshape((-1,) + (N,) * 4 + (1,))
             if add is None:
                 residual[...] = 0.0
             target = np.einsum(plan, residual)
         else:
             if formed:
-                norms.append(scratch_norms())
+                scale.append(scratch_norms())
             X = legs_product(N, plan, kernels[ops[0]], kernels[ops[1]],
                              out=scratch.reshape(n, plan[1][0], -1))
             formed, target = True, residual
@@ -515,20 +514,26 @@ def _site_rel(N, identity, kernels, floor=0.0):
             add(target, X, out=target)
     if lone:
         # sqrt(N) times the largest norm is the largest of sqrt(N) times each
-        norms.append(math.sqrt(N) * functools.reduce(np.maximum,
-                                                     _norms(*lone)))
+        scale.append(math.sqrt(N) * functools.reduce(np.maximum, lone))
     # the residual's norms, after the last product's if any, in one call
     last = stack_norms(stacks[n * (not formed):].reshape(-1, N ** 6))
-    norms += [last[:n]] * formed
+    scale += [last[:n]] * formed
     # the norms are not negative: their largest is sf.rel's scale
-    return sf.rel(last[-n:], functools.reduce(np.maximum, norms, floor))
+    return sf.rel(last[-n:], functools.reduce(np.maximum, scale, floor))
+
+
+@functools.lru_cache(maxsize=16)
+def _lone(N):
+    """The names of the kernels that the identities' lone terms read."""
+    return sorted({ops[0] for identity in _IDENTITIES.values()
+                   for _, ops, _ in _rel_plan(N, identity) if len(ops) == 1})
 
 
 def _sample_entries(N):
     """Complex entries one certification sample holds at once: 2 (N^3 x
     N^3) three-site stacks (the scratch and residual halves of _site_rel's
-    buffer; a lone-operator term holds no N^6 stack, and an identity's
-    norms no copy of one), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z,
+    buffer; a lone-operator term holds no N^6 stack, and no norm a copy of
+    one), the 28 N^2 x N^2 kernel stacks of _certify_stack (14 R, 2 F^z,
     2 of its derivative, 4 r, 3 F^0, 3 m), and twice the theta series of
     its largest family call, bb's R at order 0 over 14 pairs, counted as
     1 + 2 N^2 arguments of 2K terms each, K as at MIN_IM_TAU (the other
@@ -559,27 +564,27 @@ def _certify_stack(family, hb, et, z, w, x, y):
                            z, z, z, z]),
                  np.stack([z, w, z + w, z, w, z + w, -z, -z, hb, z,
                            x, y, x + y, -x]))),
-            ("Fzx Fzy", family.R(z, xy, 1)), ("Rzx2 Rzy2", family.R(z, xy, 2)),
+            ("Fzx Fzy", family.R(z, xy, 1)),
+            ("Rzx2/2 Rzy2/2", 0.5 * family.R(z, xy, 2)),
             ("rz rx rw rzw", family.r(np.stack([z, x, w, z + w]))),
             ("F0x F0y F0z", family.r(np.stack([x, y, z]), 1)),
             ("mz mw mzw", family.m(np.stack([z, w, z + w])))):
         k.update(zip(names.split(), stack))
-    k.update({"Rzx2/2": 0.5 * k["Rzx2"], "Rzy2/2": 0.5 * k["Rzy2"],
-              "r0": family.r0()[None], "r1": family.r1()[None],
-              "m0": family.m0()[None]})
+    k.update(r0=family.r0()[None], r1=family.r1()[None],
+             m0=family.m0()[None])
     A, Rfourier, Rwz = k["A"], k["Rfourier"], k["Rwz"]
 
-    # skew-symmetry; unitarity: the product is scalar, and the scalar is
-    # wp(hb) - wp(z); Fourier symmetry
+    # skew-symmetry, unitarity (the product is the scalar wp(hb) - wp(z))
+    # and Fourier symmetry, normed with the kernels of the lone terms
     B = -embed(k["Rskew"], 1, 0, N, 2)
     prod = A @ embed(k["Runit"], 1, 0, N, 2)
     scal = np.trace(prod, axis1=-2, axis2=-1) / (N * N)
     lhs = A @ P
     norms = _norms(A - B, A, B, prod - scal[..., None, None] * eye(N * N),
-                   prod, lhs - Rfourier, lhs, Rfourier)
+                   prod, lhs - Rfourier, lhs, Rfourier, *map(k.get, _lone(N)))
     out = {"skew_symmetry": sf.rel(*norms[:3]),
            "unitarity_scalar": sf.rel(*norms[3:5]),
-           "fourier_symmetry": sf.rel(*norms[5:])}
+           "fourier_symmetry": sf.rel(*norms[5:8])}
     wp = sf.weierstrass_p(family.flavor, np.stack([hb, z]))
     target = wp[0] - wp[1]
     out["unitarity_value"] = sf.rel(scal - target, scal, target, 1.0)
@@ -594,8 +599,9 @@ def _certify_stack(family, hb, et, z, w, x, y):
 
     # the three-site identities; the norm of the identity on Mat(N)^3
     # floors the scale of the classical Yang-Baxter halves
+    lone = dict(zip(_lone(N), norms[8:]))
     for name, identity in _IDENTITIES.items():
-        out[name] = _site_rel(N, identity, k, np.sqrt(N ** 3)
+        out[name] = _site_rel(N, identity, k, lone, np.sqrt(N ** 3)
                               if name.startswith("half_cybe") else 0.0)
     return out, (phit, e1t)
 

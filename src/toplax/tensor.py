@@ -5,8 +5,8 @@ operator e_ij (x) e_kl has its single nonzero entry at row i*N + k,
 column j*N + l (0-based).  This is exactly numpy's kron ordering, and the
 same rule applied recursively flattens longer tensor products with the
 leftmost factor outermost.  embed places one two-site operator on two
-sites of Mat(N)^{x k}; site_legs multiplies two of them on Mat(N)^{x 3} as
-one batched matrix product over their legs, with no dense embedding, as
+sites of Mat(N)^{x k}; legs_product multiplies two of them on Mat(N)^{x 3}
+as one batched matrix product over their legs, with no dense embedding, as
 legs_plan resolves once per pattern, and diagonal_plan gives the support of
 one of them times the identity there.
 """
@@ -196,11 +196,11 @@ def legs_plan(N, pattern):
     t), a swap of them, and two operators that name every site: one batched
     matrix product over the legs they share (legs_product), e.g. (R_12
     R_23)[abc, def] = sum_g R_12[ab, dg] R_23[gc, ef] as (n, N^3, N) @ (n,
-    N, N^3), each one's axis order and matrix shape, then the axis order of
-    the product's legs."""
+    N, N^3), each one's axis order (None for its own) and matrix shape, then
+    the axis order of the product's legs."""
     wire, ops = _wires(pattern)
     if len(ops) != 2 or len({*ops[0][0], *ops[1][0]}) != 3:
-        raise ValueError("site_legs multiplies two operators that name "
+        raise ValueError("a product of legs has two operators that name "
                          "every site of Mat(N)^{x 3}")
     (xs, bx), (ys, by) = ops
     # the axes of the product, ("r", leg) a row, ("c", leg) a column; X's
@@ -212,9 +212,11 @@ def legs_plan(N, pattern):
     axes, b = left + right, max(bx, by)
     final = [axes.index(("r", i)) for i in range(3)] \
         + [axes.index(("c", w)) for w in wire]
-    return ((*range(bx), *(bx + X.index(a) for a in left + inner)),
+    xo, yo = ((*range(c), *(c + U.index(a) for a in legs)) for c, U, legs
+              in ((bx, X, left + inner), (by, Y, inner + right)))
+    return (None if xo == tuple(sorted(xo)) else xo,
             (N ** len(left), N ** len(inner)),
-            (*range(by), *(by + Y.index(a) for a in inner + right)),
+            None if yo == tuple(sorted(yo)) else yo,
             (N ** len(inner), N ** len(right)),
             (*range(b), *(b + a for a in final)))
 
@@ -224,8 +226,8 @@ def diagonal_plan(pattern):
     """The einsum subscripts of the writable view of legs laid out as by
     legs_product on which T (x) 1 can be nonzero, one operator T and swaps
     (a legs_plan pattern, _wires): T's legs [..., i_s, i_t, j_s, j_t], then
-    the other site's row leg.  np.add(view, T, out=view), T broadcast over
-    its last axis, adds T (x) 1 with the bits of adding the dense stack."""
+    the other site's row leg, over which np.add(view, T, out=view) spreads
+    T with the bits of adding the dense T (x) 1 and no N^6 stack."""
     wire, [(sites, _)] = _wires(pattern)
     rows, cols = "abc", "def"
     col = [cols[q] if q in sites else rows[q] for q in range(3)]
@@ -240,21 +242,13 @@ def legs_product(N, plan, X, Y, out=None):
     column legs apart: a view of one batched matrix product, written into
     out if given (an array of the product's batch and matrix shape)."""
     xo, xshape, yo, yshape, final = plan
-    X = X.reshape(X.shape[:-2] + (N,) * 4).transpose(xo).reshape(
-        X.shape[:-2] + xshape)
-    Y = Y.reshape(Y.shape[:-2] + (N,) * 4).transpose(yo).reshape(
-        Y.shape[:-2] + yshape)
-    legs = np.matmul(X, Y, out=out)
+    xb, yb = X.shape[:-2], Y.shape[:-2]
+    if xo is not None:
+        X = X.reshape(xb + (N,) * 4).transpose(xo)
+    if yo is not None:
+        Y = Y.reshape(yb + (N,) * 4).transpose(yo)
+    legs = np.matmul(X.reshape(xb + xshape), Y.reshape(yb + yshape), out=out)
     return legs.reshape(legs.shape[:-2] + (N,) * 6).transpose(final)
-
-
-def site_legs(N, *factors):
-    """legs_product under their legs_plan of factors (T, s, t) on Mat(N)^{x
-    3}, two-site (..., N^2, N^2) matrices or stacks T on the sites s and t
-    or swaps (None, s, t), left to right, two operators naming every site."""
-    return legs_product(N, legs_plan(N, tuple(
-        (None if T is None else np.ndim(T) - 2, s, t) for T, s, t in factors)),
-        *(np.asarray(T) for T, _, _ in factors if T is not None))
 
 
 def as_block_grid(A, M, N):

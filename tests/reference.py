@@ -337,7 +337,7 @@ def exchange_products(state, R):
 
 def site_product(N, k, *factors):
     """The product of factors on Mat(N)^{x k}, the oracle of tn.embed and
-    tn.site_legs, as one np.einsum over the legs of its factors: each
+    tn.legs_product, as one np.einsum over the legs of its factors: each
     run of sites that no factor names is one identity leg, a factor
     (T, s, t) contracts the column letters of its sites' legs and gives them
     new ones, and a swap (None, s, t) exchanges two column letters."""

@@ -902,12 +902,12 @@ def test_certify_stack_one_call_per_kernel_and_order(family_calls,
 
 @pytest.mark.parametrize("n", [1, 5])
 def test_certify_stack_set_up_per_chunk(monkeypatch, n):
-    # a chunk norms in 31 stack_norms calls whatever its size, where one
-    # call a term took 52: each identity's lone terms in one, each product
-    # when the next is due and the last with the residual, and the dense
-    # identities' N^2 x N^2 and N x N matrices in one each.  The first
-    # chunk resolves the 7 walks, the 10 product plans and the 8 plans of
-    # one operator; a later one looks up its 7 walks and no plan
+    # a chunk norms in 26 stack_norms calls whatever its size, where one
+    # call a term took 52: each product when the next is due and the last
+    # with its identity's residual, the N^2 x N^2 matrices of the dense
+    # identities and of the lone terms in one, and the N x N traces in one.
+    # The first chunk resolves the 7 walks, the 10 product plans and the 8
+    # plans of one operator; a later one looks up its 7 walks and no plan
     fam = rm.make_family("bb", N=2, tau=0.3 + 0.8j)
     samples = np.array(_certify_draws(fam, n, 0)).T
     calls = []
@@ -931,7 +931,7 @@ def test_certify_stack_set_up_per_chunk(monkeypatch, n):
     del calls[:]
     before = [plan.cache_info() for plan in plans]
     rm._certify_stack(fam, *samples)
-    assert len(calls) == 31
+    assert len(calls) == 26
     assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(
         [plan.cache_info() for plan in plans], before)] == [(7, 0), (0, 0),
                                                             (0, 0)]
@@ -1064,8 +1064,8 @@ def test_lone_terms_match_the_dense_product(name, pattern, batch, N):
     # a lone term added on the identity leg's diagonal (as _site_rel adds
     # it, through the view of its diagonal_plan) gives the residual of adding
     # its dense N^6 stack (the einsum oracle, T times the identity) bit for
-    # bit, and alone in _site_rel its norm sqrt(N) ||T|| is that stack's
-    # norm to 1e-15
+    # bit, and alone in _site_rel its norm, sqrt(N) times the norm ||T|| it
+    # is given, is that stack's norm to 1e-15
     rng = np.random.default_rng(N)
 
     def draw(shape):
@@ -1081,8 +1081,9 @@ def test_lone_terms_match_the_dense_product(name, pattern, batch, N):
         op(view, T.reshape(T.shape[:-2] + (N,) * 4 + (1,)), out=view)
         want = op(start, dense)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    rel = rm._site_rel(N, _written(pattern),
-                       {"T": T.reshape(-1, N * N, N * N)})
+    stack = T.reshape(-1, N * N, N * N)
+    rel = rm._site_rel(N, _written(pattern), {"T": stack},
+                       {"T": tn.stack_norms(stack)})
     assert rel.shape == (int(np.prod(T.shape[:-2])),)
     assert np.all(np.abs(rel - 1.0) <= 1e-15)
 

@@ -779,8 +779,8 @@ def _drawn(draw, seed, *args):
     how many doubles it took from rng, a generator seeded by seed."""
     rng = np.random.default_rng(seed)
     try:
-        out = np.array(draw(rng, *args), dtype=complex, ndmin=1).view(np.uint64)
-        out = tuple(out.tolist())
+        out = np.array(draw(rng, *args), dtype=complex, ndmin=1)
+        out = tuple(out.view(np.uint64).tolist())
     except DegenerateDraw:
         out = DegenerateDraw
     after = rng.random()

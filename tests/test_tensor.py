@@ -254,6 +254,16 @@ def two_operators(factors):
     return len(named) == 2 and named[0] != named[1]
 
 
+def site_legs(N, *factors):
+    """The left-to-right product of factors (T, s, t), two-site operators
+    T on the sites s and t or swaps (None, s, t), on Mat(N)^{x 3} as
+    _site_rel forms it: legs_product under their legs_plan."""
+    plan = tn.legs_plan(N, tuple((None if T is None else np.ndim(T) - 2, s, t)
+                                 for T, s, t in factors))
+    return tn.legs_product(N, plan, *(np.asarray(T) for T, *_ in factors
+                                      if T is not None))
+
+
 def test_site_legs_against_einsum_oracle():
     # random products of two operators that name every site of
     # Mat(N)^{x 3}, stacks or single matrices on ordered or reversed site
@@ -281,7 +291,7 @@ def test_site_legs_against_einsum_oracle():
         seen.update(("reversed", s > t) for T, s, t in factors
                     if T is not None)
         want = rf.site_product(N, 3, *factors)
-        got = tn.site_legs(N, *factors)
+        got = site_legs(N, *factors)
         assert got.shape == want.shape[:-2] + (N,) * 6, kinds
         got = got.reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
@@ -307,8 +317,8 @@ def test_site_legs_of_stacks():
     V = np.array([random_matrix(rng, N * N) for _ in range(4)])
     T = random_matrix(rng, N * N)
     # a stack holds bitwise the products of its matrices one at a time
-    got = tn.site_legs(N, (S, 0, 2), (V, 2, 1), (None, 0, 2))
-    one = [tn.site_legs(N, (s, 0, 2), (v, 2, 1), (None, 0, 2))
+    got = site_legs(N, (S, 0, 2), (V, 2, 1), (None, 0, 2))
+    one = [site_legs(N, (s, 0, 2), (v, 2, 1), (None, 0, 2))
            for s, v in zip(S, V)]
     assert got.shape == (4,) + (N,) * 6
     assert np.array_equal(got, np.array(one))
@@ -317,7 +327,7 @@ def test_site_legs_of_stacks():
         @ swap_matrix(N, 3, 0, 2)
     assert np.max(np.abs(got.reshape(want.shape) - want)) < 1e-13
     # a matrix broadcasts against a stack
-    got = tn.site_legs(N, (T, 1, 2), (S, 0, 1)).reshape(4, N ** 3, N ** 3)
+    got = site_legs(N, (T, 1, 2), (S, 0, 1)).reshape(4, N ** 3, N ** 3)
     for g, s in zip(got, S):
         want = np.kron(tn.eye(N), T) @ np.kron(s, tn.eye(N))
         assert np.max(np.abs(g - want)) < 1e-13
@@ -329,7 +339,7 @@ def test_site_legs_takes_two_operators_naming_every_site():
                     [(T, 0, 1), (T, 1, 0)],
                     [(T, 0, 1), (None, 1, 2), (T, 0, 2)]):
         with pytest.raises(ValueError, match="two operators that name"):
-            tn.site_legs(2, *factors)
+            site_legs(2, *factors)
 
 
 def test_block_grid_is_a_view():
